@@ -41,7 +41,6 @@ func run() error {
 		out        = flag.String("out", "", "schedule output path (empty = skip)")
 		format     = flag.String("format", "json", "schedule format: json | jsonl | csv | ns3")
 		replay     = flag.Bool("replay", false, "replay the schedule on the built-in simulator")
-		shards     = flag.Int("shards", 0, "replay engine layout: 0 = plain engine, nonzero = windowed sharded scheduler (output is byte-identical)")
 		topology   = flag.String("topology", "star", "replay fabric: star | multirack | fattree")
 		transport  = flag.String("transport", "fluid", "replay transport model: fluid | tcp")
 		racks      = flag.Int("racks", 2, "rack count (multirack)")
@@ -115,7 +114,6 @@ func run() error {
 		UplinkGbps: *uplinkGbps,
 		FatTreeK:   *fatTreeK,
 		Transport:  *transport,
-		Shards:     *shards,
 		Seed:       *seed,
 	}
 	recs, makespan, err := core.Replay(sched, spec)

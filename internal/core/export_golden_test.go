@@ -10,7 +10,7 @@ import (
 	"keddah/internal/flows"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the export golden files")
+var updateGolden = flag.Bool("update", false, "rewrite the export golden files and capture digests")
 
 // goldenSchedule exercises the format edge cases: master host (-1),
 // CSV-hostile job names (comma, quote), NS3-tag-hostile names (spaces),

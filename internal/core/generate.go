@@ -507,27 +507,12 @@ func ReplayWith(schedule []SynthFlow, cluster ClusterSpec, tel *telemetry.Teleme
 	if err != nil {
 		return nil, 0, err
 	}
-	if _, err := netsim.ParseTransport(cluster.Transport); err != nil {
-		return nil, 0, fmt.Errorf("core: %w", err)
+	netCfg, err := cluster.netConfig()
+	if err != nil {
+		return nil, 0, err
 	}
-	// Replays drive one network, so there is only one shard to run — but
-	// a non-zero Shards still routes the run through the windowed
-	// scheduler, proving the window protocol is identity-preserving on
-	// the replay path too (the -shards CI lockstep uses this).
 	eng := sim.New()
-	var sched *sim.ShardedEngine
-	if cluster.Shards != 0 {
-		la := sim.Time(cluster.InterPodLatencyNs)
-		if la <= 0 {
-			la = sim.Time(netsim.DefaultInterPodLatencyNs)
-		}
-		var err error
-		if sched, err = sim.NewSharded(1, 1, la); err != nil {
-			return nil, 0, err
-		}
-		eng = sched.PodEngine(0)
-	}
-	net := netsim.NewNetwork(eng, topo, netsim.Config{Transport: cluster.Transport})
+	net := netsim.NewNetwork(eng, topo, netCfg)
 	if tel != nil {
 		eng.SetMetrics(tel.Sim)
 		net.SetMetrics(tel.Net)
@@ -568,12 +553,7 @@ func ReplayWith(schedule []SynthFlow, cluster ClusterSpec, tel *telemetry.Teleme
 			return nil, 0, fmt.Errorf("schedule flow: %w", err)
 		}
 	}
-	var end sim.Time
-	if sched != nil {
-		end, err = sched.Drain()
-	} else {
-		end, err = eng.RunAll()
-	}
+	end, err := eng.RunAll()
 	if err != nil {
 		return nil, 0, fmt.Errorf("replay: %w", err)
 	}

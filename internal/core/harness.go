@@ -45,19 +45,12 @@ type ClusterSpec struct {
 	// ablation).
 	LocalityWaitNs int64 `json:"localityWaitNs"`
 	// Allocator selects the bandwidth sharing model: "" or "maxmin"
-	// (default), "equalsplit" (the A2 ablation), or "maxmin-ref" (the
-	// from-scratch reference implementation of max-min fairness, kept
-	// for equivalence testing of the incremental allocator).
+	// (default) or "equalsplit" (the A2 ablation). The TCP transport
+	// always shares by demand-capped max-min.
 	Allocator string `json:"allocator"`
-	// NetImpl selects the netsim flow-storage core: "" or "soa" (the
-	// default struct-of-arrays layout) or "pointer" (the pointer-per-flow
-	// reference core, kept for lockstep equivalence testing). The two are
-	// trajectory-identical; only memory behaviour differs.
-	NetImpl string `json:"netImpl"`
 	// Transport selects the network rate model: "" or "fluid" (default
 	// max-min fluid sharing) or "tcp" (per-flow TCP state machine with
 	// slow start, AIMD, fast retransmit and RTO over droptail queues).
-	// "tcp" requires the struct-of-arrays core.
 	Transport string `json:"transport"`
 	// Seed fixes all randomness.
 	Seed int64 `json:"seed"`
@@ -70,8 +63,8 @@ type ClusterSpec struct {
 	// 0 = serial (one event engine hosting every pod, still advancing
 	// through the same conservative windows), -1 = auto (one engine per
 	// pod), or an explicit count in [1, Pods]. Output is byte-identical
-	// at every setting; only wall-clock changes. Single-pod captures
-	// ignore it.
+	// at every setting; only wall-clock changes. Single-pod captures and
+	// replays ignore it.
 	Shards int `json:"shards,omitempty"`
 	// CrossPod selects the inter-pod copy traffic each pod emits after
 	// its last run: "" or "ring" (pod p distcps its final output to pod
@@ -136,45 +129,37 @@ func (s ClusterSpec) buildClusterOn(eng *sim.Engine) (*hadoop.Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	s = s.withDefaults()
-	var alloc netsim.Allocator
-	var reference bool
-	switch s.Allocator {
-	case "", "maxmin":
-		alloc = netsim.AllocMaxMin
-	case "maxmin-ref":
-		alloc = netsim.AllocMaxMin
-		reference = true
-	case "equalsplit":
-		alloc = netsim.AllocEqualSplit
-	default:
-		return nil, fmt.Errorf("core: unknown allocator %q", s.Allocator)
-	}
-	var pointer bool
-	switch s.NetImpl {
-	case "", "soa":
-	case "pointer":
-		pointer = true
-	default:
-		return nil, fmt.Errorf("core: unknown net impl %q", s.NetImpl)
-	}
-	transport, err := netsim.ParseTransport(s.Transport)
+	netCfg, err := s.netConfig()
 	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+		return nil, err
 	}
-	if transport == netsim.TransportTCP && pointer {
-		return nil, fmt.Errorf("core: transport %q requires the struct-of-arrays net impl, not %q", s.Transport, s.NetImpl)
-	}
+	s = s.withDefaults()
 	return hadoop.New(topo, hadoop.Config{
-		HDFS: hdfs.Config{BlockSize: s.BlockSize, Replication: s.Replication},
-		YARN: yarn.Config{SlotsPerNode: s.SlotsPerNode, LocalityWait: sim.Time(s.LocalityWaitNs)},
-		Net: netsim.Config{
-			Allocator: alloc, UseReferenceAllocator: reference,
-			UsePointerFlows: pointer, Transport: s.Transport,
-		},
+		HDFS:   hdfs.Config{BlockSize: s.BlockSize, Replication: s.Replication},
+		YARN:   yarn.Config{SlotsPerNode: s.SlotsPerNode, LocalityWait: sim.Time(s.LocalityWaitNs)},
+		Net:    netCfg,
 		Engine: eng,
 		Seed:   s.Seed,
 	})
+}
+
+// netConfig maps the spec's network knobs (allocator and transport) to a
+// netsim.Config, rejecting unknown names. Captures and replays both build
+// their network from it, so the two can never disagree on a spec.
+func (s ClusterSpec) netConfig() (netsim.Config, error) {
+	var alloc netsim.Allocator
+	switch s.Allocator {
+	case "", "maxmin":
+		alloc = netsim.AllocMaxMin
+	case "equalsplit":
+		alloc = netsim.AllocEqualSplit
+	default:
+		return netsim.Config{}, fmt.Errorf("core: unknown allocator %q", s.Allocator)
+	}
+	if _, err := netsim.ParseTransport(s.Transport); err != nil {
+		return netsim.Config{}, fmt.Errorf("core: %w", err)
+	}
+	return netsim.Config{Allocator: alloc, Transport: s.Transport}, nil
 }
 
 // FailureSpec injects a whole-worker failure during a capture session.

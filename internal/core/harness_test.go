@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"keddah/internal/flows"
 	"keddah/internal/workload"
 )
 
@@ -70,38 +71,54 @@ func TestCaptureDeterministicAcrossCalls(t *testing.T) {
 	}
 }
 
+// TestCaptureMatchesReferenceAllocator fences the max-min allocator at the
+// capture-pipeline level: a two-job fat-tree session (many multi-hop paths
+// sharing core links) must reproduce the committed digests, which were
+// recorded while the from-scratch reference allocator still ran beside
+// the incremental one and agreed with it byte for byte.
 func TestCaptureMatchesReferenceAllocator(t *testing.T) {
-	// The incremental max-min allocator must be indistinguishable from the
-	// from-scratch reference at the capture-pipeline level: same spec and
-	// seed, identical flow records and run timings.
-	runs := []workload.RunSpec{
-		{Profile: "terasort", InputBytes: 512 << 20},
-		{Profile: "wordcount", InputBytes: 256 << 20},
+	checkCaptureGolden(t, goldenCapture{
+		file: "capture-fattree.sha256",
+		spec: ClusterSpec{Topology: "fattree", FatTreeK: 4, Seed: 42},
+		runs: []workload.RunSpec{
+			{Profile: "terasort", InputBytes: 512 << 20},
+			{Profile: "wordcount", InputBytes: 256 << 20},
+		},
+	})
+}
+
+// TestReplayHonoursAllocator: Replay builds its network from the same
+// spec mapping as Capture, so the A2 equal-split allocator changes a
+// contended replay and an unknown allocator name is rejected. Worker 0's
+// uplink carries one flow bottlenecked elsewhere (on worker 2's downlink,
+// shared three ways); only max-min hands its unused share to the other.
+func TestReplayHonoursAllocator(t *testing.T) {
+	flow := func(src, dst, port int, bytes int64) SynthFlow {
+		return SynthFlow{SrcHost: src, DstHost: dst, SrcPort: port, DstPort: 13562,
+			Bytes: bytes, Phase: flows.PhaseShuffle, Job: "j"}
 	}
-	mk := func(alloc string) *TraceSet {
-		ts, _, err := Capture(ClusterSpec{Topology: "fattree", FatTreeK: 4, Seed: 42, Allocator: alloc}, runs)
-		if err != nil {
-			t.Fatalf("%s: %v", alloc, err)
-		}
-		return ts
+	sched := []SynthFlow{
+		flow(0, 1, 40001, 100<<20),
+		flow(0, 2, 40002, 50<<20),
+		flow(3, 2, 40003, 50<<20),
+		flow(4, 2, 40004, 50<<20),
 	}
-	inc, ref := mk("maxmin"), mk("maxmin-ref")
-	if len(inc.Runs) != len(ref.Runs) {
-		t.Fatalf("run counts differ: %d vs %d", len(inc.Runs), len(ref.Runs))
+	spec := ClusterSpec{Workers: 6, Seed: 1}
+	_, maxmin, err := Replay(sched, spec)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range inc.Runs {
-		a, b := inc.Runs[i], ref.Runs[i]
-		if a.EndNs != b.EndNs || a.StartNs != b.StartNs {
-			t.Errorf("run %d span differs: [%d,%d] vs [%d,%d]", i, a.StartNs, a.EndNs, b.StartNs, b.EndNs)
-		}
-		if len(a.Records) != len(b.Records) {
-			t.Fatalf("run %d record counts differ: %d vs %d", i, len(a.Records), len(b.Records))
-		}
-		for j := range a.Records {
-			if a.Records[j] != b.Records[j] {
-				t.Fatalf("run %d record %d differs:\n%+v\n%+v", i, j, a.Records[j], b.Records[j])
-			}
-		}
+	spec.Allocator = "equalsplit"
+	_, split, err := Replay(sched, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if split <= maxmin {
+		t.Errorf("equal-split makespan %v not above max-min makespan %v", split, maxmin)
+	}
+	spec.Allocator = "bogus"
+	if _, _, err := Replay(sched, spec); err == nil {
+		t.Error("unknown allocator accepted by Replay")
 	}
 }
 

@@ -268,35 +268,3 @@ func TestResolveShards(t *testing.T) {
 		}
 	}
 }
-
-// TestReplayShardedLockstep: a replay routed through the windowed
-// scheduler (Shards != 0) reproduces the plain engine's records exactly.
-func TestReplayShardedLockstep(t *testing.T) {
-	schedule := []SynthFlow{
-		{StartNs: 0, SrcHost: 0, DstHost: 1, SrcPort: 40001, DstPort: 50010, Bytes: 1 << 20, Job: "j0", Phase: "shuffle"},
-		{StartNs: 5e6, SrcHost: 2, DstHost: 1, SrcPort: 40002, DstPort: 50010, Bytes: 2 << 20, Job: "j0", Phase: "shuffle"},
-		{StartNs: 9e6, SrcHost: 1, DstHost: 3, SrcPort: 40003, DstPort: 50020, Bytes: 512 << 10, Job: "j1", Phase: "output"},
-	}
-	cluster := ClusterSpec{Topology: "star", Workers: 4, Seed: 1}
-	refRecs, refEnd, err := Replay(schedule, cluster)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded := cluster
-	sharded.Shards = -1
-	recs, end, err := Replay(schedule, sharded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if end != refEnd {
-		t.Fatalf("sharded replay end %v, serial %v", end, refEnd)
-	}
-	if len(recs) != len(refRecs) {
-		t.Fatalf("sharded replay captured %d records, serial %d", len(recs), len(refRecs))
-	}
-	for i := range recs {
-		if recs[i] != refRecs[i] {
-			t.Fatalf("record %d diverged:\nserial:  %+v\nsharded: %+v", i, refRecs[i], recs[i])
-		}
-	}
-}

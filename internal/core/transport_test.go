@@ -22,7 +22,6 @@ func TestClusterSpecTransportValidation(t *testing.T) {
 		{"default fluid", ClusterSpec{Workers: 4}, false, false},
 		{"explicit fluid", ClusterSpec{Workers: 4, Transport: "fluid"}, false, false},
 		{"tcp", ClusterSpec{Workers: 4, Transport: "tcp"}, false, false},
-		{"tcp over pointer core", ClusterSpec{Workers: 4, Transport: "tcp", NetImpl: "pointer"}, true, false},
 		{"unknown transport", ClusterSpec{Workers: 4, Transport: "udp"}, true, true},
 		{"case-sensitive", ClusterSpec{Workers: 4, Transport: "Fluid"}, true, true},
 	}

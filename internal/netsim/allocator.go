@@ -5,19 +5,15 @@ import (
 	"slices"
 )
 
-// This file holds the struct-of-arrays core's bandwidth-sharing rate
-// computations. All three write the per-flow rate vector into c.rates
-// (indexed by active-list position), sized by reallocate before dispatch.
-// The ptrCore twins (ptrcore.go) perform the identical floating-point
-// operations in the identical order, so the two cores' rate vectors agree
-// bit for bit — as do incremental and reference within each core.
+// This file holds the flow core's fluid bandwidth-sharing rate
+// computations. Both write the per-flow rate vector into c.rates (indexed
+// by active-list position), sized by reallocate before dispatch.
 //
 // incrementalMaxMinRates is the production path: progressive filling
 // driven by the per-link active-flow index, O(rounds × links) for
 // bottleneck selection plus O(Σ path) for freezing — it never rescans
-// the whole flow set per round. referenceMaxMinRates preserves the
-// original from-scratch formulation (scan every flow every round) for
-// equivalence testing behind Config.UseReferenceAllocator.
+// the whole flow set per round. The independent from-scratch oracle it is
+// checked against is maxMinRates (invariants.go).
 
 // incrementalMaxMinRates computes max-min fair rates by progressive
 // filling over the per-link flow index:
@@ -31,11 +27,11 @@ import (
 //  3. Rounds repeat until every flow is frozen; a flow always keeps its
 //     own links loaded until frozen, so progress is guaranteed.
 //
-// Candidates are processed in active-list order (ascending listIdx) to
-// reproduce the reference allocator's arithmetic exactly: the per-link
-// lists are swap-remove ordered, so they are sorted here — the sort is
-// over one bottleneck's flows only, not the whole active set, and
-// slices.SortFunc keeps it allocation-free.
+// Candidates are processed in active-list order (ascending listIdx), so
+// the floating-point arithmetic — and with it every captured byte — does
+// not depend on the per-link lists' swap-remove order: they are sorted
+// here — the sort is over one bottleneck's flows only, not the whole
+// active set, and slices.SortFunc keeps it allocation-free.
 func (c *soaCore) incrementalMaxMinRates() {
 	for i, l := range c.topo.links {
 		c.remCap[i] = l.CapacityBps
@@ -94,70 +90,6 @@ func (c *soaCore) incrementalMaxMinRates() {
 			}
 		}
 		c.freezeBuf = cand[:0]
-	}
-}
-
-// referenceMaxMinRates is the original allocator, kept verbatim as the
-// oracle for the incremental path: it recounts link loads from scratch
-// and rescans the entire active set every bottleneck round.
-func (c *soaCore) referenceMaxMinRates() {
-	remCap := make([]float64, len(c.topo.links))
-	cnt := make([]int, len(c.topo.links))
-	for i, l := range c.topo.links {
-		remCap[i] = l.CapacityBps
-	}
-	for _, s := range c.active {
-		for _, lid := range c.path(s) {
-			cnt[lid]++
-		}
-	}
-	frozen := make([]bool, len(c.active))
-	remaining := len(c.active)
-	for remaining > 0 {
-		// Find bottleneck link: min fair share among loaded links.
-		best := -1
-		bestShare := math.Inf(1)
-		for i := range remCap {
-			if cnt[i] == 0 {
-				continue
-			}
-			share := remCap[i] / float64(cnt[i])
-			if share < bestShare {
-				bestShare = share
-				best = i
-			}
-		}
-		if best < 0 {
-			copy(c.frozen, frozen)
-			c.freezeStranded(&remaining)
-			break
-		}
-		// Freeze every unfrozen flow crossing the bottleneck.
-		for i, s := range c.active {
-			if frozen[i] {
-				continue
-			}
-			crosses := false
-			for _, lid := range c.path(s) {
-				if lid == LinkID(best) {
-					crosses = true
-					break
-				}
-			}
-			if !crosses {
-				continue
-			}
-			c.rates[i] = bestShare
-			frozen[i] = true
-			remaining--
-			for _, lid := range c.path(s) {
-				remCap[lid] -= bestShare
-				if remCap[lid] < 0 {
-					remCap[lid] = 0
-				}
-				cnt[lid]--
-			}
-		}
 	}
 }
 

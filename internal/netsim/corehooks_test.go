@@ -1,59 +1,17 @@
 package netsim
 
-// Test-only accessors that reach into whichever core a Network runs on,
-// so the invariant-corruption and allocator-equivalence tests can drive
-// the struct-of-arrays layout and the pointer reference layout through
-// one code path.
+// Test-only accessors that reach into the flow core, so the
+// invariant-corruption tests can perturb the first active flow.
 
 // testSetRemaining corrupts the first active flow's byte residue.
-func testSetRemaining(n *Network, v float64) {
-	if n.ptr != nil {
-		n.ptr.flows[0].remaining = v
-		return
-	}
-	n.soa.remaining[n.soa.active[0]] = v
-}
+func testSetRemaining(n *Network, v float64) { n.soa.remaining[n.soa.active[0]] = v }
 
 // testMarkDone marks the first active flow finished without removing it
 // from the active set — the inconsistency VerifyState must flag.
-func testMarkDone(n *Network) {
-	if n.ptr != nil {
-		n.ptr.flows[0].done = true
-		return
-	}
-	n.soa.state[n.soa.active[0]] = slotFree
-}
+func testMarkDone(n *Network) { n.soa.state[n.soa.active[0]] = slotFree }
 
 // testScaleRate perturbs the first active flow's installed rate.
-func testScaleRate(n *Network, factor float64) {
-	if n.ptr != nil {
-		n.ptr.flows[0].rate *= factor
-		return
-	}
-	n.soa.rate[n.soa.active[0]] *= factor
-}
+func testScaleRate(n *Network, factor float64) { n.soa.rate[n.soa.active[0]] *= factor }
 
 // testFirstLink returns the first link of the first active flow's path.
-func testFirstLink(n *Network) LinkID {
-	if n.ptr != nil {
-		return n.ptr.flows[0].path[0]
-	}
-	return n.soa.path(n.soa.active[0])[0]
-}
-
-// snapshotRates returns flow id → allocated rate for the active set.
-func snapshotRates(n *Network) map[uint64]float64 {
-	if n.ptr != nil {
-		out := make(map[uint64]float64, len(n.ptr.flows))
-		for _, f := range n.ptr.flows {
-			out[f.id] = f.rate
-		}
-		return out
-	}
-	c := n.soa
-	out := make(map[uint64]float64, len(c.active))
-	for _, s := range c.active {
-		out[c.fid[s]] = c.rate[s]
-	}
-	return out
-}
+func testFirstLink(n *Network) LinkID { return n.soa.path(n.soa.active[0])[0] }

@@ -93,7 +93,8 @@ func TestFlowIDRecycle(t *testing.T) {
 // partial event processing, aborts through current and stale FlowIDs, and
 // structural verification. The properties: an abort through a stale id
 // always returns ErrStaleFlow and never perturbs the slot's new occupant,
-// VerifyState holds at every probe point, and the network always drains.
+// VerifyState and the max-min oracle hold after every op, and the network
+// always drains.
 func FuzzFlowIDRecycle(f *testing.F) {
 	f.Add([]byte{0, 16, 5, 1, 0, 8, 2, 3, 0, 1, 2, 2, 3})
 	f.Add([]byte{0, 0, 0, 0, 1, 255, 2, 2, 2, 2, 3})
@@ -147,10 +148,13 @@ func FuzzFlowIDRecycle(f *testing.F) {
 				case !pending && occupied && !net.FlowPending(occupant):
 					t.Fatal("stale abort tore down the slot's new occupant")
 				}
-			case 3: // structural probe
-				if err := net.VerifyState(); err != nil {
-					t.Fatal(err)
-				}
+			case 3: // probe only: the checks below run after every op
+			}
+			if err := net.VerifyState(); err != nil {
+				t.Fatalf("op %d: %v", i, err)
+			}
+			if err := net.CheckAllocatorOracle(); err != nil {
+				t.Fatalf("op %d: %v", i, err)
 			}
 		}
 		if _, err := eng.RunAll(); err != nil {

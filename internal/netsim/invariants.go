@@ -9,8 +9,6 @@ import (
 // internal/invariants layer. Both entry points are strictly observational:
 // they allocate only local scratch, draw no randomness, and schedule no
 // events, so a checked run's trajectory is identical to an unchecked one.
-// Each check dispatches to the active core and verifies that core's own
-// structural representation (SoA slots+arenas, or pointer lists).
 
 // VerifyState checks the structural invariants of the active flow set:
 // the active list and the per-link flow index agree with each other, no
@@ -20,18 +18,12 @@ import (
 // reallocation is pending it additionally verifies the allocation itself
 // via CheckInvariants (capacity and bottleneck conditions).
 func (n *Network) VerifyState() error {
-	if n.ptr != nil {
-		if err := n.ptr.verifyState(); err != nil {
+	if err := n.soa.verifyState(); err != nil {
+		return err
+	}
+	if n.soa.tcp != nil {
+		if err := n.soa.tcp.verify(); err != nil {
 			return err
-		}
-	} else {
-		if err := n.soa.verifyState(); err != nil {
-			return err
-		}
-		if n.soa.tcp != nil {
-			if err := n.soa.tcp.verify(); err != nil {
-				return err
-			}
 		}
 	}
 	if n.reallocPendingNow() {
@@ -96,144 +88,112 @@ func (c *soaCore) verifyState() error {
 	return nil
 }
 
-func (c *ptrCore) verifyState() error {
-	for i, f := range c.flows {
-		if f.listIdx != i {
-			return fmt.Errorf("netsim: flow %d listIdx %d but held at position %d", f.id, f.listIdx, i)
-		}
-		if f.done || !f.active {
-			return fmt.Errorf("netsim: flow %d in active set but done=%v active=%v", f.id, f.done, f.active)
-		}
-		if f.remaining < 0 || f.remaining > float64(f.spec.SizeBytes) {
-			return fmt.Errorf("netsim: flow %d remaining %.3g outside [0, %d]", f.id, f.remaining, f.spec.SizeBytes)
-		}
-		if len(f.linkPos) != len(f.path) {
-			return fmt.Errorf("netsim: flow %d linkPos/path length mismatch (%d vs %d)", f.id, len(f.linkPos), len(f.path))
-		}
-		for j, lid := range f.path {
-			if c.topo.linkDown[lid] {
-				return fmt.Errorf("netsim: flow %d active on downed link %d", f.id, lid)
-			}
-			p := f.linkPos[j]
-			if p < 0 || p >= len(c.linkFlows[lid]) || c.linkFlows[lid][p] != f {
-				return fmt.Errorf("netsim: flow %d link index stale on link %d (pos %d)", f.id, lid, p)
-			}
+// CheckAllocatorOracle recomputes the allocation from scratch with
+// maxMinRates and compares it, within rateTolerance, against the rates the
+// production allocator installed: plain max-min in fluid mode, and max-min
+// with every flow capped at its window demand (cwnd/srtt) in TCP mode. It
+// returns nil under the equal-split ablation allocator (which is not
+// max-min), while a reallocation is pending (the installed rates are
+// intentionally stale), or when the two vectors agree.
+func (n *Network) CheckAllocatorOracle() error {
+	c := n.soa
+	if n.reallocPendingNow() || len(c.active) == 0 {
+		return nil
+	}
+	if c.tcp == nil && n.cfg.Allocator != AllocMaxMin {
+		return nil
+	}
+	paths := make([][]LinkID, len(c.active))
+	demand := make([]float64, len(c.active))
+	for i, s := range c.active {
+		paths[i] = c.path(s)
+		demand[i] = math.Inf(1)
+		if c.tcp != nil {
+			demand[i] = c.tcp.demand[s]
 		}
 	}
-	indexed := 0
-	for _, lst := range c.linkFlows {
-		indexed += len(lst)
+	capacity := make([]float64, len(n.topo.links))
+	for i, l := range n.topo.links {
+		capacity[i] = l.CapacityBps
 	}
-	pathSum := 0
-	for _, f := range c.flows {
-		pathSum += len(f.path)
-	}
-	if indexed != pathSum {
-		return fmt.Errorf("netsim: per-link index holds %d entries, active paths cover %d", indexed, pathSum)
+	want := maxMinRates(paths, capacity, demand, n.cfg.LoopbackBps)
+	for i, s := range c.active {
+		if !rateEqual(c.rate[s], want[i]) {
+			return fmt.Errorf("netsim: flow %d rate %.6g bps diverges from max-min oracle %.6g bps", c.fid[s], c.rate[s], want[i])
+		}
 	}
 	return nil
 }
 
-// CheckAllocatorOracle recomputes the max-min rate vector with the exact
-// arithmetic of referenceMaxMinRates — from-scratch progressive filling
-// into fresh local buffers — and compares it against the rates the
-// production incremental allocator installed. It returns nil when the
-// allocator is not AllocMaxMin, when a reallocation is pending (the
-// installed rates are intentionally stale), or when the vectors agree
-// within rateTolerance.
-func (n *Network) CheckAllocatorOracle() error {
-	if n.cfg.Allocator != AllocMaxMin || n.reallocPendingNow() || n.ActiveFlows() == 0 {
-		return nil
-	}
-	if n.soa != nil && n.soa.tcp != nil {
-		// TCP rates are demand-limited; the unconstrained max-min oracle
-		// does not apply. tcpCore.verify covers the TCP-mode invariants.
-		return nil
-	}
-	// Assemble the oracle inputs from the active core's view.
-	nf := n.ActiveFlows()
-	paths := make([][]LinkID, nf)
-	installed := make([]float64, nf)
-	ids := make([]uint64, nf)
-	if n.ptr != nil {
-		for i, f := range n.ptr.flows {
-			paths[i], installed[i], ids[i] = f.path, f.rate, f.id
-		}
-	} else {
-		c := n.soa
-		for i, s := range c.active {
-			paths[i], installed[i], ids[i] = c.path(s), c.rate[s], c.fid[s]
-		}
-	}
-
-	remCap := make([]float64, len(n.topo.links))
-	cnt := make([]int, len(n.topo.links))
-	for i, l := range n.topo.links {
-		remCap[i] = l.CapacityBps
-	}
-	for _, p := range paths {
-		for _, lid := range p {
-			cnt[lid]++
-		}
-	}
-	rates := make([]float64, nf)
-	frozen := make([]bool, nf)
-	remaining := nf
-	for remaining > 0 {
-		best := -1
-		bestShare := math.Inf(1)
-		for i := range remCap {
-			if cnt[i] == 0 {
-				continue
-			}
-			share := remCap[i] / float64(cnt[i])
-			if share < bestShare {
-				bestShare = share
-				best = i
+// maxMinRates is the from-scratch max-min oracle. Given every flow's path,
+// the link capacities and a per-flow demand cap (+Inf when uncapped, as in
+// fluid mode), it returns the max-min fair rate vector. Each round
+// recomputes every link's residual capacity and unfrozen load from the
+// frozen set and takes the smallest fair share s over loaded links. Every
+// unfrozen flow whose demand fits under s freezes at its demand; if none
+// does, every unfrozen flow crossing a link whose share is s freezes at s.
+// A flow that crosses no loaded link runs at its demand, or at the
+// loopback rate when uncapped. It shares no state with the production
+// allocators and allocates freely: it is O(rounds × Σ path).
+func maxMinRates(paths [][]LinkID, capacity, demand []float64, loopback float64) []float64 {
+	rates := make([]float64, len(paths))
+	frozen := make([]bool, len(paths))
+	resid := make([]float64, len(capacity))
+	load := make([]int, len(capacity))
+	shareOf := func(l LinkID) float64 { return math.Max(resid[l], 0) / float64(load[l]) }
+	for left := len(paths); left > 0; {
+		copy(resid, capacity)
+		clear(load)
+		for i, p := range paths {
+			for _, l := range p {
+				if frozen[i] {
+					resid[l] -= rates[i]
+				} else {
+					load[l]++
+				}
 			}
 		}
-		if best < 0 {
-			// Stranded flows (no loaded links) freeze at the loopback
-			// rate, mirroring freezeStranded.
-			for i := range frozen {
+		share := math.Inf(1)
+		for l, k := range load {
+			if k > 0 {
+				share = math.Min(share, shareOf(LinkID(l)))
+			}
+		}
+		if math.IsInf(share, 1) {
+			for i := range paths {
 				if !frozen[i] {
-					rates[i] = n.cfg.LoopbackBps
+					rates[i] = demand[i]
+					if math.IsInf(rates[i], 1) {
+						rates[i] = loopback
+					}
 					frozen[i] = true
-					remaining--
 				}
 			}
 			break
+		}
+		froze := false
+		for i := range paths {
+			if !frozen[i] && demand[i] <= share {
+				rates[i], frozen[i] = demand[i], true
+				left--
+				froze = true
+			}
+		}
+		if froze {
+			continue
 		}
 		for i, p := range paths {
 			if frozen[i] {
 				continue
 			}
-			crosses := false
-			for _, lid := range p {
-				if lid == LinkID(best) {
-					crosses = true
+			for _, l := range p {
+				if load[l] > 0 && shareOf(l) == share {
+					rates[i], frozen[i] = share, true
+					left--
 					break
 				}
 			}
-			if !crosses {
-				continue
-			}
-			rates[i] = bestShare
-			frozen[i] = true
-			remaining--
-			for _, lid := range p {
-				remCap[lid] -= bestShare
-				if remCap[lid] < 0 {
-					remCap[lid] = 0
-				}
-				cnt[lid]--
-			}
 		}
 	}
-	for i := range paths {
-		if !rateEqual(installed[i], rates[i]) {
-			return fmt.Errorf("netsim: flow %d rate %.6g bps diverges from max-min oracle %.6g bps", ids[i], installed[i], rates[i])
-		}
-	}
-	return nil
+	return rates
 }

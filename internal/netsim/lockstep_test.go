@@ -1,14 +1,18 @@
 package netsim
 
 import (
-	"reflect"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
+	"slices"
 	"testing"
 
 	"keddah/internal/sim"
 )
 
 // flowOutcome is the observable end state of one flow, recorded by the
-// lockstep test's completion callbacks.
+// scenarios' completion and abort callbacks.
 type flowOutcome struct {
 	End         sim.Time
 	Aborted     bool
@@ -20,7 +24,7 @@ type flowOutcome struct {
 // including loopback transfers — and, when chaos is on, a deterministic
 // fault schedule (link down/up, capacity degrade/restore, endpoint kills)
 // onto the network. Every flow records its outcome into rec keyed by flow
-// id; both cores assign ids in start order, so the maps line up.
+// id, which the network assigns in start order.
 func lockstepScenario(t *testing.T, net *Network, seed int64, nFlows int, chaos bool, rec map[uint64]flowOutcome) {
 	t.Helper()
 	hosts := net.Topology().Hosts()
@@ -90,12 +94,70 @@ func lockstepScenario(t *testing.T, net *Network, seed int64, nFlows int, chaos 
 	}
 }
 
-// TestSoaMatchesPointerCore is the tentpole equivalence property: the
-// struct-of-arrays core and the pointer-per-flow reference core must
-// produce bit-identical trajectories — same event stream, same clocks,
-// same per-flow rates at every step, same completion times, transferred
-// bytes and rate histories, same aggregate counters — on plain traffic
-// and under chaos schedules with aborts and re-routes.
+// outcomeDigest hashes every recorded flow outcome in flow-id order —
+// end time, abort flag, transferred bytes and the exact bits of every
+// rate segment — followed by the network's aggregate counters.
+func outcomeDigest(net *Network, rec map[uint64]flowOutcome) string {
+	ids := make([]uint64, 0, len(rec))
+	for id := range rec {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	h := sha256.New()
+	var b []byte
+	put := func(v uint64) {
+		b = binary.LittleEndian.AppendUint64(b[:0], v)
+		h.Write(b)
+	}
+	for _, id := range ids {
+		o := rec[id]
+		put(id)
+		put(uint64(o.End))
+		aborted := uint64(0)
+		if o.Aborted {
+			aborted = 1
+		}
+		put(aborted)
+		put(uint64(o.Transferred))
+		put(uint64(len(o.Segments)))
+		for _, seg := range o.Segments {
+			put(uint64(seg.Start))
+			put(math.Float64bits(seg.RateBps))
+		}
+	}
+	put(net.Completed())
+	put(net.AbortedFlows())
+	put(math.Float64bits(net.TotalBytes()))
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// runChecked drains the engine one event at a time, checking VerifyState
+// and the from-scratch max-min oracle after every step (both skip their
+// allocation checks while a coalesced reallocation is pending), and
+// requires that no flow is left stranded.
+func runChecked(t *testing.T, eng *sim.Engine, net *Network) {
+	t.Helper()
+	steps := 0
+	for eng.Step() {
+		steps++
+		if err := net.VerifyState(); err != nil {
+			t.Fatalf("step %d: %v", steps, err)
+		}
+		if err := net.CheckAllocatorOracle(); err != nil {
+			t.Fatalf("step %d: %v", steps, err)
+		}
+	}
+	if net.ActiveFlows() != 0 {
+		t.Fatalf("%d flows stranded after %d steps", net.ActiveFlows(), steps)
+	}
+}
+
+// TestSoaMatchesPointerCore checks the flow core on plain traffic and
+// under chaos schedules with aborts and re-routes: the state invariants
+// and the max-min oracle hold at every settled step, and the final
+// per-flow outcomes (completion times, transferred bytes, rate histories)
+// match digests recorded while the pointer-per-flow reference core still
+// ran in lockstep beside it and agreed bit for bit.
 func TestSoaMatchesPointerCore(t *testing.T) {
 	build := map[string]func() (*Topology, error){
 		"star":      func() (*Topology, error) { return Star(9, Gbps) },
@@ -107,13 +169,14 @@ func TestSoaMatchesPointerCore(t *testing.T) {
 		seed   int64
 		nFlows int
 		chaos  bool
+		digest string
 	}{
-		{"star", 41, 200, false},
-		{"star", 42, 150, true},
-		{"fattree", 51, 300, false},
-		{"fattree", 52, 250, true},
-		{"multirack", 61, 200, false},
-		{"multirack", 62, 200, true},
+		{"star", 41, 200, false, "d3e26cce3b8aa6f3972799cfda91e28bb66b19a0a36c6b52441efe575f7ba4d5"},
+		{"star", 42, 150, true, "b2e9ae2ce1820d30452e7e2bb5c0b0dfcfc6bc2bed1004dc9dfdea0d2e77cfe5"},
+		{"fattree", 51, 300, false, "2e9c424f45299fc353fb69dc0b8e7bee27c132de6a1898fa277de9b6121c6052"},
+		{"fattree", 52, 250, true, "fe06d6017d619fb7bca154ae561a4f61bb2972d951dde9c3da5592a0239bcb6b"},
+		{"multirack", 61, 200, false, "194b3986c5e3c364b4798967e17ffaa388c805d5e1a4ce472a1785dc38463fb8"},
+		{"multirack", 62, 200, true, "ce391a22c1ecb47bf3e9b56ebec8a10f5a67b3af8ef82b2decff69ae18ddc582"},
 	}
 	for _, tc := range cases {
 		name := tc.topo
@@ -121,70 +184,20 @@ func TestSoaMatchesPointerCore(t *testing.T) {
 			name += "/chaos"
 		}
 		t.Run(name, func(t *testing.T) {
-			mk := func(pointer bool) (*sim.Engine, *Network, map[uint64]flowOutcome) {
-				topo, err := build[tc.topo]()
-				if err != nil {
-					t.Fatal(err)
-				}
-				eng := sim.New()
-				net := NewNetwork(eng, topo, Config{UsePointerFlows: pointer})
-				rec := make(map[uint64]flowOutcome, tc.nFlows)
-				lockstepScenario(t, net, tc.seed, tc.nFlows, tc.chaos, rec)
-				return eng, net, rec
-			}
-			soaEng, soaNet, soaRec := mk(false)
-			ptrEng, ptrNet, ptrRec := mk(true)
-
-			steps := 0
-			for {
-				sOK := soaEng.Step()
-				pOK := ptrEng.Step()
-				if sOK != pOK {
-					t.Fatalf("event streams diverged after %d steps", steps)
-				}
-				if !sOK {
-					break
-				}
-				steps++
-				if soaEng.Now() != ptrEng.Now() {
-					t.Fatalf("step %d: clocks diverged %v vs %v", steps, soaEng.Now(), ptrEng.Now())
-				}
-				if soaNet.ActiveFlows() != ptrNet.ActiveFlows() {
-					t.Fatalf("step %d: active sets differ: %d vs %d", steps, soaNet.ActiveFlows(), ptrNet.ActiveFlows())
-				}
-				sr, pr := snapshotRates(soaNet), snapshotRates(ptrNet)
-				if !reflect.DeepEqual(sr, pr) {
-					t.Fatalf("step %d: rate vectors diverged:\nsoa %v\nptr %v", steps, sr, pr)
-				}
-			}
-			if soaNet.ActiveFlows() != 0 || ptrNet.ActiveFlows() != 0 {
-				t.Fatalf("flows stranded: %d soa, %d ptr", soaNet.ActiveFlows(), ptrNet.ActiveFlows())
-			}
-			if soaNet.Completed() != ptrNet.Completed() ||
-				soaNet.AbortedFlows() != ptrNet.AbortedFlows() ||
-				soaNet.TotalBytes() != ptrNet.TotalBytes() {
-				t.Fatalf("aggregates differ: completed %d/%d aborted %d/%d bytes %v/%v",
-					soaNet.Completed(), ptrNet.Completed(),
-					soaNet.AbortedFlows(), ptrNet.AbortedFlows(),
-					soaNet.TotalBytes(), ptrNet.TotalBytes())
-			}
-			if len(soaRec) != len(ptrRec) {
-				t.Fatalf("outcome counts differ: %d vs %d", len(soaRec), len(ptrRec))
-			}
-			for id, so := range soaRec {
-				po, ok := ptrRec[id]
-				if !ok {
-					t.Fatalf("flow %d finished on soa only", id)
-				}
-				if !reflect.DeepEqual(so, po) {
-					t.Fatalf("flow %d outcomes diverged:\nsoa %+v\nptr %+v", id, so, po)
-				}
-			}
-			if err := soaNet.VerifyState(); err != nil {
+			topo, err := build[tc.topo]()
+			if err != nil {
 				t.Fatal(err)
 			}
-			if err := ptrNet.VerifyState(); err != nil {
-				t.Fatal(err)
+			eng := sim.New()
+			net := NewNetwork(eng, topo, Config{})
+			rec := make(map[uint64]flowOutcome, tc.nFlows)
+			lockstepScenario(t, net, tc.seed, tc.nFlows, tc.chaos, rec)
+			runChecked(t, eng, net)
+			if len(rec) != tc.nFlows {
+				t.Fatalf("%d of %d flows recorded an outcome", len(rec), tc.nFlows)
+			}
+			if got := outcomeDigest(net, rec); got != tc.digest {
+				t.Errorf("outcome digest %s, want %s", got, tc.digest)
 			}
 		})
 	}

@@ -418,46 +418,6 @@ func TestByteConservationManyFlows(t *testing.T) {
 	}
 }
 
-func TestSlowStartPenalty(t *testing.T) {
-	// Same 1 MB flow with and without the slow-start model; the modelled
-	// flow takes extra round trips.
-	run := func(cfg Config) time.Duration {
-		topo := mustStar(t, 2, Gbps)
-		eng := sim.New()
-		net := NewNetwork(eng, topo, cfg)
-		h := topo.Hosts()
-		var dur time.Duration
-		if _, err := net.StartFlow(FlowSpec{Src: h[0], Dst: h[1], SrcPort: 1, DstPort: 2, SizeBytes: 1 << 20,
-			OnComplete: func(f *Flow) { dur = time.Duration(f.End() - f.Start()) }}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := eng.RunAll(); err != nil {
-			t.Fatal(err)
-		}
-		return dur
-	}
-	plain := run(Config{})
-	ss := run(Config{ModelSlowStart: true})
-	if ss <= plain {
-		t.Fatalf("slow start did not lengthen the flow: %v vs %v", ss, plain)
-	}
-	// 1 MiB / 14480 B IW: ceil(log2(1+72.4)) = 7 RTTs of 200 µs = 1.4 ms.
-	extra := ss - plain
-	if extra != 1400*time.Microsecond {
-		t.Errorf("slow-start penalty = %v, want 1.4ms", extra)
-	}
-}
-
-func TestSlowStartZeroSize(t *testing.T) {
-	if p := slowStartPenaltyNs(0, 100_000); p != 0 {
-		t.Errorf("penalty for empty flow = %d", p)
-	}
-	// One-window flow costs a single RTT.
-	if p := slowStartPenaltyNs(1000, 100_000); p != 200_000 {
-		t.Errorf("penalty for tiny flow = %d, want one RTT", p)
-	}
-}
-
 func TestUtilizationProbe(t *testing.T) {
 	topo, err := MultiRack(2, 2, Gbps, Gbps)
 	if err != nil {

@@ -38,26 +38,23 @@ type RateSegment struct {
 
 // Flow is the exported handle to an in-flight or finished transfer.
 //
-// With the default struct-of-arrays core the handle is thin: while the
-// flow is in flight it reads through (slot, gen) into the core's parallel
-// slices, and at completion the observable state (end time, transferred
-// bytes, rate segments) is snapshotted into the handle before the slot is
-// recycled — so captures retaining handles for lazy packet synthesis keep
-// working after the storage is reused. With the pointer reference core it
-// wraps a *ptrFlow directly.
+// The handle is thin: while the flow is in flight it reads through
+// (slot, gen) into the core's parallel slices, and at completion the
+// observable state (end time, transferred bytes, rate segments) is
+// snapshotted into the handle before the slot is recycled — so captures
+// retaining handles for lazy packet synthesis keep working after the
+// storage is reused.
 type Flow struct {
 	id    uint64
 	spec  FlowSpec
 	start sim.Time
 
-	// Exactly one live reference is set: soa+slot+gen, or pf.
 	soa  *soaCore
 	slot int32
 	gen  uint32
-	pf   *ptrFlow
 
-	// Snapshot of the final observable state (SoA core only), taken the
-	// instant the flow finishes, before its slot returns to the free list.
+	// Snapshot of the final observable state, taken the instant the flow
+	// finishes, before its slot returns to the free list.
 	snapped     bool
 	aborted     bool
 	end         sim.Time
@@ -75,29 +72,14 @@ func (f *Flow) Spec() FlowSpec { return f.spec }
 func (f *Flow) Start() sim.Time { return f.start }
 
 // Done reports whether the flow has finished (completed or aborted).
-func (f *Flow) Done() bool {
-	if f.pf != nil {
-		return f.pf.done
-	}
-	return f.snapped
-}
+func (f *Flow) Done() bool { return f.snapped }
 
 // Aborted reports whether the flow was torn down before delivering all
 // its bytes (path failure with no reroute, or endpoint death).
-func (f *Flow) Aborted() bool {
-	if f.pf != nil {
-		return f.pf.aborted
-	}
-	return f.aborted
-}
+func (f *Flow) Aborted() bool { return f.aborted }
 
 // End returns when the last byte arrived (valid once done).
-func (f *Flow) End() sim.Time {
-	if f.pf != nil {
-		return f.pf.end
-	}
-	return f.end
-}
+func (f *Flow) End() sim.Time { return f.end }
 
 // transferredOf converts a byte residue into delivered bytes.
 func transferredOf(size int64, remaining float64) int64 {
@@ -115,13 +97,10 @@ func transferredOf(size int64, remaining float64) int64 {
 // flows this equals SizeBytes; for aborted flows it is the partial
 // progress captures should account for.
 func (f *Flow) Transferred() int64 {
-	if f.pf != nil {
-		return transferredOf(f.spec.SizeBytes, f.pf.remaining)
-	}
 	if f.snapped {
 		return f.transferred
 	}
-	if f.soa != nil && f.soa.gen[f.slot] == f.gen {
+	if f.soa.gen[f.slot] == f.gen {
 		return transferredOf(f.spec.SizeBytes, f.soa.remaining[f.slot])
 	}
 	return 0
@@ -129,30 +108,21 @@ func (f *Flow) Transferred() int64 {
 
 // Segments returns the rate history (read-only view).
 func (f *Flow) Segments() []RateSegment {
-	if f.pf != nil {
-		return f.pf.segments
-	}
 	if f.snapped {
 		return f.segments
 	}
-	if f.soa != nil && f.soa.gen[f.slot] == f.gen {
+	if f.soa.gen[f.slot] == f.gen {
 		return f.soa.copySegments(f.slot)
 	}
 	return nil
 }
 
-// FlowID returns the flow's compact generation-counted id (SoA core
-// only; the zero FlowID for pointer-core flows).
-func (f *Flow) FlowID() FlowID {
-	if f.soa != nil {
-		return FlowID{slot: f.slot, gen: f.gen}
-	}
-	return FlowID{}
-}
+// FlowID returns the flow's compact generation-counted id.
+func (f *Flow) FlowID() FlowID { return FlowID{slot: f.slot, gen: f.gen} }
 
-// FlowID is a compact, generation-counted reference to a flow slot in the
-// struct-of-arrays core. It stays cheap to store across link-state changes
-// and reroutes (faults hold ids, not pointers), and it can never alias a
+// FlowID is a compact, generation-counted reference to a flow slot. It
+// stays cheap to store across link-state changes and reroutes (faults
+// hold ids, not pointers), and it can never alias a
 // recycled slot's new occupant: once the flow finishes and the slot is
 // reused, the generation no longer matches and operations return
 // ErrStaleFlow instead of touching the new flow. The zero value is invalid.
@@ -192,25 +162,6 @@ type Config struct {
 	LoopbackBps float64
 	// Allocator selects the bandwidth sharing model (default AllocMaxMin).
 	Allocator Allocator
-	// ModelSlowStart adds a TCP slow-start penalty to each flow's
-	// activation: ceil(log2(1 + size/10·MSS)) round trips at the path
-	// RTT. Flow-level models otherwise let short flows finish in one
-	// latency, which overstates control-flow and small-fetch speed.
-	// Off by default; enable for latency-sensitive studies.
-	ModelSlowStart bool
-	// UseReferenceAllocator switches max-min fairness back to the
-	// original from-scratch progressive filling that rescans every
-	// active flow per bottleneck round. It exists to property-test the
-	// incremental allocator (both must produce identical rate vectors)
-	// and as an escape hatch; it is O(rounds × flows × links) where the
-	// default incremental path is O(rounds × links + frozen × path).
-	UseReferenceAllocator bool
-	// UsePointerFlows selects the pointer-per-flow reference core
-	// instead of the struct-of-arrays core. The two are trajectory-
-	// identical (same completion times, same captures, same telemetry);
-	// the pointer core exists as the lockstep oracle for the SoA
-	// refactor and as an escape hatch.
-	UsePointerFlows bool
 	// ExpectedFlows pre-sizes flow storage (slot arrays, path arena,
 	// per-link indexes, allocator scratch) for the given peak number of
 	// concurrent flows, so a capture whose concurrency is predicted from
@@ -228,8 +179,10 @@ type Config struct {
 }
 
 // Network runs flows over a Topology on a shared simulation engine. It is
-// a thin dispatch layer over exactly one of two cores: the default
-// struct-of-arrays core (soa) or the pointer-per-flow reference core (ptr).
+// the public face of the struct-of-arrays flow core (soa), which holds
+// every per-flow attribute; allocations are checked against the
+// from-scratch max-min oracle in invariants.go, and whole captures are
+// fenced by committed golden digests.
 type Network struct {
 	eng  *sim.Engine
 	topo *Topology
@@ -237,9 +190,8 @@ type Network struct {
 	taps []Tap
 
 	soa *soaCore
-	ptr *ptrCore
 
-	// Stats counters (maintained by whichever core is active).
+	// Stats counters (maintained by the core).
 	completed    uint64
 	abortedCount uint64
 	totalBytes   float64
@@ -260,17 +212,10 @@ func NewNetwork(eng *sim.Engine, topo *Topology, cfg Config) *Network {
 	if err != nil {
 		panic(err)
 	}
-	if tr == TransportTCP && cfg.UsePointerFlows {
-		panic("netsim: transport \"tcp\" requires the struct-of-arrays core")
-	}
 	n := &Network{eng: eng, topo: topo, cfg: cfg}
-	if cfg.UsePointerFlows {
-		n.ptr = newPtrCore(n)
-	} else {
-		n.soa = newSoaCore(n)
-		if cfg.ExpectedFlows > 0 {
-			n.Reserve(cfg.ExpectedFlows)
-		}
+	n.soa = newSoaCore(n, tr)
+	if cfg.ExpectedFlows > 0 {
+		n.Reserve(cfg.ExpectedFlows)
 	}
 	return n
 }
@@ -278,19 +223,16 @@ func NewNetwork(eng *sim.Engine, topo *Topology, cfg Config) *Network {
 // Reserve pre-sizes flow storage for at least peakFlows concurrent flows
 // (and the engine's event slab to match: one completion event per flow
 // plus activation and coalescing headroom). It is cheap to call again
-// with a larger estimate and a no-op with a smaller one. The pointer core
-// ignores it — that core allocates per flow by design.
+// with a larger estimate and a no-op with a smaller one.
 func (n *Network) Reserve(peakFlows int) {
 	if peakFlows <= 0 {
 		return
 	}
-	if n.soa != nil {
-		n.soa.reserve(peakFlows)
-	}
+	n.soa.reserve(peakFlows)
 	// TCP mode holds one more persistent timer per flow (the RTO timer)
 	// on top of completion + activation/coalescing headroom.
 	mult := 2
-	if n.soa != nil && n.soa.tcp != nil {
+	if n.soa.tcp != nil {
 		mult = 3
 	}
 	n.eng.Reserve(mult*peakFlows + 16)
@@ -298,7 +240,7 @@ func (n *Network) Reserve(peakFlows int) {
 
 // Transport returns the rate model the network runs flows under.
 func (n *Network) Transport() Transport {
-	if n.soa != nil && n.soa.tcp != nil {
+	if n.soa.tcp != nil {
 		return TransportTCP
 	}
 	return TransportFluid
@@ -308,7 +250,7 @@ func (n *Network) Transport() Transport {
 // retransmission timeouts fired). Both are zero in fluid mode. Available
 // without a telemetry sink so experiments and tests can read them directly.
 func (n *Network) TCPStats() (fastRetransmits, timeouts uint64) {
-	if n.soa != nil && n.soa.tcp != nil {
+	if n.soa.tcp != nil {
 		return n.soa.tcp.fastRtx, n.soa.tcp.rtoFired
 	}
 	return 0, 0
@@ -370,9 +312,6 @@ func (n *Network) StartFlow(spec FlowSpec) (*Flow, error) {
 	if err := n.checkSpec(spec); err != nil {
 		return nil, err
 	}
-	if n.ptr != nil {
-		return n.ptr.startFlow(spec), nil
-	}
 	_, h := n.soa.startFlow(spec, true)
 	return h, nil
 }
@@ -380,11 +319,8 @@ func (n *Network) StartFlow(spec FlowSpec) (*Flow, error) {
 // StartFlowID opens a transfer and returns its compact generation-counted
 // id instead of a handle. When the flow needs no handle at all (no taps,
 // no completion callbacks) the start is allocation-free — this is the
-// steady-state entry point. Only the struct-of-arrays core supports it.
+// steady-state entry point.
 func (n *Network) StartFlowID(spec FlowSpec) (FlowID, error) {
-	if n.ptr != nil {
-		return FlowID{}, errors.New("netsim: StartFlowID requires the struct-of-arrays core")
-	}
 	if err := n.checkSpec(spec); err != nil {
 		return FlowID{}, err
 	}
@@ -398,9 +334,6 @@ func (n *Network) StartFlowID(spec FlowSpec) (FlowID, error) {
 // even if its slot has since been recycled by a new flow — returns
 // ErrStaleFlow and leaves the new occupant untouched.
 func (n *Network) AbortFlow(id FlowID) error {
-	if n.ptr != nil {
-		return errors.New("netsim: AbortFlow requires the struct-of-arrays core")
-	}
 	c := n.soa
 	if id.slot < 0 || int(id.slot) >= len(c.gen) || c.gen[id.slot] != id.gen || c.state[id.slot] == slotFree {
 		return ErrStaleFlow
@@ -412,27 +345,8 @@ func (n *Network) AbortFlow(id FlowID) error {
 // FlowPending reports whether the identified flow is still in flight
 // (false once it completed or aborted and its id went stale).
 func (n *Network) FlowPending(id FlowID) bool {
-	if n.soa == nil {
-		return false
-	}
 	c := n.soa
 	return id.slot >= 0 && int(id.slot) < len(c.gen) && c.gen[id.slot] == id.gen && c.state[id.slot] != slotFree
-}
-
-// slowStartInitialWindow is the IW10 initial congestion window in bytes
-// (10 segments of 1448 B payload).
-const slowStartInitialWindow = 10 * 1448
-
-// slowStartPenaltyNs approximates TCP slow start analytically: the
-// number of window doublings needed to cover the flow, each costing one
-// RTT (= 2 × one-way path latency).
-func slowStartPenaltyNs(size int64, onewayNs int64) int64 {
-	if size <= 0 {
-		return 0
-	}
-	rtt := 2 * onewayNs
-	rounds := int64(math.Ceil(math.Log2(1 + float64(size)/slowStartInitialWindow)))
-	return rounds * rtt
 }
 
 // durationFor converts bytes at bps into simulated time, rounding UP to
@@ -482,9 +396,6 @@ func (n *Network) SetLinkState(lid LinkID, up bool) error {
 	if lid < 0 || int(lid) >= len(n.topo.links) {
 		return fmt.Errorf("netsim: link %d out of range", lid)
 	}
-	if n.ptr != nil {
-		return n.ptr.setLinkState(lid, up)
-	}
 	return n.soa.setLinkState(lid, up)
 }
 
@@ -495,13 +406,8 @@ func (n *Network) SetLinkCapacityScale(lid LinkID, factor float64) error {
 	if err := n.topo.SetLinkCapacityScale(lid, factor); err != nil {
 		return err
 	}
-	if n.ptr != nil {
-		n.ptr.settle()
-		n.ptr.markDirty()
-	} else {
-		n.soa.settle()
-		n.soa.markDirty()
-	}
+	n.soa.settle()
+	n.soa.markDirty()
 	return nil
 }
 
@@ -511,9 +417,6 @@ func (n *Network) SetLinkCapacityScale(lid LinkID, factor float64) error {
 // Simulated daemon crashes use it to kill the TCP connections the dead
 // process owned.
 func (n *Network) AbortFlowsWhere(pred func(FlowSpec) bool) int {
-	if n.ptr != nil {
-		return n.ptr.abortFlowsWhere(pred)
-	}
 	return n.soa.abortFlowsWhere(pred)
 }
 
@@ -529,29 +432,14 @@ func (n *Network) Reachable(src, dst NodeID) bool {
 func (n *Network) AbortedFlows() uint64 { return n.abortedCount }
 
 // ActiveFlows returns the number of currently transferring network flows.
-func (n *Network) ActiveFlows() int {
-	if n.ptr != nil {
-		return len(n.ptr.flows)
-	}
-	return len(n.soa.active)
-}
+func (n *Network) ActiveFlows() int { return len(n.soa.active) }
 
 // linkFlowCount returns the number of active flows crossing link lid.
-func (n *Network) linkFlowCount(lid LinkID) int {
-	if n.ptr != nil {
-		return len(n.ptr.linkFlows[lid])
-	}
-	return len(n.soa.linkFlows[lid])
-}
+func (n *Network) linkFlowCount(lid LinkID) int { return len(n.soa.linkFlows[lid]) }
 
 // reallocPendingNow reports whether a coalesced reallocation is queued at
 // the current instant (installed rates intentionally stale).
-func (n *Network) reallocPendingNow() bool {
-	if n.ptr != nil {
-		return n.ptr.reallocPending
-	}
-	return n.soa.reallocPending
-}
+func (n *Network) reallocPendingNow() bool { return n.soa.reallocPending }
 
 // LinkRates returns the current allocated rate on every directed link
 // (bits per second), indexed by LinkID. Utilization probes and invariant
@@ -563,14 +451,6 @@ func (n *Network) LinkRates() []float64 {
 }
 
 func (n *Network) addLinkRates(rates []float64) {
-	if n.ptr != nil {
-		for _, f := range n.ptr.flows {
-			for _, lid := range f.path {
-				rates[lid] += f.rate
-			}
-		}
-		return
-	}
 	c := n.soa
 	for _, s := range c.active {
 		for _, lid := range c.path(s) {
@@ -594,7 +474,7 @@ func (n *Network) CheckInvariants() error {
 			return fmt.Errorf("netsim: link %d over capacity: %.3g > %.3g bps", lid, used, capBps)
 		}
 	}
-	if n.soa != nil && n.soa.tcp != nil {
+	if n.soa.tcp != nil {
 		// TCP mode: allocation is demand-limited water-filling, so the
 		// fluid bottleneck condition only binds flows whose window demand
 		// exceeds their allocation. A flow at (or below) its demand is
@@ -624,29 +504,21 @@ func (n *Network) CheckInvariants() error {
 	if n.cfg.Allocator != AllocMaxMin {
 		return nil
 	}
-	checkFlow := func(id uint64, rate float64, path []LinkID) error {
-		if rate <= 0 || len(path) == 0 {
-			return nil
-		}
-		for _, lid := range path {
-			if rates[lid] >= n.topo.links[lid].CapacityBps*(1-relTol) {
-				return nil
-			}
-		}
-		return fmt.Errorf("netsim: flow %d (rate %.3g bps) crosses no saturated link", id, rate)
-	}
-	if n.ptr != nil {
-		for _, f := range n.ptr.flows {
-			if err := checkFlow(f.id, f.rate, f.path); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	c := n.soa
 	for _, s := range c.active {
-		if err := checkFlow(c.fid[s], c.rate[s], c.path(s)); err != nil {
-			return err
+		path := c.path(s)
+		if c.rate[s] <= 0 || len(path) == 0 {
+			continue
+		}
+		sat := false
+		for _, lid := range path {
+			if rates[lid] >= n.topo.links[lid].CapacityBps*(1-relTol) {
+				sat = true
+				break
+			}
+		}
+		if !sat {
+			return fmt.Errorf("netsim: flow %d (rate %.3g bps) crosses no saturated link", c.fid[s], c.rate[s])
 		}
 	}
 	return nil

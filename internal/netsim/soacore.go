@@ -4,7 +4,7 @@ import (
 	"keddah/internal/sim"
 )
 
-// soaCore is the default flow storage engine: an arena-per-capture,
+// soaCore is the flow storage engine: an arena-per-capture,
 // struct-of-arrays layout where every per-flow attribute lives in a
 // parallel slice keyed by an int32 slot id. Slots are recycled through a
 // free list and generation-counted (a stale FlowID can never touch a
@@ -14,9 +14,10 @@ import (
 // per-slot completion timers, a settled capture loop — start, activate,
 // reallocate, complete, recycle — performs zero heap allocations.
 //
-// The pointer-per-flow implementation survives as ptrCore; the two are
-// kept trajectory-identical (same event order, same floating-point
-// arithmetic, same telemetry counters), which the lockstep tests enforce.
+// Its trajectories are fenced by committed golden digests of whole
+// captures and of per-flow outcomes, and its allocations are checked
+// against the from-scratch max-min oracle (maxMinRates) by the tests and
+// by StrictChecks sweeps.
 type soaCore struct {
 	nw   *Network
 	eng  *sim.Engine
@@ -61,7 +62,7 @@ type soaCore struct {
 	freeSlots []int32
 
 	// active lists transferring slots in activation order (the order the
-	// allocator and settle iterate in — it mirrors ptrCore.flows exactly).
+	// allocator and settle iterate in).
 	active []int32
 	// linkFlows indexes the active slots crossing each link, maintained
 	// in O(len(path)) on flow activation and completion so the allocator
@@ -110,7 +111,7 @@ func decodeSlotGen(arg uint64) (int32, uint32) {
 	return int32(uint32(arg)), uint32(arg >> 32)
 }
 
-func newSoaCore(nw *Network) *soaCore {
+func newSoaCore(nw *Network, tr Transport) *soaCore {
 	c := &soaCore{
 		nw:          nw,
 		eng:         nw.eng,
@@ -126,7 +127,7 @@ func newSoaCore(nw *Network) *soaCore {
 	c.abortCb = c.abortByArg
 	c.finishCb = c.finishByArg
 	c.dirtyE = c.eng.NewTimer(c.dirty, 0)
-	if tr, err := ParseTransport(nw.cfg.Transport); err == nil && tr == TransportTCP {
+	if tr == TransportTCP {
 		c.tcp = newTCPCore(c)
 	}
 	return c
@@ -399,11 +400,6 @@ func (c *soaCore) startFlow(spec FlowSpec, wantHandle bool) (FlowID, *Flow) {
 			return id, h
 		}
 		latency = c.topo.PathLatencyNs(c.path(s))
-		// The TCP transport models slow start natively; the analytic
-		// startup penalty belongs to the fluid model only.
-		if c.cfg.ModelSlowStart && c.tcp == nil {
-			latency += slowStartPenaltyNs(spec.SizeBytes, latency)
-		}
 	} else {
 		latency = 10_000 // 10 µs loopback
 	}
@@ -562,8 +558,6 @@ func (c *soaCore) reallocate() {
 		c.tcp.rates()
 	case c.cfg.Allocator == AllocEqualSplit:
 		c.equalSplitRates()
-	case c.cfg.UseReferenceAllocator:
-		c.referenceMaxMinRates()
 	default:
 		c.incrementalMaxMinRates()
 	}

@@ -55,13 +55,12 @@ func TestNewNetworkRejectsBadTransportConfig(t *testing.T) {
 		NewNetwork(sim.New(), topo, cfg)
 	}
 	mustPanic("unknown name", Config{Transport: "udp"})
-	mustPanic("tcp over pointer core", Config{Transport: "tcp", UsePointerFlows: true})
-	// Valid combinations construct fine.
+	// Valid names construct fine.
 	if got := NewNetwork(sim.New(), topo, Config{Transport: "tcp"}).Transport(); got != TransportTCP {
 		t.Errorf("Transport() = %v, want tcp", got)
 	}
-	if got := NewNetwork(sim.New(), topo, Config{UsePointerFlows: true}).Transport(); got != TransportFluid {
-		t.Errorf("pointer-core Transport() = %v, want fluid", got)
+	if got := NewNetwork(sim.New(), topo, Config{}).Transport(); got != TransportFluid {
+		t.Errorf("default Transport() = %v, want fluid", got)
 	}
 }
 

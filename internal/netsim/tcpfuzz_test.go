@@ -11,7 +11,8 @@ import (
 // sweeps the structural invariants after every op: cwnd stays within
 // [MSS, BDP+buffer], RTO backoff never exceeds its cap, stalled flows
 // carry zero demand with a pending timer, and queues stay within their
-// buffers (tcpCore.verify via VerifyState). The state machine must never
+// buffers (tcpCore.verify via VerifyState) — and the installed rates
+// match the demand-capped max-min oracle. The state machine must never
 // panic and never wedge the event loop.
 func FuzzTCPStep(f *testing.F) {
 	f.Add([]byte{0x00, 0x11, 0x22, 0x01, 0x41, 0x02, 0x90, 0x03})
@@ -80,6 +81,9 @@ func FuzzTCPStep(f *testing.F) {
 				net.AbortFlowsWhere(func(s FlowSpec) bool { return s.SrcPort%16 == arg })
 			}
 			if err := net.VerifyState(); err != nil {
+				t.Fatalf("op %d (0x%02x): %v", i, op, err)
+			}
+			if err := net.CheckAllocatorOracle(); err != nil {
 				t.Fatalf("op %d (0x%02x): %v", i, op, err)
 			}
 		}

@@ -37,9 +37,20 @@ func checkedNet(t *testing.T, nFlows int, cfg Config) (*Network, *sim.Engine) {
 	return net, eng
 }
 
+// transports lists the configurations every checker runs under: the
+// fluid model ("soa", named for the flow core it exercises) and the TCP
+// transport, whose demand-capped rates the max-min oracle also checks.
+var transports = []struct {
+	name string
+	cfg  Config
+}{
+	{"soa", Config{}},
+	{"tcp", Config{Transport: "tcp"}},
+}
+
 // TestVerifyStateCatchesCorruption drives each netsim checker over a
 // healthy allocation and over deliberate corruptions that must fire,
-// on both flow-storage cores.
+// under both transports.
 func TestVerifyStateCatchesCorruption(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -88,13 +99,7 @@ func TestVerifyStateCatchesCorruption(t *testing.T) {
 			want:    "max-min",
 		},
 	}
-	for _, core := range []struct {
-		name string
-		cfg  Config
-	}{
-		{"soa", Config{}},
-		{"ptr", Config{UsePointerFlows: true}},
-	} {
+	for _, core := range transports {
 		for _, tc := range cases {
 			t.Run(core.name+"/"+tc.name, func(t *testing.T) {
 				net, _ := checkedNet(t, 6, core.cfg)
@@ -122,13 +127,7 @@ func TestVerifyStateCatchesCorruption(t *testing.T) {
 // and its coalesced reallocation event the installed rates are stale by
 // design; the checks must not fire inside that window.
 func TestVerifyStateSilentWhileReallocPending(t *testing.T) {
-	for _, core := range []struct {
-		name string
-		cfg  Config
-	}{
-		{"soa", Config{}},
-		{"ptr", Config{UsePointerFlows: true}},
-	} {
+	for _, core := range transports {
 		t.Run(core.name, func(t *testing.T) {
 			topo, err := Star(5, Gbps)
 			if err != nil {
