@@ -3,6 +3,7 @@ package netsim
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // This file holds the read-only state checks consumed by the
@@ -11,10 +12,11 @@ import (
 // events, so a checked run's trajectory is identical to an unchecked one.
 
 // VerifyState checks the structural invariants of the active flow set:
-// the active list and the per-link flow index agree with each other, no
-// active flow crosses a downed link (SetLinkState reroutes or aborts
-// victims synchronously, so this holds even while a reallocation is
-// pending), and every flow's residue is within [0, SizeBytes]. When no
+// the active list and the per-link flow index agree with each other (each
+// list in active-list order, the loaded-link list exact), no active flow
+// crosses a downed link (SetLinkState reroutes or aborts victims
+// synchronously, so this holds even while a reallocation is pending), and
+// every flow's residue is within [0, SizeBytes]. When no
 // reallocation is pending it additionally verifies the allocation itself
 // via CheckInvariants (capacity and bottleneck conditions).
 func (n *Network) VerifyState() error {
@@ -45,20 +47,42 @@ func (c *soaCore) verifyState() error {
 		if c.remaining[s] < 0 || c.remaining[s] > float64(c.spec[s].SizeBytes) {
 			return fmt.Errorf("netsim: flow %d remaining %.3g outside [0, %d]", c.fid[s], c.remaining[s], c.spec[s].SizeBytes)
 		}
-		path, pos := c.path(s), c.linkPos(s)
-		for j, lid := range path {
+		for _, lid := range c.path(s) {
 			if c.topo.linkDown[lid] {
 				return fmt.Errorf("netsim: flow %d active on downed link %d", c.fid[s], lid)
 			}
-			p := pos[j]
-			if p < 0 || int(p) >= len(c.linkFlows[lid]) || c.linkFlows[lid][p] != s {
-				return fmt.Errorf("netsim: flow %d link index stale on link %d (pos %d)", c.fid[s], lid, p)
+			if !slices.Contains(c.linkFlows[lid], s) {
+				return fmt.Errorf("netsim: flow %d missing from link %d's index", c.fid[s], lid)
 			}
 		}
 	}
-	indexed := 0
-	for _, lst := range c.linkFlows {
+	// Every per-link list holds active slots in strictly ascending listIdx
+	// (the allocator's freeze order), and loaded names exactly the links
+	// whose list is non-empty.
+	indexed, nLoaded := 0, 0
+	for l, lst := range c.linkFlows {
+		for j, s := range lst {
+			if c.state[s] != slotActive {
+				return fmt.Errorf("netsim: link %d index holds slot %d in state %d", l, s, c.state[s])
+			}
+			if j > 0 && c.listIdx[lst[j-1]] >= c.listIdx[s] {
+				return fmt.Errorf("netsim: link %d index out of active-list order at entry %d", l, j)
+			}
+		}
 		indexed += len(lst)
+		p := c.loadedPos[l]
+		switch {
+		case len(lst) == 0 && p != -1:
+			return fmt.Errorf("netsim: empty link %d marked loaded at %d", l, p)
+		case len(lst) > 0 && (p < 0 || int(p) >= len(c.loaded) || c.loaded[p] != LinkID(l)):
+			return fmt.Errorf("netsim: loaded link %d missing from the loaded list (pos %d)", l, p)
+		}
+		if len(lst) > 0 {
+			nLoaded++
+		}
+	}
+	if nLoaded != len(c.loaded) {
+		return fmt.Errorf("netsim: loaded list holds %d links, %d carry flows", len(c.loaded), nLoaded)
 	}
 	pathSum := 0
 	for _, s := range c.active {

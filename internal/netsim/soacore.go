@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"slices"
+
 	"keddah/internal/sim"
 )
 
@@ -43,11 +45,10 @@ type soaCore struct {
 	// subsequent occupant — one event allocation per slot, ever.
 	completeEv []sim.Event
 
-	// Path storage: slot s's path is pathArena[s*stride : s*stride+pathLen[s]],
-	// with posArena the parallel per-link index positions. The stride
-	// grows (rarely — fabric diameter is small) by arena rebuild.
+	// Path storage: slot s's path is pathArena[s*stride : s*stride+pathLen[s]].
+	// The stride grows (rarely — fabric diameter is small) by arena
+	// rebuild.
 	pathArena  []LinkID
-	posArena   []int32
 	pathLen    []int32
 	pathStride int
 
@@ -64,10 +65,14 @@ type soaCore struct {
 	// active lists transferring slots in activation order (the order the
 	// allocator and settle iterate in).
 	active []int32
-	// linkFlows indexes the active slots crossing each link, maintained
-	// in O(len(path)) on flow activation and completion so the allocator
-	// never scans the whole active set to find who shares a bottleneck.
+	// linkFlows indexes the active slots crossing each link, each list in
+	// active-list order (ascending listIdx), so the allocator never scans
+	// the whole active set to find who shares a bottleneck and never sorts
+	// them. loaded holds the links whose list is non-empty, in no order;
+	// loadedPos[l] is l's position in it, or -1.
 	linkFlows [][]int32
+	loaded    []LinkID
+	loadedPos []int32
 
 	seq            uint64
 	reallocPending bool
@@ -79,14 +84,14 @@ type soaCore struct {
 	tcp *tcpCore
 
 	// Allocation scratch, reused across reallocations. remCap/cnt are
-	// indexed by LinkID; rates/frozen by active-list position; freezeBuf
-	// holds one round's bottleneck candidates; pathScratch is the route
-	// computation buffer.
+	// indexed by LinkID; rates/frozen by active-list position; loadScan
+	// is the allocator's shrinking copy of loaded; pathScratch is the
+	// route computation buffer.
 	remCap      []float64
 	cnt         []int
 	rates       []float64
 	frozen      []bool
-	freezeBuf   []int32
+	loadScan    []LinkID
 	pathScratch []LinkID
 
 	// Stored callbacks, bound once so scheduling never allocates a closure.
@@ -112,6 +117,7 @@ func decodeSlotGen(arg uint64) (int32, uint32) {
 }
 
 func newSoaCore(nw *Network, tr Transport) *soaCore {
+	nl := len(nw.topo.links)
 	c := &soaCore{
 		nw:          nw,
 		eng:         nw.eng,
@@ -119,9 +125,15 @@ func newSoaCore(nw *Network, tr Transport) *soaCore {
 		cfg:         nw.cfg,
 		pathStride:  8,
 		segFreeHead: -1,
-		linkFlows:   make([][]int32, len(nw.topo.links)),
-		remCap:      make([]float64, len(nw.topo.links)),
-		cnt:         make([]int, len(nw.topo.links)),
+		linkFlows:   make([][]int32, nl),
+		loaded:      make([]LinkID, 0, nl),
+		loadedPos:   make([]int32, nl),
+		remCap:      make([]float64, nl),
+		cnt:         make([]int, nl),
+		loadScan:    make([]LinkID, 0, nl),
+	}
+	for i := range c.loadedPos {
+		c.loadedPos[i] = -1
 	}
 	c.activateCb = c.activate
 	c.abortCb = c.abortByArg
@@ -173,12 +185,10 @@ func (c *soaCore) reserve(peak int) {
 	c.segTail = growCap(c.segTail, peak)
 	c.segCount = growCap(c.segCount, peak)
 	c.pathArena = growCap(c.pathArena, peak*c.pathStride)
-	c.posArena = growCap(c.posArena, peak*c.pathStride)
 	c.freeSlots = growCap(c.freeSlots, peak)
 	c.active = growCap(c.active, peak)
 	c.rates = growCap(c.rates, peak)
 	c.frozen = growCap(c.frozen, peak)
-	c.freezeBuf = growCap(c.freezeBuf, peak)
 	c.segChunks = growCap(c.segChunks, peak)
 	if c.tcp != nil {
 		c.tcp.reserve(peak)
@@ -223,7 +233,6 @@ func (c *soaCore) allocSlot() int32 {
 	c.segCount = append(c.segCount, 0)
 	need := (int(s) + 1) * c.pathStride
 	c.pathArena = growLen(c.pathArena, need)
-	c.posArena = growLen(c.posArena, need)
 	if c.tcp != nil {
 		c.tcp.appendSlot()
 	}
@@ -251,12 +260,6 @@ func (c *soaCore) path(s int32) []LinkID {
 	return c.pathArena[off : off+int(c.pathLen[s])]
 }
 
-// linkPos returns slot s's per-link index positions (parallel to path).
-func (c *soaCore) linkPos(s int32) []int32 {
-	off := int(s) * c.pathStride
-	return c.posArena[off : off+int(c.pathLen[s])]
-}
-
 // storePath installs p as slot s's route, growing the arena stride in the
 // (rare) case a path outgrows it.
 func (c *soaCore) storePath(s int32, p []LinkID) {
@@ -267,8 +270,8 @@ func (c *soaCore) storePath(s int32, p []LinkID) {
 	c.pathLen[s] = int32(len(p))
 }
 
-// growStride rebuilds both arenas with a wider per-slot stride,
-// preserving every slot's stored prefix (including live linkPos values).
+// growStride rebuilds the path arena with a wider per-slot stride,
+// preserving every slot's stored path.
 func (c *soaCore) growStride(need int) {
 	ns := c.pathStride
 	for ns < need {
@@ -276,13 +279,11 @@ func (c *soaCore) growStride(need int) {
 	}
 	slots := len(c.fid)
 	pa := make([]LinkID, slots*ns)
-	po := make([]int32, slots*ns)
 	for i := 0; i < slots; i++ {
 		l := int(c.pathLen[i])
 		copy(pa[i*ns:], c.pathArena[i*c.pathStride:i*c.pathStride+l])
-		copy(po[i*ns:], c.posArena[i*c.pathStride:i*c.pathStride+l])
 	}
-	c.pathArena, c.posArena, c.pathStride = pa, po, ns
+	c.pathArena, c.pathStride = pa, ns
 }
 
 // setPath routes spec's endpoints into the scratch buffer and installs
@@ -463,35 +464,41 @@ func (c *soaCore) finishByArg(arg uint64) {
 	c.finish(int32(uint32(arg)))
 }
 
-// linkInsert adds the slot to the per-link active index, O(len(path)).
+// linkInsert adds the slot to the per-link active index at the position
+// its listIdx dictates, keeping every list in active-list order. A fresh
+// activation holds the largest listIdx and appends in O(len(path)); only
+// a reroute of an older flow lands mid-list.
 func (c *soaCore) linkInsert(s int32) {
-	pos := c.linkPos(s)
-	for i, lid := range c.path(s) {
-		pos[i] = int32(len(c.linkFlows[lid]))
-		c.linkFlows[lid] = append(c.linkFlows[lid], s)
+	li := c.listIdx[s]
+	for _, lid := range c.path(s) {
+		lst := c.linkFlows[lid]
+		if len(lst) == 0 {
+			c.loadedPos[lid] = int32(len(c.loaded))
+			c.loaded = append(c.loaded, lid)
+		}
+		at := len(lst)
+		for at > 0 && c.listIdx[lst[at-1]] > li {
+			at--
+		}
+		c.linkFlows[lid] = slices.Insert(lst, at, s)
 	}
 }
 
-// linkRemove deletes the slot from the per-link index by swap-remove,
-// O(len(path)²) worst case (paths are ≤6 links on a fat-tree).
+// linkRemove deletes the slot from the per-link index, closing the gap
+// in place so each list keeps its active-list order, and unloads links
+// it leaves empty. The cost is the length of the lists on its path.
 func (c *soaCore) linkRemove(s int32) {
-	pos := c.linkPos(s)
-	for i, lid := range c.path(s) {
+	for _, lid := range c.path(s) {
 		lst := c.linkFlows[lid]
-		p := pos[i]
-		last := int32(len(lst) - 1)
-		moved := lst[last]
-		lst[p] = moved
-		c.linkFlows[lid] = lst[:last]
-		if moved != s {
-			// Tell the relocated slot where it now sits on this link.
-			mpos := c.linkPos(moved)
-			for j, ml := range c.path(moved) {
-				if ml == lid {
-					mpos[j] = p
-					break
-				}
-			}
+		i := slices.Index(lst, s)
+		lst = slices.Delete(lst, i, i+1)
+		c.linkFlows[lid] = lst
+		if len(lst) == 0 {
+			p, last := c.loadedPos[lid], c.loaded[len(c.loaded)-1]
+			c.loaded[p] = last
+			c.loadedPos[last] = p
+			c.loaded = c.loaded[:len(c.loaded)-1]
+			c.loadedPos[lid] = -1
 		}
 	}
 }
@@ -555,11 +562,11 @@ func (c *soaCore) reallocate() {
 	switch {
 	case c.tcp != nil:
 		c.tcp.updateOffered()
-		c.tcp.rates()
+		c.maxMinFill(c.tcp.demand)
 	case c.cfg.Allocator == AllocEqualSplit:
 		c.equalSplitRates()
 	default:
-		c.incrementalMaxMinRates()
+		c.maxMinFill(nil)
 	}
 
 	c.applyRates()
@@ -654,7 +661,8 @@ func (c *soaCore) finish(s int32) {
 
 // removeActive deletes slot s from the active set, preserving order: the
 // slot knows its own position, so no scan — just close the gap and
-// renumber the tail — and drops it from the per-link index.
+// renumber the tail, which keeps listIdx monotonic along every per-link
+// list — and drops it from the per-link index.
 func (c *soaCore) removeActive(s int32) {
 	i := int(c.listIdx[s])
 	last := len(c.active) - 1
@@ -761,7 +769,7 @@ func (c *soaCore) rerouteOrAbort(s int32) {
 		c.abortSlot(s)
 		return
 	}
-	c.linkRemove(s) // uses the old path/positions
+	c.linkRemove(s) // uses the old path
 	c.storePath(s, p)
 	c.linkInsert(s)
 	if c.tcp != nil {

@@ -3,7 +3,6 @@ package netsim
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"keddah/internal/sim"
 )
@@ -12,9 +11,12 @@ import (
 // storage when Config.Transport is "tcp". Every active flow carries a TCP
 // state machine (slow start, AIMD congestion avoidance, fast retransmit,
 // RTO with exponential backoff) and every link a fluid droptail queue; a
-// single persistent ack-clock timer steps all flows once per tick and the
-// existing allocator machinery installs demand-limited water-filling
-// rates, where a flow's demand is cwnd/srtt.
+// single persistent ack-clock timer steps all flows once per tick. It has
+// no allocator of its own: reallocate hands its per-slot demand vector
+// (cwnd/srtt) to the same progressive filling the fluid transport uses
+// (soaCore.maxMinFill), so a window-limited flow freezes at its demand,
+// a stalled flow (RTO wait, demand 0) claims nothing, and the slack
+// redistributes to flows that can use it.
 //
 // The model is the classic fluid approximation of TCP (Misra/Gong/Towsley
 // style): goodput is charged at the allocated (capacity-feasible) rate,
@@ -390,116 +392,6 @@ func (t *tcpCore) rtoFire(arg uint64) {
 	t.acked[s] = 0
 	t.demand[s] = t.cwnd[s] * 8 / t.srtt[s]
 	c.markDirty()
-}
-
-// rates installs demand-limited max-min water-filling into c.rates: the
-// fluid allocator's progressive filling, except a flow whose demand
-// (cwnd/srtt) is below the bottleneck fair share freezes at its demand —
-// window-limited flows cannot use their share, and the slack redistributes
-// to flows that can. Stalled flows (RTO wait, demand 0) claim nothing.
-func (t *tcpCore) rates() {
-	c := t.c
-	for i, l := range c.topo.links {
-		c.remCap[i] = l.CapacityBps
-		c.cnt[i] = len(c.linkFlows[i])
-	}
-	remaining := len(c.active)
-	for i, s := range c.active {
-		if t.demand[s] <= 0 {
-			c.rates[i] = 0
-			c.frozen[i] = true
-			remaining--
-			for _, lid := range c.path(s) {
-				c.cnt[lid]--
-			}
-		}
-	}
-	for remaining > 0 {
-		best := -1
-		bestShare := math.Inf(1)
-		for i, cn := range c.cnt {
-			if cn == 0 {
-				continue
-			}
-			share := c.remCap[i] / float64(cn)
-			if share < bestShare {
-				bestShare = share
-				best = i
-			}
-		}
-		if best < 0 {
-			// Stranded (no loaded links): the demand itself is the cap.
-			for i, s := range c.active {
-				if !c.frozen[i] {
-					c.rates[i] = t.demand[s]
-					c.frozen[i] = true
-					remaining--
-				}
-			}
-			break
-		}
-		// Demand-limited flows freeze first: demand ≤ the current fair
-		// share means the flow cannot fill its share anywhere, and its
-		// claim must be released before shares are final. Freezing at
-		// demand keeps every link feasible: the share only grows for the
-		// flows left behind.
-		froze := false
-		for i, s := range c.active {
-			if c.frozen[i] || t.demand[s] > bestShare {
-				continue
-			}
-			d := t.demand[s]
-			c.rates[i] = d
-			c.frozen[i] = true
-			remaining--
-			froze = true
-			for _, lid := range c.path(s) {
-				c.remCap[lid] -= d
-				if c.remCap[lid] < 0 {
-					c.remCap[lid] = 0
-				}
-				c.cnt[lid]--
-			}
-		}
-		if froze {
-			continue // shares moved; re-pick the bottleneck
-		}
-		// No demand-limited flow left: the bottleneck's flows freeze at
-		// the fair share, in active-list order for determinism (same
-		// discipline as incrementalMaxMinRates).
-		cand := c.freezeBuf[:0]
-		for _, s := range c.linkFlows[best] {
-			if !c.frozen[c.listIdx[s]] {
-				cand = append(cand, s)
-			}
-		}
-		sorted := true
-		for i := 1; i < len(cand); i++ {
-			if c.listIdx[cand[i-1]] > c.listIdx[cand[i]] {
-				sorted = false
-				break
-			}
-		}
-		if !sorted {
-			slices.SortFunc(cand, func(a, b int32) int {
-				return int(c.listIdx[a]) - int(c.listIdx[b])
-			})
-		}
-		for _, s := range cand {
-			li := c.listIdx[s]
-			c.rates[li] = bestShare
-			c.frozen[li] = true
-			remaining--
-			for _, lid := range c.path(s) {
-				c.remCap[lid] -= bestShare
-				if c.remCap[lid] < 0 {
-					c.remCap[lid] = 0
-				}
-				c.cnt[lid]--
-			}
-		}
-		c.freezeBuf = cand[:0]
-	}
 }
 
 // verify checks the TCP state machine's structural invariants: windows
