@@ -1,0 +1,82 @@
+package main
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"keddah/internal/core"
+	"keddah/internal/pcap"
+	"keddah/internal/workload"
+)
+
+// TestPacketDigests fences the packet bytes a capture synthesises from
+// per-flow rate histories, under both transports: the buffered
+// Capture.Packets() output (timestamp-sorted, re-encoded through the
+// trace writer) and the streaming trace file writePackets produces
+// (completion order, as -pcap writes it). Both must match digests
+// recorded before rate history became tap-driven.
+func TestPacketDigests(t *testing.T) {
+	runs := []workload.RunSpec{{Profile: "terasort", InputBytes: 256 << 20}}
+	cases := []struct {
+		transport string
+		buffered  string
+		streamed  string
+	}{
+		{"fluid",
+			"2fcfea44575e123d2765a523b67a79fab4300c6e8bc929eb695c01e650101933",
+			"e47c3e8b69d6e9ab1e995b302ecea5bead699295700b1467b6919ace6eb2e556"},
+		{"tcp",
+			"c1e3f3f54e85ee0fded55312c3b9fae7f2912dee8aa6bc81e4895e6d88fd0cdc",
+			"28def91ef20ecb4bd8426cf6f28db85df4223c5ecaee688c4644c6ef7b51b711"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.transport, func(t *testing.T) {
+			spec := core.ClusterSpec{Workers: 8, Seed: 3, Transport: tc.transport}
+
+			cluster, err := spec.BuildCluster()
+			if err != nil {
+				t.Fatal(err)
+			}
+			capture := pcap.NewCapture()
+			cluster.Net.AddTap(capture)
+			if err := workload.Run(cluster, runs[0], 0, nil); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := cluster.RunToIdle(); err != nil {
+				t.Fatal(err)
+			}
+			h := sha256.New()
+			w, err := pcap.NewWriter(h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range capture.Packets() {
+				if err := w.WritePacket(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != tc.buffered {
+				t.Errorf("buffered packets (%d records) digest %s, want %s", w.Count(), got, tc.buffered)
+			}
+
+			path := filepath.Join(t.TempDir(), "packets.kdh")
+			if err := writePackets(spec, runs, path); err != nil {
+				t.Fatal(err)
+			}
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(raw)
+			if got := hex.EncodeToString(sum[:]); got != tc.streamed {
+				t.Errorf("streamed trace (%d bytes) digest %s, want %s", len(raw), got, tc.streamed)
+			}
+		})
+	}
+}

@@ -517,8 +517,7 @@ func ReplayWith(schedule []SynthFlow, cluster ClusterSpec, tel *telemetry.Teleme
 		eng.SetMetrics(tel.Sim)
 		net.SetMetrics(tel.Net)
 	}
-	capture := pcap.NewCapture()
-	net.AddTap(capture)
+	truth := attachTruth(net)
 
 	hosts := topo.Hosts()
 	if len(hosts) < 2 {
@@ -562,5 +561,5 @@ func ReplayWith(schedule []SynthFlow, cluster ClusterSpec, tel *telemetry.Teleme
 		tel.Core.ReplayWallMs.Add(float64(time.Since(wallStart).Milliseconds()))
 		tel.Trace.Add(telemetry.Span{Cat: "core", Name: "replay", Attr: cluster.Topology, EndNs: int64(end)})
 	}
-	return capture.Truth(), end, nil
+	return truth.Truth(), end, nil
 }

@@ -256,8 +256,7 @@ func CaptureWith(spec ClusterSpec, runSpecs []workload.RunSpec, opts CaptureOpts
 	if err := faults.Inject(cluster, opts.Faults); err != nil {
 		return nil, nil, fmt.Errorf("schedule faults: %w", err)
 	}
-	capture := pcap.NewCapture()
-	cluster.Net.AddTap(capture)
+	truth := attachTruth(cluster.Net)
 	var checker *invariants.Checker
 	if opts.StrictChecks || invariants.BuildEnabled {
 		var copts invariants.Options
@@ -303,7 +302,7 @@ func CaptureWith(spec ClusterSpec, runSpecs []workload.RunSpec, opts CaptureOpts
 	}
 	if checker != nil {
 		faultFree := len(opts.Failures) == 0 && len(opts.Faults.Faults) == 0
-		if err := checker.Final(capture, faultFree); err != nil {
+		if err := checker.Final(faultFree); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -314,7 +313,7 @@ func CaptureWith(spec ClusterSpec, runSpecs []workload.RunSpec, opts CaptureOpts
 		tel.Trace.Add(telemetry.Span{Cat: "core", Name: "capture", Attr: spec.Topology, EndNs: int64(end)})
 	}
 
-	ts, err := reduceCapture(spec, capture.Truth(), results)
+	ts, err := reduceCapture(spec, truth.Truth(), results)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -329,6 +328,24 @@ func CaptureWith(spec ClusterSpec, runSpecs []workload.RunSpec, opts CaptureOpts
 	}
 	return ts, results, nil
 }
+
+// attachTruth taps net with the ground-truth recorder a capture or replay
+// reduces: a FlowLog, which reads no rate history, so the network records
+// none. It is the one place core attaches a tap (strict mode's packet
+// capture belongs to the invariants checker).
+func attachTruth(net *netsim.Network) *pcap.FlowLog {
+	truth := pcap.NewFlowLog()
+	net.AddTap(truth)
+	if alsoCapturePackets {
+		net.AddTap(pcap.NewCapture())
+	}
+	return truth
+}
+
+// alsoCapturePackets, set only by tests, attaches a packet capture beside
+// every truth log, turning rate-history recording on, to show that
+// recording changes no record.
+var alsoCapturePackets bool
 
 // reduceCapture groups ground-truth flow records into per-job Runs plus
 // cluster background traffic.

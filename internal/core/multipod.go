@@ -83,7 +83,7 @@ func captureMultiPod(spec ClusterSpec, runSpecs []workload.RunSpec, opts Capture
 	// disjoint strides of the spec seed so each pod's traffic is its own
 	// deterministic stream.
 	clusters := make([]*hadoop.Cluster, pods)
-	captures := make([]*pcap.Capture, pods)
+	flowLogs := make([]*pcap.FlowLog, pods)
 	nets := make([]*netsim.Network, pods)
 	gateways := make([]netsim.NodeID, pods)
 	est := workload.EstimatePeakFlowsMultiPod(
@@ -103,12 +103,11 @@ func captureMultiPod(spec ClusterSpec, runSpecs []workload.RunSpec, opts Capture
 			// deterministic snapshot is byte-identical at every -shards.
 			c.Eng.SetMetrics(telemetry.SimMetrics{Events: tel.Sim.Events})
 		}
-		cap := pcap.NewCapture()
+		flowLog := attachTruth(c.Net)
 		// Disjoint address ranges per pod: merged traces keep globally
 		// unique 5-tuples.
-		cap.SetHostOffset(p * c.Net.Topology().NumNodes())
-		c.Net.AddTap(cap)
-		clusters[p], captures[p] = c, cap
+		flowLog.SetHostOffset(p * c.Net.Topology().NumNodes())
+		clusters[p], flowLogs[p] = c, flowLog
 		nets[p], gateways[p] = c.Net, c.Master()
 	}
 
@@ -281,7 +280,7 @@ func captureMultiPod(spec ClusterSpec, runSpecs []workload.RunSpec, opts Capture
 
 	faultFree := len(opts.Failures) == 0 && len(opts.Faults.Faults) == 0 && len(opts.InterPodFaults) == 0
 	for p, ck := range checkers {
-		if err := ck.Final(captures[p], faultFree); err != nil {
+		if err := ck.Final(faultFree); err != nil {
 			return nil, nil, fmt.Errorf("pod %d: %w", p, err)
 		}
 	}
@@ -301,8 +300,8 @@ func captureMultiPod(spec ClusterSpec, runSpecs []workload.RunSpec, opts Capture
 	// its own completion order, and the concatenation is independent of
 	// engine layout — then reduce exactly like a single-pod capture.
 	var truth []pcap.FlowRecord
-	for _, cap := range captures {
-		truth = append(truth, cap.Truth()...)
+	for _, flowLog := range flowLogs {
+		truth = append(truth, flowLog.Truth()...)
 	}
 	ts, err := reduceCapture(spec, truth, results)
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 
 	"keddah/internal/core"
 	"keddah/internal/netsim"
-	"keddah/internal/pcap"
 	"keddah/internal/sim"
 )
 
@@ -68,8 +67,6 @@ func replayWithProbe(sched []core.SynthFlow, spec core.ClusterSpec) (mean, peak,
 	}
 	eng := sim.New()
 	net := netsim.NewNetwork(eng, topo, netsim.Config{})
-	capture := pcap.NewCapture()
-	net.AddTap(capture)
 
 	// Uplinks: links whose endpoint is a switch named "core".
 	var uplinks []netsim.LinkID

@@ -11,7 +11,7 @@ import (
 
 // newTestCluster builds a 1 master + 8 worker single-rack cluster with a
 // capture attached.
-func newTestCluster(t *testing.T, seed int64) (*Cluster, *pcap.Capture) {
+func newTestCluster(t *testing.T, seed int64) (*Cluster, *pcap.FlowLog) {
 	t.Helper()
 	topo, err := netsim.Star(9, netsim.Gbps)
 	if err != nil {
@@ -21,7 +21,7 @@ func newTestCluster(t *testing.T, seed int64) (*Cluster, *pcap.Capture) {
 	if err != nil {
 		t.Fatalf("cluster: %v", err)
 	}
-	cap := pcap.NewCapture()
+	cap := pcap.NewFlowLog()
 	c.Net.AddTap(cap)
 	return c, cap
 }

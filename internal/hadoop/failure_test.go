@@ -12,7 +12,7 @@ import (
 
 // runSortWithFailure runs a sort job and fails worker w at the given
 // simulated time; returns the job result and the capture.
-func runSortWithFailure(t *testing.T, failAt sim.Time) (mapreduce.Result, *pcap.Capture, *Cluster) {
+func runSortWithFailure(t *testing.T, failAt sim.Time) (mapreduce.Result, *pcap.FlowLog, *Cluster) {
 	t.Helper()
 	c, capt := newTestCluster(t, 21)
 	var result mapreduce.Result

@@ -12,7 +12,7 @@ import (
 )
 
 // testFS builds an FS over a 2-rack topology (8 workers) with a capture.
-func testFS(t *testing.T, cfg Config) (*FS, *netsim.Network, *pcap.Capture, netsim.NodeID) {
+func testFS(t *testing.T, cfg Config) (*FS, *netsim.Network, *pcap.FlowLog, netsim.NodeID) {
 	t.Helper()
 	topo, err := netsim.MultiRack(2, 5, netsim.Gbps, 10*netsim.Gbps)
 	if err != nil {
@@ -20,7 +20,7 @@ func testFS(t *testing.T, cfg Config) (*FS, *netsim.Network, *pcap.Capture, nets
 	}
 	eng := sim.New()
 	net := netsim.NewNetwork(eng, topo, netsim.Config{})
-	c := pcap.NewCapture()
+	c := pcap.NewFlowLog()
 	net.AddTap(c)
 	hosts := topo.Hosts()
 	fs, err := New(net, hosts[0], hosts[1:], cfg, stats.NewRNG(3))

@@ -19,7 +19,7 @@ type rig struct {
 	net *netsim.Network
 	fs  *hdfs.FS
 	rm  *yarn.RM
-	cap *pcap.Capture
+	cap *pcap.FlowLog
 	rng *stats.RNG
 }
 
@@ -32,7 +32,7 @@ func newRig(t *testing.T, inputBytes int64, hdfsCfg hdfs.Config) *rig {
 	}
 	eng := sim.New()
 	net := netsim.NewNetwork(eng, topo, netsim.Config{})
-	c := pcap.NewCapture()
+	c := pcap.NewFlowLog()
 	net.AddTap(c)
 	hosts := topo.Hosts()
 	rng := stats.NewRNG(17)

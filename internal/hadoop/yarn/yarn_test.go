@@ -11,7 +11,7 @@ import (
 )
 
 // testRM builds an RM over a star network with a capture attached.
-func testRM(t *testing.T, workers int, cfg Config) (*RM, *netsim.Network, *pcap.Capture) {
+func testRM(t *testing.T, workers int, cfg Config) (*RM, *netsim.Network, *pcap.FlowLog) {
 	t.Helper()
 	topo, err := netsim.Star(workers+1, netsim.Gbps)
 	if err != nil {
@@ -19,7 +19,7 @@ func testRM(t *testing.T, workers int, cfg Config) (*RM, *netsim.Network, *pcap.
 	}
 	eng := sim.New()
 	net := netsim.NewNetwork(eng, topo, netsim.Config{})
-	c := pcap.NewCapture()
+	c := pcap.NewFlowLog()
 	net.AddTap(c)
 	hosts := topo.Hosts()
 	rm, err := New(net, hosts[0], hosts[1:], cfg, stats.NewRNG(2))

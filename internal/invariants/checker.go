@@ -43,13 +43,18 @@ type Checker struct {
 	opts    Options
 	steps   int
 	sweeps  int
+	// capture is the checker's own packet capture, whose trains and
+	// ground truth Final verifies.
+	capture *pcap.Capture
 }
 
 // Attach installs a Checker as the cluster's step hook: after every
 // event the cluster's RunToIdle loop processes, the checker counts the
 // step and — at the sampling interval — sweeps the netsim, HDFS, YARN,
 // and MapReduce invariants. A violation aborts the run through
-// RunToIdle's error path.
+// RunToIdle's error path. Attach also taps the cluster's network with a
+// packet capture for Final's train and wire checks, so call it before
+// any flow starts; that capture makes the network record rate history.
 func Attach(cluster *hadoop.Cluster, opts Options) *Checker {
 	if opts.Every <= 0 {
 		opts.Every = defaultEvery
@@ -57,7 +62,8 @@ func Attach(cluster *hadoop.Cluster, opts Options) *Checker {
 	if opts.OracleEvery <= 0 {
 		opts.OracleEvery = defaultOracleEvery
 	}
-	ck := &Checker{cluster: cluster, opts: opts}
+	ck := &Checker{cluster: cluster, opts: opts, capture: pcap.NewCapture()}
+	cluster.Net.AddTap(ck.capture)
 	cluster.SetStepCheck(ck.step)
 	return ck
 }
@@ -113,24 +119,21 @@ func (ck *Checker) sweep(withOracle bool) error {
 
 // Final runs the end-of-capture checks once the cluster is idle: a full
 // layer sweep including the allocator oracle, per-flow packet-train
-// verification, and HDFS wire conservation against the capture's ground
-// truth. faultFree asserts exact conservation — every byte the replica
-// placement pins was carried exactly once by a write-pipeline flow;
-// under fault injection, recovery restreaming makes the wire side a
-// lower bound instead.
-func (ck *Checker) Final(capture *pcap.Capture, faultFree bool) error {
+// verification, and HDFS wire conservation against the ground truth of
+// the checker's capture. faultFree asserts exact conservation — every
+// byte the replica placement pins was carried exactly once by a
+// write-pipeline flow; under fault injection, recovery restreaming makes
+// the wire side a lower bound instead.
+func (ck *Checker) Final(faultFree bool) error {
 	if err := ck.sweep(true); err != nil {
 		return err
 	}
-	if capture == nil {
-		return nil
-	}
 	now := int64(ck.cluster.Eng.Now())
-	if err := capture.VerifyTrains(); err != nil {
+	if err := ck.capture.VerifyTrains(); err != nil {
 		return violation("pcap", "train", now, ck.opts.Tracer, err)
 	}
 	var wire int64
-	for _, tr := range capture.Truth() {
+	for _, tr := range ck.capture.Truth() {
 		if strings.HasSuffix(tr.Label, "/hdfsWrite") ||
 			strings.HasSuffix(tr.Label, "/hdfsWrite-recovery") ||
 			strings.HasSuffix(tr.Label, "/reReplication") {

@@ -8,7 +8,6 @@ import (
 	"keddah/internal/core"
 	"keddah/internal/faults"
 	"keddah/internal/invariants"
-	"keddah/internal/pcap"
 	"keddah/internal/telemetry"
 	"keddah/internal/workload"
 )
@@ -92,17 +91,16 @@ func TestCheckerAbortsRunOnCorruptedState(t *testing.T) {
 }
 
 // TestCheckerFinalCatchesWireDrift: Final's wire-conservation check
-// compares capture ground truth against the replica placement. The real
-// capture must balance exactly in a fault-free run; an empty capture
-// (wire side sees nothing) must fail the same check.
+// compares the ground truth of the checker's own capture against the
+// replica placement. A checker attached before the run must balance
+// exactly in a fault-free run; one attached after it (its capture saw
+// nothing on the wire) must fail the same check.
 func TestCheckerFinalCatchesWireDrift(t *testing.T) {
 	spec := core.ClusterSpec{Workers: 8, Seed: 5}
 	cluster, err := spec.BuildCluster()
 	if err != nil {
 		t.Fatal(err)
 	}
-	capture := pcap.NewCapture()
-	cluster.Net.AddTap(capture)
 	ck := invariants.Attach(cluster, invariants.Options{})
 	if err := workload.Run(cluster, workload.RunSpec{Profile: "terasort", InputBytes: 32 << 20}, 0, nil); err != nil {
 		t.Fatal(err)
@@ -110,10 +108,10 @@ func TestCheckerFinalCatchesWireDrift(t *testing.T) {
 	if _, err := cluster.RunToIdle(); err != nil {
 		t.Fatal(err)
 	}
-	if err := ck.Final(capture, true); err != nil {
+	if err := ck.Final(true); err != nil {
 		t.Fatalf("balanced capture fails wire conservation: %v", err)
 	}
-	err = ck.Final(pcap.NewCapture(), true)
+	err = invariants.Attach(cluster, invariants.Options{}).Final(true)
 	if err == nil {
 		t.Fatal("empty capture passed wire conservation against a written FS")
 	}

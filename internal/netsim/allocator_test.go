@@ -76,6 +76,7 @@ func TestIncrementalMatchesReferenceAllocator(t *testing.T) {
 		}
 		eng := sim.New()
 		net := NewNetwork(eng, topo, Config{})
+		net.AddTap(rateTap{})
 		rec := make(map[uint64]flowOutcome, tc.nFlows)
 		buildScenario(t, net, tc.seed, tc.nFlows, rec)
 		runChecked(t, eng, net)

@@ -190,6 +190,7 @@ func TestSoaMatchesPointerCore(t *testing.T) {
 			}
 			eng := sim.New()
 			net := NewNetwork(eng, topo, Config{})
+			net.AddTap(rateTap{})
 			rec := make(map[uint64]flowOutcome, tc.nFlows)
 			lockstepScenario(t, net, tc.seed, tc.nFlows, tc.chaos, rec)
 			runChecked(t, eng, net)

@@ -358,10 +358,19 @@ type countingTap struct{ started, completed int }
 func (c *countingTap) FlowStarted(*Flow)   { c.started++ }
 func (c *countingTap) FlowCompleted(*Flow) { c.completed++ }
 
+// rateTap is a RateTap that observes nothing: attaching it makes the
+// network record the rate histories tests read through Flow.Segments.
+type rateTap struct{}
+
+func (rateTap) FlowStarted(*Flow)   {}
+func (rateTap) FlowCompleted(*Flow) {}
+func (rateTap) ReadsRates()         {}
+
 func TestSegmentsRecordRateHistory(t *testing.T) {
 	topo := mustStar(t, 3, Gbps)
 	eng := sim.New()
 	net := NewNetwork(eng, topo, Config{})
+	net.AddTap(rateTap{})
 	h := topo.Hosts()
 	var segs []RateSegment
 	if _, err := net.StartFlow(FlowSpec{Src: h[0], Dst: h[2], SrcPort: 1, DstPort: 2, SizeBytes: 250_000_000,

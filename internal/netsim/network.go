@@ -29,8 +29,9 @@ type FlowSpec struct {
 }
 
 // RateSegment records the allocated rate of a flow from Start until the
-// next segment (or flow end). Captures use segments to synthesise packets
-// with realistic timestamps.
+// next segment (or flow end). Packet captures use segments to synthesise
+// packets with realistic timestamps. A network records them only while a
+// RateTap is attached, and taps are attached before flows start.
 type RateSegment struct {
 	Start   sim.Time
 	RateBps float64
@@ -41,8 +42,8 @@ type RateSegment struct {
 // The handle is thin: while the flow is in flight it reads through
 // (slot, gen) into the core's parallel slices, and at completion the
 // observable state (end time, transferred bytes, rate segments) is
-// snapshotted into the handle before the slot is recycled — so captures
-// retaining handles for lazy packet synthesis keep working after the
+// snapshotted into the handle before the slot is recycled — so packet
+// captures retaining handles for lazy synthesis keep working after the
 // storage is reused.
 type Flow struct {
 	id    uint64
@@ -106,7 +107,9 @@ func (f *Flow) Transferred() int64 {
 	return 0
 }
 
-// Segments returns the rate history (read-only view).
+// Segments returns the rate history (read-only view). History is
+// recorded only while a RateTap is attached to the network, which must
+// happen before the flow starts; without one Segments returns nil.
 func (f *Flow) Segments() []RateSegment {
 	if f.snapped {
 		return f.segments
@@ -135,10 +138,20 @@ type FlowID struct {
 // finished (its slot may have been recycled for a new flow).
 var ErrStaleFlow = errors.New("netsim: stale flow id")
 
-// Tap observes flow lifecycle events, e.g. a packet capture.
+// Tap observes flow lifecycle events, e.g. a ground-truth flow log. Taps
+// are attached with AddTap before flows start.
 type Tap interface {
 	FlowStarted(f *Flow)
 	FlowCompleted(f *Flow)
+}
+
+// RateTap is a Tap that reads Flow.Segments, e.g. a packet capture that
+// paces synthesised packets across each flow's rate history. A network
+// records rate history only while at least one RateTap is attached, so
+// observers that need flow records alone cost no per-flow history.
+type RateTap interface {
+	Tap
+	ReadsRates()
 }
 
 // Allocator selects the bandwidth-sharing discipline.
@@ -262,8 +275,14 @@ func (n *Network) Topology() *Topology { return n.topo }
 // Engine returns the simulation engine the network runs on.
 func (n *Network) Engine() *sim.Engine { return n.eng }
 
-// AddTap registers a lifecycle observer.
-func (n *Network) AddTap(t Tap) { n.taps = append(n.taps, t) }
+// AddTap registers a lifecycle observer. Attaching a RateTap turns on
+// rate-history recording for the flows that start afterwards.
+func (n *Network) AddTap(t Tap) {
+	n.taps = append(n.taps, t)
+	if _, ok := t.(RateTap); ok {
+		n.soa.recordRates()
+	}
+}
 
 // Completed returns the number of flows finished so far.
 func (n *Network) Completed() uint64 { return n.completed }

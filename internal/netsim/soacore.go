@@ -11,9 +11,10 @@ import (
 // parallel slice keyed by an int32 slot id. Slots are recycled through a
 // free list and generation-counted (a stale FlowID can never touch a
 // slot's next occupant), flow paths live in one shared arena indexed by
-// slot × stride, and rate-history segments come from a chunk pool linked
-// by int32 next ids. Together with the engine's event slab and persistent
-// per-slot completion timers, a settled capture loop — start, activate,
+// slot × stride, and rate-history segments — recorded only while a
+// RateTap is attached — come from a chunk pool linked by int32 next ids.
+// Together with the engine's event slab and persistent per-slot
+// completion timers, a settled capture loop — start, activate,
 // reallocate, complete, recycle — performs zero heap allocations.
 //
 // Its trajectories are fenced by committed golden digests of whole
@@ -53,7 +54,8 @@ type soaCore struct {
 	pathStride int
 
 	// Rate-segment chunk pool: per-slot chained chunk lists, recycled in
-	// O(1) on slot free.
+	// O(1) on slot free. Empty unless recording (a RateTap is attached).
+	recording   bool
 	segChunks   []segChunk
 	segFreeHead int32
 	segHead     []int32
@@ -189,7 +191,9 @@ func (c *soaCore) reserve(peak int) {
 	c.active = growCap(c.active, peak)
 	c.rates = growCap(c.rates, peak)
 	c.frozen = growCap(c.frozen, peak)
-	c.segChunks = growCap(c.segChunks, peak)
+	if c.recording {
+		c.segChunks = growCap(c.segChunks, peak)
+	}
 	if c.tcp != nil {
 		c.tcp.reserve(peak)
 	}
@@ -321,7 +325,20 @@ func (c *soaCore) allocChunk() int32 {
 	return int32(len(c.segChunks) - 1)
 }
 
+// recordRates turns rate-history recording on and sizes the chunk pool
+// for the peak the slot slabs were reserved for (callers reserve before
+// they attach taps).
+func (c *soaCore) recordRates() {
+	c.recording = true
+	c.segChunks = growCap(c.segChunks, cap(c.fid))
+}
+
+// appendSegment records a rate change for slot s while recording; it is a
+// no-op otherwise, so copySegments then returns nil.
 func (c *soaCore) appendSegment(s int32, rs RateSegment) {
+	if !c.recording {
+		return
+	}
 	tail := c.segTail[s]
 	if tail < 0 || c.segChunks[tail].used == segChunkCap {
 		nc := c.allocChunk()

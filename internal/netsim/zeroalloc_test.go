@@ -8,10 +8,10 @@ import (
 
 // TestSteadyStateZeroAlloc is the tentpole's end-state guarantee: once a
 // pre-sized network has warmed up — slot slabs, per-slot completion
-// timers, the segment chunk pool, the path arena and allocator scratch
-// all populated — a full capture cycle (start flows by id, activate,
-// reallocate under max-min fairness, complete, recycle) performs zero
-// heap allocations.
+// timers, the path arena and allocator scratch all populated — a full
+// capture cycle (start flows by id, activate, reallocate under max-min
+// fairness, complete, recycle) performs zero heap allocations. No rate
+// tap is attached, so no rate history is recorded or pooled.
 func TestSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is unreliable under the race detector")

@@ -4,6 +4,12 @@
 // the simulated network is tapped, packets are synthesised from flow
 // progress, written to a trace, and later reduced back to flow records for
 // classification and modelling.
+//
+// Two taps share one ground-truth recorder. A FlowLog keeps flow records
+// only; a Capture adds packet synthesis, which paces each flow's bytes
+// across its rate history. Only a Capture makes the network record that
+// history (it is a netsim.RateTap), so the stages that need flow records
+// alone — capture, replay — attach a FlowLog and keep no per-flow history.
 package pcap
 
 import (

@@ -17,36 +17,101 @@ const MSS = 1448
 // GRO-enabled capture. Byte totals stay exact.
 const DefaultMaxPacketsPerFlow = 2048
 
+// FlowLog taps a netsim.Network for ground truth alone: one FlowRecord
+// per finished flow, in completion order. It retains no *netsim.Flow and
+// reads no rate history, so a network observed only by flow logs records
+// none (see netsim.RateTap). The pipeline stages that consume flow records
+// — core.Capture and core.Replay — attach a FlowLog; a Capture embeds one
+// for its own ground truth.
+type FlowLog struct {
+	truth []FlowRecord
+	// offset shifts this log's node ids before address synthesis.
+	// Multi-pod captures give each pod's tap a disjoint range so merged
+	// traces keep globally unique 5-tuples.
+	offset int
+}
+
+var _ netsim.Tap = (*FlowLog)(nil)
+
+// NewFlowLog returns an empty ground-truth recorder.
+func NewFlowLog() *FlowLog { return &FlowLog{} }
+
+// SetHostOffset shifts every node id seen by this log by n before it
+// becomes a synthetic address: pod p of a multi-pod capture uses
+// n = p × hostsPerPod so the merged trace's 5-tuples stay globally
+// unique. Set before any flow completes.
+func (l *FlowLog) SetHostOffset(n int) {
+	if n >= 0 {
+		l.offset = n
+	}
+}
+
+// FlowStarted implements netsim.Tap.
+func (l *FlowLog) FlowStarted(*netsim.Flow) {}
+
+// FlowCompleted implements netsim.Tap: records the flow's ground truth.
+func (l *FlowLog) FlowCompleted(f *netsim.Flow) {
+	// Aborted flows (fault-injection teardowns) record the bytes that
+	// actually crossed the wire, not the intended size; for completed
+	// flows Transferred equals SizeBytes exactly.
+	spec := f.Spec()
+	l.truth = append(l.truth, FlowRecord{
+		Key:     basePacket(spec, l.offset).Key(),
+		FirstNs: int64(f.Start()),
+		LastNs:  int64(f.End()),
+		Bytes:   f.Transferred(),
+		Packets: 0,
+		Label:   spec.Label,
+	})
+}
+
+// Truth returns the ground-truth flow records in completion order.
+func (l *FlowLog) Truth() []FlowRecord {
+	out := make([]FlowRecord, len(l.truth))
+	copy(out, l.truth)
+	return out
+}
+
+// basePacket is the header every packet of a flow's train carries: the
+// flow's 5-tuple, with node ids shifted by offset.
+func basePacket(spec netsim.FlowSpec, offset int) Packet {
+	return Packet{
+		Src:     HostAddr(offset + int(spec.Src)),
+		Dst:     HostAddr(offset + int(spec.Dst)),
+		SrcPort: uint16(spec.SrcPort),
+		DstPort: uint16(spec.DstPort),
+		Proto:   ProtoTCP,
+	}
+}
+
 // Capture taps a netsim.Network, synthesising packet records from
-// completed flows and keeping ground-truth flow records for classifier
-// validation. All state is owned by the single-threaded simulation loop.
+// completed flows' rate histories on top of the ground-truth records its
+// embedded FlowLog keeps. It is a netsim.RateTap: attaching one makes the
+// network record every flow's rate history, and a buffered Capture
+// retains every finished flow with its history until Packets() is
+// called. Consumers that need flow records alone attach a FlowLog
+// instead. All state is owned by the single-threaded simulation loop.
 //
 // Packet synthesis is lazy in the buffered mode: FlowCompleted only
 // retains the finished flow, and the packet train is synthesised on the
-// first Packets() call. Pipeline stages that consume ground truth alone
-// (core.Capture, core.Replay — the hot replay path) therefore never pay
-// for packets they don't read. Streaming captures synthesise eagerly,
-// since the sink wants packets as they happen.
+// first Packets() call. Streaming captures synthesise eagerly, since the
+// sink wants packets as they happen, and retain no flows.
 type Capture struct {
+	FlowLog
 	maxPkts int
 	packets []Packet
 	// pending holds completed flows whose packet trains have not been
 	// synthesised yet (buffered mode only; completion order).
 	pending []*netsim.Flow
-	truth   []FlowRecord
 	// sink, if set, receives packets instead of the in-memory buffer
 	// (used to stream straight to a trace file).
 	sink func(Packet) error
 	err  error
 	// train is the per-flow synthesis scratch buffer, reused across flows.
 	train []Packet
-	// offset shifts this capture's node ids before address synthesis.
-	// Multi-pod captures give each pod's tap a disjoint range so merged
-	// traces keep globally unique 5-tuples.
-	offset int
 }
 
-var _ netsim.Tap = (*Capture)(nil)
+var _ netsim.RateTap = (*Capture)(nil)
 
 // NewCapture returns a Capture buffering packets in memory.
 func NewCapture() *Capture {
@@ -59,16 +124,6 @@ func NewStreamingCapture(sink func(Packet) error) *Capture {
 	return &Capture{maxPkts: DefaultMaxPacketsPerFlow, sink: sink}
 }
 
-// SetHostOffset shifts every node id seen by this capture by n before it
-// becomes a synthetic address: pod p of a multi-pod capture uses
-// n = p × hostsPerPod so the merged trace's 5-tuples stay globally
-// unique. Set before any flow completes.
-func (c *Capture) SetHostOffset(n int) {
-	if n >= 0 {
-		c.offset = n
-	}
-}
-
 // SetMaxPacketsPerFlow overrides the synthesis bound (≥ 2).
 func (c *Capture) SetMaxPacketsPerFlow(n int) {
 	if n >= 2 {
@@ -79,32 +134,15 @@ func (c *Capture) SetMaxPacketsPerFlow(n int) {
 // Err returns the first sink error encountered, if any.
 func (c *Capture) Err() error { return c.err }
 
-// FlowStarted implements netsim.Tap.
-func (c *Capture) FlowStarted(*netsim.Flow) {}
+// ReadsRates implements netsim.RateTap: packet trains are paced across
+// each flow's rate history.
+func (c *Capture) ReadsRates() {}
 
 // FlowCompleted implements netsim.Tap: records ground truth and either
 // streams the flow's packet train to the sink or defers synthesis until
 // Packets() is called.
 func (c *Capture) FlowCompleted(f *netsim.Flow) {
-	spec := f.Spec()
-	base := Packet{
-		Src:     HostAddr(c.offset + int(spec.Src)),
-		Dst:     HostAddr(c.offset + int(spec.Dst)),
-		SrcPort: uint16(spec.SrcPort),
-		DstPort: uint16(spec.DstPort),
-		Proto:   ProtoTCP,
-	}
-	// Aborted flows (fault-injection teardowns) record the bytes that
-	// actually crossed the wire, not the intended size; for completed
-	// flows Transferred equals SizeBytes exactly.
-	c.truth = append(c.truth, FlowRecord{
-		Key:     base.Key(),
-		FirstNs: int64(f.Start()),
-		LastNs:  int64(f.End()),
-		Bytes:   f.Transferred(),
-		Packets: 0,
-		Label:   spec.Label,
-	})
+	c.FlowLog.FlowCompleted(f)
 	if c.sink == nil {
 		c.pending = append(c.pending, f)
 		return
@@ -137,14 +175,7 @@ func (c *Capture) synthesize(f *netsim.Flow) {
 // flow — at flow end. It is pure over the flow's observable state, so
 // invariant checks can rebuild a train without touching the capture.
 func appendTrain(dst []Packet, f *netsim.Flow, maxPkts, offset int) []Packet {
-	spec := f.Spec()
-	base := Packet{
-		Src:     HostAddr(offset + int(spec.Src)),
-		Dst:     HostAddr(offset + int(spec.Dst)),
-		SrcPort: uint16(spec.SrcPort),
-		DstPort: uint16(spec.DstPort),
-		Proto:   ProtoTCP,
-	}
+	base := basePacket(f.Spec(), offset)
 
 	startNs := int64(f.Start())
 	endNs := int64(f.End())
@@ -236,13 +267,6 @@ func (c *Capture) Packets() []Packet {
 	c.pending = c.pending[:0]
 	out := slices.Clone(c.packets)
 	slices.SortStableFunc(out, func(a, b Packet) int { return cmp.Compare(a.TsNs, b.TsNs) })
-	return out
-}
-
-// Truth returns the ground-truth flow records in completion order.
-func (c *Capture) Truth() []FlowRecord {
-	out := make([]FlowRecord, len(c.truth))
-	copy(out, c.truth)
 	return out
 }
 

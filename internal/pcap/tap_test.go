@@ -1,6 +1,7 @@
 package pcap
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -183,5 +184,57 @@ func TestFlowRecordDuration(t *testing.T) {
 	r := FlowRecord{FirstNs: int64(time.Second), LastNs: int64(3 * time.Second)}
 	if r.DurationNs() != int64(2*time.Second) {
 		t.Errorf("duration = %d", r.DurationNs())
+	}
+}
+
+// TestFlowLogRecordsTruthWithoutHistory: a FlowLog's records equal the
+// ground truth of a Capture on an identical network, host offset
+// included, and a network observed only by a FlowLog records no rate
+// history — its completed flows carry no Segments.
+func TestFlowLogRecordsTruthWithoutHistory(t *testing.T) {
+	run := func(tap netsim.Tap) []*netsim.Flow {
+		topo, err := netsim.Star(4, netsim.Gbps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := sim.New()
+		net := netsim.NewNetwork(eng, topo, netsim.Config{})
+		net.AddTap(tap)
+		var done []*netsim.Flow
+		h := topo.Hosts()
+		for i := 0; i < 6; i++ {
+			if _, err := net.StartFlow(netsim.FlowSpec{
+				Src: h[i%len(h)], Dst: h[(i+1)%len(h)], SrcPort: 1000 + i, DstPort: 13562,
+				SizeBytes: int64(1+i) << 20, Label: "job/shuffle",
+				OnComplete: func(f *netsim.Flow) { done = append(done, f) },
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := eng.RunAll(); err != nil {
+			t.Fatal(err)
+		}
+		return done
+	}
+	flowLog, capture := NewFlowLog(), NewCapture()
+	flowLog.SetHostOffset(40)
+	capture.SetHostOffset(40)
+	logged := run(flowLog)
+	captured := run(capture)
+
+	got, want := flowLog.Truth(), capture.Truth()
+	if len(got) != 6 || !slices.Equal(got, want) {
+		t.Fatalf("flow log truth %v, capture truth %v", got, want)
+	}
+	if got[0].Key.Src != HostAddr(40+int(logged[0].Spec().Src)) {
+		t.Errorf("host offset not applied: %v", got[0].Key)
+	}
+	for i, f := range logged {
+		if f.Segments() != nil {
+			t.Errorf("flow %d recorded rate history under a flow log", f.ID())
+		}
+		if len(captured[i].Segments()) == 0 {
+			t.Errorf("flow %d recorded no rate history under a capture", captured[i].ID())
+		}
 	}
 }
