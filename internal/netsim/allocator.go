@@ -33,7 +33,10 @@ import "math"
 //     order, and the round restarts since shares moved. The scan runs
 //     only when the smallest unfrozen demand seen by the previous scan
 //     does not exceed the share — freezing only removes flows, so that
-//     minimum stays a lower bound — and never in fluid mode.
+//     minimum stays a lower bound — and never in fluid mode. It walks
+//     a candidate list of the positions still unfrozen with positive
+//     demand, compacted in place as flows freeze, so it stays in
+//     active-list order and never revisits a frozen flow.
 //  4. Otherwise the bottleneck's unfrozen flows freeze at the fair share
 //     in list order, returning their claim to the other links on their
 //     paths.
@@ -51,6 +54,7 @@ func (c *soaCore) maxMinFill(demand []float64) {
 	}
 	remaining := len(c.active)
 	minDemand := math.Inf(1)
+	cand := c.cand[:0]
 	if demand != nil {
 		for i, s := range c.active {
 			d := demand[s]
@@ -60,7 +64,10 @@ func (c *soaCore) maxMinFill(demand []float64) {
 				for _, lid := range c.path(s) {
 					c.cnt[lid]--
 				}
-			} else if d < minDemand {
+				continue
+			}
+			cand = append(cand, int32(i))
+			if d < minDemand {
 				minDemand = d
 			}
 		}
@@ -89,20 +96,25 @@ func (c *soaCore) maxMinFill(demand []float64) {
 		if minDemand <= bestShare {
 			froze := false
 			minDemand = math.Inf(1)
-			for i, s := range c.active {
+			k := 0
+			for _, i := range cand {
 				if c.frozen[i] {
 					continue
 				}
+				s := c.active[i]
 				if d := demand[s]; d > bestShare {
+					cand[k] = i
+					k++
 					if d < minDemand {
 						minDemand = d
 					}
 				} else {
-					c.freezeAt(i, s, d)
+					c.freezeAt(int(i), s, d)
 					remaining--
 					froze = true
 				}
 			}
+			cand = cand[:k]
 			if froze {
 				continue // shares moved; re-pick the bottleneck
 			}
@@ -115,6 +127,7 @@ func (c *soaCore) maxMinFill(demand []float64) {
 		}
 	}
 	c.loadScan = scan[:0]
+	c.cand = cand[:0]
 }
 
 // freezeAt fixes the flow at active-list position i (slot s) at rate r

@@ -99,6 +99,9 @@ func FuzzFlowIDRecycle(f *testing.F) {
 	f.Add([]byte{0, 16, 5, 1, 0, 8, 2, 3, 0, 1, 2, 2, 3})
 	f.Add([]byte{0, 0, 0, 0, 1, 255, 2, 2, 2, 2, 3})
 	f.Add([]byte{4, 9, 1, 33, 0, 12, 2, 7, 1, 64, 3, 0, 200, 1, 40, 2, 0, 3})
+	// A flow completes, the next start reuses its slot, and the new
+	// occupant activates: it must not inherit the old occupant's due time.
+	f.Add([]byte{0, 48, 1, 48, 0, 48, 0, 48, 1, 65})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		topo, err := Star(4, Gbps)
 		if err != nil {

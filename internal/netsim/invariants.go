@@ -15,8 +15,9 @@ import (
 // the active list and the per-link flow index agree with each other (each
 // list in active-list order, the loaded-link list exact), no active flow
 // crosses a downed link (SetLinkState reroutes or aborts victims
-// synchronously, so this holds even while a reallocation is pending), and
-// every flow's residue is within [0, SizeBytes]. When no
+// synchronously, so this holds even while a reallocation is pending),
+// every flow's residue is within [0, SizeBytes], and every pending
+// completion sits at its flow's due time. When no
 // reallocation is pending it additionally verifies the allocation itself
 // via CheckInvariants (capacity and bottleneck conditions).
 func (n *Network) VerifyState() error {
@@ -46,6 +47,9 @@ func (c *soaCore) verifyState() error {
 		}
 		if c.remaining[s] < 0 || c.remaining[s] > float64(c.spec[s].SizeBytes) {
 			return fmt.Errorf("netsim: flow %d remaining %.3g outside [0, %d]", c.fid[s], c.remaining[s], c.spec[s].SizeBytes)
+		}
+		if err := c.verifyCompletion(s); err != nil {
+			return err
 		}
 		for _, lid := range c.path(s) {
 			if c.topo.linkDown[lid] {
@@ -108,6 +112,34 @@ func (c *soaCore) verifyState() error {
 	}
 	if inFree != nFree {
 		return fmt.Errorf("netsim: %d slots marked free but %d on the free list", nFree, inFree)
+	}
+	return nil
+}
+
+// verifyCompletion checks active slot s's lazily armed completion. A
+// flow with no rate has no due time and no pending completion. A pending
+// completion is always at the flow's due time. When no reallocation is
+// pending, a flow with a rate has its completion pending exactly when its
+// due time is at or before the horizon — the next ack-clock tick under
+// TCP, always in fluid mode. (A pending reallocation may be the one that
+// arms completions the last tick moved inside the horizon.)
+func (c *soaCore) verifyCompletion(s int32) error {
+	ev := c.completeEv[s]
+	pending := ev.Pending()
+	if c.rate[s] == 0 {
+		if c.due[s] != noDue || pending {
+			return fmt.Errorf("netsim: flow %d has no rate but is due at %v (pending %v)", c.fid[s], c.due[s], pending)
+		}
+		return nil
+	}
+	if pending && ev.At() != c.due[s] {
+		return fmt.Errorf("netsim: flow %d completion pending at %v, due at %v", c.fid[s], ev.At(), c.due[s])
+	}
+	if c.reallocPending {
+		return nil
+	}
+	if want := c.due[s] != noDue && c.due[s] <= c.horizon; pending != want {
+		return fmt.Errorf("netsim: flow %d due at %v, horizon %v, completion pending %v", c.fid[s], c.due[s], c.horizon, pending)
 	}
 	return nil
 }

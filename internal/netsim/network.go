@@ -426,6 +426,9 @@ func (n *Network) SetLinkCapacityScale(lid LinkID, factor float64) error {
 		return err
 	}
 	n.soa.settle()
+	if n.soa.tcp != nil {
+		n.soa.tcp.refreshDelay(lid)
+	}
 	n.soa.markDirty()
 	return nil
 }

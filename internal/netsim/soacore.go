@@ -45,6 +45,14 @@ type soaCore struct {
 	// the slot's first completion scheduling and re-armed by every
 	// subsequent occupant — one event allocation per slot, ever.
 	completeEv []sim.Event
+	// due[s] is the instant the slot's current rate drains its residue,
+	// or noDue when it has no rate or would never finish. ticket[s] is
+	// the engine sequence number taken when due[s] was set: the timer is
+	// armed with it only once due[s] is at or before horizon, and then
+	// fires with the (time, sequence) key an eager re-arm would have
+	// given it.
+	due    []sim.Time
+	ticket []uint64
 
 	// Path storage: slot s's path is pathArena[s*stride : s*stride+pathLen[s]].
 	// The stride grows (rarely — fabric diameter is small) by arena
@@ -79,6 +87,14 @@ type soaCore struct {
 	seq            uint64
 	reallocPending bool
 	dirtyE         sim.Event
+	// horizon is the latest instant an active flow's completion is armed
+	// for: the next ack-clock tick under TCP, MaxTime (never) in fluid
+	// mode. It only grows. armedTo is the horizon of the last applyRates,
+	// which left every completion due by then armed. settledAt is the
+	// instant settle last charged progress at.
+	horizon   sim.Time
+	armedTo   sim.Time
+	settledAt sim.Time
 
 	// tcp carries the per-flow TCP state machine when Config.Transport is
 	// "tcp"; nil in fluid mode, and every hook below nil-checks it so the
@@ -87,13 +103,15 @@ type soaCore struct {
 
 	// Allocation scratch, reused across reallocations. remCap/cnt are
 	// indexed by LinkID; rates/frozen by active-list position; loadScan
-	// is the allocator's shrinking copy of loaded; pathScratch is the
-	// route computation buffer.
+	// is the allocator's shrinking copy of loaded; cand holds the
+	// active-list positions a demand rescan still has to visit;
+	// pathScratch is the route computation buffer.
 	remCap      []float64
 	cnt         []int
 	rates       []float64
 	frozen      []bool
 	loadScan    []LinkID
+	cand        []int32
 	pathScratch []LinkID
 
 	// Stored callbacks, bound once so scheduling never allocates a closure.
@@ -101,6 +119,9 @@ type soaCore struct {
 	abortCb    func(uint64)
 	finishCb   func(uint64)
 }
+
+// noDue marks a slot with no completion due (soaCore.due).
+const noDue sim.Time = -1
 
 // Slot lifecycle states.
 const (
@@ -133,6 +154,9 @@ func newSoaCore(nw *Network, tr Transport) *soaCore {
 		remCap:      make([]float64, nl),
 		cnt:         make([]int, nl),
 		loadScan:    make([]LinkID, 0, nl),
+		horizon:     sim.MaxTime,
+		armedTo:     noDue,
+		settledAt:   -1,
 	}
 	for i := range c.loadedPos {
 		c.loadedPos[i] = -1
@@ -182,6 +206,8 @@ func (c *soaCore) reserve(peak int) {
 	c.listIdx = growCap(c.listIdx, peak)
 	c.handle = growCap(c.handle, peak)
 	c.completeEv = growCap(c.completeEv, peak)
+	c.due = growCap(c.due, peak)
+	c.ticket = growCap(c.ticket, peak)
 	c.pathLen = growCap(c.pathLen, peak)
 	c.segHead = growCap(c.segHead, peak)
 	c.segTail = growCap(c.segTail, peak)
@@ -191,6 +217,7 @@ func (c *soaCore) reserve(peak int) {
 	c.active = growCap(c.active, peak)
 	c.rates = growCap(c.rates, peak)
 	c.frozen = growCap(c.frozen, peak)
+	c.cand = growCap(c.cand, peak)
 	if c.recording {
 		c.segChunks = growCap(c.segChunks, peak)
 	}
@@ -231,6 +258,8 @@ func (c *soaCore) allocSlot() int32 {
 	c.listIdx = append(c.listIdx, -1)
 	c.handle = append(c.handle, nil)
 	c.completeEv = append(c.completeEv, sim.Event{})
+	c.due = append(c.due, noDue)
+	c.ticket = append(c.ticket, 0)
 	c.pathLen = append(c.pathLen, 0)
 	c.segHead = append(c.segHead, -1)
 	c.segTail = append(c.segTail, -1)
@@ -395,6 +424,7 @@ func (c *soaCore) startFlow(spec FlowSpec, wantHandle bool) (FlowID, *Flow) {
 	c.start[s] = now
 	c.remaining[s] = float64(spec.SizeBytes)
 	c.rate[s] = 0
+	c.due[s] = noDue
 	c.state[s] = slotPropagating
 	c.nw.metrics.FlowsStarted.Inc()
 
@@ -446,8 +476,8 @@ func (c *soaCore) activate(arg uint64) {
 		c.state[s] = slotLoopback
 		c.rate[s] = c.cfg.LoopbackBps
 		c.appendSegment(s, RateSegment{Start: now, RateBps: c.rate[s]})
-		d := durationFor(c.remaining[s], c.rate[s])
-		c.armCompletion(s, now+d)
+		// No reallocation revisits a loopback flow, so it arms at once.
+		c.scheduleCompletion(s, sim.MaxTime)
 		return
 	}
 	if !c.topo.pathUp(c.path(s)) {
@@ -538,12 +568,24 @@ func (c *soaCore) dirty(uint64) {
 // settle charges elapsed transfer progress to every active flow. In TCP
 // mode the same charge feeds the per-tick acked-byte accumulator (window
 // growth tracks delivered bytes exactly, independent of tick cadence) and
-// the link queues integrate over the elapsed interval.
+// the link queues integrate over the elapsed interval. A second settle at
+// the same instant has nothing to charge and returns at once.
 func (c *soaCore) settle() {
 	now := c.eng.Now()
+	if now == c.settledAt {
+		return
+	}
+	c.settledAt = now
+	// Most flows were last charged at the same instant, so the interval's
+	// length in seconds is converted once per distinct interval.
+	var lastDt sim.Time
+	var secs float64
 	for _, s := range c.active {
 		if dt := now - c.last[s]; dt > 0 && c.rate[s] > 0 {
-			d := c.rate[s] * dt.Seconds() / 8
+			if dt != lastDt {
+				lastDt, secs = dt, dt.Seconds()
+			}
+			d := c.rate[s] * secs / 8
 			c.remaining[s] -= d
 			if c.remaining[s] < 0 {
 				c.remaining[s] = 0
@@ -589,61 +631,68 @@ func (c *soaCore) reallocate() {
 	c.applyRates()
 }
 
-// resetScratch sizes and clears the per-flow allocation buffers.
+// resetScratch sizes and clears the per-flow allocation buffers. A
+// network reserved for its peak never grows them; one that was not grows
+// them with headroom, so a rising active count reallocates rarely.
 func (c *soaCore) resetScratch(nf int) {
-	if cap(c.rates) < nf {
-		c.rates = make([]float64, nf)
-		c.frozen = make([]bool, nf)
-	}
-	c.rates = c.rates[:nf]
-	c.frozen = c.frozen[:nf]
-	for i := range c.frozen {
-		c.frozen[i] = false
-	}
+	c.rates = growLen(c.rates, nf)
+	c.frozen = growLen(c.frozen, nf)
+	c.cand = growCap(c.cand, cap(c.frozen))
+	clear(c.frozen)
 }
 
-// applyRates installs the rates vector. A flow whose rate is unchanged
-// (within rateTolerance) keeps its pending completion event untouched —
-// the event still lands exactly where the unchanged rate drains the
-// remaining bytes.
+// applyRates installs the rates vector. A flow whose rate changed gets a
+// new due time. A flow whose rate is unchanged (within rateTolerance)
+// keeps its due time and ticket — the unchanged rate still drains the
+// residue then — and its completion is armed once that time comes inside
+// the horizon. One due by armedTo is armed already: the last applyRates
+// armed it, or scheduleCompletion did when it set the due time.
 func (c *soaCore) applyRates() {
 	now := c.eng.Now()
 	for i, s := range c.active {
 		newRate := c.rates[i]
 		if rateEqual(c.rate[s], newRate) {
+			if d := c.due[s]; d <= c.horizon && d > c.armedTo {
+				c.armCompletion(s)
+			}
 			continue
 		}
 		c.rate[s] = newRate
 		c.appendSegment(s, RateSegment{Start: now, RateBps: newRate})
-		c.scheduleCompletion(s)
+		c.scheduleCompletion(s, c.horizon)
+	}
+	c.armedTo = c.horizon
+}
+
+// scheduleCompletion sets the slot's due time for its current rate and
+// residue, taking an engine ticket exactly where an eager re-arm would
+// have taken its sequence number, and arms the completion timer when the
+// due time is at or before horizon. Flows with no rate — or a rate so
+// small completion would fall past the end of simulated time — get no
+// due time and park with no pending event until a future reallocation
+// revives them.
+func (c *soaCore) scheduleCompletion(s int32, horizon sim.Time) {
+	c.due[s] = noDue
+	if c.rate[s] > 0 {
+		now := c.eng.Now()
+		if d := durationFor(c.remaining[s], c.rate[s]); d < sim.MaxTime-now {
+			c.due[s], c.ticket[s] = now+d, c.eng.Ticket()
+		}
+	}
+	if d := c.due[s]; d != noDue && d <= horizon {
+		c.armCompletion(s)
+	} else {
+		c.cancelCompletion(s)
 	}
 }
 
-// scheduleCompletion (re)arms the slot's completion timer for its current
-// rate and residue. Flows with no rate — or a rate so small completion
-// would fall past the simulation horizon — park with no pending event
-// until a future reallocation revives them.
-func (c *soaCore) scheduleCompletion(s int32) {
-	if c.rate[s] <= 0 {
-		c.cancelCompletion(s)
-		return
-	}
-	d := durationFor(c.remaining[s], c.rate[s])
-	now := c.eng.Now()
-	if d >= sim.MaxTime-now {
-		c.cancelCompletion(s)
-		return
-	}
-	c.armCompletion(s, now+d)
-}
-
-// armCompletion schedules slot s's persistent completion timer for
-// absolute time at, creating it on the slot's first use.
-func (c *soaCore) armCompletion(s int32, at sim.Time) {
+// armCompletion arms slot s's persistent completion timer at its due
+// time under its ticket, creating the timer on the slot's first use.
+func (c *soaCore) armCompletion(s int32) {
 	if !c.completeEv[s].Valid() {
 		c.completeEv[s] = c.eng.NewTimer(c.finishCb, uint64(uint32(s)))
 	}
-	_ = c.completeEv[s].Schedule(at)
+	_ = c.completeEv[s].ScheduleTicket(c.due[s], c.ticket[s])
 }
 
 func (c *soaCore) cancelCompletion(s int32) {
@@ -663,8 +712,8 @@ func (c *soaCore) finish(s int32) {
 		if c.remaining[s] > 1e-3 {
 			// The event fired before the flow truly drained (float
 			// rounding or a stale event). Reschedule for the residue —
-			// never strand a flow without a pending completion.
-			c.scheduleCompletion(s)
+			// never strand a flow without a due completion.
+			c.scheduleCompletion(s, c.horizon)
 			return
 		}
 		c.remaining[s] = 0

@@ -50,11 +50,17 @@ type tcpCore struct {
 	// the slot's first whole-window loss and re-armed forever after.
 	rtoEv []sim.Event
 
-	// Per-link droptail queue model.
+	// Per-link droptail queue model. qDelay[l] is qBytes[l]'s queueing
+	// delay at the link's capacity, in seconds. live lists, in no order,
+	// the links with offered load or a standing queue — the only ones
+	// whose queue can move; isLive[l] reports whether l is on it.
 	qBytes     []float64 // current queue depth, bytes
+	qDelay     []float64
 	offeredBps []float64 // sum of crossing flows' demand, bps
 	overflowAt []sim.Time
 	lastQ      sim.Time
+	live       []LinkID
+	isLive     []bool
 
 	tickEv sim.Event
 
@@ -77,12 +83,16 @@ const (
 const tcpMaxBackoff = 6
 
 func newTCPCore(c *soaCore) *tcpCore {
+	nl := len(c.topo.links)
 	t := &tcpCore{
 		c:          c,
 		cfg:        c.cfg.TCP.withDefaults(),
-		qBytes:     make([]float64, len(c.topo.links)),
-		offeredBps: make([]float64, len(c.topo.links)),
-		overflowAt: make([]sim.Time, len(c.topo.links)),
+		qBytes:     make([]float64, nl),
+		qDelay:     make([]float64, nl),
+		offeredBps: make([]float64, nl),
+		overflowAt: make([]sim.Time, nl),
+		live:       make([]LinkID, 0, nl),
+		isLive:     make([]bool, nl),
 	}
 	for i := range t.overflowAt {
 		t.overflowAt[i] = -1
@@ -170,8 +180,17 @@ func (t *tcpCore) onActivate(s int32) {
 	t.tstate[s] = tcpSlowStart
 	t.backoff[s] = 0
 	if !t.tickEv.Pending() {
-		_ = t.tickEv.Schedule(now + sim.Time(t.cfg.TickNs))
+		t.armTick(now)
 	}
+}
+
+// armTick schedules the next ack-clock tick one period after now. That
+// tick is the completion horizon: every flow step and reallocation runs
+// before it, so a completion is armed only once it is due by then.
+func (t *tcpCore) armTick(now sim.Time) {
+	next := now + sim.Time(t.cfg.TickNs)
+	t.c.horizon = next
+	_ = t.tickEv.Schedule(next)
 }
 
 // onReroute re-derives path parameters after a fault moved the flow and
@@ -193,10 +212,12 @@ func (t *tcpCore) onRemove(s int32) {
 	t.acked[s] = 0
 }
 
-// settleQueues integrates every link's droptail queue over the interval
-// since the last settle: depth grows by (offered demand − capacity) and a
-// queue pinned at its buffer while oversubscribed timestamps an overflow
-// that flows crossing the link treat as loss at their next tick.
+// settleQueues integrates every live link's droptail queue over the
+// interval since the last settle: depth grows by (offered demand −
+// capacity) and a queue pinned at its buffer while oversubscribed
+// timestamps an overflow that flows crossing the link treat as loss at
+// their next tick. A link with no offered load and an empty queue stays
+// empty, so it leaves the live list.
 func (t *tcpCore) settleQueues(now sim.Time) {
 	dt := (now - t.lastQ).Seconds()
 	t.lastQ = now
@@ -204,8 +225,10 @@ func (t *tcpCore) settleQueues(now sim.Time) {
 		return
 	}
 	maxQ := 0.0
-	for l := range t.qBytes {
-		net := (t.offeredBps[l] - t.c.topo.links[l].CapacityBps) / 8
+	n := 0
+	for _, l := range t.live {
+		capBps := t.c.topo.links[l].CapacityBps
+		net := (t.offeredBps[l] - capBps) / 8
 		q := t.qBytes[l] + net*dt
 		if q >= t.cfg.BufferBytes {
 			q = t.cfg.BufferBytes
@@ -217,28 +240,45 @@ func (t *tcpCore) settleQueues(now sim.Time) {
 			q = 0
 		}
 		t.qBytes[l] = q
+		t.qDelay[l] = q * 8 / capBps
 		if q > maxQ {
 			maxQ = q
 		}
+		if q == 0 && t.offeredBps[l] == 0 {
+			t.isLive[l] = false
+			continue
+		}
+		t.live[n] = l
+		n++
 	}
+	t.live = t.live[:n]
 	if maxQ > 0 {
 		t.c.nw.metrics.TCPQueueMaxBytes.SetMax(maxQ)
 	}
 }
 
+// refreshDelay recomputes link l's queueing delay after its capacity
+// changed.
+func (t *tcpCore) refreshDelay(l LinkID) {
+	t.qDelay[l] = t.qBytes[l] * 8 / t.c.topo.links[l].CapacityBps
+}
+
 // updateOffered rebuilds the per-link offered load from current demands.
 // Called by reallocate after demands changed, so queue integration over
-// the *next* interval uses the new windows.
+// the *next* interval uses the new windows. Only live links can carry
+// load from before, and every link a demanding flow crosses turns live.
 func (t *tcpCore) updateOffered() {
-	for i := range t.offeredBps {
-		t.offeredBps[i] = 0
-	}
+	t.clearOffered()
 	for _, s := range t.c.active {
 		d := t.demand[s]
 		if d <= 0 {
 			continue
 		}
 		for _, lid := range t.c.path(s) {
+			if !t.isLive[lid] {
+				t.isLive[lid] = true
+				t.live = append(t.live, lid)
+			}
 			t.offeredBps[lid] += d
 		}
 	}
@@ -247,8 +287,8 @@ func (t *tcpCore) updateOffered() {
 // clearOffered zeroes the offered load once the active set drains, so
 // queues integrate down to empty across idle gaps.
 func (t *tcpCore) clearOffered() {
-	for i := range t.offeredBps {
-		t.offeredBps[i] = 0
+	for _, l := range t.live {
+		t.offeredBps[l] = 0
 	}
 }
 
@@ -265,29 +305,21 @@ func (t *tcpCore) tick(uint64) {
 		t.step(s, now)
 	}
 	c.markDirty()
-	_ = t.tickEv.Schedule(now + sim.Time(t.cfg.TickNs))
+	t.armTick(now)
 }
 
-// pathLossSince reports whether any link on s's path overflowed after the
-// flow's last loss reaction — at most one window reduction per overflow
-// episode per tick, for every flow sharing the link (synchronized loss).
-func (t *tcpCore) pathLossSince(s int32) bool {
-	loss := t.lossAt[s]
+// pathState walks s's path once. It reports whether any link on it
+// overflowed after the flow's last loss reaction — at most one window
+// reduction per overflow episode per tick, for every flow sharing the
+// link (synchronized loss) — and the queueing delay summed along it, in
+// seconds.
+func (t *tcpCore) pathState(s int32) (loss bool, delay float64) {
+	since := t.lossAt[s]
 	for _, lid := range t.c.path(s) {
-		if t.overflowAt[lid] > loss {
-			return true
-		}
+		loss = loss || t.overflowAt[lid] > since
+		delay += t.qDelay[lid]
 	}
-	return false
-}
-
-// pathQueueDelay sums the queueing delay along s's path in seconds.
-func (t *tcpCore) pathQueueDelay(s int32) float64 {
-	var d float64
-	for _, lid := range t.c.path(s) {
-		d += t.qBytes[lid] * 8 / t.c.topo.links[lid].CapacityBps
-	}
-	return d
+	return loss, delay
 }
 
 // step advances one flow's state machine by one tick. Window growth is
@@ -301,8 +333,9 @@ func (t *tcpCore) step(s int32, now sim.Time) {
 	}
 	acked := t.acked[s]
 	t.acked[s] = 0
-	if t.pathLossSince(s) {
-		t.onLoss(s, now)
+	loss, qDelay := t.pathState(s)
+	if loss {
+		t.onLoss(s, now, qDelay)
 		return
 	}
 	if acked > 0 {
@@ -321,7 +354,7 @@ func (t *tcpCore) step(s int32, now sim.Time) {
 		}
 		t.c.nw.metrics.TCPCwndMaxBytes.SetMax(t.cwnd[s])
 	}
-	rtt := t.baseRTT[s] + t.pathQueueDelay(s)
+	rtt := t.baseRTT[s] + qDelay
 	t.srtt[s] += (rtt - t.srtt[s]) / 8
 	t.demand[s] = t.cwnd[s] * 8 / t.srtt[s]
 }
@@ -329,8 +362,9 @@ func (t *tcpCore) step(s int32, now sim.Time) {
 // onLoss reacts to queue overflow on the flow's path. A window of at least
 // four segments has enough duplicate acks to fast-retransmit: halve and
 // keep transmitting. A smaller window lost everything in flight — the
-// connection stalls silent until its retransmission timer fires.
-func (t *tcpCore) onLoss(s int32, now sim.Time) {
+// connection stalls silent until its retransmission timer fires. qDelay
+// is the queueing delay along the flow's path, in seconds.
+func (t *tcpCore) onLoss(s int32, now sim.Time, qDelay float64) {
 	t.lossAt[s] = now
 	mss := t.cfg.MSSBytes
 	half := t.cwnd[s] / 2
@@ -341,7 +375,7 @@ func (t *tcpCore) onLoss(s int32, now sim.Time) {
 	if t.cwnd[s] >= 4*mss {
 		t.cwnd[s] = half
 		t.tstate[s] = tcpAvoid
-		rtt := t.baseRTT[s] + t.pathQueueDelay(s)
+		rtt := t.baseRTT[s] + qDelay
 		t.srtt[s] += (rtt - t.srtt[s]) / 8
 		t.demand[s] = t.cwnd[s] * 8 / t.srtt[s]
 		t.fastRtx++
@@ -397,8 +431,9 @@ func (t *tcpCore) rtoFire(arg uint64) {
 // verify checks the TCP state machine's structural invariants: windows
 // inside [MSS, BDP+buffer], thresholds and RTTs sane, stalled flows
 // demand-free with a pending retransmission timer, queues inside their
-// buffers. Wired into Network.VerifyState, so the invariants layer
-// (keddah_checks) sweeps it during captures.
+// buffers, and every link with a queue or offered load on the live list.
+// Wired into Network.VerifyState, so the invariants layer (keddah_checks)
+// sweeps it during captures.
 func (t *tcpCore) verify() error {
 	c := t.c
 	mss := t.cfg.MSSBytes
@@ -431,6 +466,9 @@ func (t *tcpCore) verify() error {
 	for l, q := range t.qBytes {
 		if math.IsNaN(q) || q < 0 || q > t.cfg.BufferBytes*1.001 {
 			return fmt.Errorf("netsim: link %d queue %.1f outside [0, buffer %.0f]", l, q, t.cfg.BufferBytes)
+		}
+		if (q > 0 || t.offeredBps[l] > 0) && !t.isLive[l] {
+			return fmt.Errorf("netsim: link %d holds queue %.1f and offered load %.3g bps but is not live", l, q, t.offeredBps[l])
 		}
 	}
 	return nil

@@ -18,6 +18,10 @@ func FuzzTCPStep(f *testing.F) {
 	f.Add([]byte{0x00, 0x11, 0x22, 0x01, 0x41, 0x02, 0x90, 0x03})
 	f.Add([]byte{0x10, 0x10, 0x10, 0x10, 0x81, 0x81, 0x81, 0x81, 0x52, 0x04})
 	f.Add([]byte{0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0xf0, 0xff})
+	// Eight flows, one of them 16 KiB, then 1.5 ms of ticks: the short
+	// flow's rate settles while its due time is beyond the next tick, and
+	// a later tick must arm its completion.
+	f.Add([]byte{0x30, 0x30, 0x30, 0x30, 0x61, 0x30, 0x30, 0x30, 0x24})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 256 {
 			t.Skip()

@@ -114,27 +114,57 @@ func (ev Event) Cancel() {
 // stale one-shot handle is an error (a fired one-shot's callback is gone —
 // use NewTimer for events that must be revivable).
 func (ev Event) Schedule(t Time) error {
-	if ev.eng == nil {
-		return errors.New("sim: Schedule on zero Event")
+	s, err := ev.armable(t)
+	if err != nil {
+		return err
 	}
-	e := ev.eng
-	s := ev.live()
-	if s == nil {
-		return errors.New("sim: Schedule on stale event handle")
-	}
-	if t < e.now {
-		return fmt.Errorf("sim: reschedule at %v before now %v", t, e.now)
-	}
-	s.at = t
-	s.seq = e.seq
-	e.seq++
-	if s.heapIdx >= 0 {
-		e.heapFix(s.heapIdx)
-	} else {
-		e.heapPush(ev.id)
-	}
+	ev.eng.arm(ev.id, s, t, ev.eng.Ticket())
 	return nil
 }
+
+// ScheduleTicket arms (or re-arms) the event at absolute time t like
+// Schedule, but keys it with seq, a sequence number taken earlier from
+// Engine.Ticket, instead of a fresh one. Among same-time events it
+// therefore fires exactly where it would have had it been scheduled when
+// the ticket was issued, which lets a caller decide late whether an
+// event needs queueing at all without changing the run's order. A
+// ticket should key at most one pending event. A seq Ticket has not
+// handed out yet fails with ErrTicketNotIssued, a t before now with
+// ErrPast; the zero Event and stale one-shot handles fail as in Schedule.
+func (ev Event) ScheduleTicket(t Time, seq uint64) error {
+	s, err := ev.armable(t)
+	if err != nil {
+		return err
+	}
+	if seq >= ev.eng.seq {
+		return fmt.Errorf("%w: ticket %d, next %d", ErrTicketNotIssued, seq, ev.eng.seq)
+	}
+	ev.eng.arm(ev.id, s, t, seq)
+	return nil
+}
+
+// armable returns the slot of an event that may be armed at t.
+func (ev Event) armable(t Time) (*eventSlot, error) {
+	if ev.eng == nil {
+		return nil, errors.New("sim: Schedule on zero Event")
+	}
+	s := ev.live()
+	if s == nil {
+		return nil, errors.New("sim: Schedule on stale event handle")
+	}
+	if t < ev.eng.now {
+		return nil, fmt.Errorf("%w: reschedule at %v before now %v", ErrPast, t, ev.eng.now)
+	}
+	return s, nil
+}
+
+// ErrPast is returned when an event is scheduled before the current
+// simulated time: the engine cannot rewind.
+var ErrPast = errors.New("sim: schedule in the past")
+
+// ErrTicketNotIssued is returned by Event.ScheduleTicket for a sequence
+// number that Engine.Ticket has not handed out yet.
+var ErrTicketNotIssued = errors.New("sim: ticket not issued")
 
 // ErrHorizon is returned by Run when the event limit is exhausted before the
 // queue drains, which almost always indicates a scheduling livelock.
@@ -229,11 +259,33 @@ func (e *Engine) schedule(t Time, fn func(), cb func(uint64), arg uint64) Event 
 	return Event{eng: e, id: id, gen: s.gen}
 }
 
+// Ticket takes the next sequence number exactly as scheduling an event
+// would, without queueing anything. Event.ScheduleTicket arms an event
+// with it later, so the event ties with same-time events as if it had
+// been scheduled at the moment of the Ticket call.
+func (e *Engine) Ticket() uint64 {
+	seq := e.seq
+	e.seq++
+	return seq
+}
+
+// arm keys slot id (s) with (t, seq) and queues it, or restores heap
+// order after the key changed in place if it is already queued.
+func (e *Engine) arm(id int32, s *eventSlot, t Time, seq uint64) {
+	s.at = t
+	s.seq = seq
+	if s.heapIdx >= 0 {
+		e.heapFix(s.heapIdx)
+	} else {
+		e.heapPush(id)
+	}
+}
+
 // At schedules fn to run at absolute simulated time t. Scheduling in the
 // past is an error: the engine cannot rewind.
 func (e *Engine) At(t Time, fn func()) (Event, error) {
 	if t < e.now {
-		return Event{}, fmt.Errorf("sim: schedule at %v before now %v", t, e.now)
+		return Event{}, fmt.Errorf("%w: schedule at %v before now %v", ErrPast, t, e.now)
 	}
 	return e.schedule(t, fn, nil, 0), nil
 }
@@ -252,7 +304,7 @@ func (e *Engine) After(d Time, fn func()) Event {
 // scheduling allocation-free.
 func (e *Engine) AtCall(t Time, cb func(uint64), arg uint64) (Event, error) {
 	if t < e.now {
-		return Event{}, fmt.Errorf("sim: schedule at %v before now %v", t, e.now)
+		return Event{}, fmt.Errorf("%w: schedule at %v before now %v", ErrPast, t, e.now)
 	}
 	return e.schedule(t, nil, cb, arg), nil
 }
