@@ -90,7 +90,7 @@ func BenchmarkFitSelection(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := stats.SelectBest(xs, nil); err != nil {
+		if _, _, err := stats.NewSample(xs).SelectBest(nil); err != nil {
 			b.Fatal(err)
 		}
 	}

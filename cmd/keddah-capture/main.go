@@ -185,7 +185,7 @@ func writePackets(spec core.ClusterSpec, runSpecs []workload.RunSpec, path strin
 	}
 	capture := pcap.NewStreamingCapture(w.WritePacket)
 	cluster.Net.AddTap(capture)
-	// Chain runs sequentially, mirroring core.Capture, so the packet
+	// Chain runs sequentially, mirroring core.CaptureWith, so the packet
 	// trace corresponds to the trace set run for run.
 	var launch func(i int) error
 	launch = func(i int) error {

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -59,7 +60,7 @@ func run() error {
 		return err
 	}
 
-	sched, err := model.Generate(core.GenSpec{
+	sched, err := model.Generate(context.Background(), core.GenSpec{
 		Workload:          *wl,
 		InputBytes:        int64(*inputGB * float64(1<<30)),
 		Reducers:          *reducers,
@@ -116,7 +117,7 @@ func run() error {
 		Transport:  *transport,
 		Seed:       *seed,
 	}
-	recs, makespan, err := core.Replay(sched, spec)
+	recs, makespan, err := core.ReplayWith(sched, spec, nil)
 	if err != nil {
 		return err
 	}

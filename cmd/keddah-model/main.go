@@ -41,7 +41,7 @@ func run() error {
 		return err
 	}
 
-	model, err := core.Fit(ts, core.FitOptions{MinSamples: *minSamples})
+	model, err := core.FitWith(ts, core.FitOptions{MinSamples: *minSamples}, nil)
 	if err != nil {
 		return err
 	}

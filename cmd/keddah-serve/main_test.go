@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -18,14 +19,14 @@ import (
 // SIGTERM mid-stream must stop admission (503 for new work) while the
 // in-flight stream runs to a byte-perfect end, and run() must return.
 func TestDaemonSIGTERMDrain(t *testing.T) {
-	ts, _, err := core.Capture(core.ClusterSpec{Workers: 8, Seed: 13}, []workload.RunSpec{
+	ts, _, err := core.CaptureWith(core.ClusterSpec{Workers: 8, Seed: 13}, []workload.RunSpec{
 		{Profile: "terasort", InputBytes: 256 << 20, JobName: "t0", InputPath: "/d/t"},
 		{Profile: "terasort", InputBytes: 256 << 20, JobName: "t1", InputPath: "/d/t"},
-	})
+	}, core.CaptureOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	model, err := core.Fit(ts, core.FitOptions{})
+	model, err := core.FitWith(ts, core.FitOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func TestDaemonSIGTERMDrain(t *testing.T) {
 	// A schedule far larger than kernel socket buffers, so the stream is
 	// genuinely in flight while we deliver the signal.
 	spec := core.GenSpec{Workload: "terasort", Jobs: 5000, Seed: 11}
-	sched, err := model.Generate(spec)
+	sched, err := model.Generate(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}

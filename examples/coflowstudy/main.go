@@ -23,7 +23,7 @@ func main() {
 			{Profile: "wordcount", InputBytes: 2 << 30},
 			{Profile: "join", InputBytes: 1 << 30},
 			{Profile: "pagerank", InputBytes: 1 << 30},
-		})
+		}, keddah.CaptureOpts{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -31,12 +31,12 @@ func main() {
 		}
 	}
 	fmt.Printf("capturing %d runs across %d workloads...\n", len(runs), len(keddah.Workloads()))
-	traces, _, err := keddah.Capture(keddah.ClusterSpec{Workers: 16, Seed: 1}, runs)
+	traces, _, err := keddah.Capture(keddah.ClusterSpec{Workers: 16, Seed: 1}, runs, keddah.CaptureOpts{})
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	model, err := keddah.Fit(traces, keddah.FitOptions{})
+	model, err := keddah.Fit(traces, keddah.FitOptions{}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -19,14 +20,14 @@ func main() {
 		{Profile: "terasort", InputBytes: 2 << 30, JobName: "t0", InputPath: "/data/t"},
 		{Profile: "terasort", InputBytes: 2 << 30, JobName: "t1", InputPath: "/data/t"},
 		{Profile: "terasort", InputBytes: 2 << 30, JobName: "t2", InputPath: "/data/t"},
-	})
+	}, keddah.CaptureOpts{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("captured %d runs\n", len(traces.Runs))
 
 	// 2. Fit: build the empirical per-phase traffic model.
-	model, err := keddah.Fit(traces, keddah.FitOptions{})
+	model, err := keddah.Fit(traces, keddah.FitOptions{}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -36,7 +37,7 @@ func main() {
 	// 3. Generate: synthesise the same three-job load from the model
 	// (change InputBytes/Workers/Jobs here to scale the scenario —
 	// that's the point of a parameterised model).
-	sched, err := model.Generate(keddah.GenSpec{
+	sched, err := model.Generate(context.Background(), keddah.GenSpec{
 		Workload: "terasort",
 		Workers:  16,
 		Jobs:     3,
@@ -48,7 +49,7 @@ func main() {
 	fmt.Printf("generated %d synthetic flows\n", len(sched))
 
 	// 4. Replay + validate against the measured corpus.
-	generated, makespan, err := keddah.Replay(sched, cluster)
+	generated, makespan, err := keddah.Replay(sched, cluster, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func main() {
 	for _, r := range traces.Runs {
 		measured = append(measured, r.Records...)
 	}
-	v := keddah.Validate("terasort", measured, generated)
+	v := keddah.Validate("terasort", measured, generated, nil)
 	if err := v.WriteTable(os.Stdout); err != nil {
 		log.Fatal(err)
 	}

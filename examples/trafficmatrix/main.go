@@ -30,7 +30,7 @@ func main() {
 		{Profile: "terasort", InputBytes: 2 << 30},
 		{Profile: "wordcount", InputBytes: 2 << 30},
 		{Profile: "pagerank", InputBytes: 1 << 30},
-	})
+	}, keddah.CaptureOpts{})
 	if err != nil {
 		log.Fatal(err)
 	}

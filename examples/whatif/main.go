@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -24,11 +25,11 @@ func main() {
 			{Profile: "terasort", InputBytes: 2 << 30, JobName: "t1", InputPath: "/data/t"},
 			{Profile: "wordcount", InputBytes: 2 << 30, JobName: "w0", InputPath: "/data/w"},
 			{Profile: "wordcount", InputBytes: 2 << 30, JobName: "w1", InputPath: "/data/w"},
-		})
+		}, keddah.CaptureOpts{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	model, err := keddah.Fit(traces, keddah.FitOptions{})
+	model, err := keddah.Fit(traces, keddah.FitOptions{}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -36,7 +37,7 @@ func main() {
 	// One mixed schedule: two overlapping terasorts + two wordcounts.
 	var sched []keddah.SynthFlow
 	for _, wl := range []string{"terasort", "wordcount"} {
-		part, err := model.Generate(keddah.GenSpec{
+		part, err := model.Generate(context.Background(), keddah.GenSpec{
 			Workload: wl, Workers: 16, Jobs: 2, Stagger: 0.5, Seed: 3,
 		})
 		if err != nil {
@@ -56,7 +57,7 @@ func main() {
 			Racks:      2,
 			UplinkGbps: uplink,
 			Seed:       3,
-		})
+		}, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -5,6 +5,7 @@
 package benchcases
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"testing"
@@ -48,11 +49,11 @@ func Cases() []Case {
 // duration line and count/unit ratios see variation).
 func fitCorpus(b *testing.B) *core.TraceSet {
 	b.Helper()
-	ts, _, err := core.Capture(core.ClusterSpec{Workers: 16, Seed: 6},
+	ts, _, err := core.CaptureWith(core.ClusterSpec{Workers: 16, Seed: 6},
 		[]workload.RunSpec{
 			{Profile: "terasort", InputBytes: 512 << 20, JobName: "ts-a", InputPath: "/data/a"},
 			{Profile: "terasort", InputBytes: 640 << 20, JobName: "ts-b", InputPath: "/data/b"},
-		})
+		}, core.CaptureOpts{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func FitTerasort(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		model, err := core.Fit(ts, core.FitOptions{})
+		model, err := core.FitWith(ts, core.FitOptions{}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -82,22 +83,22 @@ func FitTerasort(b *testing.B) {
 // model (toolchain stage 3): four 8 GiB terasort jobs on 64 workers. The
 // one-off capture+fit runs outside the timer.
 func GenerateSchedule(b *testing.B) {
-	ts, _, err := core.Capture(core.ClusterSpec{Workers: 16, Seed: 5},
+	ts, _, err := core.CaptureWith(core.ClusterSpec{Workers: 16, Seed: 5},
 		[]workload.RunSpec{
 			{Profile: "terasort", InputBytes: 512 << 20, JobName: "a", InputPath: "/d"},
 			{Profile: "terasort", InputBytes: 512 << 20, JobName: "b", InputPath: "/d"},
-		})
+		}, core.CaptureOpts{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	model, err := core.Fit(ts, core.FitOptions{})
+	model, err := core.FitWith(ts, core.FitOptions{}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sched, err := model.Generate(core.GenSpec{
+		sched, err := model.Generate(context.Background(), core.GenSpec{
 			Workload: "terasort", InputBytes: 8 << 30, Workers: 64, Jobs: 4, Seed: int64(i),
 		})
 		if err != nil {
@@ -302,23 +303,23 @@ func NetsimFanInSharded(b *testing.B) {
 // ReplayFatTree measures schedule replay on a k=4 fat-tree (toolchain
 // stage 4). The one-off capture+fit+generate setup runs outside the timer.
 func ReplayFatTree(b *testing.B) {
-	ts, _, err := core.Capture(core.ClusterSpec{Workers: 16, Seed: 6},
-		[]workload.RunSpec{{Profile: "terasort", InputBytes: 512 << 20}})
+	ts, _, err := core.CaptureWith(core.ClusterSpec{Workers: 16, Seed: 6},
+		[]workload.RunSpec{{Profile: "terasort", InputBytes: 512 << 20}}, core.CaptureOpts{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	model, err := core.Fit(ts, core.FitOptions{})
+	model, err := core.FitWith(ts, core.FitOptions{}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	sched, err := model.Generate(core.GenSpec{Workload: "terasort", Workers: 16, Jobs: 2, Seed: 3})
+	sched, err := model.Generate(context.Background(), core.GenSpec{Workload: "terasort", Workers: 16, Jobs: 2, Seed: 3})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		recs, _, err := core.Replay(sched, core.ClusterSpec{Topology: "fattree", FatTreeK: 4, Seed: 3})
+		recs, _, err := core.ReplayWith(sched, core.ClusterSpec{Topology: "fattree", FatTreeK: 4, Seed: 3}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -333,16 +334,16 @@ func ReplayFatTree(b *testing.B) {
 // ns/op against ReplayFatTree in BENCH_netsim.json bounds the
 // instrumentation overhead (budget: ≤5%).
 func ReplayFatTreeTelemetry(b *testing.B) {
-	ts, _, err := core.Capture(core.ClusterSpec{Workers: 16, Seed: 6},
-		[]workload.RunSpec{{Profile: "terasort", InputBytes: 512 << 20}})
+	ts, _, err := core.CaptureWith(core.ClusterSpec{Workers: 16, Seed: 6},
+		[]workload.RunSpec{{Profile: "terasort", InputBytes: 512 << 20}}, core.CaptureOpts{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	model, err := core.Fit(ts, core.FitOptions{})
+	model, err := core.FitWith(ts, core.FitOptions{}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	sched, err := model.Generate(core.GenSpec{Workload: "terasort", Workers: 16, Jobs: 2, Seed: 3})
+	sched, err := model.Generate(context.Background(), core.GenSpec{Workload: "terasort", Workers: 16, Jobs: 2, Seed: 3})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -365,8 +366,8 @@ func ReplayFatTreeTelemetry(b *testing.B) {
 func CaptureTerasort(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		ts, _, err := core.Capture(core.ClusterSpec{Workers: 16, Seed: int64(i + 1)},
-			[]workload.RunSpec{{Profile: "terasort", InputBytes: 256 << 20}})
+		ts, _, err := core.CaptureWith(core.ClusterSpec{Workers: 16, Seed: int64(i + 1)},
+			[]workload.RunSpec{{Profile: "terasort", InputBytes: 256 << 20}}, core.CaptureOpts{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -383,15 +384,14 @@ func CaptureTerasort(b *testing.B) {
 // barriers, inter-pod fabric, merge).
 func CaptureMultiPodSharded(b *testing.B) {
 	b.ReportAllocs()
-	shards := -1
 	for i := 0; i < b.N; i++ {
 		runs := make([]workload.RunSpec, 4)
 		for p := range runs {
 			runs[p] = workload.RunSpec{Profile: "terasort", InputBytes: 128 << 20}
 		}
 		ts, _, err := core.CaptureWith(core.ClusterSpec{
-			Workers: 16, Pods: 4, CrossPod: "ring", Seed: int64(i + 1),
-		}, runs, core.CaptureOpts{Shards: &shards})
+			Workers: 16, Pods: 4, Shards: -1, CrossPod: "ring", Seed: int64(i + 1),
+		}, runs, core.CaptureOpts{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -407,8 +407,8 @@ func CaptureMultiPodSharded(b *testing.B) {
 func CaptureTerasortTCP(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		ts, _, err := core.Capture(core.ClusterSpec{Workers: 16, Seed: int64(i + 1), Transport: "tcp"},
-			[]workload.RunSpec{{Profile: "terasort", InputBytes: 256 << 20}})
+		ts, _, err := core.CaptureWith(core.ClusterSpec{Workers: 16, Seed: int64(i + 1), Transport: "tcp"},
+			[]workload.RunSpec{{Profile: "terasort", InputBytes: 256 << 20}}, core.CaptureOpts{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -100,8 +100,8 @@ func TestDescribePopulation(t *testing.T) {
 // job: a terasort's shuffle must appear as one coflow of width
 // maps × reducers.
 func TestCoflowsFromRealCapture(t *testing.T) {
-	ts, results, err := core.Capture(core.ClusterSpec{Workers: 8, Seed: 4},
-		[]workload.RunSpec{{Profile: "terasort", InputBytes: 512 << 20, Reducers: 3}})
+	ts, results, err := core.CaptureWith(core.ClusterSpec{Workers: 8, Seed: 4},
+		[]workload.RunSpec{{Profile: "terasort", InputBytes: 512 << 20, Reducers: 3}}, core.CaptureOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

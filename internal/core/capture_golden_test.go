@@ -104,7 +104,7 @@ func TestE17bCaptureGoldenDigests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, res, err := Capture(spec, runs)
+	_, res, err := CaptureWith(spec, runs, CaptureOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,8 +128,8 @@ func TestE17bCaptureGoldenDigests(t *testing.T) {
 				file: "capture-e17b-" + transport + "-" + scenario + ".sha256",
 				spec: spec,
 				runs: runs,
-				opts: CaptureOpts{Transport: transport},
 			}
+			gc.spec.Transport = transport
 			if scenario == "chaos" {
 				gc.opts.Faults = chaos
 			}
@@ -144,13 +144,13 @@ func TestE17bCaptureGoldenDigests(t *testing.T) {
 // through the allocator — must produce a byte-identical TraceSet.
 func TestCaptureIdenticalUnderGCPressure(t *testing.T) {
 	spec, runs := chaosSpecAndRuns()
-	baseline, _, err := Capture(spec, runs)
+	baseline, _, err := CaptureWith(spec, runs, CaptureOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	old := debug.SetGCPercent(20)
 	defer debug.SetGCPercent(old)
-	pressured, _, err := Capture(spec, runs)
+	pressured, _, err := CaptureWith(spec, runs, CaptureOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

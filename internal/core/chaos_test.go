@@ -29,7 +29,7 @@ func chaosSpecAndRuns() (ClusterSpec, []workload.RunSpec) {
 // stats included — to one that never went near the faults package.
 func TestEmptyScheduleLockstep(t *testing.T) {
 	spec, runs := chaosSpecAndRuns()
-	plain, _, err := Capture(spec, runs)
+	plain, _, err := CaptureWith(spec, runs, CaptureOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestFaultCaptureDeterministic(t *testing.T) {
 func mustHealthy(t *testing.T) *TraceSet {
 	t.Helper()
 	spec, runs := chaosSpecAndRuns()
-	ts, _, err := Capture(spec, runs)
+	ts, _, err := CaptureWith(spec, runs, CaptureOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 func TestGenerateChunksMatchesBatch(t *testing.T) {
 	model := mixModel(t)
 	spec := GenSpec{Workload: "terasort", Jobs: 3, Seed: 9}
-	want, err := model.Generate(spec)
+	want, err := model.Generate(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestGenerateMixChunksMatchesBatch(t *testing.T) {
 		Workers:       8,
 		Seed:          3,
 	}
-	want, err := model.GenerateMix(spec)
+	want, err := model.GenerateMix(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,6 +97,20 @@ func TestGenerateChunksCancellation(t *testing.T) {
 			t.Fatalf("%d emits after cancellation, want exactly 1", calls)
 		}
 	})
+	// The slice-returning collectors honour the same context.
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	t.Run("Generate pre-cancelled", func(t *testing.T) {
+		if _, err := model.Generate(dead, spec); !errors.Is(err, context.Canceled) {
+			t.Fatalf("got %v, want context.Canceled", err)
+		}
+	})
+	t.Run("GenerateMix pre-cancelled", func(t *testing.T) {
+		mix := MixSpec{Weights: map[string]float64{"terasort": 1}, JobsPerMinute: 4, WindowSecs: 300, Workers: 8, Seed: 3}
+		if _, err := model.GenerateMix(dead, mix); !errors.Is(err, context.Canceled) {
+			t.Fatalf("got %v, want context.Canceled", err)
+		}
+	})
 }
 
 // TestGenerateChunksEmitError: an emit failure (a dead client in serve)
@@ -138,7 +152,7 @@ func TestEstimateFlowsExact(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%+v: %v", spec, err)
 		}
-		sched, err := model.Generate(spec)
+		sched, err := model.Generate(context.Background(), spec)
 		if err != nil {
 			t.Fatalf("%+v: %v", spec, err)
 		}
@@ -171,7 +185,7 @@ func TestEstimateMixFlows(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%+v: %v", spec, err)
 		}
-		sched, err := model.GenerateMix(spec)
+		sched, err := model.GenerateMix(context.Background(), spec)
 		if err != nil {
 			t.Fatalf("%+v: %v", spec, err)
 		}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -14,6 +15,7 @@ import (
 
 	"keddah/internal/flows"
 	"keddah/internal/pcap"
+	"keddah/internal/sim"
 )
 
 // This file provides external-simulator exports of synthetic schedules —
@@ -373,6 +375,11 @@ func ImportCSV(r io.Reader) ([]SynthFlow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("line %d: start: %w", line, err)
 		}
+		// startNs < 2^63 keeps the int64 conversion below in range.
+		startNs := startS * 1e9
+		if math.IsNaN(startNs) || startNs < 0 || startNs >= float64(sim.MaxTime) {
+			return nil, fmt.Errorf("line %d: start %v s outside [0, %v s)", line, startS, float64(sim.MaxTime)/1e9)
+		}
 		var ints [4]int
 		for i := range ints {
 			v, err := strconv.Atoi(rec[1+i])
@@ -385,8 +392,11 @@ func ImportCSV(r io.Reader) ([]SynthFlow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("line %d: bytes: %w", line, err)
 		}
+		if bytes < 0 {
+			return nil, fmt.Errorf("line %d: negative bytes %d", line, bytes)
+		}
 		out = append(out, SynthFlow{
-			StartNs: int64(startS * 1e9),
+			StartNs: int64(startNs),
 			SrcHost: ints[0],
 			DstHost: ints[1],
 			SrcPort: ints[2],

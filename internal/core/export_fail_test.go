@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 )
@@ -30,7 +31,7 @@ func (f *failAfter) Write(p []byte) (int, error) {
 // simulation consuming it downstream.
 func TestExportFailingWriter(t *testing.T) {
 	model := mixModel(t)
-	sched, err := model.Generate(GenSpec{Workload: "terasort", Jobs: 2, Seed: 4})
+	sched, err := model.Generate(context.Background(), GenSpec{Workload: "terasort", Jobs: 2, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/csv"
 	"encoding/json"
@@ -157,7 +158,7 @@ func checkEncodersAgree(t *testing.T, chunks [][]SynthFlow, workers int) {
 // times, split into chunks of several sizes.
 func TestStreamEncodersMatchReference(t *testing.T) {
 	model := mixModel(t)
-	gen, err := model.Generate(GenSpec{Workload: "terasort", Jobs: 8, Seed: 3, IncludeBackground: true})
+	gen, err := model.Generate(context.Background(), GenSpec{Workload: "terasort", Jobs: 8, Seed: 3, IncludeBackground: true})
 	if err != nil {
 		t.Fatal(err)
 	}

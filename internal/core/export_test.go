@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"context"
+	"math"
 	"strings"
 	"testing"
 
@@ -51,6 +53,70 @@ func TestImportCSVRejectsGarbage(t *testing.T) {
 	if _, err := ImportCSV(strings.NewReader(bad)); err == nil {
 		t.Error("non-numeric start accepted")
 	}
+	// Rows that parse but no schedule can hold; the error names line 3.
+	for _, row := range []string{
+		"0.5,0,1,1,1,-7,shuffle,j",
+		"NaN,0,1,1,1,5,shuffle,j",
+		"+Inf,0,1,1,1,5,shuffle,j",
+		"-0.5,0,1,1,1,5,shuffle,j",
+		"1e10,0,1,1,1,5,shuffle,j",
+	} {
+		in := csvHeader + "0.1,0,1,1,1,5,shuffle,j\n" + row + "\n"
+		_, err := ImportCSV(strings.NewReader(in))
+		if err == nil {
+			t.Errorf("row %q accepted", row)
+		} else if !strings.Contains(err.Error(), "line 3") {
+			t.Errorf("row %q: error %q does not name line 3", row, err)
+		}
+	}
+}
+
+const csvHeader = "start_s,src_host,dst_host,src_port,dst_port,bytes,phase,job\n"
+
+// TestReplayRejectsUnrunnableFlows: a negative size fails before the
+// schedule runs, naming the flow, and a flow too large to finish inside
+// the simulated horizon is an error rather than a missing record.
+func TestReplayRejectsUnrunnableFlows(t *testing.T) {
+	cases := []struct {
+		name  string
+		bytes int64
+		want  string
+	}{
+		{"negative size", -7, "flow 1: negative size -7"},
+		{"never finishes", math.MaxInt64, "1 flows never finished"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sched := []SynthFlow{
+				{StartNs: 0, SrcHost: 0, DstHost: 1, SrcPort: 40001, DstPort: 50010, Bytes: 1 << 20},
+				{StartNs: 500_000_000, SrcHost: 2, DstHost: 3, SrcPort: 40002, DstPort: 50010, Bytes: tc.bytes},
+			}
+			recs, _, err := ReplayWith(sched, ClusterSpec{Workers: 4}, nil)
+			if err == nil {
+				t.Fatalf("replay returned %d records and no error", len(recs))
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not contain %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// FuzzImportCSV: ImportCSV never panics on any input, and every schedule
+// it accepts replays on a 4-worker star to exactly one record per flow
+// or fails with an error. The seed corpus in testdata/fuzz/FuzzImportCSV
+// holds the golden schedule and one row per rejected start or size.
+func FuzzImportCSV(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sched, err := ImportCSV(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		recs, _, err := ReplayWith(sched, ClusterSpec{Workers: 4}, nil)
+		if err == nil && len(recs) != len(sched) {
+			t.Fatalf("replay of %d flows returned %d records", len(sched), len(recs))
+		}
+	})
 }
 
 func TestExportNS3Format(t *testing.T) {
@@ -85,11 +151,11 @@ func TestExportNS3Format(t *testing.T) {
 
 func TestExportGeneratedSchedule(t *testing.T) {
 	ts := captureSmallCorpus(t)
-	model, err := Fit(ts, FitOptions{})
+	model, err := FitWith(ts, FitOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched, err := model.Generate(GenSpec{Workload: "terasort", Workers: 8, Seed: 2})
+	sched, err := model.Generate(context.Background(), GenSpec{Workload: "terasort", Workers: 8, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,11 +168,11 @@ func TestExportGeneratedSchedule(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The re-imported schedule replays identically.
-	r1, m1, err := Replay(sched, ClusterSpec{Workers: 8, Seed: 3})
+	r1, m1, err := ReplayWith(sched, ClusterSpec{Workers: 8, Seed: 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, m2, err := Replay(back, ClusterSpec{Workers: 8, Seed: 3})
+	r2, m2, err := ReplayWith(back, ClusterSpec{Workers: 8, Seed: 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +212,7 @@ func TestScheduleFromRecordsTraceDrivenReplay(t *testing.T) {
 		t.Errorf("bytes: %d != %d", schedBytes, recBytes)
 	}
 	// Replays on a matching fabric.
-	out, makespan, err := Replay(sched, ClusterSpec{Workers: 8, Seed: 1})
+	out, makespan, err := ReplayWith(sched, ClusterSpec{Workers: 8, Seed: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

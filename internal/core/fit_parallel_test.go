@@ -12,13 +12,13 @@ import (
 // independent (workload, phase) tasks to schedule.
 func lockstepCorpus(t *testing.T) *TraceSet {
 	t.Helper()
-	ts, _, err := Capture(ClusterSpec{Workers: 16, Seed: 21},
+	ts, _, err := CaptureWith(ClusterSpec{Workers: 16, Seed: 21},
 		[]workload.RunSpec{
 			{Profile: "terasort", InputBytes: 256 << 20, JobName: "ts-a", InputPath: "/data/a"},
 			{Profile: "terasort", InputBytes: 384 << 20, JobName: "ts-b", InputPath: "/data/b"},
 			{Profile: "wordcount", InputBytes: 256 << 20, JobName: "wc-a", InputPath: "/data/c"},
 			{Profile: "sort", InputBytes: 192 << 20, JobName: "so-a", InputPath: "/data/d"},
-		})
+		}, CaptureOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestFitParallelLockstep(t *testing.T) {
 
 	encode := func(workers int) []byte {
 		t.Helper()
-		m, err := Fit(ts, FitOptions{Workers: workers})
+		m, err := FitWith(ts, FitOptions{Workers: workers}, nil)
 		if err != nil {
 			t.Fatalf("Fit(workers=%d): %v", workers, err)
 		}
@@ -71,8 +71,8 @@ func TestFitWorkersErrorDeterministic(t *testing.T) {
 	opts := func(w int) FitOptions {
 		return FitOptions{MinSamples: 1, Workers: w}
 	}
-	m1, err1 := Fit(ts, opts(1))
-	m8, err8 := Fit(ts, opts(8))
+	m1, err1 := FitWith(ts, opts(1), nil)
+	m8, err8 := FitWith(ts, opts(8), nil)
 	if (err1 == nil) != (err8 == nil) {
 		t.Fatalf("serial err = %v, parallel err = %v", err1, err8)
 	}

@@ -18,8 +18,8 @@ import (
 
 // SynthFlow is one synthetic transfer in a generated schedule. Host
 // indexes are worker ordinals (0-based); -1 addresses the master. A
-// schedule is simulator-agnostic: Replay runs it on the built-in netsim,
-// and the JSON form can feed an external simulator.
+// schedule is simulator-agnostic: ReplayWith runs it on the built-in
+// netsim, and the JSON form can feed an external simulator.
 type SynthFlow struct {
 	StartNs int64       `json:"startNs"`
 	SrcHost int         `json:"srcHost"`
@@ -110,17 +110,12 @@ const genCtxStride = 4096
 // model — the toolchain's reproduction stage. Structural counts scale
 // with the requested input size and reducer fan-in; sizes, phase offsets
 // and arrival spacing are drawn from the fitted laws.
-func (m *Model) Generate(spec GenSpec) ([]SynthFlow, error) {
-	return m.GenerateContext(context.Background(), spec)
-}
-
-// GenerateContext is Generate with validation and cancellation: the spec
-// is checked up front (errors wrap ErrBadSpec), and ctx is polled
-// between phases and every genCtxStride flows, so a caller whose client
-// vanished — or whose deadline passed — aborts the schedule mid-build
-// instead of completing work nobody will read. The output is identical
-// to Generate for any spec that runs to completion.
-func (m *Model) GenerateContext(ctx context.Context, spec GenSpec) ([]SynthFlow, error) {
+//
+// The spec is checked up front (errors wrap ErrBadSpec), and ctx is
+// polled between phases and every genCtxStride flows, so a caller whose
+// client vanished — or whose deadline passed — aborts the schedule
+// mid-build instead of completing work nobody will read.
+func (m *Model) Generate(ctx context.Context, spec GenSpec) ([]SynthFlow, error) {
 	b, err := m.build(ctx, spec, 0)
 	if err != nil {
 		return nil, err
@@ -128,7 +123,7 @@ func (m *Model) GenerateContext(ctx context.Context, spec GenSpec) ([]SynthFlow,
 	return b.collect(), nil
 }
 
-// GenerateChunks streams the schedule GenerateContext would return —
+// GenerateChunks streams the schedule Generate would return —
 // identical flows in identical time order — through emit in slices of at
 // most chunk flows (chunk <= 0 selects genCtxStride). ctx is honoured
 // both during generation and between emits, so a disconnected or
@@ -491,16 +486,14 @@ func ScheduleFromRecords(records []pcap.FlowRecord) []SynthFlow {
 	return out
 }
 
-// Replay runs a synthetic schedule on a topology built from cluster and
-// returns the captured flow records plus the simulated makespan — the
-// "for use with network simulators" half of the toolchain.
-func Replay(schedule []SynthFlow, cluster ClusterSpec) ([]pcap.FlowRecord, sim.Time, error) {
-	return ReplayWith(schedule, cluster, nil)
-}
-
-// ReplayWith is Replay with instrumentation: engine and network metrics
-// are attached to the replay substrate and the stage is counted and
-// timed. A nil Telemetry behaves exactly like Replay.
+// ReplayWith runs a synthetic schedule on a topology built from cluster
+// and returns the captured flow records plus the simulated makespan — the
+// "for use with network simulators" half of the toolchain. A flow with a
+// negative size is rejected before anything runs, and a schedule whose
+// flows cannot all finish within the simulated horizon is an error, not
+// a silently short record set. A non-nil tel attaches engine and network
+// metrics to the replay substrate and counts, times and spans the stage;
+// a nil tel records nothing.
 func ReplayWith(schedule []SynthFlow, cluster ClusterSpec, tel *telemetry.Telemetry) ([]pcap.FlowRecord, sim.Time, error) {
 	wallStart := time.Now()
 	topo, err := cluster.BuildTopology()
@@ -531,8 +524,10 @@ func ReplayWith(schedule []SynthFlow, cluster ClusterSpec, tel *telemetry.Teleme
 		return workers[h%len(workers)]
 	}
 
-	for _, sf := range schedule {
-		sf := sf
+	for i, sf := range schedule {
+		if sf.Bytes < 0 {
+			return nil, 0, fmt.Errorf("core: replay flow %d: negative size %d", i, sf.Bytes)
+		}
 		if _, err := eng.At(sim.Time(sf.StartNs), func() {
 			// Same-host pairs ride the loopback path, exactly as local
 			// shuffle fetches and node-local HDFS reads do on a real
@@ -555,6 +550,9 @@ func ReplayWith(schedule []SynthFlow, cluster ClusterSpec, tel *telemetry.Teleme
 	end, err := eng.RunAll()
 	if err != nil {
 		return nil, 0, fmt.Errorf("replay: %w", err)
+	}
+	if n := net.ActiveFlows(); n > 0 {
+		return nil, 0, fmt.Errorf("core: replay: %d flows never finished", n)
 	}
 	if tel != nil {
 		tel.Core.Replays.Inc()

@@ -170,7 +170,7 @@ type FailureSpec struct {
 	AtNs int64 `json:"atNs"`
 }
 
-// CaptureOpts extends Capture with optional session behaviour.
+// CaptureOpts holds CaptureWith's optional session behaviour.
 type CaptureOpts struct {
 	// Failures schedules permanent crash-stop worker kills (the legacy
 	// E11 path, kept for compatibility).
@@ -190,14 +190,6 @@ type CaptureOpts struct {
 	// captured traffic is byte-identical either way. Binaries built with
 	// the keddah_checks tag force this on for every capture.
 	StrictChecks bool
-	// Transport, when non-empty, overrides the spec's network transport
-	// for this session ("fluid" or "tcp") — experiments comparing the two
-	// models on one cluster spec thread the choice through here.
-	Transport string
-	// Shards, when non-nil, overrides spec.Shards for this session
-	// (0 = serial, -1 = auto, 1..Pods explicit). The CLI -shards flag
-	// and the lockstep experiments thread the engine layout here.
-	Shards *int
 	// InterPodFaults marks pod-pair fabric outages in a multi-pod
 	// capture: transfers between a down pair detour through a relay pod
 	// or abort. Ignored (with an error) outside multi-pod sessions.
@@ -213,20 +205,14 @@ type InterPodFault struct {
 	DurationNs int64 `json:"durationNs"`
 }
 
-// Capture runs the given workloads sequentially on a fresh cluster built
-// from spec, tapping every flow, and reduces the capture into a TraceSet:
-// one Run per MapReduce round, with cluster-wide heartbeat traffic in
-// Background. This is the toolchain's measurement stage.
-func Capture(spec ClusterSpec, runSpecs []workload.RunSpec) (*TraceSet, []workload.RunResult, error) {
-	return CaptureWith(spec, runSpecs, CaptureOpts{})
-}
-
-// CaptureWith is Capture with failure injection and other session options.
+// CaptureWith runs the given workloads sequentially on a fresh cluster
+// built from spec, tapping every flow, and reduces the capture into a
+// TraceSet: one Run per MapReduce round, with cluster-wide heartbeat
+// traffic in Background. This is the toolchain's measurement stage; opts
+// adds failure injection and other session behaviour, and its zero
+// value runs a plain session.
 func CaptureWith(spec ClusterSpec, runSpecs []workload.RunSpec, opts CaptureOpts) (*TraceSet, []workload.RunResult, error) {
 	spec = spec.withDefaults()
-	if opts.Transport != "" {
-		spec.Transport = opts.Transport
-	}
 	if spec.Pods > 1 {
 		return captureMultiPod(spec, runSpecs, opts)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"keddah/internal/flows"
@@ -42,7 +43,7 @@ func TestCaptureWithValidation(t *testing.T) {
 	}); err == nil {
 		t.Error("out-of-range failure worker accepted")
 	}
-	if _, _, err := Capture(spec, []workload.RunSpec{{Profile: "bogus", InputBytes: 1}}); err == nil {
+	if _, _, err := CaptureWith(spec, []workload.RunSpec{{Profile: "bogus", InputBytes: 1}}, CaptureOpts{}); err == nil {
 		t.Error("unknown profile accepted")
 	}
 }
@@ -50,11 +51,11 @@ func TestCaptureWithValidation(t *testing.T) {
 func TestCaptureDeterministicAcrossCalls(t *testing.T) {
 	spec := ClusterSpec{Workers: 6, Seed: 77}
 	runs := []workload.RunSpec{{Profile: "wordcount", InputBytes: 256 << 20}}
-	a, _, err := Capture(spec, runs)
+	a, _, err := CaptureWith(spec, runs, CaptureOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := Capture(spec, runs)
+	b, _, err := CaptureWith(spec, runs, CaptureOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,8 +88,8 @@ func TestCaptureMatchesReferenceAllocator(t *testing.T) {
 	})
 }
 
-// TestReplayHonoursAllocator: Replay builds its network from the same
-// spec mapping as Capture, so the A2 equal-split allocator changes a
+// TestReplayHonoursAllocator: ReplayWith builds its network from the same
+// spec mapping as CaptureWith, so the A2 equal-split allocator changes a
 // contended replay and an unknown allocator name is rejected. Worker 0's
 // uplink carries one flow bottlenecked elsewhere (on worker 2's downlink,
 // shared three ways); only max-min hands its unused share to the other.
@@ -104,12 +105,12 @@ func TestReplayHonoursAllocator(t *testing.T) {
 		flow(4, 2, 40004, 50<<20),
 	}
 	spec := ClusterSpec{Workers: 6, Seed: 1}
-	_, maxmin, err := Replay(sched, spec)
+	_, maxmin, err := ReplayWith(sched, spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec.Allocator = "equalsplit"
-	_, split, err := Replay(sched, spec)
+	_, split, err := ReplayWith(sched, spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,27 +118,27 @@ func TestReplayHonoursAllocator(t *testing.T) {
 		t.Errorf("equal-split makespan %v not above max-min makespan %v", split, maxmin)
 	}
 	spec.Allocator = "bogus"
-	if _, _, err := Replay(sched, spec); err == nil {
+	if _, _, err := ReplayWith(sched, spec, nil); err == nil {
 		t.Error("unknown allocator accepted by Replay")
 	}
 }
 
 func TestGenerateValidation(t *testing.T) {
 	ts := captureSmallCorpus(t)
-	model, err := Fit(ts, FitOptions{})
+	model, err := FitWith(ts, FitOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := model.Generate(GenSpec{Workload: "nope"}); err == nil {
+	if _, err := model.Generate(context.Background(), GenSpec{Workload: "nope"}); err == nil {
 		t.Error("unknown workload accepted")
 	}
 	// Scaling: double input doubles structural shuffle counts.
 	jm := model.Jobs["terasort"]
-	s1, err := model.Generate(GenSpec{Workload: "terasort", Workers: 8, Seed: 1})
+	s1, err := model.Generate(context.Background(), GenSpec{Workload: "terasort", Workers: 8, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := model.Generate(GenSpec{Workload: "terasort", InputBytes: 2 * jm.RefInputBytes, Workers: 8, Seed: 1})
+	s2, err := model.Generate(context.Background(), GenSpec{Workload: "terasort", InputBytes: 2 * jm.RefInputBytes, Workers: 8, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func TestGenerateValidation(t *testing.T) {
 }
 
 func TestFitValidation(t *testing.T) {
-	if _, err := Fit(&TraceSet{}, FitOptions{}); err == nil {
+	if _, err := FitWith(&TraceSet{}, FitOptions{}, nil); err == nil {
 		t.Error("empty trace set accepted")
 	}
 }

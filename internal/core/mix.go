@@ -53,17 +53,10 @@ func (m MixSpec) withDefaults() MixSpec {
 // GenerateMix builds a synthetic multi-job schedule from the model
 // library. Arrivals are Poisson; workloads are drawn by weight; each
 // arrival's traffic is one Generate(Jobs=1) instance shifted to its
-// arrival time.
-func (m *Model) GenerateMix(spec MixSpec) ([]SynthFlow, error) {
-	return m.GenerateMixContext(context.Background(), spec)
-}
-
-// GenerateMixContext is GenerateMix with validation and cancellation:
-// the spec is checked up front (errors wrap ErrBadSpec) and ctx is
-// polled before each arrival — plus inside each arrival's generation —
-// so a vanished client aborts the mix mid-window. Output is identical to
-// GenerateMix for any spec that runs to completion.
-func (m *Model) GenerateMixContext(ctx context.Context, spec MixSpec) ([]SynthFlow, error) {
+// arrival time. The spec is checked up front (errors wrap ErrBadSpec)
+// and ctx is polled before each arrival — plus inside each arrival's
+// generation — so a vanished client aborts the mix mid-window.
+func (m *Model) GenerateMix(ctx context.Context, spec MixSpec) ([]SynthFlow, error) {
 	b, err := m.buildMix(ctx, spec, 0)
 	if err != nil {
 		return nil, err
@@ -71,7 +64,7 @@ func (m *Model) GenerateMixContext(ctx context.Context, spec MixSpec) ([]SynthFl
 	return b.collect(), nil
 }
 
-// GenerateMixChunks streams the schedule GenerateMixContext would return
+// GenerateMixChunks streams the schedule GenerateMix would return
 // through emit in slices of at most chunk flows, with the same
 // cancellation and memory contract as Model.GenerateChunks.
 func (m *Model) GenerateMixChunks(ctx context.Context, spec MixSpec, chunk int, emit func([]SynthFlow) error) error {

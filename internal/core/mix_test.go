@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"keddah/internal/workload"
@@ -9,16 +10,16 @@ import (
 // mixModel fits a two-workload model for mix tests.
 func mixModel(t *testing.T) *Model {
 	t.Helper()
-	ts, _, err := Capture(ClusterSpec{Workers: 8, Seed: 13}, []workload.RunSpec{
+	ts, _, err := CaptureWith(ClusterSpec{Workers: 8, Seed: 13}, []workload.RunSpec{
 		{Profile: "terasort", InputBytes: 512 << 20, JobName: "t0", InputPath: "/d/t"},
 		{Profile: "terasort", InputBytes: 512 << 20, JobName: "t1", InputPath: "/d/t"},
 		{Profile: "wordcount", InputBytes: 512 << 20, JobName: "w0", InputPath: "/d/w"},
 		{Profile: "wordcount", InputBytes: 512 << 20, JobName: "w1", InputPath: "/d/w"},
-	})
+	}, CaptureOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	model, err := Fit(ts, FitOptions{})
+	model, err := FitWith(ts, FitOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +28,7 @@ func mixModel(t *testing.T) *Model {
 
 func TestGenerateMixComposition(t *testing.T) {
 	model := mixModel(t)
-	sched, err := model.GenerateMix(MixSpec{
+	sched, err := model.GenerateMix(context.Background(), MixSpec{
 		Weights:       map[string]float64{"terasort": 3, "wordcount": 1},
 		JobsPerMinute: 6,
 		WindowSecs:    600,
@@ -66,11 +67,11 @@ func TestGenerateMixComposition(t *testing.T) {
 func TestGenerateMixDeterministic(t *testing.T) {
 	model := mixModel(t)
 	spec := MixSpec{Weights: map[string]float64{"terasort": 1}, JobsPerMinute: 4, WindowSecs: 120, Workers: 8, Seed: 9}
-	a, err := model.GenerateMix(spec)
+	a, err := model.GenerateMix(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := model.GenerateMix(spec)
+	b, err := model.GenerateMix(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,23 +87,23 @@ func TestGenerateMixDeterministic(t *testing.T) {
 
 func TestGenerateMixValidation(t *testing.T) {
 	model := mixModel(t)
-	if _, err := model.GenerateMix(MixSpec{}); err == nil {
+	if _, err := model.GenerateMix(context.Background(), MixSpec{}); err == nil {
 		t.Error("empty weights accepted")
 	}
-	if _, err := model.GenerateMix(MixSpec{Weights: map[string]float64{"bogus": 1}}); err == nil {
+	if _, err := model.GenerateMix(context.Background(), MixSpec{Weights: map[string]float64{"bogus": 1}}); err == nil {
 		t.Error("unknown workload accepted")
 	}
-	if _, err := model.GenerateMix(MixSpec{Weights: map[string]float64{"terasort": -1}}); err == nil {
+	if _, err := model.GenerateMix(context.Background(), MixSpec{Weights: map[string]float64{"terasort": -1}}); err == nil {
 		t.Error("negative weight accepted")
 	}
-	if _, err := model.GenerateMix(MixSpec{Weights: map[string]float64{"terasort": 0}}); err == nil {
+	if _, err := model.GenerateMix(context.Background(), MixSpec{Weights: map[string]float64{"terasort": 0}}); err == nil {
 		t.Error("zero-sum weights accepted")
 	}
 }
 
 func TestGenerateMixReplays(t *testing.T) {
 	model := mixModel(t)
-	sched, err := model.GenerateMix(MixSpec{
+	sched, err := model.GenerateMix(context.Background(), MixSpec{
 		Weights:       map[string]float64{"terasort": 1, "wordcount": 1},
 		JobsPerMinute: 10,
 		WindowSecs:    60,
@@ -112,7 +113,7 @@ func TestGenerateMixReplays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, makespan, err := Replay(sched, ClusterSpec{Workers: 8, Seed: 3})
+	recs, makespan, err := ReplayWith(sched, ClusterSpec{Workers: 8, Seed: 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,9 +11,11 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"keddah/internal/flows"
 	"keddah/internal/stats"
+	"keddah/internal/telemetry"
 )
 
 // PhaseModel is the fitted empirical model of one Hadoop traffic
@@ -137,7 +139,7 @@ func (o FitOptions) withDefaults() FitOptions {
 	return o
 }
 
-// Fit builds the empirical traffic model from a measurement corpus:
+// FitWith builds the empirical traffic model from a measurement corpus:
 // for every workload × phase it pools flows across runs, selects the
 // best-fitting distribution family by AIC for sizes, inter-arrivals and
 // phase start offsets, and derives the structural count scaling.
@@ -146,7 +148,11 @@ func (o FitOptions) withDefaults() FitOptions {
 // then the expensive distribution fitting fanned out over a bounded
 // worker pool with one task per (workload, phase) plus one for the
 // cluster background model (see FitOptions.Workers).
-func Fit(ts *TraceSet, opts FitOptions) (*Model, error) {
+//
+// A non-nil tel counts each successful fit and adds its wall time to a
+// volatile gauge; a nil tel records nothing.
+func FitWith(ts *TraceSet, opts FitOptions, tel *telemetry.Telemetry) (*Model, error) {
+	wallStart := time.Now()
 	opts = opts.withDefaults()
 	if len(ts.Runs) == 0 {
 		return nil, fmt.Errorf("core: trace set has no runs")
@@ -207,6 +213,10 @@ func Fit(ts *TraceSet, opts FitOptions) (*Model, error) {
 	}
 	for _, pool := range pools {
 		model.Jobs[pool.jm.Workload] = pool.jm
+	}
+	if tel != nil {
+		tel.Core.Fits.Inc()
+		tel.Core.FitWallMs.Add(float64(time.Since(wallStart).Milliseconds()))
 	}
 	return model, nil
 }

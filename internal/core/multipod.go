@@ -51,11 +51,7 @@ func resolveShards(pods, shards int) (int, error) {
 // captureMultiPod is the Pods > 1 arm of CaptureWith.
 func captureMultiPod(spec ClusterSpec, runSpecs []workload.RunSpec, opts CaptureOpts) (*TraceSet, []workload.RunResult, error) {
 	pods := spec.Pods
-	shards := spec.Shards
-	if opts.Shards != nil {
-		shards = *opts.Shards
-	}
-	engines, err := resolveShards(pods, shards)
+	engines, err := resolveShards(pods, spec.Shards)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -22,7 +22,7 @@ func multiPodOutput(t *testing.T, spec ClusterSpec, runs []workload.RunSpec, opt
 	tel := telemetry.New()
 	o := opts
 	o.Telemetry = tel
-	o.Shards = &shards
+	spec.Shards = shards
 	ts, results, err := CaptureWith(spec, runs, o)
 	if err != nil {
 		t.Fatalf("capture (shards=%d procs=%d): %v", shards, procs, err)
@@ -217,12 +217,12 @@ func TestMultiPodValidation(t *testing.T) {
 
 	bad := base
 	bad.Shards = 3 // > pods
-	if _, _, err := Capture(bad, runs); err == nil {
+	if _, _, err := CaptureWith(bad, runs, CaptureOpts{}); err == nil {
 		t.Error("shards > pods accepted")
 	}
 	bad = base
 	bad.CrossPod = "mesh"
-	if _, _, err := Capture(bad, runs); err == nil {
+	if _, _, err := CaptureWith(bad, runs, CaptureOpts{}); err == nil {
 		t.Error("unknown cross-pod mode accepted")
 	}
 	if _, _, err := CaptureWith(base, runs, CaptureOpts{

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"keddah/internal/flows"
@@ -19,7 +20,7 @@ func captureSmallCorpus(t *testing.T) *TraceSet {
 		{Profile: "terasort", InputBytes: 512 << 20},
 		{Profile: "wordcount", InputBytes: 512 << 20},
 	}
-	ts, results, err := Capture(spec, runs)
+	ts, results, err := CaptureWith(spec, runs, CaptureOpts{})
 	if err != nil {
 		t.Fatalf("capture: %v", err)
 	}
@@ -53,7 +54,7 @@ func TestCaptureProducesRunsAndBackground(t *testing.T) {
 
 func TestFitGenerateValidateRoundTrip(t *testing.T) {
 	ts := captureSmallCorpus(t)
-	model, err := Fit(ts, FitOptions{})
+	model, err := FitWith(ts, FitOptions{}, nil)
 	if err != nil {
 		t.Fatalf("fit: %v", err)
 	}
@@ -81,14 +82,14 @@ func TestFitGenerateValidateRoundTrip(t *testing.T) {
 	}
 
 	// Generate as many job instances as were measured, then replay.
-	sched, err := model2.Generate(GenSpec{Workload: "terasort", Workers: 8, Jobs: 3, Seed: 5})
+	sched, err := model2.Generate(context.Background(), GenSpec{Workload: "terasort", Workers: 8, Jobs: 3, Seed: 5})
 	if err != nil {
 		t.Fatalf("generate: %v", err)
 	}
 	if len(sched) == 0 {
 		t.Fatal("empty schedule")
 	}
-	gen, makespan, err := Replay(sched, ClusterSpec{Workers: 8, Seed: 5})
+	gen, makespan, err := ReplayWith(sched, ClusterSpec{Workers: 8, Seed: 5}, nil)
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
@@ -103,7 +104,7 @@ func TestFitGenerateValidateRoundTrip(t *testing.T) {
 			measured = append(measured, r.Records...)
 		}
 	}
-	v := Validate("terasort", measured, gen)
+	v := ValidateWith("terasort", measured, gen, nil)
 	if len(v.Phases) == 0 {
 		t.Fatal("validation produced no phase comparisons")
 	}

@@ -88,7 +88,7 @@ func TestMergeOrderProperty(t *testing.T) {
 			gen: func(ctx context.Context, chunk int, emit func([]SynthFlow) error) error {
 				return model.GenerateChunks(ctx, spec, chunk, emit)
 			},
-			batch: func() ([]SynthFlow, error) { return model.Generate(spec) },
+			batch: func() ([]SynthFlow, error) { return model.Generate(context.Background(), spec) },
 		})
 	}
 	for _, spec := range []MixSpec{
@@ -102,7 +102,7 @@ func TestMergeOrderProperty(t *testing.T) {
 			gen: func(ctx context.Context, chunk int, emit func([]SynthFlow) error) error {
 				return model.GenerateMixChunks(ctx, spec, chunk, emit)
 			},
-			batch: func() ([]SynthFlow, error) { return model.GenerateMix(spec) },
+			batch: func() ([]SynthFlow, error) { return model.GenerateMix(context.Background(), spec) },
 		})
 	}
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"strings"
@@ -97,15 +98,15 @@ func checkSpecErr(t *testing.T, err error, field, spec string) {
 // no caller can bypass it.
 func TestGenerateRejectsBadSpec(t *testing.T) {
 	model := mixModel(t)
-	if _, err := model.Generate(GenSpec{Workload: "terasort", InputBytes: -1}); !errors.Is(err, ErrBadSpec) {
+	if _, err := model.Generate(context.Background(), GenSpec{Workload: "terasort", InputBytes: -1}); !errors.Is(err, ErrBadSpec) {
 		t.Fatalf("Generate: %v, want ErrBadSpec", err)
 	}
-	if _, err := model.GenerateMix(MixSpec{Weights: map[string]float64{"terasort": math.NaN()}}); !errors.Is(err, ErrBadSpec) {
+	if _, err := model.GenerateMix(context.Background(), MixSpec{Weights: map[string]float64{"terasort": math.NaN()}}); !errors.Is(err, ErrBadSpec) {
 		t.Fatalf("GenerateMix: %v, want ErrBadSpec", err)
 	}
 	// Scaled re-validation: a legal-looking spec whose defaults imply an
 	// absurd map count is still rejected.
-	if _, err := model.Generate(GenSpec{Workload: "terasort", InputBytes: 1 << 40, BlockSize: 16}); !errors.Is(err, ErrBadSpec) {
+	if _, err := model.Generate(context.Background(), GenSpec{Workload: "terasort", InputBytes: 1 << 40, BlockSize: 16}); !errors.Is(err, ErrBadSpec) {
 		t.Fatalf("scaled validation: %v, want ErrBadSpec", err)
 	}
 }
@@ -126,7 +127,7 @@ func TestScheduleLimit(t *testing.T) {
 	huge := GenSpec{Workload: "terasort", InputBytes: 1 << 40, BlockSize: 1 << 20, Reducers: 1 << 20}
 	_, err := model.EstimateFlows(huge)
 	tooLarge(err, "inputBytes", "GenSpec")
-	_, err = model.Generate(huge)
+	_, err = model.Generate(context.Background(), huge)
 	tooLarge(err, "inputBytes", "GenSpec")
 
 	// Many arrivals, each job well within the limit on its own.
@@ -144,7 +145,7 @@ func TestScheduleLimit(t *testing.T) {
 		JobsPerMinute: perMinute, InputScale: scale}
 	_, err = model.EstimateMixFlows(manyJobs)
 	tooLarge(err, "inputScale", "MixSpec")
-	_, err = model.GenerateMix(manyJobs)
+	_, err = model.GenerateMix(context.Background(), manyJobs)
 	tooLarge(err, "inputScale", "MixSpec")
 
 	// A few arrivals, but heartbeats over an enormous window.
@@ -152,7 +153,7 @@ func TestScheduleLimit(t *testing.T) {
 		JobsPerMinute: 1e-12, IncludeBackground: true}
 	_, err = model.EstimateMixFlows(longBackground)
 	tooLarge(err, "windowSecs", "MixSpec")
-	_, err = model.GenerateMix(longBackground)
+	_, err = model.GenerateMix(context.Background(), longBackground)
 	tooLarge(err, "windowSecs", "MixSpec")
 
 	// Malformed specs are not too large.

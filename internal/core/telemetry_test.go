@@ -123,7 +123,7 @@ func TestReplayWithTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bareRecs, bareMakespan, err := Replay(sched, ClusterSpec{Workers: 8, Seed: 3})
+	bareRecs, bareMakespan, err := ReplayWith(sched, ClusterSpec{Workers: 8, Seed: 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

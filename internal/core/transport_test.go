@@ -44,11 +44,11 @@ func TestClusterSpecTransportValidation(t *testing.T) {
 func TestCaptureTCPDeterministic(t *testing.T) {
 	spec := ClusterSpec{Workers: 6, Seed: 21, Transport: "tcp"}
 	runs := []workload.RunSpec{{Profile: "terasort", InputBytes: 128 << 20}}
-	ts1, rr1, err := Capture(spec, runs)
+	ts1, rr1, err := CaptureWith(spec, runs, CaptureOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts2, rr2, err := Capture(spec, runs)
+	ts2, rr2, err := CaptureWith(spec, runs, CaptureOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,27 +60,26 @@ func TestCaptureTCPDeterministic(t *testing.T) {
 	}
 }
 
-// TestCaptureTransportOptOverride: CaptureOpts.Transport overrides the
-// spec for one session without mutating the caller's spec.
-func TestCaptureTransportOptOverride(t *testing.T) {
+// TestCaptureTransportSelectsModel: ClusterSpec.Transport picks the rate
+// model of a capture, and an unknown name is rejected.
+func TestCaptureTransportSelectsModel(t *testing.T) {
 	spec := ClusterSpec{Workers: 4, Seed: 5}
 	runs := []workload.RunSpec{{Profile: "terasort", InputBytes: 64 << 20}}
-	fluidTS, _, err := Capture(spec, runs)
+	fluidTS, _, err := CaptureWith(spec, runs, CaptureOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tcpTS, _, err := CaptureWith(spec, runs, CaptureOpts{Transport: "tcp"})
+	spec.Transport = "tcp"
+	tcpTS, _, err := CaptureWith(spec, runs, CaptureOpts{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if spec.Transport != "" {
-		t.Errorf("CaptureWith mutated the caller's spec: Transport = %q", spec.Transport)
 	}
 	if reflect.DeepEqual(fluidTS, tcpTS) {
-		t.Error("TCP-mode capture identical to fluid capture — the transport override had no effect")
+		t.Error("TCP-mode capture identical to fluid capture — the transport had no effect")
 	}
-	if _, _, err := CaptureWith(spec, runs, CaptureOpts{Transport: "bogus"}); err == nil {
-		t.Error("bogus transport override accepted")
+	spec.Transport = "bogus"
+	if _, _, err := CaptureWith(spec, runs, CaptureOpts{}); err == nil {
+		t.Error("bogus transport accepted")
 	}
 }
 

@@ -37,7 +37,7 @@ func TestTruthIndependentOfRateHistory(t *testing.T) {
 		}
 		var records []byte
 		for _, r := range ts.Runs {
-			recs, end, err := Replay(ScheduleFromRecords(r.Records), ClusterSpec{Workers: spec.Workers, Transport: spec.Transport})
+			recs, end, err := ReplayWith(ScheduleFromRecords(r.Records), ClusterSpec{Workers: spec.Workers, Transport: spec.Transport}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

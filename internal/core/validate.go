@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"io"
 	"text/tabwriter"
+	"time"
 
 	"keddah/internal/flows"
 	"keddah/internal/pcap"
 	"keddah/internal/stats"
+	"keddah/internal/telemetry"
 )
 
 // PhaseComparison quantifies how closely generated traffic reproduces
@@ -36,10 +38,12 @@ type Validation struct {
 	Phases   []PhaseComparison `json:"phases"`
 }
 
-// Validate compares a measured flow dataset against a generated one,
+// ValidateWith compares a measured flow dataset against a generated one,
 // phase by phase — the toolchain's closing fidelity check (the paper's
-// measured-vs-model CDF comparison).
-func Validate(workload string, measured, generated []pcap.FlowRecord) Validation {
+// measured-vs-model CDF comparison). A non-nil tel counts the call and
+// adds its wall time to a volatile gauge; a nil tel records nothing.
+func ValidateWith(workload string, measured, generated []pcap.FlowRecord, tel *telemetry.Telemetry) Validation {
+	wallStart := time.Now()
 	md := flows.NewDataset(measured)
 	gd := flows.NewDataset(generated)
 	v := Validation{Workload: workload}
@@ -67,6 +71,10 @@ func Validate(workload string, measured, generated []pcap.FlowRecord) Validation
 			pc.VolumeError = diff / float64(pc.MeasuredBytes)
 		}
 		v.Phases = append(v.Phases, pc)
+	}
+	if tel != nil {
+		tel.Core.Validates.Inc()
+		tel.Core.ValidateWallMs.Add(float64(time.Since(wallStart).Milliseconds()))
 	}
 	return v
 }

@@ -23,7 +23,7 @@ func TestValidateIdenticalSetsPerfect(t *testing.T) {
 		flowRec(flows.PortShuffle, 40001, 200, 10),
 		flowRec(flows.PortDataNodeData, 40002, 300, 20),
 	}
-	v := Validate("x", recs, recs)
+	v := ValidateWith("x", recs, recs, nil)
 	if len(v.Phases) != 2 {
 		t.Fatalf("phases = %d", len(v.Phases))
 	}
@@ -43,7 +43,7 @@ func TestValidateIdenticalSetsPerfect(t *testing.T) {
 func TestValidateDetectsVolumeGap(t *testing.T) {
 	meas := []pcap.FlowRecord{flowRec(flows.PortShuffle, 1, 1000, 0)}
 	gen := []pcap.FlowRecord{flowRec(flows.PortShuffle, 2, 1500, 0)}
-	v := Validate("x", meas, gen)
+	v := ValidateWith("x", meas, gen, nil)
 	if len(v.Phases) != 1 {
 		t.Fatalf("phases = %d", len(v.Phases))
 	}
@@ -58,7 +58,7 @@ func TestValidateDetectsVolumeGap(t *testing.T) {
 
 func TestValidateTableOutput(t *testing.T) {
 	meas := []pcap.FlowRecord{flowRec(flows.PortShuffle, 1, 1000, 0)}
-	v := Validate("tera", meas, meas)
+	v := ValidateWith("tera", meas, meas, nil)
 	var buf bytes.Buffer
 	if err := v.WriteTable(&buf); err != nil {
 		t.Fatal(err)
@@ -75,7 +75,7 @@ func TestValidateTableOutput(t *testing.T) {
 func TestValidatePhaseOnlyOnOneSide(t *testing.T) {
 	meas := []pcap.FlowRecord{flowRec(flows.PortShuffle, 1, 1000, 0)}
 	gen := []pcap.FlowRecord{flowRec(flows.PortDataNodeData, 2, 1000, 0)}
-	v := Validate("x", meas, gen)
+	v := ValidateWith("x", meas, gen, nil)
 	// Both phases appear: shuffle measured-only, hdfs_read generated-only.
 	if len(v.Phases) != 2 {
 		t.Fatalf("phases = %d, want 2", len(v.Phases))

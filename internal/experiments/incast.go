@@ -161,16 +161,18 @@ func runE17Capture(cfg Config) (*Table, error) {
 	cells := []struct {
 		transport string
 		scenario  string
-		opts      core.CaptureOpts
+		faults    faults.Schedule
 	}{
-		{"fluid", "chaos", core.CaptureOpts{Faults: sched}},
-		{"tcp", "healthy", core.CaptureOpts{Transport: "tcp"}},
-		{"tcp", "chaos", core.CaptureOpts{Transport: "tcp", Faults: sched}},
+		{"fluid", "chaos", sched},
+		{"tcp", "healthy", faults.Schedule{}},
+		{"tcp", "chaos", sched},
 	}
 	for _, c := range cells {
-		c.opts.Telemetry = cfg.Telemetry
-		c.opts.StrictChecks = cfg.StrictChecks
-		ts, res, err := core.CaptureWith(spec, runSpec, c.opts)
+		cellSpec := spec
+		cellSpec.Transport = c.transport
+		ts, res, err := core.CaptureWith(cellSpec, runSpec, core.CaptureOpts{
+			Faults: c.faults, Telemetry: cfg.Telemetry, StrictChecks: cfg.StrictChecks,
+		})
 		if err != nil {
 			return nil, fmt.Errorf("E17b %s %s: %w", c.transport, c.scenario, err)
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -41,7 +42,7 @@ func runE12(cfg Config) ([]Table, error) {
 
 	weights := map[string]float64{"terasort": 6, "wordcount": 3, "grep": 1}
 	for _, rate := range []float64{1, 2, 4, 8} {
-		sched, err := model.GenerateMix(core.MixSpec{
+		sched, err := model.GenerateMix(context.Background(), core.MixSpec{
 			Weights:       weights,
 			JobsPerMinute: rate,
 			WindowSecs:    300,
@@ -69,7 +70,7 @@ func runE12(cfg Config) ([]Table, error) {
 			f2(float64(totalBytes)/(1<<30)), f2(sum.SpanSecs))
 	}
 
-	sched, err := model.GenerateMix(core.MixSpec{
+	sched, err := model.GenerateMix(context.Background(), core.MixSpec{
 		Weights:       weights,
 		JobsPerMinute: 4,
 		WindowSecs:    300,

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"keddah/internal/core"
@@ -124,7 +125,7 @@ func runE8(cfg Config) ([]Table, error) {
 		for _, r := range runs {
 			measured = append(measured, r.Records...)
 		}
-		sched, err := model.Generate(core.GenSpec{
+		sched, err := model.Generate(context.Background(), core.GenSpec{
 			Workload: prof,
 			Workers:  16,
 			Jobs:     len(runs),

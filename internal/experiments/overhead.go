@@ -94,7 +94,7 @@ func runE10(cfg Config) ([]Table, error) {
 			return nil, err
 		}
 		start = time.Now()
-		if _, err := core.Fit(ts, core.FitOptions{}); err != nil {
+		if _, err := core.FitWith(ts, core.FitOptions{}, nil); err != nil {
 			return nil, err
 		}
 		fitMs := time.Since(start).Seconds() * 1000

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"keddah/internal/core"
@@ -29,7 +30,7 @@ func runE9(cfg Config) ([]Table, error) {
 	// Four overlapping job instances at twice the fitted reference size:
 	// the multi-tenant, scaled what-if the toolchain was built for.
 	jm := model.Jobs["terasort"]
-	sched, err := model.Generate(core.GenSpec{
+	sched, err := model.Generate(context.Background(), core.GenSpec{
 		Workload:   "terasort",
 		InputBytes: 2 * jm.RefInputBytes,
 		Workers:    16,

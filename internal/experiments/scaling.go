@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"keddah/internal/core"
@@ -51,7 +52,7 @@ func runE15(cfg Config) ([]Table, error) {
 	targetRound := truthResults[0].Rounds[0]
 
 	// Model prediction at the target size.
-	sched, err := model.Generate(core.GenSpec{
+	sched, err := model.Generate(context.Background(), core.GenSpec{
 		Workload:   "terasort",
 		InputBytes: target,
 		Reducers:   targetRound.Reducers, // same configuration axis

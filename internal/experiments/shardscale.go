@@ -70,10 +70,11 @@ func runE18(cfg Config) ([]Table, error) {
 		// Fresh telemetry per row so the deterministic snapshot is
 		// comparable across rows instead of accumulating.
 		tel := telemetry.New()
-		shards := l.shards
+		layoutSpec := spec
+		layoutSpec.Shards = l.shards
 		start := time.Now()
-		ts, _, err := core.CaptureWith(spec, runs, core.CaptureOpts{
-			Telemetry: tel, Shards: &shards, StrictChecks: cfg.StrictChecks,
+		ts, _, err := core.CaptureWith(layoutSpec, runs, core.CaptureOpts{
+			Telemetry: tel, StrictChecks: cfg.StrictChecks,
 		})
 		if err != nil {
 			return rowResult{}, err

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"keddah/internal/core"
@@ -25,7 +26,7 @@ func runE14(cfg Config) ([]Table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fit: %w", err)
 	}
-	sched, err := model.GenerateMix(core.MixSpec{
+	sched, err := model.GenerateMix(context.Background(), core.MixSpec{
 		Weights:       map[string]float64{"terasort": 2, "wordcount": 1},
 		JobsPerMinute: 4,
 		WindowSecs:    180,

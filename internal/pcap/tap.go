@@ -21,8 +21,8 @@ const DefaultMaxPacketsPerFlow = 2048
 // per finished flow, in completion order. It retains no *netsim.Flow and
 // reads no rate history, so a network observed only by flow logs records
 // none (see netsim.RateTap). The pipeline stages that consume flow records
-// — core.Capture and core.Replay — attach a FlowLog; a Capture embeds one
-// for its own ground truth.
+// — core.CaptureWith and core.ReplayWith — attach a FlowLog; a Capture
+// embeds one for its own ground truth.
 type FlowLog struct {
 	truth []FlowRecord
 	// offset shifts this log's node ids before address synthesis.

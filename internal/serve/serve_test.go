@@ -34,17 +34,17 @@ func TestMain(m *testing.M) {
 	}
 	code := func() int {
 		defer os.RemoveAll(dir)
-		ts, _, err := core.Capture(core.ClusterSpec{Workers: 8, Seed: 13}, []workload.RunSpec{
+		ts, _, err := core.CaptureWith(core.ClusterSpec{Workers: 8, Seed: 13}, []workload.RunSpec{
 			{Profile: "terasort", InputBytes: 256 << 20, JobName: "t0", InputPath: "/d/t"},
 			{Profile: "terasort", InputBytes: 256 << 20, JobName: "t1", InputPath: "/d/t"},
 			{Profile: "wordcount", InputBytes: 256 << 20, JobName: "w0", InputPath: "/d/w"},
 			{Profile: "wordcount", InputBytes: 256 << 20, JobName: "w1", InputPath: "/d/w"},
-		})
+		}, core.CaptureOpts{})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "fixture capture:", err)
 			return 1
 		}
-		testModel, err = core.Fit(ts, core.FitOptions{})
+		testModel, err = core.FitWith(ts, core.FitOptions{}, nil)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "fixture fit:", err)
 			return 1
@@ -104,7 +104,7 @@ func TestStreamMatchesBatch(t *testing.T) {
 		c.ChunkFlows = 13 // odd and small: force many partial chunks
 	})
 	spec := core.GenSpec{Workload: "terasort", InputBytes: 1 << 30, Jobs: 2, Workers: 8, Seed: 42}
-	sched, err := testModel.Generate(spec)
+	sched, err := testModel.Generate(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestMixStreamMatchesBatch(t *testing.T) {
 		Workers:       8,
 		Seed:          5,
 	}
-	sched, err := testModel.GenerateMix(spec)
+	sched, err := testModel.GenerateMix(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -505,7 +505,7 @@ func TestDrainGraceful(t *testing.T) {
 	}
 	// The completed stream must be byte-identical to batch: drain did not
 	// truncate it.
-	sched, err := testModel.Generate(core.GenSpec{Workload: "terasort", Seed: 7})
+	sched, err := testModel.Generate(context.Background(), core.GenSpec{Workload: "terasort", Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,17 +22,6 @@ var ErrUnsupportedData = errors.New("stats: data outside family support")
 // can test for this error and fall back to FamilyConstant.
 var ErrDegenerateSample = fmt.Errorf("%w: degenerate zero-variance sample", ErrUnsupportedData)
 
-// Fit estimates the maximum-likelihood parameters of the given family for
-// the sample xs. It is a thin wrapper over Sample.Fit; callers fitting
-// several families or evaluating goodness of fit should construct the
-// Sample once and reuse it.
-func Fit(family Family, xs []float64) (Distribution, error) {
-	if len(xs) < 2 {
-		return nil, fmt.Errorf("%w: %d samples for %s", ErrInsufficientData, len(xs), family)
-	}
-	return NewSample(xs).Fit(family)
-}
-
 // Fit estimates the maximum-likelihood parameters of the given family,
 // reading the sample's cached moments instead of re-scanning the data
 // where the estimator allows it.
@@ -325,20 +314,9 @@ func numParams(d Distribution) float64 {
 	}
 }
 
-// AIC returns Akaike's information criterion for d fitted to xs
-// (lower is better).
-func AIC(d Distribution, xs []float64) float64 {
-	return 2*numParams(d) - 2*LogLikelihood(d, xs)
-}
-
 // AIC returns Akaike's information criterion (lower is better).
 func (s *Sample) AIC(d Distribution) float64 {
 	return 2*numParams(d) - 2*s.LogLikelihood(d)
-}
-
-// BIC returns the Bayesian information criterion (lower is better).
-func BIC(d Distribution, xs []float64) float64 {
-	return numParams(d)*math.Log(float64(len(xs))) - 2*LogLikelihood(d, xs)
 }
 
 // BIC returns the Bayesian information criterion (lower is better).
@@ -375,16 +353,6 @@ var DefaultCandidates = []Family{
 // relSpread is the coefficient-of-variation threshold under which a sample
 // is treated as deterministic and modelled by a Constant.
 const relSpread = 1e-6
-
-// SelectBest fits every candidate family and returns the winner by AIC,
-// along with all per-family results (sorted best-first). It is a thin
-// wrapper over Sample.SelectBest.
-func SelectBest(xs []float64, candidates []Family) (Distribution, []FitResult, error) {
-	if len(xs) == 0 {
-		return nil, nil, ErrInsufficientData
-	}
-	return NewSample(xs).SelectBest(candidates)
-}
 
 // SelectBest fits every candidate family against the sample — sorted
 // once, moments shared across families — and returns the winner by AIC,

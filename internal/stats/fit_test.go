@@ -35,7 +35,7 @@ func TestFitRecoversParameters(t *testing.T) {
 	for i, c := range cases {
 		truth := c.make()
 		xs := sample(truth, n, int64(100+i))
-		got, err := Fit(truth.Family(), xs)
+		got, err := NewSample(xs).Fit(truth.Family())
 		if err != nil {
 			t.Errorf("%s: fit: %v", truth, err)
 			continue
@@ -51,19 +51,19 @@ func TestFitRecoversParameters(t *testing.T) {
 }
 
 func TestFitRejectsBadInput(t *testing.T) {
-	if _, err := Fit(FamilyExponential, []float64{1}); !errors.Is(err, ErrInsufficientData) {
+	if _, err := NewSample([]float64{1}).Fit(FamilyExponential); !errors.Is(err, ErrInsufficientData) {
 		t.Errorf("1 sample: err = %v, want ErrInsufficientData", err)
 	}
-	if _, err := Fit(FamilyLogNormal, []float64{1, -2, 3}); !errors.Is(err, ErrUnsupportedData) {
+	if _, err := NewSample([]float64{1, -2, 3}).Fit(FamilyLogNormal); !errors.Is(err, ErrUnsupportedData) {
 		t.Errorf("negative sample for lognormal: err = %v, want ErrUnsupportedData", err)
 	}
-	if _, err := Fit(FamilyGamma, []float64{0, 1, 2}); !errors.Is(err, ErrUnsupportedData) {
+	if _, err := NewSample([]float64{0, 1, 2}).Fit(FamilyGamma); !errors.Is(err, ErrUnsupportedData) {
 		t.Errorf("zero sample for gamma: err = %v, want ErrUnsupportedData", err)
 	}
-	if _, err := Fit(FamilyNormal, []float64{3, 3, 3}); !errors.Is(err, ErrUnsupportedData) {
+	if _, err := NewSample([]float64{3, 3, 3}).Fit(FamilyNormal); !errors.Is(err, ErrUnsupportedData) {
 		t.Errorf("constant sample for normal: err = %v, want ErrUnsupportedData", err)
 	}
-	if _, err := Fit(Family("bogus"), []float64{1, 2}); err == nil {
+	if _, err := NewSample([]float64{1, 2}).Fit(Family("bogus")); err == nil {
 		t.Error("unknown family accepted")
 	}
 }
@@ -74,7 +74,7 @@ func TestDegenerateSampleTyped(t *testing.T) {
 	// the broader ErrUnsupportedData contract.
 	constant := []float64{5, 5, 5}
 	for _, fam := range []Family{FamilyNormal, FamilyLogNormal, FamilyGamma, FamilyPareto, FamilyUniform} {
-		_, err := Fit(fam, constant)
+		_, err := NewSample(constant).Fit(fam)
 		if !errors.Is(err, ErrDegenerateSample) {
 			t.Errorf("%s on constant sample: err = %v, want ErrDegenerateSample", fam, err)
 		}
@@ -83,7 +83,7 @@ func TestDegenerateSampleTyped(t *testing.T) {
 		}
 	}
 	// The designated fallback accepts the same sample.
-	d, err := Fit(FamilyConstant, constant)
+	d, err := NewSample(constant).Fit(FamilyConstant)
 	if err != nil {
 		t.Fatalf("constant family rejected constant sample: %v", err)
 	}
@@ -91,7 +91,7 @@ func TestDegenerateSampleTyped(t *testing.T) {
 		t.Errorf("constant fit mean = %v, want 5", got)
 	}
 	// A spread-out sample must not trip the degenerate path.
-	if _, err := Fit(FamilyNormal, []float64{1, 2, 3}); err != nil {
+	if _, err := NewSample([]float64{1, 2, 3}).Fit(FamilyNormal); err != nil {
 		t.Errorf("normal fit on spread sample: %v", err)
 	}
 }
@@ -101,7 +101,7 @@ func TestSelectBestPicksGeneratingFamily(t *testing.T) {
 	// family (or an equivalent one) for distinctive shapes.
 	lgn, _ := NewLogNormal(2, 0.9)
 	xs := sample(lgn, 20000, 42)
-	best, results, err := SelectBest(xs, nil)
+	best, results, err := NewSample(xs).SelectBest(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestSelectBestPicksGeneratingFamily(t *testing.T) {
 
 func TestSelectBestConstantShortCircuit(t *testing.T) {
 	xs := []float64{512, 512, 512, 512}
-	best, _, err := SelectBest(xs, nil)
+	best, _, err := NewSample(xs).SelectBest(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,27 +131,27 @@ func TestSelectBestConstantShortCircuit(t *testing.T) {
 }
 
 func TestSelectBestEmptySample(t *testing.T) {
-	if _, _, err := SelectBest(nil, nil); !errors.Is(err, ErrInsufficientData) {
+	if _, _, err := NewSample(nil).SelectBest(nil); !errors.Is(err, ErrInsufficientData) {
 		t.Errorf("err = %v, want ErrInsufficientData", err)
 	}
 }
 
 func TestAICPrefersTrueModel(t *testing.T) {
 	exp, _ := NewExponential(1.5)
-	xs := sample(exp, 5000, 3)
-	fitted, err := Fit(FamilyExponential, xs)
+	s := NewSample(sample(exp, 5000, 3))
+	fitted, err := s.Fit(FamilyExponential)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wrong, err := Fit(FamilyNormal, xs)
+	wrong, err := s.Fit(FamilyNormal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if AIC(fitted, xs) >= AIC(wrong, xs) {
+	if s.AIC(fitted) >= s.AIC(wrong) {
 		t.Errorf("AIC(exp)=%v not better than AIC(normal)=%v on exponential data",
-			AIC(fitted, xs), AIC(wrong, xs))
+			s.AIC(fitted), s.AIC(wrong))
 	}
-	if BIC(fitted, xs) >= BIC(wrong, xs) {
+	if s.BIC(fitted) >= s.BIC(wrong) {
 		t.Error("BIC did not prefer the generating family")
 	}
 }

@@ -87,7 +87,7 @@ func FuzzFit(f *testing.F) {
 			FamilyExponential, FamilyNormal, FamilyLogNormal, FamilyGamma,
 			FamilyWeibull, FamilyPareto, FamilyUniform, FamilyConstant,
 		} {
-			d, err := Fit(fam, xs)
+			d, err := NewSample(xs).Fit(fam)
 			if err != nil {
 				continue
 			}

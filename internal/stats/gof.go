@@ -5,17 +5,6 @@ import (
 	"slices"
 )
 
-// KSStatistic returns the one-sample Kolmogorov–Smirnov distance
-// D = sup_x |F_n(x) − F(x)| between the sample xs and distribution d.
-// It is a thin wrapper over Sample.KS; callers computing several
-// statistics against one sample should construct the Sample once.
-func KSStatistic(xs []float64, d Distribution) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	return NewSample(xs).KS(d)
-}
-
 // KS returns the one-sample Kolmogorov–Smirnov distance
 // D = sup_x |F_n(x) − F(x)| against distribution d.
 func (s *Sample) KS(d Distribution) float64 {
@@ -133,17 +122,8 @@ func kolmogorovQ(lambda float64) float64 {
 	return q
 }
 
-// CvMStatistic returns the one-sample Cramér–von Mises statistic
-// ω² = 1/(12n) + Σ ( (2i−1)/(2n) − F(x_(i)) )². Thin wrapper over
-// Sample.CvM.
-func CvMStatistic(xs []float64, d Distribution) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	return NewSample(xs).CvM(d)
-}
-
-// CvM returns the one-sample Cramér–von Mises statistic against d.
+// CvM returns the one-sample Cramér–von Mises statistic against d:
+// ω² = 1/(12n) + Σ ( (2i−1)/(2n) − F(x_(i)) )².
 func (s *Sample) CvM(d Distribution) float64 {
 	if s.Len() == 0 {
 		return 0
@@ -169,12 +149,6 @@ type GoFReport struct {
 	BIC     float64 `json:"bic"`
 	LogLik  float64 `json:"logLik"`
 	Samples int     `json:"samples"`
-}
-
-// Evaluate computes a full goodness-of-fit report of d against xs.
-// Thin wrapper over Sample.Evaluate.
-func Evaluate(d Distribution, xs []float64) GoFReport {
-	return NewSample(xs).Evaluate(d)
 }
 
 // Evaluate computes a full goodness-of-fit report of d against the
@@ -250,17 +224,9 @@ func adFromCDF(cdf []float64) float64 {
 	return -float64(n) - sum/float64(n)
 }
 
-// ADStatistic returns the one-sample Anderson–Darling statistic A² of xs
-// against d. Unlike KS, A² weights the tails heavily, which is where
-// heavy-tailed traffic models go wrong. Thin wrapper over Sample.AD.
-func ADStatistic(xs []float64, d Distribution) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	return NewSample(xs).AD(d)
-}
-
 // AD returns the one-sample Anderson–Darling statistic A² against d.
+// Unlike KS, A² weights the tails heavily, which is where heavy-tailed
+// traffic models go wrong.
 func (s *Sample) AD(d Distribution) float64 {
 	if s.Len() == 0 {
 		return 0

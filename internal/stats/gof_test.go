@@ -16,7 +16,7 @@ func TestKSStatisticZeroOnPerfectFit(t *testing.T) {
 	for i := range xs {
 		xs[i] = d.Quantile((float64(i) + 0.5) / float64(n))
 	}
-	ks := KSStatistic(xs, d)
+	ks := NewSample(xs).KS(d)
 	if ks > 1.0/float64(n) {
 		t.Errorf("KS = %v, want <= %v", ks, 1.0/float64(n))
 	}
@@ -26,8 +26,9 @@ func TestKSDetectsWrongModel(t *testing.T) {
 	exp, _ := NewExponential(1)
 	nrm, _ := NewNormal(1, 1)
 	xs := sample(exp, 5000, 9)
-	ksGood := KSStatistic(xs, exp)
-	ksBad := KSStatistic(xs, nrm)
+	s := NewSample(xs)
+	ksGood := s.KS(exp)
+	ksBad := s.KS(nrm)
 	if ksGood >= ksBad {
 		t.Errorf("KS(true)=%v >= KS(wrong)=%v", ksGood, ksBad)
 	}
@@ -92,10 +93,10 @@ func TestKSTwoSampleSymmetricProperty(t *testing.T) {
 
 func TestCvMOrdersModelsLikeKS(t *testing.T) {
 	wbl, _ := NewWeibull(2, 3)
-	xs := sample(wbl, 3000, 4)
-	good, _ := Fit(FamilyWeibull, xs)
+	s := NewSample(sample(wbl, 3000, 4))
+	good, _ := s.Fit(FamilyWeibull)
 	bad, _ := NewExponential(0.3)
-	if CvMStatistic(xs, good) >= CvMStatistic(xs, bad) {
+	if s.CvM(good) >= s.CvM(bad) {
 		t.Error("CvM did not prefer the fitted model")
 	}
 }
@@ -103,7 +104,7 @@ func TestCvMOrdersModelsLikeKS(t *testing.T) {
 func TestEvaluateReportFields(t *testing.T) {
 	d, _ := NewNormal(0, 1)
 	xs := sample(d, 500, 5)
-	rep := Evaluate(d, xs)
+	rep := NewSample(xs).Evaluate(d)
 	if rep.Samples != 500 {
 		t.Errorf("samples = %d", rep.Samples)
 	}
@@ -260,14 +261,14 @@ func TestECDFMonotoneProperty(t *testing.T) {
 
 func TestADStatisticOrdersModels(t *testing.T) {
 	lgn, _ := NewLogNormal(1, 0.6)
-	xs := sample(lgn, 3000, 11)
-	good, err := Fit(FamilyLogNormal, xs)
+	s := NewSample(sample(lgn, 3000, 11))
+	good, err := s.Fit(FamilyLogNormal)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bad, _ := NewExponential(0.2)
-	adGood := ADStatistic(xs, good)
-	adBad := ADStatistic(xs, bad)
+	adGood := s.AD(good)
+	adBad := s.AD(bad)
 	if adGood >= adBad {
 		t.Errorf("AD(true)=%v >= AD(wrong)=%v", adGood, adBad)
 	}
@@ -275,12 +276,12 @@ func TestADStatisticOrdersModels(t *testing.T) {
 	if adGood > 5 {
 		t.Errorf("AD on true model = %v, want small", adGood)
 	}
-	if ADStatistic(nil, good) != 0 {
+	if NewSample(nil).AD(good) != 0 {
 		t.Error("empty sample AD != 0")
 	}
 	// Samples outside the support stay finite (clamped logs).
 	par, _ := NewPareto(10, 2)
-	if v := ADStatistic([]float64{1, 2, 3}, par); math.IsInf(v, 0) || math.IsNaN(v) {
+	if v := NewSample([]float64{1, 2, 3}).AD(par); math.IsInf(v, 0) || math.IsNaN(v) {
 		t.Errorf("AD with out-of-support sample = %v", v)
 	}
 }

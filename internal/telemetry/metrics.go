@@ -133,7 +133,9 @@ type ServeMetrics struct {
 
 // CoreMetrics instruments the capture→fit→generate→validate toolchain.
 // The *WallMs gauges are volatile (wall-clock): Prometheus-only, never
-// in the deterministic JSON snapshot.
+// in the deterministic JSON snapshot. No stage updates Generates or
+// GenerateWallMs yet; they stay registered because every counter is in
+// the snapshot, so removing one would change every recorded digest.
 type CoreMetrics struct {
 	Captures       *Counter
 	Fits           *Counter

@@ -21,11 +21,16 @@
 // A minimal end-to-end use:
 //
 //	ts, _, err := keddah.Capture(keddah.ClusterSpec{Workers: 16, Seed: 1},
-//	    []keddah.RunSpec{{Profile: "terasort", InputBytes: 8 << 30}})
-//	model, err := keddah.Fit(ts, keddah.FitOptions{})
-//	sched, err := model.Generate(keddah.GenSpec{Workload: "terasort", Workers: 64})
+//	    []keddah.RunSpec{{Profile: "terasort", InputBytes: 8 << 30}},
+//	    keddah.CaptureOpts{})
+//	model, err := keddah.Fit(ts, keddah.FitOptions{}, nil)
+//	sched, err := model.Generate(context.Background(),
+//	    keddah.GenSpec{Workload: "terasort", Workers: 64})
 //	records, makespan, err := keddah.Replay(sched, keddah.ClusterSpec{
-//	    Topology: "fattree", FatTreeK: 8})
+//	    Topology: "fattree", FatTreeK: 8}, nil)
+//
+// Fit, Replay and Validate take the toolchain's internal telemetry sink
+// as their last argument; callers outside this module pass nil.
 //
 // See the examples directory for complete programs.
 package keddah
@@ -86,28 +91,26 @@ const (
 
 // Failure-injection types for degraded-cluster capture sessions.
 type (
-	// CaptureOpts extends Capture with failure injection.
+	// CaptureOpts holds Capture's optional session behaviour.
 	CaptureOpts = core.CaptureOpts
 	// FailureSpec kills one worker (DataNode + NodeManager) mid-session.
 	FailureSpec = core.FailureSpec
 )
 
 // Capture runs workloads on a simulated cluster and returns the captured
-// corpus (stage 1 of the toolchain).
-var Capture = core.Capture
-
-// CaptureWith is Capture with failure injection and session options.
-var CaptureWith = core.CaptureWith
+// corpus (stage 1 of the toolchain). A zero CaptureOpts runs a plain
+// session.
+var Capture = core.CaptureWith
 
 // Fit builds the empirical traffic model from a corpus (stage 2).
-var Fit = core.Fit
+var Fit = core.FitWith
 
 // Replay runs a synthetic schedule on a fabric and returns the captured
 // flow records plus the simulated makespan (stage 4).
-var Replay = core.Replay
+var Replay = core.ReplayWith
 
 // Validate compares measured and generated flow records phase by phase.
-var Validate = core.Validate
+var Validate = core.ValidateWith
 
 // ReadTraceSet / ReadModel deserialise toolchain artefacts.
 var (

@@ -2,6 +2,7 @@ package keddah_test
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"keddah"
@@ -14,7 +15,7 @@ func capture(t *testing.T, seed int64) *keddah.TraceSet {
 		[]keddah.RunSpec{
 			{Profile: "terasort", InputBytes: 512 << 20, JobName: "a", InputPath: "/d"},
 			{Profile: "terasort", InputBytes: 512 << 20, JobName: "b", InputPath: "/d"},
-		})
+		}, keddah.CaptureOpts{})
 	if err != nil {
 		t.Fatalf("capture: %v", err)
 	}
@@ -26,15 +27,15 @@ func capture(t *testing.T, seed int64) *keddah.TraceSet {
 
 func TestPublicPipeline(t *testing.T) {
 	ts := capture(t, 1)
-	model, err := keddah.Fit(ts, keddah.FitOptions{})
+	model, err := keddah.Fit(ts, keddah.FitOptions{}, nil)
 	if err != nil {
 		t.Fatalf("fit: %v", err)
 	}
-	sched, err := model.Generate(keddah.GenSpec{Workload: "terasort", Workers: 8, Jobs: 2, Seed: 4})
+	sched, err := model.Generate(context.Background(), keddah.GenSpec{Workload: "terasort", Workers: 8, Jobs: 2, Seed: 4})
 	if err != nil {
 		t.Fatalf("generate: %v", err)
 	}
-	gen, makespan, err := keddah.Replay(sched, keddah.ClusterSpec{Workers: 8, Seed: 4})
+	gen, makespan, err := keddah.Replay(sched, keddah.ClusterSpec{Workers: 8, Seed: 4}, nil)
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
@@ -45,7 +46,7 @@ func TestPublicPipeline(t *testing.T) {
 	for _, r := range ts.Runs {
 		measured = append(measured, r.Records...)
 	}
-	v := keddah.Validate("terasort", measured, gen)
+	v := keddah.Validate("terasort", measured, gen, nil)
 	if len(v.Phases) == 0 {
 		t.Fatal("no validation rows")
 	}
@@ -64,7 +65,7 @@ func TestPublicWorkloadsList(t *testing.T) {
 }
 
 func TestPublicFailureCapture(t *testing.T) {
-	ts, results, err := keddah.CaptureWith(keddah.ClusterSpec{Workers: 8, Seed: 9},
+	ts, results, err := keddah.Capture(keddah.ClusterSpec{Workers: 8, Seed: 9},
 		[]keddah.RunSpec{{Profile: "sort", InputBytes: 512 << 20}},
 		keddah.CaptureOpts{Failures: []keddah.FailureSpec{{WorkerIndex: 2, AtNs: 15_000_000_000}}})
 	if err != nil {
@@ -80,11 +81,11 @@ func TestPublicFailureCapture(t *testing.T) {
 
 func TestPublicScheduleExports(t *testing.T) {
 	ts := capture(t, 3)
-	model, err := keddah.Fit(ts, keddah.FitOptions{})
+	model, err := keddah.Fit(ts, keddah.FitOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched, err := model.Generate(keddah.GenSpec{Workload: "terasort", Workers: 8, Seed: 4})
+	sched, err := model.Generate(context.Background(), keddah.GenSpec{Workload: "terasort", Workers: 8, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestPublicScheduleExports(t *testing.T) {
 
 func TestPublicModelSerialisation(t *testing.T) {
 	ts := capture(t, 5)
-	model, err := keddah.Fit(ts, keddah.FitOptions{})
+	model, err := keddah.Fit(ts, keddah.FitOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
