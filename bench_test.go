@@ -154,6 +154,10 @@ func BenchmarkTraceRoundTrip(b *testing.B) {
 // via internal/benchcases).
 func BenchmarkGenerateSchedule(b *testing.B) { benchcases.GenerateSchedule(b) }
 
+// BenchmarkGenerateStream measures the same schedule streamed through
+// GenerateChunks (body shared via internal/benchcases).
+func BenchmarkGenerateStream(b *testing.B) { benchcases.GenerateStream(b) }
+
 // BenchmarkEncodeSchedule measures the csv, jsonl and ns3 export of a
 // fixed 100k-flow schedule (body shared via internal/benchcases).
 func BenchmarkEncodeSchedule(b *testing.B) { benchcases.EncodeSchedule(b) }

@@ -134,7 +134,6 @@ func run() error {
 		benchBase = flag.String("benchbaseline", "", "compare the micro-benchmarks against this committed baseline JSON and fail on >15% ns/op or >10% allocs/op regression, then exit")
 		benchDiff = flag.String("benchdiff", "", "with -benchbaseline, write the per-benchmark comparison as JSON to this path")
 		strict    = flag.Bool("strict-checks", false, "run every capture with the invariants layer enabled (read-only cross-layer checks; identical results, more wall time)")
-		shardsFlg = flag.Int("shards", -2, "override the engine layout of every multi-pod capture: 0 = serial, -1 = one engine per pod, 1..pods explicit (-2 = leave each experiment's default; output is byte-identical at every setting)")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof format)")
 		memProf   = flag.String("memprofile", "", "write a heap profile taken at exit to this file (go tool pprof format)")
 	)
@@ -188,9 +187,6 @@ func run() error {
 	}
 	tel := tf.Telemetry()
 	cfg := experiments.Config{Scale: *scale, Seed: *seed, Telemetry: tel, StrictChecks: *strict}
-	if *shardsFlg != -2 {
-		cfg.Shards = shardsFlg
-	}
 	start := time.Now()
 	results := experiments.RunAll(ids, cfg, *workers)
 	// Results come back in id order whatever the completion order, so the

@@ -40,6 +40,7 @@ func Cases() []Case {
 		{"FitTerasort", FitTerasort},
 		{"ClassifyDataset", ClassifyDataset},
 		{"GenerateSchedule", GenerateSchedule},
+		{"GenerateStream", GenerateStream},
 		{"EncodeSchedule", EncodeSchedule},
 	}
 }
@@ -79,10 +80,10 @@ func FitTerasort(b *testing.B) {
 	}
 }
 
-// GenerateSchedule measures synthetic-traffic generation from a fitted
-// model (toolchain stage 3): four 8 GiB terasort jobs on 64 workers. The
-// one-off capture+fit runs outside the timer.
-func GenerateSchedule(b *testing.B) {
+// generateModel fits the model the generation benchmarks sample from:
+// two 512 MiB terasort runs on 16 workers.
+func generateModel(b *testing.B) *core.Model {
+	b.Helper()
 	ts, _, err := core.CaptureWith(core.ClusterSpec{Workers: 16, Seed: 5},
 		[]workload.RunSpec{
 			{Profile: "terasort", InputBytes: 512 << 20, JobName: "a", InputPath: "/d"},
@@ -95,16 +96,51 @@ func GenerateSchedule(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return model
+}
+
+// generateSpec is the generation benchmarks' schedule: four 8 GiB
+// terasort jobs on 64 workers.
+func generateSpec(seed int64) core.GenSpec {
+	return core.GenSpec{Workload: "terasort", InputBytes: 8 << 30, Workers: 64, Jobs: 4, Seed: seed}
+}
+
+// GenerateSchedule measures synthetic-traffic generation from a fitted
+// model (toolchain stage 3): four 8 GiB terasort jobs on 64 workers. The
+// one-off capture+fit runs outside the timer.
+func GenerateSchedule(b *testing.B) {
+	model := generateModel(b)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sched, err := model.Generate(context.Background(), core.GenSpec{
-			Workload: "terasort", InputBytes: 8 << 30, Workers: 64, Jobs: 4, Seed: int64(i),
-		})
+		sched, err := model.Generate(context.Background(), generateSpec(int64(i)))
 		if err != nil {
 			b.Fatal(err)
 		}
 		if len(sched) == 0 {
+			b.Fatal("empty schedule")
+		}
+	}
+}
+
+// GenerateStream measures the streamed form of GenerateSchedule's
+// schedule: GenerateChunks into a no-op emit in default-sized chunks,
+// the path keddah-serve and bulk export take. Its B/op is the per-stream
+// memory cost.
+func GenerateStream(b *testing.B) {
+	model := generateModel(b)
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		streamed := 0
+		err := model.GenerateChunks(context.Background(), generateSpec(int64(i)), 0, func(c []core.SynthFlow) error {
+			streamed += len(c)
+			return nil
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if streamed == 0 {
 			b.Fatal("empty schedule")
 		}
 	}

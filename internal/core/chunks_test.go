@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -207,5 +208,42 @@ func TestEstimateMixFlows(t *testing.T) {
 	}
 	if _, err := model.EstimateMixFlows(MixSpec{Weights: map[string]float64{"nosuch": 1}}); err == nil {
 		t.Fatal("unknown workload accepted")
+	}
+}
+
+// TestGenerateChunksBytesPerFlow is a memory fence on streamed
+// generation: the slab holds 32 bytes per flow and the chunk buffer is
+// fixed, so streaming a schedule into a no-op emit may allocate at most
+// 40 bytes per flow plus 1 MiB. A slab of SynthFlows (80 bytes each)
+// fails it.
+func TestGenerateChunksBytesPerFlow(t *testing.T) {
+	model := mixModel(t)
+	spec := GenSpec{Workload: "terasort", InputBytes: 16 << 30, Workers: 64, Jobs: 4, Seed: 3, IncludeBackground: true}
+	n, err := model.EstimateFlows(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n < 200_000 {
+		t.Fatalf("spec schedules %d flows; the fence needs at least 200k", n)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	streamed := 0
+	err = model.GenerateChunks(context.Background(), spec, 0, func(c []SynthFlow) error {
+		streamed += len(c)
+		return nil
+	})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(streamed) != n {
+		t.Fatalf("streamed %d flows, estimated %d", streamed, n)
+	}
+	const perFlow, fixed = 40, 1 << 20
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(perFlow*streamed+fixed) {
+		t.Errorf("streaming %d flows allocated %d bytes (%.1f B/flow); the fence is %d B/flow + %d B",
+			streamed, grew, float64(grew)/float64(streamed), perFlow, fixed)
 	}
 }

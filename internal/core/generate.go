@@ -84,11 +84,18 @@ func (g GenSpec) withDefaults(jm *JobModel) GenSpec {
 	return g
 }
 
+// Synthetic flows take their client-side port from Linux's default
+// ephemeral range, [32768, 61000).
+const (
+	ephemeralPortLo = 32768
+	ephemeralPorts  = 28232
+)
+
 // phasePorts returns the (srcPort, dstPort) convention for synthetic
 // flows of a phase so that generated traffic classifies identically to
 // measured traffic.
 func phasePorts(ph flows.Phase, rng *stats.RNG) (int, int) {
-	eph := 32768 + rng.Intn(28232)
+	eph := ephemeralPortLo + rng.Intn(ephemeralPorts)
 	switch ph {
 	case flows.PhaseHDFSRead:
 		return flows.PortDataNodeData, eph
@@ -116,7 +123,7 @@ const genCtxStride = 4096
 // client vanished — or whose deadline passed — aborts the schedule
 // mid-build instead of completing work nobody will read.
 func (m *Model) Generate(ctx context.Context, spec GenSpec) ([]SynthFlow, error) {
-	b, err := m.build(ctx, spec, 0)
+	b, err := m.build(ctx, spec)
 	if err != nil {
 		return nil, err
 	}
@@ -127,16 +134,16 @@ func (m *Model) Generate(ctx context.Context, spec GenSpec) ([]SynthFlow, error)
 // identical flows in identical time order — through emit in slices of at
 // most chunk flows (chunk <= 0 selects genCtxStride). ctx is honoured
 // both during generation and between emits, so a disconnected or
-// deadline-expired client aborts the stream mid-schedule. The compact
-// flows are sampled once into time-ordered runs (global time ordering
-// requires every run before the first record can be emitted) and merged
-// chunk by chunk into one reused buffer; what is never materialised is
-// a second sorted copy or the encoded output — each emitted slice can be
-// encoded and flushed to the client before the next is merged, which is
-// what keeps keddah-serve's per-stream memory flat regardless of
-// schedule length. A chunk slice is only valid during its emit call.
+// deadline-expired client aborts the stream mid-schedule. Global time
+// order needs every flow sampled before the first can be emitted, so the
+// whole schedule is sampled first, into a slab of 32-byte records, and
+// then merged chunk by chunk into one reused SynthFlow buffer. A stream
+// therefore holds 32 bytes per flow plus one chunk buffer; what is never
+// materialised is the SynthFlow schedule or the encoded output, since
+// each emitted slice can be encoded and flushed to the client before the
+// next is merged. A chunk slice is only valid during its emit call.
 func (m *Model) GenerateChunks(ctx context.Context, spec GenSpec, chunk int, emit func([]SynthFlow) error) error {
-	b, err := m.build(ctx, spec, chunkFlows(chunk))
+	b, err := m.build(ctx, spec)
 	if err != nil {
 		return err
 	}
@@ -144,9 +151,8 @@ func (m *Model) GenerateChunks(ctx context.Context, spec GenSpec, chunk int, emi
 }
 
 // build samples spec's schedule into a builder: one run per (job, phase)
-// and one for the background, in the order the RNG draws them. spare
-// reserves slab room for a streamed chunk buffer.
-func (m *Model) build(ctx context.Context, spec GenSpec, spare int) (*scheduleBuilder, error) {
+// and one for the background, in the order the RNG draws them.
+func (m *Model) build(ctx context.Context, spec GenSpec) (*scheduleBuilder, error) {
 	sh, err := m.shape(spec)
 	if err != nil {
 		return nil, err
@@ -156,7 +162,7 @@ func (m *Model) build(ctx context.Context, spec GenSpec, spare int) (*scheduleBu
 	if sh.total > maxSpecFlows {
 		return nil, tooManyFlows("GenSpec", "inputBytes", float64(sh.total))
 	}
-	b := newScheduleBuilder(int(sh.total), spare)
+	b := newScheduleBuilder(int(sh.total))
 	rng := stats.NewRNG(spec.Seed)
 	jobStart := 0.0
 	for job := 0; job < spec.Jobs; job++ {
@@ -299,18 +305,16 @@ func (sh genShape) appendJob(ctx context.Context, b *scheduleBuilder, rng *stats
 			size := int64(math.Max(1, sampleSize()))
 			src, dst := endpointsFor(ph, i, sh.maps, spec.Reducers, hp, rng)
 			sp, dp := phasePorts(ph, rng)
-			b.flows = append(b.flows, SynthFlow{
-				StartNs: int64(t*1e9) + shiftNs,
-				SrcHost: src,
-				DstHost: dst,
-				SrcPort: sp,
-				DstPort: dp,
-				Bytes:   size,
-				Phase:   ph,
-				Job:     name,
+			b.flows = append(b.flows, slabFlow{
+				startNs: int64(t*1e9) + shiftNs,
+				bytes:   size,
+				src:     int32(src),
+				dst:     int32(dst),
+				srcPort: uint16(sp),
+				dstPort: uint16(dp),
 			})
 		}
-		b.endRun(start)
+		b.endRun(start, name, ph)
 	}
 	return nil
 }
@@ -432,18 +436,19 @@ func (m *Model) appendBackground(ctx context.Context, b *scheduleBuilder, worker
 		if len(pm.SizeAtoms) > 0 && rng.Float64() < pm.SizeAtoms[0].Weight {
 			size = pm.SizeAtoms[0].Value
 		}
-		b.flows = append(b.flows, SynthFlow{
-			StartNs: int64(t * 1e9),
-			SrcHost: rng.Intn(workers),
-			DstHost: -1,
-			SrcPort: sp,
-			DstPort: dp,
-			Bytes:   int64(math.Max(1, winsorize(size, pm.SizeMin, pm.SizeMax))),
-			Phase:   flows.PhaseControl,
-			Job:     "background",
+		// The source host is drawn after the size and atom draws; the
+		// draw order fixes the schedule's bytes.
+		src := rng.Intn(workers)
+		b.flows = append(b.flows, slabFlow{
+			startNs: int64(t * 1e9),
+			bytes:   int64(math.Max(1, winsorize(size, pm.SizeMin, pm.SizeMax))),
+			src:     int32(src),
+			dst:     -1,
+			srcPort: uint16(sp),
+			dstPort: uint16(dp),
 		})
 	}
-	b.endRun(start)
+	b.endRun(start, "background", flows.PhaseControl)
 	return nil
 }
 

@@ -57,7 +57,7 @@ func (m MixSpec) withDefaults() MixSpec {
 // and ctx is polled before each arrival — plus inside each arrival's
 // generation — so a vanished client aborts the mix mid-window.
 func (m *Model) GenerateMix(ctx context.Context, spec MixSpec) ([]SynthFlow, error) {
-	b, err := m.buildMix(ctx, spec, 0)
+	b, err := m.buildMix(ctx, spec)
 	if err != nil {
 		return nil, err
 	}
@@ -68,7 +68,7 @@ func (m *Model) GenerateMix(ctx context.Context, spec MixSpec) ([]SynthFlow, err
 // through emit in slices of at most chunk flows, with the same
 // cancellation and memory contract as Model.GenerateChunks.
 func (m *Model) GenerateMixChunks(ctx context.Context, spec MixSpec, chunk int, emit func([]SynthFlow) error) error {
-	b, err := m.buildMix(ctx, spec, chunkFlows(chunk))
+	b, err := m.buildMix(ctx, spec)
 	if err != nil {
 		return err
 	}
@@ -197,14 +197,14 @@ func (m *Model) checkMixBackground(arrivalFlows int64, spanSecs float64, workers
 
 // buildMix samples a mix into one builder: every arrival adds its phase
 // runs, shifted to the arrival time and relabelled, then the background
-// adds its run. spare is as for build.
-func (m *Model) buildMix(ctx context.Context, spec MixSpec, spare int) (*scheduleBuilder, error) {
+// adds its run.
+func (m *Model) buildMix(ctx context.Context, spec MixSpec) (*scheduleBuilder, error) {
 	p, err := m.planMix(spec)
 	if err != nil {
 		return nil, err
 	}
 	spec = p.spec
-	b := newScheduleBuilder(int(p.count), spare)
+	b := newScheduleBuilder(int(p.count))
 	for i, a := range p.arrivals {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("core: generate mix: %w", err)

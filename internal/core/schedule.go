@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
+
+	"keddah/internal/flows"
 )
 
 // A schedule is built as time-ordered runs. Every (job, phase) sampling
@@ -15,25 +17,60 @@ import (
 // own. A k-way merge over the run heads keyed (StartNs, run index) then
 // yields exactly the order a stable sort of the concatenated runs would,
 // in O(n log k) and without moving a flow more than once.
+//
+// The slab holds slabFlow records, not SynthFlows. A run has one job and
+// one phase, so those live on the run, and a record is 32 bytes with no
+// pointers: the GC never scans the slab, and a schedule costs 2.5× less
+// memory than its SynthFlow form. The merge expands each record as it
+// writes it into the output.
+
+// slabFlow is one generated flow as the builder holds it; its job and
+// phase are its run's. speccheck.go guards the narrowed host fields and
+// TestNarrowedFieldsFit the ports.
+type slabFlow struct {
+	startNs, bytes   int64
+	src, dst         int32
+	srcPort, dstPort uint16
+}
 
 // byStart orders flows by start time; with a stable sort it is the
 // schedule order.
 func byStart(a, b SynthFlow) int { return cmp.Compare(a.StartNs, b.StartNs) }
 
+func slabByStart(a, b slabFlow) int { return cmp.Compare(a.startNs, b.startNs) }
+
+// scheduleRun is one non-empty run: the slab offset it starts at (it
+// ends where the next one starts) and the job and phase of its flows.
+type scheduleRun struct {
+	start int
+	job   string
+	phase flows.Phase
+}
+
+// expand is f as the SynthFlow it stands for in run r.
+func (r *scheduleRun) expand(f slabFlow) SynthFlow {
+	return SynthFlow{
+		StartNs: f.startNs,
+		SrcHost: int(f.src),
+		DstHost: int(f.dst),
+		SrcPort: int(f.srcPort),
+		DstPort: int(f.dstPort),
+		Bytes:   f.bytes,
+		Phase:   r.phase,
+		Job:     r.job,
+	}
+}
+
 // scheduleBuilder accumulates a schedule's runs in one slab.
 type scheduleBuilder struct {
-	flows []SynthFlow
-	// runs holds the slab offset each non-empty run starts at; a run
-	// ends where the next one starts.
-	runs []int
+	flows []slabFlow
+	runs  []scheduleRun
 }
 
 // newScheduleBuilder returns a builder whose slab holds n flows without
-// growing, plus up to spare flows of capacity past them that stream
-// merges chunks into. A streamed schedule is then one allocation instead
-// of two, which keeps a busy server's heap from fragmenting.
-func newScheduleBuilder(n, spare int) *scheduleBuilder {
-	return &scheduleBuilder{flows: make([]SynthFlow, 0, n+min(spare, n))}
+// growing.
+func newScheduleBuilder(n int) *scheduleBuilder {
+	return &scheduleBuilder{flows: make([]slabFlow, 0, n)}
 }
 
 // chunkFlows is the chunk size GenerateChunks and GenerateMixChunks emit
@@ -45,19 +82,19 @@ func chunkFlows(chunk int) int {
 	return chunk
 }
 
-// endRun closes the run of flows appended since offset start. Sampling
-// loops produce sorted runs, so the check is the whole cost for them;
-// any run it rejects is stably sorted in place, so the merged order
-// never depends on that invariant.
-func (b *scheduleBuilder) endRun(start int) {
+// endRun closes the run of flows appended since offset start, all of
+// them job's flows of phase. Sampling loops produce sorted runs, so the
+// check is the whole cost for them; any run it rejects is stably sorted
+// in place, so the merged order never depends on that invariant.
+func (b *scheduleBuilder) endRun(start int, job string, phase flows.Phase) {
 	run := b.flows[start:]
 	if len(run) == 0 {
 		return
 	}
-	if !slices.IsSortedFunc(run, byStart) {
-		slices.SortStableFunc(run, byStart)
+	if !slices.IsSortedFunc(run, slabByStart) {
+		slices.SortStableFunc(run, slabByStart)
 	}
-	b.runs = append(b.runs, start)
+	b.runs = append(b.runs, scheduleRun{start: start, job: job, phase: phase})
 }
 
 // maxStartNs is the latest start time in the builder (math.MinInt64
@@ -65,7 +102,7 @@ func (b *scheduleBuilder) endRun(start int) {
 func (b *scheduleBuilder) maxStartNs() int64 {
 	latest := int64(math.MinInt64)
 	for i := range b.runs {
-		latest = max(latest, b.flows[b.runEnd(i)-1].StartNs)
+		latest = max(latest, b.flows[b.runEnd(i)-1].startNs)
 	}
 	return latest
 }
@@ -73,7 +110,7 @@ func (b *scheduleBuilder) maxStartNs() int64 {
 // runEnd is the slab offset run i ends at.
 func (b *scheduleBuilder) runEnd(i int) int {
 	if i+1 < len(b.runs) {
-		return b.runs[i+1]
+		return b.runs[i+1].start
 	}
 	return len(b.flows)
 }
@@ -92,15 +129,9 @@ func (b *scheduleBuilder) collect() []SynthFlow {
 
 // stream feeds the merged schedule to emit in slices of at most
 // chunkFlows(chunk) flows, merging straight into one reused chunk buffer
-// (the slab's spare capacity when it has enough) and polling ctx before
-// each emit.
+// and polling ctx before each emit.
 func (b *scheduleBuilder) stream(ctx context.Context, chunk int, emit func([]SynthFlow) error) error {
-	n := min(chunkFlows(chunk), len(b.flows))
-	buf := b.flows[len(b.flows):cap(b.flows)]
-	if len(buf) < n {
-		buf = make([]SynthFlow, n)
-	}
-	buf = buf[:n]
+	buf := make([]SynthFlow, min(chunkFlows(chunk), len(b.flows)))
 	m := b.merge()
 	for {
 		n := m.fill(buf)
@@ -132,14 +163,15 @@ func (h runHead) before(o runHead) bool {
 
 // runMerge is a k-way merge over a builder's runs.
 type runMerge struct {
-	flows []SynthFlow
+	flows []slabFlow
+	runs  []scheduleRun
 	heap  []runHead
 }
 
 func (b *scheduleBuilder) merge() *runMerge {
-	m := &runMerge{flows: b.flows, heap: make([]runHead, len(b.runs))}
-	for i, start := range b.runs {
-		m.heap[i] = runHead{key: b.flows[start].StartNs, run: i, next: start, end: b.runEnd(i)}
+	m := &runMerge{flows: b.flows, runs: b.runs, heap: make([]runHead, len(b.runs))}
+	for i, r := range b.runs {
+		m.heap[i] = runHead{key: b.flows[r.start].startNs, run: i, next: r.start, end: b.runEnd(i)}
 	}
 	for i := len(m.heap)/2 - 1; i >= 0; i-- {
 		m.down(i)
@@ -147,26 +179,29 @@ func (b *scheduleBuilder) merge() *runMerge {
 	return m
 }
 
-// fill copies the next len(dst) flows in merge order into dst and
+// fill expands the next len(dst) flows in merge order into dst and
 // returns how many it wrote (fewer only once the merge is exhausted).
 func (m *runMerge) fill(dst []SynthFlow) int {
 	n := 0
 	for n < len(dst) && len(m.heap) > 0 {
+		h := &m.heap[0]
+		r := &m.runs[h.run]
 		if len(m.heap) == 1 {
 			// One run left: the rest of it is in order already.
-			h := &m.heap[0]
-			c := copy(dst[n:], m.flows[h.next:h.end])
+			c := min(h.end-h.next, len(dst)-n)
+			for i, f := range m.flows[h.next : h.next+c] {
+				dst[n+i] = r.expand(f)
+			}
 			n += c
 			if h.next += c; h.next == h.end {
 				m.heap = m.heap[:0]
 			}
 			break
 		}
-		h := &m.heap[0]
-		dst[n] = m.flows[h.next]
+		dst[n] = r.expand(m.flows[h.next])
 		n++
 		if h.next++; h.next < h.end {
-			h.key = m.flows[h.next].StartNs
+			h.key = m.flows[h.next].startNs
 		} else {
 			last := len(m.heap) - 1
 			m.heap[0] = m.heap[last]

@@ -7,6 +7,8 @@ import (
 	"slices"
 	"sort"
 	"testing"
+
+	"keddah/internal/flows"
 )
 
 // stableOracle is the order the run merge must reproduce: the
@@ -17,9 +19,37 @@ func stableOracle(concat []SynthFlow) []SynthFlow {
 	return out
 }
 
+// concatRuns is the builder's runs concatenated in run order, expanded
+// to SynthFlows field by field here, not through the merge's expansion,
+// so the oracle shares no code with what it checks.
+func concatRuns(b *scheduleBuilder) []SynthFlow {
+	var out []SynthFlow
+	for i, r := range b.runs {
+		end := len(b.flows)
+		if i+1 < len(b.runs) {
+			end = b.runs[i+1].start
+		}
+		for _, f := range b.flows[r.start:end] {
+			out = append(out, SynthFlow{
+				StartNs: f.startNs,
+				SrcHost: int(f.src),
+				DstHost: int(f.dst),
+				SrcPort: int(f.srcPort),
+				DstPort: int(f.dstPort),
+				Bytes:   f.bytes,
+				Phase:   r.phase,
+				Job:     r.job,
+			})
+		}
+	}
+	return out
+}
+
 // TestRunMergeMatchesStableSort drives the builder directly with tied,
 // single-flow and unsorted runs: the unsorted one exercises the safety
 // net that sorts any run the sampling loops failed to keep in order.
+// Every run has its own job and phase, so a flow expanded with another
+// run's metadata fails.
 func TestRunMergeMatchesStableSort(t *testing.T) {
 	runs := [][]int64{
 		{1, 1, 2, 9},
@@ -30,17 +60,26 @@ func TestRunMergeMatchesStableSort(t *testing.T) {
 		{1, 1, 1},
 	}
 	var concat []SynthFlow
-	b := newScheduleBuilder(0, 0)
+	b := newScheduleBuilder(0)
 	for r, starts := range runs {
 		first := len(b.flows)
+		job, phase := fmt.Sprintf("job%d", r), flows.Phase(fmt.Sprintf("phase%d", r))
 		for i, ns := range starts {
-			sf := SynthFlow{StartNs: ns, SrcHost: r, DstHost: i}
-			concat = append(concat, sf)
-			b.flows = append(b.flows, sf)
+			concat = append(concat, SynthFlow{
+				StartNs: ns, SrcHost: r, DstHost: i, SrcPort: 1000 + r, DstPort: 2000 + i,
+				Bytes: int64(100*r + i), Phase: phase, Job: job,
+			})
+			b.flows = append(b.flows, slabFlow{
+				startNs: ns, src: int32(r), dst: int32(i), srcPort: uint16(1000 + r), dstPort: uint16(2000 + i),
+				bytes: int64(100*r + i),
+			})
 		}
-		b.endRun(first)
+		b.endRun(first, job, phase)
 	}
 	want := stableOracle(concat)
+	if got := stableOracle(concatRuns(b)); !reflect.DeepEqual(got, want) {
+		t.Fatalf("builder runs\n got %v\nwant %v", got, want)
+	}
 	if got := b.collect(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("merge order\n got %v\nwant %v", got, want)
 	}
@@ -84,7 +123,7 @@ func TestMergeOrderProperty(t *testing.T) {
 		cases = append(cases, tc{
 			name:  fmt.Sprintf("%s/jobs%d/stagger%g/bg%v", spec.Workload, spec.Jobs, spec.Stagger, spec.IncludeBackground),
 			bg:    spec.IncludeBackground,
-			build: func() (*scheduleBuilder, error) { return model.build(context.Background(), spec, 0) },
+			build: func() (*scheduleBuilder, error) { return model.build(context.Background(), spec) },
 			gen: func(ctx context.Context, chunk int, emit func([]SynthFlow) error) error {
 				return model.GenerateChunks(ctx, spec, chunk, emit)
 			},
@@ -98,7 +137,7 @@ func TestMergeOrderProperty(t *testing.T) {
 		cases = append(cases, tc{
 			name:  fmt.Sprintf("mix/seed%d/bg%v", spec.Seed, spec.IncludeBackground),
 			bg:    spec.IncludeBackground,
-			build: func() (*scheduleBuilder, error) { return model.buildMix(context.Background(), spec, 0) },
+			build: func() (*scheduleBuilder, error) { return model.buildMix(context.Background(), spec) },
 			gen: func(ctx context.Context, chunk int, emit func([]SynthFlow) error) error {
 				return model.GenerateMixChunks(ctx, spec, chunk, emit)
 			},
@@ -115,10 +154,10 @@ func TestMergeOrderProperty(t *testing.T) {
 			if len(b.runs) < 2 {
 				t.Fatalf("%d runs: nothing to merge", len(b.runs))
 			}
-			if last := b.flows[len(b.flows)-1]; c.bg != (last.Job == "background") {
-				t.Fatalf("background run present = %v, want %v", last.Job == "background", c.bg)
+			if last := b.runs[len(b.runs)-1]; c.bg != (last.job == "background") {
+				t.Fatalf("background run present = %v, want %v", last.job == "background", c.bg)
 			}
-			want := stableOracle(b.flows)
+			want := stableOracle(concatRuns(b))
 
 			got, err := c.batch()
 			if err != nil {

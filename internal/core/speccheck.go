@@ -53,10 +53,23 @@ const (
 	maxSpecReducers = 1 << 20 // reduce fan-in
 	maxSpecMaps     = 1 << 26 // map tasks (input/block ratio)
 	maxMixArrivals  = 1 << 20 // expected arrivals in a mix window
-	// maxSpecFlows bounds one schedule. Its slab is allocated whole before
-	// sampling, so this caps that allocation at about 20 GiB; servers
-	// admit far less through their own flow caps.
+	// maxSpecFlows bounds one schedule. Its slab of 32-byte records is
+	// allocated whole before sampling, so this caps that allocation at
+	// 8 GiB; servers admit far less through their own flow caps.
 	maxSpecFlows = 1 << 28
+)
+
+// The schedule slab (schedule.go) stores hosts as int32, and the merge
+// indexes runs — at most maxRunsPerJob per job or mix arrival, plus the
+// background — with an int, which is 32 bits on some platforms. These
+// conversions fail to compile if a limit outgrows either, so raising one
+// can never silently truncate a host or a run index.
+const (
+	maxRunsPerJob = 8 // at least len(flows.AllPhases); TestNarrowedFieldsFit checks
+
+	_ = int32(maxSpecWorkers)
+	_ = int32(maxSpecJobs*maxRunsPerJob + 1)
+	_ = int32(maxMixArrivals*maxRunsPerJob + 1)
 )
 
 // tooManyFlows is the schedule-limit failure for a spec ("GenSpec" or

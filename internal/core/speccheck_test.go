@@ -4,8 +4,12 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
+
+	"keddah/internal/flows"
+	"keddah/internal/stats"
 )
 
 func TestGenSpecValidate(t *testing.T) {
@@ -159,5 +163,57 @@ func TestScheduleLimit(t *testing.T) {
 	// Malformed specs are not too large.
 	if _, err := model.EstimateMixFlows(MixSpec{}); !errors.Is(err, ErrBadSpec) || errors.Is(err, ErrScheduleTooLarge) {
 		t.Fatalf("empty mix: %v, want a plain spec error", err)
+	}
+}
+
+// TestNarrowedFieldsFit: the schedule slab stores ports as uint16, so
+// every port a generated flow can carry — each port phasePorts can
+// return and every well-known flows.Port* constant — must fit one, and
+// a job's phase runs must stay within the maxRunsPerJob that
+// speccheck.go's run-index guard assumes. Changing a port or the phase
+// list past either fails here instead of truncating.
+func TestNarrowedFieldsFit(t *testing.T) {
+	if n := len(flows.AllPhases); n > maxRunsPerJob {
+		t.Errorf("%d phases per job, above maxRunsPerJob = %d", n, maxRunsPerJob)
+	}
+	ports := []struct {
+		name string
+		port int
+	}{
+		{"lowest ephemeral", ephemeralPortLo},
+		{"highest ephemeral", ephemeralPortLo + ephemeralPorts - 1},
+		{"PortDataNodeData", flows.PortDataNodeData},
+		{"PortDataNodeIPC", flows.PortDataNodeIPC},
+		{"PortNameNodeRPC", flows.PortNameNodeRPC},
+		{"PortNameNodeHTTP", flows.PortNameNodeHTTP},
+		{"PortShuffle", flows.PortShuffle},
+		{"PortRMScheduler", flows.PortRMScheduler},
+		{"PortRMTracker", flows.PortRMTracker},
+		{"PortRMAdmin", flows.PortRMAdmin},
+		{"PortRMClient", flows.PortRMClient},
+		{"PortNMIPC", flows.PortNMIPC},
+		{"PortNMHTTP", flows.PortNMHTTP},
+		{"PortJobHistory", flows.PortJobHistory},
+		{"PortAMUmbilical", flows.PortAMUmbilical},
+	}
+	fixed := map[int]bool{}
+	for _, p := range ports {
+		if p.port < 0 || p.port > math.MaxUint16 {
+			t.Errorf("%s = %d does not fit uint16", p.name, p.port)
+		}
+		fixed[p.port] = true
+	}
+	// Every port phasePorts returns must be one the table checked: a
+	// listed constant or inside the ephemeral range.
+	rng := stats.NewRNG(1)
+	for _, ph := range append(slices.Clone(flows.AllPhases), flows.PhaseOther) {
+		for i := 0; i < 10_000; i++ {
+			sp, dp := phasePorts(ph, rng)
+			for _, p := range []int{sp, dp} {
+				if !fixed[p] && (p < ephemeralPortLo || p >= ephemeralPortLo+ephemeralPorts) {
+					t.Fatalf("phasePorts(%s) returned port %d, outside the checked set", ph, p)
+				}
+			}
+		}
 	}
 }

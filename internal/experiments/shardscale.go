@@ -42,9 +42,8 @@ func runE18(cfg Config) ([]Table, error) {
 		runs[i] = workload.RunSpec{Profile: "terasort", InputBytes: cfg.gb(4)}
 	}
 
-	// The layout sweep IS this experiment, so cfg.Shards (the keddah-bench
-	// -shards override honored by ordinary multi-pod captures) is ignored
-	// here: every row pins its own engine count.
+	// The layout sweep is this experiment: every row pins its own engine
+	// count.
 	type layout struct {
 		name   string
 		shards int

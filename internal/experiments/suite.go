@@ -35,10 +35,6 @@ type Config struct {
 	// end-of-capture conservation checks. Checks are read-only, so
 	// results are identical; only wall time changes.
 	StrictChecks bool
-	// Shards, when non-nil, overrides the engine layout of every
-	// multi-pod capture an experiment runs (0 = serial, -1 = auto,
-	// 1..Pods explicit). Output is byte-identical at every setting.
-	Shards *int
 }
 
 func (c Config) withDefaults() Config {
