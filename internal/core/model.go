@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -657,13 +658,48 @@ func (m *Model) WriteJSON(w io.Writer) error {
 	return nil
 }
 
-// ReadModel deserialises a model library.
+// ErrBadModel marks model JSON that decodes but cannot be generated from:
+// a null workload or phase model, or a non-positive reference size.
+var ErrBadModel = errors.New("core: invalid model")
+
+// ReadModel deserialises a model library. JSON that decodes into a model
+// no generator could use fails with an error wrapping ErrBadModel.
 func ReadModel(r io.Reader) (*Model, error) {
 	var m Model
 	if err := json.NewDecoder(r).Decode(&m); err != nil {
 		return nil, fmt.Errorf("decode model: %w", err)
 	}
+	if err := m.check(); err != nil {
+		return nil, err
+	}
 	return &m, nil
+}
+
+// check rejects the decoded shapes that would panic generation: a nil
+// job or phase model dereferenced, or a zero reference block size
+// divided by. Problems are reported in sorted workload and phase order.
+func (m *Model) check() error {
+	for _, name := range m.WorkloadNames() {
+		jm := m.Jobs[name]
+		if jm == nil {
+			return fmt.Errorf("%w: workload %q is null", ErrBadModel, name)
+		}
+		if jm.RefBlockSize <= 0 || jm.RefInputBytes <= 0 {
+			return fmt.Errorf("%w: workload %q has reference block size %d and input %d bytes, both must be positive",
+				ErrBadModel, name, jm.RefBlockSize, jm.RefInputBytes)
+		}
+		phases := make([]flows.Phase, 0, len(jm.Phases))
+		for ph := range jm.Phases {
+			phases = append(phases, ph)
+		}
+		slices.Sort(phases)
+		for _, ph := range phases {
+			if jm.Phases[ph] == nil {
+				return fmt.Errorf("%w: workload %q phase %q is null", ErrBadModel, name, ph)
+			}
+		}
+	}
+	return nil
 }
 
 // WorkloadNames lists the model's workloads sorted.

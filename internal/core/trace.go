@@ -11,6 +11,7 @@ package core
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -140,11 +141,21 @@ func (ts *TraceSet) WriteJSON(w io.Writer) error {
 	return nil
 }
 
-// ReadTraceSet deserialises a trace set.
+// ErrBadTraceSet marks trace-set JSON that decodes but cannot be fitted:
+// a null run.
+var ErrBadTraceSet = errors.New("core: invalid trace set")
+
+// ReadTraceSet deserialises a trace set. JSON that decodes into a trace
+// set no fit could use fails with an error wrapping ErrBadTraceSet.
 func ReadTraceSet(r io.Reader) (*TraceSet, error) {
 	var ts TraceSet
 	if err := json.NewDecoder(r).Decode(&ts); err != nil {
 		return nil, fmt.Errorf("decode trace set: %w", err)
+	}
+	for i, run := range ts.Runs {
+		if run == nil {
+			return nil, fmt.Errorf("%w: run %d is null", ErrBadTraceSet, i)
+		}
 	}
 	return &ts, nil
 }

@@ -89,10 +89,10 @@ func incastRun(transport string, fanin int, unit int64) (incastCell, error) {
 	for i := 0; i < fanin; i++ {
 		_, err := net.StartFlow(netsim.FlowSpec{
 			Src: hosts[i+1], Dst: hosts[0], SrcPort: 10000 + i, DstPort: 13562, SizeBytes: unit,
-			OnComplete: func(f *netsim.Flow) {
-				fcts = append(fcts, float64(f.End()-f.Start())/1e6)
-				if f.End() > makespan {
-					makespan = f.End()
+			OnComplete: func(f netsim.Flow) {
+				fcts = append(fcts, float64(f.End-f.Start)/1e6)
+				if f.End > makespan {
+					makespan = f.End
 				}
 			},
 		})

@@ -131,7 +131,7 @@ func (fs *FS) reReplicateAfter(failed netsim.NodeID) {
 				DstPort:   flows.PortDataNodeData,
 				SizeBytes: size,
 				Label:     "hdfs/reReplication",
-				OnComplete: func(*netsim.Flow) {
+				OnComplete: func(netsim.Flow) {
 					clearPending()
 					blkRef.Replicas = append(blkRef.Replicas, target)
 					fs.ReReplicatedBytes += size
@@ -142,7 +142,7 @@ func (fs *FS) reReplicateAfter(failed netsim.NodeID) {
 				// A copy torn down by a fault (source or target crash)
 				// leaves the block under-replicated; a later detection may
 				// retry. Either way the target is no longer pending.
-				OnAbort: func(*netsim.Flow) { clearPending() },
+				OnAbort: func(netsim.Flow) { clearPending() },
 			})
 			if err != nil {
 				panic(fmt.Sprintf("hdfs: re-replication flow: %v", err))

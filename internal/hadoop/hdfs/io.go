@@ -148,9 +148,9 @@ func (fs *FS) WriteFile(client netsim.NodeID, path string, size int64, replicati
 				DstPort:    flows.PortDataNodeData,
 				SizeBytes:  sz,
 				Label:      lbl,
-				OnComplete: func(*netsim.Flow) { hopFinished() },
-				OnAbort: func(fl *netsim.Flow) {
-					rem := sz - fl.Transferred()
+				OnComplete: func(netsim.Flow) { hopFinished() },
+				OnAbort: func(fl netsim.Flow) {
+					rem := sz - fl.Transferred
 					if rem <= 0 {
 						hopFinished()
 						return
@@ -334,7 +334,7 @@ func (fs *FS) readBlockAttempt(client netsim.NodeID, blk Block, label string, do
 		DstPort:   ephemeralPort(fs.rng),
 		SizeBytes: blk.Size,
 		Label:     lbl,
-		OnComplete: func(*netsim.Flow) {
+		OnComplete: func(netsim.Flow) {
 			fs.BytesRead += blk.Size
 			fs.metrics.BlocksRead.Inc()
 			fs.metrics.BytesRead.Add(blk.Size)
@@ -342,7 +342,7 @@ func (fs *FS) readBlockAttempt(client netsim.NodeID, blk Block, label string, do
 				done(replica)
 			}
 		},
-		OnAbort: func(*netsim.Flow) { retry() },
+		OnAbort: func(netsim.Flow) { retry() },
 	})
 	if err != nil {
 		panic(fmt.Sprintf("hdfs: read flow: %v", err))

@@ -176,7 +176,7 @@ func (r *reducer) startFetch(mapIdx int) {
 		DstPort:   32768 + j.rng.Intn(28232),
 		SizeBytes: size,
 		Label:     lbl,
-		OnComplete: func(*netsim.Flow) {
+		OnComplete: func(netsim.Flow) {
 			r.active--
 			if r.dead {
 				return
@@ -186,7 +186,7 @@ func (r *reducer) startFetch(mapIdx int) {
 			j.result.ShuffleBytes += size
 			r.pump()
 		},
-		OnAbort: func(*netsim.Flow) {
+		OnAbort: func(netsim.Flow) {
 			r.active--
 			if r.dead || r.done || j.finished {
 				return

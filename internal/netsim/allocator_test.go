@@ -19,8 +19,8 @@ func buildScenario(t *testing.T, net *Network, seed int64, nFlows int, rec map[u
 		state = state*6364136223846793005 + 1442695040888963407
 		return int((state >> 33) % uint64(n))
 	}
-	record := func(f *Flow) {
-		rec[f.ID()] = flowOutcome{End: f.End(), Aborted: f.Aborted(), Transferred: f.Transferred(), Segments: f.Segments()}
+	record := func(f Flow) {
+		rec[f.ID] = flowOutcome{End: f.End, Aborted: f.Aborted, Transferred: f.Transferred, Segments: f.Segments}
 	}
 	for i := 0; i < nFlows; i++ {
 		src := hosts[next(len(hosts))]
@@ -158,7 +158,7 @@ func TestParkedFlowRevivesOnReallocation(t *testing.T) {
 	done := 0
 	for i := 0; i < 2; i++ {
 		if _, err := net.StartFlow(FlowSpec{Src: h[i], Dst: h[2], SrcPort: i, DstPort: 80, SizeBytes: 10_000_000,
-			OnComplete: func(*Flow) { done++ }}); err != nil {
+			OnComplete: func(Flow) { done++ }}); err != nil {
 			t.Fatal(err)
 		}
 	}

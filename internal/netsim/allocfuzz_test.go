@@ -72,28 +72,28 @@ func FuzzMaxMinFill(f *testing.F) {
 			assertSameBits(t, where, "installed", c.rates, want)
 		}
 
-		var ids []FlowID
+		var ports []int // SrcPort of every flow started, unique per flow
 		for i := 0; i+1 < len(ops); i += 2 {
 			op, arg := ops[i], int(ops[i+1])
 			switch op % 7 {
 			case 0: // start a flow; sizes spread so completions reorder
 				src := hosts[arg%len(hosts)]
 				dst := hosts[(arg/len(hosts)+1+arg)%len(hosts)]
-				id, err := net.StartFlowID(FlowSpec{
+				if _, err := net.StartFlow(FlowSpec{
 					Src: src, Dst: dst, SrcPort: 1000 + i, DstPort: 80,
 					SizeBytes: int64(arg%13+1) * 48 << 10,
-				})
-				if err != nil {
+				}); err != nil {
 					t.Fatal(err)
 				}
-				ids = append(ids, id)
+				ports = append(ports, 1000+i)
 			case 1: // process a bounded number of events, checking each
 				for j := 0; j <= arg%32 && eng.Step(); j++ {
 					check(i)
 				}
-			case 2: // abort an arbitrary past id (stale ids are no-ops)
-				if len(ids) > 0 {
-					_ = net.AbortFlow(ids[arg%len(ids)])
+			case 2: // abort an arbitrary past flow by its port (finished ones are no-ops)
+				if len(ports) > 0 {
+					port := ports[arg%len(ports)]
+					net.AbortFlowsWhere(func(s FlowSpec) bool { return s.SrcPort == port })
 				}
 			case 3: // fail a link: victims reroute or abort
 				if err := net.SetLinkState(LinkID(arg%nl), false); err != nil {

@@ -224,11 +224,11 @@ func (ip *InterPod) Send(spec TransferSpec) error {
 		DstPort:   InterPodPort,
 		SizeBytes: spec.SizeBytes,
 		Label:     spec.Label + "/egress",
-		OnComplete: func(*Flow) {
+		OnComplete: func(Flow) {
 			atomic.AddInt64(&ip.stage1Bytes, spec.SizeBytes)
 			ip.route(spec.SrcPod, spec)
 		},
-		OnAbort: func(*Flow) { ip.abort(spec) },
+		OnAbort: func(Flow) { ip.abort(spec) },
 	})
 	if err != nil {
 		atomic.AddInt64(&ip.aborted, 1)
@@ -285,7 +285,7 @@ func (ip *InterPod) ingress(spec TransferSpec) {
 		DstPort:   InterPodPort,
 		SizeBytes: spec.SizeBytes,
 		Label:     spec.Label + "/ingress",
-		OnComplete: func(*Flow) {
+		OnComplete: func(Flow) {
 			atomic.AddInt64(&ip.stage2Bytes, spec.SizeBytes)
 			atomic.AddInt64(&ip.completed, 1)
 			atomic.AddInt64(&ip.pending, -1)
@@ -293,7 +293,7 @@ func (ip *InterPod) ingress(spec TransferSpec) {
 				spec.OnComplete()
 			}
 		},
-		OnAbort: func(*Flow) { ip.abort(spec) },
+		OnAbort: func(Flow) { ip.abort(spec) },
 	})
 	if err != nil {
 		ip.abort(spec)

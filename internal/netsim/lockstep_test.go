@@ -40,8 +40,8 @@ func lockstepScenario(t *testing.T, net *Network, seed int64, nFlows int, chaos 
 		size := int64(next(60_000_000) + 500)
 		delay := sim.Time(next(1_500_000_000))
 		spec := FlowSpec{Src: src, Dst: dst, SrcPort: 1000 + i, DstPort: 2000, SizeBytes: size}
-		record := func(f *Flow) {
-			rec[f.ID()] = flowOutcome{End: f.End(), Aborted: f.Aborted(), Transferred: f.Transferred(), Segments: f.Segments()}
+		record := func(f Flow) {
+			rec[f.ID] = flowOutcome{End: f.End, Aborted: f.Aborted, Transferred: f.Transferred, Segments: f.Segments}
 		}
 		spec.OnComplete = record
 		spec.OnAbort = record

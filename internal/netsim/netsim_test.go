@@ -156,7 +156,7 @@ func runFlow(t *testing.T, size int64) time.Duration {
 	var dur time.Duration
 	_, err := net.StartFlow(FlowSpec{
 		Src: hosts[0], Dst: hosts[1], SrcPort: 1000, DstPort: 2000, SizeBytes: size,
-		OnComplete: func(f *Flow) { dur = time.Duration(f.End() - f.Start()) },
+		OnComplete: func(f Flow) { dur = time.Duration(f.End - f.Start) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -195,7 +195,7 @@ func TestFairSharingTwoFlowsOneLink(t *testing.T) {
 		src := hosts[i]
 		if _, err := net.StartFlow(FlowSpec{
 			Src: src, Dst: hosts[2], SrcPort: 1000 + i, DstPort: 2000, SizeBytes: 125_000_000,
-			OnComplete: func(f *Flow) { durs[i] = time.Duration(f.End() - f.Start()) },
+			OnComplete: func(f Flow) { durs[i] = time.Duration(f.End - f.Start) },
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -219,14 +219,14 @@ func TestMaxMinUnbottleneckedFlowGetsFullRate(t *testing.T) {
 	net := NewNetwork(eng, topo, Config{})
 	h := topo.Hosts()
 	var indep time.Duration
-	mk := func(src, dst NodeID, onDone func(*Flow)) {
+	mk := func(src, dst NodeID, onDone func(Flow)) {
 		if _, err := net.StartFlow(FlowSpec{Src: src, Dst: dst, SrcPort: 1, DstPort: 2, SizeBytes: 125_000_000, OnComplete: onDone}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	mk(h[0], h[2], nil)
 	mk(h[1], h[2], nil)
-	mk(h[3], h[4], func(f *Flow) { indep = time.Duration(f.End() - f.Start()) })
+	mk(h[3], h[4], func(f Flow) { indep = time.Duration(f.End - f.Start) })
 	if _, err := eng.RunAll(); err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestRateReallocationOnDeparture(t *testing.T) {
 	var durB time.Duration
 	eng.After(500*time.Millisecond, func() {
 		if _, err := net.StartFlow(FlowSpec{Src: h[1], Dst: h[2], SrcPort: 1, DstPort: 2, SizeBytes: 125_000_000,
-			OnComplete: func(f *Flow) { durB = time.Duration(f.End() - f.Start()) }}); err != nil {
+			OnComplete: func(f Flow) { durB = time.Duration(f.End - f.Start) }}); err != nil {
 			t.Error(err)
 		}
 	})
@@ -278,7 +278,7 @@ func TestOversubscribedUplinkBottleneck(t *testing.T) {
 	var durs []time.Duration
 	for i := 0; i < 2; i++ {
 		if _, err := net.StartFlow(FlowSpec{Src: h[i], Dst: h[2+i], SrcPort: 1, DstPort: 2, SizeBytes: 125_000_000,
-			OnComplete: func(f *Flow) { durs = append(durs, time.Duration(f.End()-f.Start())) }}); err != nil {
+			OnComplete: func(f Flow) { durs = append(durs, time.Duration(f.End-f.Start)) }}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -299,7 +299,7 @@ func TestLoopbackFlow(t *testing.T) {
 	h := topo.Hosts()
 	var dur time.Duration
 	if _, err := net.StartFlow(FlowSpec{Src: h[0], Dst: h[0], SrcPort: 1, DstPort: 2, SizeBytes: 125_000_000,
-		OnComplete: func(f *Flow) { dur = time.Duration(f.End() - f.Start()) }}); err != nil {
+		OnComplete: func(f Flow) { dur = time.Duration(f.End - f.Start) }}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.RunAll(); err != nil {
@@ -339,32 +339,42 @@ func TestTapObservesLifecycle(t *testing.T) {
 	h := topo.Hosts()
 	tap := &countingTap{}
 	net.AddTap(tap)
-	if _, err := net.StartFlow(FlowSpec{Src: h[0], Dst: h[1], SrcPort: 5, DstPort: 6, SizeBytes: 1000}); err != nil {
+	id, err := net.StartFlow(FlowSpec{Src: h[0], Dst: h[1], SrcPort: 5, DstPort: 6, SizeBytes: 1000})
+	if err != nil {
 		t.Fatal(err)
+	}
+	if tap.completed != 0 {
+		t.Fatalf("tap saw %d completions before the flow ran", tap.completed)
 	}
 	if _, err := eng.RunAll(); err != nil {
 		t.Fatal(err)
 	}
-	if tap.started != 1 || tap.completed != 1 {
-		t.Errorf("tap saw %d starts, %d completions; want 1, 1", tap.started, tap.completed)
+	if tap.completed != 1 {
+		t.Fatalf("tap saw %d completions; want 1", tap.completed)
+	}
+	if f := tap.last; f.ID != id || f.Spec.SrcPort != 5 || f.Transferred != 1000 || f.Aborted || f.End <= f.Start {
+		t.Errorf("tap saw %+v for flow %d", f, id)
 	}
 	if net.Completed() != 1 || net.TotalBytes() != 1000 {
 		t.Errorf("network stats: %d flows, %v bytes", net.Completed(), net.TotalBytes())
 	}
 }
 
-type countingTap struct{ started, completed int }
+// countingTap counts finished flows and keeps the last one; it allocates
+// nothing, so the zero-allocation fences can attach it.
+type countingTap struct {
+	completed int
+	last      Flow
+}
 
-func (c *countingTap) FlowStarted(*Flow)   { c.started++ }
-func (c *countingTap) FlowCompleted(*Flow) { c.completed++ }
+func (c *countingTap) FlowCompleted(f Flow) { c.completed++; c.last = f }
 
 // rateTap is a RateTap that observes nothing: attaching it makes the
 // network record the rate histories tests read through Flow.Segments.
 type rateTap struct{}
 
-func (rateTap) FlowStarted(*Flow)   {}
-func (rateTap) FlowCompleted(*Flow) {}
-func (rateTap) ReadsRates()         {}
+func (rateTap) FlowCompleted(Flow) {}
+func (rateTap) ReadsRates()        {}
 
 func TestSegmentsRecordRateHistory(t *testing.T) {
 	topo := mustStar(t, 3, Gbps)
@@ -374,7 +384,7 @@ func TestSegmentsRecordRateHistory(t *testing.T) {
 	h := topo.Hosts()
 	var segs []RateSegment
 	if _, err := net.StartFlow(FlowSpec{Src: h[0], Dst: h[2], SrcPort: 1, DstPort: 2, SizeBytes: 250_000_000,
-		OnComplete: func(f *Flow) { segs = f.Segments() }}); err != nil {
+		OnComplete: func(f Flow) { segs = f.Segments }}); err != nil {
 		t.Fatal(err)
 	}
 	// A competing flow arrives at 0.5s, shifting the first flow's rate.
@@ -408,7 +418,7 @@ func TestByteConservationManyFlows(t *testing.T) {
 		delay := time.Duration(i) * 10 * time.Millisecond
 		eng.After(delay, func() {
 			if _, err := net.StartFlow(FlowSpec{Src: src, Dst: dst, SrcPort: 1, DstPort: 2, SizeBytes: size,
-				OnComplete: func(*Flow) { count++ }}); err != nil {
+				OnComplete: func(Flow) { count++ }}); err != nil {
 				t.Error(err)
 			}
 		})

@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -21,11 +20,11 @@ type FlowSpec struct {
 	// carried through to captures for classifier validation.
 	Label string
 	// OnComplete, if non-nil, runs when the last byte is delivered.
-	OnComplete func(*Flow)
+	OnComplete func(Flow)
 	// OnAbort, if non-nil, runs when the flow is torn down before
 	// completion (its path died and no reroute existed, or its endpoint
 	// process was killed). Exactly one of OnComplete/OnAbort fires.
-	OnAbort func(*Flow)
+	OnAbort func(Flow)
 }
 
 // RateSegment records the allocated rate of a flow from Start until the
@@ -37,50 +36,29 @@ type RateSegment struct {
 	RateBps float64
 }
 
-// Flow is the exported handle to an in-flight or finished transfer.
-//
-// The handle is thin: while the flow is in flight it reads through
-// (slot, gen) into the core's parallel slices, and at completion the
-// observable state (end time, transferred bytes, rate segments) is
-// snapshotted into the handle before the slot is recycled — so packet
-// captures retaining handles for lazy synthesis keep working after the
-// storage is reused.
+// Flow is a finished transfer, delivered by value exactly once — to every
+// Tap's FlowCompleted, then to the spec's OnComplete or OnAbort — the
+// instant the flow completes or aborts. Nothing observes a flow in
+// flight, so the network keeps no per-flow handle.
 type Flow struct {
-	id    uint64
-	spec  FlowSpec
-	start sim.Time
-
-	soa  *soaCore
-	slot int32
-	gen  uint32
-
-	// Snapshot of the final observable state, taken the instant the flow
-	// finishes, before its slot returns to the free list.
-	snapped     bool
-	aborted     bool
-	end         sim.Time
-	transferred int64
-	segments    []RateSegment
+	// ID is the network-unique flow identifier StartFlow returned.
+	ID uint64
+	// Spec is the originating specification.
+	Spec FlowSpec
+	// Start is when the flow was opened; End is when its last byte
+	// arrived, or when it was torn down.
+	Start, End sim.Time
+	// Transferred is the bytes actually delivered: SizeBytes for a
+	// completed flow, the partial progress for an aborted one.
+	Transferred int64
+	// Aborted reports that the flow was torn down before delivering all
+	// its bytes (path failure with no reroute, or endpoint death).
+	Aborted bool
+	// Segments is the rate history. It is recorded only while a RateTap
+	// is attached to the network, which must happen before the flow
+	// starts; without one it is nil.
+	Segments []RateSegment
 }
-
-// ID returns the network-unique flow identifier.
-func (f *Flow) ID() uint64 { return f.id }
-
-// Spec returns the originating specification.
-func (f *Flow) Spec() FlowSpec { return f.spec }
-
-// Start returns when the flow was opened.
-func (f *Flow) Start() sim.Time { return f.start }
-
-// Done reports whether the flow has finished (completed or aborted).
-func (f *Flow) Done() bool { return f.snapped }
-
-// Aborted reports whether the flow was torn down before delivering all
-// its bytes (path failure with no reroute, or endpoint death).
-func (f *Flow) Aborted() bool { return f.aborted }
-
-// End returns when the last byte arrived (valid once done).
-func (f *Flow) End() sim.Time { return f.end }
 
 // transferredOf converts a byte residue into delivered bytes.
 func transferredOf(size int64, remaining float64) int64 {
@@ -94,55 +72,11 @@ func transferredOf(size int64, remaining float64) int64 {
 	return size - rem
 }
 
-// Transferred returns the bytes actually delivered so far. For completed
-// flows this equals SizeBytes; for aborted flows it is the partial
-// progress captures should account for.
-func (f *Flow) Transferred() int64 {
-	if f.snapped {
-		return f.transferred
-	}
-	if f.soa.gen[f.slot] == f.gen {
-		return transferredOf(f.spec.SizeBytes, f.soa.remaining[f.slot])
-	}
-	return 0
-}
-
-// Segments returns the rate history (read-only view). History is
-// recorded only while a RateTap is attached to the network, which must
-// happen before the flow starts; without one Segments returns nil.
-func (f *Flow) Segments() []RateSegment {
-	if f.snapped {
-		return f.segments
-	}
-	if f.soa.gen[f.slot] == f.gen {
-		return f.soa.copySegments(f.slot)
-	}
-	return nil
-}
-
-// FlowID returns the flow's compact generation-counted id.
-func (f *Flow) FlowID() FlowID { return FlowID{slot: f.slot, gen: f.gen} }
-
-// FlowID is a compact, generation-counted reference to a flow slot. It
-// stays cheap to store across link-state changes and reroutes (faults
-// hold ids, not pointers), and it can never alias a
-// recycled slot's new occupant: once the flow finishes and the slot is
-// reused, the generation no longer matches and operations return
-// ErrStaleFlow instead of touching the new flow. The zero value is invalid.
-type FlowID struct {
-	slot int32
-	gen  uint32
-}
-
-// ErrStaleFlow is returned for operations on a FlowID whose flow already
-// finished (its slot may have been recycled for a new flow).
-var ErrStaleFlow = errors.New("netsim: stale flow id")
-
-// Tap observes flow lifecycle events, e.g. a ground-truth flow log. Taps
-// are attached with AddTap before flows start.
+// Tap observes finished flows, e.g. a ground-truth flow log. Taps are
+// attached with AddTap before flows start; each sees every flow once,
+// when it completes or aborts, before the spec's own callback runs.
 type Tap interface {
-	FlowStarted(f *Flow)
-	FlowCompleted(f *Flow)
+	FlowCompleted(f Flow)
 }
 
 // RateTap is a Tap that reads Flow.Segments, e.g. a packet capture that
@@ -275,7 +209,7 @@ func (n *Network) Topology() *Topology { return n.topo }
 // Engine returns the simulation engine the network runs on.
 func (n *Network) Engine() *sim.Engine { return n.eng }
 
-// AddTap registers a lifecycle observer. Attaching a RateTap turns on
+// AddTap registers a finished-flow observer. Attaching a RateTap turns on
 // rate-history recording for the flows that start afterwards.
 func (n *Network) AddTap(t Tap) {
 	n.taps = append(n.taps, t)
@@ -311,61 +245,20 @@ func flowHash(s FlowSpec, id uint64) uint64 {
 // their own backoff on top.
 const noRouteTimeout = sim.Time(1_000_000_000)
 
-// checkSpec validates flow endpoints and size for both start entry points.
-func (n *Network) checkSpec(spec FlowSpec) error {
+// StartFlow opens a transfer and returns its flow ID, the Flow.ID its
+// completion reports. It returns an error if src/dst are not hosts or the
+// size is negative. A destination currently unreachable because of link
+// faults is NOT an error: the flow is created and aborts (firing OnAbort,
+// never OnComplete) after a connect timeout, as a real connection attempt
+// into a partition would.
+func (n *Network) StartFlow(spec FlowSpec) (uint64, error) {
 	if !n.topo.IsHost(spec.Src) || !n.topo.IsHost(spec.Dst) {
-		return fmt.Errorf("netsim: flow endpoints must be hosts (%d -> %d)", spec.Src, spec.Dst)
+		return 0, fmt.Errorf("netsim: flow endpoints must be hosts (%d -> %d)", spec.Src, spec.Dst)
 	}
 	if spec.SizeBytes < 0 {
-		return fmt.Errorf("netsim: negative flow size %d", spec.SizeBytes)
+		return 0, fmt.Errorf("netsim: negative flow size %d", spec.SizeBytes)
 	}
-	return nil
-}
-
-// StartFlow opens a transfer. It returns an error if src/dst are not hosts
-// or the size is negative. A destination currently unreachable because of
-// link faults is NOT an error: the flow is created and aborts (firing
-// OnAbort, never OnComplete) after a connect timeout, as a real connection
-// attempt into a partition would.
-func (n *Network) StartFlow(spec FlowSpec) (*Flow, error) {
-	if err := n.checkSpec(spec); err != nil {
-		return nil, err
-	}
-	_, h := n.soa.startFlow(spec, true)
-	return h, nil
-}
-
-// StartFlowID opens a transfer and returns its compact generation-counted
-// id instead of a handle. When the flow needs no handle at all (no taps,
-// no completion callbacks) the start is allocation-free — this is the
-// steady-state entry point.
-func (n *Network) StartFlowID(spec FlowSpec) (FlowID, error) {
-	if err := n.checkSpec(spec); err != nil {
-		return FlowID{}, err
-	}
-	id, _ := n.soa.startFlow(spec, false)
-	return id, nil
-}
-
-// AbortFlow tears down the identified flow before completion, exactly as
-// a fault-injected endpoint death would (OnAbort fires, partial progress
-// stays readable through taps). Aborting a flow that already finished —
-// even if its slot has since been recycled by a new flow — returns
-// ErrStaleFlow and leaves the new occupant untouched.
-func (n *Network) AbortFlow(id FlowID) error {
-	c := n.soa
-	if id.slot < 0 || int(id.slot) >= len(c.gen) || c.gen[id.slot] != id.gen || c.state[id.slot] == slotFree {
-		return ErrStaleFlow
-	}
-	c.abortSlot(id.slot)
-	return nil
-}
-
-// FlowPending reports whether the identified flow is still in flight
-// (false once it completed or aborted and its id went stale).
-func (n *Network) FlowPending(id FlowID) bool {
-	c := n.soa
-	return id.slot >= 0 && int(id.slot) < len(c.gen) && c.gen[id.slot] == id.gen && c.state[id.slot] != slotFree
+	return n.soa.startFlow(spec), nil
 }
 
 // durationFor converts bytes at bps into simulated time, rounding UP to

@@ -9,15 +9,15 @@ import (
 // fanIn starts 96 flows from eight hosts into one (so every arrival and
 // departure moves the survivors' rates), runs them to completion and
 // returns every completed handle in completion order.
-func fanIn(t *testing.T, net *Network) []*Flow {
+func fanIn(t *testing.T, net *Network) []Flow {
 	t.Helper()
 	hosts := net.Topology().Hosts()
-	var done []*Flow
+	var done []Flow
 	for i := 0; i < 96; i++ {
 		spec := FlowSpec{
 			Src: hosts[1+i%(len(hosts)-1)], Dst: hosts[0], SrcPort: 1000 + i, DstPort: 13562,
 			SizeBytes:  int64(256<<10) * int64(1+i%5),
-			OnComplete: func(f *Flow) { done = append(done, f) },
+			OnComplete: func(f Flow) { done = append(done, f) },
 		}
 		net.Engine().After(sim.Time(i)*200_000, func() {
 			if _, err := net.StartFlow(spec); err != nil {
@@ -44,7 +44,7 @@ func fanIn(t *testing.T, net *Network) []*Flow {
 func TestRateHistoryFollowsRateTap(t *testing.T) {
 	for _, transport := range []string{"fluid", "tcp"} {
 		t.Run(transport, func(t *testing.T) {
-			run := func(taps ...Tap) (*Network, []*Flow) {
+			run := func(taps ...Tap) (*Network, []Flow) {
 				net := NewNetwork(sim.New(), mustStar(t, 9, Gbps), Config{Transport: transport, ExpectedFlows: 64})
 				for _, tp := range taps {
 					net.AddTap(tp)
@@ -61,8 +61,8 @@ func TestRateHistoryFollowsRateTap(t *testing.T) {
 				}
 			}
 			for _, f := range bareDone {
-				if segs := f.Segments(); segs != nil {
-					t.Fatalf("flow %d: %d segments without a rate tap", f.ID(), len(segs))
+				if segs := f.Segments; segs != nil {
+					t.Fatalf("flow %d: %d segments without a rate tap", f.ID, len(segs))
 				}
 			}
 
@@ -71,15 +71,15 @@ func TestRateHistoryFollowsRateTap(t *testing.T) {
 			}
 			changes := 0
 			for i, f := range recDone {
-				segs := f.Segments()
-				if len(segs) == 0 || segs[0].Start < f.Start() {
-					t.Fatalf("flow %d: history %v does not start at or after its start %d", f.ID(), segs, f.Start())
+				segs := f.Segments
+				if len(segs) == 0 || segs[0].Start < f.Start {
+					t.Fatalf("flow %d: history %v does not start at or after its start %d", f.ID, segs, f.Start)
 				}
 				changes += len(segs) - 1
 				b := bareDone[i]
-				if b.ID() != f.ID() || b.End() != f.End() || b.Transferred() != f.Transferred() {
+				if b.ID != f.ID || b.End != f.End || b.Transferred != f.Transferred {
 					t.Fatalf("flow %d: recording changed the outcome (end %d/%d, bytes %d/%d)",
-						f.ID(), b.End(), f.End(), b.Transferred(), f.Transferred())
+						f.ID, b.End, f.End, b.Transferred, f.Transferred)
 				}
 			}
 			if changes == 0 {

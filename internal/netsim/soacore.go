@@ -9,13 +9,16 @@ import (
 // soaCore is the flow storage engine: an arena-per-capture,
 // struct-of-arrays layout where every per-flow attribute lives in a
 // parallel slice keyed by an int32 slot id. Slots are recycled through a
-// free list and generation-counted (a stale FlowID can never touch a
-// slot's next occupant), flow paths live in one shared arena indexed by
-// slot × stride, and rate-history segments — recorded only while a
-// RateTap is attached — come from a chunk pool linked by int32 next ids.
+// free list and generation-counted (a pending activation or abort event,
+// or a victim snapshot, can never touch a slot's next occupant), flow
+// paths live in one shared arena indexed by slot × stride, and
+// rate-history segments — recorded only while a RateTap is attached —
+// come from a chunk pool linked by int32 next ids. A flow leaves the core
+// once, as a Flow value built on the stack when it completes or aborts.
 // Together with the engine's event slab and persistent per-slot
 // completion timers, a settled capture loop — start, activate,
-// reallocate, complete, recycle — performs zero heap allocations.
+// reallocate, complete, recycle — performs zero heap allocations, with
+// taps and completion callbacks attached.
 //
 // Its trajectories are fenced by committed golden digests of whole
 // captures and of per-flow outcomes, and its allocations are checked
@@ -40,7 +43,6 @@ type soaCore struct {
 	remaining []float64 // bytes
 	rate      []float64 // bps
 	listIdx   []int32
-	handle    []*Flow
 	// completeEv[s] is the slot's persistent completion timer, created on
 	// the slot's first completion scheduling and re-armed by every
 	// subsequent occupant — one event allocation per slot, ever.
@@ -131,13 +133,26 @@ const (
 	slotActive                   // transferring, in the active list
 )
 
-func encodeSlotGen(s int32, g uint32) uint64 {
-	return uint64(uint32(s)) | uint64(g)<<32
+// slotRef pins one occupant of a slot: it goes stale when the slot is
+// freed, so a pending event or a snapshot of victims never reaches a
+// recycled slot's next flow.
+type slotRef struct {
+	slot int32
+	gen  uint32
 }
 
-func decodeSlotGen(arg uint64) (int32, uint32) {
-	return int32(uint32(arg)), uint32(arg >> 32)
+// ref pins slot s's current occupant.
+func (c *soaCore) ref(s int32) slotRef { return slotRef{slot: s, gen: c.gen[s]} }
+
+// live reports whether r's occupant still holds its slot.
+func (c *soaCore) live(r slotRef) bool {
+	return c.gen[r.slot] == r.gen && c.state[r.slot] != slotFree
 }
+
+// arg packs r into an engine callback argument; refOf unpacks it.
+func (r slotRef) arg() uint64 { return uint64(uint32(r.slot)) | uint64(r.gen)<<32 }
+
+func refOf(arg uint64) slotRef { return slotRef{slot: int32(uint32(arg)), gen: uint32(arg >> 32)} }
 
 func newSoaCore(nw *Network, tr Transport) *soaCore {
 	nl := len(nw.topo.links)
@@ -204,7 +219,6 @@ func (c *soaCore) reserve(peak int) {
 	c.remaining = growCap(c.remaining, peak)
 	c.rate = growCap(c.rate, peak)
 	c.listIdx = growCap(c.listIdx, peak)
-	c.handle = growCap(c.handle, peak)
 	c.completeEv = growCap(c.completeEv, peak)
 	c.due = growCap(c.due, peak)
 	c.ticket = growCap(c.ticket, peak)
@@ -256,7 +270,6 @@ func (c *soaCore) allocSlot() int32 {
 	c.remaining = append(c.remaining, 0)
 	c.rate = append(c.rate, 0)
 	c.listIdx = append(c.listIdx, -1)
-	c.handle = append(c.handle, nil)
 	c.completeEv = append(c.completeEv, sim.Event{})
 	c.due = append(c.due, noDue)
 	c.ticket = append(c.ticket, 0)
@@ -273,8 +286,8 @@ func (c *soaCore) allocSlot() int32 {
 }
 
 // freeSlot recycles a slot: the generation bump invalidates every
-// outstanding FlowID/handle reference and the spec (with its callback
-// closures) is dropped so finished flows hold nothing alive.
+// outstanding slot reference and the spec (with its callback closures) is
+// dropped so finished flows hold nothing alive.
 func (c *soaCore) freeSlot(s int32) {
 	c.cancelCompletion(s)
 	c.recycleSegments(s)
@@ -282,7 +295,6 @@ func (c *soaCore) freeSlot(s int32) {
 	c.state[s] = slotFree
 	c.listIdx[s] = -1
 	c.pathLen[s] = 0
-	c.handle[s] = nil
 	c.spec[s] = FlowSpec{}
 	c.freeSlots = append(c.freeSlots, s)
 }
@@ -397,7 +409,7 @@ func (c *soaCore) recycleSegments(s int32) {
 }
 
 // copySegments materialises slot s's rate history as an exact-size slice
-// (used for completion snapshots and live Segments() reads).
+// for the finished Flow value.
 func (c *soaCore) copySegments(s int32) []RateSegment {
 	n := int(c.segCount[s])
 	if n == 0 {
@@ -411,29 +423,19 @@ func (c *soaCore) copySegments(s int32) []RateSegment {
 	return out
 }
 
-// startFlow books a slot for the validated spec. A handle is built only
-// when someone can observe it (caller, taps, or completion callbacks) —
-// the id-only steady-state path allocates nothing.
-func (c *soaCore) startFlow(spec FlowSpec, wantHandle bool) (FlowID, *Flow) {
-	now := c.eng.Now()
+// startFlow books a slot for the validated spec and returns its flow ID.
+func (c *soaCore) startFlow(spec FlowSpec) uint64 {
 	s := c.allocSlot()
 	fid := c.seq
 	c.seq++
 	c.fid[s] = fid
 	c.spec[s] = spec
-	c.start[s] = now
+	c.start[s] = c.eng.Now()
 	c.remaining[s] = float64(spec.SizeBytes)
 	c.rate[s] = 0
 	c.due[s] = noDue
 	c.state[s] = slotPropagating
 	c.nw.metrics.FlowsStarted.Inc()
-
-	var h *Flow
-	if wantHandle || len(c.nw.taps) > 0 || spec.OnComplete != nil || spec.OnAbort != nil {
-		h = &Flow{id: fid, spec: spec, start: now, soa: c, slot: s, gen: c.gen[s]}
-		c.handle[s] = h
-	}
-	id := FlowID{slot: s, gen: c.gen[s]}
 
 	var latency int64
 	if spec.Src != spec.Dst {
@@ -441,31 +443,25 @@ func (c *soaCore) startFlow(spec FlowSpec, wantHandle bool) (FlowID, *Flow) {
 			// Partitioned: park the flow and abort after the connect
 			// timeout. (Build guarantees full reachability, so this only
 			// happens once link faults are in play.)
-			for _, t := range c.nw.taps {
-				t.FlowStarted(h)
-			}
-			c.eng.AfterCall(noRouteTimeout, c.abortCb, encodeSlotGen(s, c.gen[s]))
-			return id, h
+			c.eng.AfterCall(noRouteTimeout, c.abortCb, c.ref(s).arg())
+			return fid
 		}
 		latency = c.topo.PathLatencyNs(c.path(s))
 	} else {
 		latency = 10_000 // 10 µs loopback
 	}
 
-	for _, t := range c.nw.taps {
-		t.FlowStarted(h)
-	}
-
 	// The flow starts transferring after propagation latency.
-	c.eng.AfterCall(sim.Time(latency), c.activateCb, encodeSlotGen(s, c.gen[s]))
-	return id, h
+	c.eng.AfterCall(sim.Time(latency), c.activateCb, c.ref(s).arg())
+	return fid
 }
 
 // activate fires after the propagation latency: the flow joins the
 // active set (or the loopback fast path) and the allocation goes dirty.
 func (c *soaCore) activate(arg uint64) {
-	s, g := decodeSlotGen(arg)
-	if c.gen[s] != g || c.state[s] != slotPropagating {
+	r := refOf(arg)
+	s := r.slot
+	if !c.live(r) || c.state[s] != slotPropagating {
 		return // aborted while still propagating
 	}
 	now := c.eng.Now()
@@ -500,11 +496,9 @@ func (c *soaCore) activate(arg uint64) {
 }
 
 func (c *soaCore) abortByArg(arg uint64) {
-	s, g := decodeSlotGen(arg)
-	if c.gen[s] != g || c.state[s] == slotFree {
-		return
+	if r := refOf(arg); c.live(r) {
+		c.abortSlot(r.slot)
 	}
-	c.abortSlot(s)
 }
 
 func (c *soaCore) finishByArg(arg uint64) {
@@ -744,9 +738,8 @@ func (c *soaCore) removeActive(s int32) {
 }
 
 // abortSlot tears a flow down before completion: it leaves the active
-// set, its partial progress is snapshotted into the handle (readable via
-// Transferred), taps observe the (aborted) completion, and OnAbort — not
-// OnComplete — fires.
+// set, taps observe the aborted Flow with its partial progress in
+// Transferred, and OnAbort — not OnComplete — fires.
 func (c *soaCore) abortSlot(s int32) {
 	switch c.state[s] {
 	case slotFree:
@@ -761,19 +754,20 @@ func (c *soaCore) abortSlot(s int32) {
 }
 
 // completeSlot retires a finished (or aborted) flow: counters and
-// telemetry update, the handle — if any observer holds one — receives its
-// final-state snapshot, the slot returns to the free list, and only then
-// do taps and the owner callback run, so they are free to start new flows
-// that reuse the storage.
+// telemetry update, its final state is copied into a Flow value, the slot
+// returns to the free list, and only then do taps and the owner callback
+// receive the value, so they are free to start new flows that reuse the
+// storage.
 func (c *soaCore) completeSlot(s int32, aborted bool) {
 	spec := c.spec[s]
-	h := c.handle[s]
-	if h != nil {
-		h.snapped = true
-		h.aborted = aborted
-		h.end = c.eng.Now()
-		h.transferred = transferredOf(spec.SizeBytes, c.remaining[s])
-		h.segments = c.copySegments(s)
+	f := Flow{
+		ID:          c.fid[s],
+		Spec:        spec,
+		Start:       c.start[s],
+		End:         c.eng.Now(),
+		Transferred: transferredOf(spec.SizeBytes, c.remaining[s]),
+		Aborted:     aborted,
+		Segments:    c.copySegments(s),
 	}
 	if aborted {
 		c.nw.abortedCount++
@@ -786,14 +780,14 @@ func (c *soaCore) completeSlot(s int32, aborted bool) {
 	}
 	c.freeSlot(s)
 	for _, t := range c.nw.taps {
-		t.FlowCompleted(h)
+		t.FlowCompleted(f)
 	}
 	if aborted {
 		if spec.OnAbort != nil {
-			spec.OnAbort(h)
+			spec.OnAbort(f)
 		}
 	} else if spec.OnComplete != nil {
-		spec.OnComplete(h)
+		spec.OnComplete(f)
 	}
 }
 
@@ -809,15 +803,15 @@ func (c *soaCore) setLinkState(lid LinkID, up bool) error {
 	}
 	c.nw.metrics.LinkTransitions.Inc()
 	if down {
-		// Snapshot as generation-checked ids: rerouting mutates the
+		// Snapshot as generation-checked refs: rerouting mutates the
 		// per-link index in place, and an abort callback could recycle a
 		// victim's slot for a brand-new flow mid-loop.
-		victims := make([]FlowID, 0, len(c.linkFlows[lid]))
+		victims := make([]slotRef, 0, len(c.linkFlows[lid]))
 		for _, s := range c.linkFlows[lid] {
-			victims = append(victims, FlowID{slot: s, gen: c.gen[s]})
+			victims = append(victims, c.ref(s))
 		}
 		for _, v := range victims {
-			if c.gen[v.slot] == v.gen && c.state[v.slot] == slotActive {
+			if c.live(v) && c.state[v.slot] == slotActive {
 				c.rerouteOrAbort(v.slot)
 			}
 		}
@@ -846,14 +840,14 @@ func (c *soaCore) rerouteOrAbort(s int32) {
 
 // abortFlowsWhere is the core half of Network.AbortFlowsWhere.
 func (c *soaCore) abortFlowsWhere(pred func(FlowSpec) bool) int {
-	victims := make([]FlowID, 0, 4)
+	victims := make([]slotRef, 0, 4)
 	for _, s := range c.active {
 		if pred(c.spec[s]) {
-			victims = append(victims, FlowID{slot: s, gen: c.gen[s]})
+			victims = append(victims, c.ref(s))
 		}
 	}
 	for _, v := range victims {
-		if c.gen[v.slot] == v.gen && c.state[v.slot] != slotFree {
+		if c.live(v) {
 			c.abortSlot(v.slot)
 		}
 	}

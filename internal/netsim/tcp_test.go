@@ -85,10 +85,10 @@ func runIncast(t *testing.T, transport string, fanin int, sizeBytes int64) incas
 	for i := 0; i < fanin; i++ {
 		if _, err := net.StartFlow(FlowSpec{
 			Src: hosts[i+1], Dst: hosts[0], SrcPort: 10000 + i, DstPort: 13562, SizeBytes: sizeBytes,
-			OnComplete: func(f *Flow) {
-				fct := time.Duration(f.End() - f.Start())
+			OnComplete: func(f Flow) {
+				fct := time.Duration(f.End - f.Start)
 				res.fcts = append(res.fcts, fct)
-				if end := time.Duration(f.End()); end > res.makespan {
+				if end := time.Duration(f.End); end > res.makespan {
 					res.makespan = end
 				}
 			},
@@ -154,7 +154,7 @@ func TestTCPSingleFlowNearCapacity(t *testing.T) {
 	const size = 125_000_000 // 1 s at line rate
 	if _, err := net.StartFlow(FlowSpec{
 		Src: hosts[0], Dst: hosts[1], SrcPort: 1000, DstPort: 2000, SizeBytes: size,
-		OnComplete: func(f *Flow) { dur = time.Duration(f.End() - f.Start()) },
+		OnComplete: func(f Flow) { dur = time.Duration(f.End - f.Start) },
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestTCPRerouteKeepsWindowBounded(t *testing.T) {
 	done := false
 	if _, err := net.StartFlow(FlowSpec{
 		Src: hosts[0], Dst: hosts[2], SrcPort: 1, DstPort: 2, SizeBytes: 64 << 20,
-		OnComplete: func(*Flow) { done = true },
+		OnComplete: func(Flow) { done = true },
 	}); err != nil {
 		t.Fatal(err)
 	}

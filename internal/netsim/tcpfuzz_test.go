@@ -35,7 +35,6 @@ func FuzzTCPStep(f *testing.F) {
 		net := NewNetwork(eng, topo, Config{Transport: "tcp", ExpectedFlows: 32})
 		hosts := topo.Hosts()
 
-		flows := make([]FlowID, 0, 64)
 		started := 0
 		for i, op := range script {
 			arg := int(op >> 4)
@@ -44,15 +43,13 @@ func FuzzTCPStep(f *testing.F) {
 				if started >= 64 {
 					break
 				}
-				id, err := net.StartFlowID(FlowSpec{
+				if _, err := net.StartFlow(FlowSpec{
 					Src: hosts[1+started%8], Dst: hosts[0],
 					SrcPort: 1000 + started, DstPort: 13562,
 					SizeBytes: int64(16<<10) << uint(arg%6),
-				})
-				if err != nil {
+				}); err != nil {
 					t.Fatal(err)
 				}
-				flows = append(flows, id)
 				started++
 			case 4, 5, 6: // advance simulated time by arg-scaled steps
 				until := eng.Now() + sim.Time(1+arg)*sim.Time(500_000)
@@ -77,9 +74,10 @@ func FuzzTCPStep(f *testing.F) {
 				if err := net.SetLinkState(LinkID(arg%topo.NumLinks()), true); err != nil {
 					t.Fatalf("op %d: %v", i, err)
 				}
-			case 11: // abort one tracked flow (stale ids are fine)
-				if len(flows) > 0 {
-					_ = net.AbortFlow(flows[arg%len(flows)])
+			case 11: // abort one started flow by its port (finished ones are fine)
+				if started > 0 {
+					port := 1000 + arg%started
+					net.AbortFlowsWhere(func(s FlowSpec) bool { return s.SrcPort == port })
 				}
 			default: // abort by predicate
 				net.AbortFlowsWhere(func(s FlowSpec) bool { return s.SrcPort%16 == arg })

@@ -39,7 +39,7 @@ func TestSetLinkCapacityScaleEdgeCases(t *testing.T) {
 			var done bool
 			if _, err := net.StartFlow(FlowSpec{
 				Src: hosts[0], Dst: hosts[1], SrcPort: 1, DstPort: 2, SizeBytes: 12_500_000,
-				OnComplete: func(*Flow) { done = true },
+				OnComplete: func(Flow) { done = true },
 			}); err != nil {
 				t.Fatal(err)
 			}
@@ -111,7 +111,7 @@ func TestReachableUnderFaults(t *testing.T) {
 			var aborted bool
 			if _, err := net.StartFlow(FlowSpec{
 				Src: hosts[0], Dst: hosts[1], SizeBytes: 1 << 20,
-				OnAbort: func(*Flow) { aborted = true },
+				OnAbort: func(Flow) { aborted = true },
 			}); err != nil {
 				t.Fatal(err)
 			}
@@ -154,8 +154,8 @@ func TestAbortFlowsWhereEdgeCases(t *testing.T) {
 				t.Helper()
 				if _, err := net.StartFlow(FlowSpec{
 					Src: src, Dst: dst, SrcPort: port, DstPort: 13562, SizeBytes: 8 << 20,
-					OnComplete: func(*Flow) { completes++ },
-					OnAbort:    func(*Flow) { aborts++ },
+					OnComplete: func(Flow) { completes++ },
+					OnAbort:    func(Flow) { aborts++ },
 				}); err != nil {
 					t.Fatal(err)
 				}

@@ -18,7 +18,7 @@ const MSS = 1448
 const DefaultMaxPacketsPerFlow = 2048
 
 // FlowLog taps a netsim.Network for ground truth alone: one FlowRecord
-// per finished flow, in completion order. It retains no *netsim.Flow and
+// per finished flow, in completion order. It retains no netsim.Flow and
 // reads no rate history, so a network observed only by flow logs records
 // none (see netsim.RateTap). The pipeline stages that consume flow records
 // — core.CaptureWith and core.ReplayWith — attach a FlowLog; a Capture
@@ -46,22 +46,18 @@ func (l *FlowLog) SetHostOffset(n int) {
 	}
 }
 
-// FlowStarted implements netsim.Tap.
-func (l *FlowLog) FlowStarted(*netsim.Flow) {}
-
 // FlowCompleted implements netsim.Tap: records the flow's ground truth.
-func (l *FlowLog) FlowCompleted(f *netsim.Flow) {
+func (l *FlowLog) FlowCompleted(f netsim.Flow) {
 	// Aborted flows (fault-injection teardowns) record the bytes that
 	// actually crossed the wire, not the intended size; for completed
 	// flows Transferred equals SizeBytes exactly.
-	spec := f.Spec()
 	l.truth = append(l.truth, FlowRecord{
-		Key:     basePacket(spec, l.offset).Key(),
-		FirstNs: int64(f.Start()),
-		LastNs:  int64(f.End()),
-		Bytes:   f.Transferred(),
+		Key:     basePacket(f.Spec, l.offset).Key(),
+		FirstNs: int64(f.Start),
+		LastNs:  int64(f.End),
+		Bytes:   f.Transferred,
 		Packets: 0,
-		Label:   spec.Label,
+		Label:   f.Spec.Label,
 	})
 }
 
@@ -85,15 +81,15 @@ func basePacket(spec netsim.FlowSpec, offset int) Packet {
 }
 
 // Capture taps a netsim.Network, synthesising packet records from
-// completed flows' rate histories on top of the ground-truth records its
+// finished flows' rate histories on top of the ground-truth records its
 // embedded FlowLog keeps. It is a netsim.RateTap: attaching one makes the
-// network record every flow's rate history, and a buffered Capture
-// retains every finished flow with its history until Packets() is
+// network record every flow's rate history, and a buffered Capture keeps
+// every finished netsim.Flow value, history included, until Packets() is
 // called. Consumers that need flow records alone attach a FlowLog
 // instead. All state is owned by the single-threaded simulation loop.
 //
 // Packet synthesis is lazy in the buffered mode: FlowCompleted only
-// retains the finished flow, and the packet train is synthesised on the
+// keeps the finished flow, and the packet train is synthesised on the
 // first Packets() call. Streaming captures synthesise eagerly, since the
 // sink wants packets as they happen, and retain no flows.
 type Capture struct {
@@ -102,7 +98,7 @@ type Capture struct {
 	packets []Packet
 	// pending holds completed flows whose packet trains have not been
 	// synthesised yet (buffered mode only; completion order).
-	pending []*netsim.Flow
+	pending []netsim.Flow
 	// sink, if set, receives packets instead of the in-memory buffer
 	// (used to stream straight to a trace file).
 	sink func(Packet) error
@@ -141,7 +137,7 @@ func (c *Capture) ReadsRates() {}
 // FlowCompleted implements netsim.Tap: records ground truth and either
 // streams the flow's packet train to the sink or defers synthesis until
 // Packets() is called.
-func (c *Capture) FlowCompleted(f *netsim.Flow) {
+func (c *Capture) FlowCompleted(f netsim.Flow) {
 	c.FlowLog.FlowCompleted(f)
 	if c.sink == nil {
 		c.pending = append(c.pending, f)
@@ -153,7 +149,7 @@ func (c *Capture) FlowCompleted(f *netsim.Flow) {
 // synthesize emits the flow's packet train (SYN, paced data, FIN) to the
 // sink or the in-memory buffer. The train itself is built by appendTrain
 // into a reused scratch buffer.
-func (c *Capture) synthesize(f *netsim.Flow) {
+func (c *Capture) synthesize(f netsim.Flow) {
 	c.train = appendTrain(c.train[:0], f, c.maxPkts, c.offset)
 	for _, p := range c.train {
 		if c.err != nil {
@@ -174,11 +170,11 @@ func (c *Capture) synthesize(f *netsim.Flow) {
 // (at most maxPkts records in total), and a FIN — or RST for an aborted
 // flow — at flow end. It is pure over the flow's observable state, so
 // invariant checks can rebuild a train without touching the capture.
-func appendTrain(dst []Packet, f *netsim.Flow, maxPkts, offset int) []Packet {
-	base := basePacket(f.Spec(), offset)
+func appendTrain(dst []Packet, f netsim.Flow, maxPkts, offset int) []Packet {
+	base := basePacket(f.Spec, offset)
 
-	startNs := int64(f.Start())
-	endNs := int64(f.End())
+	startNs := int64(f.Start)
+	endNs := int64(f.End)
 
 	// SYN opens the connection at flow start.
 	syn := base
@@ -188,7 +184,7 @@ func appendTrain(dst []Packet, f *netsim.Flow, maxPkts, offset int) []Packet {
 
 	// Data records paced across the flow's rate segments. Aborted flows
 	// pace only the bytes that made it onto the wire.
-	total := f.Transferred()
+	total := f.Transferred
 	if total > 0 {
 		chunk := int64(MSS)
 		if budget := int64(maxPkts - 2); budget > 0 && total/chunk > budget {
@@ -197,7 +193,7 @@ func appendTrain(dst []Packet, f *netsim.Flow, maxPkts, offset int) []Packet {
 			// No room for more than one data record between SYN and FIN.
 			chunk = total
 		}
-		segs := f.Segments()
+		segs := f.Segments
 		emitted := int64(0)
 		for si, seg := range segs {
 			segStart := int64(seg.Start)
@@ -251,7 +247,7 @@ func appendTrain(dst []Packet, f *netsim.Flow, maxPkts, offset int) []Packet {
 	fin := base
 	fin.TsNs = endNs
 	fin.Flags = FlagFIN
-	if f.Aborted() {
+	if f.Aborted {
 		fin.Flags = FlagRST
 	}
 	return append(dst, fin)
@@ -315,22 +311,22 @@ func (c *Capture) VerifyTrains() error {
 	for _, f := range c.pending {
 		train := appendTrain(nil, f, c.maxPkts, c.offset)
 		if err := CheckTrain(train); err != nil {
-			return fmt.Errorf("flow %d (%s): %w", f.ID(), f.Spec().Label, err)
+			return fmt.Errorf("flow %d (%s): %w", f.ID, f.Spec.Label, err)
 		}
 		last := train[len(train)-1]
-		if train[0].TsNs != int64(f.Start()) || last.TsNs != int64(f.End()) {
+		if train[0].TsNs != int64(f.Start) || last.TsNs != int64(f.End) {
 			return fmt.Errorf("pcap: flow %d train spans [%d, %d], flow spans [%d, %d]",
-				f.ID(), train[0].TsNs, last.TsNs, int64(f.Start()), int64(f.End()))
+				f.ID, train[0].TsNs, last.TsNs, int64(f.Start), int64(f.End))
 		}
-		if f.Aborted() != (last.Flags == FlagRST) {
-			return fmt.Errorf("pcap: flow %d aborted=%v but train closes with flags %#x", f.ID(), f.Aborted(), last.Flags)
+		if f.Aborted != (last.Flags == FlagRST) {
+			return fmt.Errorf("pcap: flow %d aborted=%v but train closes with flags %#x", f.ID, f.Aborted, last.Flags)
 		}
 		var data int64
 		for _, p := range train[1 : len(train)-1] {
 			data += int64(p.Len)
 		}
-		if data != f.Transferred() {
-			return fmt.Errorf("pcap: flow %d train carries %d data bytes, flow moved %d", f.ID(), data, f.Transferred())
+		if data != f.Transferred {
+			return fmt.Errorf("pcap: flow %d train carries %d data bytes, flow moved %d", f.ID, data, f.Transferred)
 		}
 	}
 	for i, tr := range c.truth {

@@ -192,7 +192,7 @@ func TestFlowRecordDuration(t *testing.T) {
 // included, and a network observed only by a FlowLog records no rate
 // history — its completed flows carry no Segments.
 func TestFlowLogRecordsTruthWithoutHistory(t *testing.T) {
-	run := func(tap netsim.Tap) []*netsim.Flow {
+	run := func(tap netsim.Tap) []netsim.Flow {
 		topo, err := netsim.Star(4, netsim.Gbps)
 		if err != nil {
 			t.Fatal(err)
@@ -200,13 +200,13 @@ func TestFlowLogRecordsTruthWithoutHistory(t *testing.T) {
 		eng := sim.New()
 		net := netsim.NewNetwork(eng, topo, netsim.Config{})
 		net.AddTap(tap)
-		var done []*netsim.Flow
+		var done []netsim.Flow
 		h := topo.Hosts()
 		for i := 0; i < 6; i++ {
 			if _, err := net.StartFlow(netsim.FlowSpec{
 				Src: h[i%len(h)], Dst: h[(i+1)%len(h)], SrcPort: 1000 + i, DstPort: 13562,
 				SizeBytes: int64(1+i) << 20, Label: "job/shuffle",
-				OnComplete: func(f *netsim.Flow) { done = append(done, f) },
+				OnComplete: func(f netsim.Flow) { done = append(done, f) },
 			}); err != nil {
 				t.Fatal(err)
 			}
@@ -226,15 +226,15 @@ func TestFlowLogRecordsTruthWithoutHistory(t *testing.T) {
 	if len(got) != 6 || !slices.Equal(got, want) {
 		t.Fatalf("flow log truth %v, capture truth %v", got, want)
 	}
-	if got[0].Key.Src != HostAddr(40+int(logged[0].Spec().Src)) {
+	if got[0].Key.Src != HostAddr(40+int(logged[0].Spec.Src)) {
 		t.Errorf("host offset not applied: %v", got[0].Key)
 	}
 	for i, f := range logged {
-		if f.Segments() != nil {
-			t.Errorf("flow %d recorded rate history under a flow log", f.ID())
+		if f.Segments != nil {
+			t.Errorf("flow %d recorded rate history under a flow log", f.ID)
 		}
-		if len(captured[i].Segments()) == 0 {
-			t.Errorf("flow %d recorded no rate history under a capture", captured[i].ID())
+		if len(captured[i].Segments) == 0 {
+			t.Errorf("flow %d recorded no rate history under a capture", captured[i].ID)
 		}
 	}
 }

@@ -299,17 +299,9 @@ func (e *Engine) After(d Time, fn func()) Event {
 	return e.schedule(e.now+d, fn, nil, 0)
 }
 
-// AtCall is At for the closure-free callback form: cb(arg) runs at t.
-// Passing a long-lived func value (stored once by the caller) makes
-// scheduling allocation-free.
-func (e *Engine) AtCall(t Time, cb func(uint64), arg uint64) (Event, error) {
-	if t < e.now {
-		return Event{}, fmt.Errorf("%w: schedule at %v before now %v", ErrPast, t, e.now)
-	}
-	return e.schedule(t, nil, cb, arg), nil
-}
-
-// AfterCall is After for the closure-free callback form.
+// AfterCall is After for the closure-free callback form: cb(arg) runs d
+// after the current time. Passing a long-lived func value (stored once by
+// the caller) makes scheduling allocation-free.
 func (e *Engine) AfterCall(d Time, cb func(uint64), arg uint64) Event {
 	if d < 0 {
 		d = 0

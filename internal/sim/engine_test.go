@@ -286,17 +286,13 @@ func TestTimerReArmAndCancel(t *testing.T) {
 	}
 }
 
-func TestAtCallPassesArg(t *testing.T) {
+func TestAfterCallPassesArg(t *testing.T) {
 	e := New()
 	var got []uint64
 	cb := func(arg uint64) { got = append(got, arg) }
-	if _, err := e.AtCall(time.Second, cb, 7); err != nil {
-		t.Fatal(err)
-	}
+	e.AfterCall(time.Second, cb, 7)
 	e.AfterCall(2*time.Second, cb, 9)
-	if _, err := e.AtCall(0, cb, 1); err != nil {
-		t.Fatal(err)
-	}
+	e.AfterCall(0, cb, 1)
 	if _, err := e.RunAll(); err != nil {
 		t.Fatal(err)
 	}
