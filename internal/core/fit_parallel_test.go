@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"keddah/internal/workload"
@@ -25,8 +26,16 @@ func lockstepCorpus(t *testing.T) *TraceSet {
 	return ts
 }
 
+// fitAt runs FitWith with the worker pool sized to procs (GOMAXPROCS),
+// restoring the previous setting afterwards.
+func fitAt(ts *TraceSet, opts FitOptions, procs int) (*Model, error) {
+	prev := runtime.GOMAXPROCS(procs)
+	defer runtime.GOMAXPROCS(prev)
+	return FitWith(ts, opts, nil)
+}
+
 // TestFitParallelLockstep proves the worker pool cannot change the
-// model: the serialised JSON of a serial fit (Workers=1) and wide
+// model: the serialised JSON of a serial fit (GOMAXPROCS=1) and wide
 // parallel fits must be byte-identical. Under -race this also exercises
 // the shared Sample caches from concurrent fit tasks.
 func TestFitParallelLockstep(t *testing.T) {
@@ -34,7 +43,7 @@ func TestFitParallelLockstep(t *testing.T) {
 
 	encode := func(workers int) []byte {
 		t.Helper()
-		m, err := FitWith(ts, FitOptions{Workers: workers}, nil)
+		m, err := fitAt(ts, FitOptions{}, workers)
 		if err != nil {
 			t.Fatalf("Fit(workers=%d): %v", workers, err)
 		}
@@ -49,7 +58,7 @@ func TestFitParallelLockstep(t *testing.T) {
 	if len(serial) == 0 {
 		t.Fatal("serial fit produced empty JSON")
 	}
-	for _, workers := range []int{0, 2, 8} {
+	for _, workers := range []int{2, 8} {
 		par := encode(workers)
 		if !bytes.Equal(serial, par) {
 			t.Fatalf("Fit(workers=%d) JSON differs from serial fit (%d vs %d bytes)",
@@ -68,11 +77,9 @@ func TestFitParallelLockstep(t *testing.T) {
 // include zero, so the corpus below fails deterministically.
 func TestFitWorkersErrorDeterministic(t *testing.T) {
 	ts := lockstepCorpus(t)
-	opts := func(w int) FitOptions {
-		return FitOptions{MinSamples: 1, Workers: w}
-	}
-	m1, err1 := FitWith(ts, opts(1), nil)
-	m8, err8 := FitWith(ts, opts(8), nil)
+	opts := FitOptions{MinSamples: 1}
+	m1, err1 := fitAt(ts, opts, 1)
+	m8, err8 := fitAt(ts, opts, 8)
 	if (err1 == nil) != (err8 == nil) {
 		t.Fatalf("serial err = %v, parallel err = %v", err1, err8)
 	}

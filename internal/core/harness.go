@@ -245,11 +245,11 @@ func CaptureWith(spec ClusterSpec, runSpecs []workload.RunSpec, opts CaptureOpts
 	truth := attachTruth(cluster.Net)
 	var checker *invariants.Checker
 	if opts.StrictChecks || invariants.BuildEnabled {
-		var copts invariants.Options
+		var tracer *telemetry.Tracer
 		if opts.Telemetry != nil {
-			copts.Tracer = opts.Telemetry.Trace
+			tracer = opts.Telemetry.Trace
 		}
-		checker = invariants.Attach(cluster, copts)
+		checker = invariants.Attach(cluster, tracer)
 	}
 	var probe *netsim.UtilizationProbe
 	if tel := opts.Telemetry; tel != nil && tel.Links != nil {

@@ -125,12 +125,6 @@ type FitOptions struct {
 	// MinSamples is the minimum flow count to fit a law from
 	// (default 8); smaller samples fall back to a Constant at the mean.
 	MinSamples int
-	// Workers bounds the fit worker pool: the per-(workload, phase)
-	// fitting tasks run on up to Workers goroutines (0 = GOMAXPROCS,
-	// 1 = serial). Every task is an independent pure function and the
-	// results are assembled in a fixed order, so the fitted model —
-	// including its serialised JSON — is byte-identical at any width.
-	Workers int
 }
 
 func (o FitOptions) withDefaults() FitOptions {
@@ -146,9 +140,12 @@ func (o FitOptions) withDefaults() FitOptions {
 // phase start offsets, and derives the structural count scaling.
 //
 // The stage is split in two: a cheap serial pooling pass per workload,
-// then the expensive distribution fitting fanned out over a bounded
-// worker pool with one task per (workload, phase) plus one for the
-// cluster background model (see FitOptions.Workers).
+// then the expensive distribution fitting fanned out over a pool of
+// GOMAXPROCS goroutines with one task per (workload, phase) plus one for
+// the cluster background model. Every task is an independent pure
+// function and the results are assembled in a fixed order, so the fitted
+// model — including its serialised JSON — is byte-identical at any
+// GOMAXPROCS.
 //
 // A non-nil tel counts each successful fit and adds its wall time to a
 // volatile gauge; a nil tel records nothing.
@@ -196,7 +193,7 @@ func FitWith(ts *TraceSet, opts FitOptions, tel *telemetry.Telemetry) (*Model, e
 	if fitBG {
 		tasks = append(tasks, func() { bg, bgErr = fitBackground(ts, opts) })
 	}
-	runTasks(tasks, opts.Workers)
+	runTasks(tasks)
 
 	// Assemble in deterministic (workload, phase) order; the first
 	// failure in that order wins, whatever finished first.
@@ -222,12 +219,10 @@ func FitWith(ts *TraceSet, opts FitOptions, tel *telemetry.Telemetry) (*Model, e
 	return model, nil
 }
 
-// runTasks drains tasks on up to workers goroutines (0 = GOMAXPROCS,
-// 1 or a single task = inline serial execution).
-func runTasks(tasks []func(), workers int) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+// runTasks drains tasks on up to GOMAXPROCS goroutines (GOMAXPROCS=1 or
+// a single task = inline serial execution).
+func runTasks(tasks []func()) {
+	workers := runtime.GOMAXPROCS(0)
 	if workers > len(tasks) {
 		workers = len(tasks)
 	}

@@ -165,7 +165,7 @@ func captureMultiPod(spec ClusterSpec, runSpecs []workload.RunSpec, opts Capture
 	}
 	if opts.StrictChecks || invariants.BuildEnabled {
 		for p := 0; p < pods; p++ {
-			checkers = append(checkers, invariants.Attach(clusters[p], invariants.Options{Tracer: tracer}))
+			checkers = append(checkers, invariants.Attach(clusters[p], tracer))
 		}
 		var lastSweep uint64
 		sched.SetBarrierHook(func() error {

@@ -82,7 +82,8 @@ func incastRun(transport string, fanin int, unit int64) (incastCell, error) {
 		return incastCell{}, err
 	}
 	eng := sim.New()
-	net := netsim.NewNetwork(eng, topo, netsim.Config{Transport: transport, ExpectedFlows: fanin})
+	net := netsim.NewNetwork(eng, topo, netsim.Config{Transport: transport})
+	net.Reserve(fanin)
 	hosts := topo.Hosts()
 	var makespan sim.Time
 	fcts := make([]float64, 0, fanin)

@@ -229,8 +229,8 @@ func (c *Cluster) FailWorker(host netsim.NodeID, at sim.Time) error {
 // rejoin at recoverAt: the host drops off the network (its access links
 // go down, resetting every connection it was serving), its DataNode and
 // NodeManager stop, and the cluster *detects* the loss through the
-// substrates' own timers — ReplicationDetectionDelay and NMExpiry —
-// rather than an oracle. At recoverAt the links come back and the
+// substrates' own timers — the HDFS re-replication delay and the YARN
+// NodeManager expiry — rather than an oracle. At recoverAt the links come back and the
 // daemons re-register (block report, NM registration) and rejoin.
 func (c *Cluster) CrashWorker(host netsim.NodeID, at, recoverAt sim.Time) error {
 	if err := c.validWorker(host); err != nil {

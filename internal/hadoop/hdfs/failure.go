@@ -9,12 +9,12 @@ import (
 	"keddah/internal/sim"
 )
 
-// DefaultReplicationDetectionDelay is how long after a DataNode failure
-// the NameNode schedules re-replication. Real HDFS waits ~10 minutes
-// (dfs.namenode.heartbeat.recheck-interval); the simulator defaults to
-// 5 s so failure experiments stay within job timescales — the traffic
-// pattern (block-sized DN→DN copies) is identical, only the onset moves.
-const DefaultReplicationDetectionDelay sim.Time = 5_000_000_000
+// replicationDetectionDelay is how long after a DataNode failure the
+// NameNode schedules re-replication. Real HDFS waits ~10 minutes
+// (dfs.namenode.heartbeat.recheck-interval); the simulator uses 5 s so
+// failure experiments stay within job timescales — the traffic pattern
+// (block-sized DN→DN copies) is identical, only the onset moves.
+const replicationDetectionDelay sim.Time = 5_000_000_000
 
 // ErrUnknownDataNode reports a failure injected on a non-DataNode host.
 var ErrUnknownDataNode = fmt.Errorf("hdfs: unknown datanode")
@@ -45,14 +45,10 @@ func (fs *FS) FailDataNode(host netsim.NodeID) error {
 	fs.epoch[host]++
 	e := fs.epoch[host]
 
-	delay := fs.cfg.ReplicationDetectionDelay
-	if delay <= 0 {
-		delay = DefaultReplicationDetectionDelay
-	}
 	// The epoch guard makes detection idempotent against rejoin: a node
 	// recovered (and possibly re-crashed) since this failure was observed
 	// is handled by its own, newer detection event.
-	fs.eng.After(delay, func() {
+	fs.eng.After(replicationDetectionDelay, func() {
 		if fs.dead[host] && fs.epoch[host] == e {
 			fs.reReplicateAfter(host)
 		}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"keddah/internal/netsim"
-	"keddah/internal/sim"
 )
 
 func TestFailDataNodeReReplicates(t *testing.T) {
@@ -141,25 +140,34 @@ func TestFailDataNodeValidation(t *testing.T) {
 }
 
 func TestReplicationDetectionDelayRespected(t *testing.T) {
-	fs, net, _, master := testFS(t, Config{ReplicationDetectionDelay: sim.Time(30_000_000_000)})
+	fs, net, _, master := testFS(t, Config{})
 	var blocks []Block
 	if err := fs.WriteFile(master, "/f", 128<<20, 0, "w", func(b []Block) { blocks = b }); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := net.Engine().RunAll(); err != nil {
+	eng := net.Engine()
+	if _, err := eng.RunAll(); err != nil {
 		t.Fatal(err)
 	}
+	failAt := eng.Now()
 	if err := fs.FailDataNode(blocks[0].Replicas[0]); err != nil {
 		t.Fatal(err)
 	}
-	// Before the delay elapses: nothing re-replicated.
-	if _, err := net.Engine().Run(net.Engine().Now() + sim.Time(20_000_000_000)); err != nil {
+	// Just before the delay elapses: no copy started.
+	if _, err := eng.Run(failAt + replicationDetectionDelay - 1); err != nil {
 		t.Fatal(err)
 	}
-	if fs.ReReplicatedBlocks != 0 {
+	if len(fs.pendingRepl) != 0 || fs.ReReplicatedBlocks != 0 {
 		t.Error("re-replication started before the detection delay")
 	}
-	if _, err := net.Engine().RunAll(); err != nil {
+	// At the delay: the NameNode schedules the copies.
+	if _, err := eng.Run(failAt + replicationDetectionDelay); err != nil {
+		t.Fatal(err)
+	}
+	if len(fs.pendingRepl) == 0 {
+		t.Error("re-replication not scheduled at the detection delay")
+	}
+	if _, err := eng.RunAll(); err != nil {
 		t.Fatal(err)
 	}
 	if fs.ReReplicatedBlocks == 0 {

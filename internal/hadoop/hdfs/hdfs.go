@@ -24,25 +24,6 @@ type Config struct {
 	BlockSize int64
 	// Replication is dfs.replication (default 3).
 	Replication int
-	// HeartbeatInterval is the DataNode→NameNode heartbeat period
-	// (default 3s, as in dfs.heartbeat.interval).
-	HeartbeatInterval sim.Time
-	// ControlBytes is the size of one RPC exchange (default 512 B).
-	ControlBytes int64
-	// ReplicationDetectionDelay is how long the NameNode waits after a
-	// DataNode failure before re-replicating its blocks (default
-	// DefaultReplicationDetectionDelay).
-	ReplicationDetectionDelay sim.Time
-	// MaxPipelineRetries bounds write-pipeline recovery attempts per hop
-	// before the replica is dropped as under-replicated (default 3, as
-	// dfs.client.block.write.retries).
-	MaxPipelineRetries int
-	// PipelineRetryBase is the first pipeline-recovery backoff; it doubles
-	// per attempt up to a 30 s cap (default 500 ms).
-	PipelineRetryBase sim.Time
-	// ReadRetryBase is the first read-retry backoff; it doubles per
-	// attempt up to a 30 s cap (default 1 s).
-	ReadRetryBase sim.Time
 }
 
 func (c *Config) applyDefaults() {
@@ -52,22 +33,26 @@ func (c *Config) applyDefaults() {
 	if c.Replication <= 0 {
 		c.Replication = 3
 	}
-	if c.HeartbeatInterval <= 0 {
-		c.HeartbeatInterval = 3_000_000_000
-	}
-	if c.ControlBytes <= 0 {
-		c.ControlBytes = 512
-	}
-	if c.MaxPipelineRetries <= 0 {
-		c.MaxPipelineRetries = 3
-	}
-	if c.PipelineRetryBase <= 0 {
-		c.PipelineRetryBase = 500_000_000
-	}
-	if c.ReadRetryBase <= 0 {
-		c.ReadRetryBase = 1_000_000_000
-	}
 }
+
+// Fixed daemon timings and sizes. The paper varies none of them.
+const (
+	// heartbeatInterval is the DataNode→NameNode heartbeat period
+	// (dfs.heartbeat.interval).
+	heartbeatInterval sim.Time = 3_000_000_000
+	// controlBytes is the size of one NameNode RPC exchange.
+	controlBytes = 512
+	// maxPipelineRetries bounds write-pipeline recovery attempts per hop
+	// before the replica is dropped as under-replicated
+	// (dfs.client.block.write.retries).
+	maxPipelineRetries = 3
+	// pipelineRetryBase is the first pipeline-recovery backoff; it
+	// doubles per attempt up to a 30 s cap.
+	pipelineRetryBase sim.Time = 500_000_000
+	// readRetryBase is the first read-retry backoff; it doubles per
+	// attempt up to a 30 s cap (dfs.client.retry.window.base).
+	readRetryBase sim.Time = 1_000_000_000
+)
 
 // Block is one replicated chunk of a file.
 type Block struct {
@@ -165,9 +150,6 @@ func New(net *netsim.Network, namenode netsim.NodeID, datanodes []netsim.NodeID,
 	}, nil
 }
 
-// Config returns the filesystem configuration.
-func (fs *FS) Config() Config { return fs.cfg }
-
 // Network returns the network the filesystem transfers over.
 func (fs *FS) Network() *netsim.Network { return fs.net }
 
@@ -188,8 +170,7 @@ func (fs *FS) StartHeartbeats() {
 
 func (fs *FS) scheduleHeartbeat(dn netsim.NodeID) {
 	// Jitter the first beat so DataNodes don't synchronise.
-	delay := fs.cfg.HeartbeatInterval
-	jitter := sim.Time(fs.rng.Float64() * float64(delay))
+	jitter := sim.Time(fs.rng.Float64() * float64(heartbeatInterval))
 	fs.eng.After(jitter, func() { fs.heartbeat(dn) })
 }
 
@@ -201,7 +182,7 @@ func (fs *FS) heartbeat(dn netsim.NodeID) {
 		fs.metrics.Heartbeats.Inc()
 		fs.control(dn, fs.namenode, flows.PortNameNodeRPC, "hdfs/heartbeat")
 	}
-	fs.eng.After(fs.cfg.HeartbeatInterval, func() { fs.heartbeat(dn) })
+	fs.eng.After(heartbeatInterval, func() { fs.heartbeat(dn) })
 }
 
 // Shutdown stops heartbeat rescheduling so the event queue can drain.
@@ -217,7 +198,7 @@ func (fs *FS) control(src, dst netsim.NodeID, port int, label string) {
 		Dst:       dst,
 		SrcPort:   ephemeralPort(fs.rng),
 		DstPort:   port,
-		SizeBytes: fs.cfg.ControlBytes,
+		SizeBytes: controlBytes,
 		Label:     label,
 	})
 	if err != nil {

@@ -210,10 +210,10 @@ func TestNamespaceErrors(t *testing.T) {
 }
 
 func TestHeartbeatsStopAfterShutdown(t *testing.T) {
-	fs, net, c, _ := testFS(t, Config{HeartbeatInterval: sim.Time(1_000_000_000)})
+	fs, net, c, _ := testFS(t, Config{})
 	fs.StartHeartbeats()
 	eng := net.Engine()
-	if _, err := eng.Run(sim.Time(5_500_000_000)); err != nil {
+	if _, err := eng.Run(11 * heartbeatInterval / 2); err != nil {
 		t.Fatal(err)
 	}
 	fs.Shutdown()

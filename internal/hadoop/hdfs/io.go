@@ -110,7 +110,7 @@ func (fs *FS) WriteFile(client netsim.NodeID, path string, size int64, replicati
 		// torn down by a fault goes through pipeline recovery: resume the
 		// remaining bytes into the same DataNode when it survived (a link
 		// fault), restream the whole block into a replacement node when it
-		// died, and after MaxPipelineRetries attempts drop the replica as
+		// died, and after maxPipelineRetries attempts drop the replica as
 		// under-replicated — but never below one replica while a live
 		// source remains.
 		remainingHops := len(pipeline)
@@ -155,7 +155,7 @@ func (fs *FS) WriteFile(client netsim.NodeID, path string, size int64, replicati
 						hopFinished()
 						return
 					}
-					fs.eng.After(retryBackoff(fs.cfg.PipelineRetryBase, attempt), func() {
+					fs.eng.After(retryBackoff(pipelineRetryBase, attempt), func() {
 						recoverHop(src, dst, rem, attempt+1)
 					})
 				},
@@ -190,7 +190,7 @@ func (fs *FS) WriteFile(client netsim.NodeID, path string, size int64, replicati
 				dropReplica()
 				return
 			}
-			if attempt > fs.cfg.MaxPipelineRetries && len(blk.Replicas) > 1 {
+			if attempt > maxPipelineRetries && len(blk.Replicas) > 1 {
 				dropReplica()
 				return
 			}
@@ -215,7 +215,7 @@ func (fs *FS) WriteFile(client netsim.NodeID, path string, size int64, replicati
 				}
 				// Sole replica with nowhere to go: wait for the fabric
 				// to heal and try again (capped backoff).
-				fs.eng.After(retryBackoff(fs.cfg.PipelineRetryBase, attempt), func() {
+				fs.eng.After(retryBackoff(pipelineRetryBase, attempt), func() {
 					recoverHop(newSrc, dst, remaining, attempt+1)
 				})
 				return
@@ -307,7 +307,7 @@ func (fs *FS) readBlockAttempt(client netsim.NodeID, blk Block, label string, do
 		}
 		fs.ReadRetries++
 		fs.metrics.ReadRetries.Inc()
-		fs.eng.After(retryBackoff(fs.cfg.ReadRetryBase, attempt), func() {
+		fs.eng.After(retryBackoff(readRetryBase, attempt), func() {
 			fs.readBlockAttempt(client, blk, label, done, attempt+1)
 		})
 	}

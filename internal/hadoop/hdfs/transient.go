@@ -12,7 +12,7 @@ import (
 // connection the node was serving — in-flight block streams are torn
 // down and go through client-side recovery — and the node may later
 // rejoin via RecoverDataNode. Detection still follows
-// ReplicationDetectionDelay: if the node rejoins first, the NameNode
+// replicationDetectionDelay: if the node rejoins first, the NameNode
 // never re-replicates its blocks.
 func (fs *FS) CrashDataNode(host netsim.NodeID) error {
 	if !fs.isDataNode(host) {
@@ -35,11 +35,7 @@ func (fs *FS) CrashDataNode(host netsim.NodeID) error {
 		return s.SrcPort == flows.PortDataNodeData || s.DstPort == flows.PortDataNodeData
 	})
 
-	delay := fs.cfg.ReplicationDetectionDelay
-	if delay <= 0 {
-		delay = DefaultReplicationDetectionDelay
-	}
-	fs.eng.After(delay, func() {
+	fs.eng.After(replicationDetectionDelay, func() {
 		if fs.dead[host] && fs.epoch[host] == e {
 			fs.reReplicateAfter(host)
 		}
@@ -103,5 +99,5 @@ func (fs *FS) blockReportSize(host netsim.NodeID) int64 {
 			}
 		}
 	}
-	return fs.cfg.ControlBytes + 16*count
+	return controlBytes + 16*count
 }

@@ -40,85 +40,50 @@ type JobConfig struct {
 	// OutputReplication overrides dfs.replication for job output
 	// (0 = filesystem default; TeraSort conventionally uses 1).
 	OutputReplication int
-	// SlowstartMaps is the completed-map fraction that triggers reducer
-	// launch (default 0.05, as mapreduce.job.reduce.slowstart).
-	SlowstartMaps float64
-	// MaxParallelFetches bounds concurrent shuffle fetches per reducer
-	// (default 5, as mapreduce.reduce.shuffle.parallelcopies).
-	MaxParallelFetches int
 	// MapCostSecPerMB and ReduceCostSecPerMB model task compute time.
 	MapCostSecPerMB    float64
 	ReduceCostSecPerMB float64
-	// StragglerSigma is the log-normal sigma applied to task compute
-	// times (default 0.25): the straggler effect that spreads flow
-	// arrivals out in time.
-	StragglerSigma float64
-	// PartitionSkewSigma jitters per-(map,reducer) partition sizes
-	// (default 0.15).
-	PartitionSkewSigma float64
-	// UmbilicalInterval is the task→AM progress-report period
-	// (default 3s).
-	UmbilicalInterval sim.Time
-	// Speculative enables speculative execution: once half the maps
-	// have finished, a running map whose elapsed time exceeds
-	// SpeculativeThreshold × the mean completed-map duration gets a
-	// duplicate attempt on another node; the first finisher wins and
-	// the loser's traffic is wasted — mapreduce.map.speculative.
-	Speculative bool
-	// SpeculativeThreshold is the slowdown factor that triggers a
-	// duplicate attempt (default 1.5).
-	SpeculativeThreshold float64
-	// FetchRetryBase is the first shuffle-fetch retry backoff; it doubles
-	// per failed attempt against the same host, capped at 30 s (default
-	// 1 s, a scaled-down mapreduce.reduce.shuffle.retry-delay).
-	FetchRetryBase sim.Time
-	// MaxFetchFailures is how many failed fetches from one host a reducer
-	// tolerates before reporting the map output lost to the AM, which
-	// blacklists the host for this shuffle and re-executes the map
-	// (default 3, as mapreduce.reduce.shuffle.maxfetchfailures).
-	MaxFetchFailures int
-	// MaxAMAttempts bounds ApplicationMaster attempts: a lost AM is
-	// restarted, recovering completed-task state, until the budget runs
-	// out and the job fails (default 2, as
-	// yarn.resourcemanager.am.max-attempts).
-	MaxAMAttempts int
 }
 
 func (c *JobConfig) applyDefaults() {
-	if c.SlowstartMaps <= 0 {
-		c.SlowstartMaps = 0.05
-	}
-	if c.MaxParallelFetches <= 0 {
-		c.MaxParallelFetches = 5
-	}
 	if c.MapCostSecPerMB <= 0 {
 		c.MapCostSecPerMB = 0.02
 	}
 	if c.ReduceCostSecPerMB <= 0 {
 		c.ReduceCostSecPerMB = 0.02
 	}
-	if c.StragglerSigma <= 0 {
-		c.StragglerSigma = 0.25
-	}
-	if c.PartitionSkewSigma <= 0 {
-		c.PartitionSkewSigma = 0.15
-	}
-	if c.UmbilicalInterval <= 0 {
-		c.UmbilicalInterval = 3_000_000_000
-	}
-	if c.SpeculativeThreshold <= 0 {
-		c.SpeculativeThreshold = 1.5
-	}
-	if c.FetchRetryBase <= 0 {
-		c.FetchRetryBase = 1_000_000_000
-	}
-	if c.MaxFetchFailures <= 0 {
-		c.MaxFetchFailures = 3
-	}
-	if c.MaxAMAttempts <= 0 {
-		c.MaxAMAttempts = 2
-	}
 }
+
+// Fixed task and shuffle parameters. The paper varies none of them.
+const (
+	// slowstartMaps is the completed-map fraction that triggers reducer
+	// launch (mapreduce.job.reduce.slowstart.completedmaps).
+	slowstartMaps = 0.05
+	// maxParallelFetches bounds concurrent shuffle fetches per reducer
+	// (mapreduce.reduce.shuffle.parallelcopies).
+	maxParallelFetches = 5
+	// stragglerSigma is the log-normal sigma applied to task compute
+	// times: the straggler effect that spreads flow arrivals out in time.
+	stragglerSigma = 0.25
+	// partitionSkewSigma jitters per-(map,reducer) partition sizes.
+	partitionSkewSigma = 0.15
+	// umbilicalInterval is the task→AM progress-report period
+	// (mapreduce.task.progress-report.interval).
+	umbilicalInterval sim.Time = 3_000_000_000
+	// fetchRetryBase is the first shuffle-fetch retry backoff; it doubles
+	// per failed attempt against the same host, capped at 30 s (a
+	// scaled-down mapreduce.reduce.shuffle.retry-delay.max.ms).
+	fetchRetryBase sim.Time = 1_000_000_000
+	// maxFetchFailures is how many failed fetches from one host a reducer
+	// tolerates before reporting the map output lost to the AM, which
+	// blacklists the host for this shuffle and re-executes the map
+	// (mapreduce.reduce.shuffle.maxfetchfailures).
+	maxFetchFailures = 3
+	// maxAMAttempts bounds ApplicationMaster attempts: a lost AM is
+	// restarted, recovering completed-task state, until the budget runs
+	// out and the job fails (yarn.resourcemanager.am.max-attempts).
+	maxAMAttempts = 2
+)
 
 // Result summarises a finished job.
 type Result struct {
@@ -140,8 +105,6 @@ type Result struct {
 	// after NodeManager failures.
 	ReexecutedMaps     int
 	ReexecutedReducers int
-	// SpeculativeMaps counts duplicate straggler attempts launched.
-	SpeculativeMaps int
 	// ShuffleRetries counts shuffle fetches torn down by faults and
 	// retried (or escalated to the AM after repeated failures).
 	ShuffleRetries int
@@ -172,11 +135,7 @@ type Job struct {
 	mapOut     []int64         // per-map output bytes (set at map end)
 	mapHost    []netsim.NodeID // per-map executor
 	mapEpoch   []int           // per-map attempt number (bumped on re-execution)
-	mapStart   []sim.Time      // per-map earliest attempt start
-	specDone   []bool          // per-map speculative attempt launched
-	mapDurSum  float64         // completed map durations (seconds)
-	mapDurN    int
-	attemptSeq int // unique attempt counter for output paths
+	attemptSeq int             // unique attempt counter for output paths
 	mapsDone   int
 	reducers   []*reducer
 	redsDone   int
@@ -228,8 +187,6 @@ func (j *Job) Submit(client netsim.NodeID, done func(Result)) error {
 	j.mapOut = make([]int64, len(splits))
 	j.mapHost = make([]netsim.NodeID, len(splits))
 	j.mapEpoch = make([]int, len(splits))
-	j.mapStart = make([]sim.Time, len(splits))
-	j.specDone = make([]bool, len(splits))
 	j.done = done
 	j.result = Result{
 		Name:      j.cfg.Name,
@@ -249,14 +206,11 @@ func (j *Job) Submit(client netsim.NodeID, done func(Result)) error {
 
 // onAMStarted requests a container per map split, preferring replica
 // hosts, and arms the AM failure handler (a lost AM restarts until
-// MaxAMAttempts is exhausted, then the job fails).
+// maxAMAttempts is exhausted, then the job fails).
 func (j *Job) onAMStarted() {
 	j.app.OnAMLost(j.onAMLost)
 	for i := range j.splits {
 		j.requestMap(i)
-	}
-	if j.cfg.Speculative {
-		j.eng.After(j.cfg.UmbilicalInterval, j.speculationTick)
 	}
 }
 
@@ -270,7 +224,7 @@ func (j *Job) onAMLost() {
 		return
 	}
 	j.amAttempts++
-	if j.amAttempts >= j.cfg.MaxAMAttempts {
+	if j.amAttempts >= maxAMAttempts {
 		j.abort()
 		return
 	}
@@ -279,32 +233,6 @@ func (j *Job) onAMLost() {
 	j.app = j.rm.Submit(j.client, func(*yarn.App) {
 		j.app.OnAMLost(j.onAMLost)
 	})
-}
-
-// speculationTick is the AM's straggler check: once half the maps have
-// finished, any running map slower than the threshold × the mean
-// completed-map duration gets one duplicate attempt.
-func (j *Job) speculationTick() {
-	if j.finished || j.mapsDone == len(j.splits) {
-		return
-	}
-	if 2*j.mapsDone >= len(j.splits) && j.mapDurN > 0 {
-		mean := j.mapDurSum / float64(j.mapDurN)
-		limit := sim.Time(j.cfg.SpeculativeThreshold * mean * 1e9)
-		now := j.eng.Now()
-		for i := range j.splits {
-			if j.mapOut[i] != 0 || j.specDone[i] || j.mapStart[i] == 0 {
-				continue
-			}
-			if now-j.mapStart[i] > limit {
-				j.specDone[i] = true
-				j.result.SpeculativeMaps++
-				j.metrics.MapsSpeculative.Inc()
-				j.requestMap(i)
-			}
-		}
-	}
-	j.eng.After(j.cfg.UmbilicalInterval, j.speculationTick)
 }
 
 // requestMap asks YARN for a container to run (or re-run) map i.
@@ -347,7 +275,7 @@ func (j *Job) lognormalJitter(sigma float64) float64 {
 
 // computeDelay converts bytes at secPerMB into jittered simulated time.
 func (j *Job) computeDelay(bytes int64, secPerMB float64) sim.Time {
-	secs := float64(bytes) / (1 << 20) * secPerMB * j.lognormalJitter(j.cfg.StragglerSigma)
+	secs := float64(bytes) / (1 << 20) * secPerMB * j.lognormalJitter(stragglerSigma)
 	return sim.Time(secs * 1e9)
 }
 

@@ -221,56 +221,9 @@ func TestStragglersSpreadMapEndTimes(t *testing.T) {
 	res := r.runJob(t, JobConfig{
 		Name: "j", InputPath: "/in", OutputPath: "/out",
 		NumReducers: 2, MapSelectivity: 0.1, ReduceSelectivity: 1,
-		StragglerSigma: 0.5,
 	})
 	mapSpan := res.LastMapEnd - res.FirstMapStart
 	if mapSpan <= 0 {
 		t.Error("map phase has zero duration")
-	}
-}
-
-func TestSpeculativeExecution(t *testing.T) {
-	// Heavy straggler jitter makes at least one map a clear outlier;
-	// speculation must launch duplicate attempts and the job must still
-	// account every map exactly once.
-	r := newRig(t, 2<<30, hdfs.Config{})
-	res := r.runJob(t, JobConfig{
-		Name: "spec", InputPath: "/in", OutputPath: "/out",
-		NumReducers: 2, MapSelectivity: 0.2, ReduceSelectivity: 1,
-		MapCostSecPerMB: 0.08, StragglerSigma: 1.2,
-		Speculative: true, SpeculativeThreshold: 1.2,
-	})
-	if res.SpeculativeMaps == 0 {
-		t.Error("no speculative attempts launched despite heavy stragglers")
-	}
-	if res.Maps != 16 {
-		t.Fatalf("maps = %d", res.Maps)
-	}
-	// Byte accounting must not double count winners + losers.
-	in := float64(res.InputBytes)
-	if m := float64(res.MapOutBytes); m > in*0.2*1.3 {
-		t.Errorf("map output %v suggests double counting", m/in)
-	}
-	// Duplicate attempts re-read their splits: captured HDFS-read bytes
-	// exceed the input.
-	ds := flows.NewDataset(r.cap.Truth())
-	jobReads := ds.Filter(func(rec pcap.FlowRecord, p flows.Phase) bool {
-		return p == flows.PhaseHDFSRead && rec.Label == "spec/hdfsRead"
-	})
-	if jobReads.Volume("") <= res.InputBytes {
-		t.Errorf("read bytes %d not above input %d despite duplicate attempts",
-			jobReads.Volume(""), res.InputBytes)
-	}
-}
-
-func TestSpeculationOffByDefault(t *testing.T) {
-	r := newRig(t, 512<<20, hdfs.Config{})
-	res := r.runJob(t, JobConfig{
-		Name: "nospec", InputPath: "/in", OutputPath: "/out",
-		NumReducers: 2, MapSelectivity: 1, ReduceSelectivity: 1,
-		StragglerSigma: 1.2,
-	})
-	if res.SpeculativeMaps != 0 {
-		t.Errorf("speculation ran without being enabled: %d", res.SpeculativeMaps)
 	}
 }

@@ -13,7 +13,7 @@ import (
 )
 
 // reducer is one reduce task attempt: it shuffles a partition from every
-// map output (at most MaxParallelFetches concurrent fetches, as the real
+// map output (at most maxParallelFetches concurrent fetches, as the real
 // Fetcher pool does), then merges, reduces, and commits its part file to
 // HDFS through a replication pipeline. A lost attempt is re-run from
 // scratch on a new container — its already-shuffled bytes are wasted,
@@ -32,7 +32,7 @@ type reducer struct {
 	// checkable per reducer.
 	fetchedSet map[int]int64
 	// retries counts fault-aborted fetch attempts per map index;
-	// hostFail counts them per serving host — at MaxFetchFailures the
+	// hostFail counts them per serving host — at maxFetchFailures the
 	// host is blacklisted for this shuffle and the AM re-runs the map.
 	retries   map[int]int
 	hostFail  map[netsim.NodeID]int
@@ -128,7 +128,7 @@ func (r *reducer) invalidateMap(mapIdx int) {
 func (r *reducer) partitionBytes(mapIdx int) int64 {
 	j := r.job
 	share := float64(j.mapOut[mapIdx]) / float64(j.cfg.NumReducers)
-	sz := int64(share * j.lognormalJitter(j.cfg.PartitionSkewSigma))
+	sz := int64(share * j.lognormalJitter(partitionSkewSigma))
 	if sz < 1 {
 		sz = 1
 	}
@@ -142,7 +142,7 @@ func (r *reducer) pump() {
 	if r.dead || r.done {
 		return
 	}
-	for r.active < j.cfg.MaxParallelFetches && len(r.pending) > 0 {
+	for r.active < maxParallelFetches && len(r.pending) > 0 {
 		mapIdx := r.pending[0]
 		r.pending = r.pending[1:]
 		r.active++
@@ -155,7 +155,7 @@ func (r *reducer) pump() {
 
 // startFetch pulls one map partition from its ShuffleHandler. A fetch
 // torn down by a fault retries against the same host with exponential
-// backoff; once MaxFetchFailures accumulate against a host the reducer
+// backoff; once maxFetchFailures accumulate against a host the reducer
 // blacklists it and reports the map output lost to the AM, which
 // re-executes the map (the real fetch-failure → TooManyFetchFailures
 // escalation path).
@@ -194,7 +194,7 @@ func (r *reducer) startFetch(mapIdx int) {
 			j.result.ShuffleRetries++
 			j.metrics.ShuffleRetries.Inc()
 			r.hostFail[src]++
-			if r.hostFail[src] >= j.cfg.MaxFetchFailures && !r.blacklist[src] {
+			if r.hostFail[src] >= maxFetchFailures && !r.blacklist[src] {
 				r.blacklist[src] = true
 				j.metrics.ShuffleBlacklists.Inc()
 				r.queued[mapIdx] = false
@@ -203,7 +203,7 @@ func (r *reducer) startFetch(mapIdx int) {
 				return
 			}
 			r.retries[mapIdx]++
-			backoff := fetchBackoff(j.cfg.FetchRetryBase, r.retries[mapIdx]-1)
+			backoff := fetchBackoff(fetchRetryBase, r.retries[mapIdx]-1)
 			j.eng.After(backoff, func() {
 				if r.dead || r.done || j.finished {
 					return

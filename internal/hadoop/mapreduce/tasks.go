@@ -20,9 +20,9 @@ func (j *Job) umbilical(task netsim.NodeID, alive func() bool) {
 			return
 		}
 		j.controlFlow(task, j.app.AMHost(), flows.PortAMUmbilical, j.cfg.Name+"/umbilical")
-		j.eng.After(j.cfg.UmbilicalInterval, beat)
+		j.eng.After(umbilicalInterval, beat)
 	}
-	j.eng.After(j.cfg.UmbilicalInterval, beat)
+	j.eng.After(umbilicalInterval, beat)
 }
 
 // controlFlow emits one small RPC exchange. Negative endpoints (no AM
@@ -58,9 +58,6 @@ func (j *Job) runMapTask(i int, c *yarn.Container) {
 		j.result.FirstMapStart = j.eng.Now()
 	}
 	attemptStart := j.eng.Now()
-	if j.mapStart[i] == 0 {
-		j.mapStart[i] = attemptStart
-	}
 	j.mapHost[i] = host
 	epoch := j.mapEpoch[i]
 	taskDone := false
@@ -72,8 +69,6 @@ func (j *Job) runMapTask(i int, c *yarn.Container) {
 		}
 		// Running attempt lost: re-run this split elsewhere.
 		j.mapEpoch[i]++
-		j.mapStart[i] = 0
-		j.specDone[i] = false
 		j.result.ReexecutedMaps++
 		j.metrics.MapsReexecuted.Inc()
 		j.requestMap(i)
@@ -110,8 +105,8 @@ func (j *Job) runMapTask(i int, c *yarn.Container) {
 					return
 				}
 				if j.mapOut[i] != 0 {
-					// A speculative twin already committed this split;
-					// this attempt's traffic was the speculation cost.
+					// Another attempt already committed this split;
+					// this attempt's traffic was wasted.
 					taskDone = true
 					c.Release()
 					return
@@ -119,8 +114,6 @@ func (j *Job) runMapTask(i int, c *yarn.Container) {
 				taskDone = true
 				j.mapOut[i] = out
 				j.result.MapOutBytes += out
-				j.mapDurSum += (j.eng.Now() - attemptStart).Seconds()
-				j.mapDurN++
 				j.metrics.MapsCompleted.Inc()
 				j.tracer.Add(telemetry.Span{
 					Cat: "mr", Name: "map", Attr: fmt.Sprintf("%s/m%d", j.cfg.Name, i),
@@ -138,11 +131,11 @@ func (j *Job) runMapTask(i int, c *yarn.Container) {
 
 			if j.cfg.NumReducers == 0 {
 				if j.mapOut[i] != 0 {
-					finish() // twin won before our write started
+					finish() // another attempt won before our write started
 					return
 				}
 				// Map-only job: commit output directly to HDFS. Attempt
-				// ids keep speculative twins' paths distinct; only the
+				// ids keep re-executed attempts' paths distinct; only the
 				// winning attempt's bytes count as job output.
 				j.attemptSeq++
 				part := fmt.Sprintf("%s/part-m-%05d-t%d", j.cfg.OutputPath, i, j.attemptSeq)
@@ -198,8 +191,6 @@ func (j *Job) onNodeFailed(host netsim.NodeID) {
 		}
 		j.mapOut[i] = 0
 		j.mapEpoch[i]++
-		j.mapStart[i] = 0
-		j.specDone[i] = false
 		j.mapsDone--
 		j.result.ReexecutedMaps++
 		j.metrics.MapsReexecuted.Inc()
@@ -226,8 +217,6 @@ func (j *Job) onFetchFailures(mapIdx int, host netsim.NodeID, epoch int) {
 	}
 	j.mapOut[mapIdx] = 0
 	j.mapEpoch[mapIdx]++
-	j.mapStart[mapIdx] = 0
-	j.specDone[mapIdx] = false
 	j.mapsDone--
 	j.result.ReexecutedMaps++
 	j.metrics.MapsReexecuted.Inc()
@@ -258,7 +247,7 @@ func (j *Job) allFetched(mapIdx int) bool {
 // can never be starved — the RMContainerAllocator's headroom rule), and
 // the remainder once every map has finished.
 func (j *Job) maybeLaunchReducers() {
-	threshold := int(j.cfg.SlowstartMaps*float64(len(j.splits)) + 0.999)
+	threshold := int(slowstartMaps*float64(len(j.splits)) + 0.999)
 	if threshold < 1 {
 		threshold = 1
 	}

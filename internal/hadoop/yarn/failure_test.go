@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"keddah/internal/netsim"
-	"keddah/internal/sim"
 )
 
 func TestFailNodeLosesRunningContainers(t *testing.T) {
@@ -102,7 +101,7 @@ func TestFailNodeExcludedFromScheduling(t *testing.T) {
 func TestFailNodeDuringLaunchRequeues(t *testing.T) {
 	// Fail the host while a container is in its launch delay: the
 	// request must be transparently re-queued and delivered elsewhere.
-	rm, net, _ := testRM(t, 3, Config{SlotsPerNode: 1, ContainerLaunchDelay: sim.Time(5_000_000_000)})
+	rm, net, _ := testRM(t, 3, Config{SlotsPerNode: 1})
 	rm.Start()
 	var got netsim.NodeID = -1
 	var amReady bool
@@ -111,23 +110,22 @@ func TestFailNodeDuringLaunchRequeues(t *testing.T) {
 		a.RequestContainer(PriorityMap, nil, func(c *Container) { got = c.Host() })
 	})
 	drainUntil(t, net.Engine(), func() bool { return amReady })
-	// Let the task container be granted (slot used) but not delivered.
-	if _, err := net.Engine().Run(net.Engine().Now() + sim.Time(2_000_000_000)); err != nil {
-		t.Fatal(err)
-	}
-	if got >= 0 {
-		t.Fatal("container delivered too early for this test")
-	}
-	// White-box: find the NodeManager holding the launching container.
+	// White-box: step until a NodeManager holds the task container,
+	// granted (slot used) but still launching.
 	var taskHost netsim.NodeID = -1
-	for _, nm := range rm.nms {
-		if nm.used > 0 && len(nm.containers) > 0 && !nm.containers[0].delivered {
-			taskHost = nm.host
-			break
+	drainUntil(t, net.Engine(), func() bool {
+		for _, nm := range rm.nms {
+			for _, c := range nm.containers {
+				if !c.delivered {
+					taskHost = nm.host
+					return true
+				}
+			}
 		}
-	}
-	if taskHost < 0 {
-		t.Fatal("no launching container found")
+		return false
+	})
+	if got >= 0 {
+		t.Fatal("container delivered before its launch delay")
 	}
 	if err := rm.FailNode(taskHost); err != nil {
 		t.Fatal(err)

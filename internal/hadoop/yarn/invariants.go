@@ -10,7 +10,7 @@ import "fmt"
 //   - Per NodeManager: the used-slot counter equals the number of held
 //     containers and stays within [0, SlotsPerNode].
 //   - A node declared lost holds no containers and no slots.
-//   - A crashed node is declared lost no later than NMExpiry after the
+//   - A crashed node is declared lost no later than nmExpiry after the
 //     crash (heartbeat-expiry detection cannot be missed).
 //   - Cluster-wide, containers on live nodes never exceed TotalSlots.
 func (rm *RM) VerifyInvariants() error {
@@ -26,9 +26,9 @@ func (rm *RM) VerifyInvariants() error {
 		if nm.dead && nm.used != 0 {
 			return fmt.Errorf("yarn: dead node %d still holds %d containers", nm.host, nm.used)
 		}
-		if nm.crashed && !nm.dead && now > nm.crashedAt+rm.cfg.NMExpiry {
-			return fmt.Errorf("yarn: node %d crashed at t=%dns, undetected at t=%dns (NMExpiry %dns)",
-				nm.host, nm.crashedAt, now, rm.cfg.NMExpiry)
+		if nm.crashed && !nm.dead && now > nm.crashedAt+nmExpiry {
+			return fmt.Errorf("yarn: node %d crashed at t=%dns, undetected at t=%dns (nmExpiry %dns)",
+				nm.host, nm.crashedAt, now, nmExpiry)
 		}
 		if !nm.dead {
 			total += nm.used

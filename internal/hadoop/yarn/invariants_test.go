@@ -52,13 +52,13 @@ func TestYarnVerifyInvariantsCatchesCorruption(t *testing.T) {
 			want: "dead node",
 		},
 		{
-			name: "crash detection missed past NMExpiry",
+			name: "crash detection missed past NM expiry",
 			corrupt: func(rm *RM) {
 				nm := rm.nms[0]
 				nm.crashed = true
 				// Backdate the crash so now is already past the expiry
 				// deadline with no detection recorded.
-				nm.crashedAt = rm.eng.Now() - 2*rm.cfg.NMExpiry
+				nm.crashedAt = rm.eng.Now() - 2*nmExpiry
 			},
 			want: "undetected",
 		},

@@ -23,49 +23,39 @@ type Config struct {
 	// SlotsPerNode is the concurrent container capacity of each
 	// NodeManager (default 4).
 	SlotsPerNode int
-	// NMHeartbeat is the NodeManager heartbeat period (default 1s).
-	NMHeartbeat sim.Time
-	// AMHeartbeat is the ApplicationMaster allocate-loop period
-	// (default 1s).
-	AMHeartbeat sim.Time
 	// LocalityWait is how long a request holds out for a preferred host
 	// before accepting any host (default 3s — three scheduling rounds).
 	LocalityWait sim.Time
-	// ContainerLaunchDelay models localization + JVM start (default 800ms).
-	ContainerLaunchDelay sim.Time
-	// ControlBytes is the size of one RPC exchange (default 512 B).
-	ControlBytes int64
-	// NMExpiry is how long the RM waits without NodeManager heartbeats
-	// before declaring the node lost (default 10s; real YARN's
-	// nm.liveness-monitor.expiry-interval-ms is 10 min, scaled down so
-	// detection sits within job timescales the way
-	// DefaultReplicationDetectionDelay is).
-	NMExpiry sim.Time
 }
 
 func (c *Config) applyDefaults() {
 	if c.SlotsPerNode <= 0 {
 		c.SlotsPerNode = 4
 	}
-	if c.NMHeartbeat <= 0 {
-		c.NMHeartbeat = 1_000_000_000
-	}
-	if c.AMHeartbeat <= 0 {
-		c.AMHeartbeat = 1_000_000_000
-	}
 	if c.LocalityWait <= 0 {
 		c.LocalityWait = 3_000_000_000
 	}
-	if c.ContainerLaunchDelay <= 0 {
-		c.ContainerLaunchDelay = 800_000_000
-	}
-	if c.ControlBytes <= 0 {
-		c.ControlBytes = 512
-	}
-	if c.NMExpiry <= 0 {
-		c.NMExpiry = 10_000_000_000
-	}
 }
+
+// Fixed daemon timings and sizes. The paper varies none of them.
+const (
+	// nmHeartbeat is the NodeManager heartbeat period
+	// (yarn.resourcemanager.nodemanagers.heartbeat-interval-ms).
+	nmHeartbeat sim.Time = 1_000_000_000
+	// amHeartbeat is the ApplicationMaster allocate-loop period
+	// (yarn.app.mapreduce.am.scheduler.heartbeat.interval-ms).
+	amHeartbeat sim.Time = 1_000_000_000
+	// containerLaunchDelay models localization + JVM start.
+	containerLaunchDelay sim.Time = 800_000_000
+	// controlBytes is the size of one RM RPC exchange.
+	controlBytes = 512
+	// nmExpiry is how long the RM waits without NodeManager heartbeats
+	// before declaring the node lost
+	// (yarn.nm.liveness-monitor.expiry-interval-ms). Real YARN waits
+	// 10 min; 10 s keeps detection within job timescales, as HDFS's
+	// re-replication delay does.
+	nmExpiry sim.Time = 10_000_000_000
+)
 
 // nodeManager tracks one host's container slots.
 type nodeManager struct {
@@ -78,7 +68,7 @@ type nodeManager struct {
 	dead    bool
 	crashed bool
 	// crashedAt is when the current crash began (valid while crashed);
-	// invariant checks use it to bound detection latency by NMExpiry.
+	// invariant checks use it to bound detection latency by nmExpiry.
 	crashedAt sim.Time
 	// epoch counts life transitions; a pending expiry only fires when the
 	// node's epoch is unchanged, so crash→recover→crash sequences each
@@ -212,9 +202,6 @@ func New(net *netsim.Network, rmHost netsim.NodeID, workers []netsim.NodeID, cfg
 	return rm, nil
 }
 
-// Config returns the resource-layer configuration.
-func (rm *RM) Config() Config { return rm.cfg }
-
 // TotalSlots returns cluster-wide container capacity on live nodes.
 func (rm *RM) TotalSlots() int {
 	n := 0
@@ -229,7 +216,7 @@ func (rm *RM) TotalSlots() int {
 // Start launches NodeManager heartbeats. They stop after Shutdown.
 func (rm *RM) Start() {
 	for _, nm := range rm.nms {
-		jitter := sim.Time(rm.rng.Float64() * float64(rm.cfg.NMHeartbeat))
+		jitter := sim.Time(rm.rng.Float64() * float64(nmHeartbeat))
 		rm.startHeartbeatLoop(nm, jitter)
 	}
 }
@@ -297,7 +284,7 @@ func (rm *RM) expireNode(nm *nodeManager) {
 
 // CrashNode models a whole-node (or NM-process) crash with realistic
 // delayed detection: heartbeats stop immediately, but the RM keeps the
-// node's state until NMExpiry elapses without a beat, then declares it
+// node's state until nmExpiry elapses without a beat, then declares it
 // lost exactly as FailNode does. A node recovered before expiry was
 // never "failed" from the RM's point of view — only a heartbeat gap
 // happened. Crashing a crashed or dead node is a no-op.
@@ -313,7 +300,7 @@ func (rm *RM) CrashNode(host netsim.NodeID) error {
 	nm.crashedAt = rm.eng.Now()
 	nm.epoch++
 	e := nm.epoch
-	rm.eng.After(rm.cfg.NMExpiry, func() {
+	rm.eng.After(nmExpiry, func() {
 		if nm.epoch == e && nm.crashed && !nm.dead {
 			rm.expireNode(nm)
 		}
@@ -342,7 +329,7 @@ func (rm *RM) RecoverNode(host netsim.NodeID) error {
 	if nm.host != rm.rmHost {
 		rm.control(nm.host, rm.rmHost, flows.PortRMTracker, "yarn/nmRegister")
 	}
-	rm.startHeartbeatLoop(nm, rm.cfg.NMHeartbeat)
+	rm.startHeartbeatLoop(nm, nmHeartbeat)
 	if wasDead {
 		// Recovered slots can serve queued requests right away.
 		rm.pump()
@@ -370,7 +357,7 @@ func (rm *RM) nmHeartbeat(nm *nodeManager, seq int) {
 		rm.control(nm.host, rm.rmHost, flows.PortRMTracker, "yarn/nmHeartbeat")
 	}
 	rm.scheduleOn(nm)
-	rm.eng.After(rm.cfg.NMHeartbeat, func() { rm.nmHeartbeat(nm, seq) })
+	rm.eng.After(nmHeartbeat, func() { rm.nmHeartbeat(nm, seq) })
 }
 
 // control fires a small RPC exchange flow. Negative endpoints (no AM
@@ -384,7 +371,7 @@ func (rm *RM) control(src, dst netsim.NodeID, port int, label string) {
 		Dst:       dst,
 		SrcPort:   32768 + rm.rng.Intn(28232),
 		DstPort:   port,
-		SizeBytes: rm.cfg.ControlBytes,
+		SizeBytes: controlBytes,
 		Label:     label,
 	})
 	if err != nil {
@@ -455,7 +442,7 @@ func (rm *RM) grant(nm *nodeManager, req *ContainerRequest) {
 	nm.containers = append(nm.containers, c)
 	// Container launch: RM→NM start-container RPC, then localization delay.
 	rm.control(rm.rmHost, nm.host, flows.PortNMIPC, "yarn/startContainer")
-	rm.eng.After(rm.cfg.ContainerLaunchDelay, func() {
+	rm.eng.After(containerLaunchDelay, func() {
 		if c.lost {
 			return // host failed during launch; request was re-queued
 		}
@@ -536,7 +523,7 @@ func (a *App) amHeartbeat() {
 	}
 	a.rm.metrics.AMHeartbeats.Inc()
 	a.rm.control(a.AMHost(), a.rm.rmHost, flows.PortRMScheduler, "yarn/amHeartbeat")
-	a.rm.eng.After(a.rm.cfg.AMHeartbeat, func() { a.amHeartbeat() })
+	a.rm.eng.After(amHeartbeat, func() { a.amHeartbeat() })
 }
 
 // RequestContainer asks for one task container at the given priority,

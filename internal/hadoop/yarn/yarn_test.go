@@ -169,7 +169,7 @@ func TestPriorityOrdering(t *testing.T) {
 }
 
 func TestHeartbeatControlTraffic(t *testing.T) {
-	rm, net, c := testRM(t, 4, Config{NMHeartbeat: sim.Time(1_000_000_000)})
+	rm, net, c := testRM(t, 4, Config{})
 	rm.Start()
 	if _, err := net.Engine().Run(sim.Time(10_500_000_000)); err != nil {
 		t.Fatal(err)

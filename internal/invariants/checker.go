@@ -14,25 +14,12 @@ func wireErr(wire, repl int64, rel string) error {
 	return fmt.Errorf("write-pipeline wire bytes %d vs replica-pinned bytes %d (want wire %s pinned)", wire, repl, rel)
 }
 
-// Options tunes a Checker. The zero value is usable: checks sample every
-// defaultEvery engine steps, with the (expensive) allocator oracle on
-// every defaultOracleEvery-th sweep, and violations carry no span context.
-type Options struct {
-	// Tracer, when non-nil, supplies the span context attached to
-	// violations.
-	Tracer *telemetry.Tracer
-	// Every is the number of engine steps between layer sweeps
-	// (default 64).
-	Every int
-	// OracleEvery runs the from-scratch max-min allocator oracle on every
-	// OracleEvery-th sweep (default 8) — it is O(rounds × flows × links),
-	// far heavier than the other checks.
-	OracleEvery int
-}
-
+// Sampling cadence: a layer sweep every sweepEvery engine steps, with the
+// from-scratch max-min allocator oracle — O(rounds × flows × links), far
+// heavier than the other checks — on every oracleEvery-th sweep.
 const (
-	defaultEvery       = 64
-	defaultOracleEvery = 8
+	sweepEvery  = 64
+	oracleEvery = 8
 )
 
 // Checker samples cross-layer invariants of a running cluster. Create
@@ -40,9 +27,11 @@ const (
 // trajectory is identical to an unchecked one.
 type Checker struct {
 	cluster *hadoop.Cluster
-	opts    Options
-	steps   int
-	sweeps  int
+	// tracer, when non-nil, supplies the span context attached to
+	// violations.
+	tracer *telemetry.Tracer
+	steps  int
+	sweeps int
 	// capture is the checker's own packet capture, whose trains and
 	// ground truth Final verifies.
 	capture *pcap.Capture
@@ -55,27 +44,22 @@ type Checker struct {
 // RunToIdle's error path. Attach also taps the cluster's network with a
 // packet capture for Final's train and wire checks, so call it before
 // any flow starts; that capture makes the network record rate history.
-func Attach(cluster *hadoop.Cluster, opts Options) *Checker {
-	if opts.Every <= 0 {
-		opts.Every = defaultEvery
-	}
-	if opts.OracleEvery <= 0 {
-		opts.OracleEvery = defaultOracleEvery
-	}
-	ck := &Checker{cluster: cluster, opts: opts, capture: pcap.NewCapture()}
+// A non-nil tracer supplies the span context attached to violations.
+func Attach(cluster *hadoop.Cluster, tracer *telemetry.Tracer) *Checker {
+	ck := &Checker{cluster: cluster, tracer: tracer, capture: pcap.NewCapture()}
 	cluster.Net.AddTap(ck.capture)
 	cluster.SetStepCheck(ck.step)
 	return ck
 }
 
-// step is the per-event hook: run a sweep every opts.Every steps.
+// step is the per-event hook: run a sweep every sweepEvery steps.
 func (ck *Checker) step() error {
 	ck.steps++
-	if ck.steps%ck.opts.Every != 0 {
+	if ck.steps%sweepEvery != 0 {
 		return nil
 	}
 	ck.sweeps++
-	return ck.sweep(ck.sweeps%ck.opts.OracleEvery == 0)
+	return ck.sweep(ck.sweeps%oracleEvery == 0)
 }
 
 // Steps returns how many engine steps the checker has observed.
@@ -88,7 +72,7 @@ func (ck *Checker) Steps() int { return ck.steps }
 // stay race-free.
 func (ck *Checker) Sweep() error {
 	ck.sweeps++
-	return ck.sweep(ck.sweeps%ck.opts.OracleEvery == 0)
+	return ck.sweep(ck.sweeps%oracleEvery == 0)
 }
 
 // sweep runs every layer's invariant check once, optionally including
@@ -96,22 +80,22 @@ func (ck *Checker) Sweep() error {
 func (ck *Checker) sweep(withOracle bool) error {
 	now := int64(ck.cluster.Eng.Now())
 	if err := ck.cluster.Net.VerifyState(); err != nil {
-		return violation("netsim", "state", now, ck.opts.Tracer, err)
+		return violation("netsim", "state", now, ck.tracer, err)
 	}
 	if withOracle {
 		if err := ck.cluster.Net.CheckAllocatorOracle(); err != nil {
-			return violation("netsim", "maxmin-oracle", now, ck.opts.Tracer, err)
+			return violation("netsim", "maxmin-oracle", now, ck.tracer, err)
 		}
 	}
 	if err := ck.cluster.FS.VerifyInvariants(); err != nil {
-		return violation("hdfs", "conservation", now, ck.opts.Tracer, err)
+		return violation("hdfs", "conservation", now, ck.tracer, err)
 	}
 	if err := ck.cluster.RM.VerifyInvariants(); err != nil {
-		return violation("yarn", "slots", now, ck.opts.Tracer, err)
+		return violation("yarn", "slots", now, ck.tracer, err)
 	}
 	for _, j := range ck.cluster.Jobs() {
 		if err := j.VerifyInvariants(); err != nil {
-			return violation("mr", "shuffle-conservation", now, ck.opts.Tracer, err)
+			return violation("mr", "shuffle-conservation", now, ck.tracer, err)
 		}
 	}
 	return nil
@@ -130,7 +114,7 @@ func (ck *Checker) Final(faultFree bool) error {
 	}
 	now := int64(ck.cluster.Eng.Now())
 	if err := ck.capture.VerifyTrains(); err != nil {
-		return violation("pcap", "train", now, ck.opts.Tracer, err)
+		return violation("pcap", "train", now, ck.tracer, err)
 	}
 	var wire int64
 	for _, tr := range ck.capture.Truth() {
@@ -142,11 +126,11 @@ func (ck *Checker) Final(faultFree bool) error {
 	}
 	repl := ck.cluster.FS.ReplicatedBytes()
 	if faultFree && wire != repl {
-		return violation("hdfs", "wire-conservation", now, ck.opts.Tracer,
+		return violation("hdfs", "wire-conservation", now, ck.tracer,
 			wireErr(wire, repl, "=="))
 	}
 	if !faultFree && wire < repl {
-		return violation("hdfs", "wire-conservation", now, ck.opts.Tracer,
+		return violation("hdfs", "wire-conservation", now, ck.tracer,
 			wireErr(wire, repl, ">="))
 	}
 	return nil

@@ -64,7 +64,7 @@ func TestCheckerAbortsRunOnCorruptedState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ck := invariants.Attach(cluster, invariants.Options{Every: 1})
+	ck := invariants.Attach(cluster, nil)
 	if err := workload.Run(cluster, workload.RunSpec{Profile: "terasort", InputBytes: 32 << 20}, 0, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -85,8 +85,8 @@ func TestCheckerAbortsRunOnCorruptedState(t *testing.T) {
 	if v.Layer != "hdfs" || v.Rule != "conservation" {
 		t.Errorf("violation attributed to %s/%s, want hdfs/conservation", v.Layer, v.Rule)
 	}
-	if ck.Steps() == 0 {
-		t.Error("checker observed no engine steps")
+	if ck.Steps() != 64 {
+		t.Errorf("violation after %d engine steps, want 64 (the first sweep)", ck.Steps())
 	}
 }
 
@@ -101,7 +101,7 @@ func TestCheckerFinalCatchesWireDrift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ck := invariants.Attach(cluster, invariants.Options{})
+	ck := invariants.Attach(cluster, nil)
 	if err := workload.Run(cluster, workload.RunSpec{Profile: "terasort", InputBytes: 32 << 20}, 0, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestCheckerFinalCatchesWireDrift(t *testing.T) {
 	if err := ck.Final(true); err != nil {
 		t.Fatalf("balanced capture fails wire conservation: %v", err)
 	}
-	err = invariants.Attach(cluster, invariants.Options{}).Final(true)
+	err = invariants.Attach(cluster, nil).Final(true)
 	if err == nil {
 		t.Fatal("empty capture passed wire conservation against a written FS")
 	}

@@ -150,7 +150,7 @@ func (c *soaCore) freezeAt(i int, s int32, r float64) {
 func (c *soaCore) freezeStranded(demand []float64) {
 	for i, s := range c.active {
 		if !c.frozen[i] {
-			c.rates[i] = c.cfg.LoopbackBps
+			c.rates[i] = loopbackBps
 			if demand != nil {
 				c.rates[i] = demand[s]
 			}
@@ -174,7 +174,7 @@ func (c *soaCore) equalSplitRates() {
 			}
 		}
 		if math.IsInf(rate, 1) {
-			rate = c.cfg.LoopbackBps
+			rate = loopbackBps
 		}
 		c.rates[i] = rate
 	}

@@ -246,7 +246,7 @@ func refFluidRates(c *soaCore) []float64 {
 		if best < 0 {
 			for i := range r.frozen {
 				if !r.frozen[i] {
-					r.rates[i] = c.cfg.LoopbackBps
+					r.rates[i] = loopbackBps
 					r.frozen[i] = true
 					remaining--
 				}

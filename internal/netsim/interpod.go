@@ -119,9 +119,6 @@ func NewInterPod(sched *sim.ShardedEngine, nets []*Network, gateways []NodeID, l
 	return ip, nil
 }
 
-// Latency returns the one-way inter-pod delay.
-func (ip *InterPod) Latency() sim.Time { return ip.latency }
-
 // Pending returns the in-flight transfer count. Exact at barriers.
 func (ip *InterPod) Pending() int { return int(atomic.LoadInt64(&ip.pending)) }
 

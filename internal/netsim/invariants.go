@@ -172,7 +172,7 @@ func (n *Network) CheckAllocatorOracle() error {
 	for i, l := range n.topo.links {
 		capacity[i] = l.CapacityBps
 	}
-	want := maxMinRates(paths, capacity, demand, n.cfg.LoopbackBps)
+	want := maxMinRates(paths, capacity, demand, loopbackBps)
 	for i, s := range c.active {
 		if !rateEqual(c.rate[s], want[i]) {
 			return fmt.Errorf("netsim: flow %d rate %.6g bps diverges from max-min oracle %.6g bps", c.fid[s], c.rate[s], want[i])

@@ -295,7 +295,7 @@ func TestOversubscribedUplinkBottleneck(t *testing.T) {
 func TestLoopbackFlow(t *testing.T) {
 	topo := mustStar(t, 2, Gbps)
 	eng := sim.New()
-	net := NewNetwork(eng, topo, Config{LoopbackBps: 10 * Gbps})
+	net := NewNetwork(eng, topo, Config{})
 	h := topo.Hosts()
 	var dur time.Duration
 	if _, err := net.StartFlow(FlowSpec{Src: h[0], Dst: h[0], SrcPort: 1, DstPort: 2, SizeBytes: 125_000_000,
@@ -305,9 +305,9 @@ func TestLoopbackFlow(t *testing.T) {
 	if _, err := eng.RunAll(); err != nil {
 		t.Fatal(err)
 	}
-	// 1 Gb at 10 Gbps = 100 ms (plus 10 µs loopback latency).
-	if math.Abs(dur.Seconds()-0.1) > 0.001 {
-		t.Errorf("loopback duration = %v, want ~100ms", dur)
+	// 1 Gb at 20 Gbps = 50 ms (plus 10 µs loopback latency).
+	if math.Abs(dur.Seconds()-0.05) > 0.001 {
+		t.Errorf("loopback duration = %v, want ~50ms", dur)
 	}
 }
 

@@ -102,28 +102,21 @@ const (
 	AllocEqualSplit
 )
 
-// Config tunes network-wide constants.
+// Config selects the network's rate model.
 type Config struct {
-	// LoopbackBps is the rate for src==dst transfers (local disk/memory
-	// path). Default 20 Gbps.
-	LoopbackBps float64
 	// Allocator selects the bandwidth sharing model (default AllocMaxMin).
 	Allocator Allocator
-	// ExpectedFlows pre-sizes flow storage (slot arrays, path arena,
-	// per-link indexes, allocator scratch) for the given peak number of
-	// concurrent flows, so a capture whose concurrency is predicted from
-	// its workload profile allocates nothing on the steady-state path.
-	ExpectedFlows int
 	// Transport selects the rate model: "" or "fluid" for instantaneous
 	// max-min sharing (the default), "tcp" for the per-flow TCP state
 	// machine (slow start, AIMD, fast retransmit, RTO) over droptail
 	// queues. Validate user input with ParseTransport before building a
 	// Network — NewNetwork panics on names ParseTransport rejects.
 	Transport string
-	// TCP tunes the TCP transport; ignored unless Transport is "tcp".
-	// The zero value selects the documented defaults.
-	TCP TCPConfig
 }
+
+// loopbackBps is the rate for src==dst transfers (the local disk/memory
+// path).
+const loopbackBps = 20 * Gbps
 
 // Network runs flows over a Topology on a shared simulation engine. It is
 // the public face of the struct-of-arrays flow core (soa), which holds
@@ -152,18 +145,12 @@ func (n *Network) SetMetrics(m telemetry.NetMetrics) { n.metrics = m }
 
 // NewNetwork creates a Network bound to the engine and topology.
 func NewNetwork(eng *sim.Engine, topo *Topology, cfg Config) *Network {
-	if cfg.LoopbackBps == 0 {
-		cfg.LoopbackBps = 20 * Gbps
-	}
 	tr, err := ParseTransport(cfg.Transport)
 	if err != nil {
 		panic(err)
 	}
 	n := &Network{eng: eng, topo: topo, cfg: cfg}
 	n.soa = newSoaCore(n, tr)
-	if cfg.ExpectedFlows > 0 {
-		n.Reserve(cfg.ExpectedFlows)
-	}
 	return n
 }
 

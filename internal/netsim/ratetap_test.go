@@ -45,7 +45,8 @@ func TestRateHistoryFollowsRateTap(t *testing.T) {
 	for _, transport := range []string{"fluid", "tcp"} {
 		t.Run(transport, func(t *testing.T) {
 			run := func(taps ...Tap) (*Network, []Flow) {
-				net := NewNetwork(sim.New(), mustStar(t, 9, Gbps), Config{Transport: transport, ExpectedFlows: 64})
+				net := NewNetwork(sim.New(), mustStar(t, 9, Gbps), Config{Transport: transport})
+				net.Reserve(64)
 				for _, tp := range taps {
 					net.AddTap(tp)
 				}

@@ -470,7 +470,7 @@ func (c *soaCore) activate(arg uint64) {
 	if c.spec[s].Src == c.spec[s].Dst {
 		// Loopback: fixed rate, no interaction with fairness.
 		c.state[s] = slotLoopback
-		c.rate[s] = c.cfg.LoopbackBps
+		c.rate[s] = loopbackBps
 		c.appendSegment(s, RateSegment{Start: now, RateBps: c.rate[s]})
 		// No reallocation revisits a loopback flow, so it arms at once.
 		c.scheduleCompletion(s, sim.MaxTime)

@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"errors"
-	"math"
 	"testing"
 	"time"
 
@@ -79,7 +78,8 @@ func runIncast(t *testing.T, transport string, fanin int, sizeBytes int64) incas
 	t.Helper()
 	topo := mustStar(t, fanin+1, Gbps)
 	eng := sim.New()
-	net := NewNetwork(eng, topo, Config{Transport: transport, ExpectedFlows: fanin})
+	net := NewNetwork(eng, topo, Config{Transport: transport})
+	net.Reserve(fanin)
 	hosts := topo.Hosts()
 	var res incastResult
 	for i := 0; i < fanin; i++ {
@@ -278,27 +278,5 @@ func TestTCPRerouteKeepsWindowBounded(t *testing.T) {
 	}
 	if err := net.VerifyState(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestTCPConfigDefaults pins the documented TCPConfig defaults.
-func TestTCPConfigDefaults(t *testing.T) {
-	d := TCPConfig{}.withDefaults()
-	if d.MSSBytes != 1448 || d.InitWindowBytes != 14480 {
-		t.Errorf("MSS/IW defaults = %.0f/%.0f, want 1448/14480", d.MSSBytes, d.InitWindowBytes)
-	}
-	if d.BufferBytes != 131072 {
-		t.Errorf("buffer default = %.0f, want 131072", d.BufferBytes)
-	}
-	if d.RTOMinNs != 200_000_000 || d.RTOMaxNs != 60_000_000_000 || d.TickNs != 1_000_000 {
-		t.Errorf("timer defaults = %d/%d/%d", d.RTOMinNs, d.RTOMaxNs, d.TickNs)
-	}
-	// Overrides survive.
-	o := TCPConfig{MSSBytes: 9000, TickNs: 5}.withDefaults()
-	if o.MSSBytes != 9000 || o.InitWindowBytes != 90000 || o.TickNs != 5 {
-		t.Errorf("override lost: %+v", o)
-	}
-	if math.IsNaN(o.BufferBytes) || o.BufferBytes <= 0 {
-		t.Errorf("buffer default broken under overrides: %.0f", o.BufferBytes)
 	}
 }

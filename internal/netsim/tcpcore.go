@@ -32,8 +32,7 @@ import (
 // hook in soaCore degrades to a nil check and the fluid trajectory is
 // byte-identical to a build without this file.
 type tcpCore struct {
-	c   *soaCore
-	cfg TCPConfig
+	c *soaCore
 
 	// Per-slot state, parallel to soaCore's slot arrays.
 	cwnd     []float64 // congestion window, bytes
@@ -79,6 +78,30 @@ const (
 	tcpRTOWait
 )
 
+// Fixed TCP transport parameters, read only when the transport is "tcp".
+const (
+	// tcpMSS is the segment payload size in bytes: a 1500-byte Ethernet
+	// MTU minus TCP/IP headers with timestamps.
+	tcpMSS float64 = 1448
+	// tcpInitWindow is the initial congestion window in bytes (RFC 6928
+	// IW10, the Linux initcwnd).
+	tcpInitWindow = 10 * tcpMSS
+	// tcpBufferBytes is the per-link droptail queue depth: a shallow
+	// ToR-class buffer, the regime where shuffle incast shows.
+	tcpBufferBytes float64 = 128 << 10
+	// tcpRTOMinNs is the minimum retransmission timeout (Linux
+	// TCP_RTO_MIN): the constant that makes incast collapse hurt.
+	tcpRTOMinNs float64 = 200_000_000
+	// tcpRTOMaxNs caps the backed-off timeout (the RFC 6298 floor for an
+	// RTO ceiling).
+	tcpRTOMaxNs float64 = 60_000_000_000
+	// tcpTick is the ack-clock granularity (a 1000 Hz Linux jiffy): every
+	// tick each active flow grows its window by the bytes acked since the
+	// last tick and reacts to queue overflow on its path. Window growth
+	// is driven by acked bytes, so it is insensitive to the tick cadence.
+	tcpTick sim.Time = 1_000_000
+)
+
 // tcpMaxBackoff caps RTO exponential backoff at 2^6 = 64x.
 const tcpMaxBackoff = 6
 
@@ -86,7 +109,6 @@ func newTCPCore(c *soaCore) *tcpCore {
 	nl := len(c.topo.links)
 	t := &tcpCore{
 		c:          c,
-		cfg:        c.cfg.TCP.withDefaults(),
 		qBytes:     make([]float64, nl),
 		qDelay:     make([]float64, nl),
 		offeredBps: make([]float64, nl),
@@ -151,11 +173,11 @@ func (t *tcpCore) refreshPath(s int32) {
 		}
 	}
 	if math.IsInf(bneck, 1) {
-		bneck = t.c.cfg.LoopbackBps
+		bneck = loopbackBps
 	}
-	w := bneck/8*rtt + t.cfg.BufferBytes
-	if w < 2*t.cfg.MSSBytes {
-		w = 2 * t.cfg.MSSBytes
+	w := bneck/8*rtt + tcpBufferBytes
+	if w < 2*tcpMSS {
+		w = 2 * tcpMSS
 	}
 	t.cwndCap[s] = w
 }
@@ -164,12 +186,12 @@ func (t *tcpCore) refreshPath(s int32) {
 func (t *tcpCore) onActivate(s int32) {
 	now := t.c.eng.Now()
 	t.refreshPath(s)
-	iw := t.cfg.InitWindowBytes
+	iw := tcpInitWindow
 	if iw > t.cwndCap[s] {
 		iw = t.cwndCap[s]
 	}
-	if iw < t.cfg.MSSBytes {
-		iw = t.cfg.MSSBytes
+	if iw < tcpMSS {
+		iw = tcpMSS
 	}
 	t.cwnd[s] = iw
 	t.ssthresh[s] = t.cwndCap[s]
@@ -188,7 +210,7 @@ func (t *tcpCore) onActivate(s int32) {
 // tick is the completion horizon: every flow step and reallocation runs
 // before it, so a completion is armed only once it is due by then.
 func (t *tcpCore) armTick(now sim.Time) {
-	next := now + sim.Time(t.cfg.TickNs)
+	next := now + tcpTick
 	t.c.horizon = next
 	_ = t.tickEv.Schedule(next)
 }
@@ -200,8 +222,8 @@ func (t *tcpCore) onReroute(s int32) {
 	if t.cwnd[s] > t.cwndCap[s] {
 		t.cwnd[s] = t.cwndCap[s]
 	}
-	if t.cwnd[s] < t.cfg.MSSBytes {
-		t.cwnd[s] = t.cfg.MSSBytes
+	if t.cwnd[s] < tcpMSS {
+		t.cwnd[s] = tcpMSS
 	}
 }
 
@@ -230,8 +252,8 @@ func (t *tcpCore) settleQueues(now sim.Time) {
 		capBps := t.c.topo.links[l].CapacityBps
 		net := (t.offeredBps[l] - capBps) / 8
 		q := t.qBytes[l] + net*dt
-		if q >= t.cfg.BufferBytes {
-			q = t.cfg.BufferBytes
+		if q >= tcpBufferBytes {
+			q = tcpBufferBytes
 			if net > 0 {
 				t.overflowAt[l] = now
 			}
@@ -347,7 +369,7 @@ func (t *tcpCore) step(s int32, now sim.Time) {
 				t.tstate[s] = tcpAvoid
 			}
 		case tcpAvoid:
-			t.cwnd[s] += t.cfg.MSSBytes * acked / t.cwnd[s]
+			t.cwnd[s] += tcpMSS * acked / t.cwnd[s]
 		}
 		if t.cwnd[s] > t.cwndCap[s] {
 			t.cwnd[s] = t.cwndCap[s]
@@ -366,7 +388,7 @@ func (t *tcpCore) step(s int32, now sim.Time) {
 // is the queueing delay along the flow's path, in seconds.
 func (t *tcpCore) onLoss(s int32, now sim.Time, qDelay float64) {
 	t.lossAt[s] = now
-	mss := t.cfg.MSSBytes
+	mss := tcpMSS
 	half := t.cwnd[s] / 2
 	if half < 2*mss {
 		half = 2 * mss
@@ -391,12 +413,12 @@ func (t *tcpCore) onLoss(s int32, now sim.Time, qDelay float64) {
 // max(RTOmin, 2·srtt) · 2^backoff, capped at RTOmax.
 func (t *tcpCore) armRTO(s int32, now sim.Time) {
 	rto := 2 * t.srtt[s] * 1e9
-	if rto < float64(t.cfg.RTOMinNs) {
-		rto = float64(t.cfg.RTOMinNs)
+	if rto < tcpRTOMinNs {
+		rto = tcpRTOMinNs
 	}
 	rto *= float64(int64(1) << t.backoff[s])
-	if rto > float64(t.cfg.RTOMaxNs) {
-		rto = float64(t.cfg.RTOMaxNs)
+	if rto > tcpRTOMaxNs {
+		rto = tcpRTOMaxNs
 	}
 	if !t.rtoEv[s].Valid() {
 		t.rtoEv[s] = t.c.eng.NewTimer(t.rtoCb, uint64(uint32(s)))
@@ -420,7 +442,7 @@ func (t *tcpCore) rtoFire(arg uint64) {
 	if t.backoff[s] < tcpMaxBackoff {
 		t.backoff[s]++
 	}
-	t.cwnd[s] = t.cfg.MSSBytes
+	t.cwnd[s] = tcpMSS
 	t.tstate[s] = tcpSlowStart
 	t.lossAt[s] = now
 	t.acked[s] = 0
@@ -436,7 +458,7 @@ func (t *tcpCore) rtoFire(arg uint64) {
 // sweeps it during captures.
 func (t *tcpCore) verify() error {
 	c := t.c
-	mss := t.cfg.MSSBytes
+	mss := tcpMSS
 	for _, s := range c.active {
 		if math.IsNaN(t.cwnd[s]) || t.cwnd[s] < mss*0.999 || t.cwnd[s] > t.cwndCap[s]*1.001 {
 			return fmt.Errorf("netsim: flow %d cwnd %.1f outside [MSS %.0f, BDP+buffer %.1f]",
@@ -464,8 +486,8 @@ func (t *tcpCore) verify() error {
 		}
 	}
 	for l, q := range t.qBytes {
-		if math.IsNaN(q) || q < 0 || q > t.cfg.BufferBytes*1.001 {
-			return fmt.Errorf("netsim: link %d queue %.1f outside [0, buffer %.0f]", l, q, t.cfg.BufferBytes)
+		if math.IsNaN(q) || q < 0 || q > tcpBufferBytes*1.001 {
+			return fmt.Errorf("netsim: link %d queue %.1f outside [0, buffer %.0f]", l, q, tcpBufferBytes)
 		}
 		if (q > 0 || t.offeredBps[l] > 0) && !t.isLive[l] {
 			return fmt.Errorf("netsim: link %d holds queue %.1f and offered load %.3g bps but is not live", l, q, t.offeredBps[l])

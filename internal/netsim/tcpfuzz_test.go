@@ -32,7 +32,8 @@ func FuzzTCPStep(f *testing.F) {
 		}
 		eng := sim.New()
 		eng.MaxEvents = 2_000_000 // wedge guard: a runaway tick loop trips this
-		net := NewNetwork(eng, topo, Config{Transport: "tcp", ExpectedFlows: 32})
+		net := NewNetwork(eng, topo, Config{Transport: "tcp"})
+		net.Reserve(32)
 		hosts := topo.Hosts()
 
 		started := 0

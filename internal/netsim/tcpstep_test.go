@@ -69,9 +69,10 @@ func TestTCPStepMatchesReference(t *testing.T) {
 	for _, fanin := range []int{2, 16, 32, 64} {
 		topo := mustStar(t, fanin+1, Gbps)
 		eng := sim.New()
-		net := NewNetwork(eng, topo, Config{Transport: "tcp", ExpectedFlows: fanin})
+		net := NewNetwork(eng, topo, Config{Transport: "tcp"})
+		net.Reserve(fanin)
 		c, tc := net.soa, net.soa.tcp
-		mss := tc.cfg.MSSBytes
+		mss := tcpMSS
 
 		type before struct {
 			s     int32

@@ -50,49 +50,3 @@ func ParseTransport(name string) (Transport, error) {
 		return TransportFluid, fmt.Errorf("%w %q (valid: fluid, tcp)", ErrBadTransport, name)
 	}
 }
-
-// TCPConfig tunes the TCP transport. The zero value selects the defaults
-// below; fields are only read when Config.Transport is "tcp".
-type TCPConfig struct {
-	// MSSBytes is the segment payload size (default 1448, Ethernet MTU
-	// minus TCP/IP headers with timestamps).
-	MSSBytes float64
-	// InitWindowBytes is the initial congestion window (default 10 MSS,
-	// RFC 6928 IW10).
-	InitWindowBytes float64
-	// BufferBytes is the per-link droptail queue depth (default 128 KiB —
-	// a shallow ToR-class buffer, the regime where shuffle incast shows).
-	BufferBytes float64
-	// RTOMinNs is the minimum retransmission timeout (default 200 ms, the
-	// Linux default — the constant that makes incast collapse hurt).
-	RTOMinNs int64
-	// RTOMaxNs caps the backed-off timeout (default 60 s).
-	RTOMaxNs int64
-	// TickNs is the ack-clock granularity: every tick each active flow
-	// grows its window by the bytes acked since the last tick and reacts
-	// to queue overflow on its path (default 1 ms). Window growth is
-	// driven by acked bytes, so it is insensitive to the tick cadence.
-	TickNs int64
-}
-
-func (c TCPConfig) withDefaults() TCPConfig {
-	if c.MSSBytes <= 0 {
-		c.MSSBytes = 1448
-	}
-	if c.InitWindowBytes <= 0 {
-		c.InitWindowBytes = 10 * c.MSSBytes
-	}
-	if c.BufferBytes <= 0 {
-		c.BufferBytes = 128 << 10
-	}
-	if c.RTOMinNs <= 0 {
-		c.RTOMinNs = 200_000_000
-	}
-	if c.RTOMaxNs <= 0 {
-		c.RTOMaxNs = 60_000_000_000
-	}
-	if c.TickNs <= 0 {
-		c.TickNs = 1_000_000
-	}
-	return c
-}

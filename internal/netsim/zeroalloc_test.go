@@ -51,7 +51,8 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 		t.Skip("allocation accounting is unreliable under the race detector")
 	}
 	topo := mustStar(t, 9, Gbps)
-	net := NewNetwork(sim.New(), topo, Config{ExpectedFlows: 64})
+	net := NewNetwork(sim.New(), topo, Config{})
+	net.Reserve(64)
 	hosts := topo.Hosts()
 
 	batch := observedBatch(t, net, func(i int) FlowSpec {
@@ -82,7 +83,8 @@ func TestSteadyStateZeroAllocTCP(t *testing.T) {
 		t.Skip("allocation accounting is unreliable under the race detector")
 	}
 	topo := mustStar(t, 9, Gbps)
-	net := NewNetwork(sim.New(), topo, Config{Transport: "tcp", ExpectedFlows: 64})
+	net := NewNetwork(sim.New(), topo, Config{Transport: "tcp"})
+	net.Reserve(64)
 	hosts := topo.Hosts()
 
 	batch := observedBatch(t, net, func(i int) FlowSpec {

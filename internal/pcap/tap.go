@@ -12,10 +12,10 @@ import (
 // 12 timestamps).
 const MSS = 1448
 
-// DefaultMaxPacketsPerFlow bounds synthesis cost for big flows; records
-// beyond the bound carry multiple MSS worth of payload each, mimicking a
+// MaxPacketsPerFlow bounds synthesis cost for big flows; records beyond
+// the bound carry multiple MSS worth of payload each, mimicking a
 // GRO-enabled capture. Byte totals stay exact.
-const DefaultMaxPacketsPerFlow = 2048
+const MaxPacketsPerFlow = 2048
 
 // FlowLog taps a netsim.Network for ground truth alone: one FlowRecord
 // per finished flow, in completion order. It retains no netsim.Flow and
@@ -94,7 +94,6 @@ func basePacket(spec netsim.FlowSpec, offset int) Packet {
 // sink wants packets as they happen, and retain no flows.
 type Capture struct {
 	FlowLog
-	maxPkts int
 	packets []Packet
 	// pending holds completed flows whose packet trains have not been
 	// synthesised yet (buffered mode only; completion order).
@@ -111,20 +110,13 @@ var _ netsim.RateTap = (*Capture)(nil)
 
 // NewCapture returns a Capture buffering packets in memory.
 func NewCapture() *Capture {
-	return &Capture{maxPkts: DefaultMaxPacketsPerFlow}
+	return &Capture{}
 }
 
 // NewStreamingCapture routes synthesised packets to sink instead of the
 // in-memory buffer (ground truth is still buffered).
 func NewStreamingCapture(sink func(Packet) error) *Capture {
-	return &Capture{maxPkts: DefaultMaxPacketsPerFlow, sink: sink}
-}
-
-// SetMaxPacketsPerFlow overrides the synthesis bound (≥ 2).
-func (c *Capture) SetMaxPacketsPerFlow(n int) {
-	if n >= 2 {
-		c.maxPkts = n
-	}
+	return &Capture{sink: sink}
 }
 
 // Err returns the first sink error encountered, if any.
@@ -150,7 +142,7 @@ func (c *Capture) FlowCompleted(f netsim.Flow) {
 // sink or the in-memory buffer. The train itself is built by appendTrain
 // into a reused scratch buffer.
 func (c *Capture) synthesize(f netsim.Flow) {
-	c.train = appendTrain(c.train[:0], f, c.maxPkts, c.offset)
+	c.train = appendTrain(c.train[:0], f, c.offset)
 	for _, p := range c.train {
 		if c.err != nil {
 			return
@@ -167,10 +159,10 @@ func (c *Capture) synthesize(f netsim.Flow) {
 
 // appendTrain appends the packet train for one finished flow to dst: a
 // SYN at flow start, data records paced across the flow's rate segments
-// (at most maxPkts records in total), and a FIN — or RST for an aborted
+// (at most MaxPacketsPerFlow records in total), and a FIN — or RST for an aborted
 // flow — at flow end. It is pure over the flow's observable state, so
 // invariant checks can rebuild a train without touching the capture.
-func appendTrain(dst []Packet, f netsim.Flow, maxPkts, offset int) []Packet {
+func appendTrain(dst []Packet, f netsim.Flow, offset int) []Packet {
 	base := basePacket(f.Spec, offset)
 
 	startNs := int64(f.Start)
@@ -187,11 +179,9 @@ func appendTrain(dst []Packet, f netsim.Flow, maxPkts, offset int) []Packet {
 	total := f.Transferred
 	if total > 0 {
 		chunk := int64(MSS)
-		if budget := int64(maxPkts - 2); budget > 0 && total/chunk > budget {
+		// Leave room for the SYN and the FIN.
+		if budget := int64(MaxPacketsPerFlow - 2); total/chunk > budget {
 			chunk = (total/budget + MSS) / MSS * MSS
-		} else if budget <= 0 {
-			// No room for more than one data record between SYN and FIN.
-			chunk = total
 		}
 		segs := f.Segments
 		emitted := int64(0)
@@ -309,7 +299,7 @@ func CheckTrain(train []Packet) error {
 // coherent truth-record time bounds.
 func (c *Capture) VerifyTrains() error {
 	for _, f := range c.pending {
-		train := appendTrain(nil, f, c.maxPkts, c.offset)
+		train := appendTrain(nil, f, c.offset)
 		if err := CheckTrain(train); err != nil {
 			return fmt.Errorf("flow %d (%s): %w", f.ID, f.Spec.Label, err)
 		}

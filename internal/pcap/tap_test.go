@@ -102,8 +102,8 @@ func TestCapturePacketBoundRespected(t *testing.T) {
 			n++
 		}
 	}
-	if n > DefaultMaxPacketsPerFlow {
-		t.Errorf("synthesised %d data records, bound is %d", n, DefaultMaxPacketsPerFlow)
+	if n > MaxPacketsPerFlow {
+		t.Errorf("synthesised %d data records, bound is %d", n, MaxPacketsPerFlow)
 	}
 }
 
@@ -165,18 +165,6 @@ func TestCaptureSmallFlowExactPackets(t *testing.T) {
 	}
 	if len(data) != 3 {
 		t.Errorf("data packets = %d, want 3 (two MSS + remainder)", len(data))
-	}
-}
-
-func TestSetMaxPacketsPerFlow(t *testing.T) {
-	c := NewCapture()
-	c.SetMaxPacketsPerFlow(1) // below minimum — ignored
-	if c.maxPkts != DefaultMaxPacketsPerFlow {
-		t.Error("bound below minimum was accepted")
-	}
-	c.SetMaxPacketsPerFlow(16)
-	if c.maxPkts != 16 {
-		t.Error("bound not applied")
 	}
 }
 

@@ -137,13 +137,6 @@ func (s *ShardedEngine) ProcessedTotal() uint64 {
 	return n
 }
 
-// CriticalPathNs returns the summed per-window maximum shard busy time:
-// the wall time this run would need inside windows on a machine with one
-// core per engine. Dividing the serial layout's value by a sharded
-// layout's gives the speedup the shard partition can achieve, measured
-// from real event execution times, independent of host core count.
-func (s *ShardedEngine) CriticalPathNs() int64 { return s.critNs }
-
 // Now returns the scheduler clock: the furthest any engine has advanced.
 func (s *ShardedEngine) Now() Time {
 	var max Time

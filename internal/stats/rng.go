@@ -39,8 +39,5 @@ func (g *RNG) NormFloat64() float64 { return g.r.NormFloat64() }
 // ExpFloat64 returns a unit-rate exponential variate.
 func (g *RNG) ExpFloat64() float64 { return g.r.ExpFloat64() }
 
-// Perm returns a random permutation of [0,n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
-
 // Shuffle pseudo-randomizes the order of n elements using swap.
 func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }

@@ -77,7 +77,10 @@ type YarnMetrics struct {
 	QueueDepthMax     *Gauge
 }
 
-// MRMetrics instruments the MapReduce runtime.
+// MRMetrics instruments the MapReduce runtime. The simulator runs no
+// speculative attempts, so nothing updates MapsSpeculative; it stays
+// registered because every counter is in the snapshot, so removing one
+// would change every recorded digest.
 type MRMetrics struct {
 	JobsSubmitted      *Counter
 	JobsCompleted      *Counter
