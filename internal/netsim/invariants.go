@@ -11,15 +11,18 @@ import (
 // they allocate only local scratch, draw no randomness, and schedule no
 // events, so a checked run's trajectory is identical to an unchecked one.
 
-// VerifyState checks the structural invariants of the active flow set:
-// the active list and the per-link flow index agree with each other (each
-// list in active-list order, the loaded-link list exact), no active flow
-// crosses a downed link (SetLinkState reroutes or aborts victims
+// VerifyState checks the structural invariants of the transferring flow
+// set: the active list and the per-link flow index agree with each other
+// (each list in active-list order, the loaded-link list exact), the
+// parked set holds only silent TCP flows — stalled in RTO wait, rate and
+// demand zero, retransmission timer pending, no completion armed, in no
+// link list — and shares no slot with the active list, no transferring
+// flow crosses a downed link (SetLinkState reroutes or aborts victims
 // synchronously, so this holds even while a reallocation is pending),
 // every flow's residue is within [0, SizeBytes], and every pending
-// completion sits at its flow's due time. When no
-// reallocation is pending it additionally verifies the allocation itself
-// via CheckInvariants (capacity and bottleneck conditions).
+// completion sits at its flow's due time. When no reallocation is
+// pending it additionally verifies the allocation itself via
+// CheckInvariants (capacity and bottleneck conditions).
 func (n *Network) VerifyState() error {
 	if err := n.soa.verifyState(); err != nil {
 		return err
@@ -42,21 +45,49 @@ func (c *soaCore) verifyState() error {
 		if int(c.listIdx[s]) != i {
 			return fmt.Errorf("netsim: flow %d listIdx %d but held at position %d", c.fid[s], c.listIdx[s], i)
 		}
-		if c.state[s] != slotActive {
-			return fmt.Errorf("netsim: flow %d in active set but state %d (done, free or not yet active)", c.fid[s], c.state[s])
+		if c.parkPos[s] != -1 {
+			return fmt.Errorf("netsim: flow %d both active and parked (pos %d)", c.fid[s], c.parkPos[s])
 		}
-		if c.remaining[s] < 0 || c.remaining[s] > float64(c.spec[s].SizeBytes) {
-			return fmt.Errorf("netsim: flow %d remaining %.3g outside [0, %d]", c.fid[s], c.remaining[s], c.spec[s].SizeBytes)
+		if i > 0 && c.actSeq[c.active[i-1]] >= c.actSeq[s] {
+			return fmt.Errorf("netsim: active list out of activation order at position %d", i)
+		}
+		if err := c.verifyTransferring(s); err != nil {
+			return err
 		}
 		if err := c.verifyCompletion(s); err != nil {
 			return err
 		}
 		for _, lid := range c.path(s) {
-			if c.topo.linkDown[lid] {
-				return fmt.Errorf("netsim: flow %d active on downed link %d", c.fid[s], lid)
-			}
 			if !slices.Contains(c.linkFlows[lid], s) {
 				return fmt.Errorf("netsim: flow %d missing from link %d's index", c.fid[s], lid)
+			}
+		}
+	}
+	if len(c.parked) > 0 && c.tcp == nil {
+		return fmt.Errorf("netsim: %d flows parked under the fluid transport", len(c.parked))
+	}
+	for i, s := range c.parked {
+		if int(c.parkPos[s]) != i {
+			return fmt.Errorf("netsim: flow %d parkPos %d but parked at position %d", c.fid[s], c.parkPos[s], i)
+		}
+		if c.listIdx[s] != -1 {
+			return fmt.Errorf("netsim: parked flow %d keeps active-list index %d", c.fid[s], c.listIdx[s])
+		}
+		if err := c.verifyTransferring(s); err != nil {
+			return err
+		}
+		if c.rate[s] != 0 || c.tcp.demand[s] != 0 {
+			return fmt.Errorf("netsim: parked flow %d has rate %.3g and demand %.3g bps, want 0", c.fid[s], c.rate[s], c.tcp.demand[s])
+		}
+		if c.due[s] != noDue || c.completeEv[s].Pending() {
+			return fmt.Errorf("netsim: parked flow %d is due at %v (completion pending %v)", c.fid[s], c.due[s], c.completeEv[s].Pending())
+		}
+		if !c.tcp.rtoEv[s].Pending() {
+			return fmt.Errorf("netsim: parked flow %d has no retransmission timer pending", c.fid[s])
+		}
+		for _, lid := range c.path(s) {
+			if slices.Contains(c.linkFlows[lid], s) {
+				return fmt.Errorf("netsim: parked flow %d still in link %d's index", c.fid[s], lid)
 			}
 		}
 	}
@@ -66,8 +97,8 @@ func (c *soaCore) verifyState() error {
 	indexed, nLoaded := 0, 0
 	for l, lst := range c.linkFlows {
 		for j, s := range lst {
-			if c.state[s] != slotActive {
-				return fmt.Errorf("netsim: link %d index holds slot %d in state %d", l, s, c.state[s])
+			if c.state[s] != slotActive || c.listIdx[s] < 0 {
+				return fmt.Errorf("netsim: link %d index holds slot %d in state %d, list index %d", l, s, c.state[s], c.listIdx[s])
 			}
 			if j > 0 && c.listIdx[lst[j-1]] >= c.listIdx[s] {
 				return fmt.Errorf("netsim: link %d index out of active-list order at entry %d", l, j)
@@ -96,7 +127,7 @@ func (c *soaCore) verifyState() error {
 		return fmt.Errorf("netsim: per-link index holds %d entries, active paths cover %d", indexed, pathSum)
 	}
 	// Slot accounting: every slot is exactly one of free-listed, in the
-	// active list, or mid-lifecycle (propagating/loopback).
+	// active list, parked, or mid-lifecycle (propagating/loopback).
 	inFree := 0
 	for _, s := range c.freeSlots {
 		if c.state[s] != slotFree {
@@ -104,14 +135,41 @@ func (c *soaCore) verifyState() error {
 		}
 		inFree++
 	}
-	nFree := 0
-	for s := range c.state {
-		if c.state[s] == slotFree {
+	nFree, nActive := 0, 0
+	for s, st := range c.state {
+		switch st {
+		case slotFree:
 			nFree++
+		case slotActive:
+			nActive++
+		}
+		if p := c.parkPos[s]; p >= 0 && (int(p) >= len(c.parked) || c.parked[p] != int32(s)) {
+			return fmt.Errorf("netsim: slot %d parkPos %d but not parked there", s, p)
 		}
 	}
 	if inFree != nFree {
 		return fmt.Errorf("netsim: %d slots marked free but %d on the free list", nFree, inFree)
+	}
+	if held := len(c.active) + len(c.parked); held != nActive {
+		return fmt.Errorf("netsim: %d slots transferring but %d active or parked", nActive, held)
+	}
+	return nil
+}
+
+// verifyTransferring checks what holds for every transferring slot s,
+// active or parked: its state, its residue, and a path clear of downed
+// links.
+func (c *soaCore) verifyTransferring(s int32) error {
+	if c.state[s] != slotActive {
+		return fmt.Errorf("netsim: flow %d held as transferring but state %d (done, free or not yet active)", c.fid[s], c.state[s])
+	}
+	if c.remaining[s] < 0 || c.remaining[s] > float64(c.spec[s].SizeBytes) {
+		return fmt.Errorf("netsim: flow %d remaining %.3g outside [0, %d]", c.fid[s], c.remaining[s], c.spec[s].SizeBytes)
+	}
+	for _, lid := range c.path(s) {
+		if c.topo.linkDown[lid] {
+			return fmt.Errorf("netsim: flow %d active on downed link %d", c.fid[s], lid)
+		}
 	}
 	return nil
 }

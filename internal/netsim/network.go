@@ -3,6 +3,7 @@ package netsim
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"keddah/internal/sim"
 	"keddah/internal/telemetry"
@@ -333,11 +334,22 @@ func (n *Network) Reachable(src, dst NodeID) bool {
 // AbortedFlows returns the number of flows torn down by faults so far.
 func (n *Network) AbortedFlows() uint64 { return n.abortedCount }
 
-// ActiveFlows returns the number of currently transferring network flows.
-func (n *Network) ActiveFlows() int { return len(n.soa.active) }
+// ActiveFlows returns the number of currently transferring network flows,
+// TCP flows stalled in RTO wait included.
+func (n *Network) ActiveFlows() int { return len(n.soa.active) + len(n.soa.parked) }
 
-// linkFlowCount returns the number of active flows crossing link lid.
-func (n *Network) linkFlowCount(lid LinkID) int { return len(n.soa.linkFlows[lid]) }
+// linkFlowCount returns the number of transferring flows crossing link
+// lid: those in its index plus the parked flows whose path crosses it.
+func (n *Network) linkFlowCount(lid LinkID) int {
+	c := n.soa
+	k := len(c.linkFlows[lid])
+	for _, s := range c.parked {
+		if slices.Contains(c.path(s), lid) {
+			k++
+		}
+	}
+	return k
+}
 
 // reallocPendingNow reports whether a coalesced reallocation is queued at
 // the current instant (installed rates intentionally stale).
