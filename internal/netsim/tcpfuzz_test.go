@@ -22,6 +22,21 @@ func FuzzTCPStep(f *testing.F) {
 	// flow's rate settles while its due time is beyond the next tick, and
 	// a later tick must arm its completion.
 	f.Add([]byte{0x30, 0x30, 0x30, 0x30, 0x61, 0x30, 0x30, 0x30, 0x24})
+	// Sixteen 512 KiB flows from eight senders into one host (eight flows
+	// only ever fast-retransmit here), then 40 ms of ticks: synchronised
+	// loss stalls most of them in RTO wait. Host 1's uplink goes down,
+	// aborting both its stalled flows, and comes back 16 ms later; an
+	// abort by predicate takes another stalled flow; 240 ms more lets
+	// the retransmission timers fire.
+	f.Add([]byte{
+		0x50, 0x50, 0x50, 0x50, 0x50, 0x50, 0x50, 0x50,
+		0x50, 0x50, 0x50, 0x50, 0x50, 0x50, 0x50, 0x50,
+		0xf4, 0xf4, 0xf4, 0xf4, 0xf4,
+		0x29, 0xf4, 0xf4, 0x2a, 0x9c,
+		0xf4, 0xf4, 0xf4, 0xf4, 0xf4, 0xf4, 0xf4, 0xf4, 0xf4, 0xf4,
+		0xf4, 0xf4, 0xf4, 0xf4, 0xf4, 0xf4, 0xf4, 0xf4, 0xf4, 0xf4,
+		0xf4, 0xf4, 0xf4, 0xf4, 0xf4, 0xf4, 0xf4, 0xf4, 0xf4, 0xf4,
+	})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 256 {
 			t.Skip()

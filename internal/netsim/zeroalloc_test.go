@@ -77,7 +77,10 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 // incast (every flow funnels into one host, so the warm-up provokes both
 // fast retransmits and RTO stalls, forcing every slot's RTO timer into
 // existence), after which repeated batches — observed by a tap and
-// callbacks as in TestSteadyStateZeroAlloc — allocate nothing.
+// callbacks as in TestSteadyStateZeroAlloc — allocate nothing. Every
+// measured batch stalls flows again, so parking a stalled flow and
+// unparking it when its timer fires happen inside the zero-allocation
+// window.
 func TestSteadyStateZeroAllocTCP(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is unreliable under the race detector")
@@ -99,6 +102,10 @@ func TestSteadyStateZeroAllocTCP(t *testing.T) {
 	avg := testing.AllocsPerRun(10, batch)
 	if avg != 0 {
 		t.Errorf("steady-state TCP capture loop allocates %v times per batch, want 0", avg)
+	}
+	// AllocsPerRun runs one unmeasured batch, then the ten it measures.
+	if _, after := net.TCPStats(); after-rto < 11 {
+		t.Errorf("the 11 batches after warm-up fired %d RTOs, want at least one per batch", after-rto)
 	}
 	if err := net.VerifyState(); err != nil {
 		t.Fatal(err)
