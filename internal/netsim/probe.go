@@ -27,7 +27,8 @@ type UtilizationProbe struct {
 }
 
 // AttachTimeline mirrors every sample into a telemetry link timeline
-// (utilisation plus the per-link active flow count). Pass nil to detach.
+// (utilisation plus the per-link count of transferring flows, TCP flows
+// stalled in RTO wait included). Pass nil to detach.
 func (p *UtilizationProbe) AttachTimeline(tl *telemetry.LinkTimeline) { p.timeline = tl }
 
 // NewUtilizationProbe probes the given links every interval. An empty
