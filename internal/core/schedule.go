@@ -21,8 +21,8 @@ import (
 // The slab holds slabFlow records, not SynthFlows. A run has one job and
 // one phase, so those live on the run, and a record is 32 bytes with no
 // pointers: the GC never scans the slab, and a schedule costs 2.5× less
-// memory than its SynthFlow form. The merge expands each record as it
-// writes it into the output.
+// memory than its SynthFlow form. The merge expands each record in place
+// as it writes it into the output.
 
 // slabFlow is one generated flow as the builder holds it; its job and
 // phase are its run's. speccheck.go guards the narrowed host fields and
@@ -47,18 +47,17 @@ type scheduleRun struct {
 	phase flows.Phase
 }
 
-// expand is f as the SynthFlow it stands for in run r.
-func (r *scheduleRun) expand(f slabFlow) SynthFlow {
-	return SynthFlow{
-		StartNs: f.startNs,
-		SrcHost: int(f.src),
-		DstHost: int(f.dst),
-		SrcPort: int(f.srcPort),
-		DstPort: int(f.dstPort),
-		Bytes:   f.bytes,
-		Phase:   r.phase,
-		Job:     r.job,
-	}
+// expandInto writes f, as the SynthFlow it stands for in run r, into d
+// field by field, so no SynthFlow temporary is built and copied.
+func (r *scheduleRun) expandInto(d *SynthFlow, f *slabFlow) {
+	d.StartNs = f.startNs
+	d.SrcHost = int(f.src)
+	d.DstHost = int(f.dst)
+	d.SrcPort = int(f.srcPort)
+	d.DstPort = int(f.dstPort)
+	d.Bytes = f.bytes
+	d.Phase = r.phase
+	d.Job = r.job
 }
 
 // scheduleBuilder accumulates a schedule's runs in one slab.
@@ -189,8 +188,8 @@ func (m *runMerge) fill(dst []SynthFlow) int {
 		if len(m.heap) == 1 {
 			// One run left: the rest of it is in order already.
 			c := min(h.end-h.next, len(dst)-n)
-			for i, f := range m.flows[h.next : h.next+c] {
-				dst[n+i] = r.expand(f)
+			for i := range c {
+				r.expandInto(&dst[n+i], &m.flows[h.next+i])
 			}
 			n += c
 			if h.next += c; h.next == h.end {
@@ -198,7 +197,7 @@ func (m *runMerge) fill(dst []SynthFlow) int {
 			}
 			break
 		}
-		dst[n] = r.expand(m.flows[h.next])
+		r.expandInto(&dst[n], &m.flows[h.next])
 		n++
 		if h.next++; h.next < h.end {
 			h.key = m.flows[h.next].startNs
