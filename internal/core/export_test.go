@@ -42,6 +42,59 @@ func TestCSVRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCSVRoundTripGenerated: a generated schedule, whose start times are
+// not whole milliseconds, comes back from ExportCSV→ImportCSV unchanged,
+// to the nanosecond.
+func TestCSVRoundTripGenerated(t *testing.T) {
+	sched, err := mixModel(t).Generate(context.Background(),
+		GenSpec{Workload: "terasort", Jobs: 3, Workers: 64, InputBytes: 8 << 30, Seed: 5, IncludeBackground: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := ExportCSV(&buf, sched); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ImportCSV(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(back) != len(sched) {
+		t.Fatalf("round trip lost flows: %d != %d", len(back), len(sched))
+	}
+	for i := range sched {
+		if back[i] != sched[i] {
+			t.Fatalf("flow %d of %d changed: %+v -> %+v", i, len(sched), sched[i], back[i])
+		}
+	}
+}
+
+// TestImportCSVStartSpellings: the exported form is read exactly at any
+// magnitude, other spellings round to the nearest nanosecond.
+func TestImportCSVStartSpellings(t *testing.T) {
+	for field, want := range map[string]int64{
+		"4.038572573":          4_038_572_573,
+		"0.000000001":          1,
+		"9223372036.854775806": math.MaxInt64 - 1,
+		"1234567.000000007":    1_234_567_000_000_007,
+		"4.0385725730":         4_038_572_573,
+		"4.03857257":           4_038_572_570,
+		"1e-9":                 1,
+		"0.0000000015":         2,
+		"00004.038572573":      4_038_572_573,
+	} {
+		got, err := parseStartNs(field)
+		if err != nil || got != want {
+			t.Errorf("parseStartNs(%q) = %d, %v; want %d", field, got, err, want)
+		}
+	}
+	for _, field := range []string{"9223372036.854775807", "99999999999.000000000", "-0.000000001", "1._00000000", "1.00000000a"} {
+		if got, err := parseStartNs(field); err == nil {
+			t.Errorf("parseStartNs(%q) = %d, want an error", field, got)
+		}
+	}
+}
+
 func TestImportCSVRejectsGarbage(t *testing.T) {
 	if _, err := ImportCSV(strings.NewReader("nope,nope\n1,2\n")); err == nil {
 		t.Error("garbage CSV accepted")
