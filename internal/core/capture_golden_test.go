@@ -60,9 +60,11 @@ func checkCaptureGolden(t *testing.T, gc goldenCapture) {
 
 // TestCaptureGoldenDigests fences full capture sessions shaped like the
 // suite's E4 (replication sweep point), E11 (worker failure) and E16
-// (chaos schedule with re-routes and aborts) experiments: every
-// synthesised flow record and timestamp, the flow CSV and the
-// deterministic telemetry snapshot must match the committed digests.
+// (chaos schedule with re-routes and aborts) experiments, plus a
+// three-pod ring whose worker failure, node crash and inter-pod outage
+// each land on a different pod: every synthesised flow record and
+// timestamp, the flow CSV and the deterministic telemetry snapshot must
+// match the committed digests.
 func TestCaptureGoldenDigests(t *testing.T) {
 	cases := []goldenCapture{
 		{
@@ -84,6 +86,24 @@ func TestCaptureGoldenDigests(t *testing.T) {
 			spec: ClusterSpec{Workers: 6, Seed: 99},
 			runs: []workload.RunSpec{{Profile: "terasort", InputBytes: 256 << 20}},
 			opts: CaptureOpts{Faults: chaosSchedule()},
+		},
+		{
+			name: "multi-pod ring with faults",
+			file: "capture-multipod.sha256",
+			spec: ClusterSpec{Workers: 4, Pods: 3, CrossPod: "ring", Seed: 13},
+			runs: []workload.RunSpec{
+				{Profile: "terasort", InputBytes: 16 << 20},
+				{Profile: "sort", InputBytes: 16 << 20},
+				{Profile: "terasort", InputBytes: 16 << 20},
+			},
+			opts: CaptureOpts{
+				// Worker 5 = pod 1 / local 1; crash worker 10 = pod 2 / local 2.
+				Failures: []FailureSpec{{WorkerIndex: 5, AtNs: 2_000_000_000}},
+				Faults: faults.Schedule{Faults: []faults.Fault{
+					{Kind: faults.NodeCrash, Worker: 10, AtNs: 1_500_000_000, DurationNs: 30_000_000_000},
+				}},
+				InterPodFaults: []InterPodFault{{SrcPod: 2, DstPod: 0, AtNs: 1, DurationNs: 0}},
+			},
 		},
 	}
 	for _, gc := range cases {
