@@ -54,22 +54,24 @@ type ClusterSpec struct {
 	Transport string `json:"transport"`
 	// Seed fixes all randomness.
 	Seed int64 `json:"seed"`
-	// Pods is the pod count of a multi-pod capture. 0 or 1 runs the
-	// classic single-pod session; above 1, each pod is a full cluster
-	// of Workers hosts (own master, own network) and pods exchange
-	// traffic through the store-and-forward inter-pod fabric.
+	// Pods is a capture's pod count (0 counts as 1). Each pod is a full
+	// cluster of Workers hosts (own master, own network); above one pod,
+	// pods exchange traffic through the store-and-forward inter-pod
+	// fabric.
 	Pods int `json:"pods,omitempty"`
-	// Shards selects the engine layout of a multi-pod capture:
-	// 0 = serial (one event engine hosting every pod, still advancing
-	// through the same conservative windows), -1 = auto (one engine per
-	// pod), or an explicit count in [1, Pods]. Output is byte-identical
-	// at every setting; only wall-clock changes. Single-pod captures and
-	// replays ignore it.
+	// Shards selects a capture's engine layout: 0 = serial (one event
+	// engine hosting every pod, still advancing through the same
+	// conservative windows), -1 = auto (one engine per pod), or an
+	// explicit count in [1, Pods]. Output is byte-identical at every
+	// setting; only wall-clock changes. Captures reject any other value
+	// at every pod count, and a single pod always runs on one engine.
+	// Replays ignore it.
 	Shards int `json:"shards,omitempty"`
 	// CrossPod selects the inter-pod copy traffic each pod emits after
 	// its last run: "" or "ring" (pod p distcps its final output to pod
 	// p+1), "fanin" (every pod sends to pod 0 — the skewed-reducer
-	// shape), or "none".
+	// shape), or "none". Captures reject any other value at every pod
+	// count; a single pod has no other pod to copy to.
 	CrossPod string `json:"crossPod,omitempty"`
 	// InterPodLatencyNs is the one-way gateway-to-gateway latency of
 	// the inter-pod fabric (default 1ms). It is also the scheduler
@@ -164,7 +166,8 @@ func (s ClusterSpec) netConfig() (netsim.Config, error) {
 
 // FailureSpec injects a whole-worker failure during a capture session.
 type FailureSpec struct {
-	// WorkerIndex selects the victim among the cluster's workers.
+	// WorkerIndex selects the victim among all pods' workers: pod
+	// index / n, worker index % n within it, for n workers per pod.
 	WorkerIndex int `json:"workerIndex"`
 	// AtNs is the simulated failure time.
 	AtNs int64 `json:"atNs"`
@@ -177,12 +180,15 @@ type CaptureOpts struct {
 	Failures []FailureSpec
 	// Faults is the generalised fault schedule: link down/degrade and
 	// transient node crash+rejoin. An empty schedule changes nothing —
-	// captures are record-identical to a fault-free session.
+	// captures are record-identical to a fault-free session. A crash's
+	// Worker is a global index like FailureSpec.WorkerIndex; link faults
+	// name a pod-local link, so only a single-pod capture takes them.
 	Faults faults.Schedule
 	// Telemetry, when non-nil, instruments the whole session: counters
 	// and spans across every layer, and — when the Telemetry has a link
-	// timeline enabled — a per-link utilisation probe. The capture's
-	// traffic is unchanged by attaching it.
+	// timeline enabled — a per-link utilisation probe, which needs a
+	// single-pod capture. The capture's traffic is unchanged by
+	// attaching it.
 	Telemetry *telemetry.Telemetry
 	// StrictChecks runs the invariants layer during the session: sampled
 	// cross-layer sweeps after engine steps plus end-of-capture packet
@@ -192,7 +198,7 @@ type CaptureOpts struct {
 	StrictChecks bool
 	// InterPodFaults marks pod-pair fabric outages in a multi-pod
 	// capture: transfers between a down pair detour through a relay pod
-	// or abort. Ignored (with an error) outside multi-pod sessions.
+	// or abort. A single-pod capture rejects them.
 	InterPodFaults []InterPodFault
 }
 
@@ -205,114 +211,393 @@ type InterPodFault struct {
 	DurationNs int64 `json:"durationNs"`
 }
 
-// CaptureWith runs the given workloads sequentially on a fresh cluster
-// built from spec, tapping every flow, and reduces the capture into a
-// TraceSet: one Run per MapReduce round, with cluster-wide heartbeat
+// CaptureWith runs the given workloads on fresh clusters built from
+// spec, tapping every flow, and reduces the capture into a TraceSet: one
+// Run per MapReduce round, with cluster-wide heartbeat and inter-pod copy
 // traffic in Background. This is the toolchain's measurement stage; opts
-// adds failure injection and other session behaviour, and its zero
-// value runs a plain session.
+// adds failure injection and other session behaviour, and its zero value
+// runs a plain session.
+//
+// One session runs every pod count. Each of spec.Pods pods (0 counts as
+// one) is a full cluster with its own master, network and seed stream.
+// Runs stripe across pods (run i on pod i % pods) and run strictly one
+// after another within a pod, so each run's traffic is cleanly
+// attributable (the paper isolates jobs the same way). Failures and
+// nodeCrash faults address workers globally (pod = index / workers per
+// pod). Three things depend on the pod count:
+//   - the engine: one pod runs on its cluster's own engine through
+//     Cluster.RunToIdle, which sweeps strict checks after every event;
+//     more pods share a sim.ShardedEngine, exchange copies through the
+//     inter-pod fabric and advance in conservative windows, with sweeps
+//     at the barriers;
+//   - start order: one pod launches its first run before its heartbeats
+//     start (RunToIdle starts them); more pods start every pod first;
+//   - link faults and the utilisation probe (Telemetry.Links) need one
+//     pod, and above one pod the heap-depth gauge is dropped, since it
+//     depends on how many pods share an engine.
 func CaptureWith(spec ClusterSpec, runSpecs []workload.RunSpec, opts CaptureOpts) (*TraceSet, []workload.RunResult, error) {
 	spec = spec.withDefaults()
-	if spec.Pods > 1 {
-		return captureMultiPod(spec, runSpecs, opts)
-	}
-	if len(opts.InterPodFaults) > 0 {
-		return nil, nil, fmt.Errorf("core: inter-pod faults need a multi-pod capture (pods=%d)", spec.Pods)
+	pods := max(spec.Pods, 1)
+	engines, err := checkSession(spec, pods, opts)
+	if err != nil {
+		return nil, nil, err
 	}
 	wallStart := time.Now()
-	cluster, err := spec.BuildCluster()
-	if err != nil {
-		return nil, nil, fmt.Errorf("build cluster: %w", err)
+	tel := opts.Telemetry
+	var tracer *telemetry.Tracer
+	if tel != nil {
+		tracer = tel.Trace
 	}
-	// Pre-size the network's flow storage (and the engine's event slab)
-	// from the workload profiles' predicted peak concurrency, so the
-	// steady-state capture loop allocates nothing.
-	cluster.Net.Reserve(workload.EstimatePeakFlows(
-		runSpecs, len(cluster.Workers()), spec.SlotsPerNode, spec.Replication))
-	cluster.AttachTelemetry(opts.Telemetry)
-	for _, f := range opts.Failures {
-		workers := cluster.Workers()
-		if f.WorkerIndex < 0 || f.WorkerIndex >= len(workers) {
-			return nil, nil, fmt.Errorf("core: failure worker index %d out of range", f.WorkerIndex)
+
+	var sched *sim.ShardedEngine
+	latency := sim.Time(spec.InterPodLatencyNs)
+	if latency <= 0 {
+		latency = sim.Time(netsim.DefaultInterPodLatencyNs)
+	}
+	if pods > 1 {
+		if sched, err = sim.NewSharded(pods, engines, latency); err != nil {
+			return nil, nil, err
 		}
-		if err := cluster.FailWorker(workers[f.WorkerIndex], sim.Time(f.AtNs)); err != nil {
-			return nil, nil, fmt.Errorf("schedule failure: %w", err)
+		if tel != nil {
+			sched.SetMetrics(tel.ShardSet(engines))
 		}
 	}
-	if err := faults.Inject(cluster, opts.Faults); err != nil {
-		return nil, nil, fmt.Errorf("schedule faults: %w", err)
+
+	// Build one full cluster per pod. Pod seeds are disjoint strides of
+	// the spec seed so each pod's traffic is its own deterministic stream.
+	clusters := make([]*hadoop.Cluster, pods)
+	flowLogs := make([]*pcap.FlowLog, pods)
+	var perPod, est int
+	for p := range clusters {
+		podSpec := spec
+		podSpec.Seed = spec.Seed + int64(p)*podSeedStride
+		var eng *sim.Engine
+		if sched != nil {
+			eng = sched.PodEngine(p)
+		}
+		c, err := podSpec.buildClusterOn(eng)
+		if err != nil {
+			return nil, nil, fmt.Errorf("build pod %d: %w", p, err)
+		}
+		if p == 0 {
+			// Pre-size the network's flow storage (and the engine's event
+			// slab) from the workload profiles' predicted peak concurrency,
+			// so the steady-state capture loop allocates nothing.
+			perPod = len(c.Workers())
+			est = workload.EstimatePeakFlows(runSpecs, perPod, spec.SlotsPerNode, spec.Replication, pods)
+		}
+		c.Net.Reserve(est)
+		c.AttachTelemetry(tel)
+		if tel != nil && pods > 1 {
+			c.Eng.SetMetrics(telemetry.SimMetrics{Events: tel.Sim.Events})
+		}
+		flowLog := attachTruth(c.Net)
+		// Disjoint address ranges per pod: merged traces keep globally
+		// unique 5-tuples.
+		flowLog.SetHostOffset(p * c.Net.Topology().NumNodes())
+		clusters[p], flowLogs[p] = c, flowLog
 	}
-	truth := attachTruth(cluster.Net)
-	var checker *invariants.Checker
+	var ip *netsim.InterPod
+	if pods > 1 {
+		nets := make([]*netsim.Network, pods)
+		gateways := make([]netsim.NodeID, pods)
+		for p, c := range clusters {
+			nets[p], gateways[p] = c.Net, c.Master()
+		}
+		if ip, err = netsim.NewInterPod(sched, nets, gateways, latency); err != nil {
+			return nil, nil, err
+		}
+	}
+	if err := scheduleFaults(clusters, perPod, ip, opts); err != nil {
+		return nil, nil, err
+	}
+
+	// Strict mode: one read-only checker per pod. A single pod sweeps from
+	// RunToIdle's per-event hook; a sharded session sweeps from the
+	// barrier hook (no shard goroutine in flight there) at a deterministic
+	// processed-event cadence, plus the fabric's conservation check.
+	var checkers []*invariants.Checker
 	if opts.StrictChecks || invariants.BuildEnabled {
-		var tracer *telemetry.Tracer
-		if opts.Telemetry != nil {
-			tracer = opts.Telemetry.Trace
+		for _, c := range clusters {
+			checkers = append(checkers, invariants.Attach(c, tracer))
 		}
-		checker = invariants.Attach(cluster, tracer)
+		if sched != nil {
+			var lastSweep uint64
+			sched.SetBarrierHook(func() error {
+				if done := sched.ProcessedTotal(); done-lastSweep >= sweepEveryEvents {
+					lastSweep = done
+					for _, ck := range checkers {
+						if err := ck.Sweep(); err != nil {
+							return err
+						}
+					}
+					return invariants.CheckInterPod(ip, int64(sched.Now()), tracer)
+				}
+				return nil
+			})
+		}
 	}
 	var probe *netsim.UtilizationProbe
-	if tel := opts.Telemetry; tel != nil && tel.Links != nil {
-		probe = netsim.NewUtilizationProbe(cluster.Net, nil, sim.Time(tel.Links.IntervalNs))
+	if tel != nil && tel.Links != nil {
+		probe = netsim.NewUtilizationProbe(clusters[0].Net, nil, sim.Time(tel.Links.IntervalNs))
 		probe.AttachTimeline(tel.Links)
 	}
 
-	results := make([]workload.RunResult, 0, len(runSpecs))
-	// Run workloads strictly one after another so each run's traffic is
-	// cleanly attributable (the paper isolates jobs the same way).
-	var launch func(i int) error
-	launch = func(i int) error {
-		if i == len(runSpecs) {
+	// Each pod runs its stripe of the workload list in order; after a
+	// pod's last run, the cross-pod copy of its final output is sent
+	// through the fabric.
+	results := make([]workload.RunResult, len(runSpecs))
+	podRuns := make([][]int, pods)
+	for i := range runSpecs {
+		podRuns[i%pods] = append(podRuns[i%pods], i)
+	}
+	var launch func(p, k int) error
+	launch = func(p, k int) error {
+		if k == len(podRuns[p]) {
 			return nil
 		}
+		i := podRuns[p][k]
 		rs := runSpecs[i]
 		if rs.JobName == "" {
 			rs.JobName = fmt.Sprintf("%s%d", rs.Profile, i)
 		}
-		return workload.Run(cluster, rs, i, func(res workload.RunResult) {
-			results = append(results, res)
-			if err := launch(i + 1); err != nil {
-				panic(fmt.Sprintf("core: launch run %d: %v", i+1, err))
+		return workload.Run(clusters[p], rs, i, func(res workload.RunResult) {
+			results[i] = res
+			if k+1 < len(podRuns[p]) {
+				if err := launch(p, k+1); err != nil {
+					panic(fmt.Sprintf("core: launch run %d on pod %d: %v", podRuns[p][k+1], p, err))
+				}
+				return
 			}
+			crossPod(spec.CrossPod, clusters, ip, p, res)
 		})
 	}
-	if err := launch(0); err != nil {
-		return nil, nil, fmt.Errorf("launch first run: %w", err)
+	for p, c := range clusters {
+		if pods > 1 {
+			c.Start()
+		}
+		if err := launch(p, 0); err != nil {
+			return nil, nil, fmt.Errorf("launch first run on pod %d: %w", p, err)
+		}
 	}
 	if probe != nil {
 		probe.Start()
 	}
-	end, err := cluster.RunToIdle()
+
+	var end sim.Time
+	if sched == nil {
+		end, err = clusters[0].RunToIdle()
+	} else {
+		end, err = runWindows(sched, clusters, ip)
+	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("simulate: %w", err)
 	}
-	if checker != nil {
-		faultFree := len(opts.Failures) == 0 && len(opts.Faults.Faults) == 0
-		if err := checker.Final(faultFree); err != nil {
+
+	faultFree := len(opts.Failures) == 0 && len(opts.Faults.Faults) == 0 && len(opts.InterPodFaults) == 0
+	for p, ck := range checkers {
+		if err := ck.Final(faultFree); err != nil {
+			return nil, nil, fmt.Errorf("pod %d: %w", p, err)
+		}
+	}
+	if ip != nil && len(checkers) > 0 {
+		if err := invariants.CheckInterPod(ip, int64(end), tracer); err != nil {
 			return nil, nil, err
 		}
 	}
-	if tel := opts.Telemetry; tel != nil {
+	if tel != nil {
 		tel.Core.Captures.Inc()
 		tel.Core.CaptureSimNs.SetMax(float64(end))
 		tel.Core.CaptureWallMs.Add(float64(time.Since(wallStart).Milliseconds()))
 		tel.Trace.Add(telemetry.Span{Cat: "core", Name: "capture", Attr: spec.Topology, EndNs: int64(end)})
 	}
 
-	ts, err := reduceCapture(spec, truth.Truth(), results)
+	// Merge ground truth in pod order — each pod's records are already in
+	// its own completion order, and the concatenation is independent of
+	// engine layout.
+	truth := flowLogs[0].Truth()
+	for _, flowLog := range flowLogs[1:] {
+		truth = append(truth, flowLog.Truth()...)
+	}
+	ts, err := reduceCapture(spec, truth, results)
 	if err != nil {
 		return nil, nil, err
 	}
-	ts.Stats = CaptureStats{
-		ReReplicatedBytes:  cluster.FS.ReReplicatedBytes,
-		ReReplicatedBlocks: cluster.FS.ReReplicatedBlocks,
-		LostContainers:     cluster.RM.LostContainers,
-		LostBlocks:         cluster.FS.LostBlocks,
-		PipelineRecoveries: cluster.FS.PipelineRecoveries,
-		ReadRetries:        cluster.FS.ReadRetries,
-		AbortedFlows:       int64(cluster.Net.AbortedFlows()),
+	ts.BackgroundHosts = spec.Workers * pods
+	for _, c := range clusters {
+		ts.Stats.ReReplicatedBytes += c.FS.ReReplicatedBytes
+		ts.Stats.ReReplicatedBlocks += c.FS.ReReplicatedBlocks
+		ts.Stats.LostContainers += c.RM.LostContainers
+		ts.Stats.LostBlocks += c.FS.LostBlocks
+		ts.Stats.PipelineRecoveries += c.FS.PipelineRecoveries
+		ts.Stats.ReadRetries += c.FS.ReadRetries
+		ts.Stats.AbortedFlows += int64(c.Net.AbortedFlows())
+	}
+	if ip != nil {
+		ipStats := ip.Stats()
+		ts.Stats.InterPodTransfers = ipStats.Completed
+		ts.Stats.InterPodRelayed = ipStats.Relayed
+		ts.Stats.InterPodAborted = ipStats.Aborted
+		ts.Stats.InterPodBytes = ipStats.Stage2Bytes
 	}
 	return ts, results, nil
+}
+
+// podSeedStride separates the pods' seed spaces: pod p runs with
+// Seed + p·stride so its stochastic choices are independent of every
+// other pod's but still a pure function of the spec.
+const podSeedStride = 1_000_003
+
+// sweepEveryEvents paces strict-mode invariant sweeps at window barriers
+// by processed-event deltas — a count that is identical at every engine
+// layout, unlike window wall-clock or per-shard step counts.
+const sweepEveryEvents = 4096
+
+// checkSession rejects spec and option values the session cannot run at
+// the given pod count, and returns the engine count Shards resolves to.
+func checkSession(spec ClusterSpec, pods int, opts CaptureOpts) (int, error) {
+	engines, err := resolveShards(pods, spec.Shards)
+	if err != nil {
+		return 0, err
+	}
+	switch spec.CrossPod {
+	case "", "ring", "fanin", "none":
+	default:
+		return 0, fmt.Errorf("core: unknown cross-pod traffic mode %q", spec.CrossPod)
+	}
+	if pods == 1 && len(opts.InterPodFaults) > 0 {
+		return 0, fmt.Errorf("core: inter-pod faults need a multi-pod capture (pods=%d)", spec.Pods)
+	}
+	if pods > 1 && opts.Telemetry != nil && opts.Telemetry.Links != nil {
+		return 0, fmt.Errorf("core: the link utilisation timeline needs a single-pod capture (pods=%d)", pods)
+	}
+	return engines, nil
+}
+
+// resolveShards maps the Shards knob to an engine count:
+// 0 = serial (one engine), -1 = auto (one per pod), 1..pods explicit.
+func resolveShards(pods, shards int) (int, error) {
+	switch {
+	case shards == 0:
+		return 1, nil
+	case shards == -1:
+		return pods, nil
+	case shards >= 1 && shards <= pods:
+		return shards, nil
+	default:
+		return 0, fmt.Errorf("core: shards %d outside {-1, 0, 1..%d pods}", shards, pods)
+	}
+}
+
+// scheduleFaults routes the session's failure and fault schedules to
+// their pods, in order: worker failures in list order, then each pod's
+// faults, then inter-pod pair outages. Workers are addressed globally
+// (pod = index / perPod). Link faults are pod-ambiguous, so only a
+// single-pod session takes them; pod-pair outages go through
+// InterPodFaults instead.
+func scheduleFaults(clusters []*hadoop.Cluster, perPod int, ip *netsim.InterPod, opts CaptureOpts) error {
+	pods := len(clusters)
+	for _, f := range opts.Failures {
+		p := f.WorkerIndex / perPod
+		if f.WorkerIndex < 0 || p >= pods {
+			return fmt.Errorf("core: failure worker index %d out of range (%d pods × %d workers)",
+				f.WorkerIndex, pods, perPod)
+		}
+		c := clusters[p]
+		if err := c.FailWorker(c.Workers()[f.WorkerIndex%perPod], sim.Time(f.AtNs)); err != nil {
+			return fmt.Errorf("schedule failure: %w", err)
+		}
+	}
+	podFaults := make([]faults.Schedule, pods)
+	for _, f := range opts.Faults.Faults {
+		p := 0
+		switch {
+		case f.Kind == faults.NodeCrash:
+			p = f.Worker / perPod
+			if f.Worker < 0 || p >= pods {
+				return fmt.Errorf("core: fault worker index %d out of range (%d pods × %d workers)",
+					f.Worker, pods, perPod)
+			}
+			f.Worker %= perPod
+		case pods > 1:
+			return fmt.Errorf("core: fault kind %q targets a pod-local link; multi-pod captures take nodeCrash plus InterPodFaults", f.Kind)
+		}
+		podFaults[p].Faults = append(podFaults[p].Faults, f)
+	}
+	for p, s := range podFaults {
+		if err := faults.Inject(clusters[p], s); err != nil {
+			return fmt.Errorf("schedule faults on pod %d: %w", p, err)
+		}
+	}
+	for _, f := range opts.InterPodFaults {
+		recover := sim.Time(0)
+		if f.DurationNs > 0 {
+			recover = sim.Time(f.AtNs + f.DurationNs)
+		}
+		if err := ip.SchedulePairFault(f.SrcPod, f.DstPod, sim.Time(f.AtNs), recover); err != nil {
+			return fmt.Errorf("schedule inter-pod fault: %w", err)
+		}
+	}
+	return nil
+}
+
+// crossPod sends pod p's inter-pod copy of its last run's output through
+// the fabric: to pod p+1 under "ring" (the default), to pod 0 under
+// "fanin", nowhere under "none" or when the destination is p itself —
+// always the case in a single-pod session.
+func crossPod(mode string, clusters []*hadoop.Cluster, ip *netsim.InterPod, p int, last workload.RunResult) {
+	dst := -1
+	switch mode {
+	case "", "ring":
+		dst = (p + 1) % len(clusters)
+	case "fanin":
+		dst = 0
+	}
+	if dst < 0 || dst == p {
+		return
+	}
+	var size int64
+	for _, round := range last.Rounds {
+		size += round.OutputBytes
+	}
+	if size <= 0 {
+		return
+	}
+	dstHosts := clusters[dst].Workers()
+	err := ip.Send(netsim.TransferSpec{
+		SrcPod: p, DstPod: dst,
+		Src: clusters[p].Workers()[0], Dst: dstHosts[len(dstHosts)-1],
+		SizeBytes: size,
+		Label:     fmt.Sprintf("distcp/%d-%d", p, dst),
+	})
+	if err != nil {
+		panic(fmt.Sprintf("core: cross-pod copy %d→%d: %v", p, dst, err))
+	}
+}
+
+// runWindows advances a sharded session window by window until every pod
+// is idle and the fabric has no transfer in flight, then tears the
+// daemons down and drains, as Cluster.RunToIdle does for one pod.
+func runWindows(sched *sim.ShardedEngine, clusters []*hadoop.Cluster, ip *netsim.InterPod) (sim.Time, error) {
+	end, err := sched.RunWindows(func() bool {
+		for _, c := range clusters {
+			if c.Pending() > 0 {
+				return false
+			}
+		}
+		return ip.Pending() == 0
+	})
+	if err != nil {
+		return end, err
+	}
+	for _, c := range clusters {
+		c.FS.Shutdown()
+		c.RM.Shutdown()
+	}
+	if _, err := sched.Drain(); err != nil {
+		return end, fmt.Errorf("drain: %w", err)
+	}
+	return end, nil
 }
 
 // attachTruth taps net with the ground-truth recorder a capture or replay

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"runtime"
+	"strings"
 	"testing"
 
 	"keddah/internal/faults"
@@ -210,42 +211,51 @@ func TestMultiPodSkewedFanIn(t *testing.T) {
 	}
 }
 
-// TestMultiPodValidation exercises the option/spec error paths.
+// TestMultiPodValidation exercises the option/spec error paths. The spec
+// checks are shared by every pod count, so single-pod rows reject the
+// same values multi-pod rows do.
 func TestMultiPodValidation(t *testing.T) {
 	base := ClusterSpec{Topology: "star", Workers: 4, Pods: 2, Seed: 1}
-	runs := []workload.RunSpec{{Profile: "terasort", InputBytes: 4 << 20}}
-
-	bad := base
-	bad.Shards = 3 // > pods
-	if _, _, err := CaptureWith(bad, runs, CaptureOpts{}); err == nil {
-		t.Error("shards > pods accepted")
-	}
-	bad = base
-	bad.CrossPod = "mesh"
-	if _, _, err := CaptureWith(bad, runs, CaptureOpts{}); err == nil {
-		t.Error("unknown cross-pod mode accepted")
-	}
-	if _, _, err := CaptureWith(base, runs, CaptureOpts{
-		Faults: faults.Schedule{Faults: []faults.Fault{{Kind: faults.LinkDown, Link: 1, AtNs: 1, DurationNs: 10}}},
-	}); err == nil {
-		t.Error("link fault accepted in multi-pod capture")
-	}
-	if _, _, err := CaptureWith(base, runs, CaptureOpts{
-		Failures: []FailureSpec{{WorkerIndex: 8, AtNs: 1}},
-	}); err == nil {
-		t.Error("out-of-range global worker index accepted")
-	}
-	if _, _, err := CaptureWith(base, runs, CaptureOpts{
-		InterPodFaults: []InterPodFault{{SrcPod: 0, DstPod: 2, AtNs: 1}},
-	}); err == nil {
-		t.Error("out-of-range inter-pod fault accepted")
-	}
 	single := base
 	single.Pods = 1
-	if _, _, err := CaptureWith(single, runs, CaptureOpts{
-		InterPodFaults: []InterPodFault{{SrcPod: 0, DstPod: 1, AtNs: 1}},
-	}); err == nil {
-		t.Error("inter-pod faults accepted on a single-pod capture")
+	with := func(spec ClusterSpec, edit func(*ClusterSpec)) ClusterSpec {
+		edit(&spec)
+		return spec
+	}
+	links := telemetry.New()
+	links.EnableLinkTimeline(0)
+	runs := []workload.RunSpec{{Profile: "terasort", InputBytes: 4 << 20}}
+	cases := []struct {
+		name string
+		spec ClusterSpec
+		opts CaptureOpts
+		want string // substring of the error
+	}{
+		{"shards > pods", with(base, func(s *ClusterSpec) { s.Shards = 3 }), CaptureOpts{}, "shards 3"},
+		{"unknown cross-pod mode", with(base, func(s *ClusterSpec) { s.CrossPod = "mesh" }), CaptureOpts{}, "cross-pod"},
+		{"single-pod shards > pods", with(single, func(s *ClusterSpec) { s.Shards = 3 }), CaptureOpts{}, "shards 3"},
+		{"single-pod unknown cross-pod mode", with(single, func(s *ClusterSpec) { s.CrossPod = "mesh" }), CaptureOpts{}, "cross-pod"},
+		{"link fault in multi-pod capture", base, CaptureOpts{
+			Faults: faults.Schedule{Faults: []faults.Fault{{Kind: faults.LinkDown, Link: 1, AtNs: 1, DurationNs: 10}}},
+		}, "pod-local link"},
+		{"link timeline in multi-pod capture", base, CaptureOpts{Telemetry: links}, "timeline"},
+		{"out-of-range global worker index", base, CaptureOpts{
+			Failures: []FailureSpec{{WorkerIndex: 8, AtNs: 1}},
+		}, "worker index 8"},
+		{"out-of-range inter-pod fault", base, CaptureOpts{
+			InterPodFaults: []InterPodFault{{SrcPod: 0, DstPod: 2, AtNs: 1}},
+		}, "inter-pod fault"},
+		{"inter-pod faults on a single-pod capture", single, CaptureOpts{
+			InterPodFaults: []InterPodFault{{SrcPod: 0, DstPod: 1, AtNs: 1}},
+		}, "multi-pod capture"},
+	}
+	for _, tc := range cases {
+		_, _, err := CaptureWith(tc.spec, runs, tc.opts)
+		if err == nil {
+			t.Errorf("%s accepted", tc.name)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
+		}
 	}
 }
 

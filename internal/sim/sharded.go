@@ -113,9 +113,6 @@ func NewSharded(pods, engines int, lookahead Time) (*ShardedEngine, error) {
 // Pods returns the logical shard count.
 func (s *ShardedEngine) Pods() int { return len(s.podEng) }
 
-// Engines returns the slab engine count (1 = serial baseline).
-func (s *ShardedEngine) Engines() int { return len(s.engines) }
-
 // Lookahead returns the minimum cross-pod delay windows are derived from.
 func (s *ShardedEngine) Lookahead() Time { return s.lookahead }
 

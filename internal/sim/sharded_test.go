@@ -128,8 +128,8 @@ func TestShardedValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Pods() != 4 || s.Engines() != 2 || s.Lookahead() != 10 {
-		t.Fatalf("accessors: pods=%d engines=%d lookahead=%v", s.Pods(), s.Engines(), s.Lookahead())
+	if s.Pods() != 4 || s.Lookahead() != 10 {
+		t.Fatalf("accessors: pods=%d lookahead=%v", s.Pods(), s.Lookahead())
 	}
 	if s.PodEngine(0) != s.PodEngine(2) || s.PodEngine(0) == s.PodEngine(1) {
 		t.Error("pod->engine mapping is not round-robin")

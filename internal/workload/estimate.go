@@ -19,7 +19,15 @@ const shuffleParallelFetches = 5
 // fetches. On top sit the cluster-wide heartbeat flows (YARN node
 // managers and HDFS datanodes each keep roughly one in flight per worker)
 // plus fixed headroom for control traffic.
-func EstimatePeakFlows(specs []RunSpec, workers, slotsPerNode, replication int) int {
+//
+// workers is one pod's worker count. When pods > 1 the estimate sizes one
+// pod of a multi-pod capture and adds headroom for inter-pod fabric
+// traffic through the pod's gateway: under skewed placement (every copy
+// into one pod) all pods−1 other pods' transfers can target it at once,
+// and each transfer holds at most two flows inside a pod (an egress and
+// an ingress leg never coexist for one transfer, but relay traffic can
+// add a second), so the headroom is 2·(pods−1) + 8.
+func EstimatePeakFlows(specs []RunSpec, workers, slotsPerNode, replication, pods int) int {
 	if workers <= 0 {
 		workers = 1
 	}
@@ -47,21 +55,9 @@ func EstimatePeakFlows(specs []RunSpec, workers, slotsPerNode, replication int) 
 	if perSlot < 2 {
 		perSlot = 2
 	}
-	return slots*perSlot + 2*workers + 16
-}
-
-// EstimatePeakFlowsMultiPod sizes one pod's flow storage for a multi-pod
-// capture: the pod's own workload peak plus headroom for inter-pod
-// fabric traffic funnelling through its gateway. inbound is the worst-
-// case number of concurrent inter-pod transfers targeting or leaving
-// this pod — under skewed placement (every reducer in one pod) that is
-// the full transfer fan-in, so callers pass the pessimistic bound rather
-// than the mean. Each transfer holds at most two flows inside a pod (an
-// egress and an ingress leg never coexist for one transfer, but relay
-// traffic can add a second), hence the factor of two.
-func EstimatePeakFlowsMultiPod(specs []RunSpec, podWorkers, slotsPerNode, replication, inbound int) int {
-	if inbound < 1 {
-		inbound = 1
+	est := slots*perSlot + 2*workers + 16
+	if pods > 1 {
+		est += 2*(pods-1) + 8
 	}
-	return EstimatePeakFlows(specs, podWorkers, slotsPerNode, replication) + 2*inbound + 8
+	return est
 }
