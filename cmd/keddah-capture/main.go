@@ -18,6 +18,7 @@ import (
 	"keddah/internal/flows"
 	"keddah/internal/netsim"
 	"keddah/internal/pcap"
+	"keddah/internal/sim"
 	"keddah/internal/telemetry"
 	"keddah/internal/workload"
 )
@@ -140,7 +141,7 @@ func run() error {
 	}
 
 	if *pcapOut != "" {
-		if err := writePackets(spec, runSpecs, *pcapOut); err != nil {
+		if err := writePackets(spec, runSpecs, opts.Failures, *pcapOut); err != nil {
 			return fmt.Errorf("packet trace: %w", err)
 		}
 	}
@@ -168,8 +169,10 @@ func run() error {
 }
 
 // writePackets re-runs the capture with a streaming packet sink. Runs are
-// deterministic, so the packet trace corresponds exactly to the trace set.
-func writePackets(spec core.ClusterSpec, runSpecs []workload.RunSpec, path string) error {
+// deterministic, so the packet trace corresponds exactly to the trace set
+// as long as the re-run schedules the session's worker failures too: it
+// schedules them where core.CaptureWith does, before the first launch.
+func writePackets(spec core.ClusterSpec, runSpecs []workload.RunSpec, failures []core.FailureSpec, path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -185,6 +188,15 @@ func writePackets(spec core.ClusterSpec, runSpecs []workload.RunSpec, path strin
 	}
 	capture := pcap.NewStreamingCapture(w.WritePacket)
 	cluster.Net.AddTap(capture)
+	workers := cluster.Workers()
+	for _, f := range failures {
+		if f.WorkerIndex < 0 || f.WorkerIndex >= len(workers) {
+			return fmt.Errorf("failure worker index %d out of range", f.WorkerIndex)
+		}
+		if err := cluster.FailWorker(workers[f.WorkerIndex], sim.Time(f.AtNs)); err != nil {
+			return fmt.Errorf("schedule failure: %w", err)
+		}
+	}
 	// Chain runs sequentially, mirroring core.CaptureWith, so the packet
 	// trace corresponds to the trace set run for run.
 	var launch func(i int) error

@@ -66,7 +66,7 @@ func TestPacketDigests(t *testing.T) {
 			}
 
 			path := filepath.Join(t.TempDir(), "packets.kdh")
-			if err := writePackets(spec, runs, path); err != nil {
+			if err := writePackets(spec, runs, nil, path); err != nil {
 				t.Fatal(err)
 			}
 			raw, err := os.ReadFile(path)
@@ -78,5 +78,57 @@ func TestPacketDigests(t *testing.T) {
 				t.Errorf("streamed trace (%d bytes) digest %s, want %s", len(raw), got, tc.streamed)
 			}
 		})
+	}
+}
+
+// TestPacketsFollowWorkerFailure: with a worker failure scheduled, the
+// -pcap re-run must replay the failed session, not a healthy one. Every
+// re-replication flow the trace set records must reassemble from the
+// packet trace under the same 5-tuple.
+func TestPacketsFollowWorkerFailure(t *testing.T) {
+	spec := core.ClusterSpec{Workers: 8, Seed: 3}
+	runs := []workload.RunSpec{{Profile: "sort", InputBytes: 512 << 20, JobName: "sort-run0", InputPath: "/data/sort"}}
+	failures := []core.FailureSpec{{WorkerIndex: 2, AtNs: 8_000_000_000}}
+	ts, _, err := core.CaptureWith(spec, runs, core.CaptureOpts{Failures: failures})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "packets.kdh")
+	if err := writePackets(spec, runs, failures, path); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	r, err := pcap.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	packets, err := r.ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := pcap.NewFlowTable(0)
+	for _, p := range packets {
+		table.Add(p)
+	}
+	reassembled := make(map[pcap.FlowKey]bool)
+	for _, rec := range table.Records() {
+		reassembled[rec.Key] = true
+	}
+	var reReplicated int
+	for _, rec := range ts.Background {
+		if rec.Label != "hdfs/reReplication" {
+			continue
+		}
+		reReplicated++
+		if !reassembled[rec.Key] {
+			t.Errorf("re-replication flow %+v has no flow in the packet trace", rec.Key)
+		}
+	}
+	if reReplicated == 0 {
+		t.Fatal("the failure re-replicated nothing; the test needs a session that does")
 	}
 }
