@@ -125,13 +125,13 @@ func (m *Model) planMix(spec MixSpec) (*mixPlan, error) {
 	var total float64
 	for name, w := range spec.Weights {
 		if _, ok := m.Jobs[name]; !ok {
-			return nil, fmt.Errorf("core: model has no workload %q", name)
+			return nil, mixErr("weights", fmt.Sprintf("names workload %q, which the model does not hold", name))
 		}
 		names = append(names, name)
 		total += w
 	}
 	if total <= 0 {
-		return nil, fmt.Errorf("core: mix weights sum to zero")
+		return nil, mixErr("weights", "sum to zero")
 	}
 	sort.Strings(names)
 

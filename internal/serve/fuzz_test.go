@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"keddah/internal/core"
@@ -21,19 +23,7 @@ import (
 // deadline: a 504 before the first byte, an aborted stream after it.
 func FuzzGenerateRequest(f *testing.F) {
 	const maxFlows = 3000
-	s, err := New(Config{
-		Models:       map[string]string{"bench": testModelFile},
-		DefaultModel: "bench",
-		MaxFlows:     maxFlows,
-		ChunkFlows:   97,
-	})
-	if err != nil {
-		f.Fatal(err)
-	}
-	model, err := s.cache.get(context.Background(), "bench")
-	if err != nil {
-		f.Fatal(err)
-	}
+	s, model := fuzzServer(f, maxFlows)
 	h := s.Handler()
 	for _, q := range []string{
 		"workload=terasort&workers=8&jobs=1&seed=1",
@@ -99,6 +89,119 @@ func FuzzGenerateRequest(f *testing.F) {
 			t.Fatalf("%q: %d rows, EstimateFlows %d, cap %d", query, got, want, maxFlows)
 		}
 	})
+}
+
+// FuzzMixRequest drives arbitrary POST /v1/mix bodies through the
+// server's handler (decode → MixSpec.Validate → EstimateMixFlows →
+// generate → encode) against the fixture model under a low flow cap. No
+// request may panic or answer with a 5xx other than a 503 shed. Every
+// spec that decodes and that EstimateMixFlows refuses must be refused
+// with a typed core.ErrBadSpec error, and every 200 body must hold
+// exactly EstimateMixFlows rows of its format, never more than MaxFlows.
+// As for /v1/generate, a request that sets its own timeoutMs may also
+// meet that deadline.
+func FuzzMixRequest(f *testing.F) {
+	const maxFlows = 3000
+	s, model := fuzzServer(f, maxFlows)
+	h := s.Handler()
+	for _, body := range []string{
+		`{"spec":{"weights":{"terasort":1,"wordcount":2},"jobsPerMinute":2,"windowSecs":60,"workers":8,"seed":1}}`,
+		`{"format":"csv","spec":{"weights":{"wordcount":1},"jobsPerMinute":3,"windowSecs":40,"inputScale":0.5,"seed":2}}`,
+		`{"format":"ns3","spec":{"weights":{"terasort":1},"windowSecs":30,"workers":4,"includeBackground":true,"seed":3}}`,
+		`{"model":"bench","timeoutMs":60000,"spec":{"weights":{"terasort":1},"windowSecs":20}}`,
+		`{"spec":{"weights":{"terasort":1},"jobsPerMinute":60,"windowSecs":600}}`,
+		`{"spec":{"weights":{"terasort":1},"jobsPerMinute":1e-12,"windowSecs":1e15,"includeBackground":true}}`,
+		`{"spec":{"weights":{"terasort":1},"inputScale":1e300}}`,
+		`{"spec":{"weights":{"terasort":1},"jobsPerMinute":1e300}}`,
+		`{"spec":{"weights":{"terasort":1},"workers":2000000}}`,
+		`{"spec":{"weights":{"terasort":0}}}`,
+		`{"spec":{"weights":{"terasort":-1}}}`,
+		`{"spec":{"weights":{"nosuch":1}}}`,
+		`{"spec":{"weights":{"terasort":1e400}}}`,
+		`{"spec":{}}`,
+		`{"model":"nosuch","spec":{"weights":{"terasort":1}}}`,
+		`{"model":"../bench","spec":{"weights":{"terasort":1}}}`,
+		`{"format":"xml","spec":{"weights":{"terasort":1}}}`,
+		`{"timeoutMs":-5,"spec":{"weights":{"terasort":1}}}`,
+		`{"bogus":1}`,
+		`{"spec":{"weights":{"terasort":1}}} {}`,
+		`null`,
+		`[]`,
+		``,
+	} {
+		f.Add(body)
+	}
+	f.Fuzz(func(t *testing.T, body string) {
+		var req mixRequest
+		decodeErr := decodeJSONBody(httptest.NewRecorder(),
+			httptest.NewRequest(http.MethodPost, "/v1/mix", strings.NewReader(body)), &req)
+		ownDeadline := decodeErr == nil && req.TimeoutMs > 0
+		var want int64
+		var specErr error
+		if decodeErr == nil {
+			want, specErr = model.EstimateMixFlows(req.Spec)
+			if specErr != nil && !errors.Is(specErr, core.ErrBadSpec) {
+				t.Fatalf("%q: spec refused with an untyped error: %v", body, specErr)
+			}
+		}
+		panics := s.tel.Serve.Panics.Value()
+		w := httptest.NewRecorder()
+		r := httptest.NewRequest(http.MethodPost, "/v1/mix", strings.NewReader(body))
+		if aborted := serveCatchingAbort(h, w, r); aborted {
+			if !ownDeadline {
+				t.Fatalf("%q: stream aborted without a client deadline", body)
+			}
+			return
+		}
+		if n := s.tel.Serve.Panics.Value(); n != panics {
+			t.Fatalf("%q: the handler recovered a panic (status %d: %s)", body, w.Code, w.Body.Bytes())
+		}
+		switch {
+		case w.Code == http.StatusOK:
+		case w.Code == http.StatusServiceUnavailable:
+			return
+		case w.Code == http.StatusGatewayTimeout && ownDeadline:
+			return
+		case w.Code >= 500:
+			t.Fatalf("%q: status %d: %s", body, w.Code, w.Body.Bytes())
+		default:
+			return
+		}
+		if decodeErr != nil {
+			t.Fatalf("%q: 200 for a body the decoder rejects: %v", body, decodeErr)
+		}
+		if specErr != nil {
+			t.Fatalf("%q: 200 for a spec EstimateMixFlows rejects: %v", body, specErr)
+		}
+		got, err := countRows(req.Format, w.Body.Bytes())
+		if err != nil {
+			t.Fatalf("%q: %v", body, err)
+		}
+		if int64(got) != want || got > maxFlows {
+			t.Fatalf("%q: %d rows, EstimateMixFlows %d, cap %d", body, got, want, maxFlows)
+		}
+	})
+}
+
+// fuzzServer builds a server over the fixture model with the given flow
+// cap and returns it with the loaded model the fuzz targets check
+// estimates against.
+func fuzzServer(f *testing.F, maxFlows int64) (*Server, *core.Model) {
+	f.Helper()
+	s, err := New(Config{
+		Models:       map[string]string{"bench": testModelFile},
+		DefaultModel: "bench",
+		MaxFlows:     maxFlows,
+		ChunkFlows:   97,
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	model, err := s.cache.get(context.Background(), "bench")
+	if err != nil {
+		f.Fatal(err)
+	}
+	return s, model
 }
 
 // serveCatchingAbort serves one request and reports whether the handler
