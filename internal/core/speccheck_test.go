@@ -98,20 +98,33 @@ func checkSpecErr(t *testing.T, err error, field, spec string) {
 	}
 }
 
-// TestGenerateRejectsBadSpec: validation runs inside Generate itself, so
-// no caller can bypass it.
+// TestGenerateRejectsBadSpec: validation runs inside the estimators and
+// generators themselves, so no caller can bypass it, and every rejection
+// there is a spec error naming its field.
 func TestGenerateRejectsBadSpec(t *testing.T) {
 	model := mixModel(t)
-	if _, err := model.Generate(context.Background(), GenSpec{Workload: "terasort", InputBytes: -1}); !errors.Is(err, ErrBadSpec) {
-		t.Fatalf("Generate: %v, want ErrBadSpec", err)
+	ctx := context.Background()
+	generate := func(g GenSpec) error { _, err := model.Generate(ctx, g); return err }
+	estimate := func(g GenSpec) error { _, err := model.EstimateFlows(g); return err }
+	cases := []struct {
+		name  string
+		spec  GenSpec
+		field string
+	}{
+		{"negative input", GenSpec{Workload: "terasort", InputBytes: -1}, "inputBytes"},
+		// Scaled re-validation: a legal-looking spec whose defaults imply
+		// an absurd map count is still rejected.
+		{"scaled map count", GenSpec{Workload: "terasort", InputBytes: 1 << 40, BlockSize: 16}, "inputBytes"},
+		{"unknown workload", GenSpec{Workload: "nosuch"}, "workload"},
 	}
-	if _, err := model.GenerateMix(context.Background(), MixSpec{Weights: map[string]float64{"terasort": math.NaN()}}); !errors.Is(err, ErrBadSpec) {
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			checkSpecErr(t, generate(tc.spec), tc.field, "GenSpec")
+			checkSpecErr(t, estimate(tc.spec), tc.field, "GenSpec")
+		})
+	}
+	if _, err := model.GenerateMix(ctx, MixSpec{Weights: map[string]float64{"terasort": math.NaN()}}); !errors.Is(err, ErrBadSpec) {
 		t.Fatalf("GenerateMix: %v, want ErrBadSpec", err)
-	}
-	// Scaled re-validation: a legal-looking spec whose defaults imply an
-	// absurd map count is still rejected.
-	if _, err := model.Generate(context.Background(), GenSpec{Workload: "terasort", InputBytes: 1 << 40, BlockSize: 16}); !errors.Is(err, ErrBadSpec) {
-		t.Fatalf("scaled validation: %v, want ErrBadSpec", err)
 	}
 }
 
