@@ -38,9 +38,6 @@ type ShardedEngine struct {
 	engines   []*Engine
 	podEng    []int // pod -> engine index
 	lookahead Time
-	// serial forces windows to execute shard-by-shard on the calling
-	// goroutine (lockstep tests compare this against the parallel path).
-	serial bool
 	// mail[src*pods+dst] is the (src → dst) mailbox. Each cell is
 	// appended to only by src's goroutine and drained only at barriers,
 	// so no cell is ever written concurrently.
@@ -145,11 +142,6 @@ func (s *ShardedEngine) Now() Time {
 	return max
 }
 
-// SetSerial forces windows to run shard-by-shard on the calling
-// goroutine. Output is byte-identical either way; lockstep tests flip
-// this to prove it.
-func (s *ShardedEngine) SetSerial(b bool) { s.serial = b }
-
 // SetBarrierHook installs fn to run after every barrier merge.
 func (s *ShardedEngine) SetBarrierHook(fn func() error) { s.barrierHook = fn }
 
@@ -192,8 +184,9 @@ func (s *ShardedEngine) nextEventAt() (Time, bool) {
 	return min, found
 }
 
-// window runs every engine over [·, bound) — in parallel unless serial
-// mode is on — then merges the mailboxes at the barrier.
+// window runs every engine over [·, bound) — in parallel when more than
+// one has work and the window workers run — then merges the mailboxes at
+// the barrier.
 func (s *ShardedEngine) window(bound Time) error {
 	s.windowEnd = bound
 	s.active = s.active[:0]
@@ -204,7 +197,7 @@ func (s *ShardedEngine) window(bound Time) error {
 	}
 	s.inWindow = true
 	wallStart := time.Now()
-	if s.serial || len(s.active) <= 1 || s.work == nil {
+	if len(s.active) <= 1 || s.work == nil {
 		var winMax int64
 		for _, i := range s.active {
 			start := time.Now()
@@ -282,7 +275,7 @@ func (s *ShardedEngine) window(bound Time) error {
 // cluster loop's "queue drained with tasks pending". It returns the
 // scheduler clock at exit.
 func (s *ShardedEngine) RunWindows(done func() bool) (Time, error) {
-	if !s.serial && len(s.engines) > 1 {
+	if len(s.engines) > 1 {
 		s.startWorkers()
 		defer s.stopWorkers()
 	}

@@ -21,14 +21,12 @@ func mix64(x uint64) uint64 {
 // layout and returns the concatenated per-pod logs plus the window and
 // processed counters — everything that must be byte-identical across
 // layouts and GOMAXPROCS.
-func runSynthetic(t testing.TB, pods, engines int, serial bool, seed uint64, lookahead Time, depth int) string {
+func runSynthetic(t testing.TB, pods, engines int, seed uint64, lookahead Time, depth int) string {
 	t.Helper()
 	s, err := NewSharded(pods, engines, lookahead)
 	if err != nil {
 		t.Fatalf("NewSharded(%d, %d): %v", pods, engines, err)
 	}
-	s.SetSerial(serial)
-
 	logs := make([][]string, pods)
 	var postErr error
 
@@ -71,10 +69,10 @@ func runSynthetic(t testing.TB, pods, engines int, serial bool, seed uint64, loo
 
 	end, err := s.Drain()
 	if err != nil {
-		t.Fatalf("Drain(pods=%d engines=%d serial=%v): %v", pods, engines, serial, err)
+		t.Fatalf("Drain(pods=%d engines=%d): %v", pods, engines, err)
 	}
 	if postErr != nil {
-		t.Fatalf("Post(pods=%d engines=%d serial=%v): %v", pods, engines, serial, postErr)
+		t.Fatalf("Post(pods=%d engines=%d): %v", pods, engines, postErr)
 	}
 
 	var b strings.Builder
@@ -86,20 +84,17 @@ func runSynthetic(t testing.TB, pods, engines int, serial bool, seed uint64, loo
 }
 
 // TestShardedLockstep is the core determinism proof at the sim layer:
-// the serial baseline (one engine), the sharded layouts run serially,
-// and the sharded layouts run on goroutines all produce byte-identical
-// event logs at several GOMAXPROCS settings.
+// the serial baseline (one engine) and the sharded layouts run on
+// goroutines produce byte-identical event logs at several GOMAXPROCS
+// settings.
 func TestShardedLockstep(t *testing.T) {
 	const pods, lookahead, depth = 8, 64, 5
 	for _, seed := range []uint64{1, 42, 0xdeadbeef} {
-		ref := runSynthetic(t, pods, 1, false, seed, lookahead, depth)
+		ref := runSynthetic(t, pods, 1, seed, lookahead, depth)
 		for _, engines := range []int{2, 4, 8} {
-			if got := runSynthetic(t, pods, engines, true, seed, lookahead, depth); got != ref {
-				t.Errorf("seed %d: serial-mode %d-engine log diverged from baseline\nref:\n%s\ngot:\n%s", seed, engines, ref, got)
-			}
 			for _, procs := range []int{1, 2, 8} {
 				prev := runtime.GOMAXPROCS(procs)
-				got := runSynthetic(t, pods, engines, false, seed, lookahead, depth)
+				got := runSynthetic(t, pods, engines, seed, lookahead, depth)
 				runtime.GOMAXPROCS(prev)
 				if got != ref {
 					t.Errorf("seed %d: parallel %d-engine log at GOMAXPROCS=%d diverged from baseline\nref:\n%s\ngot:\n%s",
@@ -251,13 +246,9 @@ func FuzzShardWindowSync(f *testing.F) {
 		engines := 1 + int(enginesRaw)%pods
 		lookahead := Time(1 + lookaheadRaw%1000)
 		depth := int(depthRaw % 5)
-		ref := runSynthetic(t, pods, 1, false, seed, lookahead, depth)
-		if got := runSynthetic(t, pods, engines, false, seed, lookahead, depth); got != ref {
+		ref := runSynthetic(t, pods, 1, seed, lookahead, depth)
+		if got := runSynthetic(t, pods, engines, seed, lookahead, depth); got != ref {
 			t.Fatalf("pods=%d engines=%d lookahead=%v depth=%d: parallel run diverged\nref:\n%s\ngot:\n%s",
-				pods, engines, lookahead, depth, ref, got)
-		}
-		if got := runSynthetic(t, pods, engines, true, seed, lookahead, depth); got != ref {
-			t.Fatalf("pods=%d engines=%d lookahead=%v depth=%d: serial-mode run diverged\nref:\n%s\ngot:\n%s",
 				pods, engines, lookahead, depth, ref, got)
 		}
 	})
