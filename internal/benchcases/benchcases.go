@@ -220,42 +220,16 @@ func ClassifyDataset(b *testing.B) {
 // NetsimFanIn measures flow-level simulation throughput: 512 flows
 // converging on 16 hosts with max-min reallocation at every arrival and
 // departure.
-func NetsimFanIn(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		topo, err := netsim.Star(17, netsim.Gbps)
-		if err != nil {
-			b.Fatal(err)
-		}
-		eng := sim.New()
-		net := netsim.NewNetwork(eng, topo, netsim.Config{})
-		h := topo.Hosts()
-		for f := 0; f < 512; f++ {
-			src, dst := h[f%16], h[(f+1)%16+1]
-			delay := sim.Time(f) * 1_000_000
-			fl := f
-			eng.After(delay, func() {
-				if _, err := net.StartFlow(netsim.FlowSpec{
-					Src: src, Dst: dst, SrcPort: fl, DstPort: 80, SizeBytes: 10 << 20,
-				}); err != nil {
-					b.Error(err)
-				}
-			})
-		}
-		if _, err := eng.RunAll(); err != nil {
-			b.Fatal(err)
-		}
-		if net.Completed() != 512 {
-			b.Fatalf("completed %d flows", net.Completed())
-		}
-	}
-}
+func NetsimFanIn(b *testing.B) { netsimFanIn(b, netsim.Config{}) }
 
 // NetsimFanInTCP is NetsimFanIn under the flow-level TCP transport: the
 // same 512-flow fan-in now pays per-flow window bookkeeping, millisecond
 // tick settlement and loss recovery. Comparing its ns/op against
 // NetsimFanIn in BENCH_netsim.json bounds the TCP-mode overhead.
-func NetsimFanInTCP(b *testing.B) {
+func NetsimFanInTCP(b *testing.B) { netsimFanIn(b, netsim.Config{Transport: "tcp"}) }
+
+// netsimFanIn runs the 512-flow fan-in on a 17-host star under cfg.
+func netsimFanIn(b *testing.B, cfg netsim.Config) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		topo, err := netsim.Star(17, netsim.Gbps)
@@ -263,7 +237,7 @@ func NetsimFanInTCP(b *testing.B) {
 			b.Fatal(err)
 		}
 		eng := sim.New()
-		net := netsim.NewNetwork(eng, topo, netsim.Config{Transport: "tcp"})
+		net := netsim.NewNetwork(eng, topo, cfg)
 		h := topo.Hosts()
 		for f := 0; f < 512; f++ {
 			src, dst := h[f%16], h[(f+1)%16+1]
