@@ -18,7 +18,6 @@ import (
 	"keddah/internal/flows"
 	"keddah/internal/netsim"
 	"keddah/internal/pcap"
-	"keddah/internal/sim"
 	"keddah/internal/telemetry"
 	"keddah/internal/workload"
 )
@@ -49,7 +48,7 @@ func run() error {
 		seed       = flag.Int64("seed", 1, "simulation seed")
 		out        = flag.String("out", "traces.json", "trace-set output path")
 		flowsCSV   = flag.String("flows-csv", "", "optional flow-records CSV output path (the shard-determinism CI job byte-diffs this)")
-		pcapOut    = flag.String("pcap", "", "optional packet trace output path (single-pod only)")
+		pcapOut    = flag.String("pcap", "", "optional packet trace output path, streamed from the same run (single-pod only)")
 		failWorker = flag.Int("fail-worker", -1, "worker index to kill mid-session (-1 = none)")
 		failAt     = flag.Float64("fail-at", 30, "failure time in seconds (with -fail-worker)")
 		strict     = flag.Bool("strict-checks", false, "run the capture with the invariants layer enabled (read-only cross-layer checks; identical trace, more wall time)")
@@ -74,9 +73,6 @@ func run() error {
 	}
 	if _, err := netsim.ParseTransport(*transport); err != nil {
 		return err
-	}
-	if *pods > 1 && *pcapOut != "" {
-		return fmt.Errorf("-pcap is single-pod only (the streaming packet sink has no multi-pod merge yet)")
 	}
 	var runSpecs []workload.RunSpec
 	for _, prof := range strings.Split(*workloads, ",") {
@@ -109,7 +105,7 @@ func run() error {
 	}
 	tel := tf.Telemetry()
 	opts.Telemetry = tel
-	ts, results, err := core.CaptureWith(spec, runSpecs, opts)
+	ts, results, err := capture(spec, runSpecs, opts, *pcapOut)
 	if err != nil {
 		return err
 	}
@@ -140,12 +136,6 @@ func run() error {
 		}
 	}
 
-	if *pcapOut != "" {
-		if err := writePackets(spec, runSpecs, opts.Failures, *pcapOut); err != nil {
-			return fmt.Errorf("packet trace: %w", err)
-		}
-	}
-
 	// Per-run summary to stderr.
 	for _, rr := range results {
 		for _, round := range rr.Rounds {
@@ -168,60 +158,34 @@ func run() error {
 	return tf.Emit(tel, os.Stdout)
 }
 
-// writePackets re-runs the capture with a streaming packet sink. Runs are
-// deterministic, so the packet trace corresponds exactly to the trace set
-// as long as the re-run schedules the session's worker failures too: it
-// schedules them where core.CaptureWith does, before the first launch.
-func writePackets(spec core.ClusterSpec, runSpecs []workload.RunSpec, failures []core.FailureSpec, path string) error {
-	f, err := os.Create(path)
+// capture runs the session. With a non-empty pcapPath it also streams
+// the session's packets to that trace file as the flows finish, so the
+// packet trace and the trace set are two views of one run.
+func capture(spec core.ClusterSpec, runSpecs []workload.RunSpec, opts core.CaptureOpts, pcapPath string) (*core.TraceSet, []workload.RunResult, error) {
+	if pcapPath == "" {
+		return core.CaptureWith(spec, runSpecs, opts)
+	}
+	f, err := os.Create(pcapPath)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	defer f.Close()
 	w, err := pcap.NewWriter(f)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	cluster, err := spec.BuildCluster()
+	opts.Packets = pcap.NewStreamingCapture(w.WritePacket)
+	ts, results, err := core.CaptureWith(spec, runSpecs, opts)
 	if err != nil {
-		return err
-	}
-	capture := pcap.NewStreamingCapture(w.WritePacket)
-	cluster.Net.AddTap(capture)
-	workers := cluster.Workers()
-	for _, f := range failures {
-		if f.WorkerIndex < 0 || f.WorkerIndex >= len(workers) {
-			return fmt.Errorf("failure worker index %d out of range", f.WorkerIndex)
-		}
-		if err := cluster.FailWorker(workers[f.WorkerIndex], sim.Time(f.AtNs)); err != nil {
-			return fmt.Errorf("schedule failure: %w", err)
-		}
-	}
-	// Chain runs sequentially, mirroring core.CaptureWith, so the packet
-	// trace corresponds to the trace set run for run.
-	var launch func(i int) error
-	launch = func(i int) error {
-		if i == len(runSpecs) {
-			return nil
-		}
-		return workload.Run(cluster, runSpecs[i], i, func(workload.RunResult) {
-			if err := launch(i + 1); err != nil {
-				fmt.Fprintln(os.Stderr, "keddah-capture: launch:", err)
-			}
-		})
-	}
-	if err := launch(0); err != nil {
-		return err
-	}
-	if _, err := cluster.RunToIdle(); err != nil {
-		return err
-	}
-	if capture.Err() != nil {
-		return capture.Err()
+		os.Remove(pcapPath) // a refused or failed session leaves no partial trace
+		return nil, nil, err
 	}
 	if err := w.Flush(); err != nil {
-		return err
+		return nil, nil, fmt.Errorf("packet trace: %w", err)
 	}
-	fmt.Fprintf(os.Stderr, "wrote %s: %d packet records\n", path, w.Count())
-	return f.Close()
+	if err := f.Close(); err != nil {
+		return nil, nil, fmt.Errorf("packet trace: %w", err)
+	}
+	fmt.Fprintf(os.Stderr, "wrote %s: %d packet records\n", pcapPath, w.Count())
+	return ts, results, nil
 }

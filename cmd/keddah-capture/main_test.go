@@ -14,10 +14,10 @@ import (
 
 // TestPacketDigests fences the packet bytes a capture synthesises from
 // per-flow rate histories, under both transports: the buffered
-// Capture.Packets() output (timestamp-sorted, re-encoded through the
-// trace writer) and the streaming trace file writePackets produces
-// (completion order, as -pcap writes it). Both must match digests
-// recorded before rate history became tap-driven.
+// Capture.Packets() output of a core.CaptureWith session (timestamp-
+// sorted, re-encoded through the trace writer) and the streaming trace
+// file -pcap writes from its session (completion order). Both must match
+// digests recorded before rate history became tap-driven.
 func TestPacketDigests(t *testing.T) {
 	runs := []workload.RunSpec{{Profile: "terasort", InputBytes: 256 << 20}}
 	cases := []struct {
@@ -36,16 +36,8 @@ func TestPacketDigests(t *testing.T) {
 		t.Run(tc.transport, func(t *testing.T) {
 			spec := core.ClusterSpec{Workers: 8, Seed: 3, Transport: tc.transport}
 
-			cluster, err := spec.BuildCluster()
-			if err != nil {
-				t.Fatal(err)
-			}
-			capture := pcap.NewCapture()
-			cluster.Net.AddTap(capture)
-			if err := workload.Run(cluster, runs[0], 0, nil); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := cluster.RunToIdle(); err != nil {
+			packets := pcap.NewCapture()
+			if _, _, err := core.CaptureWith(spec, runs, core.CaptureOpts{Packets: packets}); err != nil {
 				t.Fatal(err)
 			}
 			h := sha256.New()
@@ -53,7 +45,7 @@ func TestPacketDigests(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, p := range capture.Packets() {
+			for _, p := range packets.Packets() {
 				if err := w.WritePacket(p); err != nil {
 					t.Fatal(err)
 				}
@@ -66,7 +58,7 @@ func TestPacketDigests(t *testing.T) {
 			}
 
 			path := filepath.Join(t.TempDir(), "packets.kdh")
-			if err := writePackets(spec, runs, nil, path); err != nil {
+			if _, _, err := capture(spec, runs, core.CaptureOpts{}, path); err != nil {
 				t.Fatal(err)
 			}
 			raw, err := os.ReadFile(path)
@@ -82,19 +74,16 @@ func TestPacketDigests(t *testing.T) {
 }
 
 // TestPacketsFollowWorkerFailure: with a worker failure scheduled, the
-// -pcap re-run must replay the failed session, not a healthy one. Every
-// re-replication flow the trace set records must reassemble from the
-// packet trace under the same 5-tuple.
+// -pcap trace must hold the failed session's packets, not a healthy
+// one's. Every re-replication flow the trace set records must reassemble
+// from the packet trace under the same 5-tuple.
 func TestPacketsFollowWorkerFailure(t *testing.T) {
 	spec := core.ClusterSpec{Workers: 8, Seed: 3}
 	runs := []workload.RunSpec{{Profile: "sort", InputBytes: 512 << 20, JobName: "sort-run0", InputPath: "/data/sort"}}
 	failures := []core.FailureSpec{{WorkerIndex: 2, AtNs: 8_000_000_000}}
-	ts, _, err := core.CaptureWith(spec, runs, core.CaptureOpts{Failures: failures})
-	if err != nil {
-		t.Fatal(err)
-	}
 	path := filepath.Join(t.TempDir(), "packets.kdh")
-	if err := writePackets(spec, runs, failures, path); err != nil {
+	ts, _, err := capture(spec, runs, core.CaptureOpts{Failures: failures}, path)
+	if err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(path)

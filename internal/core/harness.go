@@ -200,6 +200,11 @@ type CaptureOpts struct {
 	// capture: transfers between a down pair detour through a relay pod
 	// or abort. A single-pod capture rejects them.
 	InterPodFaults []InterPodFault
+	// Packets, when non-nil, taps the session beside its truth log and
+	// synthesises every flow's packets into the capture's buffer or
+	// sink; CaptureWith returns the sink's error. It needs a single-pod
+	// capture. The captured traffic is unchanged by attaching it.
+	Packets *pcap.Capture
 }
 
 // InterPodFault takes the (SrcPod, DstPod) fabric pair down at AtNs for
@@ -232,9 +237,10 @@ type InterPodFault struct {
 //     at the barriers;
 //   - start order: one pod launches its first run before its heartbeats
 //     start (RunToIdle starts them); more pods start every pod first;
-//   - link faults and the utilisation probe (Telemetry.Links) need one
-//     pod, and above one pod the heap-depth gauge is dropped, since it
-//     depends on how many pods share an engine.
+//   - link faults, the utilisation probe (Telemetry.Links) and the
+//     packet capture (opts.Packets) need one pod, and above one pod the
+//     heap-depth gauge is dropped, since it depends on how many pods
+//     share an engine.
 func CaptureWith(spec ClusterSpec, runSpecs []workload.RunSpec, opts CaptureOpts) (*TraceSet, []workload.RunResult, error) {
 	spec = spec.withDefaults()
 	pods := max(spec.Pods, 1)
@@ -297,6 +303,9 @@ func CaptureWith(spec ClusterSpec, runSpecs []workload.RunSpec, opts CaptureOpts
 		flowLog.SetHostOffset(p * c.Net.Topology().NumNodes())
 		clusters[p], flowLogs[p] = c, flowLog
 	}
+	if opts.Packets != nil {
+		clusters[0].Net.AddTap(opts.Packets)
+	}
 	var ip *netsim.InterPod
 	if pods > 1 {
 		nets := make([]*netsim.Network, pods)
@@ -337,12 +346,6 @@ func CaptureWith(spec ClusterSpec, runSpecs []workload.RunSpec, opts CaptureOpts
 			})
 		}
 	}
-	var probe *netsim.UtilizationProbe
-	if tel != nil && tel.Links != nil {
-		probe = netsim.NewUtilizationProbe(clusters[0].Net, nil, sim.Time(tel.Links.IntervalNs))
-		probe.AttachTimeline(tel.Links)
-	}
-
 	// Each pod runs its stripe of the workload list in order; after a
 	// pod's last run, the cross-pod copy of its final output is sent
 	// through the fabric.
@@ -380,9 +383,7 @@ func CaptureWith(spec ClusterSpec, runSpecs []workload.RunSpec, opts CaptureOpts
 			return nil, nil, fmt.Errorf("launch first run on pod %d: %w", p, err)
 		}
 	}
-	if probe != nil {
-		probe.Start()
-	}
+	startProbe(clusters[0].Net, tel)
 
 	var end sim.Time
 	if sched == nil {
@@ -392,6 +393,11 @@ func CaptureWith(spec ClusterSpec, runSpecs []workload.RunSpec, opts CaptureOpts
 	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("simulate: %w", err)
+	}
+	if opts.Packets != nil {
+		if err := opts.Packets.Err(); err != nil {
+			return nil, nil, fmt.Errorf("packet capture: %w", err)
+		}
 	}
 
 	faultFree := len(opts.Failures) == 0 && len(opts.Faults.Faults) == 0 && len(opts.InterPodFaults) == 0
@@ -470,6 +476,9 @@ func checkSession(spec ClusterSpec, pods int, opts CaptureOpts) (int, error) {
 	}
 	if pods > 1 && opts.Telemetry != nil && opts.Telemetry.Links != nil {
 		return 0, fmt.Errorf("core: the link utilisation timeline needs a single-pod capture (pods=%d)", pods)
+	}
+	if pods > 1 && opts.Packets != nil {
+		return 0, fmt.Errorf("core: the packet capture needs a single-pod capture (pods=%d)", pods)
 	}
 	return engines, nil
 }
@@ -602,21 +611,23 @@ func runWindows(sched *sim.ShardedEngine, clusters []*hadoop.Cluster, ip *netsim
 
 // attachTruth taps net with the ground-truth recorder a capture or replay
 // reduces: a FlowLog, which reads no rate history, so the network records
-// none. It is the one place core attaches a tap (strict mode's packet
-// capture belongs to the invariants checker).
+// none unless a caller's packet capture (CaptureOpts.Packets) or strict
+// mode's checker asks for it.
 func attachTruth(net *netsim.Network) *pcap.FlowLog {
 	truth := pcap.NewFlowLog()
 	net.AddTap(truth)
-	if alsoCapturePackets {
-		net.AddTap(pcap.NewCapture())
-	}
 	return truth
 }
 
-// alsoCapturePackets, set only by tests, attaches a packet capture beside
-// every truth log, turning rate-history recording on, to show that
-// recording changes no record.
-var alsoCapturePackets bool
+// startProbe samples net's links into tel's link timeline, when tel asks
+// for one, until the session's event queue drains. Captures and replays
+// start it after their first work is queued, so the probe's ticks follow
+// same-instant events already scheduled.
+func startProbe(net *netsim.Network, tel *telemetry.Telemetry) {
+	if tel != nil && tel.Links != nil {
+		netsim.NewUtilizationProbe(net, tel.Links).Start()
+	}
+}
 
 // reduceCapture groups ground-truth flow records into per-job Runs plus
 // cluster background traffic.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"keddah/internal/telemetry"
@@ -136,5 +137,39 @@ func TestReplayWithTelemetry(t *testing.T) {
 	}
 	if tel.Net.FlowsCompleted.Value() == 0 {
 		t.Error("replay flows not counted")
+	}
+
+	// A link timeline attaches the utilisation probe, whose ticks must
+	// change neither a record nor the makespan, under either transport.
+	for _, transport := range []string{"fluid", "tcp"} {
+		spec := ClusterSpec{Workers: 8, Seed: 3, Transport: transport}
+		bareRecs, bareMakespan, err := ReplayWith(sched, spec, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tel := telemetry.New()
+		tl := tel.EnableLinkTimeline(100_000_000)
+		recs, makespan, err := ReplayWith(sched, spec, tel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(recs, bareRecs) || makespan != bareMakespan {
+			t.Errorf("%s: probed replay diverged: %d records ending %v, bare %d ending %v",
+				transport, len(recs), makespan, len(bareRecs), bareMakespan)
+		}
+		if last := bareRecs[len(bareRecs)-1].LastNs; int64(makespan) != last {
+			t.Errorf("%s: makespan %v, want the last flow's finish %d", transport, makespan, last)
+		}
+		topo, err := spec.BuildTopology()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sampled := make([]bool, topo.NumLinks())
+		for _, p := range tl.Points() {
+			sampled[p.Link] = true
+		}
+		if i := slices.Index(sampled, false); i >= 0 {
+			t.Errorf("%s: link timeline holds no point for link %d (%d points)", transport, i, len(tl.Points()))
+		}
 	}
 }

@@ -2,81 +2,67 @@ package core
 
 import (
 	"bytes"
-	"encoding/json"
 	"testing"
 
+	"keddah/internal/pcap"
 	"keddah/internal/workload"
 )
 
-// TestTruthIndependentOfRateHistory: captures and replays reduce flow
-// records alone, so whether their networks record per-flow rate history
-// must never show in what they return. Under both transports, with
-// StrictChecks off and on, and for a single-pod and a two-pod capture,
-// the TraceSet JSON and the replay's truth records (replaying the
-// captured corpus) must be byte-identical whether or not a packet capture
-// is attached beside every truth log.
+// TestTruthIndependentOfRateHistory: captures reduce flow records alone,
+// so whether their networks record per-flow rate history must never show
+// in the TraceSet they return. Under both transports, the TraceSet JSON
+// must be byte-identical with and without a rate-reading tap:
+//   - a single-pod capture, with StrictChecks off and on, is compared
+//     with and without a packet capture (CaptureOpts.Packets);
+//   - a two-pod capture takes no packet capture, so it is compared with
+//     StrictChecks off and on, since the checker's own capture reads
+//     rates.
 func TestTruthIndependentOfRateHistory(t *testing.T) {
 	runs := []workload.RunSpec{
 		{Profile: "terasort", InputBytes: 128 << 20},
 		{Profile: "wordcount", InputBytes: 64 << 20},
 	}
-	session := func(t *testing.T, spec ClusterSpec, strict, packets bool) (capture, replay []byte) {
+	session := func(t *testing.T, spec ClusterSpec, opts CaptureOpts) []byte {
 		t.Helper()
-		alsoCapturePackets = packets
-		defer func() { alsoCapturePackets = false }()
-		ts, _, err := CaptureWith(spec, runs, CaptureOpts{StrictChecks: strict})
+		ts, _, err := CaptureWith(spec, runs, opts)
 		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := ts.WriteJSON(&buf); err != nil {
 			t.Fatal(err)
 		}
 		if len(ts.Runs) != len(runs) {
 			t.Fatalf("captured %d runs, want %d", len(ts.Runs), len(runs))
 		}
-		var records []byte
-		for _, r := range ts.Runs {
-			recs, end, err := ReplayWith(ScheduleFromRecords(r.Records), ClusterSpec{Workers: spec.Workers, Transport: spec.Transport}, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(recs) != len(r.Records) {
-				t.Fatalf("replayed %d of %d records", len(recs), len(r.Records))
-			}
-			b, err := json.Marshal(struct {
-				End     int64
-				Records any
-			}{int64(end), recs})
-			if err != nil {
-				t.Fatal(err)
-			}
-			records = append(records, b...)
+		var buf bytes.Buffer
+		if err := ts.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
 		}
-		return buf.Bytes(), records
+		return buf.Bytes()
 	}
 	for _, transport := range []string{"fluid", "tcp"} {
-		for _, pods := range []int{1, 2} {
-			for _, strict := range []bool{false, true} {
-				name := transport
-				if pods > 1 {
-					name += "/multipod"
-				}
-				if strict {
-					name += "/strict"
-				}
-				t.Run(name, func(t *testing.T) {
-					spec := ClusterSpec{Workers: 6, Seed: 13, Transport: transport, Pods: pods}
-					capBare, replayBare := session(t, spec, strict, false)
-					capPkts, replayPkts := session(t, spec, strict, true)
-					if !bytes.Equal(capBare, capPkts) {
-						t.Error("attaching a packet capture changed the TraceSet JSON")
-					}
-					if !bytes.Equal(replayBare, replayPkts) {
-						t.Error("attaching a packet capture changed the replay's truth records")
-					}
-				})
+		for _, strict := range []bool{false, true} {
+			name := transport
+			if strict {
+				name += "/strict"
 			}
+			t.Run(name, func(t *testing.T) {
+				spec := ClusterSpec{Workers: 6, Seed: 13, Transport: transport}
+				packets := pcap.NewCapture()
+				bare := session(t, spec, CaptureOpts{StrictChecks: strict})
+				tapped := session(t, spec, CaptureOpts{StrictChecks: strict, Packets: packets})
+				if !bytes.Equal(bare, tapped) {
+					t.Error("attaching a packet capture changed the TraceSet JSON")
+				}
+				if len(packets.Packets()) == 0 {
+					t.Error("the packet capture saw no packets")
+				}
+			})
 		}
+		t.Run(transport+"/multipod", func(t *testing.T) {
+			spec := ClusterSpec{Workers: 6, Seed: 13, Transport: transport, Pods: 2}
+			bare := session(t, spec, CaptureOpts{})
+			checked := session(t, spec, CaptureOpts{StrictChecks: true})
+			if !bytes.Equal(bare, checked) {
+				t.Error("the strict checker's rate tap changed the TraceSet JSON")
+			}
+		})
 	}
 }

@@ -28,22 +28,10 @@ func runE10(cfg Config) ([]Table, error) {
 	}
 	for _, gbs := range []float64{1, 2, 4} {
 		input := cfg.gb(gbs)
-		// Capture a sort run with packet synthesis on.
-		spec := core.ClusterSpec{Workers: 16, Seed: cfg.Seed}
-		cluster, err := spec.BuildCluster()
+		packets, ts, err := capturePackets(cfg, input)
 		if err != nil {
 			return nil, err
 		}
-		capt := pcap.NewCapture()
-		cluster.Net.AddTap(capt)
-		err = workload.Run(cluster, workload.RunSpec{Profile: "sort", InputBytes: input}, 0, nil)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := cluster.RunToIdle(); err != nil {
-			return nil, err
-		}
-		packets := capt.Packets()
 
 		// Stage: trace write.
 		var buf bytes.Buffer
@@ -87,12 +75,8 @@ func runE10(cfg Config) ([]Table, error) {
 		recs := ft.Records()
 		reassembleMs := time.Since(start).Seconds() * 1000
 
-		// Stage: model fitting (on the ground-truth dataset, which has
-		// job attribution).
-		ts, _, err := core.CaptureWith(spec, []workload.RunSpec{{Profile: "sort", InputBytes: input}}, core.CaptureOpts{StrictChecks: cfg.StrictChecks})
-		if err != nil {
-			return nil, err
-		}
+		// Stage: model fitting (on the same capture's ground truth, which
+		// has job attribution).
 		start = time.Now()
 		if _, err := core.FitWith(ts, core.FitOptions{}, nil); err != nil {
 			return nil, err
@@ -108,6 +92,21 @@ func runE10(cfg Config) ([]Table, error) {
 		return nil, err
 	}
 	return []Table{t, *t2}, nil
+}
+
+// capturePackets captures one sort run of the given input on 16 workers
+// with packet synthesis on, under the suite's strict checks and
+// telemetry, and returns its packets in timestamp order with the trace
+// set.
+func capturePackets(cfg Config, input int64) ([]pcap.Packet, *core.TraceSet, error) {
+	capture := pcap.NewCapture()
+	ts, _, err := core.CaptureWith(core.ClusterSpec{Workers: 16, Seed: cfg.Seed},
+		[]workload.RunSpec{{Profile: "sort", InputBytes: input}},
+		core.CaptureOpts{Packets: capture, Telemetry: cfg.Telemetry, StrictChecks: cfg.StrictChecks})
+	if err != nil {
+		return nil, nil, err
+	}
+	return capture.Packets(), ts, nil
 }
 
 // telemetryOverhead compares the same capture with telemetry attached

@@ -3,11 +3,9 @@ package experiments
 import (
 	"math"
 
-	"keddah/internal/core"
 	"keddah/internal/flows"
 	"keddah/internal/pcap"
 	"keddah/internal/stats"
-	"keddah/internal/workload"
 )
 
 func init() {
@@ -23,20 +21,10 @@ func init() {
 // better than mouse-sized control flows.
 func runA4(cfg Config) ([]Table, error) {
 	// Full-fidelity packet capture of one sort run.
-	spec := core.ClusterSpec{Workers: 16, Seed: cfg.Seed}
-	cluster, err := spec.BuildCluster()
+	packets, _, err := capturePackets(cfg, cfg.gb(2))
 	if err != nil {
 		return nil, err
 	}
-	capture := pcap.NewCapture()
-	cluster.Net.AddTap(capture)
-	if err := workload.Run(cluster, workload.RunSpec{Profile: "sort", InputBytes: cfg.gb(2)}, 0, nil); err != nil {
-		return nil, err
-	}
-	if _, err := cluster.RunToIdle(); err != nil {
-		return nil, err
-	}
-	packets := capture.Packets()
 
 	// Ground truth from the unsampled stream.
 	full := pcap.NewFlowTable(0)

@@ -5,8 +5,7 @@ import (
 	"fmt"
 
 	"keddah/internal/core"
-	"keddah/internal/netsim"
-	"keddah/internal/sim"
+	"keddah/internal/telemetry"
 )
 
 func init() {
@@ -49,77 +48,58 @@ func runE14(cfg Config) ([]Table, error) {
 			Topology: "multirack", Workers: 16, Racks: 2,
 			UplinkGbps: uplink, Seed: cfg.Seed,
 		}
-		mean, peak, busy, makespan, err := replayWithProbe(sched, spec)
+		tel := telemetry.New()
+		tl := tel.EnableLinkTimeline(100_000_000)
+		_, end, err := core.ReplayWith(sched, spec, tel)
 		if err != nil {
 			return nil, fmt.Errorf("uplink %v: %w", uplink, err)
 		}
-		t.AddRow(f2(uplink), f2(mean*100), f2(peak*100), f2(busy*100), f2(makespan))
+		mean, peak, busy, err := uplinkUtilization(spec, tl.Points())
+		if err != nil {
+			return nil, fmt.Errorf("uplink %v: %w", uplink, err)
+		}
+		t.AddRow(f2(uplink), f2(mean*100), f2(peak*100), f2(busy*100), f2(float64(end)/1e9))
 	}
 	return []Table{t}, nil
 }
 
-// replayWithProbe replays a schedule while probing the fabric's rack
-// uplinks (links touching the core switch), returning the uplinks'
-// average mean/peak/busy utilization and the makespan in seconds.
-func replayWithProbe(sched []core.SynthFlow, spec core.ClusterSpec) (mean, peak, busy, makespanSecs float64, err error) {
+// uplinkUtilization reduces a replay's link timeline to its rack uplinks
+// (links into the core switch): their peak utilization, and the mean
+// utilization and busy fraction (samples at or above 95%) of each uplink,
+// averaged over the uplinks.
+func uplinkUtilization(spec core.ClusterSpec, points []telemetry.LinkPoint) (mean, peak, busy float64, err error) {
 	topo, err := spec.BuildTopology()
 	if err != nil {
-		return 0, 0, 0, 0, err
+		return 0, 0, 0, err
 	}
-	eng := sim.New()
-	net := netsim.NewNetwork(eng, topo, netsim.Config{})
-
-	// Uplinks: links whose endpoint is a switch named "core".
-	var uplinks []netsim.LinkID
-	for i, l := range topo.Links() {
-		if topo.Name(l.To) == "core" {
-			uplinks = append(uplinks, netsim.LinkID(i))
+	// Per-link sums over the samples, in sample order; n = 0 marks a link
+	// that is not an uplink.
+	type uplinkStats struct{ util, busy, n float64 }
+	links := make([]uplinkStats, topo.NumLinks())
+	uplinks := 0
+	for _, p := range points {
+		if topo.Name(topo.Links()[p.Link].To) != "core" {
+			continue
+		}
+		l := &links[p.Link]
+		if l.n == 0 {
+			uplinks++
+		}
+		l.util += p.Util
+		l.n++
+		if p.Util >= 0.95 {
+			l.busy++
+		}
+		peak = max(peak, p.Util)
+	}
+	if uplinks == 0 {
+		return 0, 0, 0, fmt.Errorf("no core uplink samples in the link timeline")
+	}
+	for _, l := range links {
+		if l.n > 0 {
+			mean += l.util / l.n
+			busy += l.busy / l.n
 		}
 	}
-	if len(uplinks) == 0 {
-		return 0, 0, 0, 0, fmt.Errorf("no core uplinks in topology")
-	}
-	probe := netsim.NewUtilizationProbe(net, uplinks, 100_000_000)
-
-	hosts := topo.Hosts()
-	master, workers := hosts[0], hosts[1:]
-	resolve := func(h int) netsim.NodeID {
-		if h < 0 {
-			return master
-		}
-		return workers[h%len(workers)]
-	}
-	for _, sf := range sched {
-		sf := sf
-		if _, err := eng.At(sim.Time(sf.StartNs), func() {
-			if _, err := net.StartFlow(netsim.FlowSpec{
-				Src: resolve(sf.SrcHost), Dst: resolve(sf.DstHost),
-				SrcPort: sf.SrcPort, DstPort: sf.DstPort,
-				SizeBytes: sf.Bytes, Label: sf.Job,
-			}); err != nil {
-				panic(fmt.Sprintf("replay flow: %v", err))
-			}
-		}); err != nil {
-			return 0, 0, 0, 0, err
-		}
-	}
-	probe.Start()
-	end, err := eng.RunAll()
-	if err != nil {
-		return 0, 0, 0, 0, err
-	}
-
-	means := probe.MeanUtilization()
-	peaks := probe.PeakUtilization()
-	busys := probe.BusyFraction(0.95)
-	for i := range means {
-		mean += means[i]
-		busy += busys[i]
-		if peaks[i] > peak {
-			peak = peaks[i]
-		}
-	}
-	mean /= float64(len(means))
-	busy /= float64(len(busys))
-	return mean, peak, busy, float64(end) / 1e9, nil
+	return mean / float64(uplinks), peak, busy / float64(uplinks), nil
 }

@@ -77,8 +77,7 @@ func TestActiveFlowsCountStalledFlows(t *testing.T) {
 	net := NewNetwork(eng, topo, Config{Transport: "tcp"})
 	startStaggeredIncast(t, net, topo.Hosts()[1:], topo.Hosts()[0], map[uint64]Flow{})
 	tl := telemetry.NewLinkTimeline(50_000_000)
-	probe := NewUtilizationProbe(net, nil, 50_000_000)
-	probe.AttachTimeline(tl)
+	probe := NewUtilizationProbe(net, tl)
 
 	var sampledAt int64 = -1
 	want := make([]int, topo.NumLinks())
