@@ -124,7 +124,7 @@ func main() {
 
 func run() error {
 	var (
-		exp       = flag.String("exp", "all", "experiment id (E1..E18, A1..A3) or 'all'")
+		exp       = flag.String("exp", "all", "experiment id (E1..E18, A1..A4) or 'all'")
 		scale     = flag.Float64("scale", 1, "input-size multiplier (1 = paper scale)")
 		seed      = flag.Int64("seed", 1, "simulation seed")
 		list      = flag.Bool("list", false, "list experiments and exit")
