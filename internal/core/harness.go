@@ -36,7 +36,8 @@ type ClusterSpec struct {
 	// master).
 	FatTreeK int `json:"fatTreeK"`
 	// BlockSize / Replication / SlotsPerNode are Hadoop parameters
-	// (defaults 128 MiB, 3, 4).
+	// (defaults hdfs.DefaultBlockSize, hdfs.DefaultReplication,
+	// yarn.DefaultSlotsPerNode).
 	BlockSize    int64 `json:"blockSize"`
 	Replication  int   `json:"replication"`
 	SlotsPerNode int   `json:"slotsPerNode"`
@@ -97,6 +98,15 @@ func (s ClusterSpec) withDefaults() ClusterSpec {
 	}
 	if s.FatTreeK <= 0 {
 		s.FatTreeK = 4
+	}
+	if s.BlockSize <= 0 {
+		s.BlockSize = hdfs.DefaultBlockSize
+	}
+	if s.Replication <= 0 {
+		s.Replication = hdfs.DefaultReplication
+	}
+	if s.SlotsPerNode <= 0 {
+		s.SlotsPerNode = yarn.DefaultSlotsPerNode
 	}
 	return s
 }
@@ -659,8 +669,8 @@ func reduceCapture(spec ClusterSpec, records []pcap.FlowRecord, results []worklo
 				InputBytes:  round.InputBytes,
 				Maps:        round.Maps,
 				Reducers:    round.Reducers,
-				BlockSize:   blockSizeOr(spec.BlockSize),
-				Replication: replicationOr(spec.Replication),
+				BlockSize:   spec.BlockSize,
+				Replication: spec.Replication,
 				Hosts:       spec.Workers,
 				StartNs:     int64(round.Submitted),
 				EndNs:       int64(round.Finished),
@@ -669,18 +679,4 @@ func reduceCapture(spec ClusterSpec, records []pcap.FlowRecord, results []worklo
 		}
 	}
 	return ts, nil
-}
-
-func blockSizeOr(v int64) int64 {
-	if v <= 0 {
-		return 128 << 20
-	}
-	return v
-}
-
-func replicationOr(v int) int {
-	if v <= 0 {
-		return 3
-	}
-	return v
 }

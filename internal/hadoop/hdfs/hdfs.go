@@ -18,20 +18,26 @@ import (
 	"keddah/internal/telemetry"
 )
 
+// Hadoop's defaults for the parameters Config holds.
+const (
+	DefaultBlockSize   int64 = 128 << 20 // dfs.blocksize
+	DefaultReplication       = 3         // dfs.replication
+)
+
 // Config holds the filesystem-wide parameters the paper varies.
 type Config struct {
-	// BlockSize is dfs.blocksize (default 128 MiB).
+	// BlockSize is dfs.blocksize (default DefaultBlockSize).
 	BlockSize int64
-	// Replication is dfs.replication (default 3).
+	// Replication is dfs.replication (default DefaultReplication).
 	Replication int
 }
 
 func (c *Config) applyDefaults() {
 	if c.BlockSize <= 0 {
-		c.BlockSize = 128 << 20
+		c.BlockSize = DefaultBlockSize
 	}
 	if c.Replication <= 0 {
-		c.Replication = 3
+		c.Replication = DefaultReplication
 	}
 }
 

@@ -18,10 +18,14 @@ import (
 	"keddah/internal/telemetry"
 )
 
+// DefaultSlotsPerNode is the container capacity of a NodeManager whose
+// Config leaves SlotsPerNode unset.
+const DefaultSlotsPerNode = 4
+
 // Config holds the resource-layer parameters.
 type Config struct {
 	// SlotsPerNode is the concurrent container capacity of each
-	// NodeManager (default 4).
+	// NodeManager (default DefaultSlotsPerNode).
 	SlotsPerNode int
 	// LocalityWait is how long a request holds out for a preferred host
 	// before accepting any host (default 3s — three scheduling rounds).
@@ -30,7 +34,7 @@ type Config struct {
 
 func (c *Config) applyDefaults() {
 	if c.SlotsPerNode <= 0 {
-		c.SlotsPerNode = 4
+		c.SlotsPerNode = DefaultSlotsPerNode
 	}
 	if c.LocalityWait <= 0 {
 		c.LocalityWait = 3_000_000_000

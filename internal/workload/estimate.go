@@ -20,7 +20,8 @@ const shuffleParallelFetches = 5
 // managers and HDFS datanodes each keep roughly one in flight per worker)
 // plus fixed headroom for control traffic.
 //
-// workers is one pod's worker count. When pods > 1 the estimate sizes one
+// slotsPerNode and replication are the values in force, defaults
+// already filled. workers is one pod's worker count. When pods > 1 the estimate sizes one
 // pod of a multi-pod capture and adds headroom for inter-pod fabric
 // traffic through the pod's gateway: under skewed placement (every copy
 // into one pod) all pods−1 other pods' transfers can target it at once,
@@ -30,12 +31,6 @@ const shuffleParallelFetches = 5
 func EstimatePeakFlows(specs []RunSpec, workers, slotsPerNode, replication, pods int) int {
 	if workers <= 0 {
 		workers = 1
-	}
-	if slotsPerNode <= 0 {
-		slotsPerNode = 4
-	}
-	if replication <= 0 {
-		replication = 3
 	}
 	slots := workers * slotsPerNode
 
