@@ -182,7 +182,7 @@ func TestEstimateMixFlows(t *testing.T) {
 		{Weights: map[string]float64{"terasort": 1, "wordcount": 1}, JobsPerMinute: 6, WindowSecs: 90, Seed: 2, IncludeBackground: true},
 	}
 	for _, spec := range specs {
-		n, err := model.EstimateMixFlows(spec)
+		n, err := model.EstimateMixFlows(spec, 0)
 		if err != nil {
 			t.Fatalf("%+v: %v", spec, err)
 		}
@@ -206,7 +206,7 @@ func TestEstimateMixFlows(t *testing.T) {
 			t.Errorf("%+v: estimated %d flows, want within (%d, %d]", spec, n, arrivalFlows, len(sched))
 		}
 	}
-	if _, err := model.EstimateMixFlows(MixSpec{Weights: map[string]float64{"nosuch": 1}}); err == nil {
+	if _, err := model.EstimateMixFlows(MixSpec{Weights: map[string]float64{"nosuch": 1}}, 0); err == nil {
 		t.Fatal("unknown workload accepted")
 	}
 }

@@ -124,3 +124,43 @@ func TestGenerateMixReplays(t *testing.T) {
 		t.Error("zero makespan")
 	}
 }
+
+// TestMixRefusalDrawsBoundedArrivals: a mix whose arrivals' flows pass
+// the caller's limit stops drawing there. Refusing 10^6 terasort jobs a
+// minute over 60 s draws at most ⌈limit ÷ flows per job⌉ + 1 arrivals,
+// counted from the plan, and reports a count above the limit; a limit
+// the mix fits under draws every arrival and reports the exact count.
+func TestMixRefusalDrawsBoundedArrivals(t *testing.T) {
+	model := mixModel(t)
+	huge := MixSpec{Weights: map[string]float64{"terasort": 1}, JobsPerMinute: 1e6, WindowSecs: 60}
+	for _, limit := range []int64{1, 3000, 1 << 20} {
+		p, err := model.planMix(huge, limit)
+		if err != nil {
+			t.Fatalf("limit %d: %v", limit, err)
+		}
+		perJob := p.shapes["terasort"].perJob
+		if bound := (limit+perJob-1)/perJob + 1; int64(len(p.arrivals)) > bound {
+			t.Errorf("limit %d: drew %d arrivals, bound %d", limit, len(p.arrivals), bound)
+		}
+		n, err := model.EstimateMixFlows(huge, limit)
+		if err != nil || n <= limit {
+			t.Errorf("limit %d: EstimateMixFlows = %d, %v; want a count above the limit", limit, n, err)
+		}
+	}
+
+	small := MixSpec{Weights: map[string]float64{"terasort": 2, "wordcount": 1},
+		JobsPerMinute: 4, WindowSecs: 240, Workers: 10, Seed: 29}
+	sched, err := model.GenerateMix(context.Background(), small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := int64(len(sched))
+	for _, limit := range []int64{n, n + 1, 0} {
+		if got, err := model.EstimateMixFlows(small, limit); err != nil || got != n {
+			t.Errorf("limit %d: EstimateMixFlows = %d, %v; want %d", limit, got, err, n)
+		}
+	}
+	if got, err := model.EstimateMixFlows(small, n-1); err != nil || got <= n-1 {
+		t.Errorf("limit %d: EstimateMixFlows = %d, %v; want a count above the limit", n-1, got, err)
+	}
+}

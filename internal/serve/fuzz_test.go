@@ -139,7 +139,7 @@ func FuzzMixRequest(f *testing.F) {
 		var want int64
 		var specErr error
 		if decodeErr == nil {
-			want, specErr = model.EstimateMixFlows(req.Spec)
+			want, specErr = model.EstimateMixFlows(req.Spec, maxFlows)
 			if specErr != nil && !errors.Is(specErr, core.ErrBadSpec) {
 				t.Fatalf("%q: spec refused with an untyped error: %v", body, specErr)
 			}

@@ -103,7 +103,7 @@ func (s *Server) handleMix(w http.ResponseWriter, r *http.Request) {
 		timeout: time.Duration(req.TimeoutMs) * time.Millisecond,
 		workers: effectiveWorkers(req.Spec.Workers),
 		check: func(m *core.Model) error {
-			return s.admitFlows(m.EstimateMixFlows(req.Spec))
+			return s.admitFlows(m.EstimateMixFlows(req.Spec, s.cfg.MaxFlows))
 		},
 		run: func(ctx context.Context, m *core.Model, emit func([]core.SynthFlow) error) error {
 			return m.GenerateMixChunks(ctx, req.Spec, s.cfg.ChunkFlows, emit)
