@@ -155,7 +155,7 @@ func (fs *FS) WriteFile(client netsim.NodeID, path string, size int64, replicati
 						hopFinished()
 						return
 					}
-					fs.eng.After(retryBackoff(pipelineRetryBase, attempt), func() {
+					fs.eng.After(sim.Backoff(pipelineRetryBase, attempt), func() {
 						recoverHop(src, dst, rem, attempt+1)
 					})
 				},
@@ -215,7 +215,7 @@ func (fs *FS) WriteFile(client netsim.NodeID, path string, size int64, replicati
 				}
 				// Sole replica with nowhere to go: wait for the fabric
 				// to heal and try again (capped backoff).
-				fs.eng.After(retryBackoff(pipelineRetryBase, attempt), func() {
+				fs.eng.After(sim.Backoff(pipelineRetryBase, attempt), func() {
 					recoverHop(newSrc, dst, remaining, attempt+1)
 				})
 				return
@@ -237,22 +237,6 @@ func (fs *FS) WriteFile(client netsim.NodeID, path string, size int64, replicati
 	}
 	writeBlock(0)
 	return nil
-}
-
-// maxRetryBackoff caps exponential retry backoff across HDFS recovery
-// paths (pipeline recovery, read retry).
-const maxRetryBackoff = 30_000_000_000
-
-// retryBackoff doubles base per attempt, capped at maxRetryBackoff.
-func retryBackoff(base sim.Time, attempt int) sim.Time {
-	d := base
-	for i := 0; i < attempt && d < maxRetryBackoff; i++ {
-		d *= 2
-	}
-	if d > maxRetryBackoff {
-		d = maxRetryBackoff
-	}
-	return d
 }
 
 // pickReplica selects the live replica a reader uses: local if
@@ -307,7 +291,7 @@ func (fs *FS) readBlockAttempt(client netsim.NodeID, blk Block, label string, do
 		}
 		fs.ReadRetries++
 		fs.metrics.ReadRetries.Inc()
-		fs.eng.After(retryBackoff(readRetryBase, attempt), func() {
+		fs.eng.After(sim.Backoff(readRetryBase, attempt), func() {
 			fs.readBlockAttempt(client, blk, label, done, attempt+1)
 		})
 	}

@@ -59,9 +59,9 @@ const (
 	// slowstartMaps is the completed-map fraction that triggers reducer
 	// launch (mapreduce.job.reduce.slowstart.completedmaps).
 	slowstartMaps = 0.05
-	// maxParallelFetches bounds concurrent shuffle fetches per reducer
+	// MaxParallelFetches bounds concurrent shuffle fetches per reducer
 	// (mapreduce.reduce.shuffle.parallelcopies).
-	maxParallelFetches = 5
+	MaxParallelFetches = 5
 	// stragglerSigma is the log-normal sigma applied to task compute
 	// times: the straggler effect that spreads flow arrivals out in time.
 	stragglerSigma = 0.25

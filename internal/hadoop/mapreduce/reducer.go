@@ -13,7 +13,7 @@ import (
 )
 
 // reducer is one reduce task attempt: it shuffles a partition from every
-// map output (at most maxParallelFetches concurrent fetches, as the real
+// map output (at most MaxParallelFetches concurrent fetches, as the real
 // Fetcher pool does), then merges, reduces, and commits its part file to
 // HDFS through a replication pipeline. A lost attempt is re-run from
 // scratch on a new container — its already-shuffled bytes are wasted,
@@ -142,7 +142,7 @@ func (r *reducer) pump() {
 	if r.dead || r.done {
 		return
 	}
-	for r.active < maxParallelFetches && len(r.pending) > 0 {
+	for r.active < MaxParallelFetches && len(r.pending) > 0 {
 		mapIdx := r.pending[0]
 		r.pending = r.pending[1:]
 		r.active++
@@ -203,7 +203,7 @@ func (r *reducer) startFetch(mapIdx int) {
 				return
 			}
 			r.retries[mapIdx]++
-			backoff := fetchBackoff(fetchRetryBase, r.retries[mapIdx]-1)
+			backoff := sim.Backoff(fetchRetryBase, r.retries[mapIdx]-1)
 			j.eng.After(backoff, func() {
 				if r.dead || r.done || j.finished {
 					return
@@ -223,19 +223,6 @@ func (r *reducer) startFetch(mapIdx int) {
 	if err != nil {
 		panic(fmt.Sprintf("mapreduce: shuffle flow: %v", err))
 	}
-}
-
-// fetchBackoff doubles base per attempt, capped at 30 s.
-func fetchBackoff(base sim.Time, attempt int) sim.Time {
-	const maxBackoff = sim.Time(30_000_000_000)
-	d := base
-	for i := 0; i < attempt && d < maxBackoff; i++ {
-		d *= 2
-	}
-	if d > maxBackoff {
-		d = maxBackoff
-	}
-	return d
 }
 
 // finishShuffle runs merge + reduce compute and commits output to HDFS.

@@ -26,6 +26,19 @@ type Time = time.Duration
 // MaxTime is the largest representable simulation instant.
 const MaxTime Time = math.MaxInt64
 
+// Backoff returns the retry delay before attempt number attempt
+// (0-based): base doubled once per earlier attempt, capped at 30 s. HDFS
+// pipeline and read recovery and the MapReduce shuffle fetch retry share
+// it.
+func Backoff(base Time, attempt int) Time {
+	const maxBackoff = 30 * time.Second
+	d := base
+	for i := 0; i < attempt && d < maxBackoff; i++ {
+		d *= 2
+	}
+	return min(d, maxBackoff)
+}
+
 // eventSlot is one slab entry. Exactly one of fn and cb is set: fn is the
 // closure form, cb+arg the closure-free form hot paths use so that
 // re-arming a pooled event allocates nothing.

@@ -475,3 +475,20 @@ func TestReservePreservesQueue(t *testing.T) {
 		t.Errorf("order = %v, want [1 2 3]", order)
 	}
 }
+
+func TestBackoffDoublesToCap(t *testing.T) {
+	base := 500 * time.Millisecond
+	for attempt, want := range []Time{base, 2 * base, 4 * base, 8 * base} {
+		if got := Backoff(base, attempt); got != want {
+			t.Errorf("Backoff(%v, %d) = %v, want %v", base, attempt, got, want)
+		}
+	}
+	for _, attempt := range []int{6, 7, 1000} {
+		if got := Backoff(base, attempt); got != 30*time.Second {
+			t.Errorf("Backoff(%v, %d) = %v, want the 30s cap", base, attempt, got)
+		}
+	}
+	if got := Backoff(time.Minute, 0); got != 30*time.Second {
+		t.Errorf("Backoff(1m, 0) = %v, want the 30s cap", got)
+	}
+}

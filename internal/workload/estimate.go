@@ -1,9 +1,6 @@
 package workload
 
-// shuffleParallelFetches mirrors the mapreduce default for
-// mapreduce.reduce.shuffle.parallelcopies: the per-reducer bound on
-// concurrent shuffle fetch flows.
-const shuffleParallelFetches = 5
+import "keddah/internal/hadoop/mapreduce"
 
 // EstimatePeakFlows predicts the peak number of concurrent network flows
 // a capture session over the given (sequentially executed) workload runs
@@ -40,8 +37,8 @@ func EstimatePeakFlows(specs []RunSpec, workers, slotsPerNode, replication, pods
 		if err != nil {
 			continue
 		}
-		if !p.MapOnly && shuffleParallelFetches > perSlot {
-			perSlot = shuffleParallelFetches
+		if !p.MapOnly && mapreduce.MaxParallelFetches > perSlot {
+			perSlot = mapreduce.MaxParallelFetches
 		}
 		if p.OutputReplication > perSlot {
 			perSlot = p.OutputReplication
