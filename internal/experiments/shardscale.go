@@ -143,10 +143,6 @@ func runE18(cfg Config) ([]Table, error) {
 		t.AddRow(l.name, itoa(l.procs), f2(res.wallMs), f2(wallSpeedup),
 			f2(res.critMs), f2(critSpeedup),
 			itoa(int(res.windows)), itoa(int(res.boundary)), identical)
-		if cfg.Verbose && cfg.Out != nil {
-			fmt.Fprintf(cfg.Out, "  E18 %s@%d: wall %.0fms (%.2fx) crit %.0fms (%.2fx) identical=%s\n",
-				l.name, l.procs, res.wallMs, wallSpeedup, res.critMs, critSpeedup, identical)
-		}
 	}
 	return []Table{t}, nil
 }

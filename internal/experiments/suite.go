@@ -23,9 +23,6 @@ import (
 type Config struct {
 	Scale float64
 	Seed  int64
-	// Verbose enables per-step progress notes on Out.
-	Verbose bool
-	Out     io.Writer
 	// Telemetry, when non-nil, instruments every capture and replay an
 	// experiment runs. Its instruments are concurrency-safe, so one
 	// Telemetry may be shared across a parallel RunAll.
@@ -173,8 +170,6 @@ func RunAllContext(ctx context.Context, ids []string, cfg Config, workers int) [
 		workers = len(ids)
 	}
 	cfg = cfg.withDefaults()
-	cfg.Out = nil
-	cfg.Verbose = false
 
 	results := make([]Result, len(ids))
 	// Pre-buffering every index means no feeding goroutine can block on a
