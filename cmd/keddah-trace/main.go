@@ -97,14 +97,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if n == 0 {
 			continue
 		}
-		e, err := ds.SizeSample(ph).ECDF()
-		if err != nil {
-			return fmt.Errorf("phase %s: %w", ph, err)
-		}
+		s := ds.SizeSample(ph)
 		fmt.Fprintf(tw, "%s\t%d\t%.1f\t%.1f%%\t%.1f\t%.1f\n",
 			ph, n, float64(ds.Volume(ph))/(1<<20),
 			100*float64(ds.Volume(ph))/float64(maxInt64(1, bytes)),
-			e.Quantile(0.5)/1024, e.Quantile(0.99)/1024)
+			s.Quantile(0.5)/1024, s.Quantile(0.99)/1024)
 	}
 	if err := tw.Flush(); err != nil {
 		return err

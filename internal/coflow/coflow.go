@@ -100,16 +100,16 @@ func Describe(cfs []Coflow) (Population, error) {
 	}
 	p := Population{Count: len(cfs)}
 	var err error
-	if p.Width, err = stats.Describe(widths); err != nil {
+	if p.Width, err = stats.NewSampleOwned(widths).Describe(); err != nil {
 		return p, err
 	}
-	if p.Bytes, err = stats.Describe(sizes); err != nil {
+	if p.Bytes, err = stats.NewSampleOwned(sizes).Describe(); err != nil {
 		return p, err
 	}
-	if p.Skew, err = stats.Describe(skews); err != nil {
+	if p.Skew, err = stats.NewSampleOwned(skews).Describe(); err != nil {
 		return p, err
 	}
-	if p.Duration, err = stats.Describe(durs); err != nil {
+	if p.Duration, err = stats.NewSampleOwned(durs).Describe(); err != nil {
 		return p, err
 	}
 	return p, nil

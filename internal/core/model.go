@@ -348,16 +348,16 @@ func poolWorkload(name string, runs []*Run) *workloadPool {
 // It reads only its own pool (plus immutable workload totals), so any
 // number of fitPhase tasks can run concurrently.
 func fitPhase(ph flows.Phase, pp *phasePool, pool *workloadPool, opts FitOptions) (*PhaseModel, error) {
-	// One sort covers range, atom extraction and the size fit: atoms are
-	// contiguous runs in the sorted sample, and what remains is still
-	// sorted, so the fit below skips its own sort.
+	// One sort covers range and atom extraction: atoms are contiguous
+	// runs in the sorted sample, and what remains is still sorted, so the
+	// size fit's own sort finds its input already in order.
 	sizes := stats.NewSampleOwned(pp.sizes)
 	pm := &PhaseModel{Samples: sizes.Len(), SizeNormalizer: phaseRules[ph].sizeNorm}
 	pm.SizeMin, pm.SizeMax = sizes.Min(), sizes.Max()
 	atoms, rest := extractAtoms(sizes.Values())
 	pm.SizeAtoms = atoms
 	var err error
-	pm.Size, pm.SizeGoF, pm.Candidates, err = fitLaw(stats.NewSampleSorted(rest), opts)
+	pm.Size, pm.SizeGoF, pm.Candidates, err = fitLaw(stats.NewSampleOwned(rest), opts)
 	if err != nil {
 		return nil, fmt.Errorf("phase %s sizes: %w", ph, err)
 	}
@@ -444,7 +444,7 @@ const (
 // masses and the remaining continuous sub-sample. xs must be sorted
 // ascending: repeated values are then contiguous runs, so one linear
 // scan replaces a value→count map, and the returned rest is itself
-// still sorted (callers feed it to NewSampleSorted).
+// still sorted.
 func extractAtoms(xs []float64) ([]Atom, []float64) {
 	if len(xs) < 5 {
 		return nil, xs

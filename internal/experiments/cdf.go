@@ -47,11 +47,7 @@ func runE3(cfg Config) ([]Table, error) {
 			// One Sample serves the quantiles and the summary: sorted once,
 			// shared by both instead of two copy+sort passes.
 			s := stats.NewSampleOwned(xs)
-			e, err := s.ECDF()
-			if err != nil {
-				return nil, fmt.Errorf("E3 %s/%s: %w", prof, ph, err)
-			}
-			q := func(p float64) string { return f2(e.Quantile(p) / (1 << 20)) }
+			q := func(p float64) string { return f2(s.Quantile(p) / (1 << 20)) }
 			sum, err := s.Describe()
 			if err != nil {
 				return nil, fmt.Errorf("E3 %s/%s: %w", prof, ph, err)

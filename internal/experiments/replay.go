@@ -103,10 +103,9 @@ func meanDuration(recs []pcap.FlowRecord, phases ...flows.Phase) float64 {
 
 // p99Duration returns the 99th percentile flow duration for a phase.
 func p99Duration(recs []pcap.FlowRecord, ph flows.Phase) float64 {
-	ds := flows.NewDataset(recs)
-	e, err := ds.DurationSample(ph).ECDF()
-	if err != nil {
-		return 0 // empty sample: no flows in this phase
+	s := flows.NewDataset(recs).DurationSample(ph)
+	if s.Len() == 0 {
+		return 0 // no flows in this phase
 	}
-	return e.Quantile(0.99)
+	return s.Quantile(0.99)
 }

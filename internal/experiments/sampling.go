@@ -38,7 +38,7 @@ func runA4(cfg Config) ([]Table, error) {
 	}
 	// One fixed truth sample compared against every sampling rate: sort it
 	// once and reuse the sorted view in each KS comparison.
-	truthShuffle := truth.SizeSample(flows.PhaseShuffle)
+	truthShuffle := truth.SizeSample(flows.PhaseShuffle).Values()
 
 	t := Table{
 		ID:    "A4",
@@ -57,7 +57,7 @@ func runA4(cfg Config) ([]Table, error) {
 
 		dataErr := volErr(est, truth, flows.PhaseHDFSRead, flows.PhaseHDFSWrite, flows.PhaseShuffle)
 		ctlErr := volErr(est, truth, flows.PhaseControl)
-		ks := ksBetween(est.SizeSample(flows.PhaseShuffle), truthShuffle)
+		ks := stats.KSStatistic2Sorted(est.SizeSample(flows.PhaseShuffle).Values(), truthShuffle)
 
 		t.AddRow(itoa(n), itoa(int(s.Kept())), f2(recall), f2(dataErr*100), f2(ctlErr*100), f3(ks))
 	}
@@ -75,11 +75,4 @@ func volErr(est, truth *flows.Dataset, phases ...flows.Phase) float64 {
 		return 0
 	}
 	return math.Abs(float64(e-tr)) / float64(tr)
-}
-
-func ksBetween(a, b *stats.Sample) float64 {
-	if a.Len() == 0 || b.Len() == 0 {
-		return 1
-	}
-	return stats.KSStatistic2Sorted(a.Values(), b.Values())
 }

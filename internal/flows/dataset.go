@@ -3,7 +3,6 @@ package flows
 import (
 	"slices"
 	"strings"
-	"sync"
 
 	"keddah/internal/pcap"
 	"keddah/internal/stats"
@@ -19,46 +18,6 @@ type Dataset struct {
 	Records []pcap.FlowRecord
 	phases  []Phase
 	idx     map[Phase][]int32
-
-	// samples lazily caches the sorted per-phase Sample views. Records
-	// and phases are immutable after construction, so a sample — and the
-	// moments it caches internally — stays valid for the dataset's
-	// lifetime and can be shared by every fit and validation pass instead
-	// of re-sorting per call. Guarded by mu; datasets are safe for
-	// concurrent read use.
-	mu      sync.Mutex
-	samples map[sampleKey]*stats.Sample
-}
-
-// sampleKey identifies one cached sample view: which series, which phase.
-type sampleKey struct {
-	kind  uint8
-	phase Phase
-}
-
-const (
-	sampleSizes uint8 = iota
-	sampleDurations
-	sampleInterArrivals
-)
-
-// cachedSample returns the memoized sample for (kind, p), building it
-// via build on first use. The lock is held across build — the builders
-// are single linear scans, and duplicate concurrent builds would waste
-// the very sort this cache exists to avoid.
-func (d *Dataset) cachedSample(kind uint8, p Phase, build func() []float64) *stats.Sample {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	k := sampleKey{kind: kind, phase: p}
-	if s, ok := d.samples[k]; ok {
-		return s
-	}
-	if d.samples == nil {
-		d.samples = make(map[sampleKey]*stats.Sample)
-	}
-	s := stats.NewSampleOwned(build())
-	d.samples[k] = s
-	return s
 }
 
 // NewDataset classifies every record once and returns the dataset.
@@ -147,10 +106,9 @@ func (d *Dataset) Sizes(p Phase) []float64 {
 
 // SizeSample returns the per-flow byte counts of phase p as a sorted
 // stats.Sample, ready for fitting and goodness-of-fit without further
-// copying. The sample is built once per (dataset, phase) and cached;
-// callers must treat it as read-only.
+// copying. Each call builds (and sorts) a fresh sample.
 func (d *Dataset) SizeSample(p Phase) *stats.Sample {
-	return d.cachedSample(sampleSizes, p, func() []float64 { return d.Sizes(p) })
+	return stats.NewSampleOwned(d.Sizes(p))
 }
 
 // Durations returns per-flow durations in seconds for phase p.
@@ -176,10 +134,10 @@ func (d *Dataset) Durations(p Phase) []float64 {
 	return out
 }
 
-// DurationSample returns the per-flow durations of phase p as a sorted
-// stats.Sample, cached per (dataset, phase); treat as read-only.
+// DurationSample returns the per-flow durations of phase p as a fresh
+// sorted stats.Sample.
 func (d *Dataset) DurationSample(p Phase) *stats.Sample {
-	return d.cachedSample(sampleDurations, p, func() []float64 { return d.Durations(p) })
+	return stats.NewSampleOwned(d.Durations(p))
 }
 
 // InterArrivals returns successive flow start gaps in seconds for phase p,
@@ -210,9 +168,9 @@ func (d *Dataset) InterArrivals(p Phase) []float64 {
 }
 
 // InterArrivalSample returns the inter-arrival gaps of phase p as a
-// sorted stats.Sample, cached per (dataset, phase); treat as read-only.
+// fresh sorted stats.Sample.
 func (d *Dataset) InterArrivalSample(p Phase) *stats.Sample {
-	return d.cachedSample(sampleInterArrivals, p, func() []float64 { return d.InterArrivals(p) })
+	return stats.NewSampleOwned(d.InterArrivals(p))
 }
 
 // Volume sums bytes over phase p (all records if p is empty).
@@ -236,19 +194,6 @@ func (d *Dataset) Count(p Phase) int {
 		return len(d.Records)
 	}
 	return len(d.idx[p])
-}
-
-// VolumeBreakdown returns bytes per modelled phase plus the "other" bucket.
-func (d *Dataset) VolumeBreakdown() map[Phase]int64 {
-	out := make(map[Phase]int64, len(d.idx))
-	for p, ids := range d.idx {
-		var total int64
-		for _, id := range ids {
-			total += d.Records[id].Bytes
-		}
-		out[p] = total
-	}
-	return out
 }
 
 // Span returns the first start and last end timestamps (ns); zeroes for an

@@ -85,9 +85,8 @@ func TestDatasetAggregation(t *testing.T) {
 	if len(durs) != 1 || durs[0] != 10e-9 {
 		t.Errorf("read durations = %v", durs)
 	}
-	breakdown := ds.VolumeBreakdown()
-	if breakdown[PhaseControl] != 10 {
-		t.Errorf("control volume = %d", breakdown[PhaseControl])
+	if v := ds.Volume(PhaseControl); v != 10 {
+		t.Errorf("control volume = %d", v)
 	}
 }
 

@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"encoding/json"
-	"fmt"
-)
+import "fmt"
 
 // DistSpec is the serialisable form of a Distribution: the family name and
 // its parameters in the family's documented order. Keddah model files store
@@ -70,18 +67,4 @@ func (s DistSpec) Build() (Distribution, error) {
 	default:
 		return nil, fmt.Errorf("stats: unknown family %q", s.Family)
 	}
-}
-
-// MarshalDist encodes a distribution as JSON via its DistSpec.
-func MarshalDist(d Distribution) ([]byte, error) {
-	return json.Marshal(Spec(d))
-}
-
-// UnmarshalDist decodes a distribution from its DistSpec JSON.
-func UnmarshalDist(data []byte) (Distribution, error) {
-	var s DistSpec
-	if err := json.Unmarshal(data, &s); err != nil {
-		return nil, fmt.Errorf("decode dist spec: %w", err)
-	}
-	return s.Build()
 }

@@ -319,11 +319,6 @@ func (s *Sample) AIC(d Distribution) float64 {
 	return 2*numParams(d) - 2*s.LogLikelihood(d)
 }
 
-// BIC returns the Bayesian information criterion (lower is better).
-func (s *Sample) BIC(d Distribution) float64 {
-	return numParams(d)*math.Log(float64(s.Len())) - 2*s.LogLikelihood(d)
-}
-
 // FitResult records one candidate fit during model selection.
 type FitResult struct {
 	Dist Distribution
@@ -377,6 +372,7 @@ func (s *Sample) SelectBest(candidates []Family) (Distribution, []FitResult, err
 	}
 
 	results := make([]FitResult, 0, len(candidates))
+	var cdf []float64 // one CDF buffer serves every candidate's KS walk
 	for _, fam := range candidates {
 		d, err := s.Fit(fam)
 		if err != nil {
@@ -387,7 +383,8 @@ func (s *Sample) SelectBest(candidates []Family) (Distribution, []FitResult, err
 		if math.IsNaN(aic) {
 			aic = math.Inf(1)
 		}
-		results = append(results, FitResult{Dist: d, AIC: aic, KS: s.KS(d)})
+		cdf = s.cdf(d, cdf)
+		results = append(results, FitResult{Dist: d, AIC: aic, KS: ksFromCDF(cdf)})
 	}
 	sort.SliceStable(results, func(i, j int) bool { return results[i].AIC < results[j].AIC })
 	if results[0].Err != nil || math.IsInf(results[0].AIC, 1) {

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"encoding/json"
 	"errors"
 	"math"
 	"testing"
@@ -151,21 +152,30 @@ func TestAICPrefersTrueModel(t *testing.T) {
 		t.Errorf("AIC(exp)=%v not better than AIC(normal)=%v on exponential data",
 			s.AIC(fitted), s.AIC(wrong))
 	}
-	if s.BIC(fitted) >= s.BIC(wrong) {
+	if s.Evaluate(fitted).BIC >= s.Evaluate(wrong).BIC {
 		t.Error("BIC did not prefer the generating family")
 	}
 }
 
+// specRoundTrip passes d through the codec model files use: Spec, JSON,
+// then DistSpec.Build.
+func specRoundTrip(d Distribution) (Distribution, error) {
+	blob, err := json.Marshal(Spec(d))
+	if err != nil {
+		return nil, err
+	}
+	var spec DistSpec
+	if err := json.Unmarshal(blob, &spec); err != nil {
+		return nil, err
+	}
+	return spec.Build()
+}
+
 func TestCodecRoundTripAllFamilies(t *testing.T) {
 	for _, d := range allDists(t) {
-		data, err := MarshalDist(d)
+		back, err := specRoundTrip(d)
 		if err != nil {
-			t.Errorf("%s: marshal: %v", d, err)
-			continue
-		}
-		back, err := UnmarshalDist(data)
-		if err != nil {
-			t.Errorf("%s: unmarshal: %v", d, err)
+			t.Errorf("%s: round trip: %v", d, err)
 			continue
 		}
 		if back.Family() != d.Family() {

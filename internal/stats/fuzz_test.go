@@ -23,10 +23,10 @@ func fuzzSample(data []byte) []float64 {
 	return xs
 }
 
-// FuzzECDF checks the empirical CDF's defining properties on arbitrary
-// samples: F is a non-decreasing map into [0,1] hitting 1 at the sample
-// maximum, and quantiles stay inside the sample range.
-func FuzzECDF(f *testing.F) {
+// FuzzSampleCDF checks the empirical CDF's defining properties on
+// arbitrary samples: F is a non-decreasing map into [0,1] hitting 1 at
+// the sample maximum, and quantiles stay inside the sample range.
+func FuzzSampleCDF(f *testing.F) {
 	f.Add([]byte{})
 	seed := make([]byte, 0, 4*8)
 	for _, v := range []float64{1, 2, 2, 100} {
@@ -35,15 +35,12 @@ func FuzzECDF(f *testing.F) {
 	f.Add(seed)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		xs := fuzzSample(data)
-		e, err := NewECDF(xs)
+		e := NewSample(xs)
 		if len(xs) == 0 {
-			if err == nil {
-				t.Fatal("empty sample built an ECDF")
+			if e.Len() != 0 || e.At(0) != 0 || !math.IsNaN(e.Quantile(0.5)) {
+				t.Fatalf("empty sample: Len %d, At(0) %v, median %v", e.Len(), e.At(0), e.Quantile(0.5))
 			}
 			return
-		}
-		if err != nil {
-			t.Fatalf("NewECDF(%d samples): %v", len(xs), err)
 		}
 		if e.Len() != len(xs) {
 			t.Fatalf("Len = %d, want %d", e.Len(), len(xs))
@@ -73,7 +70,8 @@ func FuzzECDF(f *testing.F) {
 
 // FuzzFit checks that every family either rejects an arbitrary sample
 // with an error or returns a distribution with finite parameters that
-// survives a marshal/unmarshal round trip bit-exactly.
+// survives the model file's codec (Spec → JSON → DistSpec.Build)
+// bit-exactly.
 func FuzzFit(f *testing.F) {
 	seed := make([]byte, 0, 6*8)
 	for _, v := range []float64{0.5, 1.5, 2.5, 4, 8, 16} {
@@ -99,13 +97,9 @@ func FuzzFit(f *testing.F) {
 					t.Fatalf("Fit(%s) param %d non-finite: %v (sample %v)", fam, i, p, xs)
 				}
 			}
-			blob, err := MarshalDist(d)
+			back, err := specRoundTrip(d)
 			if err != nil {
-				t.Fatalf("marshal fitted %s: %v", fam, err)
-			}
-			back, err := UnmarshalDist(blob)
-			if err != nil {
-				t.Fatalf("unmarshal fitted %s: %v", fam, err)
+				t.Fatalf("round trip fitted %s: %v", fam, err)
 			}
 			if back.Family() != d.Family() {
 				t.Fatalf("round trip changed family: %s -> %s", d.Family(), back.Family())

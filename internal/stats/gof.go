@@ -1,55 +1,12 @@
 package stats
 
-import (
-	"math"
-	"slices"
-)
+import "math"
 
-// KS returns the one-sample Kolmogorov–Smirnov distance
-// D = sup_x |F_n(x) − F(x)| against distribution d.
-func (s *Sample) KS(d Distribution) float64 {
-	if s.Len() == 0 {
-		return 0
-	}
-	n := float64(s.Len())
-	var dmax float64
-	for i, x := range s.sorted {
-		f := d.CDF(x)
-		lo := f - float64(i)/n
-		hi := float64(i+1)/n - f
-		if lo > dmax {
-			dmax = lo
-		}
-		if hi > dmax {
-			dmax = hi
-		}
-	}
-	return dmax
-}
-
-// KSStatistic2 returns the two-sample KS distance between samples a and b.
-// Keddah uses it to compare measured flow statistics against traffic
-// regenerated from the fitted model. Both inputs are copied and sorted;
-// callers that already hold sorted data (stats.Sample values, ECDF
-// views) should use KSStatistic2Sorted.
-func KSStatistic2(a, b []float64) float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return 1
-	}
-	sa := make([]float64, len(a))
-	sb := make([]float64, len(b))
-	copy(sa, a)
-	copy(sb, b)
-	slices.Sort(sa)
-	slices.Sort(sb)
-	return KSStatistic2Sorted(sa, sb)
-}
-
-// KSStatistic2Sorted is KSStatistic2 for inputs that are already sorted
-// ascending: it skips the defensive copy+sort, which matters for the
-// replay and validation experiments that compare one fixed measured
-// sample against many generated ones in a loop. Passing unsorted data
-// yields a wrong statistic — use KSStatistic2 when unsure.
+// KSStatistic2Sorted returns the two-sample KS distance between a and b,
+// which must be sorted ascending (Sample.Values is). Keddah uses it to
+// compare measured flow statistics against traffic regenerated from the
+// fitted model. An empty side yields 1. Unsorted input yields a wrong
+// statistic.
 func KSStatistic2Sorted(a, b []float64) float64 {
 	if len(a) == 0 || len(b) == 0 {
 		return 1
@@ -122,22 +79,6 @@ func kolmogorovQ(lambda float64) float64 {
 	return q
 }
 
-// CvM returns the one-sample Cramér–von Mises statistic against d:
-// ω² = 1/(12n) + Σ ( (2i−1)/(2n) − F(x_(i)) )².
-func (s *Sample) CvM(d Distribution) float64 {
-	if s.Len() == 0 {
-		return 0
-	}
-	n := float64(s.Len())
-	sum := 1 / (12 * n)
-	for i, x := range s.sorted {
-		u := (2*float64(i) + 1) / (2 * n)
-		diff := u - d.CDF(x)
-		sum += diff * diff
-	}
-	return sum
-}
-
 // GoFReport bundles the goodness-of-fit measures Keddah records for a
 // chosen distribution.
 type GoFReport struct {
@@ -153,8 +94,7 @@ type GoFReport struct {
 
 // Evaluate computes a full goodness-of-fit report of d against the
 // sample. The fitted CDF is evaluated once per data point and shared by
-// the KS, CvM and AD statistics, instead of each metric re-sorting the
-// data and re-walking the CDF.
+// the KS, CvM and AD statistics.
 func (s *Sample) Evaluate(d Distribution) GoFReport {
 	n := s.Len()
 	ll := s.LogLikelihood(d)
@@ -168,10 +108,7 @@ func (s *Sample) Evaluate(d Distribution) GoFReport {
 	if n == 0 {
 		return r
 	}
-	cdf := make([]float64, n)
-	for i, x := range s.sorted {
-		cdf[i] = d.CDF(x)
-	}
+	cdf := s.cdf(d, nil)
 	r.KS = ksFromCDF(cdf)
 	r.KSP = KSPValue(r.KS, n)
 	r.CvM = cvmFromCDF(cdf)
@@ -179,8 +116,22 @@ func (s *Sample) Evaluate(d Distribution) GoFReport {
 	return r
 }
 
-// ksFromCDF computes the one-sample KS distance from pre-evaluated
-// order-statistic CDF values.
+// cdf evaluates d's CDF at every sorted value, reusing buf's storage
+// when it is large enough.
+func (s *Sample) cdf(d Distribution, buf []float64) []float64 {
+	if cap(buf) < len(s.sorted) {
+		buf = make([]float64, len(s.sorted))
+	}
+	buf = buf[:len(s.sorted)]
+	for i, x := range s.sorted {
+		buf[i] = d.CDF(x)
+	}
+	return buf
+}
+
+// ksFromCDF computes the one-sample KS distance D = sup_x |F_n(x) − F(x)|
+// from the CDF values at the order statistics. It is the one KS walk:
+// SelectBest and Evaluate both call it.
 func ksFromCDF(cdf []float64) float64 {
 	n := float64(len(cdf))
 	var dmax float64
@@ -197,8 +148,9 @@ func ksFromCDF(cdf []float64) float64 {
 	return dmax
 }
 
-// cvmFromCDF computes the Cramér–von Mises statistic from pre-evaluated
-// CDF values.
+// cvmFromCDF computes the Cramér–von Mises statistic
+// ω² = 1/(12n) + Σ ((2i−1)/(2n) − F(x_(i)))² from the CDF values at the
+// order statistics.
 func cvmFromCDF(cdf []float64) float64 {
 	n := float64(len(cdf))
 	sum := 1 / (12 * n)
@@ -210,8 +162,10 @@ func cvmFromCDF(cdf []float64) float64 {
 	return sum
 }
 
-// adFromCDF computes the Anderson–Darling statistic from pre-evaluated
-// CDF values (clamped away from {0,1} to keep the logs finite).
+// adFromCDF computes the Anderson–Darling statistic A² from the CDF
+// values at the order statistics (clamped away from {0,1} to keep the
+// logs finite). Unlike KS, A² weights the tails heavily, which is where
+// heavy-tailed traffic models go wrong.
 func adFromCDF(cdf []float64) float64 {
 	n := len(cdf)
 	const eps = 1e-12
@@ -222,20 +176,6 @@ func adFromCDF(cdf []float64) float64 {
 		sum += (2*float64(i) + 1) * (math.Log(fi) + math.Log(1-fj))
 	}
 	return -float64(n) - sum/float64(n)
-}
-
-// AD returns the one-sample Anderson–Darling statistic A² against d.
-// Unlike KS, A² weights the tails heavily, which is where heavy-tailed
-// traffic models go wrong.
-func (s *Sample) AD(d Distribution) float64 {
-	if s.Len() == 0 {
-		return 0
-	}
-	cdf := make([]float64, s.Len())
-	for i, x := range s.sorted {
-		cdf[i] = d.CDF(x)
-	}
-	return adFromCDF(cdf)
 }
 
 func clamp(v, lo, hi float64) float64 {

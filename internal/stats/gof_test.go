@@ -3,6 +3,7 @@ package stats
 import (
 	"errors"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -16,7 +17,7 @@ func TestKSStatisticZeroOnPerfectFit(t *testing.T) {
 	for i := range xs {
 		xs[i] = d.Quantile((float64(i) + 0.5) / float64(n))
 	}
-	ks := NewSample(xs).KS(d)
+	ks := NewSample(xs).Evaluate(d).KS
 	if ks > 1.0/float64(n) {
 		t.Errorf("KS = %v, want <= %v", ks, 1.0/float64(n))
 	}
@@ -27,8 +28,8 @@ func TestKSDetectsWrongModel(t *testing.T) {
 	nrm, _ := NewNormal(1, 1)
 	xs := sample(exp, 5000, 9)
 	s := NewSample(xs)
-	ksGood := s.KS(exp)
-	ksBad := s.KS(nrm)
+	ksGood := s.Evaluate(exp).KS
+	ksBad := s.Evaluate(nrm).KS
 	if ksGood >= ksBad {
 		t.Errorf("KS(true)=%v >= KS(wrong)=%v", ksGood, ksBad)
 	}
@@ -40,9 +41,37 @@ func TestKSDetectsWrongModel(t *testing.T) {
 	}
 }
 
+// sortedKS2 sorts copies of a and b and compares them with
+// KSStatistic2Sorted.
+func sortedKS2(a, b []float64) float64 {
+	sa, sb := slices.Clone(a), slices.Clone(b)
+	slices.Sort(sa)
+	slices.Sort(sb)
+	return KSStatistic2Sorted(sa, sb)
+}
+
+// TestSelectBestKSMatchesEvaluate pins the one KS walk: the distance
+// SelectBest records per candidate is the one Evaluate reports.
+func TestSelectBestKSMatchesEvaluate(t *testing.T) {
+	g, _ := NewGamma(2, 3)
+	s := NewSample(sample(g, 800, 6))
+	_, all, err := s.SelectBest(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fr := range all {
+		if fr.Err != nil {
+			continue
+		}
+		if want := s.Evaluate(fr.Dist).KS; fr.KS != want {
+			t.Errorf("%s: SelectBest KS = %v, Evaluate KS = %v", fr.Dist, fr.KS, want)
+		}
+	}
+}
+
 func TestKSTwoSampleIdenticalIsZero(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
-	if d := KSStatistic2(xs, xs); d != 0 {
+	if d := sortedKS2(xs, xs); d != 0 {
 		t.Errorf("KS2(x,x) = %v, want 0", d)
 	}
 }
@@ -50,7 +79,7 @@ func TestKSTwoSampleIdenticalIsZero(t *testing.T) {
 func TestKSTwoSampleDisjointIsOne(t *testing.T) {
 	a := []float64{1, 2, 3}
 	b := []float64{10, 20, 30}
-	if d := KSStatistic2(a, b); d != 1 {
+	if d := sortedKS2(a, b); d != 1 {
 		t.Errorf("KS2 disjoint = %v, want 1", d)
 	}
 }
@@ -59,7 +88,7 @@ func TestKSTwoSampleSameDistSmall(t *testing.T) {
 	lgn, _ := NewLogNormal(1, 0.5)
 	a := sample(lgn, 4000, 1)
 	b := sample(lgn, 4000, 2)
-	d := KSStatistic2(a, b)
+	d := sortedKS2(a, b)
 	if d > 0.05 {
 		t.Errorf("same-law two-sample KS = %v, want small", d)
 	}
@@ -69,7 +98,7 @@ func TestKSTwoSampleSameDistSmall(t *testing.T) {
 }
 
 func TestKSTwoSampleEmpty(t *testing.T) {
-	if d := KSStatistic2(nil, []float64{1}); d != 1 {
+	if d := sortedKS2(nil, []float64{1}); d != 1 {
 		t.Errorf("KS2 with empty sample = %v, want 1", d)
 	}
 }
@@ -82,8 +111,8 @@ func TestKSTwoSampleSymmetricProperty(t *testing.T) {
 				return true // skip pathological inputs
 			}
 		}
-		d1 := KSStatistic2(a, b)
-		d2 := KSStatistic2(b, a)
+		d1 := sortedKS2(a, b)
+		d2 := sortedKS2(b, a)
 		return math.Abs(d1-d2) < 1e-12 && d1 >= 0 && d1 <= 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -96,7 +125,7 @@ func TestCvMOrdersModelsLikeKS(t *testing.T) {
 	s := NewSample(sample(wbl, 3000, 4))
 	good, _ := s.Fit(FamilyWeibull)
 	bad, _ := NewExponential(0.3)
-	if s.CvM(good) >= s.CvM(bad) {
+	if s.Evaluate(good).CvM >= s.Evaluate(bad).CvM {
 		t.Error("CvM did not prefer the fitted model")
 	}
 }
@@ -133,10 +162,7 @@ func TestKolmogorovQLimits(t *testing.T) {
 }
 
 func TestECDFBasics(t *testing.T) {
-	e, err := NewECDF([]float64{3, 1, 2, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := NewSample([]float64{3, 1, 2, 2})
 	if e.Len() != 4 {
 		t.Fatalf("len = %d", e.Len())
 	}
@@ -158,32 +184,25 @@ func TestECDFBasics(t *testing.T) {
 }
 
 func TestECDFQuantileEdges(t *testing.T) {
-	e, err := NewECDF([]float64{5, 1, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := NewSample([]float64{5, 1, 3})
 	if e.Quantile(0) != 1 || e.Quantile(1) != 5 {
 		t.Error("quantile edges wrong")
 	}
 }
 
-// Regression: empty samples used to yield NaN-filled results; now both
-// constructors report a typed error the caller can test for.
+// Regression: empty samples used to yield NaN-filled summaries; now
+// Describe reports a typed error the caller can test for.
 func TestEmptySampleTypedError(t *testing.T) {
-	if _, err := NewECDF(nil); !errors.Is(err, ErrEmptySample) {
-		t.Errorf("NewECDF(nil) err = %v, want ErrEmptySample", err)
-	}
-	if _, err := NewECDF([]float64{}); !errors.Is(err, ErrEmptySample) {
-		t.Errorf("NewECDF(empty) err = %v, want ErrEmptySample", err)
-	}
-	if s, err := Describe(nil); !errors.Is(err, ErrEmptySample) || s.N != 0 {
-		t.Errorf("Describe(nil) = %+v, %v, want zero summary and ErrEmptySample", s, err)
+	for _, xs := range [][]float64{nil, {}} {
+		if s, err := NewSample(xs).Describe(); !errors.Is(err, ErrEmptySample) || s != (Summary{}) {
+			t.Errorf("Describe(%v) = %+v, %v, want zero summary and ErrEmptySample", xs, s, err)
+		}
 	}
 }
 
 func TestDescribe(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 100}
-	s, err := Describe(xs)
+	s, err := NewSample(xs).Describe()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,32 +221,12 @@ func TestDescribe(t *testing.T) {
 	if math.IsNaN(s.GeometricMeanLog) {
 		t.Error("geometric mean log should exist for positive data")
 	}
-	neg, err := Describe([]float64{-1, 1})
+	neg, err := NewSample([]float64{-1, 1}).Describe()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !math.IsNaN(neg.GeometricMeanLog) {
 		t.Error("geometric mean log should be NaN with non-positive data")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	xs := []float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	edges, counts := Histogram(xs, 5)
-	if len(edges) != 5 || len(counts) != 5 {
-		t.Fatalf("bins = %d/%d", len(edges), len(counts))
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != len(xs) {
-		t.Errorf("histogram total = %d, want %d", total, len(xs))
-	}
-	// Constant sample collapses to one bin.
-	e, c := Histogram([]float64{2, 2, 2}, 4)
-	if len(e) != 1 || c[0] != 3 {
-		t.Errorf("constant histogram = %v %v", e, c)
 	}
 }
 
@@ -239,10 +238,7 @@ func TestECDFMonotoneProperty(t *testing.T) {
 				return true
 			}
 		}
-		e, err := NewECDF(xs)
-		if err != nil {
-			return len(xs) == 0 // only the empty sample may error
-		}
+		e := NewSample(xs)
 		sort.Float64s(qs)
 		prev := -1.0
 		for _, q := range qs {
@@ -267,8 +263,8 @@ func TestADStatisticOrdersModels(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad, _ := NewExponential(0.2)
-	adGood := s.AD(good)
-	adBad := s.AD(bad)
+	adGood := s.Evaluate(good).AD
+	adBad := s.Evaluate(bad).AD
 	if adGood >= adBad {
 		t.Errorf("AD(true)=%v >= AD(wrong)=%v", adGood, adBad)
 	}
@@ -276,12 +272,12 @@ func TestADStatisticOrdersModels(t *testing.T) {
 	if adGood > 5 {
 		t.Errorf("AD on true model = %v, want small", adGood)
 	}
-	if NewSample(nil).AD(good) != 0 {
+	if NewSample(nil).Evaluate(good).AD != 0 {
 		t.Error("empty sample AD != 0")
 	}
 	// Samples outside the support stay finite (clamped logs).
 	par, _ := NewPareto(10, 2)
-	if v := NewSample([]float64{1, 2, 3}).AD(par); math.IsInf(v, 0) || math.IsNaN(v) {
+	if v := NewSample([]float64{1, 2, 3}).Evaluate(par).AD; math.IsInf(v, 0) || math.IsNaN(v) {
 		t.Errorf("AD with out-of-support sample = %v", v)
 	}
 }

@@ -3,23 +3,23 @@ package stats
 import (
 	"math"
 	"slices"
+	"sort"
 	"sync"
 )
 
-// Sample is an immutable sorted-sample handle: the data sorted once at
-// construction plus lazily cached moments (mean, variance, min/max,
-// Σlog x, Σlog² x). Every fitter and goodness-of-fit statistic accepts
-// it, so a sample that used to be copied and re-sorted once per
-// candidate family and once per GoF metric is now sorted exactly once
-// and shared everywhere — including across the parallel fit workers in
-// internal/core (the lazy caches are synchronised, everything else is
+// Sample is the one sorted-sample type: the data sorted once at
+// construction plus lazily cached moments (mean, variance, Σlog x). It
+// is also the empirical CDF (At, Quantile, Points), and every fitter and
+// goodness-of-fit statistic reads it, so one sort serves every candidate
+// family and every metric — including across the parallel fit workers
+// in internal/core (the lazy caches are synchronised, everything else is
 // read-only after construction).
 //
-// Ownership rules: NewSample copies its input; NewSampleOwned and
-// NewSampleSorted take ownership of the caller's slice, and the caller
-// must not read or mutate it afterwards. Values() returns the internal
-// sorted slice as a read-only view — mutating it breaks every cached
-// moment and statistic derived from the Sample.
+// Ownership rules: NewSample copies its input; NewSampleOwned takes
+// ownership of the caller's slice, and the caller must not read or
+// mutate it afterwards. Values() returns the internal sorted slice as a
+// read-only view — mutating it breaks every cached moment and statistic
+// derived from the Sample.
 type Sample struct {
 	sorted []float64
 
@@ -42,7 +42,6 @@ type moments struct {
 type logMoments struct {
 	allPositive bool
 	sumLog      float64 // Σ ln x
-	sumLogSq    float64 // Σ ln² x
 	meanLog     float64
 	varLog      float64 // centered: Σ (ln x − meanLog)² / n
 }
@@ -59,17 +58,6 @@ func NewSample(xs []float64) *Sample {
 // The caller must not use xs afterwards.
 func NewSampleOwned(xs []float64) *Sample {
 	slices.Sort(xs)
-	return &Sample{sorted: xs}
-}
-
-// NewSampleSorted wraps an already-sorted slice without copying. The
-// sortedness is verified in O(n); an unsorted input is sorted in place
-// rather than producing silently wrong statistics. The caller must not
-// use xs afterwards.
-func NewSampleSorted(xs []float64) *Sample {
-	if !slices.IsSorted(xs) {
-		slices.Sort(xs)
-	}
 	return &Sample{sorted: xs}
 }
 
@@ -118,12 +106,11 @@ func (s *Sample) logMoments() ([]float64, logMoments) {
 			return // sorted: a non-positive minimum means not all positive
 		}
 		logs := make([]float64, n)
-		var sum, sumSq float64
+		var sum float64
 		for i, x := range s.sorted {
 			l := math.Log(x)
 			logs[i] = l
 			sum += l
-			sumSq += l * l
 		}
 		meanLog := sum / float64(n)
 		var varLog float64
@@ -135,7 +122,6 @@ func (s *Sample) logMoments() ([]float64, logMoments) {
 		s.logMom = logMoments{
 			allPositive: true,
 			sumLog:      sum,
-			sumLogSq:    sumSq,
 			meanLog:     meanLog,
 			varLog:      varLog / float64(n),
 		}
@@ -166,15 +152,6 @@ func (s *Sample) SumLog() float64 {
 	return lm.sumLog
 }
 
-// SumLogSq returns Σ ln² x (NaN when the sample has non-positive values).
-func (s *Sample) SumLogSq() float64 {
-	_, lm := s.logMoments()
-	if !lm.allPositive {
-		return math.NaN()
-	}
-	return lm.sumLogSq
-}
-
 // MeanLog returns the mean of ln x (NaN for non-positive samples).
 func (s *Sample) MeanLog() float64 {
 	_, lm := s.logMoments()
@@ -195,14 +172,54 @@ func (s *Sample) VarLog() float64 {
 	return lm.varLog
 }
 
-// ECDF wraps the sample as an empirical CDF without copying (the two
-// share the sorted backing array). An empty sample returns
-// ErrEmptySample, matching NewECDF.
-func (s *Sample) ECDF() (*ECDF, error) {
+// At returns the empirical CDF F_n(x) = (#samples ≤ x)/n (0 for an
+// empty sample).
+func (s *Sample) At(x float64) float64 {
 	if len(s.sorted) == 0 {
-		return nil, ErrEmptySample
+		return 0
 	}
-	return &ECDF{sorted: s.sorted}, nil
+	i := sort.SearchFloat64s(s.sorted, x)
+	// SearchFloat64s returns the first index with sorted[i] >= x; advance
+	// past equal values so the CDF is right-continuous ("≤").
+	for i < len(s.sorted) && s.sorted[i] == x {
+		i++
+	}
+	return float64(i) / float64(len(s.sorted))
+}
+
+// Quantile returns the nearest-rank p-quantile (NaN for an empty sample).
+func (s *Sample) Quantile(p float64) float64 {
+	n := len(s.sorted)
+	if n == 0 {
+		return math.NaN()
+	}
+	if p <= 0 {
+		return s.sorted[0]
+	}
+	if p >= 1 {
+		return s.sorted[n-1]
+	}
+	idx := int(math.Ceil(p*float64(n))) - 1
+	if idx < 0 {
+		idx = 0
+	}
+	return s.sorted[idx]
+}
+
+// Points returns the (x, F(x)) step points of the empirical CDF, one per
+// distinct sample value — convenient for printing CDF series.
+func (s *Sample) Points() (xs, fs []float64) {
+	n := len(s.sorted)
+	for i := 0; i < n; {
+		j := i
+		for j < n && s.sorted[j] == s.sorted[i] {
+			j++
+		}
+		xs = append(xs, s.sorted[i])
+		fs = append(fs, float64(j)/float64(n))
+		i = j
+	}
+	return xs, fs
 }
 
 // Mean averages a slice (0 for empty). It is the single mean helper the

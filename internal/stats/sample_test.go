@@ -14,7 +14,6 @@ type naiveMoments struct {
 	mean, vari  float64
 	allPositive bool
 	sumLog      float64
-	sumLogSq    float64
 	meanLog     float64
 	varLog      float64
 }
@@ -48,15 +47,12 @@ func computeNaive(xs []float64) naiveMoments {
 	nm.vari /= n
 	if !nm.allPositive {
 		nm.sumLog = math.NaN()
-		nm.sumLogSq = math.NaN()
 		nm.meanLog = math.NaN()
 		nm.varLog = math.NaN()
 		return nm
 	}
 	for _, x := range xs {
-		l := math.Log(x)
-		nm.sumLog += l
-		nm.sumLogSq += l * l
+		nm.sumLog += math.Log(x)
 	}
 	nm.meanLog = nm.sumLog / n
 	for _, x := range xs {
@@ -103,7 +99,6 @@ func checkMoments(t *testing.T, s *Sample, xs []float64) {
 	close("Variance", s.Variance(), nm.vari)
 	close("Std", s.Std(), math.Sqrt(nm.vari))
 	close("SumLog", s.SumLog(), nm.sumLog)
-	close("SumLogSq", s.SumLogSq(), nm.sumLogSq)
 	close("MeanLog", s.MeanLog(), nm.meanLog)
 	close("VarLog", s.VarLog(), nm.varLog)
 	if s.VarLog() < 0 {
@@ -145,33 +140,31 @@ func TestSampleConstructorsOwnership(t *testing.T) {
 	if got := so.Values(); !slices.IsSorted(got) {
 		t.Fatalf("NewSampleOwned values not sorted: %v", got)
 	}
-
-	// NewSampleSorted must detect (and repair) an unsorted slice rather
-	// than serving wrong order statistics.
-	ss := NewSampleSorted([]float64{2, 1, 3})
-	if got := ss.Values(); !slices.IsSorted(got) {
-		t.Fatalf("NewSampleSorted left values unsorted: %v", got)
-	}
-	if ss.Min() != 1 || ss.Max() != 3 {
-		t.Fatalf("Min/Max = %v/%v, want 1/3", ss.Min(), ss.Max())
+	if so.Min() != 1 || so.Max() != 3 {
+		t.Fatalf("Min/Max = %v/%v, want 1/3", so.Min(), so.Max())
 	}
 }
 
+// TestSampleECDFSharesData checks that the empirical CDF reads the
+// sample's own sorted data: quantiles are its order statistics and At
+// counts ranks in it. An empty sample has no quantiles and F ≡ 0.
 func TestSampleECDFSharesData(t *testing.T) {
 	s := NewSample([]float64{4, 1, 3, 2})
-	e, err := s.ECDF()
-	if err != nil {
-		t.Fatal(err)
+	vs := s.Values()
+	if s.Len() != 4 || s.Quantile(0.5) != vs[1] || s.Quantile(0.99) != vs[3] {
+		t.Fatalf("Len/median/p99 = %d/%v/%v, sorted %v", s.Len(), s.Quantile(0.5), s.Quantile(0.99), vs)
 	}
-	if e.Len() != 4 || e.Quantile(0.5) != 2 {
-		t.Fatalf("ECDF Len/median = %d/%v", e.Len(), e.Quantile(0.5))
+	for i, v := range vs {
+		if got, want := s.At(v), float64(i+1)/4; got != want {
+			t.Fatalf("At(%v) = %v, want %v", v, got, want)
+		}
 	}
-	// Shared backing array, no copy.
-	if &e.Values()[0] != &s.Values()[0] {
-		t.Fatal("Sample.ECDF copied the sorted data")
+	empty := NewSample(nil)
+	if !math.IsNaN(empty.Quantile(0.5)) || empty.At(1) != 0 {
+		t.Fatalf("empty sample: Quantile = %v, At = %v; want NaN, 0", empty.Quantile(0.5), empty.At(1))
 	}
-	if _, err := NewSample(nil).ECDF(); err == nil {
-		t.Fatal("empty Sample.ECDF did not error")
+	if xs, fs := empty.Points(); xs != nil || fs != nil {
+		t.Fatalf("empty sample Points = %v %v", xs, fs)
 	}
 }
 
@@ -205,28 +198,62 @@ func TestMeanHelper(t *testing.T) {
 	}
 }
 
-func TestKSStatistic2SortedMatchesGeneral(t *testing.T) {
-	rng := NewRNG(11)
-	for trial := 0; trial < 20; trial++ {
-		a := make([]float64, 50+trial)
-		b := make([]float64, 80)
-		for i := range a {
-			a[i] = rng.NormFloat64()
+// bruteKS2 is the two-sample KS distance by definition: at every pooled
+// value v, |#{a ≤ v}/na − #{b ≤ v}/nb|, maximised. An empty side gives
+// 1, the convention KSStatistic2Sorted documents.
+func bruteKS2(a, b []float64) float64 {
+	if len(a) == 0 || len(b) == 0 {
+		return 1
+	}
+	le := func(xs []float64, v float64) float64 {
+		n := 0
+		for _, x := range xs {
+			if x <= v {
+				n++
+			}
 		}
-		for i := range b {
-			b[i] = rng.NormFloat64() + 0.3
-		}
-		want := KSStatistic2(a, b)
-		sa := append([]float64(nil), a...)
-		sb := append([]float64(nil), b...)
-		slices.Sort(sa)
-		slices.Sort(sb)
-		if got := KSStatistic2Sorted(sa, sb); got != want {
-			t.Fatalf("KSStatistic2Sorted = %v, KSStatistic2 = %v", got, want)
+		return float64(n) / float64(len(xs))
+	}
+	var dmax float64
+	for _, v := range append(append([]float64(nil), a...), b...) {
+		if d := math.Abs(le(a, v) - le(b, v)); d > dmax {
+			dmax = d
 		}
 	}
-	if got := KSStatistic2Sorted(nil, []float64{1}); got != 1 {
-		t.Fatalf("empty side = %v, want 1", got)
+	return dmax
+}
+
+// TestKSStatistic2SortedMatchesBruteForce checks the merge walk against
+// the definition, exactly, on seeded samples drawn from a small integer
+// grid (so values repeat within a sample and tie across the two), on
+// continuous samples, and with an empty side.
+func TestKSStatistic2SortedMatchesBruteForce(t *testing.T) {
+	rng := NewRNG(11)
+	draw := func(n int, grid bool, shift float64) []float64 {
+		xs := make([]float64, n)
+		for i := range xs {
+			if grid {
+				xs[i] = float64(rng.Intn(6)) + shift
+			} else {
+				xs[i] = rng.NormFloat64() + shift
+			}
+		}
+		slices.Sort(xs)
+		return xs
+	}
+	for trial := 0; trial < 60; trial++ {
+		grid := trial%2 == 0
+		a := draw(1+trial%17, grid, 0)
+		b := draw(1+(trial*7)%23, grid, float64(trial%3)/2)
+		if trial%10 == 9 {
+			b = nil
+		}
+		for _, pair := range [][2][]float64{{a, b}, {b, a}} {
+			got, want := KSStatistic2Sorted(pair[0], pair[1]), bruteKS2(pair[0], pair[1])
+			if got != want {
+				t.Fatalf("trial %d: KSStatistic2Sorted(%v, %v) = %v, brute force %v", trial, pair[0], pair[1], got, want)
+			}
+		}
 	}
 }
 
