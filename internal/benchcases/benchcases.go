@@ -168,7 +168,7 @@ func EncodeSchedule(b *testing.B) {
 		}
 		sched[i] = core.SynthFlow{
 			StartNs: int64(i) * 1_234_567, SrcHost: i % 64, DstHost: dst,
-			SrcPort: 32768 + i%28232, DstPort: 13562, Bytes: int64(1+i%977) << 12,
+			SrcPort: flows.EphemeralPortLo + i%flows.EphemeralPorts, DstPort: 13562, Bytes: int64(1+i%977) << 12,
 			Phase: ph, Job: jobs[(i/1000)%len(jobs)],
 		}
 	}

@@ -614,18 +614,21 @@ func ReadModel(r io.Reader) (*Model, error) {
 	return &m, nil
 }
 
-// check rejects the decoded shapes that would panic generation: a nil
-// job or phase model dereferenced, or a zero reference block size
-// divided by. Problems are reported in sorted workload and phase order.
+// check rejects the decoded shapes generation cannot use: a nil job or
+// phase model, which it would dereference, or a non-positive reference
+// input size, which every spec is scaled against. A zero reference
+// block size is legal (FitWith writes it for runs without one);
+// GenSpec.validateScaled refuses a request that leaves the block size to
+// it. Problems are reported in sorted workload and phase order.
 func (m *Model) check() error {
 	for _, name := range m.WorkloadNames() {
 		jm := m.Jobs[name]
 		if jm == nil {
 			return fmt.Errorf("%w: workload %q is null", ErrBadModel, name)
 		}
-		if jm.RefBlockSize <= 0 || jm.RefInputBytes <= 0 {
-			return fmt.Errorf("%w: workload %q has reference block size %d and input %d bytes, both must be positive",
-				ErrBadModel, name, jm.RefBlockSize, jm.RefInputBytes)
+		if jm.RefInputBytes <= 0 {
+			return fmt.Errorf("%w: workload %q has reference input %d bytes, must be positive",
+				ErrBadModel, name, jm.RefInputBytes)
 		}
 		phases := make([]flows.Phase, 0, len(jm.Phases))
 		for ph := range jm.Phases {

@@ -50,14 +50,10 @@ func toMaster(h jobHosts, _ int, rng *stats.RNG) (int, int) {
 	return rng.Intn(h.workers), -1
 }
 
-// Synthetic flows take their client-side port from Linux's default
-// ephemeral range, [32768, 61000).
-const ephemeralPortLo, ephemeralPorts = 32768, 28232
-
 // ports draws a flow's (srcPort, dstPort), so that generated traffic
 // classifies as its phase.
 func (r phaseRule) ports(rng *stats.RNG) (int, int) {
-	eph := ephemeralPortLo + rng.Intn(ephemeralPorts)
+	eph := flows.EphemeralPort(rng)
 	if r.portOnSrc {
 		return r.port, eph
 	}

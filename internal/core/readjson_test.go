@@ -1,10 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"strings"
 	"testing"
+
+	"keddah/internal/workload"
 )
 
 // Model JSON that decodes but cannot be generated from.
@@ -16,7 +19,9 @@ const (
 
 // TestReadRejectsUnusableJSON: JSON that decodes but would panic the call
 // that consumes it — a nil dereference or an integer divide by zero — is
-// refused at read time with a typed error instead.
+// refused with a typed error instead: at read time, or, for a model
+// without a reference block size, by a spec that leaves the block size
+// to the model.
 func TestReadRejectsUnusableJSON(t *testing.T) {
 	estimate := func(in string) error {
 		m, err := ReadModel(strings.NewReader(in))
@@ -41,7 +46,7 @@ func TestReadRejectsUnusableJSON(t *testing.T) {
 	}{
 		{"null job", nullJobModel, estimate, ErrBadModel},
 		{"null phase", nullPhaseModel, estimate, ErrBadModel},
-		{"zero block size", zeroBlockModel, estimate, ErrBadModel},
+		{"zero block size", zeroBlockModel, estimate, ErrBadSpec},
 		{"null run", `{"runs":[null]}`, fit, ErrBadTraceSet},
 	}
 	for _, tc := range cases {
@@ -55,6 +60,43 @@ func TestReadRejectsUnusableJSON(t *testing.T) {
 				t.Fatalf("got %v, want an error wrapping %v", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestBlocklessModelRoundTrips: FitWith writes a zero reference block
+// size for runs captured without one. ReadModel accepts that model;
+// Generate refuses a spec that leaves the block size to it with a
+// SpecError on blockSize, and generates once the spec names one.
+func TestBlocklessModelRoundTrips(t *testing.T) {
+	ts, _, err := CaptureWith(ClusterSpec{Workers: 4, Seed: 5},
+		[]workload.RunSpec{{Profile: "scan", InputBytes: 128 << 20}}, CaptureOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range ts.Runs {
+		r.BlockSize = 0
+	}
+	fitted, err := FitWith(ts, FitOptions{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := fitted.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	m, err := ReadModel(&buf)
+	if err != nil {
+		t.Fatalf("ReadModel refused a model FitWith wrote: %v", err)
+	}
+	ctx := context.Background()
+	_, err = m.Generate(ctx, GenSpec{Workload: "scan", Workers: 4, Seed: 1})
+	var se *SpecError
+	if !errors.Is(err, ErrBadSpec) || !errors.As(err, &se) || se.Field != "blockSize" {
+		t.Fatalf("Generate without a block size = %v, want a SpecError on blockSize", err)
+	}
+	sched, err := m.Generate(ctx, GenSpec{Workload: "scan", BlockSize: 32 << 20, Workers: 4, Seed: 1})
+	if err != nil || len(sched) == 0 {
+		t.Fatalf("Generate with a block size = %d flows, err %v", len(sched), err)
 	}
 }
 
@@ -79,7 +121,8 @@ const twoPhaseModel = `{"jobs":{"x":{"workload":"x","refInputBytes":67108864,"re
 // count n; when n is small enough to generate here, GenerateChunks
 // either fails or emits exactly n flows in nondecreasing start order.
 func FuzzReadModel(f *testing.F) {
-	for _, seed := range []string{nullJobModel, nullPhaseModel, zeroBlockModel, twoPhaseModel} {
+	blockless := strings.Replace(twoPhaseModel, `"refBlockSize":33554432`, `"refBlockSize":0`, 1)
+	for _, seed := range []string{nullJobModel, nullPhaseModel, zeroBlockModel, twoPhaseModel, blockless} {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

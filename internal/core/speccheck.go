@@ -129,12 +129,15 @@ func (g GenSpec) Validate() error {
 
 // validateScaled re-checks the structural bounds after model defaults
 // were substituted (a request may omit BlockSize and still imply an
-// absurd map count against the model's reference block size).
+// absurd map count against the model's reference block size). A model
+// fitted from runs without a block size has none to substitute, so such
+// a request must name one.
 func (g GenSpec) validateScaled() error {
-	if g.BlockSize > 0 {
-		if maps := (g.InputBytes + g.BlockSize - 1) / g.BlockSize; maps > maxSpecMaps {
-			return genErr("inputBytes", fmt.Sprintf("implies %d maps at block size %d, above the %d limit", maps, g.BlockSize, maxSpecMaps))
-		}
+	if g.BlockSize <= 0 {
+		return genErr("blockSize", "is unset and the model has no reference block size")
+	}
+	if maps := (g.InputBytes + g.BlockSize - 1) / g.BlockSize; maps > maxSpecMaps {
+		return genErr("inputBytes", fmt.Sprintf("implies %d maps at block size %d, above the %d limit", maps, g.BlockSize, maxSpecMaps))
 	}
 	if g.Reducers > maxSpecReducers {
 		return genErr("reducers", fmt.Sprintf("scales to %d, above the %d limit", g.Reducers, maxSpecReducers))

@@ -193,8 +193,8 @@ func TestNarrowedFieldsFit(t *testing.T) {
 		name string
 		port int
 	}{
-		{"lowest ephemeral", ephemeralPortLo},
-		{"highest ephemeral", ephemeralPortLo + ephemeralPorts - 1},
+		{"lowest ephemeral", flows.EphemeralPortLo},
+		{"highest ephemeral", flows.EphemeralPortLo + flows.EphemeralPorts - 1},
 		{"PortDataNodeData", flows.PortDataNodeData},
 		{"PortDataNodeIPC", flows.PortDataNodeIPC},
 		{"PortNameNodeRPC", flows.PortNameNodeRPC},
@@ -223,7 +223,7 @@ func TestNarrowedFieldsFit(t *testing.T) {
 		for i := 0; i < 10_000; i++ {
 			sp, dp := phaseRules[ph].ports(rng)
 			for _, p := range []int{sp, dp} {
-				if !fixed[p] && (p < ephemeralPortLo || p >= ephemeralPortLo+ephemeralPorts) {
+				if !fixed[p] && (p < flows.EphemeralPortLo || p >= flows.EphemeralPortLo+flows.EphemeralPorts) {
 					t.Fatalf("%s rule drew port %d, outside the checked set", ph, p)
 				}
 			}

@@ -5,7 +5,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"runtime"
@@ -150,19 +149,9 @@ type Result struct {
 // results in the order of ids, regardless of completion order. Every
 // runner builds its own cluster, capture and model from the shared
 // immutable Config, so experiments are independent and safe to run
-// concurrently. workers <= 0 means GOMAXPROCS. Config.Out is ignored
-// (runners would interleave on a shared writer); per-experiment output
-// belongs in the returned tables.
+// concurrently; each one's output is in its returned tables. workers
+// <= 0 means GOMAXPROCS.
 func RunAll(ids []string, cfg Config, workers int) []Result {
-	return RunAllContext(context.Background(), ids, cfg, workers)
-}
-
-// RunAllContext is RunAll with cancellation: once ctx is cancelled no
-// further experiment is started — runners already executing finish
-// normally — and every unstarted id's Result carries ctx.Err(). The
-// worker pool always drains and exits, so a cancelled run leaks no
-// goroutines.
-func RunAllContext(ctx context.Context, ids []string, cfg Config, workers int) []Result {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -172,9 +161,6 @@ func RunAllContext(ctx context.Context, ids []string, cfg Config, workers int) [
 	cfg = cfg.withDefaults()
 
 	results := make([]Result, len(ids))
-	// Pre-buffering every index means no feeding goroutine can block on a
-	// cancelled pool: workers drain the closed channel unconditionally,
-	// checking ctx per item.
 	next := make(chan int, len(ids))
 	for i := range ids {
 		next <- i
@@ -186,10 +172,6 @@ func RunAllContext(ctx context.Context, ids []string, cfg Config, workers int) [
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				if err := ctx.Err(); err != nil {
-					results[i] = Result{ID: ids[i], Err: err}
-					continue
-				}
 				start := time.Now()
 				tables, err := Run(ids[i], cfg)
 				results[i] = Result{ID: ids[i], Tables: tables, Err: err, Elapsed: time.Since(start)}

@@ -4,9 +4,12 @@
 package flows
 
 import (
+	"fmt"
 	"strings"
 
+	"keddah/internal/netsim"
 	"keddah/internal/pcap"
+	"keddah/internal/stats"
 )
 
 // Phase is a Hadoop traffic component.
@@ -40,6 +43,32 @@ const (
 	PortJobHistory   = 10020 // MapReduce job history server
 	PortAMUmbilical  = 30022 // task ↔ ApplicationMaster umbilical (simulated convention)
 )
+
+// The client side of a connection takes a port from Linux's default
+// ephemeral range, [EphemeralPortLo, EphemeralPortLo+EphemeralPorts) =
+// [32768, 61000). ControlBytes is the size of one daemon RPC exchange.
+const (
+	EphemeralPortLo = 32768
+	EphemeralPorts  = 28232
+	ControlBytes    = 512
+)
+
+// EphemeralPort draws a client-side port.
+func EphemeralPort(rng *stats.RNG) int { return EphemeralPortLo + rng.Intn(EphemeralPorts) }
+
+// SendControl starts one ControlBytes RPC exchange on net from an
+// ephemeral port on src to port on dst. A self-pair or a negative
+// endpoint (no AM placed yet, say) sends nothing. Control flows between
+// cluster hosts cannot fail, so an error is a bug and panics.
+func SendControl(net *netsim.Network, rng *stats.RNG, src, dst netsim.NodeID, port int, label string) {
+	if src == dst || src < 0 || dst < 0 {
+		return
+	}
+	spec := netsim.FlowSpec{Src: src, Dst: dst, SrcPort: EphemeralPort(rng), DstPort: port, SizeBytes: ControlBytes, Label: label}
+	if _, err := net.StartFlow(spec); err != nil {
+		panic(fmt.Sprintf("%s: control flow: %v", label, err))
+	}
+}
 
 var controlPorts = map[uint16]bool{
 	PortDataNodeIPC:  true,

@@ -7,6 +7,7 @@ package hadoop
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"keddah/internal/hadoop/hdfs"
 	"keddah/internal/hadoop/mapreduce"
@@ -196,12 +197,10 @@ func (c *Cluster) validWorker(host netsim.NodeID) error {
 	if host == c.master {
 		return errors.New("hadoop: failing the master is not modelled")
 	}
-	for _, w := range c.workers {
-		if w == host {
-			return nil
-		}
+	if !slices.Contains(c.workers, host) {
+		return fmt.Errorf("hadoop: host %d is not a cluster worker", host)
 	}
-	return fmt.Errorf("hadoop: host %d is not a cluster worker", host)
+	return nil
 }
 
 // FailWorker schedules a whole-worker failure (DataNode + NodeManager) at
@@ -292,6 +291,11 @@ func (c *Cluster) RunToIdle() (sim.Time, error) {
 	c.start()
 	for c.pending > 0 {
 		if !c.Eng.Step() {
+			// Step refuses with events still queued only once the
+			// engine's MaxEvents budget is spent.
+			if c.Eng.Pending() > 0 {
+				return c.Eng.Now(), fmt.Errorf("hadoop: %w with %d tasks pending", sim.ErrHorizon, c.pending)
+			}
 			return c.Eng.Now(), fmt.Errorf("hadoop: event queue drained with %d tasks pending", c.pending)
 		}
 		if c.stepCheck != nil {

@@ -1,12 +1,14 @@
 package hadoop
 
 import (
+	"errors"
 	"testing"
 
 	"keddah/internal/flows"
 	"keddah/internal/hadoop/mapreduce"
 	"keddah/internal/netsim"
 	"keddah/internal/pcap"
+	"keddah/internal/sim"
 )
 
 // newTestCluster builds a 1 master + 8 worker single-rack cluster with a
@@ -147,5 +149,20 @@ func TestMapOnlyJob(t *testing.T) {
 	ds := flows.NewDataset(cap.Truth())
 	if ds.Count(flows.PhaseShuffle) != 0 {
 		t.Errorf("capture saw %d shuffle flows in a map-only job", ds.Count(flows.PhaseShuffle))
+	}
+}
+
+// TestRunToIdleReportsEventBudget: a run that spends the engine's
+// MaxEvents budget with work still queued reports sim.ErrHorizon, not a
+// drained queue.
+func TestRunToIdleReportsEventBudget(t *testing.T) {
+	c, _ := newTestCluster(t, 3)
+	if err := c.Ingest("/data/in", 256<<20, nil); err != nil {
+		t.Fatalf("ingest: %v", err)
+	}
+	c.Eng.MaxEvents = 50
+	_, err := c.RunToIdle()
+	if !errors.Is(err, sim.ErrHorizon) {
+		t.Fatalf("RunToIdle = %v, want an error wrapping sim.ErrHorizon", err)
 	}
 }

@@ -187,51 +187,77 @@ func TestFailureTargetEdgeCases(t *testing.T) {
 	}
 }
 
+// TestCrashWorkerRejoins: a transient crash mid-job — the node drops
+// off, then re-registers and is schedulable again. A 12 s crash outlasts
+// the 10 s NM expiry, so YARN declares the node lost before it comes
+// back; 1 s and 2 s crashes are shorter than the 3 s DataNode heartbeat
+// interval, so no heartbeat loop notices the node was down. Either way
+// the rejoined host heartbeats at the same rate as every other worker:
+// its pre-crash loops end and only the rejoin loops run.
 func TestCrashWorkerRejoins(t *testing.T) {
-	// A transient crash straddling nothing in particular: the node drops
-	// off, is detected dead, then re-registers and is schedulable again.
-	c, capt := newTestCluster(t, 11)
-	victim := c.Workers()[3]
-	var result mapreduce.Result
-	err := c.Ingest("/data/in", 1<<30, func() {
-		err := c.Submit(mapreduce.JobConfig{
-			Name: "crashj", InputPath: "/data/in", OutputPath: "/out",
-			NumReducers: 4, MapSelectivity: 1, ReduceSelectivity: 1,
-			MapCostSecPerMB: 0.05,
-		}, func(r mapreduce.Result) { result = r })
-		if err != nil {
-			t.Errorf("submit: %v", err)
-		}
-	})
-	if err != nil {
-		t.Fatalf("ingest: %v", err)
-	}
-	// Crash mid-job, rejoin 12s later (past the 10s NM expiry so YARN
-	// declares the node lost before it comes back).
-	if err := c.CrashWorker(victim, sim.Time(12_000_000_000), sim.Time(24_000_000_000)); err != nil {
-		t.Fatalf("crash worker: %v", err)
-	}
-	if _, err := c.RunToIdle(); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if result.Finished == 0 || result.Failed {
-		t.Fatalf("job did not survive transient crash: %+v", result)
-	}
-	if !c.RM.NodeAlive(victim) {
-		t.Error("rejoined node still reported dead")
-	}
-	// Rejoin traffic must be captured: NM registration and a DataNode
-	// block report, both recovery-classified.
-	seen := map[string]bool{}
-	for _, r := range capt.Truth() {
-		if flows.IsRecovery(r.Label) {
-			seen[r.Label] = true
-		}
-	}
-	for _, want := range []string{"yarn/nmRegister", "hdfs/register", "hdfs/blockReport"} {
-		if !seen[want] {
-			t.Errorf("no %s flow captured on rejoin (saw %v)", want, seen)
-		}
+	const crashAt = sim.Time(12_000_000_000)
+	for _, outage := range []sim.Time{12_000_000_000, 1_000_000_000, 2_000_000_000} {
+		t.Run(outage.String(), func(t *testing.T) {
+			c, capt := newTestCluster(t, 11)
+			victim := c.Workers()[3]
+			var result mapreduce.Result
+			err := c.Ingest("/data/in", 1<<30, func() {
+				err := c.Submit(mapreduce.JobConfig{
+					Name: "crashj", InputPath: "/data/in", OutputPath: "/out",
+					NumReducers: 4, MapSelectivity: 1, ReduceSelectivity: 1,
+					MapCostSecPerMB: 0.05,
+				}, func(r mapreduce.Result) { result = r })
+				if err != nil {
+					t.Errorf("submit: %v", err)
+				}
+			})
+			if err != nil {
+				t.Fatalf("ingest: %v", err)
+			}
+			if err := c.CrashWorker(victim, crashAt, crashAt+outage); err != nil {
+				t.Fatalf("crash worker: %v", err)
+			}
+			if _, err := c.RunToIdle(); err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			if result.Finished == 0 || result.Failed {
+				t.Fatalf("job did not survive transient crash: %+v", result)
+			}
+			if !c.RM.NodeAlive(victim) {
+				t.Error("rejoined node still reported dead")
+			}
+			// Rejoin traffic must be captured: NM registration and a
+			// DataNode block report, both recovery-classified.
+			seen := map[string]bool{}
+			for _, r := range capt.Truth() {
+				if flows.IsRecovery(r.Label) {
+					seen[r.Label] = true
+				}
+			}
+			for _, want := range []string{"yarn/nmRegister", "hdfs/register", "hdfs/blockReport"} {
+				if !seen[want] {
+					t.Errorf("no %s flow captured on rejoin (saw %v)", want, seen)
+				}
+			}
+			// Count each worker's heartbeats from one DataNode interval
+			// after the rejoin (every rejoin loop has beaten by then) to
+			// the end of the job.
+			from := int64(crashAt + outage + 3_000_000_000)
+			beats := map[string]map[pcap.Addr]int{"hdfs/heartbeat": {}, "yarn/nmHeartbeat": {}}
+			for _, r := range capt.Truth() {
+				if m, ok := beats[r.Label]; ok && r.FirstNs >= from && r.FirstNs < int64(result.Finished) {
+					m[r.Key.Src]++
+				}
+			}
+			for label, m := range beats {
+				got := m[pcap.HostAddr(int(victim))]
+				for _, w := range c.Workers() {
+					if n := m[pcap.HostAddr(int(w))]; got > n+1 || got < n-1 {
+						t.Errorf("%s: rejoined host sent %d beats, worker %d sent %d", label, got, w, n)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package hdfs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"keddah/internal/flows"
@@ -28,14 +29,15 @@ var ErrUnknownDataNode = fmt.Errorf("hdfs: unknown datanode")
 // Blocks whose only replica lived on the failed node are lost; their
 // count is reported via LostBlocks.
 func (fs *FS) FailDataNode(host netsim.NodeID) error {
-	found := false
-	for _, dn := range fs.datanodes {
-		if dn == host {
-			found = true
-			break
-		}
-	}
-	if !found {
+	return fs.kill(host, false)
+}
+
+// kill is the one death path of a DataNode: it marks host dead, bumps
+// its epoch (ending its heartbeat loop) and arms failure detection. A
+// crash first resets every data-port connection the node was serving.
+// Killing a dead node is a no-op.
+func (fs *FS) kill(host netsim.NodeID, crash bool) error {
+	if !fs.isDataNode(host) {
 		return fmt.Errorf("%w: %d", ErrUnknownDataNode, host)
 	}
 	if fs.dead[host] {
@@ -44,6 +46,17 @@ func (fs *FS) FailDataNode(host netsim.NodeID) error {
 	fs.dead[host] = true
 	fs.epoch[host]++
 	e := fs.epoch[host]
+	if crash {
+		fs.metrics.DNCrashes.Inc()
+		// The crashed process drops its TCP connections: every data-port
+		// flow it was sourcing or sinking resets.
+		fs.net.AbortFlowsWhere(func(s netsim.FlowSpec) bool {
+			if s.Src != host && s.Dst != host {
+				return false
+			}
+			return s.SrcPort == flows.PortDataNodeData || s.DstPort == flows.PortDataNodeData
+		})
+	}
 
 	// The epoch guard makes detection idempotent against rejoin: a node
 	// recovered (and possibly re-crashed) since this failure was observed
@@ -54,6 +67,11 @@ func (fs *FS) FailDataNode(host netsim.NodeID) error {
 		}
 	})
 	return nil
+}
+
+// isDataNode reports whether host runs a DataNode.
+func (fs *FS) isDataNode(host netsim.NodeID) bool {
+	return slices.Contains(fs.datanodes, host)
 }
 
 // NodeAlive reports whether a DataNode is serving.
@@ -102,7 +120,7 @@ func (fs *FS) reReplicateAfter(failed netsim.NodeID) {
 			for t := range fs.pendingRepl[blk] {
 				holding[t] = true
 			}
-			target := fs.randomDNWhere(holding, func(id netsim.NodeID) bool { return !fs.dead[id] })
+			target := fs.randomDN(holding, nil)
 			if target < 0 {
 				fs.UnderReplicated++
 				continue
@@ -123,7 +141,7 @@ func (fs *FS) reReplicateAfter(failed netsim.NodeID) {
 			_, err := fs.net.StartFlow(netsim.FlowSpec{
 				Src:       src,
 				Dst:       target,
-				SrcPort:   ephemeralPort(fs.rng),
+				SrcPort:   flows.EphemeralPort(fs.rng),
 				DstPort:   flows.PortDataNodeData,
 				SizeBytes: size,
 				Label:     "hdfs/reReplication",

@@ -46,8 +46,6 @@ const (
 	// heartbeatInterval is the DataNode→NameNode heartbeat period
 	// (dfs.heartbeat.interval).
 	heartbeatInterval sim.Time = 3_000_000_000
-	// controlBytes is the size of one NameNode RPC exchange.
-	controlBytes = 512
 	// maxPipelineRetries bounds write-pipeline recovery attempts per hop
 	// before the replica is dropped as under-replicated
 	// (dfs.client.block.write.retries).
@@ -170,52 +168,35 @@ func (fs *FS) DataNodes() []netsim.NodeID {
 // control flows. They stop after Shutdown.
 func (fs *FS) StartHeartbeats() {
 	for _, dn := range fs.datanodes {
-		fs.scheduleHeartbeat(dn)
+		fs.startHeartbeat(dn)
 	}
 }
 
-func (fs *FS) scheduleHeartbeat(dn netsim.NodeID) {
-	// Jitter the first beat so DataNodes don't synchronise.
+// startHeartbeat begins dn's heartbeat loop after a jittered first beat,
+// so DataNodes don't synchronise. The loop belongs to dn's current
+// epoch: it ends at Shutdown or once dn dies or rejoins, so a node that
+// crashes and rejoins within one interval runs only the new loop.
+func (fs *FS) startHeartbeat(dn netsim.NodeID) {
 	jitter := sim.Time(fs.rng.Float64() * float64(heartbeatInterval))
-	fs.eng.After(jitter, func() { fs.heartbeat(dn) })
-}
-
-func (fs *FS) heartbeat(dn netsim.NodeID) {
-	if fs.stopped || fs.dead[dn] {
-		return
-	}
-	if dn != fs.namenode {
-		fs.metrics.Heartbeats.Inc()
-		fs.control(dn, fs.namenode, flows.PortNameNodeRPC, "hdfs/heartbeat")
-	}
-	fs.eng.After(heartbeatInterval, func() { fs.heartbeat(dn) })
+	e := fs.epoch[dn]
+	fs.eng.Every(jitter, heartbeatInterval, func() bool {
+		if fs.stopped || fs.dead[dn] || fs.epoch[dn] != e {
+			return false
+		}
+		if dn != fs.namenode {
+			fs.metrics.Heartbeats.Inc()
+			fs.control(dn, fs.namenode, flows.PortNameNodeRPC, "hdfs/heartbeat")
+		}
+		return true
+	})
 }
 
 // Shutdown stops heartbeat rescheduling so the event queue can drain.
 func (fs *FS) Shutdown() { fs.stopped = true }
 
-// control fires a small RPC exchange flow.
 func (fs *FS) control(src, dst netsim.NodeID, port int, label string) {
-	if src == dst {
-		return
-	}
-	_, err := fs.net.StartFlow(netsim.FlowSpec{
-		Src:       src,
-		Dst:       dst,
-		SrcPort:   ephemeralPort(fs.rng),
-		DstPort:   port,
-		SizeBytes: controlBytes,
-		Label:     label,
-	})
-	if err != nil {
-		// Control flows between cluster hosts cannot fail by
-		// construction; a failure here is a programming error.
-		panic(fmt.Sprintf("hdfs: control flow: %v", err))
-	}
+	flows.SendControl(fs.net, fs.rng, src, dst, port, label)
 }
-
-// ephemeralPort mimics the OS source-port allocator.
-func ephemeralPort(rng *stats.RNG) int { return 32768 + rng.Intn(28232) }
 
 // choosePipeline implements the default HDFS placement policy:
 // first replica on the writer (when it is a live DataNode), second on a
@@ -236,16 +217,9 @@ func (fs *FS) choosePipeline(writer netsim.NodeID, n int) []netsim.NodeID {
 		return true
 	}
 
-	isLiveDN := false
-	for _, dn := range fs.datanodes {
-		if dn == writer && !fs.dead[writer] {
-			isLiveDN = true
-			break
-		}
-	}
 	first := writer
-	if !isLiveDN {
-		first = fs.randomDN(used)
+	if !fs.isDataNode(writer) || fs.dead[writer] {
+		first = fs.randomDN(used, nil)
 	}
 	if !add(first) || len(pipeline) >= n {
 		return pipeline
@@ -253,9 +227,9 @@ func (fs *FS) choosePipeline(writer netsim.NodeID, n int) []netsim.NodeID {
 
 	// Second replica: prefer a different rack from the first.
 	firstRack := topo.Rack(pipeline[0])
-	second := fs.randomDNWhere(used, func(id netsim.NodeID) bool { return topo.Rack(id) != firstRack })
+	second := fs.randomDN(used, func(id netsim.NodeID) bool { return topo.Rack(id) != firstRack })
 	if second < 0 {
-		second = fs.randomDN(used)
+		second = fs.randomDN(used, nil)
 	}
 	if !add(second) || len(pipeline) >= n {
 		return pipeline
@@ -263,50 +237,33 @@ func (fs *FS) choosePipeline(writer netsim.NodeID, n int) []netsim.NodeID {
 
 	// Third replica: same rack as the second, different node.
 	secondRack := topo.Rack(pipeline[1])
-	third := fs.randomDNWhere(used, func(id netsim.NodeID) bool { return topo.Rack(id) == secondRack })
+	third := fs.randomDN(used, func(id netsim.NodeID) bool { return topo.Rack(id) == secondRack })
 	if third < 0 {
-		third = fs.randomDN(used)
+		third = fs.randomDN(used, nil)
 	}
 	if !add(third) {
 		return pipeline
 	}
 
 	for len(pipeline) < n {
-		if !add(fs.randomDN(used)) {
+		if !add(fs.randomDN(used, nil)) {
 			break
 		}
 	}
 	return pipeline
 }
 
-// randomDN picks a uniform unused live DataNode, or -1 when none remain.
-func (fs *FS) randomDN(used map[netsim.NodeID]bool) netsim.NodeID {
-	candidates := fs.candidates(used, nil)
-	if len(candidates) == 0 {
-		return -1
-	}
-	return candidates[fs.rng.Intn(len(candidates))]
-}
-
-// randomDNWhere picks a uniform unused DataNode satisfying pred, or -1.
-func (fs *FS) randomDNWhere(used map[netsim.NodeID]bool, pred func(netsim.NodeID) bool) netsim.NodeID {
-	candidates := fs.candidates(used, pred)
-	if len(candidates) == 0 {
-		return -1
-	}
-	return candidates[fs.rng.Intn(len(candidates))]
-}
-
-func (fs *FS) candidates(used map[netsim.NodeID]bool, pred func(netsim.NodeID) bool) []netsim.NodeID {
-	var out []netsim.NodeID
+// randomDN picks a uniform unused live DataNode satisfying pred (nil
+// for any), or -1 when none does.
+func (fs *FS) randomDN(used map[netsim.NodeID]bool, pred func(netsim.NodeID) bool) netsim.NodeID {
+	var candidates []netsim.NodeID
 	for _, dn := range fs.datanodes {
-		if used[dn] || fs.dead[dn] {
-			continue
+		if !used[dn] && !fs.dead[dn] && (pred == nil || pred(dn)) {
+			candidates = append(candidates, dn)
 		}
-		if pred != nil && !pred(dn) {
-			continue
-		}
-		out = append(out, dn)
 	}
-	return out
+	if len(candidates) == 0 {
+		return -1
+	}
+	return candidates[fs.rng.Intn(len(candidates))]
 }

@@ -144,7 +144,7 @@ func (fs *FS) WriteFile(client netsim.NodeID, path string, size int64, replicati
 			_, err := fs.net.StartFlow(netsim.FlowSpec{
 				Src:        src,
 				Dst:        dst,
-				SrcPort:    ephemeralPort(fs.rng),
+				SrcPort:    flows.EphemeralPort(fs.rng),
 				DstPort:    flows.PortDataNodeData,
 				SizeBytes:  sz,
 				Label:      lbl,
@@ -207,7 +207,7 @@ func (fs *FS) WriteFile(client netsim.NodeID, path string, size int64, replicati
 			for _, r := range blk.Replicas {
 				holding[r] = true
 			}
-			target := fs.randomDNWhere(holding, func(id netsim.NodeID) bool { return !fs.dead[id] })
+			target := fs.randomDN(holding, nil)
 			if target < 0 {
 				if len(blk.Replicas) > 1 {
 					dropReplica()
@@ -315,7 +315,7 @@ func (fs *FS) readBlockAttempt(client netsim.NodeID, blk Block, label string, do
 		Src:       replica,
 		Dst:       client,
 		SrcPort:   flows.PortDataNodeData,
-		DstPort:   ephemeralPort(fs.rng),
+		DstPort:   flows.EphemeralPort(fs.rng),
 		SizeBytes: blk.Size,
 		Label:     lbl,
 		OnComplete: func(netsim.Flow) {

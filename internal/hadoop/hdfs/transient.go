@@ -15,32 +15,7 @@ import (
 // replicationDetectionDelay: if the node rejoins first, the NameNode
 // never re-replicates its blocks.
 func (fs *FS) CrashDataNode(host netsim.NodeID) error {
-	if !fs.isDataNode(host) {
-		return fmt.Errorf("%w: %d", ErrUnknownDataNode, host)
-	}
-	if fs.dead[host] {
-		return nil
-	}
-	fs.dead[host] = true
-	fs.epoch[host]++
-	e := fs.epoch[host]
-	fs.metrics.DNCrashes.Inc()
-
-	// The crashed process drops its TCP connections: every data-port
-	// flow it was sourcing or sinking resets.
-	fs.net.AbortFlowsWhere(func(s netsim.FlowSpec) bool {
-		if s.Src != host && s.Dst != host {
-			return false
-		}
-		return s.SrcPort == flows.PortDataNodeData || s.DstPort == flows.PortDataNodeData
-	})
-
-	fs.eng.After(replicationDetectionDelay, func() {
-		if fs.dead[host] && fs.epoch[host] == e {
-			fs.reReplicateAfter(host)
-		}
-	})
-	return nil
+	return fs.kill(host, true)
 }
 
 // RecoverDataNode rejoins a dead DataNode: it re-registers with the
@@ -62,7 +37,7 @@ func (fs *FS) RecoverDataNode(host netsim.NodeID) error {
 		_, err := fs.net.StartFlow(netsim.FlowSpec{
 			Src:       host,
 			Dst:       fs.namenode,
-			SrcPort:   ephemeralPort(fs.rng),
+			SrcPort:   flows.EphemeralPort(fs.rng),
 			DstPort:   flows.PortNameNodeRPC,
 			SizeBytes: fs.blockReportSize(host),
 			Label:     "hdfs/blockReport",
@@ -71,18 +46,8 @@ func (fs *FS) RecoverDataNode(host netsim.NodeID) error {
 			panic(fmt.Sprintf("hdfs: block report flow: %v", err))
 		}
 	}
-	fs.scheduleHeartbeat(host)
+	fs.startHeartbeat(host)
 	return nil
-}
-
-// isDataNode reports whether host runs a DataNode.
-func (fs *FS) isDataNode(host netsim.NodeID) bool {
-	for _, dn := range fs.datanodes {
-		if dn == host {
-			return true
-		}
-	}
-	return false
 }
 
 // blockReportSize models the rejoin block report: a fixed RPC envelope
@@ -99,5 +64,5 @@ func (fs *FS) blockReportSize(host netsim.NodeID) int64 {
 			}
 		}
 	}
-	return controlBytes + 16*count
+	return flows.ControlBytes + 16*count
 }

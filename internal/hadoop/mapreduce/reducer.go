@@ -173,7 +173,7 @@ func (r *reducer) startFetch(mapIdx int) {
 		Src:       src,
 		Dst:       r.host,
 		SrcPort:   flows.PortShuffle,
-		DstPort:   32768 + j.rng.Intn(28232),
+		DstPort:   flows.EphemeralPort(j.rng),
 		SizeBytes: size,
 		Label:     lbl,
 		OnComplete: func(netsim.Flow) {
@@ -244,7 +244,7 @@ func (r *reducer) finishShuffle() {
 				Cat: "mr", Name: "reduce", Attr: fmt.Sprintf("%s/r%d-a%d", j.cfg.Name, r.idx, r.attempt),
 				StartNs: int64(r.started), EndNs: int64(j.eng.Now()),
 			})
-			j.controlFlow(r.host, j.app.AMHost(), flows.PortAMUmbilical, j.cfg.Name+"/reduceDone")
+			j.control(r.host, j.app.AMHost(), flows.PortAMUmbilical, j.cfg.Name+"/reduceDone")
 			r.container.Release()
 			j.redsDone++
 			j.maybeFinish()

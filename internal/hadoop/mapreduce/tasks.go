@@ -14,34 +14,18 @@ import (
 // It mirrors the TaskUmbilicalProtocol status updates that show up as
 // small recurring control flows in captures.
 func (j *Job) umbilical(task netsim.NodeID, alive func() bool) {
-	var beat func()
-	beat = func() {
+	label := j.cfg.Name + "/umbilical"
+	j.eng.Every(umbilicalInterval, umbilicalInterval, func() bool {
 		if !alive() || j.finished {
-			return
+			return false
 		}
-		j.controlFlow(task, j.app.AMHost(), flows.PortAMUmbilical, j.cfg.Name+"/umbilical")
-		j.eng.After(umbilicalInterval, beat)
-	}
-	j.eng.After(umbilicalInterval, beat)
+		j.control(task, j.app.AMHost(), flows.PortAMUmbilical, label)
+		return true
+	})
 }
 
-// controlFlow emits one small RPC exchange. Negative endpoints (no AM
-// placed during a restart window, say) are skipped.
-func (j *Job) controlFlow(src, dst netsim.NodeID, port int, label string) {
-	if src == dst || src < 0 || dst < 0 {
-		return
-	}
-	_, err := j.net.StartFlow(netsim.FlowSpec{
-		Src:       src,
-		Dst:       dst,
-		SrcPort:   32768 + j.rng.Intn(28232),
-		DstPort:   port,
-		SizeBytes: 512,
-		Label:     label,
-	})
-	if err != nil {
-		panic(fmt.Sprintf("mapreduce: control flow: %v", err))
-	}
+func (j *Job) control(src, dst netsim.NodeID, port int, label string) {
+	flows.SendControl(j.net, j.rng, src, dst, port, label)
 }
 
 // runMapTask executes map i on the granted container: read the split
@@ -120,7 +104,7 @@ func (j *Job) runMapTask(i int, c *yarn.Container) {
 					StartNs: int64(attemptStart), EndNs: int64(j.eng.Now()),
 				})
 				// Completion report to the AM.
-				j.controlFlow(host, j.app.AMHost(), flows.PortAMUmbilical, j.cfg.Name+"/mapDone")
+				j.control(host, j.app.AMHost(), flows.PortAMUmbilical, j.cfg.Name+"/mapDone")
 				c.Release()
 				j.mapsDone++
 				if j.mapsDone == len(j.splits) {
@@ -189,17 +173,7 @@ func (j *Job) onNodeFailed(host netsim.NodeID) {
 		if j.redsQueued == j.cfg.NumReducers && j.allFetched(i) {
 			continue
 		}
-		j.mapOut[i] = 0
-		j.mapEpoch[i]++
-		j.mapsDone--
-		j.result.ReexecutedMaps++
-		j.metrics.MapsReexecuted.Inc()
-		for _, r := range j.reducers {
-			if r != nil {
-				r.invalidateMap(i)
-			}
-		}
-		j.requestMap(i)
+		j.rerunMap(i)
 	}
 }
 
@@ -215,17 +189,24 @@ func (j *Job) onFetchFailures(mapIdx int, host netsim.NodeID, epoch int) {
 	if j.mapOut[mapIdx] == 0 || j.mapHost[mapIdx] != host {
 		return
 	}
-	j.mapOut[mapIdx] = 0
-	j.mapEpoch[mapIdx]++
+	j.rerunMap(mapIdx)
+}
+
+// rerunMap declares map i's committed output lost and re-executes it:
+// the output is uncounted, running reducers drop the partition, and a
+// new attempt is requested.
+func (j *Job) rerunMap(i int) {
+	j.mapOut[i] = 0
+	j.mapEpoch[i]++
 	j.mapsDone--
 	j.result.ReexecutedMaps++
 	j.metrics.MapsReexecuted.Inc()
 	for _, r := range j.reducers {
 		if r != nil {
-			r.invalidateMap(mapIdx)
+			r.invalidateMap(i)
 		}
 	}
-	j.requestMap(mapIdx)
+	j.requestMap(i)
 }
 
 // allFetched reports whether every live reducer has already pulled map

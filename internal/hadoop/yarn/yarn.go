@@ -51,8 +51,6 @@ const (
 	amHeartbeat sim.Time = 1_000_000_000
 	// containerLaunchDelay models localization + JVM start.
 	containerLaunchDelay sim.Time = 800_000_000
-	// controlBytes is the size of one RM RPC exchange.
-	controlBytes = 512
 	// nmExpiry is how long the RM waits without NodeManager heartbeats
 	// before declaring the node lost
 	// (yarn.nm.liveness-monitor.expiry-interval-ms). Real YARN waits
@@ -74,12 +72,11 @@ type nodeManager struct {
 	// crashedAt is when the current crash began (valid while crashed);
 	// invariant checks use it to bound detection latency by nmExpiry.
 	crashedAt sim.Time
-	// epoch counts life transitions; a pending expiry only fires when the
-	// node's epoch is unchanged, so crash→recover→crash sequences each
-	// get their own detection timer.
-	epoch int
-	// hbSeq invalidates stale heartbeat loops across crash/recover cycles.
-	hbSeq      int
+	// epoch counts life transitions; a pending expiry only fires, and a
+	// heartbeat loop only keeps beating, while the node's epoch is
+	// unchanged, so crash→recover→crash sequences each get their own
+	// detection timer and their own heartbeat loop.
+	epoch      int
 	containers []*Container
 }
 
@@ -221,16 +218,25 @@ func (rm *RM) TotalSlots() int {
 func (rm *RM) Start() {
 	for _, nm := range rm.nms {
 		jitter := sim.Time(rm.rng.Float64() * float64(nmHeartbeat))
-		rm.startHeartbeatLoop(nm, jitter)
+		rm.startHeartbeat(nm, jitter)
 	}
 }
 
-// startHeartbeatLoop begins a fresh heartbeat loop for nm after delay,
-// invalidating any loop left over from before a crash/recover cycle.
-func (rm *RM) startHeartbeatLoop(nm *nodeManager, delay sim.Time) {
-	nm.hbSeq++
-	seq := nm.hbSeq
-	rm.eng.After(delay, func() { rm.nmHeartbeat(nm, seq) })
+// startHeartbeat begins nm's heartbeat loop after first. The loop ends
+// at Shutdown, on node loss, or once nm's epoch moves (crash, rejoin).
+func (rm *RM) startHeartbeat(nm *nodeManager, first sim.Time) {
+	e := nm.epoch
+	rm.eng.Every(first, nmHeartbeat, func() bool {
+		if rm.stopped || nm.dead || nm.crashed || nm.epoch != e {
+			return false
+		}
+		if nm.host != rm.rmHost {
+			rm.metrics.NMHeartbeats.Inc()
+			rm.control(nm.host, rm.rmHost, flows.PortRMTracker, "yarn/nmHeartbeat")
+		}
+		rm.scheduleOn(nm)
+		return true
+	})
 }
 
 // Shutdown stops heartbeat rescheduling.
@@ -333,7 +339,7 @@ func (rm *RM) RecoverNode(host netsim.NodeID) error {
 	if nm.host != rm.rmHost {
 		rm.control(nm.host, rm.rmHost, flows.PortRMTracker, "yarn/nmRegister")
 	}
-	rm.startHeartbeatLoop(nm, nmHeartbeat)
+	rm.startHeartbeat(nm, nmHeartbeat)
 	if wasDead {
 		// Recovered slots can serve queued requests right away.
 		rm.pump()
@@ -352,35 +358,8 @@ func (rm *RM) NodeAlive(host netsim.NodeID) bool {
 	return ok && !nm.dead
 }
 
-func (rm *RM) nmHeartbeat(nm *nodeManager, seq int) {
-	if rm.stopped || nm.dead || nm.crashed || seq != nm.hbSeq {
-		return
-	}
-	if nm.host != rm.rmHost {
-		rm.metrics.NMHeartbeats.Inc()
-		rm.control(nm.host, rm.rmHost, flows.PortRMTracker, "yarn/nmHeartbeat")
-	}
-	rm.scheduleOn(nm)
-	rm.eng.After(nmHeartbeat, func() { rm.nmHeartbeat(nm, seq) })
-}
-
-// control fires a small RPC exchange flow. Negative endpoints (no AM
-// placed yet, say) are skipped.
 func (rm *RM) control(src, dst netsim.NodeID, port int, label string) {
-	if src == dst || src < 0 || dst < 0 {
-		return
-	}
-	_, err := rm.net.StartFlow(netsim.FlowSpec{
-		Src:       src,
-		Dst:       dst,
-		SrcPort:   32768 + rm.rng.Intn(28232),
-		DstPort:   port,
-		SizeBytes: controlBytes,
-		Label:     label,
-	})
-	if err != nil {
-		panic(fmt.Sprintf("yarn: control flow: %v", err))
-	}
+	flows.SendControl(rm.net, rm.rng, src, dst, port, label)
 }
 
 // scheduleOn assigns queued requests to a heartbeating NodeManager.
@@ -494,7 +473,7 @@ func (rm *RM) Submit(client netsim.NodeID, onAM func(app *App)) *App {
 				return
 			}
 			app.am = c
-			rm.eng.After(0, func() { app.amHeartbeat() })
+			rm.eng.Every(0, amHeartbeat, app.amHeartbeat)
 			onAM(app)
 		},
 	})
@@ -521,13 +500,15 @@ func (a *App) AMHost() netsim.NodeID {
 // OnAMLost registers the handler fired if the AM's host fails.
 func (a *App) OnAMLost(fn func()) { a.am.OnLost(fn) }
 
-func (a *App) amHeartbeat() {
+// amHeartbeat is one beat of the AM→RM allocate loop; the loop ends
+// once the application finishes, the RM shuts down or the AM is lost.
+func (a *App) amHeartbeat() bool {
 	if a.done || a.rm.stopped || a.am.lost {
-		return
+		return false
 	}
 	a.rm.metrics.AMHeartbeats.Inc()
 	a.rm.control(a.AMHost(), a.rm.rmHost, flows.PortRMScheduler, "yarn/amHeartbeat")
-	a.rm.eng.After(amHeartbeat, func() { a.amHeartbeat() })
+	return true
 }
 
 // RequestContainer asks for one task container at the given priority,

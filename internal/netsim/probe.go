@@ -28,18 +28,21 @@ func NewUtilizationProbe(net *Network, tl *telemetry.LinkTimeline) *UtilizationP
 	return &UtilizationProbe{net: net, timeline: tl, interval: interval}
 }
 
-// Start begins sampling. The probe re-arms itself while the network has
-// active flows or other pending events, so the event queue can drain
-// once the simulation finishes.
+// Start begins sampling with an immediate sample. The probe keeps
+// sampling while the network has active flows or other pending events,
+// so the event queue can drain once the simulation finishes.
 func (p *UtilizationProbe) Start() {
 	if p.running {
 		return
 	}
 	p.running = true
-	p.tick()
+	if p.tick() {
+		p.net.eng.Every(p.interval, p.interval, p.tick)
+	}
 }
 
-func (p *UtilizationProbe) tick() {
+// tick takes one sample and reports whether to take another.
+func (p *UtilizationProbe) tick() bool {
 	rates := p.net.LinkRates()
 	now := int64(p.net.eng.Now())
 	for i, l := range p.net.topo.links {
@@ -58,7 +61,7 @@ func (p *UtilizationProbe) tick() {
 	// longer queued: any pending event is someone else's work.
 	if p.net.ActiveFlows() == 0 && p.net.eng.Pending() == 0 {
 		p.running = false
-		return
+		return false
 	}
-	p.net.eng.After(p.interval, func() { p.tick() })
+	return true
 }

@@ -3,14 +3,15 @@ package pcap
 import (
 	"bytes"
 	"errors"
+	"io"
 	"testing"
 )
 
 // FuzzPcapReader throws arbitrary bytes at the trace reader. Whatever
 // the input, the reader must not panic, must never hand back a record
 // claiming more than MaxPacketLen payload, and must fail only with
-// ErrBadTrace-wrapping errors. Salvage additionally must agree with the
-// strict path on the decoded prefix.
+// ErrBadTrace-wrapping errors. ReadAll must return, error or not,
+// exactly the records a ReadPacket loop decodes before its first error.
 func FuzzPcapReader(f *testing.F) {
 	// Seed: a well-formed two-record trace from the real writer.
 	var good bytes.Buffer
@@ -29,37 +30,42 @@ func FuzzPcapReader(f *testing.F) {
 	f.Add([]byte("KD"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		strict, strictErr := func() ([]Packet, error) {
-			r, err := NewReader(bytes.NewReader(data))
-			if err != nil {
-				return nil, err
-			}
-			return r.ReadAll()
-		}()
-		if strictErr != nil && !errors.Is(strictErr, ErrBadTrace) {
-			t.Fatalf("strict read failed with non-ErrBadTrace error: %v", strictErr)
+		all, allErr := readAll(data)
+		if allErr != nil && !errors.Is(allErr, ErrBadTrace) {
+			t.Fatalf("ReadAll failed with non-ErrBadTrace error: %v", allErr)
 		}
-		for i, p := range strict {
+		for i, p := range all {
 			if p.Len > MaxPacketLen {
-				t.Fatalf("strict record %d claims %d bytes > MaxPacketLen", i, p.Len)
+				t.Fatalf("record %d claims %d bytes > MaxPacketLen", i, p.Len)
 			}
 		}
 
-		salvaged, salvageErr := ReadAllSalvage(bytes.NewReader(data))
-		if salvageErr != nil && !errors.Is(salvageErr, ErrBadTrace) {
-			t.Fatalf("salvage failed with non-ErrBadTrace error: %v", salvageErr)
+		var looped []Packet
+		var loopErr error
+		if r, err := NewReader(bytes.NewReader(data)); err != nil {
+			loopErr = err
+		} else {
+			for {
+				p, err := r.ReadPacket()
+				if errors.Is(err, io.EOF) {
+					break
+				}
+				if err != nil {
+					loopErr = err
+					break
+				}
+				looped = append(looped, p)
+			}
 		}
-		if (strictErr == nil) != (salvageErr == nil) {
-			t.Fatalf("strict err %v but salvage err %v", strictErr, salvageErr)
+		if (allErr == nil) != (loopErr == nil) {
+			t.Fatalf("ReadAll err %v but ReadPacket loop err %v", allErr, loopErr)
 		}
-		// Salvage decodes exactly the records the strict path decoded
-		// before the first error.
-		if len(salvaged) != len(strict) {
-			t.Fatalf("salvage decoded %d records, strict %d", len(salvaged), len(strict))
+		if len(all) != len(looped) {
+			t.Fatalf("ReadAll decoded %d records, the ReadPacket loop %d", len(all), len(looped))
 		}
-		for i := range strict {
-			if salvaged[i] != strict[i] {
-				t.Fatalf("record %d differs: salvage %+v strict %+v", i, salvaged[i], strict[i])
+		for i := range looped {
+			if all[i] != looped[i] {
+				t.Fatalf("record %d differs: ReadAll %+v, ReadPacket %+v", i, all[i], looped[i])
 			}
 		}
 	})

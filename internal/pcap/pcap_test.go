@@ -91,8 +91,8 @@ func TestTraceTruncatedRecord(t *testing.T) {
 
 // TestTraceRejectsHugeLength is the regression for the fuzz-found bug
 // where a record claiming an absurd payload length decoded silently and
-// poisoned downstream byte accounting: both the strict and salvage read
-// paths must reject it with ErrBadTrace. The same crasher input lives in
+// poisoned downstream byte accounting: ReadPacket and ReadAll must both
+// reject it with ErrBadTrace. The same crasher input lives in
 // testdata/fuzz/FuzzPcapReader as a permanent fuzz corpus entry.
 func TestTraceRejectsHugeLength(t *testing.T) {
 	var buf bytes.Buffer
@@ -111,12 +111,12 @@ func TestTraceRejectsHugeLength(t *testing.T) {
 		t.Errorf("huge length: ReadPacket err = %v, want ErrBadTrace", err)
 	}
 
-	got, err := ReadAllSalvage(bytes.NewReader(data))
+	got, err := readAll(data)
 	if !errors.Is(err, ErrBadTrace) {
-		t.Errorf("huge length: Salvage err = %v, want ErrBadTrace", err)
+		t.Errorf("huge length: ReadAll err = %v, want ErrBadTrace", err)
 	}
 	if len(got) != 0 {
-		t.Errorf("huge length: salvaged %d records from a poisoned head, want 0", len(got))
+		t.Errorf("huge length: ReadAll kept %d records from a poisoned head, want 0", len(got))
 	}
 }
 

@@ -120,7 +120,9 @@ func (r *Reader) ReadPacket() (Packet, error) {
 	return p, nil
 }
 
-// ReadAll drains the trace into memory.
+// ReadAll drains the trace into memory. On a damaged trace it returns
+// every record decoded before the damage together with an error
+// wrapping ErrBadTrace.
 func (r *Reader) ReadAll() ([]Packet, error) {
 	var out []Packet
 	for {
@@ -133,31 +135,4 @@ func (r *Reader) ReadAll() ([]Packet, error) {
 		}
 		out = append(out, p)
 	}
-}
-
-// Salvage reads to the end of a possibly-damaged trace, returning every
-// whole record it could decode. Unlike ReadAll — whose error means "the
-// result is incomplete" — Salvage treats the decoded prefix as the
-// result: err is nil for a clean end-of-trace and wraps ErrBadTrace when
-// the tail was truncated or corrupt, with the salvaged records returned
-// either way.
-func (r *Reader) Salvage() ([]Packet, error) {
-	out, err := r.ReadAll()
-	if err == nil || errors.Is(err, ErrBadTrace) {
-		return out, err
-	}
-	return out, fmt.Errorf("%w: %v", ErrBadTrace, err)
-}
-
-// ReadAllSalvage opens and drains a trace in salvage mode: a damaged
-// header yields no records and an ErrBadTrace-wrapping error; a damaged
-// body yields every record decoded before the damage plus the error; an
-// intact trace yields all records and a nil error. Use it to recover
-// what a capture wrote before a crash or a full disk cut it short.
-func ReadAllSalvage(r io.Reader) ([]Packet, error) {
-	tr, err := NewReader(r)
-	if err != nil {
-		return nil, err
-	}
-	return tr.Salvage()
 }

@@ -26,7 +26,18 @@ func writeTrace(t *testing.T, pkts []Packet) []byte {
 	return buf.Bytes()
 }
 
-func TestSalvageTruncatedTrace(t *testing.T) {
+// readAll opens data and drains it with ReadAll.
+func readAll(data []byte) ([]Packet, error) {
+	r, err := NewReader(bytes.NewReader(data))
+	if err != nil {
+		return nil, err
+	}
+	return r.ReadAll()
+}
+
+// TestReadAllTruncatedTrace: a trace cut inside a record, as a crashed
+// capture leaves it, reads back as the intact prefix plus ErrBadTrace.
+func TestReadAllTruncatedTrace(t *testing.T) {
 	pkts := []Packet{
 		{TsNs: 1, Src: HostAddr(1), Dst: HostAddr(2), SrcPort: 1000, DstPort: 50010, Len: 1448, Proto: ProtoTCP, Flags: FlagACK},
 		{TsNs: 2, Src: HostAddr(2), Dst: HostAddr(3), SrcPort: 1001, DstPort: 13562, Len: 900, Proto: ProtoTCP, Flags: FlagACK},
@@ -34,52 +45,45 @@ func TestSalvageTruncatedTrace(t *testing.T) {
 	}
 	raw := writeTrace(t, pkts)
 
-	// Cut mid-way through the final record, as a crashed capture would.
+	// Cut mid-way through the final record.
 	cut := raw[:len(raw)-recordSize/2]
-	got, err := ReadAllSalvage(bytes.NewReader(cut))
+	got, err := readAll(cut)
 	if !errors.Is(err, ErrBadTrace) {
-		t.Fatalf("salvage of truncated trace: err = %v, want ErrBadTrace", err)
+		t.Fatalf("ReadAll of truncated trace: err = %v, want ErrBadTrace", err)
 	}
-	if len(got) != 2 || !reflect.DeepEqual(got, []Packet{pkts[0], pkts[1]}) {
-		t.Fatalf("salvaged %d packets %+v, want the 2 intact records", len(got), got)
-	}
-
-	// ReadAll on the same damage reports the error with the same prefix.
-	r, err := NewReader(bytes.NewReader(cut))
-	if err != nil {
-		t.Fatal(err)
-	}
-	all, err := r.ReadAll()
-	if !errors.Is(err, ErrBadTrace) || len(all) != 2 {
-		t.Fatalf("ReadAll on truncated trace = %d packets, err %v", len(all), err)
+	if !reflect.DeepEqual(got, []Packet{pkts[0], pkts[1]}) {
+		t.Fatalf("ReadAll returned %d packets %+v, want the 2 intact records", len(got), got)
 	}
 }
 
-func TestSalvageIntactAndHeaderDamage(t *testing.T) {
+// TestReadAllIntactAndHeaderDamage: an intact trace reads back whole
+// with no error; a damaged or short header yields no records and a
+// typed error.
+func TestReadAllIntactAndHeaderDamage(t *testing.T) {
 	pkts := []Packet{
 		{TsNs: 7, Src: HostAddr(4), Dst: HostAddr(5), SrcPort: 1003, DstPort: 8020, Len: 64, Proto: ProtoTCP, Flags: FlagACK},
 	}
 	raw := writeTrace(t, pkts)
 
-	got, err := ReadAllSalvage(bytes.NewReader(raw))
+	got, err := readAll(raw)
 	if err != nil {
-		t.Fatalf("salvage of intact trace: %v", err)
+		t.Fatalf("ReadAll of intact trace: %v", err)
 	}
 	if !reflect.DeepEqual(got, pkts) {
-		t.Fatalf("salvage of intact trace = %+v, want %+v", got, pkts)
+		t.Fatalf("ReadAll of intact trace = %+v, want %+v", got, pkts)
 	}
 
-	// Flip a magic byte: nothing salvageable, typed error.
+	// Flip a magic byte: nothing readable, typed error.
 	bad := append([]byte(nil), raw...)
 	bad[0] ^= 0xff
-	got, err = ReadAllSalvage(bytes.NewReader(bad))
+	got, err = readAll(bad)
 	if !errors.Is(err, ErrBadTrace) || got != nil {
-		t.Fatalf("salvage with bad magic = %+v, err %v, want nil + ErrBadTrace", got, err)
+		t.Fatalf("ReadAll with bad magic = %+v, err %v, want nil + ErrBadTrace", got, err)
 	}
 
 	// A header cut short is also typed, not an io error.
-	got, err = ReadAllSalvage(bytes.NewReader(raw[:4]))
+	got, err = readAll(raw[:4])
 	if !errors.Is(err, ErrBadTrace) || got != nil {
-		t.Fatalf("salvage with short header = %+v, err %v, want nil + ErrBadTrace", got, err)
+		t.Fatalf("ReadAll with short header = %+v, err %v, want nil + ErrBadTrace", got, err)
 	}
 }

@@ -322,6 +322,21 @@ func (e *Engine) AfterCall(d Time, cb func(uint64), arg uint64) Event {
 	return e.schedule(e.now+d, nil, cb, arg)
 }
 
+// Every runs tick first after the current time and then every period
+// while tick returns true. The loop allocates one callback, not one per
+// beat, and re-arms only after tick returns, so each beat takes its
+// sequence number where a tick ending in After(period, ...) would: the
+// loop ties with same-time events exactly as that hand-rolled one does.
+func (e *Engine) Every(first, period Time, tick func() bool) {
+	var beat func(uint64)
+	beat = func(uint64) {
+		if tick() {
+			e.AfterCall(period, beat, 0)
+		}
+	}
+	e.AfterCall(first, beat, 0)
+}
+
 // NewTimer reserves a persistent event slot bound to cb(arg). The timer
 // starts unarmed; arm it with Schedule and disarm with Cancel, both any
 // number of times — the slot is never recycled, so one timer re-armed per
@@ -480,29 +495,9 @@ func (e *Engine) NextEventAt() (Time, bool) {
 // exactly at bound does not fire. This is the half-open window the
 // sharded scheduler needs — a window [t, B) must leave boundary events
 // for the next window, where cross-shard deliveries merged at the
-// barrier can still be ordered ahead of them.
-func (e *Engine) RunBefore(bound Time) (Time, error) {
-	if e.running {
-		return e.now, errors.New("sim: RunBefore called re-entrantly")
-	}
-	e.running = true
-	defer func() { e.running = false }()
-
-	budget := e.MaxEvents
-	if budget == 0 {
-		budget = 500_000_000
-	}
-	for len(e.heap) > 0 {
-		if e.slots[e.heap[0]].at >= bound {
-			return e.now, nil
-		}
-		if e.processed >= budget {
-			return e.now, ErrHorizon
-		}
-		e.fire()
-	}
-	return e.now, nil
-}
+// barrier can still be ordered ahead of them. Time counts whole
+// nanoseconds, so that is Run(bound-1).
+func (e *Engine) RunBefore(bound Time) (Time, error) { return e.Run(bound - 1) }
 
 // Step executes exactly one pending event and returns true, or returns
 // false if the queue is empty. Like Run, it refuses to execute

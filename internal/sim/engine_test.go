@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -458,6 +459,71 @@ func TestTimerReArmZeroAlloc(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("Schedule allocates %v times per re-arm, want 0", avg)
+	}
+}
+
+// TestEveryTiesLikeAfterLoop: an Every loop interleaves with same-time
+// events exactly as the self-rescheduling After loop it stands for —
+// loops whose beats coincide, ticks that schedule work now and one
+// period ahead, one-shots landing on beat instants, and loops that stop.
+func TestEveryTiesLikeAfterLoop(t *testing.T) {
+	type loopFn func(e *Engine, first, period Time, tick func() bool)
+	run := func(loop loopFn) ([]string, uint64) {
+		e := New()
+		var log []string
+		note := func(s string) { log = append(log, fmt.Sprintf("%v %s", e.Now(), s)) }
+		for i, first := range []Time{0, time.Second, 500 * time.Millisecond, time.Second} {
+			name := fmt.Sprintf("loop%d", i)
+			beats := 0
+			loop(e, first, time.Second, func() bool {
+				beats++
+				note(name)
+				e.After(0, func() { note(name + "/work") })
+				e.After(time.Second, func() { note(name + "/due") })
+				return beats < 3+i
+			})
+			e.After(2*time.Second, func() { note(fmt.Sprintf("shot%d", i)) })
+		}
+		if _, err := e.RunAll(); err != nil {
+			t.Fatal(err)
+		}
+		return log, e.Processed()
+	}
+	afterLoop := func(e *Engine, first, period Time, tick func() bool) {
+		var beat func()
+		beat = func() {
+			if tick() {
+				e.After(period, beat)
+			}
+		}
+		e.After(first, beat)
+	}
+	want, wantN := run(afterLoop)
+	got, gotN := run((*Engine).Every)
+	if gotN != wantN {
+		t.Errorf("Every processed %d events, the After loop %d", gotN, wantN)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("Every order differs from the After loop:\n got %v\nwant %v", got, want)
+	}
+}
+
+// An Every loop allocates its callback once, not once per beat.
+func TestEveryAllocatesOncePerLoop(t *testing.T) {
+	e := New()
+	beats := 0
+	tick := func() bool {
+		beats++
+		return beats%1000 != 0
+	}
+	avg := testing.AllocsPerRun(10, func() {
+		e.Every(0, time.Millisecond, tick)
+		if _, err := e.RunAll(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg > 2 {
+		t.Errorf("a 1000-beat loop allocates %v times, want at most 2", avg)
 	}
 }
 
