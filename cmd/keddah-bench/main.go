@@ -11,8 +11,10 @@ package main
 
 import (
 	"encoding/csv"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -80,8 +82,8 @@ func writeTableCSV(dir string, t experiments.Table) error {
 // bench flag from that single run: -benchjson writes the machine-readable
 // report, -benchbaseline gates ns/op and allocs/op against a committed
 // baseline, and -benchdiff records the comparison (the CI artifact).
-func runBench(jsonPath, baselinePath, diffPath string) error {
-	report, err := benchcases.RunReport(os.Stderr)
+func runBench(jsonPath, baselinePath, diffPath string, stderr io.Writer) error {
+	report, err := benchcases.RunReport(stderr)
 	if err != nil {
 		return err
 	}
@@ -103,7 +105,7 @@ func runBench(jsonPath, baselinePath, diffPath string) error {
 		if d.Regressed || d.AllocRegressed {
 			verdict = "REGRESSED"
 		}
-		fmt.Fprintf(os.Stderr, "gate %-24s %9.0f -> %9.0f ns/op (%.2fx)  %6d -> %6d allocs/op (%.2fx) %s\n",
+		fmt.Fprintf(stderr, "gate %-24s %9.0f -> %9.0f ns/op (%.2fx)  %6d -> %6d allocs/op (%.2fx) %s\n",
 			d.Name, d.BaselineNs, d.CurrentNs, d.Ratio,
 			d.BaselineAllocs, d.CurrentAllocs, d.AllocRatio, verdict)
 	}
@@ -116,30 +118,44 @@ func runBench(jsonPath, baselinePath, diffPath string) error {
 }
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "keddah-bench:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run is the testable command body: parse args, then run the bench
+// suite or the experiments, printing tables to stdout and progress to
+// stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("keddah-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		exp       = flag.String("exp", "all", "experiment id (E1..E18, A1..A4) or 'all'")
-		scale     = flag.Float64("scale", 1, "input-size multiplier (1 = paper scale)")
-		seed      = flag.Int64("seed", 1, "simulation seed")
-		list      = flag.Bool("list", false, "list experiments and exit")
-		csvDir    = flag.String("csv", "", "also write each table as CSV into this directory")
-		workers   = flag.Int("parallel", 0, "experiment worker count (0 = GOMAXPROCS, 1 = serial)")
-		benchJSON = flag.String("benchjson", "", "run the netsim/replay micro-benchmarks and write results as JSON to this path, then exit")
-		benchBase = flag.String("benchbaseline", "", "compare the micro-benchmarks against this committed baseline JSON and fail on >15% ns/op or >10% allocs/op regression, then exit")
-		benchDiff = flag.String("benchdiff", "", "with -benchbaseline, write the per-benchmark comparison as JSON to this path")
-		strict    = flag.Bool("strict-checks", false, "run every capture with the invariants layer enabled (read-only cross-layer checks; identical results, more wall time)")
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof format)")
-		memProf   = flag.String("memprofile", "", "write a heap profile taken at exit to this file (go tool pprof format)")
+		exp       = fs.String("exp", "all", "experiment id (E1..E18, A1..A4) or 'all'")
+		scale     = fs.Float64("scale", 1, "input-size multiplier (1 = paper scale)")
+		seed      = fs.Int64("seed", 1, "simulation seed")
+		list      = fs.Bool("list", false, "list experiments and exit")
+		csvDir    = fs.String("csv", "", "also write each table as CSV into this directory")
+		workers   = fs.Int("parallel", 0, "experiment worker count (0 = GOMAXPROCS, 1 = serial)")
+		benchJSON = fs.String("benchjson", "", "run the netsim/replay micro-benchmarks and write results as JSON to this path, then exit")
+		benchBase = fs.String("benchbaseline", "", "compare the micro-benchmarks against this committed baseline JSON and fail on >15% ns/op or >10% allocs/op regression, then exit")
+		benchDiff = fs.String("benchdiff", "", "with -benchbaseline, write the per-benchmark comparison as JSON to this path")
+		strict    = fs.Bool("strict-checks", false, "run every capture with the invariants layer enabled (read-only cross-layer checks; identical results, more wall time)")
+		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof format)")
+		memProf   = fs.String("memprofile", "", "write a heap profile taken at exit to this file (go tool pprof format)")
 	)
 	var tf telemetry.Flags
-	tf.Register(flag.CommandLine)
-	flag.Parse()
+	tf.Register(fs)
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return nil
+	} else if err != nil {
+		return err
+	}
+	// The link timeline has no session column, so the suite's many
+	// captures and replays would interleave in one unreadable file.
+	if tf.LinksOut != "" {
+		return fmt.Errorf("-links-out samples a single session; the suite runs many, so use keddah-capture, the single-session command")
+	}
 
 	// Profiling brackets whatever mode runs below — experiments or the
 	// bench suite — so allocation hotspots in either are attributable.
@@ -164,19 +180,19 @@ func run() error {
 			// memory, not garbage awaiting collection.
 			runtime.GC()
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "keddah-bench: heap profile:", err)
+				fmt.Fprintln(stderr, "keddah-bench: heap profile:", err)
 			}
 			f.Close()
 		}()
 	}
 
 	if *benchJSON != "" || *benchBase != "" {
-		return runBench(*benchJSON, *benchBase, *benchDiff)
+		return runBench(*benchJSON, *benchBase, *benchDiff, stderr)
 	}
 
 	if *list {
 		for _, id := range experiments.IDs() {
-			fmt.Printf("%-4s %s\n", id, experiments.Describe(id))
+			fmt.Fprintf(stdout, "%-4s %s\n", id, experiments.Describe(id))
 		}
 		return nil
 	}
@@ -196,7 +212,7 @@ func run() error {
 			return fmt.Errorf("%s: %w", res.ID, res.Err)
 		}
 		for _, t := range res.Tables {
-			if err := t.Fprint(os.Stdout); err != nil {
+			if err := t.Fprint(stdout); err != nil {
 				return err
 			}
 			if *csvDir != "" {
@@ -205,8 +221,8 @@ func run() error {
 				}
 			}
 		}
-		fmt.Fprintf(os.Stderr, "%s done in %.1fs\n", res.ID, res.Elapsed.Seconds())
+		fmt.Fprintf(stderr, "%s done in %.1fs\n", res.ID, res.Elapsed.Seconds())
 	}
-	fmt.Fprintf(os.Stderr, "suite done in %.1fs\n", time.Since(start).Seconds())
-	return tf.Emit(tel, os.Stdout)
+	fmt.Fprintf(stderr, "suite done in %.1fs\n", time.Since(start).Seconds())
+	return tf.Emit(tel, stdout)
 }

@@ -34,7 +34,7 @@ func run() error {
 		workloads  = flag.String("workloads", "terasort", "comma-separated workload profiles "+fmt.Sprint(workload.Names()))
 		inputGB    = flag.Float64("input-gb", 4, "input size per run in GiB")
 		runs       = flag.Int("runs", 3, "repetitions per workload")
-		workers    = flag.Int("workers", 16, "worker host count")
+		workers    = flag.Int("workers", core.DefaultWorkers, "worker host count")
 		topology   = flag.String("topology", "star", "fabric: star | multirack | fattree")
 		racks      = flag.Int("racks", 2, "rack count (multirack)")
 		uplinkGbps = flag.Float64("uplink-gbps", 10, "rack uplink capacity (multirack)")
@@ -44,7 +44,6 @@ func run() error {
 		transport  = flag.String("transport", "fluid", "network transport model: fluid | tcp")
 		pods       = flag.Int("pods", 1, "federated pod count (each pod is its own cluster; runs stripe across pods)")
 		shards     = flag.Int("shards", 0, "engine layout for multi-pod captures: 0 = serial, -1 = one engine per pod, 1..pods explicit (output is byte-identical at every setting)")
-		crossPod   = flag.String("crosspod", "", "cross-pod copy pattern after each pod's last run: ring | fanin | none (multi-pod only)")
 		seed       = flag.Int64("seed", 1, "simulation seed")
 		out        = flag.String("out", "traces.json", "trace-set output path")
 		flowsCSV   = flag.String("flows-csv", "", "optional flow-records CSV output path (the shard-determinism CI job byte-diffs this)")
@@ -68,7 +67,6 @@ func run() error {
 		Transport:   *transport,
 		Pods:        *pods,
 		Shards:      *shards,
-		CrossPod:    *crossPod,
 		Seed:        *seed,
 	}
 	if _, err := netsim.ParseTransport(*transport); err != nil {

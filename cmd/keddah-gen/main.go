@@ -36,7 +36,7 @@ func run() error {
 		reducers   = flag.Int("reducers", 0, "reducer count (0 = scaled from reference)")
 		jobs       = flag.Int("jobs", 1, "job instances")
 		stagger    = flag.Float64("stagger", 1, "job start spacing as fraction of job duration")
-		workers    = flag.Int("workers", 16, "worker hosts to spread traffic over")
+		workers    = flag.Int("workers", core.DefaultWorkers, "worker hosts to spread traffic over")
 		background = flag.Bool("background", false, "include cluster heartbeat traffic")
 		seed       = flag.Int64("seed", 1, "generation seed")
 		out        = flag.String("out", "", "schedule output path (empty = skip)")

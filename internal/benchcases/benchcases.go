@@ -400,7 +400,7 @@ func CaptureMultiPodSharded(b *testing.B) {
 			runs[p] = workload.RunSpec{Profile: "terasort", InputBytes: 128 << 20}
 		}
 		ts, _, err := core.CaptureWith(core.ClusterSpec{
-			Workers: 16, Pods: 4, Shards: -1, CrossPod: "ring", Seed: int64(i + 1),
+			Workers: 16, Pods: 4, Shards: -1, Seed: int64(i + 1),
 		}, runs, core.CaptureOpts{})
 		if err != nil {
 			b.Fatal(err)

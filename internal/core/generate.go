@@ -43,7 +43,8 @@ type GenSpec struct {
 	// Reducers (0 = scaled from the model reference) sets the reduce
 	// fan-in.
 	Reducers int `json:"reducers"`
-	// Workers is the worker host count traffic is spread over.
+	// Workers is the worker host count traffic is spread over (default
+	// DefaultWorkers).
 	Workers int `json:"workers"`
 	// Jobs is how many job instances to generate (default 1).
 	Jobs int `json:"jobs"`
@@ -67,7 +68,7 @@ func (g GenSpec) withDefaults(jm *JobModel) GenSpec {
 		g.BlockSize = jm.RefBlockSize
 	}
 	if g.Workers <= 0 {
-		g.Workers = 16
+		g.Workers = DefaultWorkers
 	}
 	if g.Reducers <= 0 {
 		scale := float64(g.InputBytes) / float64(jm.RefInputBytes)

@@ -23,8 +23,8 @@ import (
 type ClusterSpec struct {
 	// Topology is "star", "multirack" or "fattree" (default "star").
 	Topology string `json:"topology"`
-	// Workers is the worker host count (star/multirack). One extra
-	// master host is always added.
+	// Workers is the worker host count (star/multirack; default
+	// DefaultWorkers). One extra master host is always added.
 	Workers int `json:"workers"`
 	// Racks is the rack count for multirack (default 2).
 	Racks int `json:"racks"`
@@ -58,7 +58,8 @@ type ClusterSpec struct {
 	// Pods is a capture's pod count (0 counts as 1). Each pod is a full
 	// cluster of Workers hosts (own master, own network); above one pod,
 	// pods exchange traffic through the store-and-forward inter-pod
-	// fabric.
+	// fabric: after its last run, pod p distcps its final output to pod
+	// p+1 (the last pod to pod 0).
 	Pods int `json:"pods,omitempty"`
 	// Shards selects a capture's engine layout: 0 = serial (one event
 	// engine hosting every pod, still advancing through the same
@@ -68,24 +69,22 @@ type ClusterSpec struct {
 	// at every pod count, and a single pod always runs on one engine.
 	// Replays ignore it.
 	Shards int `json:"shards,omitempty"`
-	// CrossPod selects the inter-pod copy traffic each pod emits after
-	// its last run: "" or "ring" (pod p distcps its final output to pod
-	// p+1), "fanin" (every pod sends to pod 0 — the skewed-reducer
-	// shape), or "none". Captures reject any other value at every pod
-	// count; a single pod has no other pod to copy to.
-	CrossPod string `json:"crossPod,omitempty"`
 	// InterPodLatencyNs is the one-way gateway-to-gateway latency of
 	// the inter-pod fabric (default 1ms). It is also the scheduler
 	// lookahead the conservative windows are derived from.
 	InterPodLatencyNs int64 `json:"interPodLatencyNs,omitempty"`
 }
 
+// DefaultWorkers is the worker host count a ClusterSpec, GenSpec or
+// MixSpec that names none runs on.
+const DefaultWorkers = 16
+
 func (s ClusterSpec) withDefaults() ClusterSpec {
 	if s.Topology == "" {
 		s.Topology = "star"
 	}
 	if s.Workers <= 0 {
-		s.Workers = 16
+		s.Workers = DefaultWorkers
 	}
 	if s.Racks <= 0 {
 		s.Racks = 2
@@ -206,24 +205,11 @@ type CaptureOpts struct {
 	// captured traffic is byte-identical either way. Binaries built with
 	// the keddah_checks tag force this on for every capture.
 	StrictChecks bool
-	// InterPodFaults marks pod-pair fabric outages in a multi-pod
-	// capture: transfers between a down pair detour through a relay pod
-	// or abort. A single-pod capture rejects them.
-	InterPodFaults []InterPodFault
 	// Packets, when non-nil, taps the session beside its truth log and
 	// synthesises every flow's packets into the capture's buffer or
 	// sink; CaptureWith returns the sink's error. It needs a single-pod
 	// capture. The captured traffic is unchanged by attaching it.
 	Packets *pcap.Capture
-}
-
-// InterPodFault takes the (SrcPod, DstPod) fabric pair down at AtNs for
-// DurationNs (0 = permanently).
-type InterPodFault struct {
-	SrcPod     int   `json:"srcPod"`
-	DstPod     int   `json:"dstPod"`
-	AtNs       int64 `json:"atNs"`
-	DurationNs int64 `json:"durationNs"`
 }
 
 // CaptureWith runs the given workloads on fresh clusters built from
@@ -327,7 +313,7 @@ func CaptureWith(spec ClusterSpec, runSpecs []workload.RunSpec, opts CaptureOpts
 			return nil, nil, err
 		}
 	}
-	if err := scheduleFaults(clusters, perPod, ip, opts); err != nil {
+	if err := scheduleFaults(clusters, perPod, opts); err != nil {
 		return nil, nil, err
 	}
 
@@ -382,7 +368,7 @@ func CaptureWith(spec ClusterSpec, runSpecs []workload.RunSpec, opts CaptureOpts
 				}
 				return
 			}
-			crossPod(spec.CrossPod, clusters, ip, p, res)
+			crossPod(clusters, ip, p, res)
 		})
 	}
 	for p, c := range clusters {
@@ -410,7 +396,7 @@ func CaptureWith(spec ClusterSpec, runSpecs []workload.RunSpec, opts CaptureOpts
 		}
 	}
 
-	faultFree := len(opts.Failures) == 0 && len(opts.Faults.Faults) == 0 && len(opts.InterPodFaults) == 0
+	faultFree := len(opts.Failures) == 0 && len(opts.Faults.Faults) == 0
 	for p, ck := range checkers {
 		if err := ck.Final(faultFree); err != nil {
 			return nil, nil, fmt.Errorf("pod %d: %w", p, err)
@@ -452,7 +438,6 @@ func CaptureWith(spec ClusterSpec, runSpecs []workload.RunSpec, opts CaptureOpts
 	if ip != nil {
 		ipStats := ip.Stats()
 		ts.Stats.InterPodTransfers = ipStats.Completed
-		ts.Stats.InterPodRelayed = ipStats.Relayed
 		ts.Stats.InterPodAborted = ipStats.Aborted
 		ts.Stats.InterPodBytes = ipStats.Stage2Bytes
 	}
@@ -475,14 +460,6 @@ func checkSession(spec ClusterSpec, pods int, opts CaptureOpts) (int, error) {
 	engines, err := resolveShards(pods, spec.Shards)
 	if err != nil {
 		return 0, err
-	}
-	switch spec.CrossPod {
-	case "", "ring", "fanin", "none":
-	default:
-		return 0, fmt.Errorf("core: unknown cross-pod traffic mode %q", spec.CrossPod)
-	}
-	if pods == 1 && len(opts.InterPodFaults) > 0 {
-		return 0, fmt.Errorf("core: inter-pod faults need a multi-pod capture (pods=%d)", spec.Pods)
 	}
 	if pods > 1 && opts.Telemetry != nil && opts.Telemetry.Links != nil {
 		return 0, fmt.Errorf("core: the link utilisation timeline needs a single-pod capture (pods=%d)", pods)
@@ -510,11 +487,9 @@ func resolveShards(pods, shards int) (int, error) {
 
 // scheduleFaults routes the session's failure and fault schedules to
 // their pods, in order: worker failures in list order, then each pod's
-// faults, then inter-pod pair outages. Workers are addressed globally
-// (pod = index / perPod). Link faults are pod-ambiguous, so only a
-// single-pod session takes them; pod-pair outages go through
-// InterPodFaults instead.
-func scheduleFaults(clusters []*hadoop.Cluster, perPod int, ip *netsim.InterPod, opts CaptureOpts) error {
+// faults. Workers are addressed globally (pod = index / perPod). Link
+// faults are pod-ambiguous, so only a single-pod session takes them.
+func scheduleFaults(clusters []*hadoop.Cluster, perPod int, opts CaptureOpts) error {
 	pods := len(clusters)
 	for _, f := range opts.Failures {
 		p := f.WorkerIndex / perPod
@@ -539,7 +514,7 @@ func scheduleFaults(clusters []*hadoop.Cluster, perPod int, ip *netsim.InterPod,
 			}
 			f.Worker %= perPod
 		case pods > 1:
-			return fmt.Errorf("core: fault kind %q targets a pod-local link; multi-pod captures take nodeCrash plus InterPodFaults", f.Kind)
+			return fmt.Errorf("core: fault kind %q targets a pod-local link; multi-pod captures take only nodeCrash", f.Kind)
 		}
 		podFaults[p].Faults = append(podFaults[p].Faults, f)
 	}
@@ -548,31 +523,15 @@ func scheduleFaults(clusters []*hadoop.Cluster, perPod int, ip *netsim.InterPod,
 			return fmt.Errorf("schedule faults on pod %d: %w", p, err)
 		}
 	}
-	for _, f := range opts.InterPodFaults {
-		recover := sim.Time(0)
-		if f.DurationNs > 0 {
-			recover = sim.Time(f.AtNs + f.DurationNs)
-		}
-		if err := ip.SchedulePairFault(f.SrcPod, f.DstPod, sim.Time(f.AtNs), recover); err != nil {
-			return fmt.Errorf("schedule inter-pod fault: %w", err)
-		}
-	}
 	return nil
 }
 
 // crossPod sends pod p's inter-pod copy of its last run's output through
-// the fabric: to pod p+1 under "ring" (the default), to pod 0 under
-// "fanin", nowhere under "none" or when the destination is p itself —
-// always the case in a single-pod session.
-func crossPod(mode string, clusters []*hadoop.Cluster, ip *netsim.InterPod, p int, last workload.RunResult) {
-	dst := -1
-	switch mode {
-	case "", "ring":
-		dst = (p + 1) % len(clusters)
-	case "fanin":
-		dst = 0
-	}
-	if dst < 0 || dst == p {
+// the fabric to pod p+1 (the last pod to pod 0). A single-pod session
+// has no other pod to copy to.
+func crossPod(clusters []*hadoop.Cluster, ip *netsim.InterPod, p int, last workload.RunResult) {
+	dst := (p + 1) % len(clusters)
+	if dst == p {
 		return
 	}
 	var size int64

@@ -26,7 +26,8 @@ type MixSpec struct {
 	// InputScale multiplies each model's reference input size
 	// (default 1).
 	InputScale float64 `json:"inputScale"`
-	// Workers spreads traffic over this many hosts (default 16).
+	// Workers spreads traffic over this many hosts (default
+	// DefaultWorkers).
 	Workers int `json:"workers"`
 	// IncludeBackground adds cluster heartbeat traffic over the window.
 	IncludeBackground bool `json:"includeBackground"`
@@ -45,7 +46,7 @@ func (m MixSpec) withDefaults() MixSpec {
 		m.InputScale = 1
 	}
 	if m.Workers <= 0 {
-		m.Workers = 16
+		m.Workers = DefaultWorkers
 	}
 	return m
 }

@@ -76,10 +76,9 @@ type CaptureStats struct {
 	ReadRetries        int64 `json:"readRetries,omitempty"`
 	AbortedFlows       int64 `json:"abortedFlows,omitempty"`
 	// InterPod* describe the fabric traffic of a multi-pod capture:
-	// transfers completed, detoured through a relay pod, aborted, and
-	// the application bytes that crossed pod boundaries.
+	// transfers completed and aborted, and the application bytes that
+	// crossed pod boundaries.
 	InterPodTransfers int64 `json:"interPodTransfers,omitempty"`
-	InterPodRelayed   int64 `json:"interPodRelayed,omitempty"`
 	InterPodAborted   int64 `json:"interPodAborted,omitempty"`
 	InterPodBytes     int64 `json:"interPodBytes,omitempty"`
 }

@@ -27,8 +27,7 @@ func init() {
 func runE18(cfg Config) ([]Table, error) {
 	const pods, workers = 8, 32
 	spec := core.ClusterSpec{
-		Topology: "star", Workers: workers, Pods: pods,
-		CrossPod: "ring", Seed: cfg.Seed,
+		Topology: "star", Workers: workers, Pods: pods, Seed: cfg.Seed,
 		// Geo-distributed pods: a 100ms inter-pod latency (WAN RTT scale)
 		// keeps the conservative windows wide enough that each shard
 		// processes thousands of events between barriers. With the 1ms

@@ -9,9 +9,7 @@
 // A transfer is two flows and a hop: an egress flow from the source host
 // to its pod's gateway, a cross-shard post after the inter-pod latency,
 // and an ingress flow from the destination pod's gateway to the final
-// host. When the direct pod pair is marked down the hop detours through
-// one relay pod (two posts, one extra gateway); if no relay exists the
-// transfer aborts like any fault-killed flow.
+// host. A fault that kills either flow aborts the transfer.
 package netsim
 
 import (
@@ -56,9 +54,9 @@ type TransferSpec struct {
 // across shards; at a window barrier (no shard goroutine in flight) the
 // values are exact and identical at any engine count.
 type InterPodStats struct {
-	Started, Completed, Aborted, Relayed int64
-	Pending                              int64
-	Stage1Bytes, Stage2Bytes             int64
+	Started, Completed, Aborted int64
+	Pending                     int64
+	Stage1Bytes, Stage2Bytes    int64
 }
 
 // InterPod is the fabric. Build it after the per-pod networks, before
@@ -74,16 +72,10 @@ type InterPod struct {
 	// ingress ports on the destination pod).
 	ports []int
 
-	// down[p] is pod p's local view of the pod-pair fault matrix
-	// (row-major P×P). Every pod's view is updated by its own
-	// pre-scheduled events at identical simulated times, so the views
-	// agree without any cross-shard read.
-	down [][]bool
-
 	// Shard goroutines update these concurrently; snapshot at barriers.
-	started, completed, aborted, relayed int64
-	pending                              int64
-	stage1Bytes, stage2Bytes             int64
+	started, completed, aborted int64
+	pending                     int64
+	stage1Bytes, stage2Bytes    int64
 }
 
 // NewInterPod wires the fabric over one network per pod. gateways[p] is
@@ -108,10 +100,6 @@ func NewInterPod(sched *sim.ShardedEngine, nets []*Network, gateways []NodeID, l
 		gateways: append([]NodeID(nil), gateways...),
 		latency:  latency,
 		ports:    make([]int, pods),
-		down:     make([][]bool, pods),
-	}
-	for p := range ip.down {
-		ip.down[p] = make([]bool, pods*pods)
 	}
 	for p := range ip.ports {
 		ip.ports[p] = interPodBasePort
@@ -128,7 +116,6 @@ func (ip *InterPod) Stats() InterPodStats {
 		Started:     atomic.LoadInt64(&ip.started),
 		Completed:   atomic.LoadInt64(&ip.completed),
 		Aborted:     atomic.LoadInt64(&ip.aborted),
-		Relayed:     atomic.LoadInt64(&ip.relayed),
 		Pending:     atomic.LoadInt64(&ip.pending),
 		Stage1Bytes: atomic.LoadInt64(&ip.stage1Bytes),
 		Stage2Bytes: atomic.LoadInt64(&ip.stage2Bytes),
@@ -151,43 +138,6 @@ func (ip *InterPod) CheckInvariants() error {
 		return fmt.Errorf("netsim: interpod ingress bytes %d exceed egress bytes %d", s.Stage2Bytes, s.Stage1Bytes)
 	}
 	return nil
-}
-
-// SchedulePairFault marks the (i, j) pod pair down at `at` on every
-// pod's local view, recovering at recoverAt (0 = never). Call before the
-// run starts: the updates are plain engine events, one per pod, all at
-// the same simulated instant, which keeps the local views in agreement.
-func (ip *InterPod) SchedulePairFault(i, j int, at, recoverAt sim.Time) error {
-	pods := ip.sched.Pods()
-	if i < 0 || i >= pods || j < 0 || j >= pods || i == j {
-		return fmt.Errorf("netsim: interpod pair fault (%d, %d) invalid for %d pods", i, j, pods)
-	}
-	if recoverAt != 0 && recoverAt <= at {
-		return fmt.Errorf("netsim: interpod pair recovery at %v not after fault at %v", recoverAt, at)
-	}
-	for p := 0; p < pods; p++ {
-		view := ip.down[p]
-		if _, err := ip.sched.PodEngine(p).At(at, func() {
-			view[i*pods+j] = true
-			view[j*pods+i] = true
-		}); err != nil {
-			return err
-		}
-		if recoverAt != 0 {
-			if _, err := ip.sched.PodEngine(p).At(recoverAt, func() {
-				view[i*pods+j] = false
-				view[j*pods+i] = false
-			}); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// pairUp consults pod p's local view of the (a, b) pair.
-func (ip *InterPod) pairUp(p, a, b int) bool {
-	return !ip.down[p][a*ip.sched.Pods()+b]
 }
 
 // Send opens a transfer. It must be called from an event running on the
@@ -223,7 +173,13 @@ func (ip *InterPod) Send(spec TransferSpec) error {
 		Label:     spec.Label + "/egress",
 		OnComplete: func(Flow) {
 			atomic.AddInt64(&ip.stage1Bytes, spec.SizeBytes)
-			ip.route(spec.SrcPod, spec)
+			// The hop lands after the barrier. A rejected post inside an
+			// event is an internal protocol bug (latency below
+			// lookahead), not a caller error.
+			at := ip.sched.PodEngine(spec.SrcPod).Now() + ip.latency
+			if err := ip.sched.Post(spec.SrcPod, spec.DstPod, at, func() { ip.ingress(spec) }); err != nil {
+				panic(fmt.Sprintf("netsim: interpod post: %v", err))
+			}
 		},
 		OnAbort: func(Flow) { ip.abort(spec) },
 	})
@@ -233,42 +189,6 @@ func (ip *InterPod) Send(spec TransferSpec) error {
 		return fmt.Errorf("netsim: interpod egress: %w", err)
 	}
 	return nil
-}
-
-// route forwards a transfer sitting at pod `from`'s gateway toward its
-// destination pod, consulting from's local pair view: direct when the
-// pair is up, else through the lowest-numbered live relay pod, else
-// abort. Runs on from's engine; the post lands after the barrier.
-func (ip *InterPod) route(from int, spec TransferSpec) {
-	now := ip.sched.PodEngine(from).Now()
-	if ip.pairUp(from, from, spec.DstPod) {
-		ip.post(from, spec.DstPod, now+ip.latency, func() { ip.ingress(spec) })
-		return
-	}
-	for r := 0; r < ip.sched.Pods(); r++ {
-		if r == from || r == spec.DstPod {
-			continue
-		}
-		if ip.pairUp(from, from, r) && ip.pairUp(from, r, spec.DstPod) {
-			relay := r
-			atomic.AddInt64(&ip.relayed, 1)
-			ip.post(from, relay, now+ip.latency, func() { ip.forward(relay, spec) })
-			return
-		}
-	}
-	ip.abort(spec)
-}
-
-// forward is the relay hop: one more store-and-forward leg from the
-// relay pod's gateway. The relay re-checks its own (agreeing) view so a
-// recovery between legs still routes consistently.
-func (ip *InterPod) forward(relay int, spec TransferSpec) {
-	if !ip.pairUp(relay, relay, spec.DstPod) {
-		ip.abort(spec)
-		return
-	}
-	now := ip.sched.PodEngine(relay).Now()
-	ip.post(relay, spec.DstPod, now+ip.latency, func() { ip.ingress(spec) })
 }
 
 // ingress runs on the destination pod's engine: the final gateway→host
@@ -304,13 +224,5 @@ func (ip *InterPod) abort(spec TransferSpec) {
 	atomic.AddInt64(&ip.pending, -1)
 	if spec.OnAbort != nil {
 		spec.OnAbort()
-	}
-}
-
-// post wraps ShardedEngine.Post; a rejected post inside an event is an
-// internal protocol bug (latency below lookahead), not a caller error.
-func (ip *InterPod) post(src, dst int, at sim.Time, fn func()) {
-	if err := ip.sched.Post(src, dst, at, fn); err != nil {
-		panic(fmt.Sprintf("netsim: interpod post: %v", err))
 	}
 }

@@ -65,7 +65,7 @@ func TestInterPodTransfer(t *testing.T) {
 			t.Fatalf("engines=%d: OnComplete ran %d times", engines, done)
 		}
 		s := h.ip.Stats()
-		if s.Started != 1 || s.Completed != 1 || s.Aborted != 0 || s.Pending != 0 || s.Relayed != 0 {
+		if s.Started != 1 || s.Completed != 1 || s.Aborted != 0 || s.Pending != 0 {
 			t.Fatalf("engines=%d: stats %+v", engines, s)
 		}
 		if s.Stage1Bytes != 1<<20 || s.Stage2Bytes != 1<<20 {
@@ -116,118 +116,6 @@ func TestInterPodValidation(t *testing.T) {
 	}
 	if _, err := NewInterPod(h.sched, h.nets, []NodeID{0, 0}, 1); err == nil {
 		t.Error("NewInterPod with latency below lookahead succeeded")
-	}
-}
-
-// TestInterPodRelay: with the direct pair down, a transfer detours
-// through the one remaining pod — and the detour is identical at any
-// engine count.
-func TestInterPodRelay(t *testing.T) {
-	for _, engines := range []int{1, 3} {
-		h := newIPHarness(t, 3, engines)
-		if err := h.ip.SchedulePairFault(0, 2, 0, 0); err != nil {
-			t.Fatal(err)
-		}
-		done := 0
-		if _, err := h.sched.PodEngine(0).At(sim.Time(1000), func() {
-			err := h.ip.Send(TransferSpec{
-				SrcPod: 0, DstPod: 2,
-				Src: h.host(0, 1), Dst: h.host(2, 1),
-				SizeBytes: 4096, Label: "relay/distcp",
-				OnComplete: func() { done++ },
-				OnAbort:    func() { t.Error("relayed transfer aborted") },
-			})
-			if err != nil {
-				t.Errorf("Send: %v", err)
-			}
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := h.sched.Drain(); err != nil {
-			t.Fatal(err)
-		}
-		if done != 1 {
-			t.Fatalf("engines=%d: relayed transfer did not complete", engines)
-		}
-		if s := h.ip.Stats(); s.Relayed != 1 || s.Completed != 1 {
-			t.Fatalf("engines=%d: stats %+v", engines, s)
-		}
-		if err := h.ip.CheckInvariants(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// TestInterPodNoRoute: two pods, pair down, no relay exists — the
-// transfer aborts cleanly after its egress leg.
-func TestInterPodNoRoute(t *testing.T) {
-	h := newIPHarness(t, 2, 2)
-	if err := h.ip.SchedulePairFault(0, 1, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	aborted := 0
-	if _, err := h.sched.PodEngine(0).At(sim.Time(1000), func() {
-		err := h.ip.Send(TransferSpec{
-			SrcPod: 0, DstPod: 1,
-			Src: h.host(0, 1), Dst: h.host(1, 1),
-			SizeBytes: 4096, Label: "doomed",
-			OnComplete: func() { t.Error("unroutable transfer completed") },
-			OnAbort:    func() { aborted++ },
-		})
-		if err != nil {
-			t.Errorf("Send: %v", err)
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.sched.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	if aborted != 1 {
-		t.Fatal("unroutable transfer did not abort")
-	}
-	s := h.ip.Stats()
-	if s.Stage1Bytes != 4096 || s.Stage2Bytes != 0 {
-		t.Fatalf("stage bytes %d/%d, want egress only", s.Stage1Bytes, s.Stage2Bytes)
-	}
-	if err := h.ip.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestInterPodPairRecovery: a pair fault with a recovery window — a
-// transfer sent after recovery routes directly again.
-func TestInterPodPairRecovery(t *testing.T) {
-	h := newIPHarness(t, 2, 2)
-	if err := h.ip.SchedulePairFault(0, 1, 0, sim.Time(5*DefaultInterPodLatencyNs)); err != nil {
-		t.Fatal(err)
-	}
-	done := 0
-	if _, err := h.sched.PodEngine(0).At(sim.Time(10*DefaultInterPodLatencyNs), func() {
-		err := h.ip.Send(TransferSpec{
-			SrcPod: 0, DstPod: 1,
-			Src: h.host(0, 1), Dst: h.host(1, 1),
-			SizeBytes: 4096, Label: "after-recovery",
-			OnComplete: func() { done++ },
-			OnAbort:    func() { t.Error("post-recovery transfer aborted") },
-		})
-		if err != nil {
-			t.Errorf("Send: %v", err)
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.sched.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	if done != 1 {
-		t.Fatal("post-recovery transfer did not complete")
-	}
-	if err := h.ip.SchedulePairFault(0, 0, 0, 0); err == nil {
-		t.Error("self-pair fault accepted")
-	}
-	if err := h.ip.SchedulePairFault(0, 1, 100, 50); err == nil {
-		t.Error("recovery before fault accepted")
 	}
 }
 

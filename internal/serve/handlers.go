@@ -467,11 +467,11 @@ func genFromQuery(r *http.Request) (*generateRequest, error) {
 	return req, nil
 }
 
-// effectiveWorkers mirrors the GenSpec/MixSpec default so ns3 node
+// effectiveWorkers applies the GenSpec/MixSpec default so ns3 node
 // numbering matches what generation will actually use.
 func effectiveWorkers(w int) int {
 	if w <= 0 {
-		return 16
+		return core.DefaultWorkers
 	}
 	return w
 }

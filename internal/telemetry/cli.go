@@ -19,7 +19,8 @@ type Flags struct {
 	// TraceOut writes the span timeline as CSV.
 	TraceOut string
 	// LinksOut enables the per-link utilisation timeline and writes it
-	// as CSV (single-capture commands only).
+	// as CSV. Only single-session commands take it: the timeline has no
+	// session column, so a command that runs many sessions refuses it.
 	LinksOut string
 	// PprofAddr serves /metrics, /metrics.json, /trace.csv and
 	// /debug/pprof on this address for the lifetime of the command.
@@ -31,7 +32,7 @@ func (f *Flags) Register(fs *flag.FlagSet) {
 	fs.BoolVar(&f.Metrics, "metrics", false, "collect telemetry; print Prometheus text and JSON snapshot to stdout on exit")
 	fs.StringVar(&f.MetricsOut, "metrics-out", "", "collect telemetry; write <prefix>.prom and <prefix>.json snapshots")
 	fs.StringVar(&f.TraceOut, "trace-out", "", "collect telemetry; write the phase-span timeline as CSV to this path")
-	fs.StringVar(&f.LinksOut, "links-out", "", "sample per-link utilisation; write the timeline as CSV to this path")
+	fs.StringVar(&f.LinksOut, "links-out", "", "sample per-link utilisation; write the timeline as CSV to this path (single-session commands only)")
 	fs.StringVar(&f.PprofAddr, "pprof", "", "serve /metrics and /debug/pprof on this address (e.g. localhost:6060)")
 }
 

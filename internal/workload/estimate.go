@@ -18,13 +18,12 @@ import "keddah/internal/hadoop/mapreduce"
 // plus fixed headroom for control traffic.
 //
 // slotsPerNode and replication are the values in force, defaults
-// already filled. workers is one pod's worker count. When pods > 1 the estimate sizes one
-// pod of a multi-pod capture and adds headroom for inter-pod fabric
-// traffic through the pod's gateway: under skewed placement (every copy
-// into one pod) all pods−1 other pods' transfers can target it at once,
-// and each transfer holds at most two flows inside a pod (an egress and
-// an ingress leg never coexist for one transfer, but relay traffic can
-// add a second), so the headroom is 2·(pods−1) + 8.
+// already filled. workers is one pod's worker count. When pods > 1 the
+// estimate sizes one pod of a multi-pod capture and adds headroom for
+// the ring copies through the pod's gateway: a pod holds at most its own
+// copy's egress leg and its predecessor's ingress leg. The headroom,
+// 2·(pods−1) + 8, covers that at every pod count; it sizes memory, not
+// traffic, so it is kept as it stands rather than tightened.
 func EstimatePeakFlows(specs []RunSpec, workers, slotsPerNode, replication, pods int) int {
 	if workers <= 0 {
 		workers = 1

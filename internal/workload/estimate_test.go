@@ -28,12 +28,11 @@ func TestEstimatePeakFlowsMultiPod(t *testing.T) {
 	if got := EstimatePeakFlows(specs, 32, 4, 3, 0); got != base {
 		t.Fatalf("pods=0 estimate = %d, want the single-pod %d", got, base)
 	}
-	// Skewed fan-in: in an 8-pod federation where every transfer targets
-	// one pod, that pod must be sized for all 7 inbound transfers — two
-	// flow slots each (ingress plus possible relay leg) on top of its own
-	// workload peak.
+	// An 8-pod federation reserves two flow slots per other pod plus
+	// fixed headroom on top of the pod's own workload peak — more than
+	// the ring copies' egress and ingress legs need.
 	if got, want := EstimatePeakFlows(specs, 32, 4, 3, 8), base+2*7+8; got != want {
-		t.Fatalf("skewed fan-in estimate = %d, want %d", got, want)
+		t.Fatalf("eight-pod estimate = %d, want %d", got, want)
 	}
 	// The smallest federation, two pods, reserves for one inbound transfer.
 	if got, want := EstimatePeakFlows(specs, 32, 4, 3, 2), base+2+8; got != want {
