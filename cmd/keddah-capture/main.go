@@ -16,7 +16,6 @@ import (
 
 	"keddah/internal/core"
 	"keddah/internal/flows"
-	"keddah/internal/netsim"
 	"keddah/internal/pcap"
 	"keddah/internal/telemetry"
 	"keddah/internal/workload"
@@ -68,9 +67,6 @@ func run() error {
 		Pods:        *pods,
 		Shards:      *shards,
 		Seed:        *seed,
-	}
-	if _, err := netsim.ParseTransport(*transport); err != nil {
-		return err
 	}
 	var runSpecs []workload.RunSpec
 	for _, prof := range strings.Split(*workloads, ",") {

@@ -137,8 +137,6 @@ func TestE17bCaptureGoldenDigests(t *testing.T) {
 		WindowEndNs:   int64(round.Submitted) + int64(round.Duration())*7/10,
 		MinDurationNs: 3_000_000_000,
 		MaxDurationNs: 8_000_000_000,
-		MinFactor:     0.1,
-		MaxFactor:     0.5,
 	})
 	for _, transport := range []string{"fluid", "tcp"} {
 		for _, scenario := range []string{"healthy", "chaos"} {

@@ -158,19 +158,11 @@ func (s ClusterSpec) buildClusterOn(eng *sim.Engine) (*hadoop.Cluster, error) {
 // netsim.Config, rejecting unknown names. Captures and replays both build
 // their network from it, so the two can never disagree on a spec.
 func (s ClusterSpec) netConfig() (netsim.Config, error) {
-	var alloc netsim.Allocator
-	switch s.Allocator {
-	case "", "maxmin":
-		alloc = netsim.AllocMaxMin
-	case "equalsplit":
-		alloc = netsim.AllocEqualSplit
-	default:
-		return netsim.Config{}, fmt.Errorf("core: unknown allocator %q", s.Allocator)
-	}
-	if _, err := netsim.ParseTransport(s.Transport); err != nil {
+	cfg := netsim.Config{Allocator: s.Allocator, Transport: s.Transport}
+	if err := cfg.Validate(); err != nil {
 		return netsim.Config{}, fmt.Errorf("core: %w", err)
 	}
-	return netsim.Config{Allocator: alloc, Transport: s.Transport}, nil
+	return cfg, nil
 }
 
 // FailureSpec injects a whole-worker failure during a capture session.

@@ -160,7 +160,7 @@ func TestMultiPodValidation(t *testing.T) {
 		return spec
 	}
 	links := telemetry.New()
-	links.EnableLinkTimeline(0)
+	links.EnableLinkTimeline()
 	runs := []workload.RunSpec{{Profile: "terasort", InputBytes: 4 << 20}}
 	cases := []struct {
 		name string

@@ -148,7 +148,7 @@ func TestReplayWithTelemetry(t *testing.T) {
 			t.Fatal(err)
 		}
 		tel := telemetry.New()
-		tl := tel.EnableLinkTimeline(100_000_000)
+		tl := tel.EnableLinkTimeline()
 		recs, makespan, err := ReplayWith(sched, spec, tel)
 		if err != nil {
 			t.Fatal(err)

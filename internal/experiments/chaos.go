@@ -80,8 +80,6 @@ func runE16(cfg Config) ([]Table, error) {
 					WindowEndNs:   winEnd,
 					MinDurationNs: minDur,
 					MaxDurationNs: maxDur,
-					MinFactor:     0.1,
-					MaxFactor:     0.5,
 				})
 				ts, res, err := core.CaptureWith(spec, runSpec, core.CaptureOpts{Faults: sched, Telemetry: cfg.Telemetry, StrictChecks: cfg.StrictChecks})
 				if err != nil {

@@ -155,8 +155,6 @@ func runE17Capture(cfg Config) (*Table, error) {
 		WindowEndNs:   int64(round0.Submitted) + int64(round0.Duration())*7/10,
 		MinDurationNs: 3_000_000_000,
 		MaxDurationNs: 8_000_000_000,
-		MinFactor:     0.1,
-		MaxFactor:     0.5,
 	})
 
 	cells := []struct {

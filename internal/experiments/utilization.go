@@ -49,7 +49,7 @@ func runE14(cfg Config) ([]Table, error) {
 			UplinkGbps: uplink, Seed: cfg.Seed,
 		}
 		tel := telemetry.New()
-		tl := tel.EnableLinkTimeline(100_000_000)
+		tl := tel.EnableLinkTimeline()
 		_, end, err := core.ReplayWith(sched, spec, tel)
 		if err != nil {
 			return nil, fmt.Errorf("uplink %v: %w", uplink, err)

@@ -233,10 +233,14 @@ type RandomOpts struct {
 	// and 10 s).
 	MinDurationNs int64
 	MaxDurationNs int64
-	// MinFactor / MaxFactor bound LinkDegrade factors (defaults 0.1, 0.5).
-	MinFactor float64
-	MaxFactor float64
 }
+
+// Random draws LinkDegrade factors uniformly from [minDegradeFactor,
+// maxDegradeFactor): a link keeps a tenth to a half of its capacity.
+const (
+	minDegradeFactor = 0.1
+	maxDegradeFactor = 0.5
+)
 
 func (o *RandomOpts) applyDefaults() {
 	if len(o.Kinds) == 0 {
@@ -250,12 +254,6 @@ func (o *RandomOpts) applyDefaults() {
 	}
 	if o.MaxDurationNs < o.MinDurationNs {
 		o.MaxDurationNs = o.MinDurationNs + 7_000_000_000
-	}
-	if o.MinFactor <= 0 {
-		o.MinFactor = 0.1
-	}
-	if o.MaxFactor < o.MinFactor {
-		o.MaxFactor = 0.5
 	}
 }
 
@@ -304,7 +302,7 @@ func draw(rng *stats.RNG, opts RandomOpts) Fault {
 		f.Worker = rng.Intn(opts.Workers)
 	}
 	if f.Kind == LinkDegrade {
-		f.Factor = opts.MinFactor + rng.Float64()*(opts.MaxFactor-opts.MinFactor)
+		f.Factor = minDegradeFactor + rng.Float64()*(maxDegradeFactor-minDegradeFactor)
 	}
 	return f
 }

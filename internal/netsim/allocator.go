@@ -3,13 +3,13 @@ package netsim
 import "math"
 
 // This file holds the flow core's bandwidth-sharing rate computations.
-// Both write the per-flow rate vector into c.rates (indexed by
+// Both write the per-flow rate vector into n.rates (indexed by
 // active-list position), sized by reallocate before dispatch.
 //
 // maxMinFill is the one production progressive-filling routine, shared
 // by the fluid transport (no demand caps) and TCP (each flow capped at
 // its window demand). It is driven by maintained state rather than
-// rescans: it walks only the loaded links (c.loaded — those some active
+// rescans: it walks only the loaded links (n.loaded — those some active
 // flow crosses), freezes a bottleneck's flows straight off its per-link
 // list (kept in active-list order, so no sort), and rescans the flow set
 // for demand-limited flows only when one can actually freeze. Its cost is
@@ -46,23 +46,23 @@ import "math"
 // every captured byte stays a function of the seed alone. A flow left
 // with no loaded link (only possible on infinite-capacity links) freezes
 // at its demand, or at the loopback rate when uncapped.
-func (c *soaCore) maxMinFill(demand []float64) {
-	scan := append(c.loadScan[:0], c.loaded...)
+func (n *Network) maxMinFill(demand []float64) {
+	scan := append(n.loadScan[:0], n.loaded...)
 	for _, l := range scan {
-		c.remCap[l] = c.topo.links[l].CapacityBps
-		c.cnt[l] = len(c.linkFlows[l])
+		n.remCap[l] = n.topo.links[l].CapacityBps
+		n.cnt[l] = len(n.linkFlows[l])
 	}
-	remaining := len(c.active)
+	remaining := len(n.active)
 	minDemand := math.Inf(1)
-	cand := c.cand[:0]
+	cand := n.cand[:0]
 	if demand != nil {
-		for i, s := range c.active {
+		for i, s := range n.active {
 			d := demand[s]
 			if d <= 0 {
-				c.rates[i], c.frozen[i] = 0, true
+				n.rates[i], n.frozen[i] = 0, true
 				remaining--
-				for _, lid := range c.path(s) {
-					c.cnt[lid]--
+				for _, lid := range n.path(s) {
+					n.cnt[lid]--
 				}
 				continue
 			}
@@ -75,22 +75,22 @@ func (c *soaCore) maxMinFill(demand []float64) {
 	for remaining > 0 {
 		best := LinkID(-1)
 		bestShare := math.Inf(1)
-		n := 0
+		kept := 0
 		for _, l := range scan {
-			cn := c.cnt[l]
+			cn := n.cnt[l]
 			if cn == 0 {
 				continue
 			}
-			scan[n] = l
-			n++
-			share := c.remCap[l] / float64(cn)
+			scan[kept] = l
+			kept++
+			share := n.remCap[l] / float64(cn)
 			if share < bestShare || share == bestShare && l < best {
 				bestShare, best = share, l
 			}
 		}
-		scan = scan[:n]
+		scan = scan[:kept]
 		if best < 0 {
-			c.freezeStranded(demand)
+			n.freezeStranded(demand)
 			break
 		}
 		if minDemand <= bestShare {
@@ -98,10 +98,10 @@ func (c *soaCore) maxMinFill(demand []float64) {
 			minDemand = math.Inf(1)
 			k := 0
 			for _, i := range cand {
-				if c.frozen[i] {
+				if n.frozen[i] {
 					continue
 				}
-				s := c.active[i]
+				s := n.active[i]
 				if d := demand[s]; d > bestShare {
 					cand[k] = i
 					k++
@@ -109,7 +109,7 @@ func (c *soaCore) maxMinFill(demand []float64) {
 						minDemand = d
 					}
 				} else {
-					c.freezeAt(int(i), s, d)
+					n.freezeAt(int(i), s, d)
 					remaining--
 					froze = true
 				}
@@ -119,56 +119,56 @@ func (c *soaCore) maxMinFill(demand []float64) {
 				continue // shares moved; re-pick the bottleneck
 			}
 		}
-		for _, s := range c.linkFlows[best] {
-			if i := int(c.listIdx[s]); !c.frozen[i] {
-				c.freezeAt(i, s, bestShare)
+		for _, s := range n.linkFlows[best] {
+			if i := int(n.listIdx[s]); !n.frozen[i] {
+				n.freezeAt(i, s, bestShare)
 				remaining--
 			}
 		}
 	}
-	c.loadScan = scan[:0]
-	c.cand = cand[:0]
+	n.loadScan = scan[:0]
+	n.cand = cand[:0]
 }
 
 // freezeAt fixes the flow at active-list position i (slot s) at rate r
 // and returns its claim to every link on its path.
-func (c *soaCore) freezeAt(i int, s int32, r float64) {
-	c.rates[i] = r
-	c.frozen[i] = true
-	for _, lid := range c.path(s) {
-		c.remCap[lid] -= r
-		if c.remCap[lid] < 0 {
-			c.remCap[lid] = 0
+func (n *Network) freezeAt(i int, s int32, r float64) {
+	n.rates[i] = r
+	n.frozen[i] = true
+	for _, lid := range n.path(s) {
+		n.remCap[lid] -= r
+		if n.remCap[lid] < 0 {
+			n.remCap[lid] = 0
 		}
-		c.cnt[lid]--
+		n.cnt[lid]--
 	}
 }
 
 // freezeStranded handles the should-not-happen case of unfrozen flows
 // with no loaded links left: they freeze at their demand, or at the
 // loopback rate when uncapped.
-func (c *soaCore) freezeStranded(demand []float64) {
-	for i, s := range c.active {
-		if !c.frozen[i] {
-			c.rates[i] = loopbackBps
+func (n *Network) freezeStranded(demand []float64) {
+	for i, s := range n.active {
+		if !n.frozen[i] {
+			n.rates[i] = loopbackBps
 			if demand != nil {
-				c.rates[i] = demand[s]
+				n.rates[i] = demand[s]
 			}
-			c.frozen[i] = true
+			n.frozen[i] = true
 		}
 	}
 }
 
 // equalSplitRates is the ablation allocator: each flow gets min over its
 // path of capacity/flow-count, with no redistribution of slack.
-func (c *soaCore) equalSplitRates() {
-	for _, l := range c.loaded {
-		c.cnt[l] = len(c.linkFlows[l])
+func (n *Network) equalSplitRates() {
+	for _, l := range n.loaded {
+		n.cnt[l] = len(n.linkFlows[l])
 	}
-	for i, s := range c.active {
+	for i, s := range n.active {
 		rate := math.Inf(1)
-		for _, lid := range c.path(s) {
-			share := c.topo.links[lid].CapacityBps / float64(c.cnt[lid])
+		for _, lid := range n.path(s) {
+			share := n.topo.links[lid].CapacityBps / float64(n.cnt[lid])
 			if share < rate {
 				rate = share
 			}
@@ -176,6 +176,6 @@ func (c *soaCore) equalSplitRates() {
 		if math.IsInf(rate, 1) {
 			rate = loopbackBps
 		}
-		c.rates[i] = rate
+		n.rates[i] = rate
 	}
 }

@@ -51,7 +51,6 @@ func FuzzMaxMinFill(f *testing.F) {
 		eng := sim.New()
 		eng.MaxEvents = 2_000_000
 		net := NewNetwork(eng, topo, cfg)
-		c := net.soa
 		hosts := topo.Hosts()
 		nl := topo.NumLinks()
 
@@ -60,16 +59,16 @@ func FuzzMaxMinFill(f *testing.F) {
 			if err := net.VerifyState(); err != nil {
 				t.Fatalf("op %d: %v", where, err)
 			}
-			if c.reallocPending || len(c.active) == 0 {
+			if net.reallocPending || len(net.active) == 0 {
 				return
 			}
 			var want []float64
-			if c.tcp != nil {
-				want = refTCPRates(c, c.tcp.demand)
+			if net.tcp != nil {
+				want = refTCPRates(net, net.tcp.demand)
 			} else {
-				want = refFluidRates(c)
+				want = refFluidRates(net)
 			}
-			assertSameBits(t, where, "installed", c.rates, want)
+			assertSameBits(t, where, "installed", net.rates, want)
 		}
 
 		var ports []int // SrcPort of every flow started, unique per flow
@@ -104,7 +103,7 @@ func FuzzMaxMinFill(f *testing.F) {
 					t.Fatal(err)
 				}
 			case 5: // probe the live flow set with an arbitrary demand vector
-				probeDemand(t, i, c, uint64(arg))
+				probeDemand(t, i, net, uint64(arg))
 			case 6: // rescale a link's capacity (1, 1/2 or 1/4)
 				if err := net.SetLinkCapacityScale(LinkID(arg%nl), 1/float64(int(1)<<(arg%3))); err != nil {
 					t.Fatal(err)
@@ -127,7 +126,7 @@ func FuzzMaxMinFill(f *testing.F) {
 // probeDemand runs maxMinFill on the live flow set under a demand vector
 // drawn from a small palette (so repeats are common) and compares it with
 // refTCPRates, then restores the installed rate vector.
-func probeDemand(t *testing.T, where int, c *soaCore, seed uint64) {
+func probeDemand(t *testing.T, where int, c *Network, seed uint64) {
 	t.Helper()
 	nf := len(c.active)
 	if nf == 0 {
@@ -164,7 +163,7 @@ func assertSameBits(t *testing.T, where int, what string, got, want []float64) {
 // refState is the reference loops' private scratch: every array is fresh,
 // so nothing is shared with the allocator under test.
 type refState struct {
-	c      *soaCore
+	c      *Network
 	remCap []float64
 	cnt    []int
 	rates  []float64
@@ -172,7 +171,7 @@ type refState struct {
 }
 
 // newRefState starts every link at full capacity and its index length.
-func newRefState(c *soaCore) *refState {
+func newRefState(c *Network) *refState {
 	r := &refState{
 		c:      c,
 		remCap: make([]float64, len(c.topo.links)),
@@ -238,7 +237,7 @@ func (r *refState) freeze(li, s int32, rate float64, remaining *int) {
 
 // refFluidRates is uncapped progressive filling, with stranded flows at
 // the loopback rate.
-func refFluidRates(c *soaCore) []float64 {
+func refFluidRates(c *Network) []float64 {
 	r := newRefState(c)
 	remaining := len(c.active)
 	for remaining > 0 {
@@ -261,7 +260,7 @@ func refFluidRates(c *soaCore) []float64 {
 // refTCPRates is demand-capped progressive filling: zero-demand flows
 // freeze at 0 up front, and every round first rescans all flows for one
 // whose demand fits under the fair share before freezing the bottleneck.
-func refTCPRates(c *soaCore, demand []float64) []float64 {
+func refTCPRates(c *Network, demand []float64) []float64 {
 	r := newRefState(c)
 	remaining := len(c.active)
 	for i, s := range c.active {

@@ -24,70 +24,53 @@ import (
 // pending it additionally verifies the allocation itself via
 // CheckInvariants (capacity and bottleneck conditions).
 func (n *Network) VerifyState() error {
-	if err := n.soa.verifyState(); err != nil {
-		return err
-	}
-	if n.soa.tcp != nil {
-		if err := n.soa.tcp.verify(); err != nil {
-			return err
+	for i, s := range n.active {
+		if int(n.listIdx[s]) != i {
+			return fmt.Errorf("netsim: flow %d listIdx %d but held at position %d", n.fid[s], n.listIdx[s], i)
 		}
-	}
-	if n.reallocPendingNow() {
-		// Rates are stale until the coalesced dirty event fires at this
-		// same timestamp; the allocation conditions are not meaningful yet.
-		return nil
-	}
-	return n.CheckInvariants()
-}
-
-func (c *soaCore) verifyState() error {
-	for i, s := range c.active {
-		if int(c.listIdx[s]) != i {
-			return fmt.Errorf("netsim: flow %d listIdx %d but held at position %d", c.fid[s], c.listIdx[s], i)
+		if n.parkPos[s] != -1 {
+			return fmt.Errorf("netsim: flow %d both active and parked (pos %d)", n.fid[s], n.parkPos[s])
 		}
-		if c.parkPos[s] != -1 {
-			return fmt.Errorf("netsim: flow %d both active and parked (pos %d)", c.fid[s], c.parkPos[s])
-		}
-		if i > 0 && c.actSeq[c.active[i-1]] >= c.actSeq[s] {
+		if i > 0 && n.actSeq[n.active[i-1]] >= n.actSeq[s] {
 			return fmt.Errorf("netsim: active list out of activation order at position %d", i)
 		}
-		if err := c.verifyTransferring(s); err != nil {
+		if err := n.verifyTransferring(s); err != nil {
 			return err
 		}
-		if err := c.verifyCompletion(s); err != nil {
+		if err := n.verifyCompletion(s); err != nil {
 			return err
 		}
-		for _, lid := range c.path(s) {
-			if !slices.Contains(c.linkFlows[lid], s) {
-				return fmt.Errorf("netsim: flow %d missing from link %d's index", c.fid[s], lid)
+		for _, lid := range n.path(s) {
+			if !slices.Contains(n.linkFlows[lid], s) {
+				return fmt.Errorf("netsim: flow %d missing from link %d's index", n.fid[s], lid)
 			}
 		}
 	}
-	if len(c.parked) > 0 && c.tcp == nil {
-		return fmt.Errorf("netsim: %d flows parked under the fluid transport", len(c.parked))
+	if len(n.parked) > 0 && n.tcp == nil {
+		return fmt.Errorf("netsim: %d flows parked under the fluid transport", len(n.parked))
 	}
-	for i, s := range c.parked {
-		if int(c.parkPos[s]) != i {
-			return fmt.Errorf("netsim: flow %d parkPos %d but parked at position %d", c.fid[s], c.parkPos[s], i)
+	for i, s := range n.parked {
+		if int(n.parkPos[s]) != i {
+			return fmt.Errorf("netsim: flow %d parkPos %d but parked at position %d", n.fid[s], n.parkPos[s], i)
 		}
-		if c.listIdx[s] != -1 {
-			return fmt.Errorf("netsim: parked flow %d keeps active-list index %d", c.fid[s], c.listIdx[s])
+		if n.listIdx[s] != -1 {
+			return fmt.Errorf("netsim: parked flow %d keeps active-list index %d", n.fid[s], n.listIdx[s])
 		}
-		if err := c.verifyTransferring(s); err != nil {
+		if err := n.verifyTransferring(s); err != nil {
 			return err
 		}
-		if c.rate[s] != 0 || c.tcp.demand[s] != 0 {
-			return fmt.Errorf("netsim: parked flow %d has rate %.3g and demand %.3g bps, want 0", c.fid[s], c.rate[s], c.tcp.demand[s])
+		if n.rate[s] != 0 || n.tcp.demand[s] != 0 {
+			return fmt.Errorf("netsim: parked flow %d has rate %.3g and demand %.3g bps, want 0", n.fid[s], n.rate[s], n.tcp.demand[s])
 		}
-		if c.due[s] != noDue || c.completeEv[s].Pending() {
-			return fmt.Errorf("netsim: parked flow %d is due at %v (completion pending %v)", c.fid[s], c.due[s], c.completeEv[s].Pending())
+		if n.due[s] != noDue || n.completeEv[s].Pending() {
+			return fmt.Errorf("netsim: parked flow %d is due at %v (completion pending %v)", n.fid[s], n.due[s], n.completeEv[s].Pending())
 		}
-		if !c.tcp.rtoEv[s].Pending() {
-			return fmt.Errorf("netsim: parked flow %d has no retransmission timer pending", c.fid[s])
+		if !n.tcp.rtoEv[s].Pending() {
+			return fmt.Errorf("netsim: parked flow %d has no retransmission timer pending", n.fid[s])
 		}
-		for _, lid := range c.path(s) {
-			if slices.Contains(c.linkFlows[lid], s) {
-				return fmt.Errorf("netsim: parked flow %d still in link %d's index", c.fid[s], lid)
+		for _, lid := range n.path(s) {
+			if slices.Contains(n.linkFlows[lid], s) {
+				return fmt.Errorf("netsim: parked flow %d still in link %d's index", n.fid[s], lid)
 			}
 		}
 	}
@@ -95,33 +78,33 @@ func (c *soaCore) verifyState() error {
 	// (the allocator's freeze order), and loaded names exactly the links
 	// whose list is non-empty.
 	indexed, nLoaded := 0, 0
-	for l, lst := range c.linkFlows {
+	for l, lst := range n.linkFlows {
 		for j, s := range lst {
-			if c.state[s] != slotActive || c.listIdx[s] < 0 {
-				return fmt.Errorf("netsim: link %d index holds slot %d in state %d, list index %d", l, s, c.state[s], c.listIdx[s])
+			if n.state[s] != slotActive || n.listIdx[s] < 0 {
+				return fmt.Errorf("netsim: link %d index holds slot %d in state %d, list index %d", l, s, n.state[s], n.listIdx[s])
 			}
-			if j > 0 && c.listIdx[lst[j-1]] >= c.listIdx[s] {
+			if j > 0 && n.listIdx[lst[j-1]] >= n.listIdx[s] {
 				return fmt.Errorf("netsim: link %d index out of active-list order at entry %d", l, j)
 			}
 		}
 		indexed += len(lst)
-		p := c.loadedPos[l]
+		p := n.loadedPos[l]
 		switch {
 		case len(lst) == 0 && p != -1:
 			return fmt.Errorf("netsim: empty link %d marked loaded at %d", l, p)
-		case len(lst) > 0 && (p < 0 || int(p) >= len(c.loaded) || c.loaded[p] != LinkID(l)):
+		case len(lst) > 0 && (p < 0 || int(p) >= len(n.loaded) || n.loaded[p] != LinkID(l)):
 			return fmt.Errorf("netsim: loaded link %d missing from the loaded list (pos %d)", l, p)
 		}
 		if len(lst) > 0 {
 			nLoaded++
 		}
 	}
-	if nLoaded != len(c.loaded) {
-		return fmt.Errorf("netsim: loaded list holds %d links, %d carry flows", len(c.loaded), nLoaded)
+	if nLoaded != len(n.loaded) {
+		return fmt.Errorf("netsim: loaded list holds %d links, %d carry flows", len(n.loaded), nLoaded)
 	}
 	pathSum := 0
-	for _, s := range c.active {
-		pathSum += int(c.pathLen[s])
+	for _, s := range n.active {
+		pathSum += int(n.pathLen[s])
 	}
 	if indexed != pathSum {
 		return fmt.Errorf("netsim: per-link index holds %d entries, active paths cover %d", indexed, pathSum)
@@ -129,46 +112,56 @@ func (c *soaCore) verifyState() error {
 	// Slot accounting: every slot is exactly one of free-listed, in the
 	// active list, parked, or mid-lifecycle (propagating/loopback).
 	inFree := 0
-	for _, s := range c.freeSlots {
-		if c.state[s] != slotFree {
-			return fmt.Errorf("netsim: slot %d on the free list but in state %d", s, c.state[s])
+	for _, s := range n.freeSlots {
+		if n.state[s] != slotFree {
+			return fmt.Errorf("netsim: slot %d on the free list but in state %d", s, n.state[s])
 		}
 		inFree++
 	}
 	nFree, nActive := 0, 0
-	for s, st := range c.state {
+	for s, st := range n.state {
 		switch st {
 		case slotFree:
 			nFree++
 		case slotActive:
 			nActive++
 		}
-		if p := c.parkPos[s]; p >= 0 && (int(p) >= len(c.parked) || c.parked[p] != int32(s)) {
+		if p := n.parkPos[s]; p >= 0 && (int(p) >= len(n.parked) || n.parked[p] != int32(s)) {
 			return fmt.Errorf("netsim: slot %d parkPos %d but not parked there", s, p)
 		}
 	}
 	if inFree != nFree {
 		return fmt.Errorf("netsim: %d slots marked free but %d on the free list", nFree, inFree)
 	}
-	if held := len(c.active) + len(c.parked); held != nActive {
+	if held := len(n.active) + len(n.parked); held != nActive {
 		return fmt.Errorf("netsim: %d slots transferring but %d active or parked", nActive, held)
 	}
-	return nil
+	if n.tcp != nil {
+		if err := n.tcp.verify(); err != nil {
+			return err
+		}
+	}
+	if n.reallocPending {
+		// Rates are stale until the coalesced dirty event fires at this
+		// same timestamp; the allocation conditions are not meaningful yet.
+		return nil
+	}
+	return n.CheckInvariants()
 }
 
 // verifyTransferring checks what holds for every transferring slot s,
 // active or parked: its state, its residue, and a path clear of downed
 // links.
-func (c *soaCore) verifyTransferring(s int32) error {
-	if c.state[s] != slotActive {
-		return fmt.Errorf("netsim: flow %d held as transferring but state %d (done, free or not yet active)", c.fid[s], c.state[s])
+func (n *Network) verifyTransferring(s int32) error {
+	if n.state[s] != slotActive {
+		return fmt.Errorf("netsim: flow %d held as transferring but state %d (done, free or not yet active)", n.fid[s], n.state[s])
 	}
-	if c.remaining[s] < 0 || c.remaining[s] > float64(c.spec[s].SizeBytes) {
-		return fmt.Errorf("netsim: flow %d remaining %.3g outside [0, %d]", c.fid[s], c.remaining[s], c.spec[s].SizeBytes)
+	if n.remaining[s] < 0 || n.remaining[s] > float64(n.spec[s].SizeBytes) {
+		return fmt.Errorf("netsim: flow %d remaining %.3g outside [0, %d]", n.fid[s], n.remaining[s], n.spec[s].SizeBytes)
 	}
-	for _, lid := range c.path(s) {
-		if c.topo.linkDown[lid] {
-			return fmt.Errorf("netsim: flow %d active on downed link %d", c.fid[s], lid)
+	for _, lid := range n.path(s) {
+		if n.topo.linkDown[lid] {
+			return fmt.Errorf("netsim: flow %d active on downed link %d", n.fid[s], lid)
 		}
 	}
 	return nil
@@ -181,23 +174,23 @@ func (c *soaCore) verifyTransferring(s int32) error {
 // due time is at or before the horizon — the next ack-clock tick under
 // TCP, always in fluid mode. (A pending reallocation may be the one that
 // arms completions the last tick moved inside the horizon.)
-func (c *soaCore) verifyCompletion(s int32) error {
-	ev := c.completeEv[s]
+func (n *Network) verifyCompletion(s int32) error {
+	ev := n.completeEv[s]
 	pending := ev.Pending()
-	if c.rate[s] == 0 {
-		if c.due[s] != noDue || pending {
-			return fmt.Errorf("netsim: flow %d has no rate but is due at %v (pending %v)", c.fid[s], c.due[s], pending)
+	if n.rate[s] == 0 {
+		if n.due[s] != noDue || pending {
+			return fmt.Errorf("netsim: flow %d has no rate but is due at %v (pending %v)", n.fid[s], n.due[s], pending)
 		}
 		return nil
 	}
-	if pending && ev.At() != c.due[s] {
-		return fmt.Errorf("netsim: flow %d completion pending at %v, due at %v", c.fid[s], ev.At(), c.due[s])
+	if pending && ev.At() != n.due[s] {
+		return fmt.Errorf("netsim: flow %d completion pending at %v, due at %v", n.fid[s], ev.At(), n.due[s])
 	}
-	if c.reallocPending {
+	if n.reallocPending {
 		return nil
 	}
-	if want := c.due[s] != noDue && c.due[s] <= c.horizon; pending != want {
-		return fmt.Errorf("netsim: flow %d due at %v, horizon %v, completion pending %v", c.fid[s], c.due[s], c.horizon, pending)
+	if want := n.due[s] != noDue && n.due[s] <= n.horizon; pending != want {
+		return fmt.Errorf("netsim: flow %d due at %v, horizon %v, completion pending %v", n.fid[s], n.due[s], n.horizon, pending)
 	}
 	return nil
 }
@@ -210,30 +203,23 @@ func (c *soaCore) verifyCompletion(s int32) error {
 // max-min), while a reallocation is pending (the installed rates are
 // intentionally stale), or when the two vectors agree.
 func (n *Network) CheckAllocatorOracle() error {
-	c := n.soa
-	if n.reallocPendingNow() || len(c.active) == 0 {
+	if n.reallocPending || len(n.active) == 0 || n.equalSplit {
 		return nil
 	}
-	if c.tcp == nil && n.cfg.Allocator != AllocMaxMin {
-		return nil
-	}
-	paths := make([][]LinkID, len(c.active))
-	demand := make([]float64, len(c.active))
-	for i, s := range c.active {
-		paths[i] = c.path(s)
-		demand[i] = math.Inf(1)
-		if c.tcp != nil {
-			demand[i] = c.tcp.demand[s]
-		}
+	paths := make([][]LinkID, len(n.active))
+	demand := make([]float64, len(n.active))
+	for i, s := range n.active {
+		paths[i] = n.path(s)
+		demand[i] = n.demandOf(s)
 	}
 	capacity := make([]float64, len(n.topo.links))
 	for i, l := range n.topo.links {
 		capacity[i] = l.CapacityBps
 	}
 	want := maxMinRates(paths, capacity, demand, loopbackBps)
-	for i, s := range c.active {
-		if !rateEqual(c.rate[s], want[i]) {
-			return fmt.Errorf("netsim: flow %d rate %.6g bps diverges from max-min oracle %.6g bps", c.fid[s], c.rate[s], want[i])
+	for i, s := range n.active {
+		if !rateEqual(n.rate[s], want[i]) {
+			return fmt.Errorf("netsim: flow %d rate %.6g bps diverges from max-min oracle %.6g bps", n.fid[s], n.rate[s], want[i])
 		}
 	}
 	return nil

@@ -90,7 +90,7 @@ func TestEqualSplitNeverOversubscribes(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := sim.New()
-	net := NewNetwork(eng, topo, Config{Allocator: AllocEqualSplit})
+	net := NewNetwork(eng, topo, Config{Allocator: "equalsplit"})
 	h := topo.Hosts()
 	for i := 0; i < 8; i++ {
 		if _, err := net.StartFlow(FlowSpec{Src: h[i%3], Dst: h[3+i%3], SrcPort: i, DstPort: 80, SizeBytes: 10_000_000}); err != nil {

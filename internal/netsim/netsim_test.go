@@ -452,7 +452,7 @@ func TestUtilizationProbe(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tl := telemetry.NewLinkTimeline(100_000_000)
+	tl := telemetry.NewLinkTimeline()
 	probe := NewUtilizationProbe(net, tl)
 	probe.Start()
 	probe.Start() // idempotent
@@ -485,7 +485,7 @@ func TestUtilizationProbeAllLinksDefault(t *testing.T) {
 	topo := mustStar(t, 2, Gbps)
 	eng := sim.New()
 	net := NewNetwork(eng, topo, Config{})
-	tl := telemetry.NewLinkTimeline(0)
+	tl := telemetry.NewLinkTimeline()
 	NewUtilizationProbe(net, tl).Start()
 	if _, err := eng.RunAll(); err != nil {
 		t.Fatal(err)
@@ -519,7 +519,7 @@ func TestUtilizationProbeOutlivesIdleGap(t *testing.T) {
 	if _, err := eng.At(5_000_000_000, start); err != nil {
 		t.Fatal(err)
 	}
-	tl := telemetry.NewLinkTimeline(100_000_000)
+	tl := telemetry.NewLinkTimeline()
 	NewUtilizationProbe(net, tl).Start()
 	end, err := eng.RunAll()
 	if err != nil {

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -89,30 +90,47 @@ type RateTap interface {
 	ReadsRates()
 }
 
-// Allocator selects the bandwidth-sharing discipline.
-type Allocator int
-
-// Supported allocators. AllocMaxMin (the default) is progressive-filling
-// max-min fairness, the standard flow-level model of TCP sharing.
-// AllocEqualSplit is the naive alternative — each flow independently gets
-// min over its links of capacity/flow-count, ignoring bandwidth freed by
-// flows bottlenecked elsewhere. It exists as an ablation: Keddah's replay
-// fidelity depends on the fair-sharing model (experiment A2).
-const (
-	AllocMaxMin Allocator = iota
-	AllocEqualSplit
-)
+// ErrBadTransport is the typed error Config.Validate wraps for an
+// unrecognised transport name. Config surfaces (ClusterSpec, CLI flags)
+// match it with errors.Is to map bad input to a clear user-facing error
+// instead of silently falling back to the fluid model.
+var ErrBadTransport = errors.New("netsim: unknown transport")
 
 // Config selects the network's rate model.
 type Config struct {
-	// Allocator selects the bandwidth sharing model (default AllocMaxMin).
-	Allocator Allocator
-	// Transport selects the rate model: "" or "fluid" for instantaneous
-	// max-min sharing (the default), "tcp" for the per-flow TCP state
-	// machine (slow start, AIMD, fast retransmit, RTO) over droptail
-	// queues. Validate user input with ParseTransport before building a
-	// Network — NewNetwork panics on names ParseTransport rejects.
+	// Transport selects how flows transfer: "" or "fluid" for
+	// instantaneous bandwidth sharing with no per-flow window dynamics
+	// (the default, and the model the paper's evaluation uses), "tcp" for
+	// the per-flow TCP state machine (slow start, AIMD, fast retransmit,
+	// RTO) over droptail queues, which makes fan-in incast and timeout
+	// dynamics observable.
 	Transport string
+	// Allocator selects how the fluid transport shares bandwidth: "" or
+	// "maxmin" for progressive-filling max-min fairness (the default, the
+	// standard flow-level model of TCP sharing), "equalsplit" for the
+	// naive alternative where each flow independently gets the minimum
+	// over its links of capacity/flow-count, ignoring bandwidth freed by
+	// flows bottlenecked elsewhere. Equal split exists as an ablation:
+	// Keddah's replay fidelity depends on the fair-sharing model
+	// (experiment A2). TCP always fills max-min under window demand.
+	Allocator string
+}
+
+// Validate rejects unknown transport and allocator names. An unknown
+// transport wraps ErrBadTransport. NewNetwork panics on a config that
+// fails it, so validate user input first.
+func (c Config) Validate() error {
+	switch c.Transport {
+	case "", "fluid", "tcp":
+	default:
+		return fmt.Errorf("%w %q (valid: fluid, tcp)", ErrBadTransport, c.Transport)
+	}
+	switch c.Allocator {
+	case "", "maxmin", "equalsplit":
+	default:
+		return fmt.Errorf("netsim: unknown allocator %q (valid: maxmin, equalsplit)", c.Allocator)
+	}
+	return nil
 }
 
 // loopbackBps is the rate for src==dst transfers (the local disk/memory
@@ -120,73 +138,187 @@ type Config struct {
 const loopbackBps = 20 * Gbps
 
 // Network runs flows over a Topology on a shared simulation engine. It is
-// the public face of the struct-of-arrays flow core (soa), which holds
-// every per-flow attribute; allocations are checked against the
-// from-scratch max-min oracle in invariants.go, and whole captures are
-// fenced by committed golden digests.
+// also the flow storage engine: an arena-per-capture, struct-of-arrays
+// layout where every per-flow attribute lives in a parallel slice keyed
+// by an int32 slot id. Slots are recycled through a free list and
+// generation-counted (a pending activation or abort event, or a victim
+// snapshot, can never touch a slot's next occupant), flow paths live in
+// one shared arena indexed by slot × stride, and rate-history segments —
+// recorded only while a RateTap is attached — come from a chunk pool
+// linked by int32 next ids. A flow leaves the network once, as a Flow
+// value built on the stack when it completes or aborts. Together with
+// the engine's event slab and persistent per-slot completion timers, a
+// settled capture loop — start, activate, reallocate, complete, recycle —
+// performs zero heap allocations, with taps and completion callbacks
+// attached.
+//
+// Its trajectories are fenced by committed golden digests of whole
+// captures and of per-flow outcomes, and its allocations are checked
+// against the from-scratch max-min oracle (maxMinRates) by the tests and
+// by StrictChecks sweeps.
 type Network struct {
 	eng  *sim.Engine
 	topo *Topology
-	cfg  Config
 	taps []Tap
+	// equalSplit selects the equal-split ablation allocator
+	// (Config.Allocator "equalsplit"); it never applies under TCP.
+	equalSplit bool
 
-	soa *soaCore
-
-	// Stats counters (maintained by the core).
+	// Stats counters.
 	completed    uint64
 	abortedCount uint64
 	totalBytes   float64
 
 	metrics telemetry.NetMetrics
+
+	// Per-slot parallel arrays (SoA). gen counts slot reuse; state is one
+	// of the slot* constants; listIdx is the slot's position in active
+	// while state == slotActive.
+	fid       []uint64
+	spec      []FlowSpec
+	gen       []uint32
+	state     []uint8
+	start     []sim.Time
+	activated []sim.Time
+	last      []sim.Time
+	remaining []float64 // bytes
+	rate      []float64 // bps
+	listIdx   []int32
+	// completeEv[s] is the slot's persistent completion timer, created on
+	// the slot's first completion scheduling and re-armed by every
+	// subsequent occupant — one event allocation per slot, ever.
+	completeEv []sim.Event
+	// due[s] is the instant the slot's current rate drains its residue,
+	// or noDue when it has no rate or would never finish. ticket[s] is
+	// the engine sequence number taken when due[s] was set: the timer is
+	// armed with it only once due[s] is at or before horizon, and then
+	// fires with the (time, sequence) key an eager re-arm would have
+	// given it.
+	due    []sim.Time
+	ticket []uint64
+
+	// Path storage: slot s's path is pathArena[s*stride : s*stride+pathLen[s]].
+	// The stride grows (rarely — fabric diameter is small) by arena
+	// rebuild.
+	pathArena  []LinkID
+	pathLen    []int32
+	pathStride int
+
+	// Rate-segment chunk pool: per-slot chained chunk lists, recycled in
+	// O(1) on slot free. Empty unless recording (a RateTap is attached).
+	recording   bool
+	segChunks   []segChunk
+	segFreeHead int32
+	segHead     []int32
+	segTail     []int32
+	segCount    []int32
+
+	freeSlots []int32
+
+	// active lists transferring slots in activation order (the order the
+	// allocator and settle iterate in): actSeq[s] is slot s's activation
+	// number, drawn from nextAct, and active is sorted by it.
+	active  []int32
+	actSeq  []uint64
+	nextAct uint64
+	// parked holds, in no order, the TCP flows stalled in RTO wait. A
+	// parked flow is transferring (slotActive) but silent: it is in
+	// neither active nor linkFlows, so the ack clock, the allocator and
+	// the link index skip it until its retransmission timer unparks it.
+	// parkPos[s] is s's position in parked, or -1.
+	parked  []int32
+	parkPos []int32
+	// linkFlows indexes the active slots crossing each link, each list in
+	// active-list order (ascending listIdx), so the allocator never scans
+	// the whole active set to find who shares a bottleneck and never sorts
+	// them. loaded holds the links whose list is non-empty, in no order;
+	// loadedPos[l] is l's position in it, or -1.
+	linkFlows [][]int32
+	loaded    []LinkID
+	loadedPos []int32
+
+	seq            uint64
+	reallocPending bool
+	dirtyE         sim.Event
+	// horizon is the latest instant an active flow's completion is armed
+	// for: the next ack-clock tick under TCP, MaxTime (never) in fluid
+	// mode. It only grows. armedTo is the horizon of the last applyRates,
+	// which left every completion due by then armed. settledAt is the
+	// instant settle last charged progress at.
+	horizon   sim.Time
+	armedTo   sim.Time
+	settledAt sim.Time
+
+	// tcp carries the per-flow TCP state machine when Config.Transport is
+	// "tcp"; nil in fluid mode, and every hook below nil-checks it so the
+	// fluid trajectory is bit-identical to a build without the subsystem.
+	tcp *tcpCore
+
+	// Allocation scratch, reused across reallocations. remCap/cnt are
+	// indexed by LinkID; rates/frozen by active-list position; loadScan
+	// is the allocator's shrinking copy of loaded; cand holds the
+	// active-list positions a demand rescan still has to visit;
+	// pathScratch is the route computation buffer.
+	remCap      []float64
+	cnt         []int
+	rates       []float64
+	frozen      []bool
+	loadScan    []LinkID
+	cand        []int32
+	pathScratch []LinkID
+
+	// Stored callbacks, bound once so scheduling never allocates a closure.
+	activateCb func(uint64)
+	abortCb    func(uint64)
+	finishCb   func(uint64)
 }
 
 // SetMetrics attaches network instrumentation. The zero value detaches
 // it (every hook degrades to a nil check).
 func (n *Network) SetMetrics(m telemetry.NetMetrics) { n.metrics = m }
 
-// NewNetwork creates a Network bound to the engine and topology.
+// NewNetwork creates a Network bound to the engine and topology. It
+// panics on a config that Config.Validate rejects.
 func NewNetwork(eng *sim.Engine, topo *Topology, cfg Config) *Network {
-	tr, err := ParseTransport(cfg.Transport)
-	if err != nil {
+	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	n := &Network{eng: eng, topo: topo, cfg: cfg}
-	n.soa = newSoaCore(n, tr)
+	nl := len(topo.links)
+	n := &Network{
+		eng:         eng,
+		topo:        topo,
+		equalSplit:  cfg.Allocator == "equalsplit" && cfg.Transport != "tcp",
+		pathStride:  8,
+		segFreeHead: -1,
+		linkFlows:   make([][]int32, nl),
+		loaded:      make([]LinkID, 0, nl),
+		loadedPos:   make([]int32, nl),
+		remCap:      make([]float64, nl),
+		cnt:         make([]int, nl),
+		loadScan:    make([]LinkID, 0, nl),
+		horizon:     sim.MaxTime,
+		armedTo:     noDue,
+		settledAt:   -1,
+	}
+	for i := range n.loadedPos {
+		n.loadedPos[i] = -1
+	}
+	n.activateCb = n.activate
+	n.abortCb = n.abortByArg
+	n.finishCb = n.finishByArg
+	n.dirtyE = eng.NewTimer(n.dirty, 0)
+	if cfg.Transport == "tcp" {
+		n.tcp = newTCPCore(n)
+	}
 	return n
-}
-
-// Reserve pre-sizes flow storage for at least peakFlows concurrent flows
-// (and the engine's event slab to match: one completion event per flow
-// plus activation and coalescing headroom). It is cheap to call again
-// with a larger estimate and a no-op with a smaller one.
-func (n *Network) Reserve(peakFlows int) {
-	if peakFlows <= 0 {
-		return
-	}
-	n.soa.reserve(peakFlows)
-	// TCP mode holds one more persistent timer per flow (the RTO timer)
-	// on top of completion + activation/coalescing headroom.
-	mult := 2
-	if n.soa.tcp != nil {
-		mult = 3
-	}
-	n.eng.Reserve(mult*peakFlows + 16)
-}
-
-// Transport returns the rate model the network runs flows under.
-func (n *Network) Transport() Transport {
-	if n.soa.tcp != nil {
-		return TransportTCP
-	}
-	return TransportFluid
 }
 
 // TCPStats returns the cumulative TCP event counts (fast retransmits and
 // retransmission timeouts fired). Both are zero in fluid mode. Available
 // without a telemetry sink so experiments and tests can read them directly.
 func (n *Network) TCPStats() (fastRetransmits, timeouts uint64) {
-	if n.soa.tcp != nil {
-		return n.soa.tcp.fastRtx, n.soa.tcp.rtoFired
+	if n.tcp != nil {
+		return n.tcp.fastRtx, n.tcp.rtoFired
 	}
 	return 0, 0
 }
@@ -202,7 +334,10 @@ func (n *Network) Engine() *sim.Engine { return n.eng }
 func (n *Network) AddTap(t Tap) {
 	n.taps = append(n.taps, t)
 	if _, ok := t.(RateTap); ok {
-		n.soa.recordRates()
+		// Size the chunk pool for the peak the slot slabs were reserved
+		// for (callers reserve before they attach taps).
+		n.recording = true
+		n.segChunks = growCap(n.segChunks, cap(n.fid))
 	}
 }
 
@@ -232,22 +367,6 @@ func flowHash(s FlowSpec, id uint64) uint64 {
 // connect-timeout stand-in. Retrying layers observe the abort and apply
 // their own backoff on top.
 const noRouteTimeout = sim.Time(1_000_000_000)
-
-// StartFlow opens a transfer and returns its flow ID, the Flow.ID its
-// completion reports. It returns an error if src/dst are not hosts or the
-// size is negative. A destination currently unreachable because of link
-// faults is NOT an error: the flow is created and aborts (firing OnAbort,
-// never OnComplete) after a connect timeout, as a real connection attempt
-// into a partition would.
-func (n *Network) StartFlow(spec FlowSpec) (uint64, error) {
-	if !n.topo.IsHost(spec.Src) || !n.topo.IsHost(spec.Dst) {
-		return 0, fmt.Errorf("netsim: flow endpoints must be hosts (%d -> %d)", spec.Src, spec.Dst)
-	}
-	if spec.SizeBytes < 0 {
-		return 0, fmt.Errorf("netsim: negative flow size %d", spec.SizeBytes)
-	}
-	return n.soa.startFlow(spec), nil
-}
 
 // durationFor converts bytes at bps into simulated time, rounding UP to
 // the next nanosecond so a completion event never fires before the last
@@ -287,18 +406,6 @@ func rateEqual(a, b float64) bool {
 	return d <= m*rateTolerance
 }
 
-// SetLinkState takes a link down or brings it back up, recomputing routes.
-// Active flows whose path crosses a downed link are rerouted over the
-// surviving fabric when a route remains and aborted otherwise (firing
-// their OnAbort). Bringing a link up never disturbs in-flight flows —
-// they keep their current paths until they finish.
-func (n *Network) SetLinkState(lid LinkID, up bool) error {
-	if lid < 0 || int(lid) >= len(n.topo.links) {
-		return fmt.Errorf("netsim: link %d out of range", lid)
-	}
-	return n.soa.setLinkState(lid, up)
-}
-
 // SetLinkCapacityScale degrades (or restores) a link to factor × its
 // as-built capacity and triggers reallocation, modelling partial faults:
 // a flapping optic, an oversubscribed middlebox, a half-duplex fallback.
@@ -306,21 +413,12 @@ func (n *Network) SetLinkCapacityScale(lid LinkID, factor float64) error {
 	if err := n.topo.SetLinkCapacityScale(lid, factor); err != nil {
 		return err
 	}
-	n.soa.settle()
-	if n.soa.tcp != nil {
-		n.soa.tcp.refreshDelay(lid)
+	n.settle()
+	if n.tcp != nil {
+		n.tcp.refreshDelay(lid)
 	}
-	n.soa.markDirty()
+	n.markDirty()
 	return nil
-}
-
-// AbortFlowsWhere aborts every actively-transferring flow matching pred
-// and returns how many were torn down (flows still in their propagation
-// window are too young to have endpoint state and are left alone).
-// Simulated daemon crashes use it to kill the TCP connections the dead
-// process owned.
-func (n *Network) AbortFlowsWhere(pred func(FlowSpec) bool) int {
-	return n.soa.abortFlowsWhere(pred)
 }
 
 // Reachable reports whether the current fabric routes src to dst.
@@ -336,49 +434,52 @@ func (n *Network) AbortedFlows() uint64 { return n.abortedCount }
 
 // ActiveFlows returns the number of currently transferring network flows,
 // TCP flows stalled in RTO wait included.
-func (n *Network) ActiveFlows() int { return len(n.soa.active) + len(n.soa.parked) }
+func (n *Network) ActiveFlows() int { return len(n.active) + len(n.parked) }
 
 // linkFlowCount returns the number of transferring flows crossing link
 // lid: those in its index plus the parked flows whose path crosses it.
 func (n *Network) linkFlowCount(lid LinkID) int {
-	c := n.soa
-	k := len(c.linkFlows[lid])
-	for _, s := range c.parked {
-		if slices.Contains(c.path(s), lid) {
+	k := len(n.linkFlows[lid])
+	for _, s := range n.parked {
+		if slices.Contains(n.path(s), lid) {
 			k++
 		}
 	}
 	return k
 }
 
-// reallocPendingNow reports whether a coalesced reallocation is queued at
-// the current instant (installed rates intentionally stale).
-func (n *Network) reallocPendingNow() bool { return n.soa.reallocPending }
-
 // LinkRates returns the current allocated rate on every directed link
 // (bits per second), indexed by LinkID. Utilization probes and invariant
 // checks read this between events.
 func (n *Network) LinkRates() []float64 {
 	rates := make([]float64, len(n.topo.links))
-	n.addLinkRates(rates)
+	for _, s := range n.active {
+		for _, lid := range n.path(s) {
+			rates[lid] += n.rate[s]
+		}
+	}
 	return rates
 }
 
-func (n *Network) addLinkRates(rates []float64) {
-	c := n.soa
-	for _, s := range c.active {
-		for _, lid := range c.path(s) {
-			rates[lid] += c.rate[s]
-		}
+// demandOf is the rate transferring slot s asks for: its window demand
+// (cwnd/srtt) under TCP, unbounded in fluid mode. The invariant checks
+// and the max-min oracle cap every flow at it.
+func (n *Network) demandOf(s int32) float64 {
+	if n.tcp != nil {
+		return n.tcp.demand[s]
 	}
+	return math.Inf(1)
 }
 
 // CheckInvariants verifies the classic max-min fairness conditions on the
 // current allocation: (1) no link carries more than its capacity;
-// (2) every flow with a positive rate is bottlenecked — it crosses at
-// least one saturated link (within tolerance). It returns a descriptive
-// error on the first violation. Intended for tests and debugging; it is
-// meaningful only under AllocMaxMin.
+// (2) no flow runs above its demand (demandOf), and every flow with a
+// positive rate below its demand is bottlenecked — it crosses at least
+// one saturated link (within tolerance). A TCP flow at its demand is
+// window-limited; a fluid flow's demand is unbounded, so every fluid flow
+// with a rate must be bottlenecked. It returns a descriptive error on the
+// first violation. Intended for tests and debugging; condition (2) is
+// skipped under the equal-split allocator, which is not max-min.
 func (n *Network) CheckInvariants() error {
 	const relTol = 1e-6
 	rates := n.LinkRates()
@@ -388,52 +489,22 @@ func (n *Network) CheckInvariants() error {
 			return fmt.Errorf("netsim: link %d over capacity: %.3g > %.3g bps", lid, used, capBps)
 		}
 	}
-	if n.soa.tcp != nil {
-		// TCP mode: allocation is demand-limited water-filling, so the
-		// fluid bottleneck condition only binds flows whose window demand
-		// exceeds their allocation. A flow at (or below) its demand is
-		// window-limited; anything in between must cross a saturated link.
-		c, tc := n.soa, n.soa.tcp
-		for _, s := range c.active {
-			rate, d := c.rate[s], tc.demand[s]
-			if rate > d*(1+relTol)+1e-6 {
-				return fmt.Errorf("netsim: flow %d rate %.3g exceeds TCP demand %.3g bps", c.fid[s], rate, d)
-			}
-			if rate <= 0 || rate >= d*(1-relTol) {
-				continue // stalled, or demand-limited at its window
-			}
-			sat := false
-			for _, lid := range c.path(s) {
-				if rates[lid] >= n.topo.links[lid].CapacityBps*(1-relTol) {
-					sat = true
-					break
-				}
-			}
-			if !sat {
-				return fmt.Errorf("netsim: flow %d (rate %.3g of demand %.3g bps) crosses no saturated link", c.fid[s], rate, d)
-			}
-		}
+	if n.equalSplit {
 		return nil
 	}
-	if n.cfg.Allocator != AllocMaxMin {
-		return nil
-	}
-	c := n.soa
-	for _, s := range c.active {
-		path := c.path(s)
-		if c.rate[s] <= 0 || len(path) == 0 {
-			continue
+	saturated := func(lid LinkID) bool { return rates[lid] >= n.topo.links[lid].CapacityBps*(1-relTol) }
+	for _, s := range n.active {
+		rate, d := n.rate[s], n.demandOf(s)
+		if rate > d*(1+relTol)+1e-6 {
+			return fmt.Errorf("netsim: flow %d rate %.3g exceeds TCP demand %.3g bps", n.fid[s], rate, d)
 		}
-		sat := false
-		for _, lid := range path {
-			if rates[lid] >= n.topo.links[lid].CapacityBps*(1-relTol) {
-				sat = true
-				break
-			}
+		if rate <= 0 || rate >= d*(1-relTol) || slices.ContainsFunc(n.path(s), saturated) {
+			continue // stalled, demand-limited at its window, or bottlenecked
 		}
-		if !sat {
-			return fmt.Errorf("netsim: flow %d (rate %.3g bps) crosses no saturated link", c.fid[s], c.rate[s])
+		if n.tcp != nil {
+			return fmt.Errorf("netsim: flow %d (rate %.3g of demand %.3g bps) crosses no saturated link", n.fid[s], rate, d)
 		}
+		return fmt.Errorf("netsim: flow %d (rate %.3g bps) crosses no saturated link", n.fid[s], rate)
 	}
 	return nil
 }

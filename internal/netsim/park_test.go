@@ -20,7 +20,7 @@ func stalledIncast(t *testing.T) *Network {
 	eng := sim.New()
 	net := NewNetwork(eng, topo, Config{Transport: "tcp"})
 	startStaggeredIncast(t, net, topo.Hosts()[1:], topo.Hosts()[0], map[uint64]Flow{})
-	for len(net.soa.parked) == 0 || len(net.soa.active) == 0 || net.reallocPendingNow() {
+	for len(net.parked) == 0 || len(net.active) == 0 || net.reallocPending {
 		if !eng.Step() {
 			t.Fatal("incast drained without parking a flow")
 		}
@@ -37,26 +37,26 @@ func stalledIncast(t *testing.T) *Network {
 func TestVerifyStateCatchesParkedCorruption(t *testing.T) {
 	cases := []struct {
 		name    string
-		corrupt func(c *soaCore, s int32)
+		corrupt func(c *Network, s int32)
 		want    string
 	}{
-		{"parked flow given a rate", func(c *soaCore, s int32) { c.rate[s] = 1e6 }, "parked flow"},
-		{"parked flow demands", func(c *soaCore, s int32) { c.tcp.demand[s] = 1e6 }, "parked flow"},
-		{"parked flow sending", func(c *soaCore, s int32) { c.tcp.tstate[s] = tcpSlowStart }, "not RTO wait"},
-		{"parked flow without timer", func(c *soaCore, s int32) { c.tcp.rtoEv[s].Cancel() }, "retransmission timer"},
-		{"parked flow in a link list", func(c *soaCore, s int32) {
+		{"parked flow given a rate", func(c *Network, s int32) { c.rate[s] = 1e6 }, "parked flow"},
+		{"parked flow demands", func(c *Network, s int32) { c.tcp.demand[s] = 1e6 }, "parked flow"},
+		{"parked flow sending", func(c *Network, s int32) { c.tcp.tstate[s] = tcpSlowStart }, "not RTO wait"},
+		{"parked flow without timer", func(c *Network, s int32) { c.tcp.rtoEv[s].Cancel() }, "retransmission timer"},
+		{"parked flow in a link list", func(c *Network, s int32) {
 			lid := c.path(s)[0]
 			c.linkFlows[lid] = append(c.linkFlows[lid], s)
 		}, "index"},
-		{"active flow marked parked", func(c *soaCore, _ int32) { c.parkPos[c.active[0]] = 0 }, "both active and parked"},
-		{"parked flow lost", func(c *soaCore, s int32) {
+		{"active flow marked parked", func(c *Network, _ int32) { c.parkPos[c.active[0]] = 0 }, "both active and parked"},
+		{"parked flow lost", func(c *Network, s int32) {
 			c.dropParked(s)
 		}, "transferring"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			net := stalledIncast(t)
-			tc.corrupt(net.soa, net.soa.parked[0])
+			tc.corrupt(net, net.parked[0])
 			err := net.VerifyState()
 			if err == nil {
 				t.Fatalf("corruption %q went undetected", tc.name)
@@ -76,21 +76,21 @@ func TestActiveFlowsCountStalledFlows(t *testing.T) {
 	eng := sim.New()
 	net := NewNetwork(eng, topo, Config{Transport: "tcp"})
 	startStaggeredIncast(t, net, topo.Hosts()[1:], topo.Hosts()[0], map[uint64]Flow{})
-	tl := telemetry.NewLinkTimeline(50_000_000)
+	tl := telemetry.NewLinkTimeline()
 	probe := NewUtilizationProbe(net, tl)
 
 	var sampledAt int64 = -1
 	want := make([]int, topo.NumLinks())
 	at(net, 20, func() {
 		stalled, sending := tcpFlowSets(net)
-		if len(stalled) == 0 || len(net.soa.parked) != len(stalled) {
-			t.Fatalf("%d flows stalled, %d parked: want some, all parked", len(stalled), len(net.soa.parked))
+		if len(stalled) == 0 || len(net.parked) != len(stalled) {
+			t.Fatalf("%d flows stalled, %d parked: want some, all parked", len(stalled), len(net.parked))
 		}
 		if got, n := net.ActiveFlows(), len(stalled)+len(sending); got != n {
 			t.Errorf("ActiveFlows() = %d, want %d (%d stalled)", got, n, len(stalled))
 		}
 		for _, s := range append(stalled, sending...) {
-			for _, lid := range net.soa.path(s) {
+			for _, lid := range net.path(s) {
 				want[lid]++
 			}
 		}
@@ -127,11 +127,10 @@ func (o *orderTap) FlowCompleted(f Flow) { o.ids = append(o.ids, f.ID) }
 // taking the receiver's link down aborts them in that order.
 func TestFaultsMeetParkedFlowsInActivationOrder(t *testing.T) {
 	net := stalledIncast(t)
-	c := net.soa
 	var asked []uint64
 	byPort := map[int]uint64{}
-	for _, s := range append(append([]int32{}, c.active...), c.parked...) {
-		byPort[c.spec[s].SrcPort] = c.fid[s]
+	for _, s := range append(append([]int32{}, net.active...), net.parked...) {
+		byPort[net.spec[s].SrcPort] = net.fid[s]
 	}
 	net.AbortFlowsWhere(func(s FlowSpec) bool {
 		asked = append(asked, byPort[s.SrcPort])

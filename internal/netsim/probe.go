@@ -7,25 +7,22 @@ import (
 
 // UtilizationProbe samples every link's allocated rate ÷ capacity and its
 // count of transferring flows (TCP flows stalled in RTO wait included)
-// into a telemetry link timeline, at the timeline's interval — the
-// per-link time series a capacity-planning study plots. Create with
+// into a telemetry link timeline every probeInterval — the per-link time
+// series a capacity-planning study plots. Create with
 // NewUtilizationProbe, then Start; it stops itself when the network is
 // idle and no other event is queued (and resumes if Started again).
 type UtilizationProbe struct {
 	net      *Network
 	timeline *telemetry.LinkTimeline
-	interval sim.Time
 	running  bool
 }
 
-// NewUtilizationProbe probes net into tl every tl.IntervalNs (100 ms when
-// that is not positive).
+// probeInterval is the link-sampling period, in simulated time.
+const probeInterval sim.Time = 100_000_000
+
+// NewUtilizationProbe probes net into tl.
 func NewUtilizationProbe(net *Network, tl *telemetry.LinkTimeline) *UtilizationProbe {
-	interval := sim.Time(tl.IntervalNs)
-	if interval <= 0 {
-		interval = 100_000_000
-	}
-	return &UtilizationProbe{net: net, timeline: tl, interval: interval}
+	return &UtilizationProbe{net: net, timeline: tl}
 }
 
 // Start begins sampling with an immediate sample. The probe keeps
@@ -37,7 +34,7 @@ func (p *UtilizationProbe) Start() {
 	}
 	p.running = true
 	if p.tick() {
-		p.net.eng.Every(p.interval, p.interval, p.tick)
+		p.net.eng.Every(probeInterval, probeInterval, p.tick)
 	}
 }
 

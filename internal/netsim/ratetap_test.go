@@ -57,7 +57,7 @@ func TestRateHistoryFollowsRateTap(t *testing.T) {
 			recorded, recDone := run(&countingTap{}, rateTap{})
 
 			for name, net := range map[string]*Network{"bare": bare, "plain tap": counted} {
-				if c := net.soa; c.recording || cap(c.segChunks) != 0 {
+				if c := net; c.recording || cap(c.segChunks) != 0 {
 					t.Errorf("%s: recording=%v with %d chunks reserved, want no history", name, c.recording, cap(c.segChunks))
 				}
 			}
@@ -67,7 +67,7 @@ func TestRateHistoryFollowsRateTap(t *testing.T) {
 				}
 			}
 
-			if c := recorded.soa; !c.recording || cap(c.segChunks) < 64 {
+			if c := recorded; !c.recording || cap(c.segChunks) < 64 {
 				t.Errorf("rate tap: recording=%v with %d chunks reserved, want >= 64", c.recording, cap(c.segChunks))
 			}
 			changes := 0

@@ -114,18 +114,18 @@ func TestSlotRecycle(t *testing.T) {
 			if f, ok := rep.reported[first]; !ok || f.Aborted != (tc.name == "aborted") {
 				t.Fatalf("first flow reported=%v, aborted=%v", ok, f.Aborted)
 			}
-			gen := net.soa.gen[0]
+			gen := net.gen[0]
 
 			// The next flow reuses the freed slot (LIFO free list) under a
 			// bumped generation.
 			var got Flow
 			second := rep.start(net, FlowSpec{Src: h[1], Dst: h[2], SrcPort: 2, DstPort: 80, SizeBytes: 1 << 20,
 				OnComplete: func(f Flow) { got = f }})
-			if len(net.soa.fid) != 1 || net.soa.fid[0] != second {
-				t.Fatalf("slot not recycled: %d slots, slot 0 holds flow %d", len(net.soa.fid), net.soa.fid[0])
+			if len(net.fid) != 1 || net.fid[0] != second {
+				t.Fatalf("slot not recycled: %d slots, slot 0 holds flow %d", len(net.fid), net.fid[0])
 			}
-			if net.soa.gen[0] != gen {
-				t.Fatalf("generation moved on start: %d -> %d", gen, net.soa.gen[0])
+			if net.gen[0] != gen {
+				t.Fatalf("generation moved on start: %d -> %d", gen, net.gen[0])
 			}
 			for net.ActiveFlows() == 0 && eng.Step() {
 			}
@@ -141,7 +141,7 @@ func TestSlotRecycle(t *testing.T) {
 			if got.ID != second || got.Spec.SrcPort != 2 || got.Aborted {
 				t.Fatalf("second flow's callback got %+v", got)
 			}
-			if net.soa.gen[0] == gen {
+			if net.gen[0] == gen {
 				t.Fatal("generation not bumped on recycle")
 			}
 			rep.drained()

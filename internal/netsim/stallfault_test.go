@@ -16,12 +16,11 @@ import (
 // flow-id order. It scans every slot, so it sees a flow wherever the core
 // holds it.
 func tcpFlowSets(net *Network) (stalled, sending []int32) {
-	c := net.soa
-	for s := range c.state {
-		if c.state[s] != slotActive {
+	for s := range net.state {
+		if net.state[s] != slotActive {
 			continue
 		}
-		if c.tcp.tstate[s] == tcpRTOWait {
+		if net.tcp.tstate[s] == tcpRTOWait {
 			stalled = append(stalled, int32(s))
 		} else {
 			sending = append(sending, int32(s))
@@ -29,9 +28,9 @@ func tcpFlowSets(net *Network) (stalled, sending []int32) {
 	}
 	byFid := func(a, b int32) int {
 		switch {
-		case c.fid[a] < c.fid[b]:
+		case net.fid[a] < net.fid[b]:
 			return -1
-		case c.fid[a] > c.fid[b]:
+		case net.fid[a] > net.fid[b]:
 			return 1
 		}
 		return 0
@@ -45,7 +44,7 @@ func tcpFlowSets(net *Network) (stalled, sending []int32) {
 func crossing(net *Network, set []int32, lid LinkID) []int32 {
 	var out []int32
 	for _, s := range set {
-		if slices.Contains(net.soa.path(s), lid) {
+		if slices.Contains(net.path(s), lid) {
 			out = append(out, s)
 		}
 	}
@@ -89,7 +88,7 @@ func abortStalledAndSending(t *testing.T, net *Network) {
 	if len(stalled) == 0 || len(sending) == 0 {
 		t.Fatalf("at %v: %d stalled and %d sending flows, want both", net.Engine().Now(), len(stalled), len(sending))
 	}
-	a, b := net.soa.spec[stalled[0]].SrcPort, net.soa.spec[sending[0]].SrcPort
+	a, b := net.spec[stalled[0]].SrcPort, net.spec[sending[0]].SrcPort
 	if n := net.AbortFlowsWhere(func(s FlowSpec) bool { return s.SrcPort == a || s.SrcPort == b }); n != 2 {
 		t.Fatalf("AbortFlowsWhere tore down %d flows, want 2", n)
 	}
@@ -151,7 +150,7 @@ func runStallFaults(t *testing.T, fabric string) stallFaultRun {
 		if len(stalled) == 0 {
 			t.Fatal("no flow stalled in RTO wait at 20 ms")
 		}
-		p := net.soa.path(stalled[0])
+		p := net.path(stalled[0])
 		if fabric == "fattree" {
 			downed = p[2] // aggregation → core, with ECMP siblings
 		} else {
@@ -163,17 +162,17 @@ func runStallFaults(t *testing.T, fabric string) stallFaultRun {
 		}
 		refs := make([]slotRef, len(stalledVictims))
 		for i, s := range stalledVictims {
-			refs[i] = net.soa.ref(s)
+			refs[i] = net.ref(s)
 		}
 		if err := net.SetLinkState(downed, false); err != nil {
 			t.Fatal(err)
 		}
 		for _, r := range refs {
-			rerouted := net.soa.live(r) && !slices.Contains(net.soa.path(r.slot), downed)
+			rerouted := net.live(r) && !slices.Contains(net.path(r.slot), downed)
 			if fabric == "fattree" && !rerouted {
 				t.Errorf("stalled flow in slot %d was not rerouted off link %d", r.slot, downed)
 			}
-			if fabric == "star" && net.soa.live(r) {
+			if fabric == "star" && net.live(r) {
 				t.Errorf("stalled flow in slot %d survived its host link going down", r.slot)
 			}
 		}

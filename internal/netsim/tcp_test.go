@@ -8,37 +8,39 @@ import (
 	"keddah/internal/sim"
 )
 
-func TestParseTransport(t *testing.T) {
+// TestConfigValidate: transport and allocator names are matched exactly
+// (case-sensitive, no trimming, like every config name here), and an
+// unknown transport wraps ErrBadTransport so config surfaces can match it.
+func TestConfigValidate(t *testing.T) {
 	cases := []struct {
-		name    string
-		want    Transport
-		wantErr bool
+		name      string
+		cfg       Config
+		wantErr   bool
+		wantBadTr bool
 	}{
-		{"", TransportFluid, false},
-		{"fluid", TransportFluid, false},
-		{"tcp", TransportTCP, false},
-		{"TCP", TransportFluid, true}, // case-sensitive, like every config enum here
-		{"udp", TransportFluid, true},
-		{"fluid ", TransportFluid, true},
-		{"packet", TransportFluid, true},
+		{"default", Config{}, false, false},
+		{"fluid", Config{Transport: "fluid"}, false, false},
+		{"tcp", Config{Transport: "tcp"}, false, false},
+		{"transport case-sensitive", Config{Transport: "TCP"}, true, true},
+		{"unknown transport", Config{Transport: "udp"}, true, true},
+		{"transport not trimmed", Config{Transport: "fluid "}, true, true},
+		{"packet transport", Config{Transport: "packet"}, true, true},
+		{"maxmin", Config{Allocator: "maxmin"}, false, false},
+		{"equalsplit", Config{Allocator: "equalsplit"}, false, false},
+		{"equalsplit under tcp", Config{Transport: "tcp", Allocator: "equalsplit"}, false, false},
+		{"allocator case-sensitive", Config{Allocator: "MaxMin"}, true, false},
+		{"unknown allocator", Config{Allocator: "psychic"}, true, false},
 	}
 	for _, tc := range cases {
-		got, err := ParseTransport(tc.name)
-		if got != tc.want {
-			t.Errorf("ParseTransport(%q) = %v, want %v", tc.name, got, tc.want)
-		}
-		if (err != nil) != tc.wantErr {
-			t.Errorf("ParseTransport(%q) err = %v, wantErr %v", tc.name, err, tc.wantErr)
-		}
-		if err != nil && !errors.Is(err, ErrBadTransport) {
-			t.Errorf("ParseTransport(%q) error %v does not wrap ErrBadTransport", tc.name, err)
-		}
-	}
-}
-
-func TestTransportString(t *testing.T) {
-	if TransportFluid.String() != "fluid" || TransportTCP.String() != "tcp" {
-		t.Errorf("Transport.String() = %q/%q, want fluid/tcp", TransportFluid, TransportTCP)
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.cfg.Validate()
+			if (err != nil) != tc.wantErr {
+				t.Fatalf("Validate(%+v) = %v, wantErr %v", tc.cfg, err, tc.wantErr)
+			}
+			if errors.Is(err, ErrBadTransport) != tc.wantBadTr {
+				t.Errorf("Validate(%+v) = %v, wraps ErrBadTransport %v, want %v", tc.cfg, err, !tc.wantBadTr, tc.wantBadTr)
+			}
+		})
 	}
 }
 
@@ -53,13 +55,20 @@ func TestNewNetworkRejectsBadTransportConfig(t *testing.T) {
 		}()
 		NewNetwork(sim.New(), topo, cfg)
 	}
-	mustPanic("unknown name", Config{Transport: "udp"})
-	// Valid names construct fine.
-	if got := NewNetwork(sim.New(), topo, Config{Transport: "tcp"}).Transport(); got != TransportTCP {
-		t.Errorf("Transport() = %v, want tcp", got)
+	mustPanic("unknown transport", Config{Transport: "udp"})
+	mustPanic("unknown allocator", Config{Allocator: "psychic"})
+	// Valid names construct the model they name.
+	if NewNetwork(sim.New(), topo, Config{Transport: "tcp"}).tcp == nil {
+		t.Error(`Transport "tcp" built a fluid network`)
 	}
-	if got := NewNetwork(sim.New(), topo, Config{}).Transport(); got != TransportFluid {
-		t.Errorf("default Transport() = %v, want fluid", got)
+	if NewNetwork(sim.New(), topo, Config{}).tcp != nil {
+		t.Error("default config built a TCP network")
+	}
+	if !NewNetwork(sim.New(), topo, Config{Allocator: "equalsplit"}).equalSplit {
+		t.Error(`Allocator "equalsplit" built a max-min network`)
+	}
+	if NewNetwork(sim.New(), topo, Config{Transport: "tcp", Allocator: "equalsplit"}).equalSplit {
+		t.Error("TCP network shares bandwidth by equal split")
 	}
 }
 

@@ -15,10 +15,10 @@ import (
 // single persistent ack-clock timer steps all flows once per tick. It has
 // no allocator of its own: reallocate hands its per-slot demand vector
 // (cwnd/srtt) to the same progressive filling the fluid transport uses
-// (soaCore.maxMinFill), so a window-limited flow freezes at its demand
+// (Network.maxMinFill), so a window-limited flow freezes at its demand
 // and the slack redistributes to flows that can use it. A flow stalled in
 // RTO wait demands nothing: the reallocation that zeroes its rate parks
-// it outside the per-tick working set (soaCore.parked), and its
+// it outside the per-tick working set (Network.parked), and its
 // retransmission timer returns it, so ticks and reallocations visit only
 // flows that can send.
 //
@@ -33,12 +33,12 @@ import (
 // global tick, one RTO timer per slot, created on first use like the
 // completion timers), so the steady-state loop allocates nothing and
 // same-seed runs are bit-identical. When tcpCore is nil (fluid mode) every
-// hook in soaCore degrades to a nil check and the fluid trajectory is
+// hook in Network degrades to a nil check and the fluid trajectory is
 // byte-identical to a build without this file.
 type tcpCore struct {
-	c *soaCore
+	c *Network
 
-	// Per-slot state, parallel to soaCore's slot arrays.
+	// Per-slot state, parallel to Network's slot arrays.
 	cwnd     []float64 // congestion window, bytes
 	ssthresh []float64 // slow-start threshold, bytes
 	cwndCap  []float64 // path BDP + bottleneck buffer, bytes
@@ -109,7 +109,7 @@ const (
 // tcpMaxBackoff caps RTO exponential backoff at 2^6 = 64x.
 const tcpMaxBackoff = 6
 
-func newTCPCore(c *soaCore) *tcpCore {
+func newTCPCore(c *Network) *tcpCore {
 	nl := len(c.topo.links)
 	t := &tcpCore{
 		c:          c,
@@ -129,7 +129,7 @@ func newTCPCore(c *soaCore) *tcpCore {
 	return t
 }
 
-// reserve pre-sizes the per-slot arrays alongside soaCore.reserve.
+// reserve pre-sizes the per-slot arrays alongside Network.Reserve.
 func (t *tcpCore) reserve(peak int) {
 	t.cwnd = growCap(t.cwnd, peak)
 	t.ssthresh = growCap(t.ssthresh, peak)
@@ -279,7 +279,7 @@ func (t *tcpCore) settleQueues(now sim.Time) {
 	}
 	t.live = t.live[:n]
 	if maxQ > 0 {
-		t.c.nw.metrics.TCPQueueMaxBytes.SetMax(maxQ)
+		t.c.metrics.TCPQueueMaxBytes.SetMax(maxQ)
 	}
 }
 
@@ -381,7 +381,7 @@ func (t *tcpCore) step(s int32, now sim.Time) {
 		if t.cwnd[s] > t.cwndCap[s] {
 			t.cwnd[s] = t.cwndCap[s]
 		}
-		t.c.nw.metrics.TCPCwndMaxBytes.SetMax(t.cwnd[s])
+		t.c.metrics.TCPCwndMaxBytes.SetMax(t.cwnd[s])
 	}
 	rtt := t.baseRTT[s] + qDelay
 	t.srtt[s] += (rtt - t.srtt[s]) / 8
@@ -408,7 +408,7 @@ func (t *tcpCore) onLoss(s int32, now sim.Time, qDelay float64) {
 		t.srtt[s] += (rtt - t.srtt[s]) / 8
 		t.demand[s] = t.cwnd[s] * 8 / t.srtt[s]
 		t.fastRtx++
-		t.c.nw.metrics.TCPFastRetransmits.Inc()
+		t.c.metrics.TCPFastRetransmits.Inc()
 		return
 	}
 	t.tstate[s] = tcpRTOWait
@@ -446,7 +446,7 @@ func (t *tcpCore) rtoFire(arg uint64) {
 	c.settle()
 	c.unpark(s) // a stalled flow is parked by the reallocation of its stall tick
 	t.rtoFired++
-	c.nw.metrics.TCPTimeouts.Inc()
+	c.metrics.TCPTimeouts.Inc()
 	if t.backoff[s] < tcpMaxBackoff {
 		t.backoff[s]++
 	}

@@ -71,7 +71,7 @@ func TestTCPStepMatchesReference(t *testing.T) {
 		eng := sim.New()
 		net := NewNetwork(eng, topo, Config{Transport: "tcp"})
 		net.Reserve(fanin)
-		c, tc := net.soa, net.soa.tcp
+		tc := net.tcp
 		mss := tcpMSS
 
 		type before struct {
@@ -86,14 +86,14 @@ func TestTCPStepMatchesReference(t *testing.T) {
 		tc.tickEv = eng.NewTimer(func(arg uint64) {
 			// settle is idempotent within one instant, so the production
 			// tick's own settle charges nothing further.
-			c.settle()
+			net.settle()
 			snap = snap[:0]
-			for _, s := range c.active {
+			for _, s := range net.active {
 				b := before{s: s, acked: tc.acked[s], rtt: tc.baseRTT[s], st: tcpFlowState{
 					cwnd: tc.cwnd[s], ssthresh: tc.ssthresh[s], srtt: tc.srtt[s],
 					demand: tc.demand[s], state: tc.tstate[s],
 				}}
-				for _, lid := range c.path(s) {
+				for _, lid := range net.path(s) {
 					b.loss = b.loss || tc.overflowAt[lid] > tc.lossAt[s]
 					b.rtt += tc.qBytes[lid] * 8 / topo.links[lid].CapacityBps
 				}
@@ -108,7 +108,7 @@ func TestTCPStepMatchesReference(t *testing.T) {
 					!rateEqual(tc.ssthresh[s], want.ssthresh) || !rateEqual(tc.demand[s], want.demand) {
 					t.Fatalf("fan-in %d tick %d flow %d: got cwnd %.6g ssthresh %.6g state %d demand %.6g, "+
 						"reference cwnd %.6g ssthresh %.6g state %d demand %.6g (from %+v, acked %.6g, loss %v)",
-						fanin, ticks, c.fid[s], tc.cwnd[s], tc.ssthresh[s], tc.tstate[s], tc.demand[s],
+						fanin, ticks, net.fid[s], tc.cwnd[s], tc.ssthresh[s], tc.tstate[s], tc.demand[s],
 						want.cwnd, want.ssthresh, want.state, want.demand, b.st, b.acked, b.loss)
 				}
 				compared++

@@ -28,17 +28,17 @@ func checkedNet(t *testing.T, nFlows int, cfg Config) (*Network, *sim.Engine) {
 	}
 	// Flows join the active set after their SYN latency; settle until
 	// every flow is active and the coalesced reallocation has fired.
-	for net.ActiveFlows() < nFlows || net.reallocPendingNow() {
+	for net.ActiveFlows() < nFlows || net.reallocPending {
 		if !eng.Step() {
 			t.Fatalf("queue drained with %d/%d flows active (realloc pending %v)",
-				net.ActiveFlows(), nFlows, net.reallocPendingNow())
+				net.ActiveFlows(), nFlows, net.reallocPending)
 		}
 	}
 	return net, eng
 }
 
 // transports lists the configurations every checker runs under: the
-// fluid model ("soa", named for the flow core it exercises) and the TCP
+// fluid model ("soa", named for the struct-of-arrays flow core it exercises) and the TCP
 // transport, whose demand-capped rates the max-min oracle also checks.
 var transports = []struct {
 	name string
@@ -141,7 +141,7 @@ func TestVerifyStateSilentWhileReallocPending(t *testing.T) {
 			}
 			// Step until the flow's arrival marks the allocation dirty,
 			// stopping before the coalesced reallocation event fires.
-			for !net.reallocPendingNow() {
+			for !net.reallocPending {
 				if !eng.Step() {
 					t.Fatal("queue drained before the allocation went dirty")
 				}

@@ -50,7 +50,7 @@ func (f *Flags) Telemetry() *Telemetry {
 	}
 	t := New()
 	if f.LinksOut != "" {
-		t.EnableLinkTimeline(0)
+		t.EnableLinkTimeline()
 	}
 	if f.PprofAddr != "" {
 		go func() {

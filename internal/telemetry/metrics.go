@@ -320,10 +320,10 @@ func (t *Telemetry) ShardSet(n int) ShardMetrics {
 	return m
 }
 
-// EnableLinkTimeline attaches a per-link utilisation timeline sampled
-// every intervalNs (<=0 selects 100 ms of simulated time).
-func (t *Telemetry) EnableLinkTimeline(intervalNs int64) *LinkTimeline {
-	t.Links = NewLinkTimeline(intervalNs)
+// EnableLinkTimeline attaches a per-link utilisation timeline, which the
+// network's utilisation probe samples every 100 ms of simulated time.
+func (t *Telemetry) EnableLinkTimeline() *LinkTimeline {
+	t.Links = NewLinkTimeline()
 	return t.Links
 }
 

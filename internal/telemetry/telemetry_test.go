@@ -236,10 +236,7 @@ func TestWritePrometheusFormat(t *testing.T) {
 }
 
 func TestLinkTimelineCSV(t *testing.T) {
-	tl := NewLinkTimeline(0)
-	if tl.IntervalNs != 100_000_000 {
-		t.Errorf("default interval = %d", tl.IntervalNs)
-	}
+	tl := NewLinkTimeline()
 	tl.Append(LinkPoint{AtNs: 100, Link: 3, Util: 0.5, Flows: 2})
 	var buf bytes.Buffer
 	if err := tl.WriteCSV(&buf); err != nil {

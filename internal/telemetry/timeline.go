@@ -20,21 +20,12 @@ type LinkPoint struct {
 // from netsim. Samples arrive in simulated-time order from a single
 // capture's probe; the mutex makes concurrent use safe anyway.
 type LinkTimeline struct {
-	// IntervalNs is the sampling period the probe should use.
-	IntervalNs int64
-
 	mu     sync.Mutex
 	points []LinkPoint
 }
 
-// NewLinkTimeline returns a timeline requesting the given sampling
-// period (<=0 selects 100 ms).
-func NewLinkTimeline(intervalNs int64) *LinkTimeline {
-	if intervalNs <= 0 {
-		intervalNs = 100_000_000
-	}
-	return &LinkTimeline{IntervalNs: intervalNs}
-}
+// NewLinkTimeline returns an empty timeline.
+func NewLinkTimeline() *LinkTimeline { return &LinkTimeline{} }
 
 // Append records one sample. Safe on a nil timeline.
 func (t *LinkTimeline) Append(p LinkPoint) {
