@@ -116,6 +116,7 @@ func runE18(cfg Config) ([]Table, error) {
 			"identical = byte-equal TraceSet+telemetry vs serial",
 		Headers: []string{"layout", "GOMAXPROCS", "wall ms", "wall speedup",
 			"crit ms", "crit speedup", "windows", "boundary events", "identical"},
+		Volatile: []string{"wall ms", "wall speedup", "crit ms", "crit speedup"},
 	}
 
 	var ref rowResult
