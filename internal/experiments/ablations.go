@@ -5,6 +5,7 @@ import (
 
 	"keddah/internal/core"
 	"keddah/internal/flows"
+	"keddah/internal/hadoop/mapreduce"
 	"keddah/internal/pcap"
 	"keddah/internal/stats"
 	"keddah/internal/workload"
@@ -26,38 +27,28 @@ func runA1(cfg Config) ([]Table, error) {
 		Headers: []string{"locality wait", "local maps %", "remote read MB",
 			"hdfs_read MB", "duration s"},
 	}
-	input := cfg.gb(4)
-	for _, mode := range []struct {
+	type mode struct {
 		name   string
 		waitNs int64
-	}{
-		{"3s (default)", 0},
-		{"disabled", 1},
-	} {
-		spec := core.ClusterSpec{
-			Topology: "multirack", Workers: 16, Racks: 2, UplinkGbps: 4,
-			LocalityWaitNs: mode.waitNs, Seed: cfg.Seed,
-		}
-		ts, results, err := core.CaptureWith(spec, []workload.RunSpec{{Profile: "terasort", InputBytes: input}}, core.CaptureOpts{Telemetry: cfg.Telemetry, StrictChecks: cfg.StrictChecks})
-		if err != nil {
-			return nil, fmt.Errorf("A1 capture (%s): %w", mode.name, err)
-		}
-		r := ts.Runs[0]
-		ds := r.Dataset()
-		// Remote reads show up as non-loopback hdfs_read flows between
-		// distinct hosts; loopback flows have src == dst addresses.
-		remote := ds.Filter(func(rec pcap.FlowRecord, p flows.Phase) bool {
-			return p == flows.PhaseHDFSRead && rec.Key.Src != rec.Key.Dst
-		})
-		localPct := 0.0
-		round := results[0].Rounds[0]
-		if round.Maps > 0 {
-			localPct = 100 * float64(round.LocalMaps) / float64(round.Maps)
-		}
-		t.AddRow(mode.name, f2(localPct), mb(remote.Volume("")),
-			mb(ds.Volume(flows.PhaseHDFSRead)), f2(r.DurationSeconds()))
 	}
-	return []Table{t}, nil
+	err := sweep(cfg, &t, multirack(cfg, 4),
+		workload.RunSpec{Profile: "terasort", InputBytes: cfg.gb(4)}, []mode{{"3s (default)", 0}, {"disabled", 1}},
+		func(m mode, s *core.ClusterSpec, _ *workload.RunSpec) { s.LocalityWaitNs = m.waitNs },
+		func(m mode, r *core.Run, round mapreduce.Result) []string {
+			ds := r.Dataset()
+			// Remote reads show up as non-loopback hdfs_read flows between
+			// distinct hosts; loopback flows have src == dst addresses.
+			remote := ds.Filter(func(rec pcap.FlowRecord, p flows.Phase) bool {
+				return p == flows.PhaseHDFSRead && rec.Key.Src != rec.Key.Dst
+			})
+			localPct := 0.0
+			if round.Maps > 0 {
+				localPct = 100 * float64(round.LocalMaps) / float64(round.Maps)
+			}
+			return []string{m.name, f2(localPct), mb(remote.Volume("")),
+				mb(ds.Volume(flows.PhaseHDFSRead)), f2(r.DurationSeconds())}
+		})
+	return tables(err, t)
 }
 
 // runA2 quantifies the bandwidth-sharing model: naive equal split
@@ -70,30 +61,22 @@ func runA2(cfg Config) ([]Table, error) {
 		Headers: []string{"allocator", "duration s", "mean shuffle flow s",
 			"shuffle MB"},
 	}
-	input := cfg.gb(4)
-	for _, alloc := range []string{"maxmin", "equalsplit"} {
-		spec := core.ClusterSpec{
-			Topology: "multirack", Workers: 16, Racks: 2, UplinkGbps: 2,
-			Allocator: alloc, Seed: cfg.Seed,
-		}
-		ts, _, err := core.CaptureWith(spec, []workload.RunSpec{{Profile: "terasort", InputBytes: input}}, core.CaptureOpts{Telemetry: cfg.Telemetry, StrictChecks: cfg.StrictChecks})
-		if err != nil {
-			return nil, fmt.Errorf("A2 capture (%s): %w", alloc, err)
-		}
-		r := ts.Runs[0]
-		ds := r.Dataset()
-		t.AddRow(alloc, f2(r.DurationSeconds()),
-			f3(meanDuration(r.Records, flows.PhaseShuffle)),
-			mb(ds.Volume(flows.PhaseShuffle)))
-	}
-	return []Table{t}, nil
+	err := sweep(cfg, &t, multirack(cfg, 2),
+		workload.RunSpec{Profile: "terasort", InputBytes: cfg.gb(4)}, []string{"maxmin", "equalsplit"},
+		func(alloc string, s *core.ClusterSpec, _ *workload.RunSpec) { s.Allocator = alloc },
+		func(alloc string, r *core.Run, _ mapreduce.Result) []string {
+			ds := r.Dataset()
+			return []string{alloc, f2(r.DurationSeconds()),
+				f3(meanDuration(ds, flows.PhaseShuffle)), mb(ds.Volume(flows.PhaseShuffle))}
+		})
+	return tables(err, t)
 }
 
 // runA3 quantifies the distribution library: restricting the candidate
 // set to exponential-only degrades the size-law fit (higher KS), which is
 // why Keddah searches a family library.
 func runA3(cfg Config) ([]Table, error) {
-	ts, err := corpus(cfg, []string{"terasort", "wordcount"}, 5)
+	ts, full, err := fitted(cfg, []string{"terasort", "wordcount"}, 5)
 	if err != nil {
 		return nil, err
 	}
@@ -102,10 +85,6 @@ func runA3(cfg Config) ([]Table, error) {
 		Title: "Distribution library ablation: size-law KS by candidate set",
 		Headers: []string{"workload", "phase", "full library KS", "full family",
 			"exp-only KS"},
-	}
-	full, err := core.FitWith(ts, core.FitOptions{}, cfg.Telemetry)
-	if err != nil {
-		return nil, fmt.Errorf("A3 full fit: %w", err)
 	}
 	expOnly, err := core.FitWith(ts, core.FitOptions{Candidates: []stats.Family{stats.FamilyExponential}}, cfg.Telemetry)
 	if err != nil {

@@ -27,9 +27,10 @@ func runE3(cfg Config) ([]Table, error) {
 	}
 	input := cfg.gb(8)
 	for _, prof := range workload.Names() {
-		ts, err := captureOne(cfg, core.ClusterSpec{Workers: 16, Seed: cfg.Seed}, prof, input, 0)
+		ts, _, err := cfg.capture(core.ClusterSpec{Workers: 16, Seed: cfg.Seed},
+			[]workload.RunSpec{{Profile: prof, InputBytes: input}}, core.CaptureOpts{})
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("E3 capture %s: %w", prof, err)
 		}
 		// Pool rounds.
 		pool := map[flows.Phase][]float64{}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"keddah/internal/coflow"
-	"keddah/internal/pcap"
 )
 
 func init() {
@@ -32,11 +31,7 @@ func runE13(cfg Config) ([]Table, error) {
 	}
 	byWorkload := ts.ByWorkload()
 	for _, name := range names {
-		runs := byWorkload[name]
-		var recs []pcap.FlowRecord
-		for _, r := range runs {
-			recs = append(recs, r.Records...)
-		}
+		recs := records(byWorkload[name])
 		cfs := coflow.FromRecords(recs)
 		if len(cfs) == 0 {
 			return nil, fmt.Errorf("E13: no coflows for %s", name)

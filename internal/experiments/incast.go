@@ -7,9 +7,9 @@ import (
 	"keddah/internal/core"
 	"keddah/internal/faults"
 	"keddah/internal/flows"
+	"keddah/internal/hadoop/mapreduce"
 	"keddah/internal/netsim"
 	"keddah/internal/sim"
-	"keddah/internal/stats"
 	"keddah/internal/workload"
 )
 
@@ -137,22 +137,19 @@ func runE17Capture(cfg Config) (*Table, error) {
 
 	// Fluid healthy anchors everything: the stretch column, the KS sample
 	// and the fault window for the chaos cells.
-	ts0, res0, err := core.CaptureWith(spec, runSpec, core.CaptureOpts{Telemetry: cfg.Telemetry, StrictChecks: cfg.StrictChecks})
+	ts0, base, err := cfg.healthy(spec, runSpec)
 	if err != nil {
-		return nil, fmt.Errorf("E17b fluid healthy: %w", err)
+		return nil, fmt.Errorf("E17b fluid %w", err)
 	}
-	round0 := res0[0].Rounds[0]
-	healthyDur := float64(round0.Duration()) / 1e9
-	healthySizes := ts0.Runs[0].Dataset().SizeSample(flows.PhaseShuffle)
-	addE17Row(&t, "fluid", "healthy", ts0, res0, healthyDur, healthySizes)
-
+	addE17Row(&t, "fluid", "healthy", ts0, base.round, base)
+	winStart, winEnd := base.faultWindow()
 	sched := faults.Random(cfg.Seed*1000+17, faults.RandomOpts{
 		N:             6,
 		Kinds:         []faults.Kind{faults.LinkDown, faults.LinkDegrade, faults.NodeCrash},
 		Links:         topo.NumLinks(),
 		Workers:       16,
-		WindowStartNs: int64(round0.Submitted) + int64(round0.Duration())/10,
-		WindowEndNs:   int64(round0.Submitted) + int64(round0.Duration())*7/10,
+		WindowStartNs: winStart,
+		WindowEndNs:   winEnd,
 		MinDurationNs: 3_000_000_000,
 		MaxDurationNs: 8_000_000_000,
 	})
@@ -169,39 +166,28 @@ func runE17Capture(cfg Config) (*Table, error) {
 	for _, c := range cells {
 		cellSpec := spec
 		cellSpec.Transport = c.transport
-		ts, res, err := core.CaptureWith(cellSpec, runSpec, core.CaptureOpts{
-			Faults: c.faults, Telemetry: cfg.Telemetry, StrictChecks: cfg.StrictChecks,
-		})
+		ts, res, err := cfg.capture(cellSpec, runSpec, core.CaptureOpts{Faults: c.faults})
 		if err != nil {
 			return nil, fmt.Errorf("E17b %s %s: %w", c.transport, c.scenario, err)
 		}
-		addE17Row(&t, c.transport, c.scenario, ts, res, healthyDur, healthySizes)
+		addE17Row(&t, c.transport, c.scenario, ts, res[0].Rounds[0], base)
 	}
 	return &t, nil
 }
 
 // addE17Row reduces one capture to a transport-comparison table row.
 func addE17Row(t *Table, transport, scenario string, ts *core.TraceSet,
-	results []workload.RunResult, healthyDur float64, healthySizes *stats.Sample) {
-	round := results[0].Rounds[0]
+	round mapreduce.Result, base baseline) {
 	ds := ts.Runs[0].Dataset()
 	dur := float64(round.Duration()) / 1e9
-
 	durs := ds.DurationSample(flows.PhaseShuffle).Values()
-	ks := 0.0
-	if !(transport == "fluid" && scenario == "healthy") {
-		if sizes := ds.SizeSample(flows.PhaseShuffle); sizes.Len() > 0 && healthySizes.Len() > 0 {
-			ks = stats.KSStatistic2Sorted(healthySizes.Values(), sizes.Values())
-		}
-	}
-
 	t.AddRow(transport, scenario,
 		f2(dur),
-		f2(dur/healthyDur),
+		f2(dur/base.secs),
 		mb(ds.Volume(flows.PhaseShuffle)),
 		f2(pctSorted(durs, 50)*1e3),
 		f2(pctSorted(durs, 99)*1e3),
-		f3(ks),
+		f3(base.shuffleKS(ds)),
 	)
 }
 

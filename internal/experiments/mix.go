@@ -3,10 +3,8 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"keddah/internal/core"
-	"keddah/internal/flows"
 )
 
 func init() {
@@ -19,13 +17,9 @@ func init() {
 // grows, per-flow transfer times stretch — the capacity-planning
 // question a reusable traffic model exists to answer.
 func runE12(cfg Config) ([]Table, error) {
-	ts, err := corpus(cfg, []string{"terasort", "wordcount", "grep"}, 3)
+	_, model, err := fitted(cfg, []string{"terasort", "wordcount", "grep"}, 3)
 	if err != nil {
 		return nil, err
-	}
-	model, err := core.FitWith(ts, core.FitOptions{}, cfg.Telemetry)
-	if err != nil {
-		return nil, fmt.Errorf("fit: %w", err)
 	}
 
 	mixTable := Table{
@@ -40,10 +34,11 @@ func runE12(cfg Config) ([]Table, error) {
 			"mean hdfs flow s"},
 	}
 
-	weights := map[string]float64{"terasort": 6, "wordcount": 3, "grep": 1}
+	// The 4 jobs/min schedule is also the one replayed across fabrics.
+	var replayed []core.SynthFlow
 	for _, rate := range []float64{1, 2, 4, 8} {
 		sched, err := model.GenerateMix(context.Background(), core.MixSpec{
-			Weights:       weights,
+			Weights:       map[string]float64{"terasort": 6, "wordcount": 3, "grep": 1},
 			JobsPerMinute: rate,
 			WindowSecs:    300,
 			Workers:       16,
@@ -52,51 +47,26 @@ func runE12(cfg Config) ([]Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("mix rate %.0f: %w", rate, err)
 		}
+		if rate == 4 {
+			replayed = sched
+		}
 		sum := core.SummarizeMix(sched)
 		arrivals := 0
 		for _, n := range sum.Arrivals {
 			arrivals += n
 		}
 		var totalBytes int64
-		names := make([]string, 0, len(sum.Bytes))
-		for n := range sum.Bytes {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			totalBytes += sum.Bytes[n]
+		for _, b := range sum.Bytes {
+			totalBytes += b
 		}
 		mixTable.AddRow(f2(rate), itoa(arrivals), itoa(sum.Flows),
 			f2(float64(totalBytes)/(1<<30)), f2(sum.SpanSecs))
 	}
 
-	sched, err := model.GenerateMix(context.Background(), core.MixSpec{
-		Weights:       weights,
-		JobsPerMinute: 4,
-		WindowSecs:    300,
-		Workers:       16,
-		Seed:          cfg.Seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	fabrics := []struct {
-		name string
-		spec core.ClusterSpec
-	}{
+	err = replayOn(cfg, &replayTable, replayed, []fabric{
 		{"star 1G", core.ClusterSpec{Topology: "star", Workers: 16, Seed: cfg.Seed}},
-		{"2 racks, 4G uplink", core.ClusterSpec{Topology: "multirack", Workers: 16, Racks: 2, UplinkGbps: 4, Seed: cfg.Seed}},
-		{"2 racks, 1G uplink", core.ClusterSpec{Topology: "multirack", Workers: 16, Racks: 2, UplinkGbps: 1, Seed: cfg.Seed}},
-	}
-	for _, f := range fabrics {
-		recs, _, err := core.ReplayWith(sched, f.spec, cfg.Telemetry)
-		if err != nil {
-			return nil, fmt.Errorf("replay mix on %s: %w", f.name, err)
-		}
-		replayTable.AddRow(f.name,
-			f3(meanDuration(recs, flows.PhaseShuffle)),
-			f3(p99Duration(recs, flows.PhaseShuffle)),
-			f3(meanDuration(recs, flows.PhaseHDFSRead, flows.PhaseHDFSWrite)))
-	}
-	return []Table{mixTable, replayTable}, nil
+		{"2 racks, 4G uplink", multirack(cfg, 4)},
+		{"2 racks, 1G uplink", multirack(cfg, 1)},
+	}, flowTimes)
+	return tables(err, mixTable, replayTable)
 }

@@ -19,13 +19,9 @@ func init() {
 // the uplink shrinks, with the shuffle phase the most sensitive — the
 // reproducible what-if capability the toolchain exists to provide.
 func runE9(cfg Config) ([]Table, error) {
-	ts, err := corpus(cfg, []string{"terasort"}, 3)
+	_, model, err := fitted(cfg, []string{"terasort"}, 3)
 	if err != nil {
 		return nil, err
-	}
-	model, err := core.FitWith(ts, core.FitOptions{}, cfg.Telemetry)
-	if err != nil {
-		return nil, fmt.Errorf("fit: %w", err)
 	}
 	// Four overlapping job instances at twice the fitted reference size:
 	// the multi-tenant, scaled what-if the toolchain was built for.
@@ -49,44 +45,61 @@ func runE9(cfg Config) ([]Table, error) {
 		Headers: []string{"fabric", "data makespan s", "mean shuffle flow s",
 			"p99 shuffle flow s", "mean hdfs flow s"},
 	}
-	fabrics := []struct {
-		name string
-		spec core.ClusterSpec
-	}{
+	err = replayOn(cfg, &t, sched, []fabric{
 		{"star 1G", core.ClusterSpec{Topology: "star", Workers: 16, Seed: cfg.Seed}},
-		{"2 racks, 10G uplink", core.ClusterSpec{Topology: "multirack", Workers: 16, Racks: 2, UplinkGbps: 10, Seed: cfg.Seed}},
-		{"2 racks, 4G uplink", core.ClusterSpec{Topology: "multirack", Workers: 16, Racks: 2, UplinkGbps: 4, Seed: cfg.Seed}},
-		{"2 racks, 1G uplink", core.ClusterSpec{Topology: "multirack", Workers: 16, Racks: 2, UplinkGbps: 1, Seed: cfg.Seed}},
+		{"2 racks, 10G uplink", multirack(cfg, 10)},
+		{"2 racks, 4G uplink", multirack(cfg, 4)},
+		{"2 racks, 1G uplink", multirack(cfg, 1)},
 		{"fat-tree k=4", core.ClusterSpec{Topology: "fattree", FatTreeK: 4, Seed: cfg.Seed}},
-	}
+	}, func(ds *flows.Dataset) []string {
+		return append([]string{f2(dataMakespan(ds))}, flowTimes(ds)...)
+	})
+	return tables(err, t)
+}
+
+// multirack is the suite's two-rack, 16-worker fabric with the given
+// rack uplink.
+func multirack(cfg Config, uplinkGbps float64) core.ClusterSpec {
+	return core.ClusterSpec{Topology: "multirack", Workers: 16, Racks: 2, UplinkGbps: uplinkGbps, Seed: cfg.Seed}
+}
+
+// fabric is a named cluster a schedule is replayed on.
+type fabric struct {
+	name string
+	spec core.ClusterSpec
+}
+
+// replayOn replays one schedule on every fabric and adds one row each to
+// t: the fabric's name, then the cells the replayed flows give.
+func replayOn(cfg Config, t *Table, sched []core.SynthFlow, fabrics []fabric, cells func(*flows.Dataset) []string) error {
 	for _, f := range fabrics {
 		recs, _, err := core.ReplayWith(sched, f.spec, cfg.Telemetry)
 		if err != nil {
-			return nil, fmt.Errorf("replay on %s: %w", f.name, err)
+			return fmt.Errorf("%s replay on %s: %w", t.ID, f.name, err)
 		}
-		t.AddRow(f.name,
-			f2(dataMakespan(recs)),
-			f3(meanDuration(recs, flows.PhaseShuffle)),
-			f3(p99Duration(recs, flows.PhaseShuffle)),
-			f3(meanDuration(recs, flows.PhaseHDFSRead, flows.PhaseHDFSWrite)),
-		)
+		t.AddRow(append([]string{f.name}, cells(flows.NewDataset(recs))...)...)
 	}
-	return []Table{t}, nil
+	return nil
+}
+
+// flowTimes gives a replay's mean and p99 shuffle flow durations and its
+// mean HDFS flow duration, in seconds.
+func flowTimes(ds *flows.Dataset) []string {
+	return []string{f3(meanDuration(ds, flows.PhaseShuffle)), f3(p99Duration(ds, flows.PhaseShuffle)),
+		f3(meanDuration(ds, flows.PhaseHDFSRead, flows.PhaseHDFSWrite))}
 }
 
 // dataMakespan spans the first data-flow start to the last data-flow end
 // in seconds, ignoring the long control-flow tail.
-func dataMakespan(recs []pcap.FlowRecord) float64 {
-	ds := flows.NewDataset(recs).Filter(func(_ pcap.FlowRecord, p flows.Phase) bool {
+func dataMakespan(ds *flows.Dataset) float64 {
+	first, last := ds.Filter(func(_ pcap.FlowRecord, p flows.Phase) bool {
 		return p == flows.PhaseShuffle || p == flows.PhaseHDFSRead || p == flows.PhaseHDFSWrite
-	})
-	first, last := ds.Span()
+	}).Span()
 	return float64(last-first) / 1e9
 }
 
 // meanDuration averages flow durations (seconds) over the given phases.
-func meanDuration(recs []pcap.FlowRecord, phases ...flows.Phase) float64 {
-	ds := flows.NewDataset(recs)
+func meanDuration(ds *flows.Dataset, phases ...flows.Phase) float64 {
 	var sum float64
 	var n int
 	for _, ph := range phases {
@@ -102,8 +115,8 @@ func meanDuration(recs []pcap.FlowRecord, phases ...flows.Phase) float64 {
 }
 
 // p99Duration returns the 99th percentile flow duration for a phase.
-func p99Duration(recs []pcap.FlowRecord, ph flows.Phase) float64 {
-	s := flows.NewDataset(recs).DurationSample(ph)
+func p99Duration(ds *flows.Dataset, ph flows.Phase) float64 {
+	s := ds.DurationSample(ph)
 	if s.Len() == 0 {
 		return 0 // no flows in this phase
 	}

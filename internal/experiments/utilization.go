@@ -17,13 +17,9 @@ func init() {
 // as the uplink shrinks, mean utilization and time-at-saturation rise
 // until the fabric is the bottleneck.
 func runE14(cfg Config) ([]Table, error) {
-	ts, err := corpus(cfg, []string{"terasort", "wordcount"}, 3)
+	_, model, err := fitted(cfg, []string{"terasort", "wordcount"}, 3)
 	if err != nil {
 		return nil, err
-	}
-	model, err := core.FitWith(ts, core.FitOptions{}, cfg.Telemetry)
-	if err != nil {
-		return nil, fmt.Errorf("fit: %w", err)
 	}
 	sched, err := model.GenerateMix(context.Background(), core.MixSpec{
 		Weights:       map[string]float64{"terasort": 2, "wordcount": 1},
@@ -44,10 +40,7 @@ func runE14(cfg Config) ([]Table, error) {
 			"busy time %", "replay makespan s"},
 	}
 	for _, uplink := range []float64{10, 4, 2, 1} {
-		spec := core.ClusterSpec{
-			Topology: "multirack", Workers: 16, Racks: 2,
-			UplinkGbps: uplink, Seed: cfg.Seed,
-		}
+		spec := multirack(cfg, uplink)
 		tel := telemetry.New()
 		tl := tel.EnableLinkTimeline()
 		_, end, err := core.ReplayWith(sched, spec, tel)

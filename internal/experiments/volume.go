@@ -5,26 +5,13 @@ import (
 
 	"keddah/internal/core"
 	"keddah/internal/flows"
+	"keddah/internal/hadoop/mapreduce"
 	"keddah/internal/workload"
 )
 
 func init() {
 	register("E1", "per-phase traffic volume vs input size per workload", runE1)
 	register("E2", "flow counts per phase vs task structure", runE2)
-}
-
-// captureOne runs a single workload at one input size on a fresh cluster
-// and returns the resulting per-round runs.
-func captureOne(cfg Config, spec core.ClusterSpec, profile string, input int64, reducers int) (*core.TraceSet, error) {
-	ts, _, err := core.CaptureWith(spec, []workload.RunSpec{{
-		Profile:    profile,
-		InputBytes: input,
-		Reducers:   reducers,
-	}}, core.CaptureOpts{Telemetry: cfg.Telemetry, StrictChecks: cfg.StrictChecks})
-	if err != nil {
-		return nil, fmt.Errorf("capture %s@%d: %w", profile, input, err)
-	}
-	return ts, nil
 }
 
 // runE1 reproduces the volume-vs-input-size figure: for every workload
@@ -43,9 +30,10 @@ func runE1(cfg Config) ([]Table, error) {
 	for _, prof := range workload.Names() {
 		for _, gbs := range sizes {
 			input := cfg.gb(gbs)
-			ts, err := captureOne(cfg, core.ClusterSpec{Workers: 16, Seed: cfg.Seed}, prof, input, 0)
+			ts, _, err := cfg.capture(core.ClusterSpec{Workers: 16, Seed: cfg.Seed},
+				[]workload.RunSpec{{Profile: prof, InputBytes: input}}, core.CaptureOpts{})
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("E1 capture %s@%s GB: %w", prof, gbLabel(input), err)
 			}
 			// Aggregate all rounds of the run.
 			var read, write, shuffle, control, total int64
@@ -76,25 +64,22 @@ func runE2(cfg Config) ([]Table, error) {
 		Headers: []string{"reducers", "maps", "shuffle flows", "maps*reducers",
 			"hdfs_write flows", "~output blocks", "control flows"},
 	}
-	input := cfg.gb(4)
-	for _, reducers := range []int{4, 8, 16, 32} {
-		ts, err := captureOne(cfg, core.ClusterSpec{Workers: 16, Seed: cfg.Seed}, "terasort", input, reducers)
-		if err != nil {
-			return nil, err
-		}
-		r := ts.Runs[0]
-		ds := r.Dataset()
-		// TeraSort output ≈ input with 1-replica commit; each reducer's
-		// part file rounds up to whole blocks.
-		perReducer := (r.InputBytes + int64(r.Reducers) - 1) / int64(r.Reducers)
-		blocksPerReducer := (perReducer + r.BlockSize - 1) / r.BlockSize
-		outBlocks := int(blocksPerReducer) * r.Reducers
-		t.AddRow(
-			itoa(r.Reducers), itoa(r.Maps),
-			itoa(ds.Count(flows.PhaseShuffle)), itoa(r.Maps*r.Reducers),
-			itoa(ds.Count(flows.PhaseHDFSWrite)), itoa(outBlocks),
-			itoa(ds.Count(flows.PhaseControl)),
-		)
-	}
-	return []Table{t}, nil
+	err := sweep(cfg, &t, core.ClusterSpec{Workers: 16, Seed: cfg.Seed},
+		workload.RunSpec{Profile: "terasort", InputBytes: cfg.gb(4)}, []int{4, 8, 16, 32},
+		setReducers,
+		func(_ int, r *core.Run, _ mapreduce.Result) []string {
+			ds := r.Dataset()
+			// TeraSort output ≈ input with 1-replica commit; each reducer's
+			// part file rounds up to whole blocks.
+			perReducer := (r.InputBytes + int64(r.Reducers) - 1) / int64(r.Reducers)
+			blocksPerReducer := (perReducer + r.BlockSize - 1) / r.BlockSize
+			outBlocks := int(blocksPerReducer) * r.Reducers
+			return []string{
+				itoa(r.Reducers), itoa(r.Maps),
+				itoa(ds.Count(flows.PhaseShuffle)), itoa(r.Maps * r.Reducers),
+				itoa(ds.Count(flows.PhaseHDFSWrite)), itoa(outBlocks),
+				itoa(ds.Count(flows.PhaseControl)),
+			}
+		})
+	return tables(err, t)
 }
