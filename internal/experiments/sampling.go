@@ -27,11 +27,7 @@ func runA4(cfg Config) ([]Table, error) {
 	}
 
 	// Ground truth from the unsampled stream.
-	full := pcap.NewFlowTable(0)
-	for _, p := range packets {
-		full.Add(p)
-	}
-	truth := flows.NewDataset(full.Records())
+	truth := flows.NewDataset(reassemble(packets))
 	truthVol := map[flows.Phase]int64{}
 	for _, ph := range flows.AllPhases {
 		truthVol[ph] = truth.Volume(ph)
