@@ -1,5 +1,5 @@
 // Command keddah-bench reproduces the paper's evaluation tables and
-// figures. Each experiment (E1–E17) and ablation (A1–A3) prints the
+// figures. Each experiment (E1–E18) and ablation (A1–A4) prints the
 // series/rows the corresponding paper artefact reports.
 //
 // Usage:
