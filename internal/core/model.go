@@ -356,8 +356,13 @@ func fitPhase(ph flows.Phase, pp *phasePool, pool *workloadPool, opts FitOptions
 	pm.SizeMin, pm.SizeMax = sizes.Min(), sizes.Max()
 	atoms, rest := extractAtoms(sizes.Values())
 	pm.SizeAtoms = atoms
+	// Without atoms the continuous part is the whole sample.
+	cont := sizes
+	if len(atoms) > 0 {
+		cont = stats.NewSampleOwned(rest)
+	}
 	var err error
-	pm.Size, pm.SizeGoF, pm.Candidates, err = fitLaw(stats.NewSampleOwned(rest), opts)
+	pm.Size, pm.SizeGoF, pm.Candidates, err = fitLaw(cont, opts)
 	if err != nil {
 		return nil, fmt.Errorf("phase %s sizes: %w", ph, err)
 	}

@@ -3,6 +3,7 @@ package flows
 import (
 	"slices"
 	"strings"
+	"sync"
 
 	"keddah/internal/pcap"
 	"keddah/internal/stats"
@@ -143,19 +144,19 @@ func (d *Dataset) DurationSample(p Phase) *stats.Sample {
 // InterArrivals returns successive flow start gaps in seconds for phase p,
 // ordered by start time.
 func (d *Dataset) InterArrivals(p Phase) []float64 {
-	var starts []int64
+	buf := startBufs.Get().(*[]int64)
+	defer putStarts(buf)
+	starts := (*buf)[:0]
 	if p == "" {
-		starts = make([]int64, len(d.Records))
 		for i := range d.Records {
-			starts[i] = d.Records[i].FirstNs
+			starts = append(starts, d.Records[i].FirstNs)
 		}
 	} else {
-		ids := d.idx[p]
-		starts = make([]int64, len(ids))
-		for i, id := range ids {
-			starts[i] = d.Records[id].FirstNs
+		for _, id := range d.idx[p] {
+			starts = append(starts, d.Records[id].FirstNs)
 		}
 	}
+	*buf = starts
 	slices.Sort(starts)
 	if len(starts) < 2 {
 		return nil
@@ -166,6 +167,22 @@ func (d *Dataset) InterArrivals(p Phase) []float64 {
 	}
 	return out
 }
+
+// startBufs recycles the start-time scratch InterArrivals sorts, so a
+// fit pays only for the gaps it keeps.
+var startBufs = sync.Pool{New: func() any { return new([]int64) }}
+
+// putStarts returns buf to startBufs unless it outgrew maxPooledStarts
+// values: as fmt does with its printers, a large buffer is left to the
+// GC, so that one large dataset does not pin its scratch for the
+// process's life.
+func putStarts(buf *[]int64) {
+	if cap(*buf) <= maxPooledStarts {
+		startBufs.Put(buf)
+	}
+}
+
+const maxPooledStarts = 8 << 10
 
 // InterArrivalSample returns the inter-arrival gaps of phase p as a
 // fresh sorted stats.Sample.

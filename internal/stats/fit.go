@@ -372,7 +372,8 @@ func (s *Sample) SelectBest(candidates []Family) (Distribution, []FitResult, err
 	}
 
 	results := make([]FitResult, 0, len(candidates))
-	var cdf []float64 // one CDF buffer serves every candidate's KS walk
+	buf := cdfBufs.Get().(*[]float64) // one CDF buffer serves every candidate's KS walk
+	defer putCDF(buf)
 	for _, fam := range candidates {
 		d, err := s.Fit(fam)
 		if err != nil {
@@ -383,8 +384,8 @@ func (s *Sample) SelectBest(candidates []Family) (Distribution, []FitResult, err
 		if math.IsNaN(aic) {
 			aic = math.Inf(1)
 		}
-		cdf = s.cdf(d, cdf)
-		results = append(results, FitResult{Dist: d, AIC: aic, KS: ksFromCDF(cdf)})
+		*buf = s.cdf(d, *buf)
+		results = append(results, FitResult{Dist: d, AIC: aic, KS: ksFromCDF(*buf)})
 	}
 	sort.SliceStable(results, func(i, j int) bool { return results[i].AIC < results[j].AIC })
 	if results[0].Err != nil || math.IsInf(results[0].AIC, 1) {

@@ -1,6 +1,9 @@
 package stats
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // KSStatistic2Sorted returns the two-sample KS distance between a and b,
 // which must be sorted ascending (Sample.Values is). Keddah uses it to
@@ -108,13 +111,31 @@ func (s *Sample) Evaluate(d Distribution) GoFReport {
 	if n == 0 {
 		return r
 	}
-	cdf := s.cdf(d, nil)
-	r.KS = ksFromCDF(cdf)
+	buf := cdfBufs.Get().(*[]float64)
+	defer putCDF(buf)
+	*buf = s.cdf(d, *buf)
+	r.KS = ksFromCDF(*buf)
 	r.KSP = KSPValue(r.KS, n)
-	r.CvM = cvmFromCDF(cdf)
-	r.AD = adFromCDF(cdf)
+	r.CvM = cvmFromCDF(*buf)
+	r.AD = adFromCDF(*buf)
 	return r
 }
+
+// cdfBufs recycles the CDF buffers Evaluate and SelectBest fill: a fit
+// evaluates its samples one after another, and each would otherwise
+// allocate a buffer as long as itself.
+var cdfBufs = sync.Pool{New: func() any { return new([]float64) }}
+
+// putCDF returns buf to cdfBufs unless it outgrew maxPooledCDF values.
+// As fmt does with its printers, a large buffer is left to the GC, so
+// that one large sample does not pin its scratch for the process's life.
+func putCDF(buf *[]float64) {
+	if cap(*buf) <= maxPooledCDF {
+		cdfBufs.Put(buf)
+	}
+}
+
+const maxPooledCDF = 8 << 10
 
 // cdf evaluates d's CDF at every sorted value, reusing buf's storage
 // when it is large enough.
