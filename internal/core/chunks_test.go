@@ -5,7 +5,11 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
+
+	"keddah/internal/flows"
+	"keddah/internal/stats"
 )
 
 // TestGenerateChunksMatchesBatch: the chunked path must deliver exactly
@@ -245,5 +249,62 @@ func TestGenerateChunksBytesPerFlow(t *testing.T) {
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(perFlow*streamed+fixed) {
 		t.Errorf("streaming %d flows allocated %d bytes (%.1f B/flow); the fence is %d B/flow + %d B",
 			streamed, grew, float64(grew)/float64(streamed), perFlow, fixed)
+	}
+}
+
+// TestGenerateChunksBytesPerFlowManyJobs is the memory fence on a
+// background-free multi-job stream: each job is sampled only when the
+// merge reaches its start and each run's slab is reused once emitted, so
+// streaming 40 staggered jobs allocates at most 8 bytes per flow plus
+// 1 MiB. Sampling the whole schedule before the first emit costs 32.
+func TestGenerateChunksBytesPerFlowManyJobs(t *testing.T) {
+	model := mixModel(t)
+	spec := GenSpec{Workload: "terasort", InputBytes: 16 << 30, Workers: 64, Jobs: 40, Seed: 3}
+	n, err := model.EstimateFlows(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n < 300_000 {
+		t.Fatalf("spec schedules %d flows; the fence needs at least 300k", n)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	streamed := 0
+	err = model.GenerateChunks(context.Background(), spec, 0, func(c []SynthFlow) error {
+		streamed += len(c)
+		return nil
+	})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(streamed) != n {
+		t.Fatalf("streamed %d flows, estimated %d", streamed, n)
+	}
+	const perFlow, fixed = 8, 1 << 20
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(perFlow*streamed+fixed) {
+		t.Errorf("streaming %d flows allocated %d bytes (%.1f B/flow); the fence is %d B/flow + %d B",
+			streamed, grew, float64(grew)/float64(streamed), perFlow, fixed)
+	}
+}
+
+// TestGenerateMixChunksBadLawBeforeEmit: arrivals are sampled only when
+// the merge reaches them, but every workload's laws are built first, so
+// a law that cannot be built fails the stream before its first emit even
+// when only a later arrival uses it.
+func TestGenerateMixChunksBadLawBeforeEmit(t *testing.T) {
+	model := mixModel(t)
+	model.Jobs["wordcount"].Phases[flows.PhaseShuffle].Size = stats.DistSpec{Family: "bogus"}
+	spec := MixSpec{Weights: map[string]float64{"terasort": 1, "wordcount": 1}, JobsPerMinute: 6, WindowSecs: 600, Workers: 8, Seed: 2}
+	err := model.GenerateMixChunks(context.Background(), spec, 7, func([]SynthFlow) error {
+		t.Fatal("emit called before the bad law was refused")
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "size law wordcount/shuffle") {
+		t.Fatalf("got %v, want the wordcount shuffle size law refused", err)
+	}
+	if !strings.Contains(err.Error(), "mix arrival ") || strings.Contains(err.Error(), "mix arrival 0 ") {
+		t.Fatalf("%v: the first arrival uses the bad law; pick a seed where a later one does", err)
 	}
 }

@@ -51,7 +51,8 @@ type GenSpec struct {
 	// Stagger spaces successive job starts as a fraction of the scaled
 	// job duration: 1 (default) is back-to-back, 0.25 overlaps four
 	// jobs — the multi-tenant scenario replays exist to study. Negative
-	// values are treated as 0 (all jobs start together).
+	// values are treated as 0 (all jobs start together). A stagger that
+	// starts the last job at or past sim.MaxTime is refused.
 	Stagger float64 `json:"stagger"`
 	// IncludeBackground adds cluster heartbeat traffic from the
 	// background model.
@@ -100,66 +101,86 @@ const genCtxStride = 4096
 // client vanished — or whose deadline passed — aborts the schedule
 // mid-build instead of completing work nobody will read.
 func (m *Model) Generate(ctx context.Context, spec GenSpec) ([]SynthFlow, error) {
-	b, err := m.build(ctx, spec)
+	b, err := m.schedule(ctx, spec)
 	if err != nil {
 		return nil, err
 	}
-	return b.collect(), nil
+	return b.collect()
 }
 
 // GenerateChunks streams the schedule Generate would return —
 // identical flows in identical time order — through emit in slices of at
 // most chunk flows (chunk <= 0 selects genCtxStride). ctx is honoured
 // both during generation and between emits, so a disconnected or
-// deadline-expired client aborts the stream mid-schedule. Global time
-// order needs every flow sampled before the first can be emitted, so the
-// whole schedule is sampled first, into a slab of 32-byte records, and
-// then merged chunk by chunk into one reused SynthFlow buffer. A stream
-// therefore holds 32 bytes per flow plus one chunk buffer; what is never
-// materialised is the SynthFlow schedule or the encoded output, since
-// each emitted slice can be encoded and flushed to the client before the
-// next is merged. A chunk slice is only valid during its emit call.
+// deadline-expired client aborts the stream mid-schedule.
+//
+// Each job is sampled only when the merge reaches its start, into
+// 32-byte records that are recycled once emitted, and merged chunk by
+// chunk into one reused SynthFlow buffer. A stream therefore holds 32
+// bytes per flow it has sampled but not yet emitted, plus one chunk
+// buffer and a 56-byte record per (job, phase) run sampled so far; with
+// IncludeBackground, whose heartbeats may start at time 0,
+// every flow is sampled before the first is emitted, so it holds 32
+// bytes per flow of the whole schedule. What is never materialised is
+// the SynthFlow schedule or the encoded output, since each emitted slice
+// can be encoded and flushed to the client before the next is merged. A
+// chunk slice is only valid during its emit call.
 func (m *Model) GenerateChunks(ctx context.Context, spec GenSpec, chunk int, emit func([]SynthFlow) error) error {
-	b, err := m.build(ctx, spec)
+	b, err := m.schedule(ctx, spec)
 	if err != nil {
 		return err
 	}
 	return b.stream(ctx, chunk, emit)
 }
 
-// build samples spec's schedule into a builder: one run per (job, phase)
-// and one for the background, in the order the RNG draws them.
-func (m *Model) build(ctx context.Context, spec GenSpec) (*scheduleBuilder, error) {
+// schedule lists spec's sources in the order the RNG draws them: each
+// job, then the background. Every law is built before it returns, so a
+// bad one fails before any flow is sampled.
+func (m *Model) schedule(ctx context.Context, spec GenSpec) (*scheduleBuilder, error) {
 	sh, err := m.shape(spec)
 	if err != nil {
 		return nil, err
 	}
-	spec = sh.spec
-	// shape bounds the unrounded count; the slab takes the exact one.
-	if sh.total > maxSpecFlows {
-		return nil, tooManyFlows("GenSpec", "inputBytes", float64(sh.total))
+	if err := sh.buildLaws(); err != nil {
+		return nil, err
 	}
-	b := newScheduleBuilder(int(sh.total))
-	rng := stats.NewRNG(spec.Seed)
-	jobStart := 0.0
-	for job := 0; job < spec.Jobs; job++ {
-		name := fmt.Sprintf("%s-gen%d", spec.Workload, job)
-		if err := sh.appendJob(ctx, b, rng, jobStart, 0, name); err != nil {
-			return nil, err
-		}
-		jobStart += sh.durSecs * spec.Stagger
+	spec = sh.spec
+	step := sh.durSecs * spec.Stagger
+	bounds := make([]int64, spec.Jobs, spec.Jobs+1)
+	for job, at := 0, 0.0; job < spec.Jobs; job, at = job+1, at+step {
+		bounds[job] = startNs(at, 0)
 	}
 	if spec.IncludeBackground && m.Background != nil {
-		if err := m.appendBackground(ctx, b, spec.Workers, jobStart, rng); err != nil {
-			return nil, err
-		}
+		bounds = append(bounds, 0)
 	}
-	return b, nil
+	return newScheduleBuilder(bounds, sh.total, &jobSources{ctx: ctx, m: m, sh: sh, rng: stats.NewRNG(spec.Seed)}), nil
+}
+
+// jobSources samples a GenSpec's jobs in order from one RNG, then its
+// background.
+type jobSources struct {
+	ctx context.Context
+	m   *Model
+	sh  genShape
+	rng *stats.RNG
+	// at is the next job's start; after the last job, the span the
+	// background covers.
+	at float64
+}
+
+func (s *jobSources) sample(b *scheduleBuilder, i int) error {
+	spec := s.sh.spec
+	if i == spec.Jobs {
+		return s.m.appendBackground(s.ctx, b, spec.Workers, s.at, s.rng)
+	}
+	err := s.sh.appendJob(s.ctx, b, s.rng, s.at, 0, fmt.Sprintf("%s-gen%d", spec.Workload, i))
+	s.at += s.sh.durSecs * spec.Stagger
+	return err
 }
 
 // genShape is a validated, defaulted GenSpec with the structural counts
-// it implies. EstimateFlows reports them and the schedule builder sizes
-// its slab from them, so the estimate and the schedule cannot drift
+// it implies. EstimateFlows reports them and the schedule builder takes
+// its length from them, so the estimate and the schedule cannot drift
 // apart.
 type genShape struct {
 	spec     GenSpec
@@ -168,6 +189,17 @@ type genShape struct {
 	// perJob is the flow count of one job instance, total the exact
 	// schedule length.
 	perJob, total int64
+	// laws holds each flows.AllPhases entry's built laws (buildLaws).
+	laws []phaseLaws
+}
+
+// phaseLaws is one phase of a job, ready to sample: its model, its flow
+// count per job and its built laws. pm is nil for a phase the job does
+// not generate.
+type phaseLaws struct {
+	pm               *PhaseModel
+	count            int
+	size, inter, off stats.Distribution
 }
 
 func (m *Model) shape(spec GenSpec) (genShape, error) {
@@ -190,14 +222,16 @@ func (m *Model) shape(spec GenSpec) (genShape, error) {
 	if sh.durSecs <= 0 {
 		sh.durSecs = jm.DurationSecs
 	}
+	if last := float64(spec.Jobs-1) * sh.durSecs * spec.Stagger; !(last*1e9 < float64(sim.MaxTime)) {
+		return genShape{}, pastClock("GenSpec", "stagger", fmt.Sprintf("starts job %d at %.4g s", spec.Jobs-1, last))
+	}
 	for _, ph := range flows.AllPhases {
 		if pm, ok := jm.Phases[ph]; ok {
 			sh.perJob += int64(sh.count(pm))
 		}
 	}
-	// The schedule slab is allocated at its exact size before sampling,
-	// so a length no machine could hold is refused here, in floating
-	// point where it cannot overflow, rather than failing that allocation.
+	// A schedule length no machine could hold is refused here, in
+	// floating point where it cannot overflow.
 	background := spec.IncludeBackground && m.Background != nil
 	spanSecs := sh.durSecs * spec.Stagger * float64(spec.Jobs)
 	total := float64(sh.perJob) * float64(spec.Jobs)
@@ -211,41 +245,57 @@ func (m *Model) shape(spec GenSpec) (genShape, error) {
 	if background {
 		sh.total += int64(m.backgroundCount(spanSecs, spec.Workers))
 	}
+	// shape bounds the unrounded count; the schedule takes the exact one.
+	if sh.total > maxSpecFlows {
+		return genShape{}, tooManyFlows("GenSpec", "inputBytes", float64(sh.total))
+	}
 	return sh, nil
 }
 
-// appendJob samples one job instance into b as one run per phase. Start
-// times are offset by jobStart seconds and then by shiftNs, and every
-// flow is labelled name.
-func (sh genShape) appendJob(ctx context.Context, b *scheduleBuilder, rng *stats.RNG, jobStart float64, shiftNs int64, name string) error {
-	spec := sh.spec
-	hosts := jobHosts{rot: rng.Intn(spec.Workers), workers: spec.Workers,
-		maps: sh.maps, reducers: max(1, sh.reducers)}
-	for _, ph := range flows.AllPhases {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("core: generate: %w", err)
-		}
+// buildLaws builds the laws of every phase the job generates.
+func (sh *genShape) buildLaws() error {
+	sh.laws = make([]phaseLaws, len(flows.AllPhases))
+	for k, ph := range flows.AllPhases {
 		pm, ok := sh.jm.Phases[ph]
 		if !ok {
 			continue
 		}
-		count := sh.count(pm)
-		if count == 0 {
+		l := phaseLaws{pm: pm, count: sh.count(pm)}
+		if l.count == 0 {
 			continue
 		}
-		rule := phaseRules[ph]
-		sizeLaw, err := pm.Size.Build()
-		if err != nil {
-			return fmt.Errorf("size law %s/%s: %w", spec.Workload, ph, err)
+		var err error
+		if l.size, err = pm.Size.Build(); err != nil {
+			return fmt.Errorf("size law %s/%s: %w", sh.spec.Workload, ph, err)
 		}
-		iaLaw, err := pm.InterArrival.Build()
-		if err != nil {
-			return fmt.Errorf("inter-arrival law %s/%s: %w", spec.Workload, ph, err)
+		if l.inter, err = pm.InterArrival.Build(); err != nil {
+			return fmt.Errorf("inter-arrival law %s/%s: %w", sh.spec.Workload, ph, err)
 		}
-		offLaw, err := pm.StartOffset.Build()
-		if err != nil {
-			return fmt.Errorf("offset law %s/%s: %w", spec.Workload, ph, err)
+		if l.off, err = pm.StartOffset.Build(); err != nil {
+			return fmt.Errorf("offset law %s/%s: %w", sh.spec.Workload, ph, err)
 		}
+		sh.laws[k] = l
+	}
+	return nil
+}
+
+// appendJob samples one job instance into b as one run per phase. Start
+// times are offset by jobStart seconds and then by shiftNs, and every
+// flow is labelled name. sh.laws must be built.
+func (sh genShape) appendJob(ctx context.Context, b *scheduleBuilder, rng *stats.RNG, jobStart float64, shiftNs int64, name string) error {
+	spec := sh.spec
+	hosts := jobHosts{rot: rng.Intn(spec.Workers), workers: spec.Workers,
+		maps: sh.maps, reducers: max(1, sh.reducers)}
+	rest := int(sh.perJob) // flows the job has still to take
+	for k, ph := range flows.AllPhases {
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("core: generate: %w", err)
+		}
+		l := sh.laws[k]
+		if l.pm == nil {
+			continue
+		}
+		pm, rule := l.pm, phaseRules[ph]
 
 		// The size law lives in normalized space (shuffle sizes are
 		// fitted ×reducers); divide the normalizer back out for the
@@ -260,35 +310,54 @@ func (sh genShape) appendJob(ctx context.Context, b *scheduleBuilder, rng *stats
 					return a.Value / denom
 				}
 			}
-			return winsorize(sizeLaw.Sample(rng), pm.SizeMin, pm.SizeMax) / denom
+			return winsorize(l.size.Sample(rng), pm.SizeMin, pm.SizeMax) / denom
 		}
 
 		// Inter-arrival samples are clamped at zero, so t never
-		// decreases and the phase is one time-ordered run.
-		start := len(b.flows)
-		t := jobStart + math.Max(0, offLaw.Sample(rng))
-		for i := 0; i < count; i++ {
+		// decreases and the phase is one time-ordered run that starts
+		// no earlier than jobStart.
+		run := b.take(l.count, rest)
+		rest -= l.count
+		t := jobStart + math.Max(0, l.off.Sample(rng))
+		for i := range run {
 			if i%genCtxStride == 0 && ctx.Err() != nil {
 				return fmt.Errorf("core: generate: %w", ctx.Err())
 			}
 			if i > 0 {
-				t += math.Max(0, iaLaw.Sample(rng))
+				t += math.Max(0, l.inter.Sample(rng))
 			}
 			size := int64(math.Max(1, sampleSize()))
 			src, dst := rule.place(hosts, i, rng)
 			sp, dp := rule.ports(rng)
-			b.flows = append(b.flows, slabFlow{
-				startNs: int64(t*1e9) + shiftNs,
+			run[i] = slabFlow{
+				startNs: startNs(t, shiftNs),
 				bytes:   size,
 				src:     int32(src),
 				dst:     int32(dst),
 				srcPort: uint16(sp),
 				dstPort: uint16(dp),
-			})
+			}
 		}
-		b.endRun(start, name, ph)
+		b.endRun(run, name, ph)
 	}
 	return nil
+}
+
+// startNs converts a start time secs seconds after shiftNs into
+// nanoseconds, saturating at sim.MaxTime. Every generated start time
+// goes through it, so none can wrap, and because it never decreases in
+// secs, a flow drawn at or after a source's start secs starts at or
+// after startNs(secs, shiftNs): each source's bound holds by
+// construction.
+func startNs(secs float64, shiftNs int64) int64 {
+	ns := secs * 1e9
+	if !(ns < float64(sim.MaxTime)) {
+		return int64(sim.MaxTime)
+	}
+	if n := int64(ns); n <= int64(sim.MaxTime)-shiftNs {
+		return n + shiftNs
+	}
+	return int64(sim.MaxTime)
 }
 
 // EstimateFlows predicts the exact schedule length Generate would
@@ -297,8 +366,9 @@ func (sh genShape) appendJob(ctx context.Context, b *scheduleBuilder, rng *stats
 // background count is a deterministic function of the job span. Callers
 // admitting untrusted specs (keddah-serve) use it to reject requests
 // whose schedules would not fit in memory before doing any work. A spec
-// whose schedule exceeds the schedule limit fails with an error matching
-// both ErrBadSpec and ErrScheduleTooLarge.
+// whose schedule exceeds the schedule limit, or whose last job would
+// start at or past sim.MaxTime, fails with an error matching both
+// ErrBadSpec and ErrScheduleTooLarge.
 func (m *Model) EstimateFlows(spec GenSpec) (int64, error) {
 	sh, err := m.shape(spec)
 	if err != nil {
@@ -341,9 +411,8 @@ func (m *Model) appendBackground(ctx context.Context, b *scheduleBuilder, worker
 		return fmt.Errorf("background size law: %w", err)
 	}
 	count := m.backgroundCount(spanSecs, workers)
-	b.flows = slices.Grow(b.flows, count)
-	start := len(b.flows)
-	for i := 0; i < count; i++ {
+	run := b.take(count, count)
+	for i := range run {
 		if i%genCtxStride == 0 && ctx.Err() != nil {
 			return fmt.Errorf("core: generate background: %w", ctx.Err())
 		}
@@ -356,16 +425,16 @@ func (m *Model) appendBackground(ctx context.Context, b *scheduleBuilder, worker
 		// The hosts are drawn after the size and atom draws; the draw
 		// order fixes the schedule's bytes.
 		src, dst := ctl.place(hosts, i, rng)
-		b.flows = append(b.flows, slabFlow{
-			startNs: int64(t * 1e9),
+		run[i] = slabFlow{
+			startNs: startNs(t, 0),
 			bytes:   int64(math.Max(1, winsorize(size, pm.SizeMin, pm.SizeMax))),
 			src:     int32(src),
 			dst:     int32(dst),
 			srcPort: uint16(sp),
 			dstPort: uint16(dp),
-		})
+		}
 	}
-	b.endRun(start, "background", flows.PhaseControl)
+	b.endRun(run, "background", flows.PhaseControl)
 	return nil
 }
 

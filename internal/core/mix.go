@@ -21,7 +21,8 @@ type MixSpec struct {
 	// JobsPerMinute is the Poisson arrival rate (default 2).
 	JobsPerMinute float64 `json:"jobsPerMinute"`
 	// WindowSecs is the arrival window; jobs arriving near the end
-	// still run to completion (default 300).
+	// still run to completion (default 300). A window that reaches
+	// sim.MaxTime is refused.
 	WindowSecs float64 `json:"windowSecs"`
 	// InputScale multiplies each model's reference input size
 	// (default 1).
@@ -58,18 +59,20 @@ func (m MixSpec) withDefaults() MixSpec {
 // and ctx is polled before each arrival — plus inside each arrival's
 // generation — so a vanished client aborts the mix mid-window.
 func (m *Model) GenerateMix(ctx context.Context, spec MixSpec) ([]SynthFlow, error) {
-	b, err := m.buildMix(ctx, spec)
+	b, err := m.mixSchedule(ctx, spec)
 	if err != nil {
 		return nil, err
 	}
-	return b.collect(), nil
+	return b.collect()
 }
 
 // GenerateMixChunks streams the schedule GenerateMix would return
 // through emit in slices of at most chunk flows, with the same
-// cancellation and memory contract as Model.GenerateChunks.
+// cancellation and memory contract as Model.GenerateChunks: each arrival
+// is sampled only when the merge reaches its arrival time, unless
+// IncludeBackground has every flow sampled before the first is emitted.
 func (m *Model) GenerateMixChunks(ctx context.Context, spec MixSpec, chunk int, emit func([]SynthFlow) error) error {
-	b, err := m.buildMix(ctx, spec)
+	b, err := m.mixSchedule(ctx, spec)
 	if err != nil {
 		return err
 	}
@@ -116,10 +119,10 @@ type mixPlan struct {
 // planMix draws spec's arrivals and shapes each workload once. The mix
 // RNG draws only arrivals and then the background, and each arrival
 // samples from its own seed, so the whole arrival process can be drawn
-// first. That fixes every arrival's shape, and with it the exact slab
-// size, before any flow is sampled. Drawing stops once the count passes
-// limit (≤ 0: the schedule limit), leaving a plan without background;
-// below limit the draws are those of an unlimited plan.
+// first. That fixes every arrival's shape, and with it the exact count
+// of its flows, before any flow is sampled. Drawing stops once the count
+// passes limit (≤ 0: the schedule limit), leaving a plan without
+// background; below limit the draws are those of an unlimited plan.
 func (m *Model) planMix(spec MixSpec, limit int64) (*mixPlan, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -205,41 +208,70 @@ func (m *Model) checkMixBackground(arrivalFlows int64, spanSecs float64, workers
 	return nil
 }
 
-// buildMix samples a mix into one builder: every arrival adds its phase
-// runs, shifted to the arrival time and relabelled, then the background
-// adds its run.
-func (m *Model) buildMix(ctx context.Context, spec MixSpec) (*scheduleBuilder, error) {
+// mixSchedule lists a mix's sources in the order they draw: every
+// arrival, each from its own seed and shifted to its arrival time and
+// relabelled, then the background from the mix RNG. The laws of every
+// workload are built first, in the order of their first arrival, so a
+// bad one fails before any flow is sampled.
+func (m *Model) mixSchedule(ctx context.Context, spec MixSpec) (*scheduleBuilder, error) {
 	p, err := m.planMix(spec, maxSpecFlows)
 	if err != nil {
 		return nil, err
 	}
 	spec = p.spec
-	b := newScheduleBuilder(int(p.count))
+	bounds := make([]int64, len(p.arrivals), len(p.arrivals)+1)
 	for i, a := range p.arrivals {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: generate mix: %w", err)
-		}
-		arrivalRNG := stats.NewRNG(spec.Seed + int64(i)*7919)
-		label := fmt.Sprintf("%s-mix%d", a.workload, i)
-		if err := p.shapes[a.workload].appendJob(ctx, b, arrivalRNG, 0, int64(a.at*1e9), label); err != nil {
-			return nil, fmt.Errorf("mix arrival %d (%s): %w", i, a.workload, err)
+		bounds[i] = startNs(a.at, 0)
+		if sh := p.shapes[a.workload]; sh.laws == nil {
+			if err := sh.buildLaws(); err != nil {
+				return nil, fmt.Errorf("mix arrival %d (%s): %w", i, a.workload, err)
+			}
+			p.shapes[a.workload] = sh
 		}
 	}
-
 	if spec.IncludeBackground && m.Background != nil {
-		// Cover arrivals plus the tail of the last job.
-		span := spec.WindowSecs
-		if end := float64(b.maxStartNs()) / 1e9; end > span {
-			span = end
-		}
-		if err := m.checkMixBackground(p.count, span, spec.Workers); err != nil {
-			return nil, err
-		}
-		if err := m.appendBackground(ctx, b, spec.Workers, span, p.rng); err != nil {
-			return nil, err
-		}
+		bounds = append(bounds, 0)
 	}
-	return b, nil
+	return newScheduleBuilder(bounds, p.count, &mixSources{ctx: ctx, m: m, p: p}), nil
+}
+
+// mixSources samples a mix's arrivals, each from its own seed, then its
+// background from the mix RNG.
+type mixSources struct {
+	ctx context.Context
+	m   *Model
+	p   *mixPlan
+}
+
+func (s *mixSources) sample(b *scheduleBuilder, i int) error {
+	p := s.p
+	if i == len(p.arrivals) {
+		return s.m.appendMixBackground(s.ctx, b, p)
+	}
+	if err := s.ctx.Err(); err != nil {
+		return fmt.Errorf("core: generate mix: %w", err)
+	}
+	a := p.arrivals[i]
+	arrivalRNG := stats.NewRNG(p.spec.Seed + int64(i)*7919)
+	label := fmt.Sprintf("%s-mix%d", a.workload, i)
+	if err := p.shapes[a.workload].appendJob(s.ctx, b, arrivalRNG, 0, startNs(a.at, 0), label); err != nil {
+		return fmt.Errorf("mix arrival %d (%s): %w", i, a.workload, err)
+	}
+	return nil
+}
+
+// appendMixBackground samples a mix's heartbeats over its window plus
+// the tail of the last job, once every arrival is sampled.
+func (m *Model) appendMixBackground(ctx context.Context, b *scheduleBuilder, p *mixPlan) error {
+	span := p.spec.WindowSecs
+	if end := float64(b.latest) / 1e9; end > span {
+		span = end
+	}
+	if err := m.checkMixBackground(p.count, span, p.spec.Workers); err != nil {
+		return err
+	}
+	b.total += int64(m.backgroundCount(span, p.spec.Workers))
+	return m.appendBackground(ctx, b, p.spec.Workers, span, p.rng)
 }
 
 // MixSummary reports per-workload composition of a mix schedule.

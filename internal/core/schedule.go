@@ -10,19 +10,34 @@ import (
 	"keddah/internal/flows"
 )
 
-// A schedule is built as time-ordered runs. Every (job, phase) sampling
-// loop emits nondecreasing start times, so each loop is appended to one
-// slab as a run that is already sorted; only the background heartbeat
-// run draws its start times out of order, and it is stably sorted on its
-// own. A k-way merge over the run heads keyed (StartNs, run index) then
-// yields exactly the order a stable sort of the concatenated runs would,
-// in O(n log k) and without moving a flow more than once.
+// A schedule is an ordered list of sources in RNG draw order: each job
+// of a GenSpec, each arrival of a MixSpec, then the background. Every
+// source has a lower bound on its start times that is known before it is
+// sampled (its job's start, its arrival time, or 0 for the background).
 //
-// The slab holds slabFlow records, not SynthFlows. A run has one job and
+// Sampling a source appends its time-ordered runs. Every (job, phase)
+// sampling loop emits nondecreasing start times, so its run is sorted
+// already; only the background heartbeat run draws its start times out
+// of order, and it is stably sorted on its own. A k-way merge over the
+// run heads keyed (StartNs, run index) yields exactly the order a stable
+// sort of the concatenated runs would, in O(n log k) and without moving
+// a flow more than once.
+//
+// The merge samples the next source only when its heap minimum passes
+// the lowest bound of the sources not yet sampled: until then no flow of
+// theirs can come first, since they start no earlier and their run
+// indices are higher. Each run's slab comes from a free list, or else
+// from one slab allocated for the rest of its source, and goes back to
+// the free list once the merge has emitted the run, so a stream holds
+// only the flows it has sampled and not yet emitted. A background
+// source (bound 0) is therefore sampled, with every source before it,
+// before the first flow is emitted.
+//
+// A slab holds slabFlow records, not SynthFlows. A run has one job and
 // one phase, so those live on the run, and a record is 32 bytes with no
-// pointers: the GC never scans the slab, and a schedule costs 2.5× less
-// memory than its SynthFlow form. The merge expands each record in place
-// as it writes it into the output.
+// pointers: the GC never scans a slab, and a sampled flow costs 2.5×
+// less memory than its SynthFlow form. The merge expands each record in
+// place as it writes it into the output.
 
 // slabFlow is one generated flow as the builder holds it; its job and
 // phase are its run's. speccheck.go guards the narrowed host fields and
@@ -39,10 +54,10 @@ func byStart(a, b SynthFlow) int { return cmp.Compare(a.StartNs, b.StartNs) }
 
 func slabByStart(a, b slabFlow) int { return cmp.Compare(a.startNs, b.startNs) }
 
-// scheduleRun is one non-empty run: the slab offset it starts at (it
-// ends where the next one starts) and the job and phase of its flows.
+// scheduleRun is one non-empty run: its flows, and the job and phase of
+// every one of them. flows is nil once the merge has emitted the run.
 type scheduleRun struct {
-	start int
+	flows []slabFlow
 	job   string
 	phase flows.Phase
 }
@@ -60,16 +75,43 @@ func (r *scheduleRun) expandInto(d *SynthFlow, f *slabFlow) {
 	d.Job = r.job
 }
 
-// scheduleBuilder accumulates a schedule's runs in one slab.
-type scheduleBuilder struct {
-	flows []slabFlow
-	runs  []scheduleRun
+// sources samples a schedule's sources: sample appends source i's runs
+// to b. Sources are sampled once each and in order, so an implementation
+// may carry state from one source to the next.
+type sources interface {
+	sample(b *scheduleBuilder, i int) error
 }
 
-// newScheduleBuilder returns a builder whose slab holds n flows without
-// growing.
-func newScheduleBuilder(n int) *scheduleBuilder {
-	return &scheduleBuilder{flows: make([]slabFlow, 0, n)}
+// scheduleBuilder is a schedule's source list and the runs sampled from
+// it so far.
+type scheduleBuilder struct {
+	// floors[i] is the lowest start time any flow of source i or of a
+	// later source can have; newScheduleBuilder takes each source's own
+	// bound and keeps the minimum over its suffix.
+	floors []int64
+	src    sources
+	// total is the schedule length. It is exact once every source whose
+	// count depends on earlier draws is sampled; only a mix's background
+	// has one, and with bound 0 it is sampled before the first flow.
+	total int64
+	// latest is the latest start time sampled (math.MinInt64 before any).
+	latest int64
+	runs   []scheduleRun
+	// free holds the slabs of emitted runs, ready for reuse, and spare
+	// the unused rest of the last slab allocated.
+	free  [][]slabFlow
+	spare []slabFlow
+}
+
+// newScheduleBuilder returns a builder over the sources src samples,
+// whose start times are bounded by bounds, and whose schedule holds
+// total flows. It takes ownership of bounds.
+func newScheduleBuilder(bounds []int64, total int64, src sources) *scheduleBuilder {
+	for i := len(bounds) - 2; i >= 0; i-- {
+		bounds[i] = min(bounds[i], bounds[i+1])
+	}
+	return &scheduleBuilder{floors: bounds, src: src, total: total, latest: math.MinInt64,
+		runs: make([]scheduleRun, 0, maxRunsPerJob)}
 }
 
 // chunkFlows is the chunk size GenerateChunks and GenerateMixChunks emit
@@ -81,59 +123,78 @@ func chunkFlows(chunk int) int {
 	return chunk
 }
 
-// endRun closes the run of flows appended since offset start, all of
-// them job's flows of phase. Sampling loops produce sorted runs, so the
-// check is the whole cost for them; any run it rejects is stably sorted
-// in place, so the merged order never depends on that invariant.
-func (b *scheduleBuilder) endRun(start int, job string, phase flows.Phase) {
-	run := b.flows[start:]
+// take returns a slab of n flows for a sampling loop to fill: the
+// smallest free slab that holds them, or else the next n flows of spare,
+// which is refilled with room for rest flows (n and those its source has
+// still to take) so that a source allocates at most once.
+func (b *scheduleBuilder) take(n, rest int) []slabFlow {
+	if n == 0 {
+		return nil
+	}
+	best := -1
+	for i, s := range b.free {
+		if cap(s) >= n && (best < 0 || cap(s) < cap(b.free[best])) {
+			best = i
+		}
+	}
+	if best >= 0 {
+		s := b.free[best][:n]
+		last := len(b.free) - 1
+		b.free[best], b.free[last] = b.free[last], nil
+		b.free = b.free[:last]
+		return s
+	}
+	if len(b.spare) < n {
+		b.spare = make([]slabFlow, max(n, rest))
+	}
+	s := b.spare[:n:n]
+	b.spare = b.spare[n:]
+	return s
+}
+
+// endRun closes run, a slab from take filled with job's flows of phase.
+// Sampling loops produce sorted runs, so the check is the whole cost for
+// them; any run it rejects is stably sorted in place, so the merged
+// order never depends on that invariant.
+func (b *scheduleBuilder) endRun(run []slabFlow, job string, phase flows.Phase) {
 	if len(run) == 0 {
 		return
 	}
 	if !slices.IsSortedFunc(run, slabByStart) {
 		slices.SortStableFunc(run, slabByStart)
 	}
-	b.runs = append(b.runs, scheduleRun{start: start, job: job, phase: phase})
-}
-
-// maxStartNs is the latest start time in the builder (math.MinInt64
-// when it is empty); each run's maximum is its last flow.
-func (b *scheduleBuilder) maxStartNs() int64 {
-	latest := int64(math.MinInt64)
-	for i := range b.runs {
-		latest = max(latest, b.flows[b.runEnd(i)-1].startNs)
-	}
-	return latest
-}
-
-// runEnd is the slab offset run i ends at.
-func (b *scheduleBuilder) runEnd(i int) int {
-	if i+1 < len(b.runs) {
-		return b.runs[i+1].start
-	}
-	return len(b.flows)
+	b.latest = max(b.latest, run[len(run)-1].startNs)
+	b.runs = append(b.runs, scheduleRun{flows: run, job: job, phase: phase})
 }
 
 // collect returns the merged schedule in one exact-size slice, or nil
 // when the schedule is empty.
-func (b *scheduleBuilder) collect() []SynthFlow {
-	if len(b.flows) == 0 {
-		return nil
+func (b *scheduleBuilder) collect() ([]SynthFlow, error) {
+	m := runMerge{b: b}
+	if err := m.start(); err != nil || b.total == 0 {
+		return nil, err
 	}
-	out := make([]SynthFlow, len(b.flows))
-	m := b.merge()
-	m.fill(out)
-	return out
+	out := make([]SynthFlow, b.total)
+	if _, err := m.fill(out); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // stream feeds the merged schedule to emit in slices of at most
 // chunkFlows(chunk) flows, merging straight into one reused chunk buffer
 // and polling ctx before each emit.
 func (b *scheduleBuilder) stream(ctx context.Context, chunk int, emit func([]SynthFlow) error) error {
-	buf := make([]SynthFlow, min(chunkFlows(chunk), len(b.flows)))
-	m := b.merge()
+	m := runMerge{b: b}
+	if err := m.start(); err != nil {
+		return err
+	}
+	buf := make([]SynthFlow, min(int64(chunkFlows(chunk)), b.total))
 	for {
-		n := m.fill(buf)
+		n, err := m.fill(buf)
+		if err != nil {
+			return err
+		}
 		if n == 0 {
 			return nil
 		}
@@ -146,12 +207,12 @@ func (b *scheduleBuilder) stream(ctx context.Context, chunk int, emit func([]Syn
 	}
 }
 
-// runHead is one run's cursor in the merge heap: the slab offset of its
-// next flow, that flow's start time, and where the run ends.
+// runHead is one run's cursor in the merge heap: the index of its next
+// flow and that flow's start time.
 type runHead struct {
-	key       int64
-	run       int
-	next, end int
+	key  int64
+	run  int
+	next int
 }
 
 // before is the merge order: start time, then run index, which is the
@@ -160,55 +221,124 @@ func (h runHead) before(o runHead) bool {
 	return h.key < o.key || h.key == o.key && h.run < o.run
 }
 
-// runMerge is a k-way merge over a builder's runs.
+// runMerge is a k-way merge over a builder's runs that samples sources
+// as it reaches them.
 type runMerge struct {
-	flows []slabFlow
-	runs  []scheduleRun
-	heap  []runHead
+	b    *scheduleBuilder
+	heap []runHead
+	// sampled counts the sources sampled, and floor is the floor of the
+	// next one.
+	sampled int
+	floor   int64
 }
 
-func (b *scheduleBuilder) merge() *runMerge {
-	m := &runMerge{flows: b.flows, runs: b.runs, heap: make([]runHead, len(b.runs))}
-	for i, r := range b.runs {
-		m.heap[i] = runHead{key: b.flows[r.start].startNs, run: i, next: r.start, end: b.runEnd(i)}
+// start begins the merge of m.b's sources, sampling every source that
+// precedes its first flow.
+func (m *runMerge) start() error {
+	m.heap = make([]runHead, 0, maxRunsPerJob)
+	for m.due() {
+		if err := m.sampleNext(); err != nil {
+			return err
+		}
 	}
-	for i := len(m.heap)/2 - 1; i >= 0; i-- {
-		m.down(i)
+	return nil
+}
+
+// due reports whether the next source must be sampled before the next
+// flow is known: a source is left and the heap holds no flow at or
+// below its floor.
+func (m *runMerge) due() bool {
+	return m.sampled < len(m.b.floors) && (len(m.heap) == 0 || m.heap[0].key > m.floor)
+}
+
+// sampleNext samples the next source and pushes its runs.
+func (m *runMerge) sampleNext() error {
+	b := m.b
+	first := len(b.runs)
+	if err := b.src.sample(b, m.sampled); err != nil {
+		return err
 	}
-	return m
+	for i := first; i < len(b.runs); i++ {
+		key := b.runs[i].flows[0].startNs
+		if key < b.floors[m.sampled] {
+			panic(fmt.Sprintf("core: source %d starts at %d ns, below its floor %d ns", m.sampled, key, b.floors[m.sampled]))
+		}
+		m.heap = append(m.heap, runHead{key: key, run: i})
+		m.up(len(m.heap) - 1)
+	}
+	if m.sampled++; m.sampled < len(b.floors) {
+		m.floor = b.floors[m.sampled]
+	} else {
+		// Nothing is left to take a slab.
+		b.free, b.spare = nil, nil
+	}
+	return nil
 }
 
 // fill expands the next len(dst) flows in merge order into dst and
 // returns how many it wrote (fewer only once the merge is exhausted).
-func (m *runMerge) fill(dst []SynthFlow) int {
+func (m *runMerge) fill(dst []SynthFlow) (int, error) {
 	n := 0
-	for n < len(dst) && len(m.heap) > 0 {
+	for n < len(dst) {
+		if m.due() {
+			if err := m.sampleNext(); err != nil {
+				return n, err
+			}
+			continue
+		}
+		if len(m.heap) == 0 {
+			break
+		}
 		h := &m.heap[0]
-		r := &m.runs[h.run]
-		if len(m.heap) == 1 {
+		r := &m.b.runs[h.run]
+		if len(m.heap) == 1 && m.sampled == len(m.b.floors) {
 			// One run left: the rest of it is in order already.
-			c := min(h.end-h.next, len(dst)-n)
+			c := min(len(r.flows)-h.next, len(dst)-n)
 			for i := range c {
-				r.expandInto(&dst[n+i], &m.flows[h.next+i])
+				r.expandInto(&dst[n+i], &r.flows[h.next+i])
 			}
 			n += c
-			if h.next += c; h.next == h.end {
+			if h.next += c; h.next == len(r.flows) {
+				m.done(r)
 				m.heap = m.heap[:0]
 			}
 			break
 		}
-		r.expandInto(&dst[n], &m.flows[h.next])
+		r.expandInto(&dst[n], &r.flows[h.next])
 		n++
-		if h.next++; h.next < h.end {
-			h.key = m.flows[h.next].startNs
+		if h.next++; h.next < len(r.flows) {
+			h.key = r.flows[h.next].startNs
 		} else {
+			m.done(r)
 			last := len(m.heap) - 1
 			m.heap[0] = m.heap[last]
 			m.heap = m.heap[:last]
 		}
 		m.down(0)
 	}
-	return n
+	return n, nil
+}
+
+// done drops an emitted run, handing its slab back for reuse while
+// sources remain to be sampled.
+func (m *runMerge) done(r *scheduleRun) {
+	if m.sampled < len(m.b.floors) {
+		m.b.free = append(m.b.free, r.flows[:0])
+	}
+	r.flows = nil
+}
+
+// up restores the heap order above i.
+func (m *runMerge) up(i int) {
+	h := m.heap
+	for i > 0 {
+		p := (i - 1) / 2
+		if !h[i].before(h[p]) {
+			return
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
 }
 
 // down restores the heap order below i.

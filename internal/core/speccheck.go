@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"keddah/internal/sim"
 )
 
 // This file validates generation specs up front, so malformed requests —
@@ -16,7 +18,8 @@ import (
 var ErrBadSpec = errors.New("core: invalid spec")
 
 // ErrScheduleTooLarge additionally marks a spec rejected only because its
-// schedule would exceed the schedule limit, so a server can report it as
+// schedule would exceed the schedule limit, or start a flow past the
+// latest time int64 nanoseconds can hold, so a server can report it as
 // too large rather than malformed.
 var ErrScheduleTooLarge = errors.New("core: schedule too large")
 
@@ -53,13 +56,14 @@ const (
 	maxSpecReducers = 1 << 20 // reduce fan-in
 	maxSpecMaps     = 1 << 26 // map tasks (input/block ratio)
 	maxMixArrivals  = 1 << 20 // expected arrivals in a mix window
-	// maxSpecFlows bounds one schedule. Its slab of 32-byte records is
-	// allocated whole before sampling, so this caps that allocation at
-	// 8 GiB; servers admit far less through their own flow caps.
+	// maxSpecFlows bounds one schedule's length. A stream holds 32 bytes
+	// per flow sampled and not yet emitted, so this caps it at 8 GiB and
+	// Generate's result at 20 GiB; servers admit far less through their
+	// own flow caps.
 	maxSpecFlows = 1 << 28
 )
 
-// The schedule slab (schedule.go) stores hosts as int32, and the merge
+// The schedule's slabs (schedule.go) store hosts as int32, and the merge
 // indexes runs — at most maxRunsPerJob per job or mix arrival, plus the
 // background — with an int, which is 32 bits on some platforms. These
 // conversions fail to compile if a limit outgrows either, so raising one
@@ -77,6 +81,13 @@ const (
 func tooManyFlows(spec, field string, flows float64) error {
 	return &SpecError{Spec: spec, Field: field, tooLarge: true,
 		Reason: fmt.Sprintf("implies %.0f flows, above the %d-flow schedule limit", flows, maxSpecFlows)}
+}
+
+// pastClock is the failure for a spec whose field would start a flow
+// past sim.MaxTime, the latest time int64 nanoseconds can hold.
+func pastClock(spec, field, what string) error {
+	return &SpecError{Spec: spec, Field: field, tooLarge: true,
+		Reason: fmt.Sprintf("%s, past the latest representable start time (%.4g s)", what, float64(sim.MaxTime)/1e9)}
 }
 
 func badFloat(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) }
@@ -159,6 +170,8 @@ func (m MixSpec) Validate() error {
 		return mixErr("windowSecs", "is not finite")
 	case m.WindowSecs < 0:
 		return mixErr("windowSecs", "is negative")
+	case !(m.WindowSecs*1e9 < float64(sim.MaxTime)):
+		return pastClock("MixSpec", "windowSecs", fmt.Sprintf("%.4g s admits arrivals", m.WindowSecs))
 	case badFloat(m.InputScale):
 		return mixErr("inputScale", "is not finite")
 	case m.InputScale < 0:

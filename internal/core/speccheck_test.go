@@ -63,6 +63,8 @@ func TestMixSpecValidate(t *testing.T) {
 		{"NaN weight", MixSpec{Weights: map[string]float64{"t": math.NaN()}}, "weights"},
 		{"negative weight", MixSpec{Weights: map[string]float64{"t": -1}}, "weights"},
 		{"unbounded arrivals", MixSpec{Weights: w, JobsPerMinute: 1e12, WindowSecs: 1e6}, "jobsPerMinute"},
+		{"window past int64 ns", MixSpec{Weights: w, JobsPerMinute: 1e-9, WindowSecs: 1e12}, "windowSecs"},
+		{"window up to int64 ns", MixSpec{Weights: w, JobsPerMinute: 1e-9, WindowSecs: 9e9}, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -116,6 +118,8 @@ func TestGenerateRejectsBadSpec(t *testing.T) {
 		// an absurd map count is still rejected.
 		{"scaled map count", GenSpec{Workload: "terasort", InputBytes: 1 << 40, BlockSize: 16}, "inputBytes"},
 		{"unknown workload", GenSpec{Workload: "nosuch"}, "workload"},
+		// Job 2 would start past the latest time int64 ns can hold.
+		{"stagger past int64 ns", GenSpec{Workload: "terasort", Workers: 4, Jobs: 3, Stagger: 1e9}, "stagger"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -172,6 +176,19 @@ func TestScheduleLimit(t *testing.T) {
 	tooLarge(err, "windowSecs", "MixSpec")
 	_, err = model.GenerateMix(context.Background(), longBackground)
 	tooLarge(err, "windowSecs", "MixSpec")
+
+	// The same heartbeats over a window that int64 nanoseconds can hold
+	// are refused for their count, not their span.
+	longBackground.WindowSecs = 1e9
+	for _, err := range []error{
+		func() error { _, err := model.EstimateMixFlows(longBackground, 0); return err }(),
+		func() error { _, err := model.GenerateMix(context.Background(), longBackground); return err }(),
+	} {
+		tooLarge(err, "windowSecs", "MixSpec")
+		if !strings.Contains(err.Error(), "flow schedule limit") {
+			t.Fatalf("%v: refused for its span, want its flow count", err)
+		}
+	}
 
 	// Malformed specs are not too large.
 	if _, err := model.EstimateMixFlows(MixSpec{}, 0); !errors.Is(err, ErrBadSpec) || errors.Is(err, ErrScheduleTooLarge) {

@@ -50,7 +50,7 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := req.Spec.Validate(); err != nil {
-		s.badRequest(w, err)
+		s.rejectSpec(w, err)
 		return
 	}
 	s.runStream(w, r, streamParams{
@@ -94,7 +94,7 @@ func (s *Server) handleMix(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := req.Spec.Validate(); err != nil {
-		s.badRequest(w, err)
+		s.rejectSpec(w, err)
 		return
 	}
 	s.runStream(w, r, streamParams{
@@ -207,12 +207,7 @@ func (s *Server) runStream(w http.ResponseWriter, r *http.Request, p streamParam
 	}
 	if p.check != nil {
 		if err := p.check(model); err != nil {
-			if errors.Is(err, errTooLarge) {
-				s.tel.Serve.BadRequests.Inc()
-				s.writeJSONError(w, http.StatusRequestEntityTooLarge, err.Error())
-			} else {
-				s.badRequest(w, err)
-			}
+			s.rejectSpec(w, err)
 			return
 		}
 	}
@@ -315,6 +310,17 @@ func (s *Server) shed(w http.ResponseWriter, reason string) {
 func (s *Server) badRequest(w http.ResponseWriter, err error) {
 	s.tel.Serve.BadRequests.Inc()
 	s.writeJSONError(w, http.StatusBadRequest, err.Error())
+}
+
+// rejectSpec answers a spec refused before streaming: 413 when only its
+// size is at fault, 400 when it is malformed.
+func (s *Server) rejectSpec(w http.ResponseWriter, err error) {
+	if errors.Is(err, errTooLarge) || errors.Is(err, core.ErrScheduleTooLarge) {
+		s.tel.Serve.BadRequests.Inc()
+		s.writeJSONError(w, http.StatusRequestEntityTooLarge, err.Error())
+		return
+	}
+	s.badRequest(w, err)
 }
 
 // requestError maps parse-stage failures to a status.

@@ -235,6 +235,36 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
+// TestSpecPastClock: a spec that would start flows past the latest time
+// int64 nanoseconds hold is refused as too large, naming its field,
+// before any body byte is written.
+func TestSpecPastClock(t *testing.T) {
+	s, hs := newTestServer(t, nil)
+	cases := []struct{ method, path, body, field string }{
+		{"GET", "/v1/generate?workload=terasort&workers=4&jobs=3&stagger=1e9", "", "GenSpec.stagger"},
+		{"POST", "/v1/mix", `{"spec":{"weights":{"terasort":1},"jobsPerMinute":1e-9,"windowSecs":1e12}}`, "MixSpec.windowSecs"},
+	}
+	for _, tc := range cases {
+		req, err := http.NewRequest(tc.method, hs.URL+tc.path, strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(body), tc.field) {
+			t.Errorf("%s %s: status %d (%s), want %d naming %s", tc.method, tc.path, resp.StatusCode, body,
+				http.StatusRequestEntityTooLarge, tc.field)
+		}
+	}
+	if got := s.tel.Serve.Streams.Value(); got != 0 {
+		t.Errorf("refused requests completed %d streams", got)
+	}
+}
+
 // TestLoadShed fills the pool (no queue) and checks the next request is
 // shed with 503 + Retry-After while the daemon keeps serving.
 func TestLoadShed(t *testing.T) {
