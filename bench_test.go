@@ -176,6 +176,10 @@ func BenchmarkFitTerasort(b *testing.B) { benchcases.FitTerasort(b) }
 // internal/benchcases).
 func BenchmarkClassifyDataset(b *testing.B) { benchcases.ClassifyDataset(b) }
 
+// BenchmarkTraceSetJSON measures writing a 16-worker capture's trace-set
+// JSON and reading it back.
+func BenchmarkTraceSetJSON(b *testing.B) { benchcases.TraceSetJSON(b) }
+
 // BenchmarkReplayFatTree measures schedule replay on a k=4 fat-tree
 // (stage 4; body shared via internal/benchcases).
 func BenchmarkReplayFatTree(b *testing.B) { benchcases.ReplayFatTree(b) }

@@ -10,7 +10,6 @@
 package main
 
 import (
-	"encoding/csv"
 	"errors"
 	"flag"
 	"fmt"
@@ -62,17 +61,7 @@ func writeTableCSV(dir string, t experiments.Table) error {
 		return err
 	}
 	defer f.Close()
-	w := csv.NewWriter(f)
-	if err := w.Write(t.Headers); err != nil {
-		return err
-	}
-	for _, row := range t.Rows {
-		if err := w.Write(row); err != nil {
-			return err
-		}
-	}
-	w.Flush()
-	if err := w.Error(); err != nil {
+	if err := t.WriteCSV(f); err != nil {
 		return err
 	}
 	return f.Close()

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/csv"
 	"errors"
 	"io/fs"
 	"os"
@@ -62,10 +61,13 @@ func TestRunWritesTableCSVs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		records, err := csv.NewReader(f).ReadAll()
+		note, records, err := experiments.ReadTableCSV(f)
 		f.Close()
 		if err != nil {
 			t.Fatalf("%s: %v", tab.ID, err)
+		}
+		if note != tab.Note {
+			t.Errorf("%s note = %q, want %q", tab.ID, note, tab.Note)
 		}
 		if len(records) == 0 || !slices.Equal(records[0], tab.Headers) {
 			t.Fatalf("%s header row = %q, want %q", tab.ID, records[:min(1, len(records))], tab.Headers)

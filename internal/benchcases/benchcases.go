@@ -5,6 +5,7 @@
 package benchcases
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -39,6 +40,7 @@ func Cases() []Case {
 		{"CaptureMultiPodSharded", CaptureMultiPodSharded},
 		{"FitTerasort", FitTerasort},
 		{"ClassifyDataset", ClassifyDataset},
+		{"TraceSetJSON", TraceSetJSON},
 		{"GenerateSchedule", GenerateSchedule},
 		{"GenerateStream", GenerateStream},
 		{"EncodeSchedule", EncodeSchedule},
@@ -213,6 +215,30 @@ func ClassifyDataset(b *testing.B) {
 		}
 		if total == 0 {
 			b.Fatal("classification produced no per-phase series")
+		}
+	}
+}
+
+// TraceSetJSON measures the trace-set artifact round trip: WriteJSON of
+// the 16-worker fitCorpus capture into a reused buffer, then ReadTraceSet
+// of those bytes. The capture runs outside the timer.
+func TraceSetJSON(b *testing.B) {
+	ts := fitCorpus(b)
+	var buf bytes.Buffer
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := ts.WriteJSON(&buf); err != nil {
+			b.Fatal(err)
+		}
+		back, err := core.ReadTraceSet(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(back.Runs) != len(ts.Runs) || len(back.Background) != len(ts.Background) {
+			b.Fatalf("read back %d runs and %d background records, wrote %d and %d",
+				len(back.Runs), len(back.Background), len(ts.Runs), len(ts.Background))
 		}
 	}
 }

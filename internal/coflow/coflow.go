@@ -47,7 +47,7 @@ func FromRecords(records []pcap.FlowRecord) []Coflow {
 	keys := flows.JobKeys(groups)
 	out := make([]Coflow, 0, len(keys))
 	for _, job := range keys {
-		ds := groups[job].ByPhase(flows.PhaseShuffle)
+		ds := flows.NewDataset(groups[job]).ByPhase(flows.PhaseShuffle)
 		if ds.Len() == 0 {
 			continue
 		}

@@ -289,6 +289,44 @@ func TestGenerateChunksBytesPerFlowManyJobs(t *testing.T) {
 	}
 }
 
+// TestGenerateChunksBytesPerFlowSmallJobs is the memory fence on the
+// run table: a stream of 20,000 one-block jobs has 140,000 runs, but
+// each emitted run's slot is reused, so the table holds only the runs
+// live at once and streaming allocates at most 16 bytes per flow plus
+// 1 MiB. A table that keeps a slot for every run of the stream costs
+// about 192.
+func TestGenerateChunksBytesPerFlowSmallJobs(t *testing.T) {
+	model := mixModel(t)
+	spec := GenSpec{Workload: "terasort", InputBytes: 64 << 20, Workers: 8, Jobs: 20_000, Seed: 3}
+	n, err := model.EstimateFlows(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n < 100_000 {
+		t.Fatalf("spec schedules %d flows; the fence needs at least 100k", n)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	streamed := 0
+	err = model.GenerateChunks(context.Background(), spec, 0, func(c []SynthFlow) error {
+		streamed += len(c)
+		return nil
+	})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(streamed) != n {
+		t.Fatalf("streamed %d flows, estimated %d", streamed, n)
+	}
+	const perFlow, fixed = 16, 1 << 20
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(perFlow*streamed+fixed) {
+		t.Errorf("streaming %d flows allocated %d bytes (%.1f B/flow); the fence is %d B/flow + %d B",
+			streamed, grew, float64(grew)/float64(streamed), perFlow, fixed)
+	}
+}
+
 // TestGenerateMixChunksBadLawBeforeEmit: arrivals are sampled only when
 // the merge reaches them, but every workload's laws are built first, so
 // a law that cannot be built fails the stream before its first emit even

@@ -66,8 +66,9 @@ type StreamEncoder interface {
 // needs for its node count; the other formats ignore it.
 func NewStreamEncoder(format string, w io.Writer, workers int) (StreamEncoder, error) {
 	rows := func(what string, encodeTail func([]byte, tailKey) []byte) rowWriter {
-		pooled := encBufs.Get().(*[]byte)
-		return rowWriter{w: w, buf: (*pooled)[:0], what: what, pooled: pooled, encodeTail: encodeTail}
+		r := newRowWriter(w, what)
+		r.encodeTail = encodeTail
+		return r
 	}
 	switch format {
 	case "csv":
@@ -166,6 +167,13 @@ type rowWriter struct {
 	lastJob  *jobTails            // the previous row's job table
 	jobs     map[string]*jobTails // every job table, by job
 	numTails int                  // tails across all job tables
+}
+
+// newRowWriter returns a rowWriter on w with a buffer from encBufs; what
+// is the error context of a failed row write.
+func newRowWriter(w io.Writer, what string) rowWriter {
+	pooled := encBufs.Get().(*[]byte)
+	return rowWriter{w: w, buf: (*pooled)[:0], what: what, pooled: pooled}
 }
 
 // tail returns the encoding of sf's string fields, building it with
@@ -485,16 +493,39 @@ func jsonlTail(dst []byte, k tailKey) []byte {
 	return append(dst, "}\n"...)
 }
 
-// appendJSONString goes through json.Marshal, so the HTML, U+2028/U+2029
-// and invalid-UTF-8 escaping stay exactly encoding/json's.
+// appendJSONString appends s as a JSON string the way encoding/json's
+// Encoder writes it by default. A string of printable ASCII with nothing
+// to escape is copied between quotes; any other goes through
+// json.Marshal, so the HTML, control-character, U+2028/U+2029 and
+// invalid-UTF-8 escaping stay exactly encoding/json's.
 func appendJSONString(dst []byte, s string) []byte {
-	q, err := json.Marshal(s)
-	if err != nil {
-		// Marshalling a string cannot fail.
-		panic(err)
+	for i := 0; i < len(s); i++ {
+		if !jsonPlain[s[i]] {
+			q, err := json.Marshal(s)
+			if err != nil {
+				// Marshalling a string cannot fail.
+				panic(err)
+			}
+			return append(dst, q...)
+		}
 	}
-	return append(dst, q...)
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
 }
+
+// jsonPlain marks the bytes encoding/json copies into a string as they
+// are: printable ASCII other than the quote, the backslash and the HTML
+// characters <, > and &.
+var jsonPlain = func() (t [256]bool) {
+	for c := 0x20; c < 0x7f; c++ {
+		t[c] = true
+	}
+	for _, c := range `"\<>&` {
+		t[c] = false
+	}
+	return t
+}()
 
 // errWrap contextualises a non-nil error and passes nil through.
 func errWrap(what string, err error) error {
@@ -662,33 +693,65 @@ func sanitizeTag(s string) string {
 // WriteFlowCSV exports a TraceSet's ground-truth flow records — every
 // run plus background — as CSV, one flow per row in a fixed column
 // order. The output is a pure function of the TraceSet, so the CI
-// shard-determinism job byte-diffs it across engine layouts.
+// shard-determinism job byte-diffs it across engine layouts. Rows are
+// appended to one reused buffer and reach w in writes of about
+// encFlushBytes; the bytes are those of encoding/csv's Writer with its
+// defaults (TestTraceSetWritersMatchReferences). A nil run has no rows.
 func WriteFlowCSV(w io.Writer, ts *TraceSet) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"scope", "label", "src", "dst", "src_port", "dst_port", "first_ns", "last_ns", "bytes"}); err != nil {
-		return fmt.Errorf("write flow csv header: %w", err)
-	}
-	row := func(scope string, r pcap.FlowRecord) error {
-		return cw.Write([]string{
-			scope, r.Label,
-			r.Key.Src.String(), r.Key.Dst.String(),
-			strconv.Itoa(int(r.Key.SrcPort)), strconv.Itoa(int(r.Key.DstPort)),
-			strconv.FormatInt(r.FirstNs, 10), strconv.FormatInt(r.LastNs, 10),
-			strconv.FormatInt(r.Bytes, 10),
-		})
-	}
-	for _, r := range ts.Background {
-		if err := row("background", r); err != nil {
-			return fmt.Errorf("write flow csv: %w", err)
-		}
-	}
+	rw := newRowWriter(w, "write flow csv")
+	rw.buf = append(rw.buf, "scope,label,src,dst,src_port,dst_port,first_ns,last_ns,bytes\n"...)
+	err := appendFlowRows(&rw, "background", ts.Background)
 	for _, run := range ts.Runs {
-		for _, r := range run.Records {
-			if err := row(run.JobName, r); err != nil {
-				return fmt.Errorf("write flow csv: %w", err)
-			}
+		if err != nil {
+			break
+		}
+		if run != nil {
+			err = appendFlowRows(&rw, run.JobName, run.Records)
 		}
 	}
-	cw.Flush()
-	return errWrap("flush flow csv", cw.Error())
+	return endRows(&rw, "flush flow csv", err)
+}
+
+// endRows ends rw after its rows: it flushes them when err, the first
+// row error, is nil, and otherwise drops them and returns err.
+func endRows(rw *rowWriter, what string, err error) error {
+	if err != nil {
+		rw.buf = rw.buf[:0]
+	}
+	if endErr := rw.end(what); err == nil {
+		err = endErr
+	}
+	return err
+}
+
+// appendFlowRows appends one CSV row per record, all under one scope.
+func appendFlowRows(rw *rowWriter, scope string, records []pcap.FlowRecord) error {
+	var scratch [64]byte
+	head := appendCSVField(scratch[:0], scope)
+	for i := range records {
+		r := &records[i]
+		mark := len(rw.buf)
+		b := append(rw.buf, head...)
+		b = appendCSVField(append(b, ','), r.Label)
+		b = appendAddr(append(b, ','), r.Key.Src)
+		b = appendAddr(append(b, ','), r.Key.Dst)
+		b = appendInt(append(b, ','), int64(r.Key.SrcPort))
+		b = appendInt(append(b, ','), int64(r.Key.DstPort))
+		b = appendInt(append(b, ','), r.FirstNs)
+		b = appendInt(append(b, ','), r.LastNs)
+		b = appendInt(append(b, ','), r.Bytes)
+		rw.buf = append(b, '\n')
+		if err := rw.rowDone(mark); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// appendAddr appends a in dotted-quad form, the bytes of a.String().
+func appendAddr(dst []byte, a pcap.Addr) []byte {
+	dst = appendInt(dst, int64(byte(a>>24)))
+	dst = appendInt(append(dst, '.'), int64(byte(a>>16)))
+	dst = appendInt(append(dst, '.'), int64(byte(a>>8)))
+	return appendInt(append(dst, '.'), int64(byte(a)))
 }

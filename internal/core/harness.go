@@ -410,8 +410,15 @@ func CaptureWith(spec ClusterSpec, runSpecs []workload.RunSpec, opts CaptureOpts
 	// its own completion order, and the concatenation is independent of
 	// engine layout.
 	truth := flowLogs[0].Truth()
-	for _, flowLog := range flowLogs[1:] {
-		truth = append(truth, flowLog.Truth()...)
+	if len(flowLogs) > 1 {
+		n := 0
+		for _, flowLog := range flowLogs {
+			n += len(flowLog.Truth())
+		}
+		truth = make([]pcap.FlowRecord, 0, n)
+		for _, flowLog := range flowLogs {
+			truth = append(truth, flowLog.Truth()...)
+		}
 	}
 	ts, err := reduceCapture(spec, truth, results)
 	if err != nil {
@@ -591,20 +598,26 @@ func startProbe(net *netsim.Network, tel *telemetry.Telemetry) {
 }
 
 // reduceCapture groups ground-truth flow records into per-job Runs plus
-// cluster background traffic.
+// cluster background traffic. Each Run keeps its group's slice as its
+// Records; nothing is classified here, since Fit classifies each run
+// once through Run.Dataset.
 func reduceCapture(spec ClusterSpec, records []pcap.FlowRecord, results []workload.RunResult) (*TraceSet, error) {
 	groups := flows.GroupByJob(records)
 	ts := &TraceSet{BackgroundHosts: spec.Workers}
 
 	// Background: cluster-wide heartbeats (yarn/*, hdfs/*) plus the
 	// inter-pod copy traffic of multi-pod sessions (distcp/*).
-	for _, key := range []string{"yarn", "hdfs", "distcp"} {
-		if g, ok := groups[key]; ok {
-			ts.Background = append(ts.Background, g.Records...)
-		}
+	bgKeys := [...]string{"yarn", "hdfs", "distcp"}
+	n := 0
+	for _, key := range bgKeys {
+		n += len(groups[key])
 	}
-	if len(ts.Background) > 0 {
-		first, last := flows.NewDataset(ts.Background).Span()
+	if n > 0 {
+		ts.Background = make([]pcap.FlowRecord, 0, n)
+		for _, key := range bgKeys {
+			ts.Background = append(ts.Background, groups[key]...)
+		}
+		first, last := flows.Span(ts.Background)
 		ts.BackgroundSpanNs = last - first
 	}
 
@@ -625,7 +638,7 @@ func reduceCapture(spec ClusterSpec, records []pcap.FlowRecord, results []worklo
 				Hosts:       spec.Workers,
 				StartNs:     int64(round.Submitted),
 				EndNs:       int64(round.Finished),
-				Records:     g.Records,
+				Records:     g,
 			})
 		}
 	}

@@ -54,8 +54,9 @@ func (r *Run) DurationSeconds() float64 { return float64(r.EndNs-r.StartNs) / 1e
 // Dataset returns the run's classified flow dataset. The dataset is
 // built on first use and cached: Records are fixed once the capture
 // session ends and classification is pure, so every caller — including
-// repeated Fit invocations — shares one phase-indexed view. Callers must
-// treat the returned dataset as read-only.
+// repeated Fit invocations — shares one phase-indexed view. The dataset
+// owns Records itself rather than a copy, so neither Records nor the
+// returned dataset may be modified.
 func (r *Run) Dataset() *flows.Dataset {
 	r.dsOnce.Do(func() { r.ds = flows.NewDataset(r.Records) })
 	return r.ds
@@ -101,8 +102,8 @@ type TraceSet struct {
 
 // BackgroundDataset returns the classified background-flow dataset,
 // built on first use and cached under the same contract as Run.Dataset:
-// Background is fixed once the capture session ends, and callers must
-// treat the returned dataset as read-only.
+// Background is fixed once the capture session ends, the dataset owns
+// Background itself, and neither may be modified.
 func (ts *TraceSet) BackgroundDataset() *flows.Dataset {
 	ts.bgOnce.Do(func() { ts.bgDS = flows.NewDataset(ts.Background) })
 	return ts.bgDS
@@ -131,12 +132,123 @@ func (ts *TraceSet) Workloads() []string {
 	return names
 }
 
-// WriteJSON serialises the trace set.
+// WriteJSON serialises the trace set: the bytes json.NewEncoder(w).Encode
+// writes for it, field order, null slices, omitted zero stats and string
+// escaping included (TestTraceSetWritersMatchReferences). The document is
+// not built in memory first: records are appended to one reused buffer
+// that reaches w in writes of about encFlushBytes.
 func (ts *TraceSet) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(ts); err != nil {
-		return fmt.Errorf("encode trace set: %w", err)
+	rw := newRowWriter(w, "encode trace set")
+	rw.buf = append(rw.buf, `{"background":`...)
+	err := appendRecordsJSON(&rw, ts.Background)
+	if err == nil {
+		b := appendInt(append(rw.buf, `,"backgroundHosts":`...), int64(ts.BackgroundHosts))
+		b = appendInt(append(b, `,"backgroundSpanNs":`...), ts.BackgroundSpanNs)
+		b = appendStatsJSON(append(b, `,"stats":`...), &ts.Stats)
+		rw.buf = append(b, `,"runs":`...)
+		err = appendRunsJSON(&rw, ts.Runs)
 	}
+	if err == nil {
+		rw.buf = append(rw.buf, "}\n"...)
+	}
+	return endRows(&rw, "encode trace set", err)
+}
+
+// appendStatsJSON appends the capture stats object, omitting the zero
+// omitempty counters.
+func appendStatsJSON(b []byte, st *CaptureStats) []byte {
+	b = appendInt(append(b, `{"reReplicatedBytes":`...), st.ReReplicatedBytes)
+	b = appendInt(append(b, `,"reReplicatedBlocks":`...), st.ReReplicatedBlocks)
+	b = appendInt(append(b, `,"lostContainers":`...), st.LostContainers)
+	b = appendInt(append(b, `,"lostBlocks":`...), st.LostBlocks)
+	for _, f := range [...]struct {
+		key string
+		v   int64
+	}{
+		{`,"pipelineRecoveries":`, st.PipelineRecoveries},
+		{`,"readRetries":`, st.ReadRetries},
+		{`,"abortedFlows":`, st.AbortedFlows},
+		{`,"interPodTransfers":`, st.InterPodTransfers},
+		{`,"interPodAborted":`, st.InterPodAborted},
+		{`,"interPodBytes":`, st.InterPodBytes},
+	} {
+		if f.v != 0 {
+			b = appendInt(append(b, f.key...), f.v)
+		}
+	}
+	return append(b, '}')
+}
+
+// appendRunsJSON appends the runs array, null when runs is nil.
+func appendRunsJSON(rw *rowWriter, runs []*Run) error {
+	if runs == nil {
+		rw.buf = append(rw.buf, "null"...)
+		return nil
+	}
+	rw.buf = append(rw.buf, '[')
+	for i, r := range runs {
+		if i > 0 {
+			rw.buf = append(rw.buf, ',')
+		}
+		if r == nil {
+			rw.buf = append(rw.buf, "null"...)
+			continue
+		}
+		mark := len(rw.buf)
+		b := appendJSONString(append(rw.buf, `{"workload":`...), r.Workload)
+		b = appendJSONString(append(b, `,"jobName":`...), r.JobName)
+		b = appendInt(append(b, `,"inputBytes":`...), r.InputBytes)
+		b = appendInt(append(b, `,"maps":`...), int64(r.Maps))
+		b = appendInt(append(b, `,"reducers":`...), int64(r.Reducers))
+		b = appendInt(append(b, `,"blockSize":`...), r.BlockSize)
+		b = appendInt(append(b, `,"replication":`...), int64(r.Replication))
+		b = appendInt(append(b, `,"hosts":`...), int64(r.Hosts))
+		b = appendInt(append(b, `,"startNs":`...), r.StartNs)
+		b = appendInt(append(b, `,"endNs":`...), r.EndNs)
+		rw.buf = append(b, `,"records":`...)
+		if err := rw.rowDone(mark); err != nil {
+			return err
+		}
+		if err := appendRecordsJSON(rw, r.Records); err != nil {
+			return err
+		}
+		rw.buf = append(rw.buf, '}')
+	}
+	rw.buf = append(rw.buf, ']')
+	return nil
+}
+
+// appendRecordsJSON appends a record array, null when records is nil.
+// pcap.FlowRecord has no JSON tags, so its keys are its field names.
+func appendRecordsJSON(rw *rowWriter, records []pcap.FlowRecord) error {
+	if records == nil {
+		rw.buf = append(rw.buf, "null"...)
+		return nil
+	}
+	rw.buf = append(rw.buf, '[')
+	for i := range records {
+		r := &records[i]
+		mark := len(rw.buf)
+		b := rw.buf
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendInt(append(b, `{"Key":{"Src":`...), int64(r.Key.Src))
+		b = appendInt(append(b, `,"Dst":`...), int64(r.Key.Dst))
+		b = appendInt(append(b, `,"SrcPort":`...), int64(r.Key.SrcPort))
+		b = appendInt(append(b, `,"DstPort":`...), int64(r.Key.DstPort))
+		b = appendInt(append(b, `,"Proto":`...), int64(r.Key.Proto))
+		b = appendInt(append(b, `},"FirstNs":`...), r.FirstNs)
+		b = appendInt(append(b, `,"LastNs":`...), r.LastNs)
+		b = appendInt(append(b, `,"Bytes":`...), r.Bytes)
+		b = appendInt(append(b, `,"Packets":`...), r.Packets)
+		b = appendJSONString(append(b, `,"Label":`...), r.Label)
+		rw.buf = append(b, '}')
+		if err := rw.rowDone(mark); err != nil {
+			return err
+		}
+	}
+	rw.buf = append(rw.buf, ']')
 	return nil
 }
 

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/csv"
 	"os"
 	"path/filepath"
 	"slices"
@@ -15,8 +14,9 @@ const goldenDir = "../../results_csv"
 
 // TestExperimentTablesGolden runs the whole suite at the scale and seed
 // results_csv/ was written with and requires every table to match its
-// CSV: the same set of tables, equal header rows, and byte-equal cells
-// everywhere except the columns a table names as Volatile.
+// CSV: the same set of tables, equal notes and header rows, and
+// byte-equal cells everywhere except the columns a table names as
+// Volatile.
 func TestExperimentTablesGolden(t *testing.T) {
 	got := map[string]Table{}
 	for _, res := range RunAll(IDs(), Config{Scale: 1, Seed: 1}, 0) {
@@ -51,10 +51,13 @@ func TestExperimentTablesGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := csv.NewReader(f).ReadAll()
+		note, want, err := ReadTableCSV(f)
 		f.Close()
 		if err != nil {
 			t.Fatalf("results_csv/%s: %v", name, err)
+		}
+		if note != tab.Note {
+			t.Errorf("%s: note = %q, want %q", tab.ID, tab.Note, note)
 		}
 		compareGolden(t, tab, want)
 	}

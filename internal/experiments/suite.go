@@ -5,6 +5,8 @@
 package experiments
 
 import (
+	"bufio"
+	"encoding/csv"
 	"fmt"
 	"io"
 	"runtime"
@@ -99,6 +101,40 @@ func (t *Table) Fprint(w io.Writer) error {
 	}
 	_, err := fmt.Fprintln(w)
 	return err
+}
+
+// WriteCSV writes the table as CSV for plotting: the note, when there is
+// one, as a first line "# <note>" (the comment convention of gnuplot and
+// pandas' comment="#"), then the header row and the rows.
+func (t *Table) WriteCSV(w io.Writer) error {
+	if t.Note != "" {
+		if strings.ContainsAny(t.Note, "\r\n") {
+			return fmt.Errorf("experiments: %s note %q spans lines", t.ID, t.Note)
+		}
+		if _, err := fmt.Fprintf(w, "# %s\n", t.Note); err != nil {
+			return err
+		}
+	}
+	cw := csv.NewWriter(w)
+	if err := cw.Write(t.Headers); err != nil {
+		return err
+	}
+	return cw.WriteAll(t.Rows)
+}
+
+// ReadTableCSV reads what Table.WriteCSV wrote: the note ("" when there
+// is none) and the records, header row first.
+func ReadTableCSV(r io.Reader) (note string, records [][]string, err error) {
+	br := bufio.NewReader(r)
+	if b, _ := br.Peek(2); string(b) == "# " {
+		line, err := br.ReadString('\n')
+		if err != nil {
+			return "", nil, fmt.Errorf("experiments: table note: %w", err)
+		}
+		note = strings.TrimSuffix(line[2:], "\n")
+	}
+	records, err = csv.NewReader(br).ReadAll()
+	return note, records, err
 }
 
 // tables returns a runner's tables, or none when err says it failed.

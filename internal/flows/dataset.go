@@ -21,16 +21,15 @@ type Dataset struct {
 	idx     map[Phase][]int32
 }
 
-// NewDataset classifies every record once and returns the dataset.
-// The record slice is copied.
+// NewDataset classifies every record once and returns the dataset. The
+// dataset takes ownership of records, which becomes its Records: it is
+// not copied, so the caller must not modify it afterwards.
 func NewDataset(records []pcap.FlowRecord) *Dataset {
-	recs := make([]pcap.FlowRecord, len(records))
-	copy(recs, records)
-	phases := make([]Phase, len(recs))
-	for i, r := range recs {
+	phases := make([]Phase, len(records))
+	for i, r := range records {
 		phases[i] = Classify(r)
 	}
-	return newClassified(recs, phases)
+	return newClassified(records, phases)
 }
 
 // newClassified assembles a dataset from records whose classification is
@@ -215,12 +214,17 @@ func (d *Dataset) Count(p Phase) int {
 
 // Span returns the first start and last end timestamps (ns); zeroes for an
 // empty dataset.
-func (d *Dataset) Span() (firstNs, lastNs int64) {
-	if len(d.Records) == 0 {
+func (d *Dataset) Span() (firstNs, lastNs int64) { return Span(d.Records) }
+
+// Span returns the first start and last end timestamps (ns) of records;
+// zeroes when there are none. It reads the records alone, so a caller
+// that needs only the span classifies nothing.
+func Span(records []pcap.FlowRecord) (firstNs, lastNs int64) {
+	if len(records) == 0 {
 		return 0, 0
 	}
-	firstNs, lastNs = d.Records[0].FirstNs, d.Records[0].LastNs
-	for _, r := range d.Records[1:] {
+	firstNs, lastNs = records[0].FirstNs, records[0].LastNs
+	for _, r := range records[1:] {
 		if r.FirstNs < firstNs {
 			firstNs = r.FirstNs
 		}
@@ -257,25 +261,49 @@ func (d *Dataset) PhaseSpan(p Phase) (firstNs, lastNs int64) {
 
 // GroupByJob splits ground-truth-labelled records on the "<job>/" label
 // prefix (e.g. "job3/shuffle" → key "job3"). Unlabelled records land under
-// the empty key — callers decide whether that bucket matters.
-func GroupByJob(records []pcap.FlowRecord) map[string]*Dataset {
-	byJob := make(map[string][]pcap.FlowRecord)
-	for _, r := range records {
-		key := ""
-		if i := strings.IndexByte(r.Label, '/'); i >= 0 {
-			key = r.Label[:i]
+// the empty key — callers decide whether that bucket matters. Each group
+// keeps the records' order and is allocated at its exact size: one pass
+// counts the groups, a second fills them. Nothing is classified; a caller
+// that wants a group's phases hands it to NewDataset.
+func GroupByJob(records []pcap.FlowRecord) map[string][]pcap.FlowRecord {
+	ids := make(map[string]int)
+	var counts []int
+	for i := range records {
+		key := jobKey(records[i].Label)
+		g, ok := ids[key]
+		if !ok {
+			g = len(counts)
+			ids[key] = g
+			counts = append(counts, 0)
 		}
-		byJob[key] = append(byJob[key], r)
+		counts[g]++
 	}
-	out := make(map[string]*Dataset, len(byJob))
-	for k, recs := range byJob {
-		out[k] = NewDataset(recs)
+	groups := make([][]pcap.FlowRecord, len(counts))
+	for g, n := range counts {
+		groups[g] = make([]pcap.FlowRecord, 0, n)
+	}
+	for i := range records {
+		g := ids[jobKey(records[i].Label)]
+		groups[g] = append(groups[g], records[i])
+	}
+	out := make(map[string][]pcap.FlowRecord, len(ids))
+	for key, g := range ids {
+		out[key] = groups[g]
 	}
 	return out
 }
 
+// jobKey is the job part of a "<job>/<what>" label, "" for a label
+// without one.
+func jobKey(label string) string {
+	if i := strings.IndexByte(label, '/'); i >= 0 {
+		return label[:i]
+	}
+	return ""
+}
+
 // JobKeys returns the sorted non-empty job keys of a GroupByJob result.
-func JobKeys(groups map[string]*Dataset) []string {
+func JobKeys(groups map[string][]pcap.FlowRecord) []string {
 	keys := make([]string, 0, len(groups))
 	for k := range groups {
 		if k != "" {

@@ -133,11 +133,11 @@ func TestGroupByJob(t *testing.T) {
 	if len(groups) != 2 {
 		t.Fatalf("groups = %d, want 2 (job1, yarn)", len(groups))
 	}
-	if groups["job1"].Len() != 4 {
-		t.Errorf("job1 flows = %d, want 4", groups["job1"].Len())
+	if len(groups["job1"]) != 4 {
+		t.Errorf("job1 flows = %d, want 4", len(groups["job1"]))
 	}
-	if groups["yarn"].Len() != 1 {
-		t.Errorf("yarn flows = %d, want 1", groups["yarn"].Len())
+	if len(groups["yarn"]) != 1 {
+		t.Errorf("yarn flows = %d, want 1", len(groups["yarn"]))
 	}
 	keys := JobKeys(groups)
 	if len(keys) != 2 || keys[0] != "job1" || keys[1] != "yarn" {
@@ -147,7 +147,7 @@ func TestGroupByJob(t *testing.T) {
 
 func TestGroupByJobUnlabelled(t *testing.T) {
 	groups := GroupByJob([]pcap.FlowRecord{rec(1, 2, 5, 0, 1, "")})
-	if groups[""].Len() != 1 {
+	if len(groups[""]) != 1 {
 		t.Error("unlabelled records must land in the empty bucket")
 	}
 	if keys := JobKeys(groups); len(keys) != 0 {

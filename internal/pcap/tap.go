@@ -61,12 +61,10 @@ func (l *FlowLog) FlowCompleted(f netsim.Flow) {
 	})
 }
 
-// Truth returns the ground-truth flow records in completion order.
-func (l *FlowLog) Truth() []FlowRecord {
-	out := make([]FlowRecord, len(l.truth))
-	copy(out, l.truth)
-	return out
-}
+// Truth returns the ground-truth flow records in completion order. The
+// slice is the log's own, not a copy: read it once the network is done
+// (a flow completing later appends to the log), and do not modify it.
+func (l *FlowLog) Truth() []FlowRecord { return l.truth }
 
 // basePacket is the header every packet of a flow's train carries: the
 // flow's 5-tuple, with node ids shifted by offset.
