@@ -100,7 +100,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		s := ds.SizeSample(ph)
 		fmt.Fprintf(tw, "%s\t%d\t%.1f\t%.1f%%\t%.1f\t%.1f\n",
 			ph, n, float64(ds.Volume(ph))/(1<<20),
-			100*float64(ds.Volume(ph))/float64(maxInt64(1, bytes)),
+			100*float64(ds.Volume(ph))/float64(max(1, bytes)),
 			s.Quantile(0.5)/1024, s.Quantile(0.99)/1024)
 	}
 	if err := tw.Flush(); err != nil {
@@ -135,7 +135,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	if *flowCSV != "" {
-		if err := writeFlowCSV(*flowCSV, ds); err != nil {
+		if err := writeFlowCSV(*flowCSV, records); err != nil {
 			return fmt.Errorf("flow csv: %w", err)
 		}
 		fmt.Fprintf(stderr, "wrote %s: %d flows\n", *flowCSV, len(records))
@@ -143,7 +143,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	return nil
 }
 
-func writeFlowCSV(path string, ds *flows.Dataset) error {
+func writeFlowCSV(path string, records []pcap.FlowRecord) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -153,7 +153,7 @@ func writeFlowCSV(path string, ds *flows.Dataset) error {
 	if err := w.Write([]string{"first_s", "last_s", "src", "dst", "src_port", "dst_port", "bytes", "packets", "phase"}); err != nil {
 		return err
 	}
-	for i, rec := range ds.Records {
+	for _, rec := range records {
 		row := []string{
 			strconv.FormatFloat(float64(rec.FirstNs)/1e9, 'f', 6, 64),
 			strconv.FormatFloat(float64(rec.LastNs)/1e9, 'f', 6, 64),
@@ -163,7 +163,7 @@ func writeFlowCSV(path string, ds *flows.Dataset) error {
 			strconv.Itoa(int(rec.Key.DstPort)),
 			strconv.FormatInt(rec.Bytes, 10),
 			strconv.FormatInt(rec.Packets, 10),
-			string(ds.Phase(i)),
+			string(flows.Classify(rec)),
 		}
 		if err := w.Write(row); err != nil {
 			return err
@@ -174,11 +174,4 @@ func writeFlowCSV(path string, ds *flows.Dataset) error {
 		return err
 	}
 	return f.Close()
-}
-
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -54,7 +54,7 @@ func FromRecords(records []pcap.FlowRecord) []Coflow {
 		c := Coflow{Job: job, Width: ds.Len()}
 		senders := map[pcap.Addr]bool{}
 		receivers := map[pcap.Addr]bool{}
-		c.StartNs, c.EndNs = ds.Span()
+		c.StartNs, c.EndNs = flows.Span(ds.Records)
 		for _, r := range ds.Records {
 			c.Bytes += r.Bytes
 			if r.Bytes > c.LongestFlowBytes {
@@ -126,7 +126,7 @@ func BottleneckSender(c Coflow, records []pcap.FlowRecord) (pcap.Addr, float64, 
 		if flows.Classify(r) != flows.PhaseShuffle {
 			continue
 		}
-		if jobOf(r.Label) != c.Job {
+		if flows.JobKey(r.Label) != c.Job {
 			continue
 		}
 		perSender[r.Key.Src] += r.Bytes
@@ -149,13 +149,4 @@ func BottleneckSender(c Coflow, records []pcap.FlowRecord) (pcap.Addr, float64, 
 		}
 	}
 	return best, float64(bestBytes) / float64(total), nil
-}
-
-func jobOf(label string) string {
-	for i := 0; i < len(label); i++ {
-		if label[i] == '/' {
-			return label[:i]
-		}
-	}
-	return ""
 }

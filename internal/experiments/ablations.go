@@ -6,7 +6,6 @@ import (
 	"keddah/internal/core"
 	"keddah/internal/flows"
 	"keddah/internal/hadoop/mapreduce"
-	"keddah/internal/pcap"
 	"keddah/internal/stats"
 	"keddah/internal/workload"
 )
@@ -38,14 +37,17 @@ func runA1(cfg Config) ([]Table, error) {
 			ds := r.Dataset()
 			// Remote reads show up as non-loopback hdfs_read flows between
 			// distinct hosts; loopback flows have src == dst addresses.
-			remote := ds.Filter(func(rec pcap.FlowRecord, p flows.Phase) bool {
-				return p == flows.PhaseHDFSRead && rec.Key.Src != rec.Key.Dst
-			})
+			var remote int64
+			for _, rec := range ds.ByPhase(flows.PhaseHDFSRead).Records {
+				if rec.Key.Src != rec.Key.Dst {
+					remote += rec.Bytes
+				}
+			}
 			localPct := 0.0
 			if round.Maps > 0 {
 				localPct = 100 * float64(round.LocalMaps) / float64(round.Maps)
 			}
-			return []string{m.name, f2(localPct), mb(remote.Volume("")),
+			return []string{m.name, f2(localPct), mb(remote),
 				mb(ds.Volume(flows.PhaseHDFSRead)), f2(r.DurationSeconds())}
 		})
 	return tables(err, t)

@@ -6,7 +6,6 @@ import (
 
 	"keddah/internal/core"
 	"keddah/internal/flows"
-	"keddah/internal/pcap"
 )
 
 func init() {
@@ -92,9 +91,21 @@ func flowTimes(ds *flows.Dataset) []string {
 // dataMakespan spans the first data-flow start to the last data-flow end
 // in seconds, ignoring the long control-flow tail.
 func dataMakespan(ds *flows.Dataset) float64 {
-	first, last := ds.Filter(func(_ pcap.FlowRecord, p flows.Phase) bool {
-		return p == flows.PhaseShuffle || p == flows.PhaseHDFSRead || p == flows.PhaseHDFSWrite
-	}).Span()
+	var first, last int64
+	seen := false
+	for _, ph := range []flows.Phase{flows.PhaseShuffle, flows.PhaseHDFSRead, flows.PhaseHDFSWrite} {
+		if ds.Count(ph) == 0 {
+			continue
+		}
+		f, l := ds.PhaseSpan(ph)
+		if !seen || f < first {
+			first = f
+		}
+		if !seen || l > last {
+			last = l
+		}
+		seen = true
+	}
 	return float64(last-first) / 1e9
 }
 

@@ -70,18 +70,39 @@ func SendControl(net *netsim.Network, rng *stats.RNG, src, dst netsim.NodeID, po
 	}
 }
 
-var controlPorts = map[uint16]bool{
-	PortDataNodeIPC:  true,
-	PortNameNodeRPC:  true,
-	PortNameNodeHTTP: true,
-	PortRMScheduler:  true,
-	PortRMTracker:    true,
-	PortRMAdmin:      true,
-	PortRMClient:     true,
-	PortNMIPC:        true,
-	PortNMHTTP:       true,
-	PortJobHistory:   true,
-	PortAMUmbilical:  true,
+// isControlPort reports whether port is one of the RPC, heartbeat and
+// status ports Classify files under control.
+func isControlPort(port uint16) bool {
+	switch port {
+	case PortDataNodeIPC, PortNameNodeRPC, PortNameNodeHTTP,
+		PortRMScheduler, PortRMTracker, PortRMAdmin, PortRMClient,
+		PortNMIPC, PortNMHTTP, PortJobHistory, PortAMUmbilical:
+		return true
+	}
+	return false
+}
+
+// A slot numbers a phase: AllPhases in order, then PhaseOther. It is the
+// order of a Dataset's phase index.
+const (
+	slotHDFSRead uint8 = iota
+	slotHDFSWrite
+	slotShuffle
+	slotControl
+	slotOther
+	numSlots
+)
+
+var slotPhases = [numSlots]Phase{PhaseHDFSRead, PhaseHDFSWrite, PhaseShuffle, PhaseControl, PhaseOther}
+
+// slotOf returns p's slot, and false for a phase outside the five.
+func slotOf(p Phase) (uint8, bool) {
+	for s, q := range slotPhases {
+		if p == q {
+			return uint8(s), true
+		}
+	}
+	return 0, false
 }
 
 // Classify maps a flow record to its Hadoop traffic component using the
@@ -93,19 +114,22 @@ var controlPorts = map[uint16]bool{
 //   - port 13562 on either side → shuffle (reducer fetch over HTTP)
 //   - any RPC/heartbeat port → control
 //   - everything else → other
-func Classify(r pcap.FlowRecord) Phase {
+func Classify(r pcap.FlowRecord) Phase { return slotPhases[classifySlot(r)] }
+
+// classifySlot is Classify's rule, returning the phase's slot.
+func classifySlot(r pcap.FlowRecord) uint8 {
 	k := r.Key
 	switch {
 	case k.SrcPort == PortShuffle || k.DstPort == PortShuffle:
-		return PhaseShuffle
+		return slotShuffle
 	case k.SrcPort == PortDataNodeData:
-		return PhaseHDFSRead
+		return slotHDFSRead
 	case k.DstPort == PortDataNodeData:
-		return PhaseHDFSWrite
-	case controlPorts[k.SrcPort] || controlPorts[k.DstPort]:
-		return PhaseControl
+		return slotHDFSWrite
+	case isControlPort(k.SrcPort) || isControlPort(k.DstPort):
+		return slotControl
 	default:
-		return PhaseOther
+		return slotOther
 	}
 }
 

@@ -11,89 +11,82 @@ import (
 
 // Dataset is an ordered collection of flow records with cached phase
 // classification. It is the unit Keddah's modelling stage consumes.
-// Classification runs exactly once, at construction: a phase index
-// (phase → record indices) built alongside it makes every per-phase
-// view — ByPhase, Sizes, Durations, InterArrivals, Volume, Count — an
-// exact-prealloc single scan instead of a re-classifying filter pass.
+// Classification runs exactly once, at construction, into one exact-size
+// phase index: every record index, grouped by phase in slot order
+// (AllPhases, then PhaseOther) and in record order within a phase. Every
+// per-phase view — ByPhase, Sizes, Durations, InterArrivals, Volume,
+// Count, PhaseSpan — is one scan of a phase's run of that index, and the
+// phase "" (all phases) is the whole index.
 type Dataset struct {
 	Records []pcap.FlowRecord
-	phases  []Phase
-	idx     map[Phase][]int32
+	order   []int32
+	bounds  [numSlots + 1]int32 // slot s owns order[bounds[s]:bounds[s+1]]
 }
 
 // NewDataset classifies every record once and returns the dataset. The
 // dataset takes ownership of records, which becomes its Records: it is
 // not copied, so the caller must not modify it afterwards.
 func NewDataset(records []pcap.FlowRecord) *Dataset {
-	phases := make([]Phase, len(records))
-	for i, r := range records {
-		phases[i] = Classify(r)
+	d := &Dataset{Records: records}
+	slots := make([]uint8, len(records))
+	for i := range records {
+		s := classifySlot(records[i])
+		slots[i] = s
+		d.bounds[s+1]++
 	}
-	return newClassified(records, phases)
-}
-
-// newClassified assembles a dataset from records whose classification is
-// already known, taking ownership of both slices. Filter and ByPhase use
-// it to thread the cached phases through instead of calling Classify
-// again — classification is pure today, but re-running it was wasted
-// work and a trap if it ever gains state.
-func newClassified(records []pcap.FlowRecord, phases []Phase) *Dataset {
-	d := &Dataset{
-		Records: records,
-		phases:  phases,
-		idx:     make(map[Phase][]int32, len(AllPhases)+1),
+	for s := range numSlots {
+		d.bounds[s+1] += d.bounds[s]
 	}
-	for i, p := range phases {
-		d.idx[p] = append(d.idx[p], int32(i))
+	next := d.bounds
+	d.order = make([]int32, len(records))
+	for i, s := range slots {
+		d.order[next[s]] = int32(i)
+		next[s]++
 	}
 	return d
+}
+
+// ids returns the record indices of phase p in record order, every index
+// (grouped by phase) when p is empty, and none for an unknown phase.
+func (d *Dataset) ids(p Phase) []int32 {
+	if p == "" {
+		return d.order
+	}
+	s, ok := slotOf(p)
+	if !ok {
+		return nil
+	}
+	return d.order[d.bounds[s]:d.bounds[s+1]]
 }
 
 // Len returns the record count.
 func (d *Dataset) Len() int { return len(d.Records) }
 
-// Phase returns the classification of record i.
-func (d *Dataset) Phase(i int) Phase { return d.phases[i] }
-
-// Filter returns a new dataset of records satisfying keep.
-func (d *Dataset) Filter(keep func(r pcap.FlowRecord, p Phase) bool) *Dataset {
-	var recs []pcap.FlowRecord
-	var phases []Phase
-	for i, r := range d.Records {
-		if keep(r, d.phases[i]) {
-			recs = append(recs, r)
-			phases = append(phases, d.phases[i])
+// ByPhase returns the sub-dataset of phase p (all records, grouped by
+// phase, if p is empty). Its index is read off this one, so nothing is
+// classified again.
+func (d *Dataset) ByPhase(p Phase) *Dataset {
+	ids := d.ids(p)
+	n := int32(len(ids))
+	sub := &Dataset{Records: make([]pcap.FlowRecord, n), order: make([]int32, n)}
+	for i, id := range ids {
+		sub.Records[i] = d.Records[id]
+		sub.order[i] = int32(i)
+	}
+	if p == "" {
+		sub.bounds = d.bounds
+	} else if s, ok := slotOf(p); ok {
+		for j := s + 1; j <= numSlots; j++ {
+			sub.bounds[j] = n
 		}
 	}
-	return newClassified(recs, phases)
-}
-
-// ByPhase returns the sub-dataset of one phase.
-func (d *Dataset) ByPhase(p Phase) *Dataset {
-	ids := d.idx[p]
-	recs := make([]pcap.FlowRecord, len(ids))
-	phases := make([]Phase, len(ids))
-	for i, id := range ids {
-		recs[i] = d.Records[id]
-		phases[i] = p
-	}
-	return newClassified(recs, phases)
+	return sub
 }
 
 // Sizes returns the per-flow byte counts of records in phase p
 // (all phases if p is empty).
 func (d *Dataset) Sizes(p Phase) []float64 {
-	if p == "" {
-		if len(d.Records) == 0 {
-			return nil
-		}
-		out := make([]float64, len(d.Records))
-		for i := range d.Records {
-			out[i] = float64(d.Records[i].Bytes)
-		}
-		return out
-	}
-	ids := d.idx[p]
+	ids := d.ids(p)
 	if len(ids) == 0 {
 		return nil
 	}
@@ -113,17 +106,7 @@ func (d *Dataset) SizeSample(p Phase) *stats.Sample {
 
 // Durations returns per-flow durations in seconds for phase p.
 func (d *Dataset) Durations(p Phase) []float64 {
-	if p == "" {
-		if len(d.Records) == 0 {
-			return nil
-		}
-		out := make([]float64, len(d.Records))
-		for i := range d.Records {
-			out[i] = float64(d.Records[i].DurationNs()) / 1e9
-		}
-		return out
-	}
-	ids := d.idx[p]
+	ids := d.ids(p)
 	if len(ids) == 0 {
 		return nil
 	}
@@ -146,14 +129,8 @@ func (d *Dataset) InterArrivals(p Phase) []float64 {
 	buf := startBufs.Get().(*[]int64)
 	defer putStarts(buf)
 	starts := (*buf)[:0]
-	if p == "" {
-		for i := range d.Records {
-			starts = append(starts, d.Records[i].FirstNs)
-		}
-	} else {
-		for _, id := range d.idx[p] {
-			starts = append(starts, d.Records[id].FirstNs)
-		}
+	for _, id := range d.ids(p) {
+		starts = append(starts, d.Records[id].FirstNs)
 	}
 	*buf = starts
 	slices.Sort(starts)
@@ -192,29 +169,14 @@ func (d *Dataset) InterArrivalSample(p Phase) *stats.Sample {
 // Volume sums bytes over phase p (all records if p is empty).
 func (d *Dataset) Volume(p Phase) int64 {
 	var total int64
-	if p == "" {
-		for i := range d.Records {
-			total += d.Records[i].Bytes
-		}
-		return total
-	}
-	for _, id := range d.idx[p] {
+	for _, id := range d.ids(p) {
 		total += d.Records[id].Bytes
 	}
 	return total
 }
 
 // Count returns the number of flows in phase p (all if empty).
-func (d *Dataset) Count(p Phase) int {
-	if p == "" {
-		return len(d.Records)
-	}
-	return len(d.idx[p])
-}
-
-// Span returns the first start and last end timestamps (ns); zeroes for an
-// empty dataset.
-func (d *Dataset) Span() (firstNs, lastNs int64) { return Span(d.Records) }
+func (d *Dataset) Count(p Phase) int { return len(d.ids(p)) }
 
 // Span returns the first start and last end timestamps (ns) of records;
 // zeroes when there are none. It reads the records alone, so a caller
@@ -235,20 +197,17 @@ func Span(records []pcap.FlowRecord) (firstNs, lastNs int64) {
 	return firstNs, lastNs
 }
 
-// PhaseSpan is Span restricted to phase p (all records if p is empty),
-// read off the phase index without materializing a sub-dataset.
+// PhaseSpan returns the first start and last end timestamps (ns) of the
+// records in phase p (all records if p is empty), read off the phase
+// index without materializing a sub-dataset; zeroes when there are none.
 func (d *Dataset) PhaseSpan(p Phase) (firstNs, lastNs int64) {
-	if p == "" {
-		return d.Span()
-	}
-	ids := d.idx[p]
+	ids := d.ids(p)
 	if len(ids) == 0 {
 		return 0, 0
 	}
-	r0 := d.Records[ids[0]]
-	firstNs, lastNs = r0.FirstNs, r0.LastNs
+	firstNs, lastNs = d.Records[ids[0]].FirstNs, d.Records[ids[0]].LastNs
 	for _, id := range ids[1:] {
-		r := d.Records[id]
+		r := &d.Records[id]
 		if r.FirstNs < firstNs {
 			firstNs = r.FirstNs
 		}
@@ -269,7 +228,7 @@ func GroupByJob(records []pcap.FlowRecord) map[string][]pcap.FlowRecord {
 	ids := make(map[string]int)
 	var counts []int
 	for i := range records {
-		key := jobKey(records[i].Label)
+		key := JobKey(records[i].Label)
 		g, ok := ids[key]
 		if !ok {
 			g = len(counts)
@@ -283,7 +242,7 @@ func GroupByJob(records []pcap.FlowRecord) map[string][]pcap.FlowRecord {
 		groups[g] = make([]pcap.FlowRecord, 0, n)
 	}
 	for i := range records {
-		g := ids[jobKey(records[i].Label)]
+		g := ids[JobKey(records[i].Label)]
 		groups[g] = append(groups[g], records[i])
 	}
 	out := make(map[string][]pcap.FlowRecord, len(ids))
@@ -293,9 +252,9 @@ func GroupByJob(records []pcap.FlowRecord) map[string][]pcap.FlowRecord {
 	return out
 }
 
-// jobKey is the job part of a "<job>/<what>" label, "" for a label
+// JobKey is the job part of a "<job>/<what>" label, "" for a label
 // without one.
-func jobKey(label string) string {
+func JobKey(label string) string {
 	if i := strings.IndexByte(label, '/'); i >= 0 {
 		return label[:i]
 	}

@@ -1,6 +1,7 @@
 package flows
 
 import (
+	"runtime"
 	"slices"
 	"testing"
 
@@ -47,6 +48,29 @@ func TestClassifyShuffleBeatsControl(t *testing.T) {
 	r := rec(PortShuffle, PortNameNodeRPC, 1, 0, 1, "")
 	if got := Classify(r); got != PhaseShuffle {
 		t.Errorf("got %s, want shuffle", got)
+	}
+}
+
+// TestIsControlPortMatchesMap checks the control-port switch against the
+// port set it replaced, over every port.
+func TestIsControlPortMatchesMap(t *testing.T) {
+	want := map[uint16]bool{
+		PortDataNodeIPC:  true,
+		PortNameNodeRPC:  true,
+		PortNameNodeHTTP: true,
+		PortRMScheduler:  true,
+		PortRMTracker:    true,
+		PortRMAdmin:      true,
+		PortRMClient:     true,
+		PortNMIPC:        true,
+		PortNMHTTP:       true,
+		PortJobHistory:   true,
+		PortAMUmbilical:  true,
+	}
+	for port := 0; port <= 0xffff; port++ {
+		if got := isControlPort(uint16(port)); got != want[uint16(port)] {
+			t.Errorf("isControlPort(%d) = %v, want %v", port, got, want[uint16(port)])
+		}
 	}
 }
 
@@ -106,25 +130,33 @@ func TestDatasetInterArrivals(t *testing.T) {
 
 func TestDatasetSpan(t *testing.T) {
 	ds := testDataset()
-	first, last := ds.Span()
+	first, last := ds.PhaseSpan("")
 	if first != 0 || last != 45 {
 		t.Errorf("span = [%d, %d], want [0, 45]", first, last)
 	}
+	if f, l := ds.PhaseSpan(PhaseShuffle); f != 10 || l != 45 {
+		t.Errorf("shuffle span = [%d, %d], want [10, 45]", f, l)
+	}
 	e := NewDataset(nil)
-	if f, l := e.Span(); f != 0 || l != 0 {
+	if f, l := e.PhaseSpan(""); f != 0 || l != 0 {
 		t.Errorf("empty span = [%d, %d]", f, l)
 	}
 }
 
-func TestDatasetFilterAndByPhase(t *testing.T) {
+func TestDatasetByPhase(t *testing.T) {
 	ds := testDataset()
 	sub := ds.ByPhase(PhaseShuffle)
 	if sub.Len() != 2 {
 		t.Fatalf("ByPhase len = %d", sub.Len())
 	}
-	big := ds.Filter(func(r pcap.FlowRecord, _ Phase) bool { return r.Bytes >= 200 })
-	if big.Len() != 3 {
-		t.Errorf("Filter len = %d, want 3", big.Len())
+	if n := sub.Count(PhaseShuffle); n != 2 {
+		t.Errorf("sub-dataset shuffle count = %d, want 2", n)
+	}
+	if n := sub.Count(PhaseHDFSRead); n != 0 {
+		t.Errorf("sub-dataset hdfs_read count = %d, want 0", n)
+	}
+	if n := ds.ByPhase("bogus").Len(); n != 0 {
+		t.Errorf("unknown phase selected %d records", n)
 	}
 }
 
@@ -156,16 +188,11 @@ func TestGroupByJobUnlabelled(t *testing.T) {
 }
 
 // TestDatasetPhaseIndexConsistency cross-checks the construction-time
-// phase index against per-record classification: ByPhase and Filter must
-// agree with classifying every record directly, and the cached phases
-// must survive through derived datasets without re-classification.
+// phase index against per-record classification: the phases' ByPhase
+// sub-datasets partition the records, and each holds only records that
+// classify as its phase.
 func TestDatasetPhaseIndexConsistency(t *testing.T) {
 	ds := testDataset()
-	for i, r := range ds.Records {
-		if got, want := ds.Phase(i), Classify(r); got != want {
-			t.Fatalf("record %d: cached phase %s, want %s", i, got, want)
-		}
-	}
 	allPhases := append(append([]Phase{}, AllPhases...), PhaseOther)
 	total := 0
 	for _, ph := range allPhases {
@@ -175,17 +202,9 @@ func TestDatasetPhaseIndexConsistency(t *testing.T) {
 			t.Fatalf("%s: ByPhase len %d != Count %d", ph, sub.Len(), ds.Count(ph))
 		}
 		for i, r := range sub.Records {
-			if sub.Phase(i) != ph {
-				t.Fatalf("%s: sub record %d cached phase %s", ph, i, sub.Phase(i))
-			}
 			if Classify(r) != ph {
 				t.Fatalf("%s: sub record %d classifies as %s", ph, i, Classify(r))
 			}
-		}
-		// ByPhase must agree with the equivalent Filter.
-		filtered := ds.Filter(func(_ pcap.FlowRecord, p Phase) bool { return p == ph })
-		if filtered.Len() != sub.Len() {
-			t.Fatalf("%s: Filter len %d != ByPhase len %d", ph, filtered.Len(), sub.Len())
 		}
 	}
 	if total != ds.Len() {
@@ -235,5 +254,44 @@ func TestDatasetSamplesSorted(t *testing.T) {
 	if s.Len() != 2 || s.Min() != 300 || s.Max() != 500 || s.Mean() != 400 {
 		t.Fatalf("shuffle size sample: len=%d min=%v max=%v mean=%v",
 			s.Len(), s.Min(), s.Max(), s.Mean())
+	}
+}
+
+// TestNewDatasetBytesPerFlow is the memory fence on classification:
+// NewDataset keeps one exact-size phase index (4 bytes per record) and a
+// one-byte scratch slot per record, so it allocates at most 8 bytes per
+// record and 4 KiB besides. Storing each record's phase as a string next
+// to per-phase index slices grown by append cost about 35 B/record.
+func TestNewDatasetBytesPerFlow(t *testing.T) {
+	const n = 60_000
+	records := make([]pcap.FlowRecord, n)
+	for i := range records {
+		// Mostly heartbeats, as in a capture, with every phase present.
+		switch i % 10 {
+		case 0:
+			records[i] = rec(PortShuffle, 40000, 1<<20, int64(i), int64(i)+5, "")
+		case 1:
+			records[i] = rec(PortDataNodeData, 40000, 1<<20, int64(i), int64(i)+5, "")
+		case 2:
+			records[i] = rec(40000, PortDataNodeData, 1<<20, int64(i), int64(i)+5, "")
+		case 3:
+			records[i] = rec(40000, 40001, 64, int64(i), int64(i)+5, "")
+		default:
+			records[i] = rec(40000, PortRMTracker, ControlBytes, int64(i), int64(i)+5, "")
+		}
+	}
+	NewDataset(records)
+	const runs = 3
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		NewDataset(records)
+	}
+	runtime.ReadMemStats(&after)
+	grew := (after.TotalAlloc - before.TotalAlloc) / runs
+	const perRecord, fixed = 8, 4 << 10
+	if grew > perRecord*n+fixed {
+		t.Errorf("classifying %d records allocated %d bytes (%.1f B/record); the fence is %d B/record and %d B",
+			n, grew, float64(grew)/n, perRecord, fixed)
 	}
 }

@@ -145,12 +145,12 @@ func TestOutputReplicationControlsWriteTraffic(t *testing.T) {
 			NumReducers: 2, MapSelectivity: 1, ReduceSelectivity: 1,
 			OutputReplication: repl,
 		})
-		ds := flows.NewDataset(r.cap.Truth())
 		// Isolate job output writes from the ingest.
-		jobWrites := ds.Filter(func(rec pcap.FlowRecord, p flows.Phase) bool {
-			return p == flows.PhaseHDFSWrite && rec.Label == "j/hdfsWrite"
-		})
-		vol[repl] = jobWrites.Volume("")
+		for _, rec := range flows.NewDataset(r.cap.Truth()).ByPhase(flows.PhaseHDFSWrite).Records {
+			if rec.Label == "j/hdfsWrite" {
+				vol[repl] += rec.Bytes
+			}
+		}
 	}
 	ratio := float64(vol[3]) / float64(vol[1])
 	if ratio < 2.4 || ratio > 3.6 {
@@ -176,11 +176,13 @@ func TestUmbilicalControlTraffic(t *testing.T) {
 		NumReducers: 2, MapSelectivity: 1, ReduceSelectivity: 1,
 		MapCostSecPerMB: 0.1, // slow maps → several umbilical beats
 	})
-	ds := flows.NewDataset(r.cap.Truth())
-	um := ds.Filter(func(rec pcap.FlowRecord, _ flows.Phase) bool {
-		return rec.Key.DstPort == flows.PortAMUmbilical
-	})
-	if um.Len() == 0 {
+	um := 0
+	for _, rec := range r.cap.Truth() {
+		if rec.Key.DstPort == flows.PortAMUmbilical {
+			um++
+		}
+	}
+	if um == 0 {
 		t.Error("no umbilical control flows captured")
 	}
 }

@@ -185,8 +185,8 @@ func TestHeartbeatControlTraffic(t *testing.T) {
 		t.Errorf("NM heartbeat flows = %d, want ≈40", n)
 	}
 	// All heartbeats target the resource-tracker port.
-	for i, r := range ds.Records {
-		if ds.Phase(i) == flows.PhaseControl && r.Key.DstPort != flows.PortRMTracker {
+	for _, r := range ds.ByPhase(flows.PhaseControl).Records {
+		if r.Key.DstPort != flows.PortRMTracker {
 			t.Errorf("control flow to port %d, want %d", r.Key.DstPort, flows.PortRMTracker)
 		}
 	}
