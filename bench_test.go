@@ -161,6 +161,10 @@ func BenchmarkGenerateSchedule(b *testing.B) { benchcases.GenerateSchedule(b) }
 // GenerateChunks (body shared via internal/benchcases).
 func BenchmarkGenerateStream(b *testing.B) { benchcases.GenerateStream(b) }
 
+// BenchmarkGenerateStreamOverlap measures a ten-job stream whose jobs
+// overrun into each other (body shared via internal/benchcases).
+func BenchmarkGenerateStreamOverlap(b *testing.B) { benchcases.GenerateStreamOverlap(b) }
+
 // BenchmarkEncodeSchedule measures the csv, jsonl and ns3 export of a
 // fixed 100k-flow schedule (body shared via internal/benchcases).
 func BenchmarkEncodeSchedule(b *testing.B) { benchcases.EncodeSchedule(b) }

@@ -43,6 +43,7 @@ func Cases() []Case {
 		{"TraceSetJSON", TraceSetJSON},
 		{"GenerateSchedule", GenerateSchedule},
 		{"GenerateStream", GenerateStream},
+		{"GenerateStreamOverlap", GenerateStreamOverlap},
 		{"EncodeSchedule", EncodeSchedule},
 	}
 }
@@ -140,6 +141,35 @@ func GenerateStream(b *testing.B) {
 			return nil
 		})
 		if err != nil {
+			b.Fatal(err)
+		}
+		if streamed == 0 {
+			b.Fatal("empty schedule")
+		}
+	}
+}
+
+// GenerateStreamOverlap measures a stream whose jobs overrun into each
+// other: ten 32 GiB terasort jobs on 64 workers from the bulk corpus
+// model (core.FitBulkCorpus), seed 11, through GenerateChunks into a
+// no-op emit. Each job outlasts its nominal span, so many runs are
+// sampled but only partly emitted at once, and its B/op is what the
+// streamed path allocates to hold them.
+// The one-off capture+fit runs outside the timer.
+func GenerateStreamOverlap(b *testing.B) {
+	model, err := core.FitBulkCorpus()
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec := core.GenSpec{Workload: "terasort", InputBytes: 32 << 30, Workers: 64, Jobs: 10, Seed: 11}
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		streamed := 0
+		if err := model.GenerateChunks(context.Background(), spec, 0, func(c []core.SynthFlow) error {
+			streamed += len(c)
+			return nil
+		}); err != nil {
 			b.Fatal(err)
 		}
 		if streamed == 0 {

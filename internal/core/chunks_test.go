@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
@@ -216,10 +217,11 @@ func TestEstimateMixFlows(t *testing.T) {
 }
 
 // TestGenerateChunksBytesPerFlow is a memory fence on streamed
-// generation: the slab holds 32 bytes per flow and the chunk buffer is
-// fixed, so streaming a schedule into a no-op emit may allocate at most
-// 40 bytes per flow plus 1 MiB. A slab of SynthFlows (80 bytes each)
-// fails it.
+// generation: a record holds a flow in 24 bytes, the background is
+// sorted chunk by chunk in place and the chunk buffer is fixed, so
+// streaming a schedule into a no-op emit may allocate at most 40 bytes
+// per flow plus 1 MiB. Records of SynthFlows (80 bytes each), or a
+// background sorted through a second full-size copy, fail it.
 func TestGenerateChunksBytesPerFlow(t *testing.T) {
 	model := mixModel(t)
 	spec := GenSpec{Workload: "terasort", InputBytes: 16 << 30, Workers: 64, Jobs: 4, Seed: 3, IncludeBackground: true}
@@ -254,9 +256,9 @@ func TestGenerateChunksBytesPerFlow(t *testing.T) {
 
 // TestGenerateChunksBytesPerFlowManyJobs is the memory fence on a
 // background-free multi-job stream: each job is sampled only when the
-// merge reaches its start and each run's slab is reused once emitted, so
-// streaming 40 staggered jobs allocates at most 8 bytes per flow plus
-// 1 MiB. Sampling the whole schedule before the first emit costs 32.
+// merge reaches its start and each record chunk is reused once emitted,
+// so streaming 40 staggered jobs allocates at most 8 bytes per flow plus
+// 1 MiB. Sampling the whole schedule before the first emit costs 24.
 func TestGenerateChunksBytesPerFlowManyJobs(t *testing.T) {
 	model := mixModel(t)
 	spec := GenSpec{Workload: "terasort", InputBytes: 16 << 30, Workers: 64, Jobs: 40, Seed: 3}
@@ -290,7 +292,7 @@ func TestGenerateChunksBytesPerFlowManyJobs(t *testing.T) {
 }
 
 // TestGenerateChunksBytesPerFlowSmallJobs is the memory fence on the
-// run table: a stream of 20,000 one-block jobs has 140,000 runs, but
+// run table: a stream of 20,000 one-block jobs has 80,000 runs, but
 // each emitted run's slot is reused, so the table holds only the runs
 // live at once and streaming allocates at most 16 bytes per flow plus
 // 1 MiB. A table that keeps a slot for every run of the stream costs
@@ -344,5 +346,119 @@ func TestGenerateMixChunksBadLawBeforeEmit(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "mix arrival ") || strings.Contains(err.Error(), "mix arrival 0 ") {
 		t.Fatalf("%v: the first arrival uses the bad law; pick a seed where a later one does", err)
+	}
+}
+
+// peakLiveHeap streams b into a no-op emit, calling each after every
+// emit, and returns the most live heap above the heap before b was
+// built (base), read after a GC at the first emit and every 8th after.
+func peakLiveHeap(t *testing.T, b *scheduleBuilder, base uint64, each func()) uint64 {
+	t.Helper()
+	var ms runtime.MemStats
+	var emits, streamed int
+	var peak uint64
+	err := b.stream(context.Background(), 0, func(c []SynthFlow) error {
+		emits++
+		streamed += len(c)
+		each()
+		if emits%8 == 1 {
+			runtime.GC()
+			runtime.ReadMemStats(&ms)
+			peak = max(peak, ms.HeapAlloc-min(base, ms.HeapAlloc))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(streamed) != b.total {
+		t.Fatalf("streamed %d flows of %d", streamed, b.total)
+	}
+	return peak
+}
+
+// heapNow is the live heap after a GC.
+func heapNow() uint64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestGenerateChunksBytesPerFlowOverlappingJobs is the memory fence on
+// the live heap of a stream whose jobs overrun into each other: 40
+// terasort jobs on 64 workers, each of which outlasts its nominal span,
+// so many runs are sampled but only partly emitted at once. A chunk goes
+// back to the free list as soon as the merge has emitted its last flow,
+// so the peak live heap may exceed 24 bytes per pending flow (sampled,
+// not yet emitted, counted from the run table) by at most 1 MiB.
+// Holding each run's flows until its last one is emitted keeps about
+// twice the pending flows.
+func TestGenerateChunksBytesPerFlowOverlappingJobs(t *testing.T) {
+	model, err := FitBulkCorpus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := GenSpec{Workload: "terasort", InputBytes: 32 << 30, Workers: 64, Jobs: 40, Seed: 11}
+	base := heapNow()
+	b, err := model.schedule(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var peakPending int
+	peakHeap := peakLiveHeap(t, b, base, func() {
+		pending := 0
+		for _, r := range b.runs {
+			pending += len(r.flows) - int(r.at)
+		}
+		peakPending = max(peakPending, pending)
+	})
+	if peakPending < 300_000 {
+		t.Fatalf("at most %d flows pending; the fence needs at least 300k", peakPending)
+	}
+	const perFlow, fixed = 24, 1 << 20
+	t.Logf("peak live heap %d bytes, %d flows pending at most (%.1f B/pending flow)",
+		peakHeap, peakPending, float64(peakHeap)/float64(peakPending))
+	if peakHeap > uint64(perFlow*peakPending+fixed) {
+		t.Errorf("peak live heap %d bytes with at most %d flows pending (%.1f B/flow); the fence is %d B/flow + %d B",
+			peakHeap, peakPending, float64(peakHeap)/float64(peakPending), perFlow, fixed)
+	}
+}
+
+// TestGenerateChunksBytesPerFlowShortRuns is the memory fence on the
+// live heap of a stream of short runs all sampled before the first
+// emit: 20,000 one-block jobs, 80,000 runs of one to three flows, held
+// at once because a background (bound 0) or a negative stagger
+// (bounds 1 ns apart) puts every source's floor below the first flow. A
+// run shorter than a chunk takes a slab of its length rounded up to a
+// power of two, at most 32 bytes a flow for runs of one to three, and
+// its slot in the run table is 48 bytes, so the peak live heap may be
+// at most 32 bytes per flow plus 64 per run plus 1 MiB. Giving every run
+// a whole chunk costs over 3 KiB per run.
+func TestGenerateChunksBytesPerFlowShortRuns(t *testing.T) {
+	model := mixModel(t)
+	for _, spec := range []GenSpec{
+		{Workload: "terasort", InputBytes: 64 << 20, Workers: 8, Jobs: 20_000, Seed: 3, IncludeBackground: true},
+		{Workload: "terasort", InputBytes: 64 << 20, Workers: 8, Jobs: 20_000, Seed: 3, Stagger: -1},
+	} {
+		t.Run(fmt.Sprintf("background=%v/stagger=%g", spec.IncludeBackground, spec.Stagger), func(t *testing.T) {
+			base := heapNow()
+			b, err := model.schedule(context.Background(), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			peakHeap := peakLiveHeap(t, b, base, func() {})
+			flows, runs := int(b.total), b.drawn
+			if runs < 80_000 {
+				t.Fatalf("%d runs; the fence needs at least 80k", runs)
+			}
+			const perFlow, perRun, fixed = 32, 64, 1 << 20
+			t.Logf("peak live heap %d bytes for %d flows in %d runs (%.1f B/flow)",
+				peakHeap, flows, runs, float64(peakHeap)/float64(flows))
+			if peakHeap > uint64(perFlow*flows+perRun*runs+fixed) {
+				t.Errorf("peak live heap %d bytes for %d flows in %d runs; the fence is %d B/flow + %d B/run + %d B",
+					peakHeap, flows, runs, perFlow, perRun, fixed)
+			}
+		})
 	}
 }

@@ -115,15 +115,19 @@ func (m *Model) Generate(ctx context.Context, spec GenSpec) ([]SynthFlow, error)
 // deadline-expired client aborts the stream mid-schedule.
 //
 // Each job is sampled only when the merge reaches its start, into
-// 32-byte records that are recycled once emitted, and merged chunk by
-// chunk into one reused SynthFlow buffer. A stream therefore holds 32
-// bytes per flow it has sampled but not yet emitted, plus one chunk
-// buffer and a 56-byte record per (job, phase) run sampled so far; with
-// IncludeBackground, whose heartbeats may start at time 0,
-// every flow is sampled before the first is emitted, so it holds 32
-// bytes per flow of the whole schedule. What is never materialised is
-// the SynthFlow schedule or the encoded output, since each emitted slice
-// can be encoded and flushed to the client before the next is merged. A
+// 24-byte records held in 6 KiB chunks, a run shorter than a chunk (and
+// a long run's remainder) in a slab of its length rounded up to a power
+// of two, and merged into one reused SynthFlow buffer; each slab is
+// recycled as soon as the merge has emitted its last flow. A stream
+// therefore holds 24 bytes per flow it has sampled but not yet emitted,
+// plus the emitted part and unused tail of each live slab, one
+// SynthFlow buffer, and 64 bytes per slab not yet emitted (its 48-byte
+// run-table slot and its run's merge entry); with IncludeBackground,
+// whose heartbeats may start at time 0, every flow is sampled before
+// the first is emitted, so it holds at most 48 bytes per flow of the
+// whole schedule plus 64 per run. What is never materialised is the
+// SynthFlow schedule or the encoded output, since each emitted slice can
+// be encoded and flushed to the client before the next is merged. A
 // chunk slice is only valid during its emit call.
 func (m *Model) GenerateChunks(ctx context.Context, spec GenSpec, chunk int, emit func([]SynthFlow) error) error {
 	b, err := m.schedule(ctx, spec)
@@ -286,7 +290,6 @@ func (sh genShape) appendJob(ctx context.Context, b *scheduleBuilder, rng *stats
 	spec := sh.spec
 	hosts := jobHosts{rot: rng.Intn(spec.Workers), workers: spec.Workers,
 		maps: sh.maps, reducers: max(1, sh.reducers)}
-	rest := int(sh.perJob) // flows the job has still to take
 	for k, ph := range flows.AllPhases {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("core: generate: %w", err)
@@ -316,10 +319,9 @@ func (sh genShape) appendJob(ctx context.Context, b *scheduleBuilder, rng *stats
 		// Inter-arrival samples are clamped at zero, so t never
 		// decreases and the phase is one time-ordered run that starts
 		// no earlier than jobStart.
-		run := b.take(l.count, rest)
-		rest -= l.count
 		t := jobStart + math.Max(0, l.off.Sample(rng))
-		for i := range run {
+		b.beginRun(l.count)
+		for i := range l.count {
 			if i%genCtxStride == 0 && ctx.Err() != nil {
 				return fmt.Errorf("core: generate: %w", ctx.Err())
 			}
@@ -328,17 +330,9 @@ func (sh genShape) appendJob(ctx context.Context, b *scheduleBuilder, rng *stats
 			}
 			size := int64(math.Max(1, sampleSize()))
 			src, dst := rule.place(hosts, i, rng)
-			sp, dp := rule.ports(rng)
-			run[i] = slabFlow{
-				startNs: startNs(t, shiftNs),
-				bytes:   size,
-				src:     int32(src),
-				dst:     int32(dst),
-				srcPort: uint16(sp),
-				dstPort: uint16(dp),
-			}
+			b.add(packFlow(startNs(t, shiftNs), size, src, dst, flows.EphemeralPort(rng)))
 		}
-		b.endRun(run, name, ph)
+		b.endRun(name, k)
 	}
 	return nil
 }
@@ -401,7 +395,7 @@ func (m *Model) backgroundCount(spanSecs float64, workers int) int {
 
 // appendBackground samples heartbeat traffic over the job span into b as
 // one run. Its start times are drawn independently, so it is the one run
-// the builder has to sort.
+// the builder cuts into chunks and sorts.
 func (m *Model) appendBackground(ctx context.Context, b *scheduleBuilder, workers int, spanSecs float64, rng *stats.RNG) error {
 	pm := m.Background
 	ctl := phaseRules[flows.PhaseControl]
@@ -410,14 +404,14 @@ func (m *Model) appendBackground(ctx context.Context, b *scheduleBuilder, worker
 	if err != nil {
 		return fmt.Errorf("background size law: %w", err)
 	}
-	count := m.backgroundCount(spanSecs, workers)
-	run := b.take(count, count)
-	for i := range run {
+	n := m.backgroundCount(spanSecs, workers)
+	b.beginRun(n)
+	for i := range n {
 		if i%genCtxStride == 0 && ctx.Err() != nil {
 			return fmt.Errorf("core: generate background: %w", ctx.Err())
 		}
 		t := rng.Float64() * spanSecs
-		sp, dp := ctl.ports(rng)
+		eph := flows.EphemeralPort(rng)
 		size := sizeLaw.Sample(rng)
 		if len(pm.SizeAtoms) > 0 && rng.Float64() < pm.SizeAtoms[0].Weight {
 			size = pm.SizeAtoms[0].Value
@@ -425,16 +419,9 @@ func (m *Model) appendBackground(ctx context.Context, b *scheduleBuilder, worker
 		// The hosts are drawn after the size and atom draws; the draw
 		// order fixes the schedule's bytes.
 		src, dst := ctl.place(hosts, i, rng)
-		run[i] = slabFlow{
-			startNs: startNs(t, 0),
-			bytes:   int64(math.Max(1, winsorize(size, pm.SizeMin, pm.SizeMax))),
-			src:     int32(src),
-			dst:     int32(dst),
-			srcPort: uint16(sp),
-			dstPort: uint16(dp),
-		}
+		b.add(packFlow(startNs(t, 0), int64(math.Max(1, winsorize(size, pm.SizeMin, pm.SizeMax))), src, dst, eph))
 	}
-	b.endRun(run, "background", flows.PhaseControl)
+	b.endRun("background", phaseIndex(flows.PhaseControl))
 	return nil
 }
 

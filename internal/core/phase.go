@@ -15,34 +15,31 @@ import (
 type phaseRule struct {
 	unit     string // count unit Fit records
 	sizeNorm string // size normaliser Fit records ("" for none)
-	// port is the well-known port, the source port when portOnSrc; the
-	// other side takes an ephemeral port.
-	port      int
-	portOnSrc bool
+	portSide
 	// place picks flow i's (src, dst) worker ordinals; -1 is the master.
 	place func(h jobHosts, i int, rng *stats.RNG) (src, dst int)
 }
 
 var phaseRules = map[flows.Phase]phaseRule{
 	// A map reads its split: replica host → mapper host.
-	flows.PhaseHDFSRead: {unit: "block", port: flows.PortDataNodeData, portOnSrc: true,
+	flows.PhaseHDFSRead: {unit: "block", portSide: portSide{port: flows.PortDataNodeData, portOnSrc: true},
 		place: func(h jobHosts, i int, rng *stats.RNG) (int, int) {
 			return rng.Intn(h.workers), h.mapHost(i % h.maps)
 		}},
 	// A writer (reducer or pipeline hop) → a datanode.
-	flows.PhaseHDFSWrite: {unit: "block", port: flows.PortDataNodeData,
+	flows.PhaseHDFSWrite: {unit: "block", portSide: portSide{port: flows.PortDataNodeData},
 		place: func(h jobHosts, i int, rng *stats.RNG) (int, int) {
 			return h.redHost(i % h.reducers), rng.Intn(h.workers)
 		}},
 	// The all-to-all over (map, reducer) pairs. A flow carries one map
 	// output ÷ reducer count, so sizes are fitted ×reducers.
-	flows.PhaseShuffle: {unit: "mapxreduce", sizeNorm: "reducers", port: flows.PortShuffle, portOnSrc: true,
+	flows.PhaseShuffle: {unit: "mapxreduce", sizeNorm: "reducers", portSide: portSide{port: flows.PortShuffle, portOnSrc: true},
 		place: func(h jobHosts, i int, _ *stats.RNG) (int, int) {
 			return h.mapHost(i % h.maps), h.redHost((i / h.maps) % h.reducers)
 		}},
-	flows.PhaseControl: {unit: "controlmix", port: flows.PortRMTracker, place: toMaster},
+	flows.PhaseControl: {unit: "controlmix", portSide: portSide{port: flows.PortRMTracker}, place: toMaster},
 	// Traffic on no known port has no structural driver.
-	flows.PhaseOther: {unit: "job", port: flows.PortRMTracker, place: toMaster},
+	flows.PhaseOther: {unit: "job", portSide: portSide{port: flows.PortRMTracker}, place: toMaster},
 }
 
 // toMaster places a control exchange: a random worker → the master.
@@ -50,14 +47,23 @@ func toMaster(h jobHosts, _ int, rng *stats.RNG) (int, int) {
 	return rng.Intn(h.workers), -1
 }
 
-// ports draws a flow's (srcPort, dstPort), so that generated traffic
-// classifies as its phase.
-func (r phaseRule) ports(rng *stats.RNG) (int, int) {
-	eph := flows.EphemeralPort(rng)
-	if r.portOnSrc {
-		return r.port, eph
+// portSide is where a phase puts its ports: port is the well-known
+// port, the source port when portOnSrc, and the other side takes an
+// ephemeral port drawn per flow. It is the same for every flow of a
+// run, so the schedule builder keeps it on the run and stores only the
+// ephemeral port per flow.
+type portSide struct {
+	port      uint16
+	portOnSrc bool
+}
+
+// ports is the (srcPort, dstPort) of a flow whose ephemeral port is eph,
+// so that generated traffic classifies as its phase.
+func (s portSide) ports(eph int) (int, int) {
+	if s.portOnSrc {
+		return int(s.port), eph
 	}
-	return eph, r.port
+	return eph, int(s.port)
 }
 
 // jobHosts places one generated job's tasks round-robin from a random

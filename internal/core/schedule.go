@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"keddah/internal/flows"
@@ -18,37 +19,88 @@ import (
 // Sampling a source appends its time-ordered runs. Every (job, phase)
 // sampling loop emits nondecreasing start times, so its run is sorted
 // already; only the background heartbeat run draws its start times out
-// of order, and it is stably sorted on its own. A k-way merge over the
-// run heads keyed (StartNs, the run's ordinal in draw order) yields
-// exactly the order a stable sort of the concatenated runs would, in
-// O(n log k) and without moving a flow more than once.
+// of order. It is cut into its slabs, each stably sorted on its own and
+// ended as a run of its own with the next ordinal, so no second copy of
+// it is made. A k-way merge over the run heads keyed (StartNs, the run's
+// ordinal in draw order) yields exactly the order a stable sort of the
+// concatenated runs would, in O(n log k) and without moving a flow more
+// than once.
 //
 // The merge samples the next source only when its heap minimum passes
 // the lowest bound of the sources not yet sampled: until then no flow of
 // theirs can come first, since they start no earlier and their run
-// ordinals are higher. Each run's slab comes from a free list, or else
-// from one slab allocated for the rest of its source, and goes back to
-// the free list once the merge has emitted the run, so a stream holds
-// only the flows it has sampled and not yet emitted. The run's slot in
-// the run table is recycled the same way, so the table is as long as
-// the most runs live at once, not the stream's run count. A background
-// source (bound 0) is therefore sampled, with every source before it,
-// before the first flow is emitted.
+// ordinals are higher. A background source (bound 0) is therefore
+// sampled, with every source before it, before the first flow is
+// emitted.
+//
+// A run announces its length before its first flow, and its flows live
+// in slabs: chunks of chunkLen flows while at least that many are still
+// to come, then one slab for the rest, its length rounded up to a power
+// of two, so a run shorter than a chunk costs at most twice its own
+// flows, not a chunk. The merge hands each slab back to the free list of
+// its size class, and its slot in the run table back too, the moment its
+// cursor passes the slab's last flow. A stream therefore holds the flows
+// it has sampled and not yet emitted, plus the emitted part and the
+// unused tail of each live slab, and the table is as long as the most
+// slabs live at once, not the stream's run count. A size class's free
+// list never holds more slabs than were live of that class at once.
 //
 // A slab holds slabFlow records, not SynthFlows. A run has one job and
-// one phase, so those live on the run, and a record is 32 bytes with no
-// pointers: the GC never scans a slab, and a sampled flow costs 2.5×
-// less memory than its SynthFlow form. The merge expands each record in
-// place as it writes it into the output.
+// one phase, whose rule puts its well-known port on one side, so those
+// live on the run, and a record is 24 bytes with no pointers: the GC
+// never scans a slab, and a sampled flow costs 3.3× less memory than its
+// SynthFlow form. The merge expands each record in place as it writes it
+// into the output.
 
-// slabFlow is one generated flow as the builder holds it; its job and
-// phase are its run's. speccheck.go guards the narrowed host fields and
-// TestNarrowedFieldsFit the ports.
+// slabFlow is one generated flow as the builder holds it; its job, phase
+// and well-known port are its run's. packed holds src+1 and dst+1 in
+// hostBits bits each above the 16-bit ephemeral port, so the master (-1)
+// packs as 0; speccheck.go guards hostBits against maxSpecWorkers.
 type slabFlow struct {
-	startNs, bytes   int64
-	src, dst         int32
-	srcPort, dstPort uint16
+	startNs, bytes int64
+	packed         uint64
 }
+
+const (
+	portBits = 16
+	hostBits = 21
+	hostMask = 1<<hostBits - 1
+)
+
+// packFlow is the record of a flow from src to dst whose ephemeral port
+// is eph.
+func packFlow(startNs, bytes int64, src, dst, eph int) slabFlow {
+	return slabFlow{startNs: startNs, bytes: bytes,
+		packed: uint64(src+1)<<(portBits+hostBits) | uint64(dst+1)<<portBits | uint64(eph)}
+}
+
+func (f *slabFlow) src() int { return int(f.packed>>(portBits+hostBits)) - 1 }
+func (f *slabFlow) dst() int { return int(f.packed>>portBits&hostMask) - 1 }
+func (f *slabFlow) eph() int { return int(f.packed & (1<<portBits - 1)) }
+
+// chunkLen is the flows a full chunk holds: 6,120 bytes of records, in
+// the allocator's 6 KiB size class. It is below 256, so a cursor into a
+// slab fits a uint8.
+const chunkLen = 255
+
+// runPhase is what a run's phase index stands for: the phase of
+// flows.AllPhases at that index and the ports its rule places.
+type runPhase struct {
+	phase flows.Phase
+	portSide
+}
+
+// runPhases indexes runPhase by a run's phase index.
+var runPhases = func() []runPhase {
+	rp := make([]runPhase, len(flows.AllPhases))
+	for k, ph := range flows.AllPhases {
+		rp[k] = runPhase{phase: ph, portSide: phaseRules[ph].portSide}
+	}
+	return rp
+}()
+
+// phaseIndex is ph's index in flows.AllPhases, which a run keeps.
+func phaseIndex(ph flows.Phase) int { return slices.Index(flows.AllPhases, ph) }
 
 // byStart orders flows by start time; with a stable sort it is the
 // schedule order.
@@ -56,24 +108,29 @@ func byStart(a, b SynthFlow) int { return cmp.Compare(a.StartNs, b.StartNs) }
 
 func slabByStart(a, b slabFlow) int { return cmp.Compare(a.startNs, b.startNs) }
 
-// scheduleRun is one non-empty run: its flows, and the job and phase of
-// every one of them. Its slot is zeroed once the merge has emitted it.
+// scheduleRun is one slab of a run not yet emitted: its flows, the index
+// at of the next one to emit, the slot of the run's next slab (plus one;
+// 0 when this is the last), and the job and phase index of every one of
+// them. It is 48 bytes, which a short run costs the table on top of its
+// records. Its slot is zeroed once the merge has emitted it.
 type scheduleRun struct {
 	flows []slabFlow
 	job   string
-	phase flows.Phase
+	next  int32
+	at    uint8
+	phase uint8
 }
 
 // expandInto writes f, as the SynthFlow it stands for in run r, into d
 // field by field, so no SynthFlow temporary is built and copied.
 func (r *scheduleRun) expandInto(d *SynthFlow, f *slabFlow) {
+	rp := &runPhases[r.phase]
 	d.StartNs = f.startNs
-	d.SrcHost = int(f.src)
-	d.DstHost = int(f.dst)
-	d.SrcPort = int(f.srcPort)
-	d.DstPort = int(f.dstPort)
+	d.SrcHost = f.src()
+	d.DstHost = f.dst()
+	d.SrcPort, d.DstPort = rp.ports(f.eph())
 	d.Bytes = f.bytes
-	d.Phase = r.phase
+	d.Phase = rp.phase
 	d.Job = r.job
 }
 
@@ -98,18 +155,23 @@ type scheduleBuilder struct {
 	total int64
 	// latest is the latest start time sampled (math.MinInt64 before any).
 	latest int64
-	// runs is the run table. Sampling fills the slots in freeRuns before
-	// it appends, and appends the slot of every run it ends to fresh for
-	// the merge to push. drawn counts the runs ended so far, which gives
-	// each run its draw-order ordinal.
+	// runs is the run table, one slot per slab. Storing a slab fills the
+	// slots in freeRuns before it appends; ending a run lists the slot of
+	// each slab the merge pushes in fresh. drawn counts the runs pushed
+	// so far, which gives each its draw-order ordinal.
 	runs     []scheduleRun
-	freeRuns []int
-	fresh    []int
+	freeRuns []int32
+	fresh    []int32
 	drawn    int
-	// free holds the slabs of emitted runs, ready for reuse, and spare
-	// the unused rest of the last slab allocated.
-	free  [][]slabFlow
-	spare []slabFlow
+	// slabs are the filled slabs of the run being sampled, and tail the
+	// one it is filling, with room for room more of its flows; want is
+	// the flows it announced that no slab has room for yet.
+	slabs      [][]slabFlow
+	tail       []slabFlow
+	room, want int
+	// free holds the slabs the merge has emitted, by size class, ready
+	// for reuse.
+	free [slabClasses][][]slabFlow
 }
 
 // newScheduleBuilder returns a builder over the sources src samples,
@@ -120,7 +182,7 @@ func newScheduleBuilder(bounds []int64, total int64, src sources) *scheduleBuild
 		bounds[i] = min(bounds[i], bounds[i+1])
 	}
 	return &scheduleBuilder{floors: bounds, src: src, total: total, latest: math.MinInt64,
-		runs: make([]scheduleRun, 0, maxRunsPerJob), fresh: make([]int, 0, maxRunsPerJob)}
+		runs: make([]scheduleRun, 0, maxRunsPerJob), fresh: make([]int32, 0, maxRunsPerJob)}
 }
 
 // chunkFlows is the chunk size GenerateChunks and GenerateMixChunks emit
@@ -132,58 +194,107 @@ func chunkFlows(chunk int) int {
 	return chunk
 }
 
-// take returns a slab of n flows for a sampling loop to fill: the
-// smallest free slab that holds them, or else the next n flows of spare,
-// which is refilled with room for rest flows (n and those its source has
-// still to take) so that a source allocates at most once.
-func (b *scheduleBuilder) take(n, rest int) []slabFlow {
-	if n == 0 {
-		return nil
+// beginRun starts a run of n flows: exactly n adds must follow before
+// endRun.
+func (b *scheduleBuilder) beginRun(n int) { b.want = n }
+
+// add appends f to the run being sampled.
+func (b *scheduleBuilder) add(f slabFlow) {
+	if b.room == 0 {
+		b.grow()
 	}
-	best := -1
-	for i, s := range b.free {
-		if cap(s) >= n && (best < 0 || cap(s) < cap(b.free[best])) {
-			best = i
-		}
-	}
-	if best >= 0 {
-		s := b.free[best][:n]
-		last := len(b.free) - 1
-		b.free[best], b.free[last] = b.free[last], nil
-		b.free = b.free[:last]
-		return s
-	}
-	if len(b.spare) < n {
-		b.spare = make([]slabFlow, max(n, rest))
-	}
-	s := b.spare[:n:n]
-	b.spare = b.spare[n:]
-	return s
+	b.tail = append(b.tail, f)
+	b.room--
 }
 
-// endRun closes run, a slab from take filled with job's flows of phase.
-// Sampling loops produce sorted runs, so the check is the whole cost for
-// them; any run it rejects is stably sorted in place, so the merged
-// order never depends on that invariant.
-func (b *scheduleBuilder) endRun(run []slabFlow, job string, phase flows.Phase) {
-	if len(run) == 0 {
+// grow files the full tail slab and starts the next, for a chunk's worth
+// of the announced flows still to come or for all of them if fewer: one
+// of the free list's slabs of that size class, or a new one.
+func (b *scheduleBuilder) grow() {
+	if b.tail != nil {
+		b.slabs = append(b.slabs, b.tail)
+	}
+	n := min(b.want, chunkLen)
+	if n <= 0 {
+		panic("core: a run outgrew the length it began with")
+	}
+	b.want -= n
+	b.room = n
+	k := slabClass(n)
+	if l := b.free[k]; len(l) > 0 {
+		last := len(l) - 1
+		b.tail, l[last] = l[last], nil
+		b.free[k] = l[:last]
 		return
 	}
-	if !slices.IsSortedFunc(run, slabByStart) {
-		slices.SortStableFunc(run, slabByStart)
+	b.tail = make([]slabFlow, 0, min(1<<k, chunkLen))
+}
+
+// slabClasses is the number of slab capacities: 1, 2, 4, …, 128 flows
+// and a whole chunk (TestSlabFlowPacking checks that chunkLen is the
+// last).
+const slabClasses = 9
+
+// slabClass is the size class of a slab for n flows (0 < n <= chunkLen):
+// n rounded up to a power of two, or a chunk above 128. A slab's
+// capacity, which is its class's, gives the class back.
+func slabClass(n int) int { return bits.Len(uint(n - 1)) }
+
+// endRun closes the run being sampled: job's flows of the phase at
+// flows.AllPhases[phase]. Sampling loops produce sorted runs, so the
+// check is the whole cost for them, and their slabs are chained behind
+// one merge entry. A run it rejects, which only the background is, has
+// each slab stably sorted and ended as a run of its own: their ordinals
+// follow draw order, so ties still break as a stable sort of the whole
+// run would, and the merged order never depends on the invariant.
+func (b *scheduleBuilder) endRun(job string, phase int) {
+	if b.want != 0 || b.room != 0 {
+		panic("core: a run ended short of the length it began with")
 	}
-	b.latest = max(b.latest, run[len(run)-1].startNs)
-	r := scheduleRun{flows: run, job: job, phase: phase}
-	slot := len(b.runs)
+	if b.tail != nil {
+		b.slabs = append(b.slabs, b.tail)
+	}
+	slabs := b.slabs
+	b.slabs, b.tail = b.slabs[:0], nil
+	if len(slabs) == 0 {
+		return
+	}
+	sorted := true
+	for i, s := range slabs {
+		if i > 0 && s[0].startNs < slabs[i-1][len(slabs[i-1])-1].startNs || !slices.IsSortedFunc(s, slabByStart) {
+			sorted = false
+			break
+		}
+	}
+	prev := -1
+	for _, s := range slabs {
+		if !sorted {
+			slices.SortStableFunc(s, slabByStart)
+		}
+		b.latest = max(b.latest, s[len(s)-1].startNs)
+		slot := b.store(scheduleRun{flows: s, job: job, phase: uint8(phase)})
+		if sorted && prev >= 0 {
+			b.runs[prev].next = int32(slot) + 1
+		} else {
+			b.fresh = append(b.fresh, int32(slot))
+			b.drawn++
+		}
+		prev = slot
+	}
+	clear(slabs)
+}
+
+// store puts r in a free slot of the run table, or a new one, and
+// returns the slot.
+func (b *scheduleBuilder) store(r scheduleRun) int {
 	if n := len(b.freeRuns); n > 0 {
-		slot = b.freeRuns[n-1]
+		slot := int(b.freeRuns[n-1])
 		b.freeRuns = b.freeRuns[:n-1]
 		b.runs[slot] = r
-	} else {
-		b.runs = append(b.runs, r)
+		return slot
 	}
-	b.fresh = append(b.fresh, slot)
-	b.drawn++
+	b.runs = append(b.runs, r)
+	return len(b.runs) - 1
 }
 
 // collect returns the merged schedule in one exact-size slice, or nil
@@ -226,14 +337,12 @@ func (b *scheduleBuilder) stream(ctx context.Context, chunk int, emit func([]Syn
 	}
 }
 
-// runHead is one run's cursor in the merge heap: its slot in the run
-// table and its draw-order ordinal, the index of its next flow and that
-// flow's start time.
+// runHead is one run's entry in the merge heap: its next flow's start
+// time, its draw-order ordinal and the slot of its current slab.
 type runHead struct {
-	key  int64
-	ord  int
-	run  int
-	next int
+	key int64
+	ord int32
+	run int32
 }
 
 // before is the merge order: start time, then draw-order ordinal, which
@@ -275,7 +384,7 @@ func (m *runMerge) due() bool {
 // sampleNext samples the next source and pushes its runs.
 func (m *runMerge) sampleNext() error {
 	b := m.b
-	ord := b.drawn
+	ord := int32(b.drawn)
 	b.fresh = b.fresh[:0]
 	if err := b.src.sample(b, m.sampled); err != nil {
 		return err
@@ -293,7 +402,7 @@ func (m *runMerge) sampleNext() error {
 		m.floor = b.floors[m.sampled]
 	} else {
 		// Nothing is left to take a slab or a slot.
-		b.free, b.spare, b.freeRuns = nil, nil, nil
+		b.free, b.freeRuns = [slabClasses][][]slabFlow{}, nil
 	}
 	return nil
 }
@@ -316,23 +425,29 @@ func (m *runMerge) fill(dst []SynthFlow) (int, error) {
 		r := &m.b.runs[h.run]
 		if len(m.heap) == 1 && m.sampled == len(m.b.floors) {
 			// One run left: the rest of it is in order already.
-			c := min(len(r.flows)-h.next, len(dst)-n)
-			for i := range c {
-				r.expandInto(&dst[n+i], &r.flows[h.next+i])
-			}
-			n += c
-			if h.next += c; h.next == len(r.flows) {
-				m.done(h.run)
-				m.heap = m.heap[:0]
+			for n < len(dst) {
+				fl := r.flows[r.at:min(len(r.flows), int(r.at)+len(dst)-n)]
+				for i := range fl {
+					r.expandInto(&dst[n+i], &fl[i])
+				}
+				n += len(fl)
+				if r.at += uint8(len(fl)); int(r.at) == len(r.flows) {
+					if !m.pass(h) {
+						m.heap = m.heap[:0]
+						break
+					}
+					r = &m.b.runs[h.run]
+				}
 			}
 			break
 		}
-		r.expandInto(&dst[n], &r.flows[h.next])
+		r.expandInto(&dst[n], &r.flows[r.at])
 		n++
-		if h.next++; h.next < len(r.flows) {
-			h.key = r.flows[h.next].startNs
+		if r.at++; int(r.at) < len(r.flows) {
+			h.key = r.flows[r.at].startNs
+		} else if m.pass(h) {
+			h.key = m.b.runs[h.run].flows[0].startNs
 		} else {
-			m.done(h.run)
 			last := len(m.heap) - 1
 			m.heap[0] = m.heap[last]
 			m.heap = m.heap[:last]
@@ -342,15 +457,22 @@ func (m *runMerge) fill(dst []SynthFlow) (int, error) {
 	return n, nil
 }
 
-// done drops the emitted run in slot, handing its slab and its slot back
-// for reuse while sources remain to be sampled.
-func (m *runMerge) done(slot int) {
+// pass drops the emitted slab in h's slot and moves h on to its run's
+// next slab, reporting whether there is one. While sources remain to be
+// sampled, the slab goes back to the free list and the slot to the free
+// slots.
+func (m *runMerge) pass(h *runHead) bool {
 	b := m.b
+	r := &b.runs[h.run]
+	next := r.next
 	if m.sampled < len(b.floors) {
-		b.free = append(b.free, b.runs[slot].flows[:0])
-		b.freeRuns = append(b.freeRuns, slot)
+		k := slabClass(cap(r.flows))
+		b.free[k] = append(b.free[k], r.flows[:0])
+		b.freeRuns = append(b.freeRuns, h.run)
 	}
-	b.runs[slot] = scheduleRun{}
+	*r = scheduleRun{}
+	h.run = next - 1
+	return next != 0
 }
 
 // up restores the heap order above i.

@@ -3,10 +3,12 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"keddah/internal/flows"
 )
@@ -21,22 +23,18 @@ func stableOracle(concat []SynthFlow) []SynthFlow {
 
 // concatRuns is the builder's runs concatenated in run order, expanded
 // to SynthFlows field by field here, not through the merge's expansion,
-// so the oracle shares no code with what it checks. The runs must not
-// have been merged yet (sampleAll).
+// so the oracle shares no code with what it checks but the record
+// accessors, which TestSlabFlowPacking checks. The runs must not have
+// been merged yet (sampleAll), so the table holds each run's slabs in
+// order.
 func concatRuns(b *scheduleBuilder) []SynthFlow {
 	var out []SynthFlow
 	for _, r := range b.runs {
-		for _, f := range r.flows {
-			out = append(out, SynthFlow{
-				StartNs: f.startNs,
-				SrcHost: int(f.src),
-				DstHost: int(f.dst),
-				SrcPort: int(f.srcPort),
-				DstPort: int(f.dstPort),
-				Bytes:   f.bytes,
-				Phase:   r.phase,
-				Job:     r.job,
-			})
+		ph := flows.AllPhases[r.phase]
+		for _, f := range r.flows[r.at:] {
+			sf := SynthFlow{StartNs: f.startNs, SrcHost: f.src(), DstHost: f.dst(), Bytes: f.bytes, Phase: ph, Job: r.job}
+			sf.SrcPort, sf.DstPort = phaseRules[ph].ports(f.eph())
+			out = append(out, sf)
 		}
 	}
 	return out
@@ -62,7 +60,8 @@ type testSource struct {
 
 // sourceSchedule returns a builder over srcs and, built independently
 // of it, the concatenation of their runs in draw order. Every run has
-// its own job and phase, so a flow expanded with another run's metadata
+// its own job, and the runs take the phases in turn, whose well-known
+// ports alternate sides, so a flow expanded with another run's metadata
 // fails.
 func sourceSchedule(srcs []testSource) (*scheduleBuilder, []SynthFlow) {
 	var concat []SynthFlow
@@ -72,10 +71,14 @@ func sourceSchedule(srcs []testSource) (*scheduleBuilder, []SynthFlow) {
 	for i, src := range srcs {
 		bounds[i] = src.bound
 		for _, starts := range src.runs {
-			job, phase := fmt.Sprintf("job%d", r), flows.Phase(fmt.Sprintf("phase%d", r))
+			job, phase := fmt.Sprintf("job%d", r), flows.AllPhases[r%len(flows.AllPhases)]
 			for j, ns := range starts {
+				sp, dp := 2000+j, int(phaseRules[phase].port)
+				if phaseRules[phase].portOnSrc {
+					sp, dp = dp, sp
+				}
 				concat = append(concat, SynthFlow{
-					StartNs: ns, SrcHost: r, DstHost: j, SrcPort: 1000 + r, DstPort: 2000 + j,
+					StartNs: ns, SrcHost: r - 1, DstHost: j, SrcPort: sp, DstPort: dp,
 					Bytes: int64(100*r + j), Phase: phase, Job: job,
 				})
 			}
@@ -94,21 +97,13 @@ type testSources struct {
 }
 
 func (s *testSources) sample(b *scheduleBuilder, i int) error {
-	rest := 0
 	for _, starts := range s.srcs[i].runs {
-		rest += len(starts)
-	}
-	for _, starts := range s.srcs[i].runs {
-		slab := b.take(len(starts), rest)
-		rest -= len(starts)
 		r := s.runs
+		b.beginRun(len(starts))
 		for j, ns := range starts {
-			slab[j] = slabFlow{
-				startNs: ns, src: int32(r), dst: int32(j), srcPort: uint16(1000 + r), dstPort: uint16(2000 + j),
-				bytes: int64(100*r + j),
-			}
+			b.add(packFlow(ns, int64(100*r+j), r-1, j, 2000+j))
 		}
-		b.endRun(slab, fmt.Sprintf("job%d", r), flows.Phase(fmt.Sprintf("phase%d", r)))
+		b.endRun(fmt.Sprintf("job%d", r), r%len(flows.AllPhases))
 		s.runs++
 	}
 	return nil
@@ -152,7 +147,10 @@ func checkSourceMerge(t testing.TB, srcs []testSource, sizes ...int) {
 // safety net that sorts any run the sampling loops failed to keep in
 // order. The multi-source cases tie flows across sources, put a
 // source's first flow exactly on its bound, leave whole sources empty
-// and end on a bound-0 source, as a background does.
+// and end on a bound-0 source, as a background does. The last case's
+// runs cross chunk boundaries, one exactly filling a chunk: sorted ones
+// merge across them, and unsorted ones are cut into chunks sorted
+// apart, whose ties must still break in draw order.
 func TestRunMergeMatchesStableSort(t *testing.T) {
 	cases := []struct {
 		name string
@@ -186,6 +184,15 @@ func TestRunMergeMatchesStableSort(t *testing.T) {
 			{bound: 0, runs: [][]int64{{7, 0, 9, 5, 0}}},
 		}},
 		{"all empty", []testSource{{bound: 3}, {bound: 0, runs: [][]int64{{}}}}},
+		{"runs longer than a chunk", []testSource{
+			{bound: 0, runs: [][]int64{
+				rampRun(0, 3*chunkLen+7, 3),
+				rampRun(5, chunkLen, 1),
+				scrambledRun(1, 2*chunkLen+5, 40), // unsorted
+			}},
+			{bound: 20, runs: [][]int64{rampRun(20, chunkLen+1, 2), {20, 25}}},
+			{bound: 0, runs: [][]int64{scrambledRun(2, 4*chunkLen, 400)}}, // a background
+		}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -194,16 +201,75 @@ func TestRunMergeMatchesStableSort(t *testing.T) {
 	}
 }
 
+// rampRun is a sorted run of n start times from lo, each repeated tie
+// times.
+func rampRun(lo int64, n, tie int) []int64 {
+	run := make([]int64, n)
+	for i := range run {
+		run[i] = lo + int64(i/tie)
+	}
+	return run
+}
+
+// scrambledRun is a run of n start times in [0, span), in an order fixed
+// by seed and full of ties.
+func scrambledRun(seed uint64, n int, span int64) []int64 {
+	run := make([]int64, n)
+	for i := range run {
+		seed = seed*6364136223846793005 + 1442695040888963407
+		run[i] = int64(seed>>33) % span
+	}
+	return run
+}
+
+// TestSlabFlowPacking: a record gives back the hosts and ephemeral port
+// it was packed with at the extremes of each field, the master (-1) and
+// the highest host a spec admits among them, without disturbing its
+// start time or size; a record is 24 bytes and a run-table slot 48, and
+// every slab length takes a size class under twice its length.
+func TestSlabFlowPacking(t *testing.T) {
+	hosts := []int{-1, 0, maxSpecWorkers - 1}
+	for _, src := range hosts {
+		for _, dst := range hosts {
+			for _, eph := range []int{0, flows.EphemeralPortLo, math.MaxUint16} {
+				f := packFlow(-7, math.MaxInt64, src, dst, eph)
+				if f.src() != src || f.dst() != dst || f.eph() != eph || f.startNs != -7 || f.bytes != math.MaxInt64 {
+					t.Errorf("packFlow(src %d, dst %d, eph %d) reads back src %d, dst %d, eph %d, start %d, bytes %d",
+						src, dst, eph, f.src(), f.dst(), f.eph(), f.startNs, f.bytes)
+				}
+			}
+		}
+	}
+	if n := unsafe.Sizeof(slabFlow{}); n != 24 {
+		t.Errorf("slabFlow is %d bytes, want 24", n)
+	}
+	if n := unsafe.Sizeof(scheduleRun{}); n != 48 {
+		t.Errorf("scheduleRun is %d bytes, want 48", n)
+	}
+	for n := 1; n <= chunkLen; n++ {
+		k := slabClass(n)
+		if c := min(1<<k, chunkLen); k < 0 || k >= slabClasses || c < n || c >= 2*n || slabClass(c) != k {
+			t.Fatalf("%d flows take size class %d; want one of %d classes holding at least %d and under %d, whose capacity gives it back",
+				n, k, slabClasses, n, 2*n)
+		}
+	}
+	if slabClass(chunkLen) != slabClasses-1 {
+		t.Errorf("a chunk is size class %d of %d", slabClass(chunkLen), slabClasses)
+	}
+}
+
 // FuzzScheduleMerge: for arbitrary sources — each with a bound and runs
 // whose start times are at or above it, with ties, empty runs and
 // unsorted runs, optionally followed by a bound-0 source as a
-// background is — the lazy merge equals a stable sort of every run
-// sampled eagerly.
+// background is, and optionally with every start time repeated so that
+// runs cross chunk boundaries — the lazy merge equals a stable sort of
+// every run sampled eagerly.
 func FuzzScheduleMerge(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 0, 2, 3, 0, 1, 2, 2, 1, 1, 4, 1, 2, 3, 1, 1, 0, 0, 5, 9, 1})
 	f.Add([]byte{5, 1, 1, 2, 3, 3, 3, 3, 1, 0, 3, 0, 0, 0, 0, 4, 2, 1, 9, 9, 7, 2, 1, 1})
 	f.Add([]byte{2, 15, 3, 5, 3, 2, 1, 0, 3, 0, 0, 1, 2, 7, 1, 4, 1, 1, 1, 1, 3, 6, 2, 1, 0})
+	f.Add([]byte{2, 0, 2, 5, 0, 1, 2, 2, 3, 4, 3, 1, 3, 2, 0, 1, 3, 1, 3, 1, 3, 0, 1, 7, 9, 3, 0, 7, 5, 2, 3, 120}) // runs of 363 to 847 flows
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() int {
 			if len(data) == 0 {
@@ -231,6 +297,19 @@ func FuzzScheduleMerge(f *testing.F) {
 				run[j] = int64(next() % 32)
 			}
 			srcs = append(srcs, testSource{bound: 0, runs: [][]int64{run}})
+		}
+		if rep := next() % 128; rep > 0 {
+			for i := range srcs {
+				for r, run := range srcs[i].runs {
+					long := make([]int64, 0, len(run)*(rep+1))
+					for _, ns := range run {
+						for range rep + 1 {
+							long = append(long, ns)
+						}
+					}
+					srcs[i].runs[r] = long
+				}
+			}
 		}
 		checkSourceMerge(t, srcs, 1, 3, 4096)
 	})

@@ -56,24 +56,25 @@ const (
 	maxSpecReducers = 1 << 20 // reduce fan-in
 	maxSpecMaps     = 1 << 26 // map tasks (input/block ratio)
 	maxMixArrivals  = 1 << 20 // expected arrivals in a mix window
-	// maxSpecFlows bounds one schedule's length. A stream holds 32 bytes
-	// per flow sampled and not yet emitted, so this caps it at 8 GiB and
-	// Generate's result at 20 GiB; servers admit far less through their
-	// own flow caps.
+	// maxSpecFlows bounds one schedule's length. A stream holds 24 bytes
+	// per flow sampled and not yet emitted, plus 64 per run, so this caps
+	// it near 6 GiB and Generate's result at 20 GiB; servers admit far
+	// less through their own flow caps.
 	maxSpecFlows = 1 << 28
 )
 
-// The schedule's slabs (schedule.go) store hosts as int32, and the merge
-// indexes runs — at most maxRunsPerJob per job or mix arrival, plus the
-// background — with an int, which is 32 bits on some platforms. These
-// conversions fail to compile if a limit outgrows either, so raising one
-// can never silently truncate a host or a run index.
+// The schedule's records (schedule.go) pack each host plus one in
+// hostBits bits, and the merge numbers run-table slots and run ordinals
+// — at most maxRunsPerJob per job or mix arrival, plus one per full
+// chunk of any run — with an int32. These conversions fail to compile
+// if a limit outgrows either, so raising one can never silently
+// truncate a host or a run index.
 const (
 	maxRunsPerJob = 8 // at least len(flows.AllPhases); TestNarrowedFieldsFit checks
 
-	_ = int32(maxSpecWorkers)
-	_ = int32(maxSpecJobs*maxRunsPerJob + 1)
-	_ = int32(maxMixArrivals*maxRunsPerJob + 1)
+	_ = uint(hostMask - maxSpecWorkers) // hosts -1 .. maxSpecWorkers-1 pack as 0 .. maxSpecWorkers
+	_ = int32(maxSpecJobs*maxRunsPerJob + maxSpecFlows/chunkLen + 1)
+	_ = int32(maxMixArrivals*maxRunsPerJob + maxSpecFlows/chunkLen + 1)
 )
 
 // tooManyFlows is the schedule-limit failure for a spec ("GenSpec" or

@@ -196,12 +196,15 @@ func TestScheduleLimit(t *testing.T) {
 	}
 }
 
-// TestNarrowedFieldsFit: the schedule slab stores ports as uint16, so
-// every port a generated flow can carry — each port a phase rule can
-// draw and every well-known flows.Port* constant — must fit one, and
-// a job's phase runs must stay within the maxRunsPerJob that
-// speccheck.go's run-index guard assumes. Changing a port or the phase
-// list past either fails here instead of truncating.
+// TestNarrowedFieldsFit: the schedule's records store a flow's
+// ephemeral port in 16 bits and its run the well-known port as uint16,
+// so every port a generated flow can carry — each port a phase rule
+// places and every well-known flows.Port* constant — must fit one. A
+// run keeps one port side for all its flows, so each rule must put its
+// own port on its portOnSrc side and the drawn port on the other. And a
+// job's phase runs must stay within the maxRunsPerJob that
+// speccheck.go's run-index guard assumes. Changing a port, a rule or
+// the phase list past any of these fails here instead of truncating.
 func TestNarrowedFieldsFit(t *testing.T) {
 	if n := len(flows.AllPhases); n > maxRunsPerJob {
 		t.Errorf("%d phases per job, above maxRunsPerJob = %d", n, maxRunsPerJob)
@@ -233,16 +236,27 @@ func TestNarrowedFieldsFit(t *testing.T) {
 		}
 		fixed[p.port] = true
 	}
-	// Every port a phase rule draws must be one the table checked: a
-	// listed constant or inside the ephemeral range.
+	// Every port a phase rule places, from the ports the sampling loops
+	// draw, must be one the table checked: a listed constant or inside
+	// the ephemeral range.
 	rng := stats.NewRNG(1)
 	for _, ph := range append(slices.Clone(flows.AllPhases), flows.PhaseOther) {
+		rule := phaseRules[ph]
 		for i := 0; i < 10_000; i++ {
-			sp, dp := phaseRules[ph].ports(rng)
+			eph := flows.EphemeralPort(rng)
+			sp, dp := rule.ports(eph)
 			for _, p := range []int{sp, dp} {
 				if !fixed[p] && (p < flows.EphemeralPortLo || p >= flows.EphemeralPortLo+flows.EphemeralPorts) {
-					t.Fatalf("%s rule drew port %d, outside the checked set", ph, p)
+					t.Fatalf("%s rule placed port %d, outside the checked set", ph, p)
 				}
+			}
+			well, drawn := dp, sp
+			if rule.portOnSrc {
+				well, drawn = sp, dp
+			}
+			if well != int(rule.port) || drawn != eph {
+				t.Fatalf("%s rule (port %d, portOnSrc %v) placed (%d, %d) for drawn port %d",
+					ph, rule.port, rule.portOnSrc, sp, dp, eph)
 			}
 		}
 	}
