@@ -169,6 +169,11 @@ func BenchmarkGenerateStreamOverlap(b *testing.B) { benchcases.GenerateStreamOve
 // fixed 100k-flow schedule (body shared via internal/benchcases).
 func BenchmarkEncodeSchedule(b *testing.B) { benchcases.EncodeSchedule(b) }
 
+// BenchmarkEncodeStreamOverlap measures the jsonl export of the merged
+// stream BenchmarkGenerateStreamOverlap generates (body shared via
+// internal/benchcases).
+func BenchmarkEncodeStreamOverlap(b *testing.B) { benchcases.EncodeStreamOverlap(b) }
+
 // BenchmarkFitTerasort measures the full modelling stage (stage 2) over
 // a two-run terasort corpus: pooling, per-phase model selection across
 // the candidate families, and goodness-of-fit evaluation (body shared

@@ -37,10 +37,10 @@ import (
 // ns/op is dominated by one-off model fitting and too noisy for a 15%
 // bound); NetsimFanInSharded is reported for the window-vs-RunAll
 // comparison but gated through CaptureMultiPodSharded, which covers the
-// same scheduler on the path users run. GenerateSchedule and
-// EncodeSchedule are reported but not gated yet: repeated single runs of
-// each spread wider than the 15% bound, so they wait for a gate on the
-// median of several runs.
+// same scheduler on the path users run. GenerateSchedule,
+// EncodeSchedule and EncodeStreamOverlap are reported but not gated yet:
+// repeated single runs of each spread wider than the 15% bound, so they
+// wait for a gate on the median of several runs.
 var gatedBenchmarks = []string{
 	"NetsimFanIn",
 	"NetsimFanInTCP",

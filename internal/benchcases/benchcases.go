@@ -45,6 +45,7 @@ func Cases() []Case {
 		{"GenerateStream", GenerateStream},
 		{"GenerateStreamOverlap", GenerateStreamOverlap},
 		{"EncodeSchedule", EncodeSchedule},
+		{"EncodeStreamOverlap", EncodeStreamOverlap},
 	}
 }
 
@@ -222,6 +223,42 @@ func EncodeSchedule(b *testing.B) {
 			if err := enc.End(); err != nil {
 				b.Fatal(err)
 			}
+		}
+	}
+}
+
+// EncodeStreamOverlap measures the export of a merged stream:
+// GenerateStreamOverlap's schedule, generated once outside the timer,
+// encoded as jsonl into io.Discard in 4096-flow chunks. Its rows change
+// job on most rows, where EncodeSchedule's change once every 1,000, so
+// it times the encoder's string-table lookups past the previous row's.
+func EncodeStreamOverlap(b *testing.B) {
+	model, err := core.FitBulkCorpus()
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec := core.GenSpec{Workload: "terasort", InputBytes: 32 << 30, Workers: 64, Jobs: 10, Seed: 11}
+	sched, err := model.Generate(context.Background(), spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		enc, err := core.NewStreamEncoder("jsonl", io.Discard, spec.Workers)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := enc.Begin(); err != nil {
+			b.Fatal(err)
+		}
+		for rest := sched; len(rest) > 0; rest = rest[min(4096, len(rest)):] {
+			if err := enc.Flows(rest[:min(4096, len(rest))]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := enc.End(); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

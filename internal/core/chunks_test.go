@@ -385,15 +385,24 @@ func heapNow() uint64 {
 	return ms.HeapAlloc
 }
 
+// pending is the number of r's records not yet emitted.
+func (r *scheduleRun) pending() int {
+	if r.slab == nil {
+		return 0
+	}
+	return int(slabHead(r.slab[1]).get(headCount)) - int(r.at)
+}
+
 // TestGenerateChunksBytesPerFlowOverlappingJobs is the memory fence on
 // the live heap of a stream whose jobs overrun into each other: 40
 // terasort jobs on 64 workers, each of which outlasts its nominal span,
-// so many runs are sampled but only partly emitted at once. A chunk goes
+// so many runs are sampled but only partly emitted at once. A slab goes
 // back to the free list as soon as the merge has emitted its last flow,
-// so the peak live heap may exceed 24 bytes per pending flow (sampled,
-// not yet emitted, counted from the run table) by at most 1 MiB.
-// Holding each run's flows until its last one is emitted keeps about
-// twice the pending flows.
+// and packs a flow in about 10 bytes, so the peak live heap may exceed
+// 16 bytes per pending flow (sampled, not yet emitted, counted from each
+// slab's record count and cursor) by at most 1 MiB. Fixed 24-byte
+// records exceed it, and holding each run's flows until its last one is
+// emitted keeps about twice the pending flows.
 func TestGenerateChunksBytesPerFlowOverlappingJobs(t *testing.T) {
 	model, err := FitBulkCorpus()
 	if err != nil {
@@ -408,15 +417,15 @@ func TestGenerateChunksBytesPerFlowOverlappingJobs(t *testing.T) {
 	var peakPending int
 	peakHeap := peakLiveHeap(t, b, base, func() {
 		pending := 0
-		for _, r := range b.runs {
-			pending += len(r.flows) - int(r.at)
+		for i := range b.runs {
+			pending += b.runs[i].pending()
 		}
 		peakPending = max(peakPending, pending)
 	})
 	if peakPending < 300_000 {
 		t.Fatalf("at most %d flows pending; the fence needs at least 300k", peakPending)
 	}
-	const perFlow, fixed = 24, 1 << 20
+	const perFlow, fixed = 16, 1 << 20
 	t.Logf("peak live heap %d bytes, %d flows pending at most (%.1f B/pending flow)",
 		peakHeap, peakPending, float64(peakHeap)/float64(peakPending))
 	if peakHeap > uint64(perFlow*peakPending+fixed) {

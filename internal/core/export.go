@@ -15,6 +15,7 @@ import (
 	"sync"
 	"unicode"
 	"unicode/utf8"
+	"unsafe"
 
 	"keddah/internal/flows"
 	"keddah/internal/pcap"
@@ -128,8 +129,8 @@ var encBufs = sync.Pool{New: func() any {
 	return &b
 }}
 
-// maxRowTails bounds an encoder's table of encoded string fields: past
-// it the table starts over.
+// maxRowTails is the number of slots in an encoder's table of encoded
+// string fields, a power of two.
 const maxRowTails = 256
 
 // tailKey is the string content of a row: every format encodes its
@@ -146,15 +147,11 @@ type rowTail struct {
 	enc []byte
 }
 
-// jobTails holds the tails encoded for one job, one per phase seen.
-type jobTails struct {
-	tails []rowTail
-}
-
 // rowWriter is the buffer and string table the append-based encoders
 // share. Every string field is escaped once per distinct (phase, job)
-// pair; a schedule has a handful of phases and one label per job, so
-// the table turns per-row escaping into a copy.
+// pair while the pair keeps its slot in the table; a schedule has a
+// handful of phases and one label per job, so the table turns per-row
+// escaping into a copy.
 type rowWriter struct {
 	w      io.Writer
 	buf    []byte
@@ -163,61 +160,53 @@ type rowWriter struct {
 
 	encodeTail func(dst []byte, k tailKey) []byte // the format's tail
 
-	last     rowTail              // the previous row's pair and tail
-	lastJob  *jobTails            // the previous row's job table
-	jobs     map[string]*jobTails // every job table, by job
-	numTails int                  // tails across all job tables
+	last  *rowTail  // the previous row's slot
+	tails []rowTail // maxRowTails slots, made on the first miss
 }
 
 // newRowWriter returns a rowWriter on w with a buffer from encBufs; what
 // is the error context of a failed row write.
 func newRowWriter(w io.Writer, what string) rowWriter {
 	pooled := encBufs.Get().(*[]byte)
-	return rowWriter{w: w, buf: (*pooled)[:0], what: what, pooled: pooled}
+	return rowWriter{w: w, buf: (*pooled)[:0], what: what, pooled: pooled, last: &rowTail{}}
 }
 
 // tail returns the encoding of sf's string fields, building it with
 // encodeTail on a miss. A row with the previous row's pair compares two
-// strings, usually by pointer; a row of the previous row's job scans
-// that job's few phases; only a row of another job hashes its job.
+// strings, usually by pointer; any other row looks in one slot of a
+// direct-mapped table.
 func (r *rowWriter) tail(sf *SynthFlow) []byte {
-	if sf.Job == r.last.job && sf.Phase == r.last.phase && r.last.enc != nil {
-		return r.last.enc
+	if t := r.last; sf.Job == t.job && sf.Phase == t.phase && t.enc != nil {
+		return t.enc
 	}
 	return r.findTail(sf)
 }
 
-// findTail is tail past the previous row's pair.
+// findTail is tail past the previous row's pair. The slot comes from the
+// addresses of the job and phase strings, which a schedule's flows share
+// per job, so it costs no hashing of their bytes; a hit is checked by
+// string equality, so the bytes never depend on where a string lives. A
+// miss encodes the tail over the slot's previous one, reusing its
+// buffer.
 func (r *rowWriter) findTail(sf *SynthFlow) []byte {
-	k := tailKey{sf.Phase, sf.Job}
-	if r.lastJob == nil || r.last.job != k.job {
-		r.lastJob = r.jobs[k.job]
+	if r.tails == nil {
+		r.tails = make([]rowTail, maxRowTails)
 	}
-	jt := r.lastJob
-	if jt != nil {
-		for _, t := range jt.tails {
-			if t.phase == k.phase {
-				r.last = t
-				return t.enc
-			}
-		}
+	t := &r.tails[tailSlot(sf)]
+	if sf.Job != t.job || sf.Phase != t.phase || t.enc == nil {
+		t.tailKey = tailKey{sf.Phase, sf.Job}
+		t.enc = r.encodeTail(t.enc[:0], t.tailKey)
 	}
-	if r.numTails >= maxRowTails {
-		clear(r.jobs)
-		r.numTails, jt = 0, nil
-	}
-	if jt == nil {
-		if r.jobs == nil {
-			r.jobs = make(map[string]*jobTails)
-		}
-		jt = &jobTails{tails: make([]rowTail, 0, len(flows.AllPhases))}
-		r.jobs[k.job] = jt
-	}
-	r.last = rowTail{k, r.encodeTail(nil, k)}
-	jt.tails = append(jt.tails, r.last)
-	r.lastJob = jt
-	r.numTails++
-	return r.last.enc
+	r.last = t
+	return t.enc
+}
+
+// tailSlot is the table slot of sf's (phase, job) pair: a multiplicative
+// hash of the two strings' addresses.
+func tailSlot(sf *SynthFlow) int {
+	job := uint64(uintptr(unsafe.Pointer(unsafe.StringData(sf.Job))))
+	ph := uint64(uintptr(unsafe.Pointer(unsafe.StringData(string(sf.Phase)))))
+	return int((job*0x9e3779b97f4a7c15 ^ ph) * 0xff51afd7ed558ccd >> (64 - bits.Len(maxRowTails-1)))
 }
 
 // rowDone is called after each row, which began at offset mark: once the
@@ -537,6 +526,9 @@ func errWrap(what string, err error) error {
 
 // ImportCSV reads a schedule previously written by ExportCSV, which it
 // gets back unchanged: start times to the nanosecond (parseStartNs).
+// Rows with equal phase or job labels share one copy of each, as
+// generated flows do, so a row pins no other field of its line and the
+// encoders' string table finds the label where it found it last.
 func ImportCSV(r io.Reader) ([]SynthFlow, error) {
 	cr := csv.NewReader(r)
 	header, err := cr.Read()
@@ -545,6 +537,15 @@ func ImportCSV(r io.Reader) ([]SynthFlow, error) {
 	}
 	if len(header) != 8 || header[0] != "start_s" {
 		return nil, fmt.Errorf("core: not a keddah schedule CSV (header %v)", header)
+	}
+	labels := make(map[string]string)
+	label := func(s string) string {
+		if l, ok := labels[s]; ok {
+			return l
+		}
+		s = strings.Clone(s)
+		labels[s] = s
+		return s
 	}
 	var out []SynthFlow
 	for line := 2; ; line++ {
@@ -581,8 +582,8 @@ func ImportCSV(r io.Reader) ([]SynthFlow, error) {
 			SrcPort: ints[2],
 			DstPort: ints[3],
 			Bytes:   bytes,
-			Phase:   flows.Phase(rec[6]),
-			Job:     rec[7],
+			Phase:   flows.Phase(label(rec[6])),
+			Job:     label(rec[7]),
 		})
 	}
 }

@@ -281,15 +281,30 @@ func manyJobsSchedule(n int) []SynthFlow {
 	return sched
 }
 
+// interleavedSchedule cycles rows over jobs distinct jobs, as a merged
+// stream of overlapping jobs does, so nearly every row changes job.
+func interleavedSchedule(jobs, rows int) []SynthFlow {
+	sched := manyJobsSchedule(rows)
+	for i := range sched {
+		sched[i].Job = fmt.Sprintf("job-%d", i%jobs)
+	}
+	return sched
+}
+
 // FuzzStreamEncoders is the differential check of the append-based
 // encoders: any batch of flows, split into any chunks, must encode to the
-// reference encoders' bytes in every format.
+// reference encoders' bytes in every format. fuzzFlows gives every row's
+// job string its own allocation, so the interleaved seeds check that a
+// job found under another address still encodes its own tail, and that
+// jobs past the table's slots evict and re-encode each other.
 func FuzzStreamEncoders(f *testing.F) {
 	f.Add([]byte{}, uint8(7))
 	f.Add(fuzzInput(goldenSchedule()), uint8(7))
 	f.Add(fuzzInput(hostileSchedule()), uint8(15))
 	f.Add(fuzzInput(edgeSchedule()), uint8(3))
 	f.Add(fuzzInput(manyJobsSchedule(maxRowTails+44)), uint8(31))
+	f.Add(fuzzInput(interleavedSchedule(3, 60)), uint8(5))
+	f.Add(fuzzInput(interleavedSchedule(maxRowTails+3, 2*maxRowTails)), uint8(63))
 	f.Fuzz(func(t *testing.T, data []byte, workers uint8) {
 		checkEncodersAgree(t, fuzzFlows(data), int(workers%64)+1)
 	})
@@ -347,7 +362,7 @@ func TestAppendIntMatchesStrconv(t *testing.T) {
 }
 
 // TestTailTableBounded: a stream of more distinct (phase, job) pairs than
-// maxRowTails keeps the table within its bound. The same schedule's bytes
+// maxRowTails keeps the table at its maxRowTails slots. The same schedule's bytes
 // are checked by TestStreamEncodersMatchReference.
 func TestTailTableBounded(t *testing.T) {
 	sched := manyJobsSchedule(3*maxRowTails + 7)
@@ -360,8 +375,8 @@ func TestTailTableBounded(t *testing.T) {
 		if err := enc.Flows([]SynthFlow{f, f}); err != nil {
 			t.Fatal(err)
 		}
-		if rw.numTails > maxRowTails || len(rw.jobs) > maxRowTails {
-			t.Fatalf("tail table holds %d tails of %d jobs, bound %d", rw.numTails, len(rw.jobs), maxRowTails)
+		if len(rw.tails) != maxRowTails {
+			t.Fatalf("tail table holds %d slots, want %d", len(rw.tails), maxRowTails)
 		}
 	}
 	if err := enc.End(); err != nil {

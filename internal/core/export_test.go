@@ -6,6 +6,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"keddah/internal/flows"
 	"keddah/internal/pcap"
@@ -92,6 +93,25 @@ func TestImportCSVStartSpellings(t *testing.T) {
 		if got, err := parseStartNs(field); err == nil {
 			t.Errorf("parseStartNs(%q) = %d, want an error", field, got)
 		}
+	}
+}
+
+// TestImportCSVSharesLabels: rows of an imported schedule with equal
+// phase or job labels share one copy of each, as generated flows do, so
+// the encoders' string table finds them by address.
+func TestImportCSVSharesLabels(t *testing.T) {
+	csv := "start_s,src_host,dst_host,src_port,dst_port,bytes,phase,job\n" +
+		"0.5,0,1,40000,13562,5,shuffle,a\n" +
+		"0.6,0,1,40001,13562,5,shuffle,b\n" +
+		"0.7,0,1,40002,13562,5,shuffle,a\n" +
+		"0.8,0,1,40003,8031,5,control,b\n"
+	sched, err := ImportCSV(strings.NewReader(csv))
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := func(a, b string) bool { return unsafe.StringData(a) == unsafe.StringData(b) }
+	if !same(sched[0].Job, sched[2].Job) || !same(sched[1].Job, sched[3].Job) || !same(string(sched[0].Phase), string(sched[2].Phase)) {
+		t.Errorf("equal labels of an imported schedule are separate copies")
 	}
 }
 

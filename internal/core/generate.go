@@ -114,18 +114,19 @@ func (m *Model) Generate(ctx context.Context, spec GenSpec) ([]SynthFlow, error)
 // both during generation and between emits, so a disconnected or
 // deadline-expired client aborts the stream mid-schedule.
 //
-// Each job is sampled only when the merge reaches its start, into
-// 24-byte records held in 6 KiB chunks, a run shorter than a chunk (and
-// a long run's remainder) in a slab of its length rounded up to a power
-// of two, and merged into one reused SynthFlow buffer; each slab is
-// recycled as soon as the merge has emitted its last flow. A stream
-// therefore holds 24 bytes per flow it has sampled but not yet emitted,
-// plus the emitted part and unused tail of each live slab, one
-// SynthFlow buffer, and 64 bytes per slab not yet emitted (its 48-byte
-// run-table slot and its run's merge entry); with IncludeBackground,
-// whose heartbeats may start at time 0, every flow is sampled before
-// the first is emitted, so it holds at most 48 bytes per flow of the
-// whole schedule plus 64 per run. What is never materialised is the
+// Each job is sampled only when the merge reaches its start. A run's
+// flows are staged chunkLen at a time and packed into slabs that store
+// every field at the bit width its slab's largest value needs, about
+// 10 bytes a flow (24 at most), and merged into one reused SynthFlow
+// buffer; each slab is recycled as soon as the merge has emitted its
+// last flow. A stream therefore holds about 10 bytes per flow it has
+// sampled but not yet emitted, plus the emitted part of each live slab,
+// one SynthFlow buffer, and about 90 bytes per slab not yet emitted
+// (its 24-byte head and padding, its 48-byte run-table slot and its
+// run's merge entry); with IncludeBackground, whose heartbeats may
+// start at time 0, every flow is sampled before the first is emitted,
+// so it holds the whole schedule that way, a run shorter than a chunk
+// taking one slab of its own. What is never materialised is the
 // SynthFlow schedule or the encoded output, since each emitted slice can
 // be encoded and flushed to the client before the next is merged. A
 // chunk slice is only valid during its emit call.
@@ -319,22 +320,31 @@ func (sh genShape) appendJob(ctx context.Context, b *scheduleBuilder, rng *stats
 		// Inter-arrival samples are clamped at zero, so t never
 		// decreases and the phase is one time-ordered run that starts
 		// no earlier than jobStart.
-		t := jobStart + math.Max(0, l.off.Sample(rng))
-		b.beginRun(l.count)
+		t := jobStart + atLeast(0, l.off.Sample(rng))
 		for i := range l.count {
 			if i%genCtxStride == 0 && ctx.Err() != nil {
 				return fmt.Errorf("core: generate: %w", ctx.Err())
 			}
 			if i > 0 {
-				t += math.Max(0, l.inter.Sample(rng))
+				t += atLeast(0, l.inter.Sample(rng))
 			}
-			size := int64(math.Max(1, sampleSize()))
+			size := int64(atLeast(1, sampleSize()))
 			src, dst := rule.place(hosts, i, rng)
 			b.add(packFlow(startNs(t, shiftNs), size, src, dst, flows.EphemeralPort(rng)))
 		}
 		b.endRun(name, k)
 	}
 	return nil
+}
+
+// atLeast is math.Max(lo, x) for a finite lo, NaN and infinities
+// included, but for the sign of a zero, without the call: the sampling
+// loops clamp every draw with it.
+func atLeast(lo, x float64) float64 {
+	if x < lo {
+		return lo
+	}
+	return x
 }
 
 // startNs converts a start time secs seconds after shiftNs into
@@ -405,7 +415,6 @@ func (m *Model) appendBackground(ctx context.Context, b *scheduleBuilder, worker
 		return fmt.Errorf("background size law: %w", err)
 	}
 	n := m.backgroundCount(spanSecs, workers)
-	b.beginRun(n)
 	for i := range n {
 		if i%genCtxStride == 0 && ctx.Err() != nil {
 			return fmt.Errorf("core: generate background: %w", ctx.Err())
@@ -419,7 +428,7 @@ func (m *Model) appendBackground(ctx context.Context, b *scheduleBuilder, worker
 		// The hosts are drawn after the size and atom draws; the draw
 		// order fixes the schedule's bytes.
 		src, dst := ctl.place(hosts, i, rng)
-		b.add(packFlow(startNs(t, 0), int64(math.Max(1, winsorize(size, pm.SizeMin, pm.SizeMax))), src, dst, eph))
+		b.add(packFlow(startNs(t, 0), int64(atLeast(1, winsorize(size, pm.SizeMin, pm.SizeMax))), src, dst, eph))
 	}
 	b.endRun("background", phaseIndex(flows.PhaseControl))
 	return nil

@@ -11,6 +11,7 @@ import (
 	"unsafe"
 
 	"keddah/internal/flows"
+	"keddah/internal/sim"
 )
 
 // stableOracle is the order the run merge must reproduce: the
@@ -21,20 +22,50 @@ func stableOracle(concat []SynthFlow) []SynthFlow {
 	return out
 }
 
-// concatRuns is the builder's runs concatenated in run order, expanded
-// to SynthFlows field by field here, not through the merge's expansion,
-// so the oracle shares no code with what it checks but the record
-// accessors, which TestSlabFlowPacking checks. The runs must not have
-// been merged yet (sampleAll), so the table holds each run's slabs in
-// order.
+// concatRuns is the builder's runs concatenated in run order, decoded
+// bit by bit and expanded to SynthFlows field by field here, not through
+// the merge's decoder, so the oracle shares no code with what it checks
+// but the slab layout. The runs must not have been merged yet
+// (sampleAll), so the table holds each run's slabs in order.
 func concatRuns(b *scheduleBuilder) []SynthFlow {
 	var out []SynthFlow
 	for _, r := range b.runs {
 		ph := flows.AllPhases[r.phase]
-		for _, f := range r.flows[r.at:] {
+		for _, f := range unpackSlab(r.slab)[r.at:] {
 			sf := SynthFlow{StartNs: f.startNs, SrcHost: f.src(), DstHost: f.dst(), Bytes: f.bytes, Phase: ph, Job: r.job}
 			sf.SrcPort, sf.DstPort = phaseRules[ph].ports(f.eph())
 			out = append(out, sf)
+		}
+	}
+	return out
+}
+
+// unpackSlab decodes a slab one bit at a time, from the layout schedule.go
+// documents, into the records it was packed from.
+func unpackSlab(s []uint64) []slabFlow {
+	pos := 0
+	field := func(w byte) uint64 {
+		var v uint64
+		for j := range int(w) {
+			v |= s[pos/64] >> (pos % 64) & 1 << j
+			pos++
+		}
+		return v
+	}
+	h := s[1]
+	n, wBytes, wHosts, srcAt, wDst, wEph, wDelta := byte(h), byte(h>>8), byte(h>>16), byte(h>>32), byte(h>>40), byte(h>>48), byte(h>>56)
+	wSrc := wHosts - srcAt
+	pos = 128
+	out := make([]slabFlow, n)
+	start := s[0]
+	for i := range out {
+		bytes := field(wBytes)
+		eph := field(wEph)
+		dst := field(wDst)
+		src := field(wSrc)
+		out[i] = slabFlow{startNs: int64(start), bytes: int64(bytes), packed: src<<(portBits+hostBits) | dst<<portBits | eph}
+		if i+1 < len(out) {
+			start += field(wDelta)
 		}
 	}
 	return out
@@ -52,10 +83,22 @@ func sampleAll(t testing.TB, b *scheduleBuilder) {
 }
 
 // testSource is one source of a hand-built schedule: the bound its
-// flows start at or after, and the start times of each of its runs.
+// flows start at or after, the start times of each of its runs, and
+// whether its sizes have the top bit set, which a slab packs 64 bits
+// wide.
 type testSource struct {
 	bound int64
 	runs  [][]int64
+	wide  bool
+}
+
+// size is the size of flow j of the schedule's run r, which is s's.
+func (s testSource) size(r, j int) int64 {
+	n := int64(100*r + j)
+	if s.wide {
+		n |= math.MinInt64
+	}
+	return n
 }
 
 // sourceSchedule returns a builder over srcs and, built independently
@@ -79,7 +122,7 @@ func sourceSchedule(srcs []testSource) (*scheduleBuilder, []SynthFlow) {
 				}
 				concat = append(concat, SynthFlow{
 					StartNs: ns, SrcHost: r - 1, DstHost: j, SrcPort: sp, DstPort: dp,
-					Bytes: int64(100*r + j), Phase: phase, Job: job,
+					Bytes: src.size(r, j), Phase: phase, Job: job,
 				})
 			}
 			total += int64(len(starts))
@@ -99,9 +142,8 @@ type testSources struct {
 func (s *testSources) sample(b *scheduleBuilder, i int) error {
 	for _, starts := range s.srcs[i].runs {
 		r := s.runs
-		b.beginRun(len(starts))
 		for j, ns := range starts {
-			b.add(packFlow(ns, int64(100*r+j), r-1, j, 2000+j))
+			b.add(packFlow(ns, s.srcs[i].size(r, j), r-1, j, 2000+j))
 		}
 		b.endRun(fmt.Sprintf("job%d", r), r%len(flows.AllPhases))
 		s.runs++
@@ -222,11 +264,19 @@ func scrambledRun(seed uint64, n int, span int64) []int64 {
 	return run
 }
 
-// TestSlabFlowPacking: a record gives back the hosts and ephemeral port
-// it was packed with at the extremes of each field, the master (-1) and
-// the highest host a spec admits among them, without disturbing its
-// start time or size; a record is 24 bytes and a run-table slot 48, and
-// every slab length takes a size class under twice its length.
+// TestSlabFlowPacking: a staged record gives back the hosts and
+// ephemeral port it was packed with at the extremes of each field, the
+// master (-1) and the highest host a spec admits among them, without
+// disturbing its start time or size; a staged record is 24 bytes and a
+// run-table slot 48; and every slab length takes a size class that
+// holds it, exactly up to 32 words and with under 1/16 to spare above.
+//
+// Then it packs runs whose fields reach the extremes of their widths,
+// up to 64 bits, and decodes them through the merge's cursor and bit by
+// bit: both must give back every flow, in order within each slab, with
+// an out-of-order run cut into slabs each stably sorted. Widths of zero
+// (equal start times, the master on every side, port 0) round-trip too,
+// and the longest slab is no longer than maxSlabWords.
 func TestSlabFlowPacking(t *testing.T) {
 	hosts := []int{-1, 0, maxSpecWorkers - 1}
 	for _, src := range hosts {
@@ -246,30 +296,122 @@ func TestSlabFlowPacking(t *testing.T) {
 	if n := unsafe.Sizeof(scheduleRun{}); n != 48 {
 		t.Errorf("scheduleRun is %d bytes, want 48", n)
 	}
-	for n := 1; n <= chunkLen; n++ {
+	for n := 1; n <= maxSlabWords; n++ {
 		k := slabClass(n)
-		if c := min(1<<k, chunkLen); k < 0 || k >= slabClasses || c < n || c >= 2*n || slabClass(c) != k {
-			t.Fatalf("%d flows take size class %d; want one of %d classes holding at least %d and under %d, whose capacity gives it back",
-				n, k, slabClasses, n, 2*n)
+		c := slabCap(k)
+		if k < 0 || k >= slabClasses || c < n || n <= 32 && c != n || 16*c >= 17*n || slabClass(c) != k {
+			t.Fatalf("a %d-word slab takes size class %d of %d, capacity %d; want a capacity that holds it, exact up to 32 words and under 1/16 over above, and gives the class back",
+				n, k, slabClasses, c)
 		}
 	}
-	if slabClass(chunkLen) != slabClasses-1 {
-		t.Errorf("a chunk is size class %d of %d", slabClass(chunkLen), slabClasses)
+	if slabClass(maxSlabWords) != slabClasses-1 {
+		t.Errorf("the longest slab is size class %d of %d", slabClass(maxSlabWords), slabClasses)
+	}
+
+	top := maxSpecWorkers - 1
+	cycle := func(n int, starts []int64) []slabFlow {
+		run := make([]slabFlow, n)
+		for i := range run {
+			run[i] = packFlow(starts[i%len(starts)], []int64{1, math.MaxInt64}[i%2],
+				[]int{-1, top}[i/2%2], []int{top, -1}[i/3%2], []int{0, math.MaxUint16}[i/5%2])
+		}
+		return run
+	}
+	spread := make([]int64, chunkLen)
+	for i := range spread {
+		spread[i] = int64(sim.MaxTime) / (chunkLen - 1) * int64(i)
+	}
+	spread[chunkLen-1] = int64(sim.MaxTime)
+	wide := slabFlow{startNs: math.MaxInt64, bytes: -1, packed: math.MaxUint64}
+	widest := make([]slabFlow, chunkLen)
+	for i := range widest {
+		widest[i] = []slabFlow{{startNs: math.MinInt64}, wide}[i%2]
+	}
+	cases := []struct {
+		name string
+		run  []slabFlow
+	}{
+		{"one flow", cycle(1, []int64{int64(sim.MaxTime)})},
+		{"extremes", cycle(12, []int64{0, 0, 1, 1 << 32, 1<<32 + 1, 1<<32 + 1, 5 << 33, 1 << 40, 1<<62 - 1, 1 << 62, int64(sim.MaxTime) - 1, int64(sim.MaxTime)})},
+		{"a full chunk", cycle(chunkLen, spread)},
+		{"across chunks", cycle(2*chunkLen+3, spread[:chunkLen/2])}, // unsorted: each chunk restarts
+		{"chunks out of order", cycle(2*chunkLen, spread)},          // each sorted, the second starting first
+		{"zero widths", []slabFlow{packFlow(9, 0, -1, -1, 0), packFlow(9, 0, -1, -1, 0), packFlow(9, 0, -1, -1, 0)}},
+		{"64-bit fields", []slabFlow{{startNs: math.MinInt64, bytes: 1}, {startNs: -1}, wide, wide}},
+		{"64-bit fields, unsorted", []slabFlow{wide, {startNs: math.MinInt64, bytes: 1}, wide, {startNs: -1, packed: 1}}},
+		{"full width chunk", widest},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			b := newScheduleBuilder([]int64{math.MinInt64}, int64(len(c.run)), nil)
+			for _, f := range c.run {
+				b.add(f)
+			}
+			b.endRun("job", 1)
+			var want []slabFlow
+			sorted := slices.IsSortedFunc(c.run, slabByStart)
+			for i := 0; i < len(c.run); i += chunkLen {
+				chunk := slices.Clone(c.run[i:min(i+chunkLen, len(c.run))])
+				slices.SortStableFunc(chunk, slabByStart)
+				want = append(want, chunk...)
+			}
+			if runs := b.drawn; sorted && runs != 1 || !sorted && runs != len(b.runs) {
+				t.Errorf("%d slabs pushed as %d runs; sorted %v", len(b.runs), runs, sorted)
+			}
+			var got, bitwise []slabFlow
+			for i := range b.runs {
+				r := &b.runs[i]
+				if len(r.slab) > maxSlabWords || cap(r.slab) != slabCap(slabClass(len(r.slab))) {
+					t.Errorf("slab %d is %d words of capacity %d", i, len(r.slab), cap(r.slab))
+				}
+				bitwise = append(bitwise, unpackSlab(r.slab)...)
+				key, more := r.first(), true
+				for more {
+					var d SynthFlow
+					start := key
+					key, more = r.emit(&d, start)
+					if d.Job != "job" || d.Phase != flows.AllPhases[1] {
+						t.Fatalf("decoded job %q phase %q", d.Job, d.Phase)
+					}
+					eph := d.SrcPort
+					if phaseRules[d.Phase].portOnSrc {
+						eph = d.DstPort
+					}
+					got = append(got, packFlow(d.StartNs, d.Bytes, d.SrcHost, d.DstHost, eph))
+				}
+			}
+			for what, got := range map[string][]slabFlow{"the cursor decodes": got, "the slabs hold": bitwise} {
+				if len(got) != len(want) {
+					t.Fatalf("%s %d flows, want %d", what, len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("%s %+v at flow %d, want %+v", what, got[i], i, want[i])
+					}
+				}
+			}
+		})
 	}
 }
 
 // FuzzScheduleMerge: for arbitrary sources — each with a bound and runs
 // whose start times are at or above it, with ties, empty runs and
 // unsorted runs, optionally followed by a bound-0 source as a
-// background is, and optionally with every start time repeated so that
-// runs cross chunk boundaries — the lazy merge equals a stable sort of
-// every run sampled eagerly.
+// background is, optionally with every start time repeated so that
+// runs cross chunk boundaries, and optionally spread over the whole
+// int64 range with sizes at the top bit, so that fields take 64 bits —
+// the lazy merge equals a stable sort of every run sampled eagerly.
 func FuzzScheduleMerge(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 0, 2, 3, 0, 1, 2, 2, 1, 1, 4, 1, 2, 3, 1, 1, 0, 0, 5, 9, 1})
 	f.Add([]byte{5, 1, 1, 2, 3, 3, 3, 3, 1, 0, 3, 0, 0, 0, 0, 4, 2, 1, 9, 9, 7, 2, 1, 1})
 	f.Add([]byte{2, 15, 3, 5, 3, 2, 1, 0, 3, 0, 0, 1, 2, 7, 1, 4, 1, 1, 1, 1, 3, 6, 2, 1, 0})
 	f.Add([]byte{2, 0, 2, 5, 0, 1, 2, 2, 3, 4, 3, 1, 3, 2, 0, 1, 3, 1, 3, 1, 3, 0, 1, 7, 9, 3, 0, 7, 5, 2, 3, 120}) // runs of 363 to 847 flows
+	// 64-bit deltas and sizes, in runs that cross slabs.
+	f.Add([]byte{0, 0, 1, 3, 0, 1, 3, 1, 3, 31, 0, 17, 90, 1})
+	// A run whose slabs are each in order but start before the one
+	// before ends.
+	f.Add([]byte{0, 0, 1, 4, 1, 2, 3, 0, 0, 84, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() int {
 			if len(data) == 0 {
@@ -308,6 +450,19 @@ func FuzzScheduleMerge(f *testing.F) {
 						}
 					}
 					srcs[i].runs[r] = long
+				}
+			}
+		}
+		if next()%2 == 1 {
+			// Spread every bound and start time over the whole int64
+			// range in order, so a delta and a size take all 64 bits.
+			spread := func(v int64) int64 { return int64(uint64(v)*(math.MaxUint64/31) + 1<<63) }
+			for i := range srcs {
+				srcs[i].bound, srcs[i].wide = spread(srcs[i].bound), true
+				for _, run := range srcs[i].runs {
+					for j := range run {
+						run[j] = spread(run[j])
+					}
 				}
 			}
 		}

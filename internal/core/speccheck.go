@@ -56,10 +56,11 @@ const (
 	maxSpecReducers = 1 << 20 // reduce fan-in
 	maxSpecMaps     = 1 << 26 // map tasks (input/block ratio)
 	maxMixArrivals  = 1 << 20 // expected arrivals in a mix window
-	// maxSpecFlows bounds one schedule's length. A stream holds 24 bytes
-	// per flow sampled and not yet emitted, plus 64 per run, so this caps
-	// it near 6 GiB and Generate's result at 20 GiB; servers admit far
-	// less through their own flow caps.
+	// maxSpecFlows bounds one schedule's length. A stream holds about 10
+	// bytes (24 at most) per flow sampled and not yet emitted, plus about
+	// 90 per slab of up to chunkLen flows, so this caps a stream of long
+	// runs near 2.6 GiB (6.1 GiB at most) and Generate's result at
+	// 20 GiB; servers admit far less through their own flow caps.
 	maxSpecFlows = 1 << 28
 )
 

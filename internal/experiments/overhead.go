@@ -7,6 +7,7 @@ import (
 
 	"keddah/internal/core"
 	"keddah/internal/pcap"
+	"keddah/internal/stats"
 	"keddah/internal/telemetry"
 	"keddah/internal/workload"
 )
@@ -114,41 +115,68 @@ func reassemble(packets []pcap.Packet) []pcap.FlowRecord {
 	return ft.Records()
 }
 
+// overheadPairs is the number of bare/instrumented capture pairs E10b
+// times.
+const overheadPairs = 9
+
 // telemetryOverhead compares the same capture with telemetry attached
 // and bare: the instrumentation cost claimed in DESIGN.md (≤5% on the
 // replay benchmark; a full capture is dominated by simulation work, so
-// the measured overhead here is typically lower still).
+// the measured overhead here is typically lower still). One ~5 ms
+// capture of each resolves nothing, so it times overheadPairs
+// interleaved pairs, alternating which side runs first, and reports the
+// median of each side and of the pairs' overheads, with the overheads'
+// interquartile range as their spread.
 func telemetryOverhead(cfg Config) (*Table, error) {
 	t := Table{
-		ID:       "E10b",
-		Title:    "Telemetry overhead: instrumented vs bare capture",
-		Note:     "same spec and seed; instrumented run updates every counter/gauge/span hook",
-		Headers:  []string{"input GB", "bare ms", "instrumented ms", "overhead %"},
-		Volatile: []string{"bare ms", "instrumented ms", "overhead %"},
+		ID:    "E10b",
+		Title: "Telemetry overhead: instrumented vs bare capture",
+		Note: fmt.Sprintf("same spec and seed; instrumented run updates every counter/gauge/span hook; "+
+			"medians of %d interleaved pairs, alternating which runs first", overheadPairs),
+		Headers:  []string{"input GB", "pairs", "bare ms", "instrumented ms", "overhead %", "overhead IQR %"},
+		Volatile: []string{"bare ms", "instrumented ms", "overhead %", "overhead IQR %"},
 	}
 	input := cfg.gb(2)
 	spec := core.ClusterSpec{Workers: 16, Seed: cfg.Seed}
 	runSpec := []workload.RunSpec{{Profile: "sort", InputBytes: input}}
 
-	// StrictChecks (when set) applies to both sides so the comparison
-	// isolates the telemetry cost.
-	start := time.Now()
-	if _, _, err := core.CaptureWith(spec, runSpec, core.CaptureOpts{StrictChecks: cfg.StrictChecks}); err != nil {
-		return nil, fmt.Errorf("E10b bare: %w", err)
+	// capture times one capture, instrumented or bare. StrictChecks
+	// (when set) applies to both sides so the comparison isolates the
+	// telemetry cost.
+	capture := func(instrumented bool) (float64, error) {
+		opts := core.CaptureOpts{StrictChecks: cfg.StrictChecks}
+		side := "bare"
+		if instrumented {
+			opts.Telemetry, side = telemetry.New(), "instrumented"
+		}
+		start := time.Now()
+		if _, _, err := core.CaptureWith(spec, runSpec, opts); err != nil {
+			return 0, fmt.Errorf("E10b %s: %w", side, err)
+		}
+		return time.Since(start).Seconds() * 1000, nil
 	}
-	bareMs := time.Since(start).Seconds() * 1000
-
-	tel := telemetry.New()
-	start = time.Now()
-	if _, _, err := core.CaptureWith(spec, runSpec, core.CaptureOpts{Telemetry: tel, StrictChecks: cfg.StrictChecks}); err != nil {
-		return nil, fmt.Errorf("E10b instrumented: %w", err)
+	var bare, inst, overhead []float64
+	for i := range overheadPairs {
+		var b, in float64
+		instFirst := i%2 == 1
+		for _, instrumented := range [2]bool{instFirst, !instFirst} {
+			d, err := capture(instrumented)
+			if err != nil {
+				return nil, err
+			}
+			if instrumented {
+				in = d
+			} else {
+				b = d
+			}
+		}
+		bare, inst = append(bare, b), append(inst, in)
+		if b > 0 {
+			overhead = append(overhead, (in-b)/b*100)
+		}
 	}
-	instMs := time.Since(start).Seconds() * 1000
-
-	overhead := 0.0
-	if bareMs > 0 {
-		overhead = (instMs - bareMs) / bareMs * 100
-	}
-	t.AddRow(gbLabel(input), f2(bareMs), f2(instMs), f2(overhead))
+	ov := stats.NewSampleOwned(overhead)
+	t.AddRow(gbLabel(input), itoa(overheadPairs), f2(stats.NewSampleOwned(bare).Quantile(0.5)),
+		f2(stats.NewSampleOwned(inst).Quantile(0.5)), f2(ov.Quantile(0.5)), f2(ov.Quantile(0.75)-ov.Quantile(0.25)))
 	return &t, nil
 }
